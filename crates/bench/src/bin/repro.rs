@@ -281,34 +281,11 @@ fn heading(out: &mut String, title: &str) {
     let _ = writeln!(out, "\n=== {title} ===");
 }
 
-/// Times the fleet drive engines for BENCH.json and returns the
-/// `"fleet_engine"` JSON fragment (no trailing newline).
-///
-/// Two measurements:
-///
-/// * **probe** — one identical plan-free load driven by the event-heap
-///   engine and by the retired tick-polling reference, at N = 16 with a
-///   large client population. The tick loop re-scans every client per
-///   dispatch (cost ∝ clients × requests); the heap engine pays O(log
-///   clients) per event, which is the asymptotic gap this records. The
-///   two reports must agree — byte-identity is checked right here.
-/// * **sweep_heap_ms** — wall-clock of the full five-configuration fleet
-///   sweep (heap engine) per fleet size, the `repro fleet` workload
-///   itself.
+/// Times the fleet sweep for BENCH.json and returns the `"fleet_engine"`
+/// JSON fragment (no trailing newline): **sweep_heap_ms** is the
+/// wall-clock of the full five-configuration fleet sweep per fleet size,
+/// the `repro fleet` workload itself.
 fn fleet_engine_block(quick: bool) -> String {
-    let (clients, rpc) = if quick { (8_192, 1) } else { (65_536, 1) };
-    let time_engine = |tick: bool| {
-        let t = Instant::now();
-        let out = fleet::run_engine(tick, 16, clients, rpc);
-        (t.elapsed().as_secs_f64() * 1e3, out)
-    };
-    let (heap_ms, heap_out) = time_engine(false);
-    let (tick_ms, tick_out) = time_engine(true);
-    let identical = heap_out == tick_out;
-    if !identical {
-        eprintln!("engine probe mismatch: heap {heap_out:?} vs tick {tick_out:?}");
-    }
-
     let (sizes, cpi, sweep_rpc): (&[usize], usize, usize) = if quick {
         (&[4, 16], 2, 200)
     } else {
@@ -325,18 +302,6 @@ fn fleet_engine_block(quick: bool) -> String {
 
     let mut json = String::new();
     let _ = writeln!(json, "  \"fleet_engine\": {{");
-    let _ = writeln!(
-        json,
-        "    \"probe\": {{\"instances\": 16, \"clients\": {clients}, \
-         \"requests_per_client\": {rpc}, \"tick_ms\": {tick_ms:.1}, \
-         \"heap_ms\": {heap_ms:.1}, \"heap_speedup\": {:.2}, \
-         \"outputs_identical\": {identical}}},",
-        if heap_ms > 0.0 {
-            tick_ms / heap_ms
-        } else {
-            1.0
-        }
-    );
     let _ = writeln!(
         json,
         "    \"sweep\": {{\"clients_per_instance\": {cpi}, \

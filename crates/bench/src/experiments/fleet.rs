@@ -244,33 +244,6 @@ pub fn run_shapes(instances: usize, cpi: usize, rpc: usize) -> Vec<ShapeRow> {
     })
 }
 
-/// Drives one plan-free load through the heap engine or the retired
-/// tick-polling reference and returns `(successes, requests)`. The caller
-/// times the call: with a large client population the tick loop's
-/// every-iteration scan dominates (cost ∝ clients × requests) while the
-/// heap engine stays O(log clients) per event — this is the BENCH.json
-/// engine comparison.
-pub fn run_engine(tick: bool, instances: usize, clients: usize, rpc: usize) -> (usize, usize) {
-    let mut fleet = boot(instances);
-    let fleet_load = FleetLoad {
-        clients,
-        requests_per_client: rpc,
-        think_time: THINK,
-        // Non-keepalive (siege's default): connection tables stay bounded
-        // by in-flight requests, so per-request dispatch cost is flat and
-        // the comparison isolates the drive loops themselves.
-        keepalive: false,
-        ..FleetLoad::default()
-    };
-    let report = if tick {
-        fleet.run_tick_reference(&fleet_load, Policy::RoundRobin, FleetPlan::none())
-    } else {
-        fleet.run(&fleet_load, Policy::RoundRobin, FleetPlan::none())
-    }
-    .expect("fleet run");
-    (report.successes(), report.requests())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,10 +297,5 @@ mod tests {
                 row.success_pct
             );
         }
-    }
-
-    #[test]
-    fn engines_agree_on_the_probe_load() {
-        assert_eq!(run_engine(false, 2, 32, 8), run_engine(true, 2, 32, 8));
     }
 }

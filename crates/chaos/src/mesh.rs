@@ -15,7 +15,7 @@ use std::collections::BTreeSet;
 use vampos_bench::parallel_map;
 use vampos_mesh::{
     generate_mesh_spec, run_mesh_campaign, run_mesh_campaign_forensics, MeshCampaignReport,
-    MeshChaosSpec, MeshFaultClass, MeshPlantKind, MeshViolation,
+    MeshChaosSpec, MeshFaultClass, MeshPlantKind, MeshViolation, FRONT_INSTANCES,
 };
 use vampos_sim::derive_seed;
 use vampos_telemetry::SpanDump;
@@ -492,18 +492,31 @@ pub fn mesh_from_json(text: &str) -> Result<MeshChaosSpec, String> {
             Some(MeshPlantKind::from_name(name).ok_or_else(|| format!("unknown plant {name:?}"))?)
         }
     };
+    let replicas = v.get("replicas")?.as_u64()? as usize;
+    let target_replica = v.get("target_replica")?.as_u64()? as usize;
+    if target_replica >= replicas {
+        return Err(format!(
+            "target_replica {target_replica} out of range for {replicas} replica(s)"
+        ));
+    }
+    let target_front = v.get("target_front")?.as_u64()? as usize;
+    if target_front >= FRONT_INSTANCES {
+        return Err(format!(
+            "target_front {target_front} out of range for {FRONT_INSTANCES} front instance(s)"
+        ));
+    }
     Ok(MeshChaosSpec {
         seed: v.get("seed")?.as_u64()?,
         campaign: v.get("campaign")?.as_u64()?,
         class,
         plant,
         plant_journey: v.get("plant_journey")?.as_u64()?,
-        replicas: v.get("replicas")?.as_u64()? as usize,
+        replicas,
         clients: v.get("clients")?.as_u64()? as usize,
         requests_per_client: v.get("requests_per_client")?.as_u64()? as usize,
         at_ns: v.get("at_ns")?.as_u64()?,
-        target_replica: v.get("target_replica")?.as_u64()? as usize,
-        target_front: v.get("target_front")?.as_u64()? as usize,
+        target_replica,
+        target_front,
         component: v.get("component")?.as_str()?.to_owned(),
     })
 }
@@ -543,6 +556,19 @@ mod tests {
         assert!(mesh_from_json(&crate::recursive_to_json(&recursive)).is_err());
         let mesh = generate_mesh_spec(7, 0, MeshFaultClass::KvReboot, None);
         assert!(crate::recursive_from_json(&mesh_to_json(&mesh)).is_err());
+        // So are targets the mesh does not have.
+        let replica = MeshChaosSpec {
+            target_replica: mesh.replicas,
+            ..mesh.clone()
+        };
+        let err = mesh_from_json(&mesh_to_json(&replica)).unwrap_err();
+        assert!(err.contains("target_replica"), "{err}");
+        let front = MeshChaosSpec {
+            target_front: FRONT_INSTANCES,
+            ..mesh
+        };
+        let err = mesh_from_json(&mesh_to_json(&front)).unwrap_err();
+        assert!(err.contains("target_front"), "{err}");
     }
 
     #[test]

@@ -502,14 +502,21 @@ pub fn recursive_from_json(text: &str) -> Result<RecursiveCampaignSpec, String> 
         FaultClass::from_name(class).ok_or_else(|| format!("unknown fault class {class:?}"))?;
     let plant = v.get("plant")?.as_str()?;
     let plant = PlantKind::from_name(plant).ok_or_else(|| format!("unknown plant {plant:?}"))?;
+    let instances = v.get("instances")?.as_u64()? as usize;
+    let target = v.get("target")?.as_u64()? as usize;
+    if target >= instances {
+        return Err(format!(
+            "target {target} out of range for {instances} instance(s)"
+        ));
+    }
     Ok(RecursiveCampaignSpec {
-        instances: v.get("instances")?.as_u64()? as usize,
+        instances,
         seed: v.get("seed")?.as_u64()?,
         campaign: v.get("campaign")?.as_u64()?,
         clients: v.get("clients")?.as_u64()? as usize,
         requests_per_client: v.get("requests_per_client")?.as_u64()? as usize,
         class,
-        target: v.get("target")?.as_u64()? as usize,
+        target,
         at_ns: v.get("at_ns")?.as_u64()?,
         component: v.get("component")?.as_str()?.to_owned(),
         glitch_count: v.get("glitch_count")?.as_u64()? as u32,
@@ -545,6 +552,11 @@ mod tests {
     fn component_family_documents_are_rejected() {
         let spec = crate::generate_spec(crate::WorkloadKind::Kv, 7, 0, 2, false);
         assert!(recursive_from_json(&crate::to_json(&spec)).is_err());
+        // So is a target the fleet does not have.
+        let mut spec = generate_recursive_spec(7, 0, FaultClass::NinepStall, PlantKind::None);
+        spec.target = spec.instances;
+        let err = recursive_from_json(&recursive_to_json(&spec)).unwrap_err();
+        assert!(err.contains("out of range"), "{err}");
     }
 
     #[test]

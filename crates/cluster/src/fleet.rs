@@ -2,13 +2,14 @@
 //! and the event-heap run loop that interleaves requests with the
 //! maintenance plan.
 //!
-//! [`Fleet::run`] drives everything off one [`crate::engine::EventHeap`]:
-//! plan operations, client arrivals, request completions, and
-//! recovery-window closes are heap events popped in the deterministic
-//! `(time, class, actor, sequence)` order. The retired tick-polling loop
-//! survives as [`Fleet::run_tick_reference`], an executable specification
-//! the byte-identity tests (and the BENCH engine comparison) run the heap
-//! engine against.
+//! One private loop, `Fleet::drive`, runs everything off one
+//! [`crate::engine::EventHeap`]: plan operations, client arrivals, request
+//! completions, and recovery-window closes are heap events popped in the
+//! deterministic `(time, class, actor, sequence)` order. [`Fleet::run`],
+//! [`Fleet::run_supervised`] (the same loop with an escalation ladder
+//! catching failures) and [`Fleet::run_with`] (the same loop handing every
+//! dispatched request to a continuation — the mesh's stage pipeline) are
+//! its only entry points.
 
 use vampos_apps::App;
 use vampos_core::{ComponentSet, Mode};
@@ -21,7 +22,7 @@ use vampos_workloads::{LoadReport, RequestRecord};
 
 use crate::balancer::{Balancer, Policy};
 use crate::engine::{ArrivalShape, EventClass, EventHeap};
-use crate::instance::Instance;
+use crate::instance::{exchange, HopCost, Instance};
 use crate::ladder::{EscalationLadder, Rung};
 use crate::plan::{FleetOp, FleetOpKind, FleetPlan, RecoveryFault};
 use crate::report::FleetRunReport;
@@ -111,9 +112,6 @@ struct FleetClient {
     /// clients displaced by a maintenance window return here the moment
     /// the window closes (see [`Balancer::should_return_home`]).
     home: Option<usize>,
-    /// Next due time; only the tick reference reads this (the heap engine
-    /// keeps due times inside its events).
-    next_send: Nanos,
     sent: usize,
     ever_connected: bool,
 }
@@ -126,6 +124,28 @@ struct Counters {
     completed: u64,
 }
 
+/// One run's drive state: what the loop and the dispatcher share.
+struct Run<'a> {
+    load: &'a FleetLoad,
+    started: Nanos,
+    one_way: Nanos,
+    /// Per-instance `(component_reboots, full_reboots)` before the run.
+    baseline: Vec<(u64, u64)>,
+    clients: Vec<FleetClient>,
+    balancer: Balancer,
+    counters: Counters,
+    request: String,
+}
+
+impl Run<'_> {
+    /// Client `idx`'s first due time: the population is staggered across
+    /// one think interval.
+    fn first_due(&self, idx: usize) -> Nanos {
+        let n = self.clients.len() as u64;
+        self.started + Nanos::from_nanos(self.load.think_time.as_nanos() * idx as u64 / n)
+    }
+}
+
 /// One routing attempt of a request journey, accumulated locally while the
 /// instance borrow is live and flushed to the fleet hub afterwards.
 struct JourneyHop {
@@ -133,61 +153,40 @@ struct JourneyHop {
     start: Nanos,
     end: Nanos,
     served: bool,
-    wire_ns: u64,
-    queue_ns: u64,
-    stall_ns: u64,
-    service_ns: u64,
+    cost: HopCost,
 }
 
-impl JourneyHop {
-    /// A hop that died before service (reset connection, failed connect or
-    /// poll): zero-length, zero decomposition.
-    fn failed(label: &str, due: Nanos) -> JourneyHop {
-        JourneyHop {
-            label: label.to_owned(),
+/// Records an attempt on `inst` that died before service (reset
+/// connection, failed connect or poll): a failed transaction and, under
+/// forensics, a zero-length hop with a zero decomposition.
+fn note_dead_attempt(inst: &mut Instance, due: Nanos, hops: Option<&mut Vec<JourneyHop>>) {
+    inst.report.records.push(RequestRecord {
+        start: due,
+        end: due,
+        ok: false,
+    });
+    if let Some(hops) = hops {
+        hops.push(JourneyHop {
+            label: inst.label().to_owned(),
             start: due,
             end: due,
             served: false,
-            wire_ns: 0,
-            queue_ns: 0,
-            stall_ns: 0,
-            service_ns: 0,
-        }
+            cost: HopCost::default(),
+        });
     }
+}
 
-    /// A hop booked against the instance's service queue. The stall is the
-    /// slice of the queueing delay that overlaps the instance's recovery
-    /// window — the recovery-induced part of the wait.
-    #[allow(clippy::too_many_arguments)]
-    fn booked(
-        inst: &Instance,
-        due: Nanos,
-        end: Nanos,
-        served: bool,
-        one_way: Nanos,
-        arrival: Nanos,
-        busy_from: Nanos,
-        service: Nanos,
-    ) -> JourneyHop {
-        JourneyHop {
-            label: inst.label().to_owned(),
-            start: due,
-            end,
-            served,
-            wire_ns: (one_way + one_way).as_nanos(),
-            queue_ns: busy_from.saturating_sub(arrival).as_nanos(),
-            stall_ns: busy_from
-                .min(inst.recovery_until())
-                .saturating_sub(arrival)
-                .as_nanos(),
-            service_ns: service.as_nanos(),
-        }
-    }
+/// The body of an HTTP response (empty when the header never ended).
+pub(crate) fn http_body(response: &[u8]) -> &[u8] {
+    response
+        .windows(4)
+        .position(|w| w == b"\r\n\r\n")
+        .map_or(&[], |p| &response[p + 4..])
 }
 
 /// Emits the instance-local `serve` journey span covering the server
 /// occupancy window. Called at the same logical point (response booked) by
-/// the fleet dispatch paths and by [`crate::single::run_single`], so the
+/// the fleet dispatcher and by [`crate::single::run_single`], so the
 /// fleet-of-1 instance trace stays byte-identical to the bare loop's.
 pub(crate) fn note_serve_span(
     sink: Option<&TelemetrySink>,
@@ -219,11 +218,9 @@ pub(crate) fn note_serve_span(
     });
 }
 
-/// Decomposition of one front-tier dispatch, mirrored from the journey-hop
-/// bookkeeping: what an external drive loop (the mesh pipeline engine)
-/// needs to continue the journey across further hops. Every field is
-/// arithmetic the dispatch path already computes — returning it changes no
-/// clock, RNG, or record state, so [`Fleet::run`] stays byte-identical.
+/// The booked outcome of one front-tier dispatch — what a
+/// [`Fleet::run_with`] continuation (the mesh pipeline) needs to carry the
+/// journey across further hops.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FrontOutcome {
     /// Completion time the client observes (`due` for requests that died
@@ -235,14 +232,9 @@ pub struct FrontOutcome {
     pub served: bool,
     /// Instance that handled (or killed) the final attempt.
     pub instance: usize,
-    /// Two one-way network flights.
-    pub wire_ns: u64,
-    /// Time queued behind the instance's FIFO service queue.
-    pub queue_ns: u64,
-    /// Slice of the queueing delay overlapping a recovery window.
-    pub stall_ns: u64,
-    /// Server occupancy.
-    pub service_ns: u64,
+    /// Latency decomposition of the final attempt (zero when it died
+    /// before service).
+    pub cost: HopCost,
 }
 
 impl FrontOutcome {
@@ -254,129 +246,8 @@ impl FrontOutcome {
             ok: false,
             served: false,
             instance,
-            wire_ns: 0,
-            queue_ns: 0,
-            stall_ns: 0,
-            service_ns: 0,
+            cost: HopCost::default(),
         }
-    }
-}
-
-/// Per-request drive state for an externally-owned run: the client
-/// population, balancer, and counters [`Fleet::run`] keeps on its stack,
-/// packaged so a caller (the mesh layer) can interleave front-tier
-/// dispatches with its own pipeline work on the shared clock.
-///
-/// Driving every arrival through [`FrontDrive::dispatch`] in the same heap
-/// order [`Fleet::run`] would use reproduces that run byte-for-byte — the
-/// mesh depth-1 equivalence proptest holds the two to exactly that.
-pub struct FrontDrive {
-    started: Nanos,
-    one_way: Nanos,
-    baseline: Vec<(u64, u64)>,
-    clients: Vec<FleetClient>,
-    balancer: Balancer,
-    counters: Counters,
-    request: String,
-    load: FleetLoad,
-}
-
-impl FrontDrive {
-    /// Virtual time the run began.
-    pub fn started(&self) -> Nanos {
-        self.started
-    }
-
-    /// One-way network flight time for this load's client placement.
-    pub fn one_way(&self) -> Nanos {
-        self.one_way
-    }
-
-    /// Number of clients in the population.
-    pub fn client_count(&self) -> usize {
-        self.clients.len()
-    }
-
-    /// The staggered first due time of client `idx` (the arrival grid
-    /// [`Fleet::run`] seeds its heap with).
-    pub fn first_due(&self, idx: usize) -> Nanos {
-        self.clients[idx].next_send
-    }
-
-    /// Requests client `idx` has dispatched so far.
-    pub fn sent(&self, idx: usize) -> usize {
-        self.clients[idx].sent
-    }
-
-    /// Arrivals dispatched so far; the next dispatch mints journey id
-    /// `issued() + 1`.
-    pub fn issued(&self) -> u64 {
-        self.counters.issued
-    }
-
-    /// Dispatches client `idx`'s request due at `due`, exactly as
-    /// [`Fleet::run`]'s arrival arm would: advances the shared clock,
-    /// mints the journey id, routes through the balancer with the one-shot
-    /// dead-connection retry, and books the occupancy arithmetic. Returns
-    /// the journey id and the hop decomposition.
-    ///
-    /// # Errors
-    ///
-    /// Propagates unrecovered system failures (fail-stop), like
-    /// [`Fleet::run`].
-    pub fn dispatch(
-        &mut self,
-        fleet: &mut Fleet,
-        idx: usize,
-        due: Nanos,
-    ) -> Result<(u64, FrontOutcome), OsError> {
-        fleet.clock.advance_to(due);
-        self.counters.issued += 1;
-        let journey = self.counters.issued;
-        let outcome = fleet.dispatch(
-            &mut self.clients[idx],
-            due,
-            &self.load,
-            &mut self.balancer,
-            self.one_way,
-            &mut self.counters,
-            &self.request,
-        )?;
-        self.clients[idx].sent += 1;
-        Ok((journey, outcome))
-    }
-
-    /// Records one completion event (the closed-loop conservation
-    /// counter).
-    pub fn note_completed(&mut self) {
-        self.counters.completed += 1;
-        debug_assert!(self.counters.completed <= self.counters.issued);
-    }
-
-    /// Fires one maintenance op, exactly as [`Fleet::run_supervised`]'s
-    /// plan arm would (including the balancer stale-view freeze plain
-    /// [`Fleet::run`] skips). Returns the recovery-window close time when
-    /// the op opened one — the caller schedules its own
-    /// [`EventClass::Window`] event there.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the op's failure (rejuvenation or reboot that did not
-    /// complete).
-    pub fn fire_op(&mut self, fleet: &mut Fleet, op: &FleetOp) -> Result<Option<Nanos>, OsError> {
-        let result = fleet.fire_op(op, self.started);
-        if let FleetOpKind::RecoveryFault(RecoveryFault::BalancerStaleView { window }) = &op.kind {
-            let at = self.started + op.at;
-            self.balancer.freeze_view(&fleet.instances, at + *window);
-        }
-        result?;
-        Ok(fleet.note_op_fired_at(op, self.started))
-    }
-
-    /// Finishes the run: stamps durations, drains per-instance reports,
-    /// and folds the counters — [`Fleet::run`]'s epilogue.
-    pub fn finish(self, fleet: &mut Fleet) -> FleetRunReport {
-        fleet.finish_run(self.started, &self.baseline, self.counters)
     }
 }
 
@@ -430,79 +301,60 @@ impl Fleet {
         self.fleet_sink.as_ref()
     }
 
-    fn start_run(&mut self, load: &FleetLoad) -> (Nanos, Nanos, Vec<(u64, u64)>, Vec<FleetClient>) {
-        let started = self.clock.now();
-        let one_way = self.instances[0].sys.costs().net_rtt(0, load.remote) / 2;
-        let baseline: Vec<(u64, u64)> = self
+    fn start_run<'a>(&mut self, load: &'a FleetLoad, policy: Policy) -> Run<'a> {
+        let baseline = self
             .instances
             .iter()
             .map(|i| (i.sys.stats().component_reboots, i.sys.stats().full_reboots))
             .collect();
-        let per_instance_cap =
-            load.clients.max(1) * load.requests_per_client / self.instances.len() + 16;
+        let n_clients = load.clients.max(1);
+        let per_instance_cap = n_clients * load.requests_per_client / self.instances.len() + 16;
         for inst in &mut self.instances {
             inst.report = LoadReport::with_capacity(per_instance_cap);
             // Downtime from boot or a previous run is history, not a
             // reason to drain now.
-            inst.ack_downtime();
+            inst.occ.ack_downtime(&inst.sys);
         }
-        let n_clients = load.clients.max(1);
-        let clients = (0..n_clients)
-            .map(|i| FleetClient {
-                conn: None,
-                home: None,
-                next_send: started
-                    + Nanos::from_nanos(load.think_time.as_nanos() * i as u64 / n_clients as u64),
-                sent: 0,
-                ever_connected: false,
-            })
-            .collect();
-        (started, one_way, baseline, clients)
-    }
-
-    /// Begins an externally-driven run: books the same baseline and client
-    /// population [`Fleet::run`] would and hands the drive state to the
-    /// caller. The caller owns the event order; see [`FrontDrive`].
-    pub fn begin_front(&mut self, load: &FleetLoad, policy: Policy) -> FrontDrive {
-        let (started, one_way, baseline, clients) = self.start_run(load);
-        FrontDrive {
-            started,
-            one_way,
+        Run {
+            load,
+            started: self.clock.now(),
+            one_way: self.instances[0].sys.costs().net_rtt(0, load.remote) / 2,
             baseline,
-            clients,
+            clients: (0..n_clients)
+                .map(|_| FleetClient {
+                    conn: None,
+                    home: None,
+                    sent: 0,
+                    ever_connected: false,
+                })
+                .collect(),
             balancer: Balancer::new(policy),
             counters: Counters::default(),
             request: format!("GET {} HTTP/1.1\r\nHost: vampos\r\n\r\n", load.path),
-            load: load.clone(),
         }
     }
 
-    fn finish_run(
-        &mut self,
-        started: Nanos,
-        baseline: &[(u64, u64)],
-        counters: Counters,
-    ) -> FleetRunReport {
-        let duration = self.clock.now().saturating_sub(started);
+    fn finish_run(&mut self, run: Run) -> FleetRunReport {
         let mut per_instance = Vec::with_capacity(self.instances.len());
         let mut component_reboots = 0;
         let mut full_reboots = 0;
-        for (inst, (comp0, full0)) in self.instances.iter_mut().zip(baseline) {
-            inst.report.duration = duration;
+        for (inst, (comp0, full0)) in self.instances.iter_mut().zip(&run.baseline) {
             per_instance.push(std::mem::take(&mut inst.report));
             component_reboots += inst.sys.stats().component_reboots - comp0;
             full_reboots += inst.sys.stats().full_reboots - full0;
         }
-        FleetRunReport {
+        let mut report = FleetRunReport {
             per_instance,
-            retried: counters.retried,
-            redirects: counters.redirects,
-            issued: counters.issued,
-            completed: counters.completed,
+            retried: run.counters.retried,
+            redirects: run.counters.redirects,
+            issued: run.counters.issued,
+            completed: run.counters.completed,
             component_reboots,
             full_reboots,
-            duration,
-        }
+            duration: Nanos::ZERO,
+        };
+        report.stamp_duration(self.clock.now().saturating_sub(run.started));
+        report
     }
 
     /// Runs `load` under `policy` while firing `plan` on the event heap.
@@ -523,80 +375,7 @@ impl Fleet {
         policy: Policy,
         plan: FleetPlan,
     ) -> Result<FleetRunReport, OsError> {
-        let (started, one_way, baseline, mut clients) = self.start_run(load);
-        let mut balancer = Balancer::new(policy);
-        let ops = plan.into_firing_order();
-        let mut counters = Counters::default();
-        let request = format!("GET {} HTTP/1.1\r\nHost: vampos\r\n\r\n", load.path);
-
-        let mut heap = EventHeap::default();
-        // Plan events are pushed in firing order, so among themselves they
-        // pop in exactly `ops` order and a plain cursor recovers the op.
-        for op in &ops {
-            heap.push(started + op.at, EventClass::Plan, op.instance as u64);
-        }
-        if load.requests_per_client > 0 {
-            for (i, c) in clients.iter().enumerate() {
-                heap.push(c.next_send, EventClass::Arrival, i as u64);
-            }
-        }
-
-        let mut op_idx = 0;
-        while let Some(ev) = heap.pop() {
-            match ev.class {
-                EventClass::Plan => {
-                    let op = &ops[op_idx];
-                    op_idx += 1;
-                    self.fire_op(op, started)?;
-                    self.note_op_fired(op, started, &mut heap);
-                }
-                EventClass::Arrival => {
-                    let idx = ev.actor as usize;
-                    self.clock.advance_to(ev.at);
-                    counters.issued += 1;
-                    let end = self
-                        .dispatch(
-                            &mut clients[idx],
-                            ev.at,
-                            load,
-                            &mut balancer,
-                            one_way,
-                            &mut counters,
-                            &request,
-                        )?
-                        .end;
-                    clients[idx].sent += 1;
-                    if load.shape == ArrivalShape::ClosedLoop {
-                        heap.push(end.max(ev.at), EventClass::Completion, ev.actor);
-                    } else {
-                        counters.completed += 1;
-                        if clients[idx].sent < load.requests_per_client {
-                            let next = load.shape.next_due(
-                                ev.at,
-                                started,
-                                clients[idx].sent,
-                                load.think_time,
-                            );
-                            heap.push(next, EventClass::Arrival, ev.actor);
-                        }
-                    }
-                }
-                EventClass::Completion => {
-                    counters.completed += 1;
-                    debug_assert!(counters.completed <= counters.issued);
-                    let idx = ev.actor as usize;
-                    if clients[idx].sent < load.requests_per_client {
-                        heap.push(ev.at + load.think_time, EventClass::Arrival, ev.actor);
-                    }
-                }
-                EventClass::Window => {
-                    self.note_window_close(ev.actor as usize, ev.at);
-                }
-            }
-        }
-        debug_assert_eq!(counters.issued, counters.completed);
-
-        Ok(self.finish_run(started, &baseline, counters))
+        self.drive(load, policy, plan, None, |_, _, front| Ok(front.end))
     }
 
     /// [`Fleet::run`] with the escalation ladder supervising recovery:
@@ -624,19 +403,59 @@ impl Fleet {
         plan: FleetPlan,
         ladder: &mut EscalationLadder,
     ) -> Result<FleetRunReport, OsError> {
-        let (started, one_way, baseline, mut clients) = self.start_run(load);
-        let mut balancer = Balancer::new(policy);
+        self.drive(
+            load,
+            policy,
+            plan,
+            Some(ladder),
+            |_, _, front| Ok(front.end),
+        )
+    }
+
+    /// [`Fleet::run`] with a continuation: every dispatched request is
+    /// handed to `then(journey, due, &front)`, which returns when the
+    /// client finally observes the journey's end — [`Fleet::run`] itself
+    /// is the identity continuation `front.end`. The mesh carries the
+    /// journey across its stage pipeline there, on the shared clock and in
+    /// arrival order.
+    ///
+    /// # Errors
+    ///
+    /// Propagates unrecovered system failures (fail-stop), the
+    /// continuation's included.
+    pub fn run_with(
+        &mut self,
+        load: &FleetLoad,
+        policy: Policy,
+        plan: FleetPlan,
+        then: impl FnMut(u64, Nanos, &FrontOutcome) -> Result<Nanos, OsError>,
+    ) -> Result<FleetRunReport, OsError> {
+        self.drive(load, policy, plan, None, then)
+    }
+
+    /// The one drive loop. With a `ladder`, failures are reported to it
+    /// (and its rungs fired) instead of aborting the run.
+    fn drive(
+        &mut self,
+        load: &FleetLoad,
+        policy: Policy,
+        plan: FleetPlan,
+        mut ladder: Option<&mut EscalationLadder>,
+        mut then: impl FnMut(u64, Nanos, &FrontOutcome) -> Result<Nanos, OsError>,
+    ) -> Result<FleetRunReport, OsError> {
+        let mut run = self.start_run(load, policy);
+        let started = run.started;
         let ops = plan.into_firing_order();
-        let mut counters = Counters::default();
-        let request = format!("GET {} HTTP/1.1\r\nHost: vampos\r\n\r\n", load.path);
 
         let mut heap = EventHeap::default();
+        // Plan events are pushed in firing order, so among themselves they
+        // pop in exactly `ops` order and a plain cursor recovers the op.
         for op in &ops {
             heap.push(started + op.at, EventClass::Plan, op.instance as u64);
         }
         if load.requests_per_client > 0 {
-            for (i, c) in clients.iter().enumerate() {
-                heap.push(c.next_send, EventClass::Arrival, i as u64);
+            for i in 0..run.clients.len() {
+                heap.push(run.first_due(i), EventClass::Arrival, i as u64);
             }
         }
 
@@ -646,77 +465,64 @@ impl Fleet {
                 EventClass::Plan => {
                     let op = &ops[op_idx];
                     op_idx += 1;
-                    if let Err(err) = self.fire_op(op, started) {
+                    if let Err(err) = self.fire_op(op, started, &mut run.balancer) {
+                        let Some(ladder) = ladder.as_deref_mut() else {
+                            return Err(err);
+                        };
                         let at = self.clock.now();
                         let reason = format!("plan op failed: {err}");
                         if let Some(rung) = ladder.note_failure(op.instance, at, &reason) {
                             self.fire_rung(op.instance, rung, at, &reason);
                         }
                     }
-                    if let FleetOpKind::RecoveryFault(RecoveryFault::BalancerStaleView { window }) =
-                        &op.kind
-                    {
-                        let at = started + op.at;
-                        balancer.freeze_view(&self.instances, at + *window);
-                    }
                     self.note_op_fired(op, started, &mut heap);
                 }
                 EventClass::Arrival => {
                     let idx = ev.actor as usize;
                     self.clock.advance_to(ev.at);
-                    counters.issued += 1;
-                    let (end, pending) = self.dispatch_supervised(
-                        &mut clients[idx],
-                        ev.at,
-                        load,
-                        &mut balancer,
-                        one_way,
-                        &mut counters,
-                        &request,
-                        ladder,
-                    );
-                    if let Some((target, rung, reason)) = pending {
-                        let at = self.clock.now();
-                        self.fire_rung(target, rung, at, &reason);
-                    }
-                    clients[idx].sent += 1;
+                    run.counters.issued += 1;
+                    let front = self.dispatch(&mut run, idx, ev.at, ladder.as_deref_mut())?;
+                    let end = then(run.counters.issued, ev.at, &front)?;
+                    let sent = &mut run.clients[idx].sent;
+                    *sent += 1;
                     if load.shape == ArrivalShape::ClosedLoop {
                         heap.push(end.max(ev.at), EventClass::Completion, ev.actor);
                     } else {
-                        counters.completed += 1;
-                        if clients[idx].sent < load.requests_per_client {
-                            let next = load.shape.next_due(
-                                ev.at,
-                                started,
-                                clients[idx].sent,
-                                load.think_time,
-                            );
+                        run.counters.completed += 1;
+                        if *sent < load.requests_per_client {
+                            let next = load.shape.next_due(ev.at, started, *sent, load.think_time);
                             heap.push(next, EventClass::Arrival, ev.actor);
                         }
                     }
                 }
                 EventClass::Completion => {
-                    counters.completed += 1;
-                    debug_assert!(counters.completed <= counters.issued);
-                    let idx = ev.actor as usize;
-                    if clients[idx].sent < load.requests_per_client {
+                    run.counters.completed += 1;
+                    debug_assert!(run.counters.completed <= run.counters.issued);
+                    if run.clients[ev.actor as usize].sent < load.requests_per_client {
                         heap.push(ev.at + load.think_time, EventClass::Arrival, ev.actor);
                     }
                 }
                 EventClass::Window => {
-                    self.note_window_close(ev.actor as usize, ev.at);
+                    if let Some(sink) = &self.fleet_sink {
+                        let label = self.instances[ev.actor as usize].label();
+                        sink.with(|hub| {
+                            Collector::instant(hub, "fleet", "window_close", label, ev.at);
+                        });
+                    }
                 }
             }
         }
-        debug_assert_eq!(counters.issued, counters.completed);
+        debug_assert_eq!(run.counters.issued, run.counters.completed);
 
-        Ok(self.finish_run(started, &baseline, counters))
+        Ok(self.finish_run(run))
     }
 
     /// Performs one rung's recovery action against `instance` and records
     /// the per-rung telemetry span (`rung:<rung>:<reason>` on the fleet
     /// track). Rung actions never propagate errors: a recovery attempt
-    /// that itself fails is exactly what the next rung is for.
+    /// that itself fails is exactly what the next rung is for — and
+    /// because [`crate::Occupancy::maintain`] books nothing for it, the
+    /// instance stays exposed and follow-up traffic drives that next rung.
     fn fire_rung(&mut self, instance: usize, rung: Rung, at: Nanos, reason: &str) {
         let label = self.instances[instance].label().to_owned();
         if let Some(sink) = &self.fleet_sink {
@@ -732,43 +538,27 @@ impl Fleet {
             });
         }
         let inst = &mut self.instances[instance];
-        match rung {
-            Rung::Component => {
-                // Component-level recovery: rejuvenate every rebootable
-                // component and re-establish the 9P session. Only a rung
-                // that *succeeded* opens a maintenance window — a failed
-                // attempt must leave the instance exposed, so follow-up
-                // traffic keeps failing and drives the next rung instead
-                // of draining around a recovery that never happened.
-                let t0 = inst.sys.clock().now();
-                let recovered = inst.sys.rejuvenate_all().is_ok();
-                inst.sys
-                    .host()
-                    .with(|w| w.ninep_mut().clear_session_glitch());
-                let dur = inst.sys.clock().now().saturating_sub(t0);
-                if recovered {
-                    inst.note_maintenance(at, dur);
-                    inst.ack_downtime();
-                }
-            }
-            Rung::Instance => {
-                let t0 = inst.sys.clock().now();
-                let recovered = inst.sys.full_reboot().is_ok();
+        let _ = match rung {
+            // Component-level recovery: rejuvenate every rebootable
+            // component and re-establish the 9P session.
+            Rung::Component => inst.occ.maintain(&mut inst.sys, at, |sys| {
+                let recovered = sys.rejuvenate_all().map(drop);
+                sys.host().with(|w| w.ninep_mut().clear_session_glitch());
+                recovered
+            }),
+            Rung::Instance => inst.occ.maintain(&mut inst.sys, at, |sys| {
+                let rebooted = sys.full_reboot().map(drop);
                 inst.app.crash();
-                let booted = inst.app.boot(&mut inst.sys).is_ok();
-                let dur = inst.sys.clock().now().saturating_sub(t0);
-                if recovered && booted {
-                    inst.note_maintenance(at, dur);
-                    inst.ack_downtime();
-                }
-            }
+                rebooted.and(inst.app.boot(sys))
+            }),
+            // Permanent failover: the drain is never resumed, so the
+            // recovery-aware balancer routes every future request to the
+            // survivors.
             Rung::Fleet => {
-                // Permanent failover: the drain is never resumed, so the
-                // recovery-aware balancer routes every future request to
-                // the survivors.
                 inst.set_draining(true);
+                Ok(())
             }
-        }
+        };
         if let Some(sink) = &self.fleet_sink {
             let end = self.clock.now().max(at);
             sink.with(|hub| {
@@ -777,49 +567,164 @@ impl Fleet {
         }
     }
 
-    /// [`Fleet::dispatch`] with every failure caught instead of
-    /// propagated: connect and poll errors become failed transactions
-    /// (recorded with `end == due`), the connection is dropped, and the
-    /// outcome is reported to the ladder. Returns the completion time plus
-    /// the rung the ladder wants fired, if the failure streak crossed the
-    /// threshold — the caller fires it once the instance borrow is
-    /// released.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch_supervised(
+    /// Fires one plan op at its scheduled time. The balancer is here for
+    /// [`RecoveryFault::BalancerStaleView`], the one op that targets it
+    /// rather than an instance.
+    fn fire_op(
         &mut self,
-        c: &mut FleetClient,
-        due: Nanos,
-        load: &FleetLoad,
+        op: &FleetOp,
+        started: Nanos,
         balancer: &mut Balancer,
-        one_way: Nanos,
-        counters: &mut Counters,
-        request: &str,
-        ladder: &mut EscalationLadder,
-    ) -> (Nanos, Option<(usize, Rung, String)>) {
+    ) -> Result<(), OsError> {
+        let at = started + op.at;
+        self.clock.advance_to(at);
+        let inst = &mut self.instances[op.instance];
+        match &op.kind {
+            FleetOpKind::Drain => inst.set_draining(true),
+            FleetOpKind::Resume => inst.set_draining(false),
+            FleetOpKind::RejuvenateComponents => {
+                inst.occ
+                    .maintain(&mut inst.sys, at, |sys| sys.rejuvenate_all().map(drop))?;
+            }
+            FleetOpKind::FullReboot => inst.occ.maintain(&mut inst.sys, at, |sys| {
+                sys.full_reboot()?;
+                inst.app.crash();
+                inst.app.boot(sys)
+            })?,
+            FleetOpKind::Inject(fault) => inst.sys.inject_fault(fault.clone()),
+            FleetOpKind::RecoveryFault(fault) => match fault {
+                RecoveryFault::NinepCorrupt { count } => inst.sys.host().with(|w| {
+                    w.ninep_mut()
+                        .inject_glitch(NinePGlitch::Corrupt { count: *count })
+                }),
+                RecoveryFault::NinepCorruptSilent { count } => inst.sys.host().with(|w| {
+                    w.ninep_mut()
+                        .inject_glitch(NinePGlitch::CorruptSilent { count: *count });
+                }),
+                RecoveryFault::NinepStall => inst
+                    .sys
+                    .host()
+                    .with(|w| w.ninep_mut().inject_glitch(NinePGlitch::Stall)),
+                RecoveryFault::VirtioDrop => inst
+                    .sys
+                    .host()
+                    .with(|w| w.inject_ninep_ring_glitch(RingGlitch::DropNext)),
+                RecoveryFault::VirtioDup => inst
+                    .sys
+                    .host()
+                    .with(|w| w.inject_ninep_ring_glitch(RingGlitch::DupNext)),
+                RecoveryFault::DetectorFalseNegative { window } => {
+                    inst.sys.suppress_detection(*window);
+                }
+                RecoveryFault::DetectorFalsePositive { component } => {
+                    // The needless reboot runs right here; its downtime
+                    // window is deliberately *not* acked — the
+                    // recovery-aware balancer must discover it through the
+                    // detector and drain around it.
+                    let _ = inst.sys.spurious_detection(component)?;
+                }
+                RecoveryFault::BalancerStaleView { window } => {
+                    balancer.freeze_view(&self.instances, at + *window);
+                }
+                RecoveryFault::CheckpointCorrupt { component } => {
+                    inst.sys.corrupt_boot_checkpoint(component);
+                }
+                RecoveryFault::ReplayDivergence { component } => {
+                    let _ = inst.sys.corrupt_replay_log(component);
+                }
+                RecoveryFault::RebootDuringReboot { component } => {
+                    inst.sys.arm_reboot_interrupt(component);
+                }
+            },
+        }
+        Ok(())
+    }
+
+    /// Fleet-level telemetry for a fired plan op: an instant on the
+    /// `fleet` track, a recovery span covering the maintenance window, and
+    /// a [`EventClass::Window`] heap event marking its close. Bookkeeping
+    /// only — nothing here touches the clock or instance state.
+    fn note_op_fired(&mut self, op: &FleetOp, started: Nanos, heap: &mut EventHeap) {
+        let Some(sink) = &self.fleet_sink else {
+            return;
+        };
+        let at = started + op.at;
+        let inst = &self.instances[op.instance];
+        let label = inst.label();
+        let (name, window) = match &op.kind {
+            FleetOpKind::Drain => ("drain", None),
+            FleetOpKind::Resume => ("resume", None),
+            FleetOpKind::RejuvenateComponents => ("rejuvenate", Some(inst.recovery_until())),
+            FleetOpKind::FullReboot => ("full_reboot", Some(inst.recovery_until())),
+            FleetOpKind::Inject(_) => ("inject", None),
+            FleetOpKind::RecoveryFault(fault) => (fault.name(), None),
+        };
+        sink.with(|hub| {
+            Collector::instant(hub, "fleet", name, label, at);
+            hub.metrics_mut()
+                .counter_add("vampos_fleet_ops_total", &[("kind", name)], 1);
+        });
+        if let Some(end) = window {
+            let close = end.max(at);
+            sink.with(|hub| {
+                hub.recovery_begin(label, "plan", at);
+                hub.recovery_end(label, close, 0, 0);
+            });
+            heap.push(close, EventClass::Window, op.instance as u64);
+        }
+    }
+
+    /// Issues client `idx`'s request due at `due`, retrying once through
+    /// the balancer if the connection turns out to be server-reset.
+    /// Returns the booked outcome; its `end` is the completion time the
+    /// client observes (equal to `due` for requests that die before
+    /// service).
+    ///
+    /// Without a `ladder`, a connect or poll failure aborts the run. With
+    /// one, it becomes a failed transaction: the connection is dropped,
+    /// every outcome is reported to the ladder, and a failure streak that
+    /// crosses its threshold fires the next rung before this returns.
+    fn dispatch(
+        &mut self,
+        run: &mut Run,
+        idx: usize,
+        due: Nanos,
+        mut ladder: Option<&mut EscalationLadder>,
+    ) -> Result<FrontOutcome, OsError> {
+        let Run {
+            load,
+            one_way,
+            clients,
+            balancer,
+            counters,
+            request,
+            ..
+        } = run;
+        let (c, one_way) = (&mut clients[idx], *one_way);
+        // The journey id is the fleet-wide issue sequence number — minted
+        // once per arrival (retries keep it), identical across the heap
+        // engine, the tick reference, and the bare single-system loop.
         let journey = counters.issued;
         let forensics = self.fleet_sink.is_some();
         let mut hops: Vec<JourneyHop> = Vec::new();
         let mut attempts = 0;
-        let (end, ok, pending) = loop {
+        // The failure to report to the ladder: `(instance, reason)`.
+        let mut failure: Option<(usize, String)> = None;
+        let outcome = loop {
+            // A connection the server lost is a failed transaction, found
+            // out immediately (TCP reset): record it, then re-issue once
+            // through the balancer.
             if let Some((i, conn)) = c.conn {
                 if self.instances[i].conn_dead(conn) {
-                    self.instances[i].report.records.push(RequestRecord {
-                        start: due,
-                        end: due,
-                        ok: false,
-                    });
-                    if forensics {
-                        hops.push(JourneyHop::failed(self.instances[i].label(), due));
-                    }
+                    note_dead_attempt(&mut self.instances[i], due, forensics.then_some(&mut hops));
                     c.conn = None;
                     if attempts == 0 {
                         attempts += 1;
                         counters.retried += 1;
                         continue;
                     }
-                    let reason = "connection reset twice".to_owned();
-                    let rung = ladder.note_failure(i, due, &reason);
-                    break (due, false, rung.map(|r| (i, r, reason)));
+                    failure = Some((i, "connection reset twice".to_owned()));
+                    break FrontOutcome::failed(due, i);
                 }
                 if balancer.should_migrate(&mut self.instances, i, due)
                     || balancer.should_return_home(&self.instances, i, c.home, due)
@@ -852,453 +757,101 @@ impl Fleet {
                         c.conn = Some((target, conn));
                         conn
                     }
+                    Err(err) if ladder.is_none() => return Err(err),
                     Err(err) => {
-                        inst.report.records.push(RequestRecord {
-                            start: due,
-                            end: due,
-                            ok: false,
-                        });
-                        if forensics {
-                            hops.push(JourneyHop::failed(inst.label(), due));
-                        }
-                        let reason = format!("connect failed: {err}");
-                        let rung = ladder.note_failure(target, due, &reason);
-                        break (due, false, rung.map(|r| (target, r, reason)));
+                        note_dead_attempt(inst, due, forensics.then_some(&mut hops));
+                        failure = Some((target, format!("connect failed: {err}")));
+                        break FrontOutcome::failed(due, target);
                     }
                 },
             };
-
-            let send_ok = inst
-                .sys
-                .host()
-                .with(|w| w.network_mut().send(conn, request.as_bytes()))
-                .is_ok();
-            let mut served = false;
-            let mut response = Vec::new();
-            if send_ok {
-                inst.sys.clock().advance(one_way);
-                if let Err(err) = inst.app.poll(&mut inst.sys) {
-                    inst.observe_detector(due);
-                    inst.report.records.push(RequestRecord {
-                        start: due,
-                        end: due,
-                        ok: false,
-                    });
-                    if forensics {
-                        hops.push(JourneyHop::failed(inst.label(), due));
-                    }
-                    c.conn = None;
-                    let reason = format!("poll failed: {err}");
-                    let rung = ladder.note_failure(target, due, &reason);
-                    break (due, false, rung.map(|r| (target, r, reason)));
-                }
-                inst.sys.clock().advance(one_way);
-                response = inst
-                    .sys
-                    .host()
-                    .with(|w| w.network_mut().recv(conn))
-                    .unwrap_or_default();
-                served = response.starts_with(b"HTTP/1.1 200") && !inst.conn_dead(conn);
-            }
-            inst.observe_detector(due);
-
-            let delta = inst.sys.clock().now().saturating_sub(t0);
-            let service = delta.saturating_sub(one_way + one_way);
-            let arrival = due + one_way;
-            let busy_from = arrival.max(inst.next_free());
-            let end = busy_from + service + one_way;
-            let ok = served && end.saturating_sub(due) <= load.timeout;
-            let mut pending = None;
-            if served {
-                // A served response is a ladder success even when it blows
-                // the client deadline: the recovery plane worked, only the
-                // queue was long. The acked-loss oracle separately checks
-                // that what the client acknowledged was the truth.
-                ladder.note_success(target);
-                let acked_bad = match ladder.expected_body() {
-                    Some(expected) => {
-                        let body = response
-                            .windows(4)
-                            .position(|w| w == b"\r\n\r\n")
-                            .map(|p| &response[p + 4..])
-                            .unwrap_or(&[]);
-                        body != expected
-                    }
-                    None => false,
-                };
-                if acked_bad {
-                    ladder.note_acked_bad();
-                }
-                inst.note_service(busy_from + service, end);
-                note_serve_span(inst.telemetry(), journey, busy_from, arrival, service);
-                if !load.keepalive {
-                    inst.close(conn);
-                    c.conn = None;
-                }
-            } else {
-                c.conn = None;
-                let reason = "request not served".to_owned();
-                pending = ladder
-                    .note_failure(target, due, &reason)
-                    .map(|r| (target, r, reason));
-            }
-            inst.report.records.push(RequestRecord {
-                start: due,
-                end,
-                ok,
-            });
-            if forensics {
-                hops.push(JourneyHop::booked(
-                    inst, due, end, served, one_way, arrival, busy_from, service,
-                ));
-            }
-            break (end, ok, pending);
-        };
-        self.note_journey(journey, due, end, ok, &hops);
-        (end, pending)
-    }
-
-    /// The retired tick-polling drive loop, kept as an executable
-    /// reference model for [`Fleet::run`]: it scans the whole client
-    /// population for the earliest due request every iteration, so its
-    /// cost grows with clients × requests. It implements the open-loop
-    /// grid only (`load.shape` is ignored) and carries no fleet-level
-    /// telemetry; within that envelope its reports, records, and
-    /// per-instance traces are byte-identical to the heap engine's — the
-    /// `heap_vs_tick` proptest holds the two to that.
-    ///
-    /// # Errors
-    ///
-    /// Propagates unrecovered system failures (fail-stop).
-    pub fn run_tick_reference(
-        &mut self,
-        load: &FleetLoad,
-        policy: Policy,
-        plan: FleetPlan,
-    ) -> Result<FleetRunReport, OsError> {
-        let (started, one_way, baseline, mut clients) = self.start_run(load);
-        let mut balancer = Balancer::new(policy);
-        let ops = plan.into_firing_order();
-        let mut op_idx = 0;
-        let mut counters = Counters::default();
-        let request = format!("GET {} HTTP/1.1\r\nHost: vampos\r\n\r\n", load.path);
-
-        loop {
-            let next = clients
-                .iter()
-                .enumerate()
-                .filter(|(_, c)| c.sent < load.requests_per_client)
-                .map(|(i, c)| (c.next_send, i))
-                .min();
-            let Some((due, idx)) = next else { break };
-            while op_idx < ops.len() && started + ops[op_idx].at <= due {
-                self.fire_op(&ops[op_idx], started)?;
-                op_idx += 1;
-            }
-            self.clock.advance_to(due);
-            counters.issued += 1;
-            self.dispatch(
-                &mut clients[idx],
-                due,
-                load,
-                &mut balancer,
+            let sent = exchange(
+                &mut inst.sys,
+                &mut inst.app,
+                conn,
+                request.as_bytes(),
                 one_way,
-                &mut counters,
-                &request,
-            )?;
-            counters.completed += 1;
-            clients[idx].sent += 1;
-            clients[idx].next_send = due + load.think_time;
-        }
-        // Quiesce: a plan never outlives its run.
-        while op_idx < ops.len() {
-            self.fire_op(&ops[op_idx], started)?;
-            op_idx += 1;
-        }
-
-        Ok(self.finish_run(started, &baseline, counters))
-    }
-
-    fn fire_op(&mut self, op: &FleetOp, started: Nanos) -> Result<(), OsError> {
-        let at = started + op.at;
-        self.clock.advance_to(at);
-        let inst = &mut self.instances[op.instance];
-        match &op.kind {
-            FleetOpKind::Drain => inst.set_draining(true),
-            FleetOpKind::Resume => inst.set_draining(false),
-            FleetOpKind::RejuvenateComponents => {
-                let t0 = inst.sys.clock().now();
-                inst.sys.rejuvenate_all()?;
-                let dur = inst.sys.clock().now().saturating_sub(t0);
-                inst.note_maintenance(at, dur);
-                inst.ack_downtime();
-            }
-            FleetOpKind::FullReboot => {
-                let t0 = inst.sys.clock().now();
-                inst.sys.full_reboot()?;
-                inst.app.crash();
-                inst.app.boot(&mut inst.sys)?;
-                let dur = inst.sys.clock().now().saturating_sub(t0);
-                inst.note_maintenance(at, dur);
-                inst.ack_downtime();
-            }
-            FleetOpKind::Inject(fault) => inst.sys.inject_fault(fault.clone()),
-            FleetOpKind::RecoveryFault(fault) => Fleet::apply_recovery_fault(inst, fault)?,
-        }
-        Ok(())
-    }
-
-    /// Arms one recovery-plane fault on `inst`. Everything except
-    /// [`RecoveryFault::BalancerStaleView`] acts on instance state here;
-    /// the stale view needs the balancer, which only the run loops hold,
-    /// so [`Fleet::run_supervised`] applies it after the op fires (and
-    /// plain [`Fleet::run`] ignores it).
-    fn apply_recovery_fault(inst: &mut Instance, fault: &RecoveryFault) -> Result<(), OsError> {
-        match fault {
-            RecoveryFault::NinepCorrupt { count } => inst.sys.host().with(|w| {
-                w.ninep_mut()
-                    .inject_glitch(NinePGlitch::Corrupt { count: *count })
-            }),
-            RecoveryFault::NinepCorruptSilent { count } => inst.sys.host().with(|w| {
-                w.ninep_mut()
-                    .inject_glitch(NinePGlitch::CorruptSilent { count: *count });
-            }),
-            RecoveryFault::NinepStall => inst
-                .sys
-                .host()
-                .with(|w| w.ninep_mut().inject_glitch(NinePGlitch::Stall)),
-            RecoveryFault::VirtioDrop => inst
-                .sys
-                .host()
-                .with(|w| w.inject_ninep_ring_glitch(RingGlitch::DropNext)),
-            RecoveryFault::VirtioDup => inst
-                .sys
-                .host()
-                .with(|w| w.inject_ninep_ring_glitch(RingGlitch::DupNext)),
-            RecoveryFault::DetectorFalseNegative { window } => {
-                inst.sys.suppress_detection(*window);
-            }
-            RecoveryFault::DetectorFalsePositive { component } => {
-                // The needless reboot runs right here; its downtime window
-                // is deliberately *not* acked — the recovery-aware
-                // balancer must discover it through the detector and
-                // drain around it.
-                let _ = inst.sys.spurious_detection(component)?;
-            }
-            RecoveryFault::BalancerStaleView { .. } => {}
-            RecoveryFault::CheckpointCorrupt { component } => {
-                inst.sys.corrupt_boot_checkpoint(component);
-            }
-            RecoveryFault::ReplayDivergence { component } => {
-                let _ = inst.sys.corrupt_replay_log(component);
-            }
-            RecoveryFault::RebootDuringReboot { component } => {
-                inst.sys.arm_reboot_interrupt(component);
-            }
-        }
-        Ok(())
-    }
-
-    /// Fleet-level telemetry for a fired plan op: an instant on the
-    /// `fleet` track, a recovery span covering the maintenance window, and
-    /// a [`EventClass::Window`] heap event marking its close. Bookkeeping
-    /// only — nothing here touches the clock or instance state, so the
-    /// heap engine stays byte-identical to the (telemetry-less) tick
-    /// reference on everything the comparison covers.
-    fn note_op_fired(&mut self, op: &FleetOp, started: Nanos, heap: &mut EventHeap) {
-        if let Some(close) = self.note_op_fired_at(op, started) {
-            heap.push(close, EventClass::Window, op.instance as u64);
-        }
-    }
-
-    /// The telemetry half of [`Fleet::note_op_fired`]: emits the instant,
-    /// counter, and recovery span, and returns the recovery-window close
-    /// time (if the op opened one) for the caller to schedule its own
-    /// [`EventClass::Window`] event against. Split out so external drive
-    /// loops ([`FrontDrive::fire_op`]) can reuse the bookkeeping with
-    /// their own heap.
-    pub(crate) fn note_op_fired_at(&mut self, op: &FleetOp, started: Nanos) -> Option<Nanos> {
-        let Some(sink) = &self.fleet_sink else {
-            return None;
-        };
-        let at = started + op.at;
-        let inst = &self.instances[op.instance];
-        let label = inst.label().to_owned();
-        let (name, window) = match &op.kind {
-            FleetOpKind::Drain => ("drain", None),
-            FleetOpKind::Resume => ("resume", None),
-            FleetOpKind::RejuvenateComponents => ("rejuvenate", Some(inst.recovery_until())),
-            FleetOpKind::FullReboot => ("full_reboot", Some(inst.recovery_until())),
-            FleetOpKind::Inject(_) => ("inject", None),
-            FleetOpKind::RecoveryFault(fault) => (fault.name(), None),
-        };
-        sink.with(|hub| {
-            Collector::instant(hub, "fleet", name, &label, at);
-            hub.metrics_mut()
-                .counter_add("vampos_fleet_ops_total", &[("kind", name)], 1);
-        });
-        window.map(|end| {
-            sink.with(|hub| {
-                hub.recovery_begin(&label, "plan", at);
-                hub.recovery_end(&label, end.max(at), 0, 0);
-            });
-            end.max(at)
-        })
-    }
-
-    /// The [`EventClass::Window`] arm's body: the fleet-track
-    /// `window_close` instant. Bookkeeping only; shared with external
-    /// drive loops that schedule their own window events.
-    pub fn note_window_close(&self, instance: usize, at: Nanos) {
-        if let Some(sink) = &self.fleet_sink {
-            let label = self.instances[instance].label().to_owned();
-            sink.with(|hub| {
-                Collector::instant(hub, "fleet", "window_close", &label, at);
-            });
-        }
-    }
-
-    /// Issues one client request due at `due`, retrying once through the
-    /// balancer if the connection turns out to be server-reset. Returns
-    /// the booked outcome; its `end` is the completion time the client
-    /// observes (equal to `due` for requests that die on a reset
-    /// connection).
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        &mut self,
-        c: &mut FleetClient,
-        due: Nanos,
-        load: &FleetLoad,
-        balancer: &mut Balancer,
-        one_way: Nanos,
-        counters: &mut Counters,
-        request: &str,
-    ) -> Result<FrontOutcome, OsError> {
-        // The journey id is the fleet-wide issue sequence number — minted
-        // once per arrival (retries keep it), identical across the heap
-        // engine, the tick reference, and the bare single-system loop.
-        let journey = counters.issued;
-        let forensics = self.fleet_sink.is_some();
-        let mut hops: Vec<JourneyHop> = Vec::new();
-        let mut attempts = 0;
-        let outcome = loop {
-            // A connection the server lost is a failed transaction, found
-            // out immediately (TCP reset): record it, then re-issue once
-            // through the balancer.
-            if let Some((i, conn)) = c.conn {
-                if self.instances[i].conn_dead(conn) {
-                    self.instances[i].report.records.push(RequestRecord {
-                        start: due,
-                        end: due,
-                        ok: false,
-                    });
-                    if forensics {
-                        hops.push(JourneyHop::failed(self.instances[i].label(), due));
-                    }
+            );
+            let response = match sent {
+                Ok(response) => response,
+                Err(err) if ladder.is_none() => return Err(err),
+                Err(err) => {
+                    inst.occ.observe_detector(&inst.sys, due);
+                    note_dead_attempt(inst, due, forensics.then_some(&mut hops));
                     c.conn = None;
-                    if attempts == 0 {
-                        attempts += 1;
-                        counters.retried += 1;
-                        continue;
-                    }
-                    break FrontOutcome::failed(due, i);
-                }
-                if balancer.should_migrate(&mut self.instances, i, due)
-                    || balancer.should_return_home(&self.instances, i, c.home, due)
-                {
-                    self.instances[i].close(conn);
-                    c.conn = None;
-                    counters.redirects += 1;
-                }
-            }
-
-            let target = match c.conn {
-                Some((i, _)) => i,
-                None => balancer
-                    .home_target(&self.instances, c.home, due)
-                    .unwrap_or_else(|| balancer.route(&mut self.instances, due)),
-            };
-            if c.home.is_none() {
-                c.home = Some(target);
-            }
-            let inst = &mut self.instances[target];
-            let t0 = inst.sys.clock().now();
-            let conn = match c.conn {
-                Some((_, conn)) => conn,
-                None => {
-                    let conn = inst.connect()?;
-                    if c.ever_connected {
-                        inst.report.reconnects += 1;
-                    }
-                    c.ever_connected = true;
-                    c.conn = Some((target, conn));
-                    conn
+                    failure = Some((target, format!("poll failed: {err}")));
+                    break FrontOutcome::failed(due, target);
                 }
             };
-
-            let send_ok = inst
-                .sys
-                .host()
-                .with(|w| w.network_mut().send(conn, request.as_bytes()))
-                .is_ok();
-            let mut served = false;
-            if send_ok {
-                inst.sys.clock().advance(one_way);
-                inst.app.poll(&mut inst.sys)?;
-                inst.sys.clock().advance(one_way);
-                let response = inst
-                    .sys
-                    .host()
-                    .with(|w| w.network_mut().recv(conn))
-                    .unwrap_or_default();
-                served = response.starts_with(b"HTTP/1.1 200") && !inst.conn_dead(conn);
-            }
-            inst.observe_detector(due);
+            let served = response.starts_with(b"HTTP/1.1 200") && !inst.conn_dead(conn);
+            inst.occ.observe_detector(&inst.sys, due);
 
             // Book the request against the instance's FIFO service queue:
-            // the wire time (two one-way flights) pipelines, the server
-            // occupancy (everything else the poll cost) does not.
+            // whatever the exchange cost beyond the two flights is server
+            // occupancy.
             let delta = inst.sys.clock().now().saturating_sub(t0);
             let service = delta.saturating_sub(one_way + one_way);
-            let arrival = due + one_way;
-            let busy_from = arrival.max(inst.next_free());
-            let end = busy_from + service + one_way;
-            let ok = served && end.saturating_sub(due) <= load.timeout;
+            let booked = inst.occ.book(due, one_way, service);
+            let ok = served && booked.end.saturating_sub(due) <= load.timeout;
             if served {
-                inst.note_service(busy_from + service, end);
-                note_serve_span(inst.telemetry(), journey, busy_from, arrival, service);
+                inst.note_service(booked.busy_from + service, booked.end);
+                note_serve_span(
+                    inst.telemetry(),
+                    journey,
+                    booked.busy_from,
+                    booked.arrival,
+                    service,
+                );
                 if !load.keepalive {
                     inst.close(conn);
                     c.conn = None;
                 }
+                if let Some(ladder) = ladder.as_deref_mut() {
+                    // A served response is a ladder success even when it
+                    // blows the client deadline: the recovery plane worked,
+                    // only the queue was long. The acked-loss oracle
+                    // separately checks that what the client acknowledged
+                    // was the truth.
+                    ladder.note_success(target);
+                    if ladder
+                        .expected_body()
+                        .is_some_and(|expected| http_body(&response) != expected)
+                    {
+                        ladder.note_acked_bad();
+                    }
+                }
             } else {
                 c.conn = None;
+                failure = Some((target, "request not served".to_owned()));
             }
             inst.report.records.push(RequestRecord {
                 start: due,
-                end,
+                end: booked.end,
                 ok,
             });
             if forensics {
-                hops.push(JourneyHop::booked(
-                    inst, due, end, served, one_way, arrival, busy_from, service,
-                ));
+                hops.push(JourneyHop {
+                    label: inst.label().to_owned(),
+                    start: due,
+                    end: booked.end,
+                    served,
+                    cost: booked.cost,
+                });
             }
             break FrontOutcome {
-                end,
+                end: booked.end,
                 ok,
                 served,
                 instance: target,
-                wire_ns: (one_way + one_way).as_nanos(),
-                queue_ns: busy_from.saturating_sub(arrival).as_nanos(),
-                stall_ns: busy_from
-                    .min(inst.recovery_until())
-                    .saturating_sub(arrival)
-                    .as_nanos(),
-                service_ns: service.as_nanos(),
+                cost: booked.cost,
             };
         };
         self.note_journey(journey, due, outcome.end, outcome.ok, &hops);
+        if let (Some(ladder), Some((target, reason))) = (ladder, failure) {
+            if let Some(rung) = ladder.note_failure(target, due, &reason) {
+                self.fire_rung(target, rung, self.clock.now(), &reason);
+            }
+        }
         Ok(outcome)
     }
 
@@ -1309,7 +862,7 @@ impl Fleet {
         let Some(sink) = &self.fleet_sink else {
             return;
         };
-        let stall: u64 = hops.iter().map(|h| h.stall_ns).sum();
+        let stall: u64 = hops.iter().map(|h| h.cost.stall_ns).sum();
         sink.with(|hub| {
             let root = hub.push_span(
                 "journeys",
@@ -1336,10 +889,10 @@ impl Fleet {
                         ("journey", journey.to_string()),
                         ("instance", h.label.clone()),
                         ("served", h.served.to_string()),
-                        ("wire_ns", h.wire_ns.to_string()),
-                        ("queue_ns", h.queue_ns.to_string()),
-                        ("stall_ns", h.stall_ns.to_string()),
-                        ("service_ns", h.service_ns.to_string()),
+                        ("wire_ns", h.cost.wire_ns.to_string()),
+                        ("queue_ns", h.cost.queue_ns.to_string()),
+                        ("stall_ns", h.cost.stall_ns.to_string()),
+                        ("service_ns", h.cost.service_ns.to_string()),
                     ],
                 );
             }
@@ -1366,25 +919,15 @@ impl Fleet {
         let mut alive = Vec::with_capacity(self.instances.len());
         for inst in &mut self.instances {
             let conn = inst.connect()?;
-            let send_ok = inst
-                .sys
-                .host()
-                .with(|w| w.network_mut().send(conn, request.as_bytes()))
-                .is_ok();
-            let mut ok = false;
-            if send_ok {
-                inst.sys.clock().advance(one_way);
-                inst.app.poll(&mut inst.sys)?;
-                inst.sys.clock().advance(one_way);
-                let response = inst
-                    .sys
-                    .host()
-                    .with(|w| w.network_mut().recv(conn))
-                    .unwrap_or_default();
-                ok = response.starts_with(b"HTTP/1.1 200");
-            }
+            let response = exchange(
+                &mut inst.sys,
+                &mut inst.app,
+                conn,
+                request.as_bytes(),
+                one_way,
+            )?;
             inst.close(conn);
-            alive.push(ok);
+            alive.push(response.starts_with(b"HTTP/1.1 200"));
         }
         Ok(alive)
     }
@@ -1467,3 +1010,6 @@ impl Fleet {
         Some(merged)
     }
 }
+
+#[cfg(test)]
+mod tick_reference;

@@ -1,17 +1,70 @@
-//! The event-heap engine against the tick-polling reference model.
+//! The retired tick-polling drive loop, kept as a test-only executable
+//! reference model for the event-heap engine, and the tests that hold the
+//! two to *byte identity*.
 //!
-//! [`Fleet::run`] replaced the tick loop as the production drive loop; the
-//! loop survives as [`Fleet::run_tick_reference`], an executable
-//! specification. These tests hold the two to *byte identity* over the
-//! open-loop envelope the reference implements: identical request records,
-//! counters, durations, and per-instance telemetry traces, at N ∈ {1, 4,
-//! 16}, across policies, plans, and seeds. They also pin down the
-//! closed-loop conservation invariant the reference cannot express.
+//! [`Fleet::run`] replaced the tick loop as the production drive loop. The
+//! reference scans the whole client population for the earliest due
+//! request every iteration, so its cost grows with clients × requests. It
+//! implements the open-loop grid only (`load.shape` is ignored) and carries
+//! no fleet-level telemetry; within that envelope its request records,
+//! counters, durations, and per-instance telemetry traces must be
+//! identical to the heap engine's, at N ∈ {1, 4, 16}, across policies,
+//! plans, and seeds. It shares `dispatch`, `fire_op` and the run prologue
+//! and epilogue with the heap engine — what it pins is the event order.
+//! The same harness holds [`Fleet::run_supervised`] under a ladder that
+//! never fires to [`Fleet::run`], and pins the closed-loop conservation
+//! invariant the reference cannot express.
 
 use proptest::prelude::*;
 
-use vampos_cluster::{ArrivalShape, Fleet, FleetConfig, FleetLoad, FleetPlan, Policy};
 use vampos_sim::Nanos;
+use vampos_ukernel::OsError;
+
+use super::{Fleet, FleetConfig, FleetLoad};
+use crate::{ArrivalShape, EscalationLadder, FleetPlan, FleetRunReport, Policy};
+
+impl Fleet {
+    fn run_tick_reference(
+        &mut self,
+        load: &FleetLoad,
+        policy: Policy,
+        plan: FleetPlan,
+    ) -> Result<FleetRunReport, OsError> {
+        let mut run = self.start_run(load, policy);
+        let started = run.started;
+        let ops = plan.into_firing_order();
+        let mut op_idx = 0;
+        let mut next_send: Vec<Nanos> = (0..run.clients.len()).map(|i| run.first_due(i)).collect();
+
+        loop {
+            let next = run
+                .clients
+                .iter()
+                .enumerate()
+                .filter(|(_, c)| c.sent < load.requests_per_client)
+                .map(|(i, _)| (next_send[i], i))
+                .min();
+            let Some((due, idx)) = next else { break };
+            while op_idx < ops.len() && started + ops[op_idx].at <= due {
+                self.fire_op(&ops[op_idx], started, &mut run.balancer)?;
+                op_idx += 1;
+            }
+            self.clock.advance_to(due);
+            run.counters.issued += 1;
+            self.dispatch(&mut run, idx, due, None)?;
+            run.counters.completed += 1;
+            run.clients[idx].sent += 1;
+            next_send[idx] = due + load.think_time;
+        }
+        // Quiesce: a plan never outlives its run.
+        while op_idx < ops.len() {
+            self.fire_op(&ops[op_idx], started, &mut run.balancer)?;
+            op_idx += 1;
+        }
+
+        Ok(self.finish_run(run))
+    }
+}
 
 fn config(instances: usize, seed: u64, telemetry: bool) -> FleetConfig {
     FleetConfig {
@@ -70,6 +123,57 @@ fn assert_engines_agree(
             "instance {id} trace diverges at N={instances}, seed={seed:#x}"
         );
     }
+
+    assert_quiet_ladder_is_run(&heap_fleet, &heap_report, seed, load, policy, plan_kind);
+    let closed = FleetLoad {
+        shape: ArrivalShape::ClosedLoop,
+        ..load.clone()
+    };
+    let mut closed_fleet = Fleet::new(config(instances, seed, true)).expect("closed fleet boot");
+    let closed_report = closed_fleet
+        .run(&closed, policy, plan_for(plan_kind, instances))
+        .expect("closed run");
+    assert_quiet_ladder_is_run(
+        &closed_fleet,
+        &closed_report,
+        seed,
+        &closed,
+        policy,
+        plan_kind,
+    );
+}
+
+/// The supervision is purely additive: whenever the escalation ladder
+/// never fires a rung, [`Fleet::run_supervised`] must reproduce the plain
+/// run — equal report and equal multi-process trace (instances plus the
+/// fleet track). `plain` is the fleet `plain_report` came from.
+fn assert_quiet_ladder_is_run(
+    plain: &Fleet,
+    plain_report: &FleetRunReport,
+    seed: u64,
+    load: &FleetLoad,
+    policy: Policy,
+    plan_kind: u8,
+) {
+    let instances = plain.instances().len();
+    let mut fleet = Fleet::new(config(instances, seed, true)).expect("supervised fleet boot");
+    let mut ladder = EscalationLadder::new(instances);
+    let report = fleet
+        .run_supervised(load, policy, plan_for(plan_kind, instances), &mut ladder)
+        .expect("supervised run");
+    if ladder.total_rungs() > 0 {
+        return;
+    }
+    let shape = load.shape.name();
+    assert_eq!(
+        &report, plain_report,
+        "quiet ladder diverges from run at N={instances}, seed={seed:#x}, plan={plan_kind}, {shape}"
+    );
+    assert_eq!(
+        fleet.chrome_trace_json(),
+        plain.chrome_trace_json(),
+        "quiet-ladder trace diverges at N={instances}, seed={seed:#x}, plan={plan_kind}, {shape}"
+    );
 }
 
 proptest! {

@@ -1,5 +1,7 @@
 //! One fleet member: a booted unikernel (system + MiniHttpd) plus the
-//! balancer-visible bookkeeping the routing policies consult.
+//! balancer-visible bookkeeping the routing policies consult — and the
+//! [`Occupancy`] model every served tier (front instances here, the mesh's
+//! backend replicas) books its requests and maintenance windows against.
 
 use std::collections::VecDeque;
 
@@ -12,6 +14,184 @@ use vampos_ukernel::OsError;
 use vampos_workloads::LoadReport;
 
 use crate::fleet::FleetConfig;
+
+/// One hop's latency decomposition, nanoseconds.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct HopCost {
+    /// Two one-way network flights.
+    pub wire_ns: u64,
+    /// Time queued behind the server's FIFO service queue.
+    pub queue_ns: u64,
+    /// Slice of the queueing delay overlapping a recovery window — the
+    /// recovery-induced part of the wait.
+    pub stall_ns: u64,
+    /// Server occupancy.
+    pub service_ns: u64,
+}
+
+/// A request booked against an [`Occupancy`]: when the server picks it up,
+/// when the client sees the response, and how the latency decomposes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Booking {
+    /// When the request reaches the server (one flight after its due time).
+    pub arrival: Nanos,
+    /// When the server starts on it: `max(arrival, next_free)`.
+    pub busy_from: Nanos,
+    /// When the client observes the response.
+    pub end: Nanos,
+    /// The wire/queue/stall/service decomposition.
+    pub cost: HopCost,
+}
+
+/// The FIFO-occupancy model of one server, in request (arrival-grid) time.
+///
+/// A request due at `due` arrives one wire flight later; the server works
+/// on it from `max(arrival, next_free)` for the measured service time and
+/// the response lands one flight after that. The wire time pipelines, the
+/// server occupancy does not. Maintenance books its window the same way,
+/// and additionally extends the recovery window the recovery-aware policy
+/// drains around and the stall attribution is measured against.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Occupancy {
+    /// Earliest time the server can start the next request (FIFO service).
+    next_free: Nanos,
+    /// End of the latest known recovery window (maintenance plan and
+    /// failure-detector fed).
+    recovery_until: Nanos,
+    /// Downtime windows already accounted for (scheduled maintenance books
+    /// its window in request time via [`Occupancy::note_maintenance`]; only
+    /// windows beyond this count are unscheduled fault recoveries).
+    seen_downtime: usize,
+}
+
+impl Occupancy {
+    /// Earliest time the server can start another request.
+    pub fn next_free(&self) -> Nanos {
+        self.next_free
+    }
+
+    /// End of the latest known recovery window.
+    pub fn recovery_until(&self) -> Nanos {
+        self.recovery_until
+    }
+
+    /// Books a request due at `due` that cost the server `service`. Pure:
+    /// the caller commits a *served* request with [`Occupancy::occupy`].
+    pub fn book(&self, due: Nanos, one_way: Nanos, service: Nanos) -> Booking {
+        let arrival = due + one_way;
+        let busy_from = arrival.max(self.next_free);
+        Booking {
+            arrival,
+            busy_from,
+            end: busy_from + service + one_way,
+            cost: HopCost {
+                wire_ns: (one_way + one_way).as_nanos(),
+                queue_ns: busy_from.saturating_sub(arrival).as_nanos(),
+                stall_ns: busy_from
+                    .min(self.recovery_until)
+                    .saturating_sub(arrival)
+                    .as_nanos(),
+                service_ns: service.as_nanos(),
+            },
+        }
+    }
+
+    /// Marks the server occupied until `busy_until`.
+    pub fn occupy(&mut self, busy_until: Nanos) {
+        self.next_free = busy_until;
+    }
+
+    /// Books `dur` of maintenance scheduled at `at`: the server is busy
+    /// (and inside a recovery window) from `max(at, next_free)` for `dur`.
+    /// Using the *scheduled* start means simultaneous plans on different
+    /// instances produce overlapping windows even though the shared clock
+    /// serializes the actual reboot work.
+    pub fn note_maintenance(&mut self, at: Nanos, dur: Nanos) {
+        let busy_from = self.next_free.max(at);
+        self.next_free = busy_from + dur;
+        self.recovery_until = self.recovery_until.max(self.next_free);
+    }
+
+    /// Refreshes the recovery window from `sys`'s failure detector:
+    /// downtime the system recorded that no maintenance op accounted for
+    /// is an unscheduled fault recovery, and the recovery-aware policy
+    /// drains around it too. The detector records windows on the shared
+    /// execution clock, which runs far ahead of request (arrival-grid)
+    /// time — only each window's *duration* carries over: the server
+    /// drains for that long past the observing request at `at`.
+    pub fn observe_detector(&mut self, sys: &System, at: Nanos) {
+        let windows = &sys.stats().downtime;
+        let mut unscheduled = Nanos::ZERO;
+        for window in windows.iter().skip(self.seen_downtime) {
+            unscheduled += window.end.saturating_sub(window.start);
+        }
+        if unscheduled > Nanos::ZERO {
+            self.recovery_until = self.recovery_until.max(at + unscheduled);
+        }
+        self.seen_downtime = windows.len();
+    }
+
+    /// Marks every downtime window `sys` recorded so far as accounted for
+    /// — boot-time history, or a scheduled maintenance op whose window
+    /// [`Occupancy::note_maintenance`] already books in request time.
+    pub fn ack_downtime(&mut self, sys: &System) {
+        self.seen_downtime = sys.stats().downtime.len();
+    }
+
+    /// Runs one maintenance `action` scheduled at grid time `at` and, when
+    /// it succeeds, books the execution-clock time it took as a
+    /// maintenance window and acks the downtime it recorded. A failed
+    /// action books nothing: the server stays exposed, so follow-up
+    /// traffic keeps failing instead of draining around a recovery that
+    /// never happened.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the action's failure.
+    pub fn maintain(
+        &mut self,
+        sys: &mut System,
+        at: Nanos,
+        action: impl FnOnce(&mut System) -> Result<(), OsError>,
+    ) -> Result<(), OsError> {
+        let t0 = sys.clock().now();
+        action(sys)?;
+        let dur = sys.clock().now().saturating_sub(t0);
+        self.note_maintenance(at, dur);
+        self.ack_downtime(sys);
+        Ok(())
+    }
+}
+
+/// Sends `request` on `conn`, lets `app` serve it, and collects the
+/// response, advancing `sys`'s clock by one network flight each way. An
+/// empty response means the send itself failed (dead connection).
+///
+/// # Errors
+///
+/// Propagates an unrecovered failure from the serving poll.
+pub fn exchange<A: App>(
+    sys: &mut System,
+    app: &mut A,
+    conn: ClientConnId,
+    request: &[u8],
+    one_way: Nanos,
+) -> Result<Vec<u8>, OsError> {
+    if sys
+        .host()
+        .with(|w| w.network_mut().send(conn, request))
+        .is_err()
+    {
+        return Ok(Vec::new());
+    }
+    sys.clock().advance(one_way);
+    app.poll(sys)?;
+    sys.clock().advance(one_way);
+    Ok(sys
+        .host()
+        .with(|w| w.network_mut().recv(conn))
+        .unwrap_or_default())
+}
 
 /// A single unikernel instance inside a [`crate::Fleet`].
 ///
@@ -30,19 +210,13 @@ pub struct Instance {
     /// Requests this instance served (or failed) during the current run.
     pub report: LoadReport,
     sink: Option<TelemetrySink>,
-    /// Earliest time the server can start the next request (FIFO service).
-    next_free: Nanos,
-    /// End of the latest known recovery window (maintenance plan and
-    /// failure-detector fed); the recovery-aware policy drains until then.
-    recovery_until: Nanos,
+    /// Service queue and recovery window; the recovery-aware policy drains
+    /// until the window closes.
+    pub(crate) occ: Occupancy,
     /// Administratively drained (rolling-rejuvenation lead window).
     draining: bool,
     /// Completion times of in-flight requests, nondecreasing.
     completions: VecDeque<Nanos>,
-    /// Downtime windows already accounted for (scheduled maintenance books
-    /// its window in request time via [`Instance::note_maintenance`]; only
-    /// windows beyond this count are unscheduled fault recoveries).
-    seen_downtime: usize,
 }
 
 impl Instance {
@@ -78,11 +252,9 @@ impl Instance {
             app,
             report: LoadReport::default(),
             sink,
-            next_free: Nanos::ZERO,
-            recovery_until: Nanos::ZERO,
+            occ: Occupancy::default(),
             draining: false,
             completions: VecDeque::new(),
-            seen_downtime: 0,
         })
     }
 
@@ -108,12 +280,7 @@ impl Instance {
 
     /// End of the latest known recovery window.
     pub fn recovery_until(&self) -> Nanos {
-        self.recovery_until
-    }
-
-    /// Earliest time the server can start another request.
-    pub fn next_free(&self) -> Nanos {
-        self.next_free
+        self.occ.recovery_until()
     }
 
     /// Requests dispatched to this instance that complete after `at`.
@@ -128,47 +295,10 @@ impl Instance {
         self.draining = draining;
     }
 
-    /// Books `dur` of maintenance scheduled at `at`: the server is busy
-    /// (and inside a recovery window) from `max(at, next_free)` for `dur`.
-    /// Using the *scheduled* start means simultaneous plans on different
-    /// instances produce overlapping windows even though the shared clock
-    /// serializes the actual reboot work.
-    pub(crate) fn note_maintenance(&mut self, at: Nanos, dur: Nanos) {
-        let busy_from = self.next_free.max(at);
-        self.next_free = busy_from + dur;
-        self.recovery_until = self.recovery_until.max(self.next_free);
-    }
-
-    /// Refreshes the recovery window from the failure detector: downtime
-    /// the system recorded that no maintenance op accounted for is an
-    /// unscheduled fault recovery, and the recovery-aware policy drains
-    /// around it too. The detector records windows on the shared
-    /// execution clock, which runs far ahead of request (arrival-grid)
-    /// time — only each window's *duration* carries over: the instance
-    /// drains for that long past the observing request at `at`.
-    pub(crate) fn observe_detector(&mut self, at: Nanos) {
-        let windows = &self.sys.stats().downtime;
-        let mut unscheduled = Nanos::ZERO;
-        for window in windows.iter().skip(self.seen_downtime) {
-            unscheduled += window.end.saturating_sub(window.start);
-        }
-        if unscheduled > Nanos::ZERO {
-            self.recovery_until = self.recovery_until.max(at + unscheduled);
-        }
-        self.seen_downtime = windows.len();
-    }
-
-    /// Marks every downtime window recorded so far as accounted for —
-    /// called after a scheduled maintenance op, whose window
-    /// [`Instance::note_maintenance`] already books in request time.
-    pub(crate) fn ack_downtime(&mut self) {
-        self.seen_downtime = self.sys.stats().downtime.len();
-    }
-
     /// Books a served request: the server was occupied until `busy_until`
     /// and the client sees completion at `end`.
     pub(crate) fn note_service(&mut self, busy_until: Nanos, end: Nanos) {
-        self.next_free = busy_until;
+        self.occ.occupy(busy_until);
         self.completions.push_back(end);
     }
 
@@ -229,7 +359,7 @@ mod tests {
         // boot alone takes longer than the whole observation point.
         let at = Nanos::from_millis(2);
         assert!(window.end > at, "precondition: clock domains diverged");
-        inst.observe_detector(at);
+        inst.occ.observe_detector(&inst.sys, at);
 
         assert_eq!(
             inst.recovery_until(),
@@ -247,21 +377,22 @@ mod tests {
     fn scheduled_plan_ops_ack_their_own_windows() {
         let mut inst = booted();
 
-        // A plan op performs the reboot and books its window in request
-        // time itself (`note_maintenance`), then acks the detector record
-        // so `observe_detector` won't double-book it.
+        // A plan op performs the reboot through `maintain`, which books
+        // its window in request time itself (`note_maintenance`), then
+        // acks the detector record so `observe_detector` won't
+        // double-book it.
         let at = Nanos::from_millis(3);
         let t0 = inst.sys.clock().now();
-        inst.sys.rejuvenate_all().expect("rejuvenation");
+        inst.occ
+            .maintain(&mut inst.sys, at, |sys| sys.rejuvenate_all().map(drop))
+            .expect("rejuvenation");
         let dur = inst.sys.clock().now().saturating_sub(t0);
-        inst.note_maintenance(at, dur);
-        inst.ack_downtime();
         let booked = inst.recovery_until();
         assert!(booked >= at + dur);
 
         // Later requests re-consult the detector; the acked windows must
         // not extend the recovery window a second time.
-        inst.observe_detector(Nanos::from_millis(4));
+        inst.occ.observe_detector(&inst.sys, Nanos::from_millis(4));
         assert_eq!(
             inst.recovery_until(),
             booked,
@@ -275,12 +406,12 @@ mod tests {
         let mut inst = booted();
         inst.sys.reboot_component("vfs").expect("reboot");
         let at = Nanos::from_millis(2);
-        inst.observe_detector(at);
+        inst.occ.observe_detector(&inst.sys, at);
         let first = inst.recovery_until();
 
         // The same windows observed again (by a later request) are already
         // counted; only *new* downtime may extend the drain.
-        inst.observe_detector(Nanos::from_millis(30));
+        inst.occ.observe_detector(&inst.sys, Nanos::from_millis(30));
         assert_eq!(inst.recovery_until(), first);
     }
 }

@@ -70,8 +70,8 @@ pub mod single;
 
 pub use balancer::{Balancer, Policy};
 pub use engine::{ArrivalShape, Event, EventClass, EventHeap};
-pub use fleet::{Fleet, FleetConfig, FleetLoad, FrontDrive, FrontOutcome};
-pub use instance::Instance;
+pub use fleet::{Fleet, FleetConfig, FleetLoad, FrontOutcome};
+pub use instance::{exchange, Booking, HopCost, Instance, Occupancy};
 pub use ladder::{EscalationLadder, Rung, RungEvent};
 pub use oracle::{check_equivalence, check_liveness, FleetViolation};
 pub use plan::{FleetOp, FleetOpKind, FleetPlan, RecoveryFault};

@@ -116,10 +116,7 @@ pub enum FleetOpKind {
     /// Arm a fault on the instance (chaos campaigns).
     Inject(InjectedFault),
     /// Arm a fault on the instance's *recovery plane* (recursive chaos
-    /// campaigns). [`RecoveryFault::BalancerStaleView`] needs the
-    /// balancer and therefore only takes effect under
-    /// [`Fleet::run_supervised`](crate::Fleet::run_supervised); every
-    /// other variant also works under plain `run`.
+    /// campaigns).
     RecoveryFault(RecoveryFault),
 }
 
@@ -225,9 +222,7 @@ impl FleetPlan {
     }
 
     /// Consumes the plan into firing order: `(at, instance)`, stable.
-    /// Public so external drive loops (the mesh layer) can seed their
-    /// event heaps with exactly the order [`crate::Fleet::run`] uses.
-    pub fn into_firing_order(mut self) -> Vec<FleetOp> {
+    pub(crate) fn into_firing_order(mut self) -> Vec<FleetOp> {
         self.ops.sort_by_key(|op| (op.at, op.instance));
         self.ops
     }

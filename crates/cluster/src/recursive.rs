@@ -27,15 +27,14 @@
 //! only it — so a sweep that never fires an oracle can still prove the
 //! oracles are awake.
 
-use vampos_apps::App;
 use vampos_core::InjectedFault;
 use vampos_sim::{Nanos, SimRng};
 use vampos_telemetry::{SpanDump, SpanKind, SpanRecord};
 use vampos_ukernel::OsError;
 
 use crate::balancer::Policy;
-use crate::fleet::{Fleet, FleetConfig, FleetLoad};
-use crate::instance::Instance;
+use crate::fleet::{http_body, Fleet, FleetConfig, FleetLoad};
+use crate::instance::{exchange, Instance};
 use crate::ladder::{EscalationLadder, Rung};
 use crate::plan::{FleetOpKind, FleetPlan, RecoveryFault};
 
@@ -466,30 +465,19 @@ fn probe_instance(inst: &mut Instance, one_way: Nanos, request: &str) -> (bool, 
     let Ok(conn) = inst.connect() else {
         return (false, Vec::new());
     };
-    let send_ok = inst
-        .sys
-        .host()
-        .with(|w| w.network_mut().send(conn, request.as_bytes()))
-        .is_ok();
-    let mut ok = false;
-    let mut body = Vec::new();
-    if send_ok {
-        inst.sys.clock().advance(one_way);
-        if inst.app.poll(&mut inst.sys).is_ok() {
-            inst.sys.clock().advance(one_way);
-            let response = inst
-                .sys
-                .host()
-                .with(|w| w.network_mut().recv(conn))
-                .unwrap_or_default();
-            ok = response.starts_with(b"HTTP/1.1 200");
-            if let Some(p) = response.windows(4).position(|w| w == b"\r\n\r\n") {
-                body = response[p + 4..].to_vec();
-            }
-        }
-    }
+    let response = exchange(
+        &mut inst.sys,
+        &mut inst.app,
+        conn,
+        request.as_bytes(),
+        one_way,
+    )
+    .unwrap_or_default();
     inst.close(conn);
-    (ok, body)
+    (
+        response.starts_with(b"HTTP/1.1 200"),
+        http_body(&response).to_vec(),
+    )
 }
 
 /// Runs one recursive campaign under the escalation ladder and evaluates

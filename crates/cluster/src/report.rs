@@ -31,6 +31,16 @@ pub struct FleetRunReport {
 }
 
 impl FleetRunReport {
+    /// Stamps the virtual time the run covered on the fleet report and on
+    /// every per-instance report. A caller whose run outlasts the front
+    /// tier's (the mesh draining straggler backend maintenance) re-stamps.
+    pub fn stamp_duration(&mut self, duration: Nanos) {
+        self.duration = duration;
+        for report in &mut self.per_instance {
+            report.duration = duration;
+        }
+    }
+
     /// Total requests recorded (including retried ones).
     pub fn requests(&self) -> usize {
         self.per_instance.iter().map(|r| r.records.len()).sum()

@@ -1,17 +1,13 @@
 //! One backend service replica: a booted unikernel running MiniKv or
-//! MiniSql, with the same FIFO-occupancy bookkeeping the front-tier
-//! [`vampos_cluster::Instance`] keeps, plus the idempotency table that
+//! MiniSql, booked against the same [`Occupancy`] model the front-tier
+//! [`vampos_cluster::Instance`] uses, plus the idempotency table that
 //! makes retried writes safe.
 //!
 //! # Occupancy model
 //!
-//! A request due at `due` arrives one wire flight later; the server works
-//! on it from `max(arrival, next_free)` for the measured service time and
-//! the response lands one flight after that. Maintenance (rejuvenation,
-//! full reboot, spurious detector reboots) books its window with
-//! [`BackendInstance::note_maintenance`] — identical arithmetic to the
-//! fleet instance, so a mesh hop and a front hop decompose the same way
-//! into wire/queue/stall/service.
+//! Requests and maintenance (rejuvenation, full reboot, spurious detector
+//! reboots) book against the replica's [`Occupancy`], so a mesh hop and a
+//! front hop decompose the same way into wire/queue/stall/service.
 //!
 //! # Idempotency keys
 //!
@@ -27,11 +23,13 @@
 use std::collections::BTreeMap;
 
 use vampos_apps::{kv::KV_PORT, App, MiniKv, MiniSql, QueryResult};
+use vampos_cluster::{exchange, HopCost, Occupancy};
 use vampos_core::{ComponentSet, System};
 use vampos_host::HostHandle;
 use vampos_sim::{derive_seed, Nanos, SimClock};
 use vampos_ukernel::OsError;
 
+use crate::mesh::BackendOpKind;
 use crate::topology::{ServiceKind, ServiceSpec, StageOp, AUTH_KEYS, AUTH_VALUE_LEN};
 
 /// Seed-space offset for backend instances, keeping them clear of the
@@ -67,14 +65,8 @@ pub struct HopServe {
     pub end: Nanos,
     /// The response bytes (fed into the journey digest).
     pub response: Vec<u8>,
-    /// Wire time, nanoseconds (two one-way flights).
-    pub wire_ns: u64,
-    /// Queueing delay behind the server's FIFO, nanoseconds.
-    pub queue_ns: u64,
-    /// Slice of the queueing delay overlapping a recovery window.
-    pub stall_ns: u64,
-    /// Server occupancy, nanoseconds.
-    pub service_ns: u64,
+    /// The wire/queue/stall/service decomposition.
+    pub cost: HopCost,
     /// Served from the idempotency table (duplicate write replay).
     pub cached: bool,
 }
@@ -85,9 +77,7 @@ pub struct BackendInstance {
     /// The simulated unikernel.
     pub sys: System,
     app: BackendApp,
-    next_free: Nanos,
-    recovery_until: Nanos,
-    seen_downtime: usize,
+    occ: Occupancy,
     /// Idempotency table: journey id → the response its write produced.
     applied: BTreeMap<u64, Vec<u8>>,
 }
@@ -137,17 +127,15 @@ impl BackendInstance {
         };
         // Boot work (and warm-up) predates the run; the replica starts
         // idle with no downtime to drain around.
-        let mut inst = BackendInstance {
+        let mut occ = Occupancy::default();
+        occ.ack_downtime(&sys);
+        Ok(BackendInstance {
             label: format!("{}-{}", spec.name, replica),
             sys,
             app,
-            next_free: Nanos::ZERO,
-            recovery_until: Nanos::ZERO,
-            seen_downtime: 0,
+            occ,
             applied: BTreeMap::new(),
-        };
-        inst.ack_downtime();
-        Ok(inst)
+        })
     }
 
     /// Display label (`kv-0`), also the span label.
@@ -155,14 +143,9 @@ impl BackendInstance {
         &self.label
     }
 
-    /// Earliest time the server can start another request.
-    pub fn next_free(&self) -> Nanos {
-        self.next_free
-    }
-
     /// End of the latest known recovery window.
     pub fn recovery_until(&self) -> Nanos {
-        self.recovery_until
+        self.occ.recovery_until()
     }
 
     /// Whether the kv store currently holds `key` (oracle probe).
@@ -201,171 +184,81 @@ impl BackendInstance {
         one_way: Nanos,
     ) -> Result<HopServe, OsError> {
         if op.is_write() {
-            if let Some(resp) = self.applied.get(&journey) {
-                let response = resp.clone();
-                let arrival = due + one_way;
-                let busy_from = arrival.max(self.next_free);
-                let end = busy_from + one_way;
-                let serve = self.book(due, arrival, busy_from, Nanos::ZERO, end, response, true);
-                return Ok(serve);
+            if let Some(response) = self.applied.get(&journey).cloned() {
+                return Ok(self.book(due, one_way, Nanos::ZERO, response, true));
             }
         }
-        let networked = matches!(self.app, BackendApp::Kv(_));
         let t0 = self.sys.clock().now();
-        let response = match &mut self.app {
+        // The kv path advances the shared clock by the two flights; the
+        // embedded sql path does not, so its wire time is charged in the
+        // booking only.
+        let (response, flights) = match &mut self.app {
             BackendApp::Kv(kv) => {
                 let cmd = kv_command(op, journey);
                 let conn = self.sys.host().with(|w| w.network_mut().connect(KV_PORT));
                 kv.poll(&mut self.sys)?;
-                let send_ok = self
-                    .sys
-                    .host()
-                    .with(|w| w.network_mut().send(conn, cmd.as_bytes()))
-                    .is_ok();
-                let mut resp = Vec::new();
-                if send_ok {
-                    self.sys.clock().advance(one_way);
-                    kv.poll(&mut self.sys)?;
-                    self.sys.clock().advance(one_way);
-                    resp = self
-                        .sys
-                        .host()
-                        .with(|w| w.network_mut().recv(conn))
-                        .unwrap_or_default();
-                }
+                let response = exchange(&mut self.sys, kv, conn, cmd.as_bytes(), one_way)?;
                 let _ = self.sys.host().with(|w| w.network_mut().close(conn));
-                resp
+                (response, one_way + one_way)
             }
             BackendApp::Sql(sql) => {
                 let stmt = sql_statement(op, journey);
-                encode_sql(&sql.execute(&mut self.sys, &stmt)?)
+                (encode_sql(&sql.execute(&mut self.sys, &stmt)?), Nanos::ZERO)
             }
         };
-        self.observe_detector(due);
+        self.occ.observe_detector(&self.sys, due);
 
-        // Same booking arithmetic as the front tier: the wire pipelines,
-        // the server occupancy does not. The kv path advanced the shared
-        // clock by the two flights; the embedded sql path did not, so its
-        // wire time is charged in the booking only.
         let delta = self.sys.clock().now().saturating_sub(t0);
-        let service = if networked {
-            delta.saturating_sub(one_way + one_way)
-        } else {
-            delta
-        };
-        let arrival = due + one_way;
-        let busy_from = arrival.max(self.next_free);
-        let end = busy_from + service + one_way;
+        let service = delta.saturating_sub(flights);
         if op.is_write() {
             self.applied.insert(journey, response.clone());
         }
-        Ok(self.book(due, arrival, busy_from, service, end, response, false))
+        Ok(self.book(due, one_way, service, response, false))
     }
 
-    #[allow(clippy::too_many_arguments)]
+    /// Books a served attempt against the FIFO.
     fn book(
         &mut self,
         due: Nanos,
-        arrival: Nanos,
-        busy_from: Nanos,
+        one_way: Nanos,
         service: Nanos,
-        end: Nanos,
         response: Vec<u8>,
         cached: bool,
     ) -> HopServe {
-        self.next_free = busy_from + service;
-        let one_way = arrival.saturating_sub(due);
+        let booked = self.occ.book(due, one_way, service);
+        self.occ.occupy(booked.busy_from + service);
         HopServe {
-            end,
+            end: booked.end,
             response,
-            wire_ns: (one_way + one_way).as_nanos(),
-            queue_ns: busy_from.saturating_sub(arrival).as_nanos(),
-            stall_ns: busy_from
-                .min(self.recovery_until)
-                .saturating_sub(arrival)
-                .as_nanos(),
-            service_ns: service.as_nanos(),
+            cost: booked.cost,
             cached,
         }
     }
 
-    /// Books `dur` of maintenance scheduled at `at` — same arithmetic as
-    /// [`vampos_cluster::Instance`]: busy from `max(at, next_free)` for
-    /// `dur`, and the window extends `recovery_until`.
-    fn note_maintenance(&mut self, at: Nanos, dur: Nanos) {
-        let busy_from = self.next_free.max(at);
-        self.next_free = busy_from + dur;
-        self.recovery_until = self.recovery_until.max(self.next_free);
-    }
-
-    /// Carries unaccounted detector downtime (durations, not absolutes —
-    /// the execution clock runs far ahead of the request grid) into the
-    /// recovery window.
-    fn observe_detector(&mut self, at: Nanos) {
-        let windows = &self.sys.stats().downtime;
-        let mut unscheduled = Nanos::ZERO;
-        for window in windows.iter().skip(self.seen_downtime) {
-            unscheduled += window.end.saturating_sub(window.start);
-        }
-        if unscheduled > Nanos::ZERO {
-            self.recovery_until = self.recovery_until.max(at + unscheduled);
-        }
-        self.seen_downtime = windows.len();
-    }
-
-    fn ack_downtime(&mut self) {
-        self.seen_downtime = self.sys.stats().downtime.len();
-    }
-
-    /// Component-level rejuvenation at grid time `at`: app state (store,
-    /// idempotency table) survives; the window books as maintenance.
+    /// Performs one maintenance op at grid time `at` and books its window.
+    /// Component-level ops (rejuvenation, a spurious detector firing — the
+    /// needless reboot the pipeline must ride out) preserve app memory; a
+    /// full reboot crashes and re-boots the app (kv replays its AOF, sql
+    /// reloads its database file) and loses the idempotency table with it.
     ///
     /// # Errors
     ///
     /// Propagates unrecovered reboot failures.
-    pub fn rejuvenate(&mut self, at: Nanos) -> Result<(), OsError> {
-        let t0 = self.sys.clock().now();
-        self.sys.rejuvenate_all()?;
-        let dur = self.sys.clock().now().saturating_sub(t0);
-        self.note_maintenance(at, dur);
-        self.ack_downtime();
-        Ok(())
-    }
-
-    /// Full reboot at grid time `at`: the app crashes and re-boots (kv
-    /// replays its AOF, sql reloads its database file) and the
-    /// idempotency table is lost with app memory.
-    ///
-    /// # Errors
-    ///
-    /// Propagates unrecovered reboot failures.
-    pub fn full_reboot(&mut self, at: Nanos) -> Result<(), OsError> {
-        let t0 = self.sys.clock().now();
-        self.sys.full_reboot()?;
-        self.app.crash();
-        self.app.boot(&mut self.sys)?;
-        self.applied.clear();
-        let dur = self.sys.clock().now().saturating_sub(t0);
-        self.note_maintenance(at, dur);
-        self.ack_downtime();
-        Ok(())
-    }
-
-    /// A spurious failure-detector firing at grid time `at`: a needless
-    /// component reboot whose window the pipeline must ride out — the
-    /// recovery-plane fault of the mesh chaos family. State survives
-    /// (component rejuvenation preserves app memory).
-    ///
-    /// # Errors
-    ///
-    /// Propagates unrecovered reboot failures.
-    pub fn spurious_reboot(&mut self, component: &str, at: Nanos) -> Result<(), OsError> {
-        let t0 = self.sys.clock().now();
-        let _ = self.sys.spurious_detection(component)?;
-        let dur = self.sys.clock().now().saturating_sub(t0);
-        self.note_maintenance(at, dur);
-        self.ack_downtime();
-        Ok(())
+    pub fn maintain(&mut self, kind: &BackendOpKind, at: Nanos) -> Result<(), OsError> {
+        let (app, applied) = (&mut self.app, &mut self.applied);
+        self.occ.maintain(&mut self.sys, at, |sys| match kind {
+            BackendOpKind::Rejuvenate => sys.rejuvenate_all().map(drop),
+            BackendOpKind::FullReboot => {
+                sys.full_reboot()?;
+                app.crash();
+                app.boot(sys)?;
+                applied.clear();
+                Ok(())
+            }
+            BackendOpKind::SpuriousReboot { component } => {
+                sys.spurious_detection(component).map(drop)
+            }
+        })
     }
 }
 
@@ -452,7 +345,7 @@ mod tests {
             .expect("retry");
         assert!(retry.cached);
         assert_eq!(retry.response, first.response);
-        assert_eq!(retry.service_ns, 0, "a duplicate costs no server work");
+        assert_eq!(retry.cost.service_ns, 0, "a duplicate costs no server work");
     }
 
     #[test]
@@ -471,7 +364,8 @@ mod tests {
             .serve(5, StageOp::SqlInsert, Nanos::from_millis(1), OW)
             .expect("insert");
         assert_eq!(ins.response, expected_response(StageOp::SqlInsert, 5));
-        sql.full_reboot(Nanos::from_millis(2)).expect("reboot");
+        sql.maintain(&BackendOpKind::FullReboot, Nanos::from_millis(2))
+            .expect("reboot");
         assert_eq!(sql.sql_rows_with_id(5), Some(1), "row lost across reboot");
     }
 
@@ -480,7 +374,8 @@ mod tests {
         let mut kv = booted(1);
         kv.serve(11, StageOp::KvPut, Nanos::from_millis(1), OW)
             .expect("put");
-        kv.full_reboot(Nanos::from_millis(2)).expect("reboot");
+        kv.maintain(&BackendOpKind::FullReboot, Nanos::from_millis(2))
+            .expect("reboot");
         assert!(kv.kv_has("j:11"), "AOF replay lost the key");
         // The idempotency table died with app memory: the retry re-applies
         // (value-idempotent) rather than replaying.
@@ -493,13 +388,14 @@ mod tests {
     #[test]
     fn maintenance_windows_queue_subsequent_requests() {
         let mut kv = booted(1);
-        kv.rejuvenate(Nanos::from_millis(1)).expect("rejuvenate");
+        kv.maintain(&BackendOpKind::Rejuvenate, Nanos::from_millis(1))
+            .expect("rejuvenate");
         let window = kv.recovery_until();
         assert!(window > Nanos::from_millis(1));
         let got = kv
             .serve(2, StageOp::KvPut, Nanos::from_millis(1), OW)
             .expect("put");
         assert!(got.end >= window, "request jumped the recovery window");
-        assert!(got.stall_ns > 0, "stall attribution missing");
+        assert!(got.cost.stall_ns > 0, "stall attribution missing");
     }
 }

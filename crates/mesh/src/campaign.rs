@@ -28,7 +28,7 @@ use crate::report::MeshRunReport;
 use crate::topology::MeshTopology;
 
 /// Front-tier instances every campaign boots.
-const FRONT_INSTANCES: usize = 3;
+pub const FRONT_INSTANCES: usize = 3;
 
 /// Service indices in [`MeshTopology::standard`].
 const SVC_AUTH: usize = 0;

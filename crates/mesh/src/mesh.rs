@@ -1,14 +1,13 @@
 //! The mesh itself: a front-tier [`Fleet`] plus backend service replicas
-//! on one shared virtual clock, with a run loop that mirrors
-//! [`Fleet::run`]'s event order exactly and fans every served ingress
-//! request across the topology's stage pipeline.
+//! on one shared virtual clock. [`Mesh::run`] is [`Fleet::run_with`] with a
+//! continuation that fans every served ingress request across the
+//! topology's stage pipeline.
 //!
 //! # Determinism
 //!
-//! The drive loop reuses the cluster crate's [`EventHeap`] with the same
-//! total order (`(time, class, actor, seq)`) and drives the front tier
-//! through [`vampos_cluster::FrontDrive`], so a depth-1 mesh run is
-//! byte-identical to the equivalent plain fleet run — the equivalence
+//! The front tier's own drive loop runs the whole show — same event heap,
+//! same total order (`(time, class, actor, seq)`) — so a depth-1 mesh run
+//! is byte-identical to the equivalent plain fleet run; the equivalence
 //! proptest holds it to exactly that. Backend maintenance ops are not heap
 //! events: they fire lazily, in `(at, service, replica)` order, whenever
 //! pipeline work first reaches their scheduled grid time (and any
@@ -25,18 +24,15 @@
 //! fault-free twin's journey-for-journey — the pipeline-equivalence
 //! oracle of the mesh chaos family.
 
-use vampos_cluster::{
-    ArrivalShape, EventClass, EventHeap, Fleet, FleetConfig, FleetLoad, FleetPlan, FrontOutcome,
-    Policy,
-};
+use vampos_cluster::{Fleet, FleetConfig, FleetLoad, FleetPlan, FrontOutcome, HopCost, Policy};
 use vampos_sim::{Nanos, SimClock};
-use vampos_telemetry::{Collector, SpanKind};
+use vampos_telemetry::{Collector, SpanKind, TelemetrySink};
 use vampos_ukernel::digest::DigestBuilder;
 use vampos_ukernel::OsError;
 
 use crate::backend::{expected_response, BackendInstance, HopServe};
 use crate::report::{JourneyOutcome, MeshRunReport, StageRecord, StageReport};
-use crate::topology::{MeshTopology, Routing, StageOp, StageSpec};
+use crate::topology::{MeshTopology, Routing, StageOp};
 
 /// Digest perturbation the wrong-value plant applies — any non-zero
 /// constant works; the twin comparison only checks equality.
@@ -81,6 +77,17 @@ pub enum BackendOpKind {
         /// Component the detector accuses.
         component: String,
     },
+}
+
+impl BackendOpKind {
+    /// Stable name used in telemetry.
+    pub fn name(&self) -> &'static str {
+        match self {
+            BackendOpKind::Rejuvenate => "rejuvenate",
+            BackendOpKind::FullReboot => "full_reboot",
+            BackendOpKind::SpuriousReboot { .. } => "spurious_reboot",
+        }
+    }
 }
 
 /// One scheduled backend maintenance operation.
@@ -256,7 +263,7 @@ impl Mesh {
     /// journey after the run.
     pub fn write_state_present(&mut self, journey: u64) -> Vec<(String, bool)> {
         let mut out = Vec::new();
-        for (si, stage) in self.topology.stages.iter().enumerate() {
+        for stage in &self.topology.stages {
             if !stage.op.is_write() {
                 continue;
             }
@@ -274,7 +281,6 @@ impl Mesh {
                     .is_some_and(|n| n >= 1),
                 _ => true,
             };
-            let _ = si;
             out.push((label, present));
         }
         out
@@ -318,147 +324,117 @@ impl Mesh {
         plan: MeshPlan,
         plant: Option<MeshPlant>,
     ) -> Result<MeshRunReport, OsError> {
-        let backend_ops = plan.backend_firing_order();
-        let front_ops_plan = plan.front;
-        let mut drive = self.fleet.begin_front(load, policy);
-        let started = drive.started();
-        let front_ops = front_ops_plan.into_firing_order();
-        let stage_specs = self.topology.stages.clone();
-
-        let mut heap = EventHeap::default();
-        for op in &front_ops {
-            heap.push(started + op.at, EventClass::Plan, op.instance as u64);
-        }
-        if load.requests_per_client > 0 {
-            for i in 0..drive.client_count() {
-                heap.push(drive.first_due(i), EventClass::Arrival, i as u64);
-            }
-        }
-
-        let mut stages: Vec<StageReport> = (0..stage_specs.len())
-            .map(|i| StageReport {
-                label: self.topology.stage_label(i),
-                records: Vec::new(),
-            })
-            .collect();
-        let mut journeys: Vec<JourneyOutcome> = Vec::new();
-        let mut op_idx = 0;
-        let mut backend_cursor = 0;
-
-        while let Some(ev) = heap.pop() {
-            match ev.class {
-                EventClass::Plan => {
-                    let op = &front_ops[op_idx];
-                    op_idx += 1;
-                    if let Some(close) = drive.fire_op(&mut self.fleet, op)? {
-                        heap.push(close, EventClass::Window, op.instance as u64);
-                    }
-                }
-                EventClass::Arrival => {
-                    let idx = ev.actor as usize;
-                    let (journey, front) = drive.dispatch(&mut self.fleet, idx, ev.at)?;
-                    let end = if front.served && !stage_specs.is_empty() {
-                        let (end, pipe_ok, digest) = self.run_pipeline(
-                            &stage_specs,
-                            journey,
-                            ev.at,
-                            &front,
-                            started,
-                            &backend_ops,
-                            &mut backend_cursor,
-                            &mut stages,
-                            plant.as_ref(),
-                        )?;
-                        journeys.push(JourneyOutcome {
-                            journey,
-                            start: ev.at,
-                            end,
-                            acked: front.ok && pipe_ok,
-                            digest,
-                        });
-                        end
-                    } else {
-                        // Front failure, or a depth-1 topology: the
-                        // journey terminates at the front tier, exactly
-                        // where [`Fleet::run`] would leave it.
-                        journeys.push(JourneyOutcome {
-                            journey,
-                            start: ev.at,
-                            end: front.end,
-                            acked: front.ok && front.served,
-                            digest: 0,
-                        });
-                        front.end
-                    };
-                    if load.shape == ArrivalShape::ClosedLoop {
-                        heap.push(end.max(ev.at), EventClass::Completion, ev.actor);
-                    } else {
-                        drive.note_completed();
-                        if drive.sent(idx) < load.requests_per_client {
-                            let next = load.shape.next_due(
-                                ev.at,
-                                started,
-                                drive.sent(idx),
-                                load.think_time,
-                            );
-                            heap.push(next, EventClass::Arrival, ev.actor);
-                        }
-                    }
-                }
-                EventClass::Completion => {
-                    drive.note_completed();
-                    let idx = ev.actor as usize;
-                    if drive.sent(idx) < load.requests_per_client {
-                        heap.push(ev.at + load.think_time, EventClass::Arrival, ev.actor);
-                    }
-                }
-                EventClass::Window => {
-                    self.fleet.note_window_close(ev.actor as usize, ev.at);
-                }
-            }
-        }
-        // Straggler backend ops scheduled past the last pipeline touch.
-        self.fire_backend_ops_until(
-            &backend_ops,
-            &mut backend_cursor,
-            Nanos::from_nanos(u64::MAX),
+        let started = self.clock.now();
+        let mut pipeline = Pipeline {
+            clock: &self.clock,
+            topology: &self.topology,
+            backends: &mut self.backends,
+            route_cost: self.route_cost,
+            one_way: self.backend_one_way,
+            sink: self.fleet.fleet_telemetry().cloned(),
             started,
-        )?;
+            ops: plan.backend_firing_order(),
+            cursor: 0,
+            plant,
+            stages: (0..self.topology.stages.len())
+                .map(|i| StageReport {
+                    label: self.topology.stage_label(i),
+                    records: Vec::new(),
+                })
+                .collect(),
+            journeys: Vec::new(),
+        };
+        let mut front = self
+            .fleet
+            .run_with(load, policy, plan.front, |journey, due, front| {
+                pipeline.carry(journey, due, front)
+            })?;
+        // Straggler backend ops scheduled past the last pipeline touch. The
+        // run lasts until they are done.
+        pipeline.fire_ops_until(Nanos::from_nanos(u64::MAX))?;
+        front.stamp_duration(self.clock.now().saturating_sub(started));
 
-        let front_report = drive.finish(&mut self.fleet);
+        let Pipeline {
+            stages, journeys, ..
+        } = pipeline;
         let retries = stages.iter().map(StageReport::retries).sum();
         let hedges = stages.iter().map(StageReport::hedges).sum();
         Ok(MeshRunReport {
-            front: front_report,
+            front,
             stages,
             journeys,
             retries,
             hedges,
         })
     }
+}
+
+/// One run's state behind the front tier: the backend replicas, their
+/// maintenance schedule, and the stage and journey records so far.
+struct Pipeline<'a> {
+    clock: &'a SimClock,
+    topology: &'a MeshTopology,
+    backends: &'a mut [Vec<BackendInstance>],
+    route_cost: Nanos,
+    one_way: Nanos,
+    sink: Option<TelemetrySink>,
+    started: Nanos,
+    /// Backend ops in firing order; `cursor` is the next one to fire.
+    ops: Vec<BackendOp>,
+    cursor: usize,
+    plant: Option<MeshPlant>,
+    stages: Vec<StageReport>,
+    journeys: Vec<JourneyOutcome>,
+}
+
+impl Pipeline<'_> {
+    /// The [`Fleet::run_with`] continuation: carries one dispatched
+    /// ingress request across the stage pipeline and returns when the
+    /// client observes the journey's end.
+    fn carry(&mut self, journey: u64, due: Nanos, front: &FrontOutcome) -> Result<Nanos, OsError> {
+        let (end, acked, digest) = if front.served && !self.topology.stages.is_empty() {
+            let (end, pipe_ok, digest) = self.run_stages(journey, due, front)?;
+            (end, front.ok && pipe_ok, digest)
+        } else {
+            // Front failure, or a depth-1 topology: the journey
+            // terminates at the front tier, exactly where [`Fleet::run`]
+            // would leave it.
+            (front.end, front.ok && front.served, 0)
+        };
+        self.journeys.push(JourneyOutcome {
+            journey,
+            start: due,
+            end,
+            acked,
+            digest,
+        });
+        Ok(end)
+    }
 
     /// Fans one served ingress request across the stage pipeline. Returns
     /// `(end, ok, digest)`: when the final response reached the client,
     /// whether every hop beat a deadline, and the folded response digest.
-    #[allow(clippy::too_many_arguments)]
-    fn run_pipeline(
+    fn run_stages(
         &mut self,
-        specs: &[StageSpec],
         journey: u64,
         due: Nanos,
         front: &FrontOutcome,
-        started: Nanos,
-        ops: &[BackendOp],
-        cursor: &mut usize,
-        stages_out: &mut [StageReport],
-        plant: Option<&MeshPlant>,
     ) -> Result<(Nanos, bool, u64), OsError> {
+        let topology = self.topology;
+        let planted = |kind| {
+            self.plant
+                .is_some_and(|p| p.kind == kind && p.journey == journey)
+        };
+        let (storm, wrong_value) = (
+            planted(MeshPlantKind::RetryStorm),
+            planted(MeshPlantKind::WrongValue),
+        );
         let mut hop_due = front.end + self.route_cost;
         let mut digest = DigestBuilder::new();
-        let mut records: Vec<(usize, StageRecord)> = Vec::with_capacity(specs.len());
+        let mut records: Vec<(usize, StageRecord)> = Vec::with_capacity(topology.stages.len());
         let mut pipe_ok = true;
 
-        for (si, stage) in specs.iter().enumerate() {
+        for (si, stage) in topology.stages.iter().enumerate() {
             let policy = stage.policy;
             let replicas = self.backends[stage.service].len();
             let mut att_due = hop_due;
@@ -468,18 +444,18 @@ impl Mesh {
 
             for attempt in 1..=policy.max_attempts.max(1) {
                 attempts = attempt;
-                self.fire_backend_ops_until(ops, cursor, att_due, started)?;
+                self.fire_ops_until(att_due)?;
                 let replica = match stage.routing {
                     Routing::Pinned => journey as usize % replicas,
                     Routing::Replicated => (journey as usize + attempt as usize - 1) % replicas,
                 };
                 let mut best =
-                    self.serve_attempt(stage.service, replica, journey, stage.op, att_due, plant)?;
+                    self.serve_attempt(stage.service, replica, journey, stage.op, att_due)?;
                 if let Some(after) = policy.hedge_after {
                     let hedge_due = att_due + after;
                     if stage.routing == Routing::Replicated && replicas > 1 && best.end > hedge_due
                     {
-                        self.fire_backend_ops_until(ops, cursor, hedge_due, started)?;
+                        self.fire_ops_until(hedge_due)?;
                         let hedge_replica = (journey as usize + attempt as usize) % replicas;
                         let hedge = self.serve_attempt(
                             stage.service,
@@ -487,7 +463,6 @@ impl Mesh {
                             journey,
                             stage.op,
                             hedge_due,
-                            plant,
                         )?;
                         hedged = true;
                         if hedge.end < best.end {
@@ -505,71 +480,48 @@ impl Mesh {
                 att_due = att_due + policy.deadline + policy.backoff_after(attempt);
             }
 
-            if let Some(p) = plant {
-                if p.kind == MeshPlantKind::RetryStorm && p.journey == journey && si == 0 {
-                    attempts = policy.max_attempts.max(1) + STORM_EXTRA_ATTEMPTS;
-                }
+            if storm && si == 0 {
+                attempts = policy.max_attempts.max(1) + STORM_EXTRA_ATTEMPTS;
             }
 
-            match winner {
+            // A hop that exhausted its budget fails the journey at the
+            // last attempt's deadline, and later stages never run.
+            let ok = winner.is_some();
+            let (end, cost, cached) = match winner {
                 Some(best) => {
                     digest = digest.bytes(&best.response);
-                    records.push((
-                        si,
-                        StageRecord {
-                            journey,
-                            start: hop_due,
-                            end: best.end,
-                            ok: true,
-                            attempts,
-                            hedged,
-                            wire_ns: best.wire_ns,
-                            queue_ns: best.queue_ns,
-                            stall_ns: best.stall_ns,
-                            service_ns: best.service_ns,
-                            cached: best.cached,
-                        },
-                    ));
-                    hop_due = best.end;
+                    (best.end, best.cost, best.cached)
                 }
-                None => {
-                    // The hop exhausted its budget: the journey fails at
-                    // the last attempt's deadline and later stages never
-                    // run.
-                    let gave_up = att_due;
-                    records.push((
-                        si,
-                        StageRecord {
-                            journey,
-                            start: hop_due,
-                            end: gave_up,
-                            ok: false,
-                            attempts,
-                            hedged,
-                            wire_ns: 0,
-                            queue_ns: 0,
-                            stall_ns: 0,
-                            service_ns: 0,
-                            cached: false,
-                        },
-                    ));
-                    hop_due = gave_up;
-                    pipe_ok = false;
-                    break;
-                }
+                None => (att_due, HopCost::default(), false),
+            };
+            records.push((
+                si,
+                StageRecord {
+                    journey,
+                    start: hop_due,
+                    end,
+                    ok,
+                    attempts,
+                    hedged,
+                    cost,
+                    cached,
+                },
+            ));
+            hop_due = end;
+            if !ok {
+                pipe_ok = false;
+                break;
             }
         }
 
         let mut value = digest.finish();
-        if let Some(p) = plant {
-            if p.kind == MeshPlantKind::WrongValue && p.journey == journey {
-                value ^= WRONG_VALUE_TWIST;
-            }
+        if wrong_value {
+            value ^= WRONG_VALUE_TWIST;
         }
         let end = hop_due + self.route_cost;
-        self.note_mesh_journey(journey, due, end, front.ok && pipe_ok, &records, stages_out);
+        self.note_journey(journey, due, end, front.ok && pipe_ok, &records);
         for (si, rec) in records {
-            stages_out[si].records.push(rec);
+            self.stages[si].records.push(rec);
         }
         Ok((end, pipe_ok, value))
     }
@@ -584,64 +536,47 @@ impl Mesh {
         journey: u64,
         op: StageOp,
         att_due: Nanos,
-        plant: Option<&MeshPlant>,
     ) -> Result<HopServe, OsError> {
-        if let Some(p) = plant {
-            if p.kind == MeshPlantKind::AckedLoss
+        let one_way = self.one_way;
+        if self.plant.is_some_and(|p| {
+            p.kind == MeshPlantKind::AckedLoss
                 && p.journey == journey
                 && (op.is_write() || op == StageOp::KvGet)
-            {
-                let one_way = self.backend_one_way;
-                return Ok(HopServe {
-                    end: att_due + one_way + one_way,
-                    response: expected_response(op, journey),
+        }) {
+            return Ok(HopServe {
+                end: att_due + one_way + one_way,
+                response: expected_response(op, journey),
+                cost: HopCost {
                     wire_ns: (one_way + one_way).as_nanos(),
-                    queue_ns: 0,
-                    stall_ns: 0,
-                    service_ns: 0,
-                    cached: false,
-                });
-            }
+                    ..HopCost::default()
+                },
+                cached: false,
+            });
         }
-        self.backends[service][replica].serve(journey, op, att_due, self.backend_one_way)
+        self.backends[service][replica].serve(journey, op, att_due, one_way)
     }
 
     /// Fires every backend op scheduled at or before `until` (grid time),
     /// in `(at, service, replica)` order.
-    fn fire_backend_ops_until(
-        &mut self,
-        ops: &[BackendOp],
-        cursor: &mut usize,
-        until: Nanos,
-        started: Nanos,
-    ) -> Result<(), OsError> {
-        while *cursor < ops.len() {
-            let op = &ops[*cursor];
-            let at = started + op.at;
+    fn fire_ops_until(&mut self, until: Nanos) -> Result<(), OsError> {
+        while let Some(op) = self.ops.get(self.cursor) {
+            let at = self.started + op.at;
             if at > until {
                 break;
             }
-            *cursor += 1;
+            self.cursor += 1;
             self.clock.advance_to(at);
             let inst = &mut self.backends[op.service][op.replica];
-            let name = match &op.kind {
-                BackendOpKind::Rejuvenate => {
-                    inst.rejuvenate(at)?;
-                    "rejuvenate"
-                }
-                BackendOpKind::FullReboot => {
-                    inst.full_reboot(at)?;
-                    "full_reboot"
-                }
-                BackendOpKind::SpuriousReboot { component } => {
-                    inst.spurious_reboot(component, at)?;
-                    "spurious_reboot"
-                }
-            };
-            let label = self.backends[op.service][op.replica].label().to_owned();
-            if let Some(sink) = self.fleet.fleet_telemetry() {
+            inst.maintain(&op.kind, at)?;
+            if let Some(sink) = &self.sink {
+                let name = op.kind.name();
                 sink.with(|hub| {
-                    hub.instant("mesh", "backend_op", &format!("{name} {label}"), at);
+                    hub.instant(
+                        "mesh",
+                        "backend_op",
+                        &format!("{name} {}", inst.label()),
+                        at,
+                    );
                     hub.metrics_mut().counter_add(
                         "vampos_mesh_backend_ops_total",
                         &[("kind", name)],
@@ -657,16 +592,15 @@ impl Mesh {
     /// pipeline root span threading the same journey id the front tier's
     /// journey span carries, with one child span per executed hop carrying
     /// the full wire/queue/stall/service decomposition.
-    fn note_mesh_journey(
+    fn note_journey(
         &self,
         journey: u64,
         due: Nanos,
         end: Nanos,
         acked: bool,
         records: &[(usize, StageRecord)],
-        stages_out: &[StageReport],
     ) {
-        let Some(sink) = self.fleet.fleet_telemetry() else {
+        let Some(sink) = &self.sink else {
             return;
         };
         sink.with(|hub| {
@@ -684,7 +618,7 @@ impl Mesh {
                 ],
             );
             for (si, rec) in records {
-                let label = &stages_out[*si].label;
+                let label = &self.stages[*si].label;
                 hub.push_span(
                     "mesh",
                     "mesh_hop",
@@ -699,10 +633,10 @@ impl Mesh {
                         ("attempts", rec.attempts.to_string()),
                         ("hedged", rec.hedged.to_string()),
                         ("cached", rec.cached.to_string()),
-                        ("wire_ns", rec.wire_ns.to_string()),
-                        ("queue_ns", rec.queue_ns.to_string()),
-                        ("stall_ns", rec.stall_ns.to_string()),
-                        ("service_ns", rec.service_ns.to_string()),
+                        ("wire_ns", rec.cost.wire_ns.to_string()),
+                        ("queue_ns", rec.cost.queue_ns.to_string()),
+                        ("stall_ns", rec.cost.stall_ns.to_string()),
+                        ("service_ns", rec.cost.service_ns.to_string()),
                     ],
                 );
             }
@@ -713,7 +647,7 @@ impl Mesh {
                 1,
             );
             for (si, rec) in records {
-                let label = &stages_out[*si].label;
+                let label = &self.stages[*si].label;
                 if rec.attempts > 1 {
                     metrics.counter_add(
                         "vampos_mesh_retries_total",

@@ -5,7 +5,7 @@
 //! compared bit-for-bit — the determinism harness and the chaos twin
 //! oracle both diff entire [`MeshRunReport`] values.
 
-use vampos_cluster::FleetRunReport;
+use vampos_cluster::{FleetRunReport, HopCost};
 use vampos_sim::{Histogram, Nanos};
 
 /// One pipeline hop's booked outcome (the winning attempt).
@@ -24,14 +24,9 @@ pub struct StageRecord {
     pub attempts: u32,
     /// Whether a hedge was raced on any attempt.
     pub hedged: bool,
-    /// Wire time of the winning attempt, nanoseconds.
-    pub wire_ns: u64,
-    /// Queueing delay of the winning attempt, nanoseconds.
-    pub queue_ns: u64,
-    /// Recovery-window overlap of that queueing delay, nanoseconds.
-    pub stall_ns: u64,
-    /// Server occupancy of the winning attempt, nanoseconds.
-    pub service_ns: u64,
+    /// Latency decomposition of the winning attempt (zero for failed
+    /// hops).
+    pub cost: HopCost,
     /// Winning attempt was an idempotency-table replay.
     pub cached: bool,
 }
@@ -172,10 +167,7 @@ mod tests {
             ok,
             attempts,
             hedged: false,
-            wire_ns: 0,
-            queue_ns: 0,
-            stall_ns: 0,
-            service_ns: 0,
+            cost: HopCost::default(),
             cached: false,
         }
     }

@@ -1,10 +1,10 @@
 //! A depth-1 mesh (empty topology: no backend services, no stages) must
 //! be *transparent*: its front-tier report byte-identical to the
 //! equivalent plain [`Fleet::run`] under the same config, load, policy,
-//! and plan. This pins the mesh drive loop — the external [`EventHeap`]
-//! walk through [`FrontDrive`] — to zero simulation perturbation, which
-//! is what makes every depth-N measurement attributable to the pipeline
-//! itself rather than to drive-loop skew.
+//! and plan. This pins the mesh's [`Fleet::run_with`] continuation to
+//! zero simulation perturbation, which is what makes every depth-N
+//! measurement attributable to the pipeline itself rather than to
+//! drive-loop skew.
 
 use proptest::prelude::*;
 

@@ -47,6 +47,7 @@
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use vampos::chaos::json::parse_value;
 use vampos::chaos::{
     execute_spec, from_json, journey_tail_from_json, mesh_from_json, recursive_from_json,
     run_fleet_campaign, run_fleet_sweep, run_mesh_plants, run_mesh_sweep, run_recursive_plants,
@@ -320,7 +321,10 @@ fn replay(args: &Args, path: &PathBuf) -> Result<bool, String> {
         .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
     // The family discriminator picks the replay engine; documents without
     // one are component-family reproducers from before the field existed.
-    if let Ok(spec) = mesh_from_json(&text) {
+    let doc = parse_value(&text)?;
+    let family = doc.get_opt("family").and_then(|f| f.as_str().ok());
+    if family == Some("mesh") {
+        let spec = mesh_from_json(&text)?;
         println!(
             "replaying mesh {} campaign #{} (seed {:#018x}, {} client(s) x {} request(s), plant {})",
             spec.class.name(),
@@ -344,7 +348,8 @@ fn replay(args: &Args, path: &PathBuf) -> Result<bool, String> {
             Ok(false)
         };
     }
-    if let Ok(spec) = recursive_from_json(&text) {
+    if family == Some("recursive") {
+        let spec = recursive_from_json(&text)?;
         println!(
             "replaying recursive {} campaign #{} (seed {:#018x}, target {}, plant {})",
             spec.class.name(),

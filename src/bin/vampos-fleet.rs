@@ -6,7 +6,7 @@
 //!              [--policy round-robin|least-outstanding|recovery-aware]
 //!              [--plan none|rolling|rolling-full|simultaneous]
 //!              [--shape open|closed|diurnal|bursty] [--think-us US]
-//!              [--period-ms MS] [--burst B] [--engine heap|tick]
+//!              [--period-ms MS] [--burst B]
 //!              [--no-keepalive] [--trace-out FILE] [--metrics-out FILE]
 //! ```
 //!
@@ -16,10 +16,7 @@
 //! results. `--shape` picks how clients time requests: the open-loop grid
 //! (default), closed-loop clients that think for `--think-us` after each
 //! response, a diurnal triangle wave of period `--period-ms`, or bursts of
-//! `--burst` requests. `--engine tick` drives the load with the retired
-//! tick-polling reference loop instead of the event heap (open-loop only;
-//! byte-identical output, asymptotically slower — it exists for exactly
-//! this comparison). `--no-keepalive` closes every connection after its
+//! `--burst` requests. `--no-keepalive` closes every connection after its
 //! response, siege's default mode, keeping server connection tables
 //! bounded by in-flight requests. `--trace-out` writes a
 //! Perfetto-loadable Chrome trace
@@ -51,7 +48,6 @@ struct Args {
     think: Nanos,
     period: Nanos,
     burst: usize,
-    tick_engine: bool,
     keepalive: bool,
     trace_out: Option<String>,
     metrics_out: Option<String>,
@@ -62,7 +58,7 @@ fn usage() -> String {
      \x20                   [--policy round-robin|least-outstanding|recovery-aware]\n\
      \x20                   [--plan none|rolling|rolling-full|simultaneous]\n\
      \x20                   [--shape open|closed|diurnal|bursty] [--think-us US]\n\
-     \x20                   [--period-ms MS] [--burst B] [--engine heap|tick]\n\
+     \x20                   [--period-ms MS] [--burst B]\n\
      \x20                   [--no-keepalive] [--trace-out FILE] [--metrics-out FILE]\n"
         .to_owned()
 }
@@ -79,7 +75,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         think: Nanos::from_millis(4),
         period: Nanos::from_millis(256),
         burst: 8,
-        tick_engine: false,
         keepalive: true,
         trace_out: None,
         metrics_out: None,
@@ -131,13 +126,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
                 args.period = Nanos::from_millis(value()?.parse().map_err(|e| format!("{e}"))?)
             }
             "--burst" => args.burst = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--engine" => {
-                args.tick_engine = match value()? {
-                    "heap" => false,
-                    "tick" => true,
-                    other => return Err(format!("unknown engine {other:?}")),
-                }
-            }
             "--no-keepalive" => args.keepalive = false,
             "--trace-out" => args.trace_out = Some(value()?.to_owned()),
             "--metrics-out" => args.metrics_out = Some(value()?.to_owned()),
@@ -150,9 +138,6 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
     }
     if args.burst == 0 {
         return Err("--burst must be at least 1".to_owned());
-    }
-    if args.tick_engine && args.shape != "open" {
-        return Err("--engine tick implements the open-loop grid only".to_owned());
     }
     Ok(args)
 }
@@ -205,15 +190,11 @@ fn main() -> ExitCode {
     let run = || -> Result<(), vampos::ukernel::OsError> {
         let mut fleet = Fleet::new(config)?;
         let plan = plan_for(args.plan, args.instances);
-        let report = if args.tick_engine {
-            fleet.run_tick_reference(&load, args.policy, plan)?
-        } else {
-            fleet.run(&load, args.policy, plan)?
-        };
+        let report = fleet.run(&load, args.policy, plan)?;
 
         println!(
             "fleet: {} instance(s), {} clients x {} requests ({} arrivals, think {}), \
-             policy {}, plan {}, engine {}, seed {:#x}",
+             policy {}, plan {}, seed {:#x}",
             args.instances,
             args.clients,
             args.requests,
@@ -221,7 +202,6 @@ fn main() -> ExitCode {
             args.think,
             args.policy.name(),
             args.plan,
-            if args.tick_engine { "tick" } else { "heap" },
             args.seed
         );
         println!("inst      ok    fail  reconnects");
