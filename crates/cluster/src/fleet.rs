@@ -11,12 +11,16 @@
 //! dispatched request to a continuation — the mesh's stage pipeline) are
 //! its only entry points.
 
+use std::cell::Ref;
+
 use vampos_apps::App;
 use vampos_core::{ComponentSet, Mode};
 use vampos_host::{ClientConnId, NinePGlitch, RingGlitch};
 use vampos_sim::{Nanos, SimClock};
-use vampos_telemetry::perfetto::{chrome_trace_processes, TraceProcess};
-use vampos_telemetry::{Collector, MetricsRegistry, SpanKind, SpanRecord, TelemetrySink};
+use vampos_telemetry::perfetto::{render_processes, ProcessRefs};
+use vampos_telemetry::{
+    Collector, MetricsRegistry, SpanKind, SpanRecord, TelemetryHub, TelemetrySink,
+};
 use vampos_ukernel::OsError;
 use vampos_workloads::{LoadReport, RequestRecord};
 
@@ -938,31 +942,31 @@ impl Fleet {
     /// windows. `None` unless the fleet was built with
     /// [`FleetConfig::telemetry`].
     pub fn chrome_trace_json(&self) -> Option<String> {
-        let mut processes: Vec<TraceProcess> = self
+        // The records are rendered where they sit: every hub stays borrowed
+        // while the one document is written.
+        let mut hubs: Vec<(u64, &str, Ref<'_, TelemetryHub>)> = self
             .instances
             .iter()
-            .map(|inst| {
-                inst.telemetry().map(|sink| {
-                    let (spans, instants) = sink.with(|hub| hub.export_records());
-                    TraceProcess {
-                        pid: inst.id() as u64 + 1,
-                        name: inst.label().to_owned(),
-                        spans,
-                        instants,
-                    }
-                })
-            })
-            .collect::<Option<Vec<TraceProcess>>>()?;
+            .map(|inst| Some((inst.id() as u64 + 1, inst.label(), inst.telemetry()?.hub())))
+            .collect::<Option<_>>()?;
         if let Some(sink) = &self.fleet_sink {
-            let (spans, instants) = sink.with(|hub| hub.export_records());
-            processes.push(TraceProcess {
-                pid: self.instances.len() as u64 + 1,
-                name: "fleet".to_owned(),
+            hubs.push((self.instances.len() as u64 + 1, "fleet", sink.hub()));
+        }
+        let records: Vec<_> = hubs
+            .iter()
+            .map(|(_, _, hub)| hub.sorted_records())
+            .collect();
+        let processes: Vec<ProcessRefs<'_>> = hubs
+            .iter()
+            .zip(&records)
+            .map(|((pid, name, _), (spans, instants))| ProcessRefs {
+                pid: *pid,
+                name: Some(name),
                 spans,
                 instants,
-            });
-        }
-        Some(chrome_trace_processes(&processes))
+            })
+            .collect();
+        Some(render_processes(&processes))
     }
 
     /// Single-process Chrome trace of one instance, byte-compatible with
@@ -982,15 +986,12 @@ impl Fleet {
             .instances
             .iter()
             .map(|inst| {
-                inst.telemetry().map(|sink| {
-                    let (spans, _) = sink.with(|hub| hub.export_records());
-                    (inst.label().to_owned(), spans)
-                })
+                inst.telemetry()
+                    .map(|sink| (inst.label().to_owned(), sink.hub().export_spans()))
             })
             .collect::<Option<Vec<_>>>()?;
         if let Some(sink) = &self.fleet_sink {
-            let (spans, _) = sink.with(|hub| hub.export_records());
-            out.push(("fleet".to_owned(), spans));
+            out.push(("fleet".to_owned(), sink.hub().export_spans()));
         }
         Some(out)
     }

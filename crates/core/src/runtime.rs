@@ -523,8 +523,19 @@ impl System {
     /// event trace first (preserving its historical push order), then the
     /// telemetry hub when one is attached.
     pub(crate) fn emit(&mut self, f: impl Fn(&mut dyn Collector)) {
-        f(&mut self.trace);
-        if let Some(sink) = &self.telemetry {
+        Self::emit_to(&mut self.trace, &self.telemetry, f);
+    }
+
+    /// [`System::emit`] over the two fields it uses, for emission sites
+    /// that keep a slot's name borrowed across the call instead of copying
+    /// it.
+    fn emit_to(
+        trace: &mut EventTrace,
+        telemetry: &Option<TelemetrySink>,
+        f: impl Fn(&mut dyn Collector),
+    ) {
+        f(trace);
+        if let Some(sink) = telemetry {
             sink.with(|hub| f(hub));
         }
     }
@@ -1051,10 +1062,10 @@ impl System {
             self.compact_component_log(tid);
         }
         if self.telemetry.is_some() {
-            let name = self.slots[tid].name.clone();
-            let bytes = self.slots[tid].log.byte_len();
-            let records = self.slots[tid].log.record_count();
-            self.emit(|c| c.log_stats(&name, bytes, records));
+            let slot = &self.slots[tid];
+            Self::emit_to(&mut self.trace, &self.telemetry, |c| {
+                c.log_stats(&slot.name, slot.log.byte_len(), slot.log.record_count())
+            });
         }
     }
 
@@ -1187,8 +1198,11 @@ impl CallContext for Ctx<'_> {
         if self.replay.is_some() || self.sys.telemetry.is_none() {
             return;
         }
-        let track = self.sys.slots[self.me].name.clone();
-        let at = self.sys.clock.now();
-        self.sys.emit(|c| c.instant(&track, name, detail, at));
+        let sys = &mut *self.sys;
+        let track = &sys.slots[self.me].name;
+        let at = sys.clock.now();
+        System::emit_to(&mut sys.trace, &sys.telemetry, |c| {
+            c.instant(track, name, detail, at)
+        });
     }
 }

@@ -57,7 +57,7 @@ fn every_reboot_yields_one_recovery_span_with_four_ordered_phases() {
                 .spans()
                 .filter(|s| s.kind == SpanKind::Phase && s.parent == Some(recovery.id))
                 .collect();
-            let names: Vec<&str> = phases.iter().map(|p| p.name.as_str()).collect();
+            let names: Vec<&str> = phases.iter().map(|p| &*p.name).collect();
             assert_eq!(
                 names, expected,
                 "recovery of {:?} must decompose into the four phases in order",
@@ -89,9 +89,9 @@ fn recovery_spans_carry_their_trigger() {
     sink.with(|hub| {
         let trigger = |track: &str| -> String {
             hub.spans()
-                .find(|s| s.kind == SpanKind::Recovery && s.track == track)
+                .find(|s| s.kind == SpanKind::Recovery && &*s.track == track)
                 .and_then(|s| s.attrs.iter().find(|(k, _)| *k == "trigger"))
-                .map(|(_, v)| v.clone())
+                .map(|(_, v)| v.to_string())
                 .unwrap_or_else(|| panic!("no recovery span for {track}"))
         };
         assert_eq!(trigger("9pfs"), "panic");
@@ -107,11 +107,11 @@ fn mpk_denials_land_as_instants_and_trigger_an_attributed_recovery() {
     sink.with(|hub| {
         let denial = hub
             .instants()
-            .find(|i| i.name == "mpk_denial")
+            .find(|i| &*i.name == "mpk_denial")
             .expect("denial recorded as an instant");
         let recovery = hub
             .spans()
-            .find(|s| s.kind == SpanKind::Recovery && s.track == "9pfs")
+            .find(|s| s.kind == SpanKind::Recovery && &*s.track == "9pfs")
             .expect("the denial reboots the faulting component");
         assert!(
             denial.at <= recovery.start,

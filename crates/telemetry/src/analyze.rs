@@ -21,7 +21,7 @@
 use std::collections::BTreeMap;
 
 use crate::hub::{SpanKind, SpanRecord};
-use crate::perfetto::escape;
+use crate::text::escape;
 
 /// Recovery phase names in pipeline order; indexes [`RecoveryBreakdown::phase_ns`].
 pub const PHASES: [&str; 4] = [
@@ -170,7 +170,7 @@ pub fn analyze(processes: &[(String, Vec<SpanRecord>)]) -> Analysis {
     // their hops in export order) can see their accumulated stall.
     for (_, spans) in processes {
         for s in spans {
-            if s.kind == SpanKind::Journey && s.name == "hop" {
+            if s.kind == SpanKind::Journey && &*s.name == "hop" {
                 journeys.wire_ns += attr_u64(s, "wire_ns");
                 journeys.queue_ns += attr_u64(s, "queue_ns");
                 journeys.service_ns += attr_u64(s, "service_ns");
@@ -191,7 +191,7 @@ pub fn analyze(processes: &[(String, Vec<SpanRecord>)]) -> Analysis {
                 continue;
             }
             let Some(parent) = s.parent else { continue };
-            let Some(idx) = PHASES.iter().position(|p| *p == s.name) else {
+            let Some(idx) = PHASES.iter().position(|p| **p == *s.name) else {
                 continue;
             };
             phases_of.entry(parent).or_default()[idx] += s.duration().as_nanos();
@@ -220,7 +220,7 @@ pub fn analyze(processes: &[(String, Vec<SpanRecord>)]) -> Analysis {
                         s.id,
                         RecoveryBreakdown {
                             process: process.clone(),
-                            track: s.track.clone(),
+                            track: s.track.to_string(),
                             trigger,
                             start_ns: s.start.as_nanos(),
                             downtime_ns: s.duration().as_nanos(),
@@ -229,7 +229,7 @@ pub fn analyze(processes: &[(String, Vec<SpanRecord>)]) -> Analysis {
                         },
                     ));
                 }
-                SpanKind::Journey if s.name == "journey" => {
+                SpanKind::Journey if &*s.name == "journey" => {
                     journeys.journeys += 1;
                     if attr(s, "ok") == Some("true") {
                         journeys.served += 1;
@@ -425,12 +425,12 @@ mod tests {
         SpanRecord {
             id,
             parent,
-            track: track.to_owned(),
-            name: name.to_owned(),
+            track: track.into(),
+            name: name.into(),
             kind,
             start: Nanos::from_nanos(start),
             end: Nanos::from_nanos(end),
-            attrs,
+            attrs: attrs.into_iter().map(|(k, v)| (k, v.into())).collect(),
         }
     }
 

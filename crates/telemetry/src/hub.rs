@@ -12,18 +12,18 @@
 //! `Rc<RefCell<_>>` wrapper matching the simulator's single-threaded,
 //! `!Send` clock discipline.
 
-use std::cell::RefCell;
+use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use vampos_sim::Nanos;
 
 use crate::collector::{Collector, RecoveryPhase};
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 use crate::perfetto;
 
-/// Default bound on retained finished spans and instants.
-const DEFAULT_CAPACITY: usize = 1 << 16;
+/// Bound on retained finished spans, and on retained instants.
+const SPAN_CAPACITY: usize = 1 << 16;
 
 /// What a span measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,6 +53,53 @@ impl SpanKind {
     }
 }
 
+/// The value of a span or instant attribute: text formatted for the one
+/// record, or a name the record shares with the rest of its hub (the
+/// `caller` of a call span). Compares and renders as the `str` it holds.
+#[derive(Debug, Clone)]
+pub enum AttrValue {
+    /// Text the record owns.
+    Owned(String),
+    /// A name from the hub's string table.
+    Shared(Rc<str>),
+}
+
+impl AttrValue {
+    /// The text of the value.
+    pub fn as_str(&self) -> &str {
+        match self {
+            AttrValue::Owned(s) => s,
+            AttrValue::Shared(s) => s,
+        }
+    }
+}
+
+impl std::ops::Deref for AttrValue {
+    type Target = str;
+    fn deref(&self) -> &str {
+        self.as_str()
+    }
+}
+
+impl From<String> for AttrValue {
+    fn from(s: String) -> Self {
+        AttrValue::Owned(s)
+    }
+}
+
+impl PartialEq for AttrValue {
+    fn eq(&self, other: &Self) -> bool {
+        self.as_str() == other.as_str()
+    }
+}
+
+impl Eq for AttrValue {}
+
+/// Attributes of a record, in emission order. Shared, so that the copy of
+/// a record [`TelemetryHub::export_spans`] hands out costs a reference
+/// count whatever the attributes hold.
+pub type Attrs = Rc<[(&'static str, AttrValue)]>;
+
 /// A finished span: a named interval on a component track.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
@@ -60,10 +107,11 @@ pub struct SpanRecord {
     pub id: u64,
     /// Id of the enclosing span open at creation time, if any.
     pub parent: Option<u64>,
-    /// Track (component) the span renders on.
-    pub track: String,
+    /// Track (component) the span renders on; shared with every other
+    /// record of the hub that names it.
+    pub track: Rc<str>,
     /// Span name (function, `recovery`, or a recovery-phase name).
-    pub name: String,
+    pub name: Rc<str>,
     /// What the span measured.
     pub kind: SpanKind,
     /// Start timestamp (virtual).
@@ -71,7 +119,7 @@ pub struct SpanRecord {
     /// End timestamp (virtual); `end >= start` always.
     pub end: Nanos,
     /// Structured attributes, in emission order.
-    pub attrs: Vec<(&'static str, String)>,
+    pub attrs: Attrs,
 }
 
 impl SpanRecord {
@@ -85,15 +133,15 @@ impl SpanRecord {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstantRecord {
     /// Track (component) the instant renders on.
-    pub track: String,
+    pub track: Rc<str>,
     /// Event name (e.g. `failure_detected`, `mpk_denial`).
-    pub name: String,
+    pub name: Rc<str>,
     /// Timestamp (virtual).
     pub at: Nanos,
     /// Id of the span that was innermost-open when the event fired.
     pub parent: Option<u64>,
     /// Structured attributes, in emission order.
-    pub attrs: Vec<(&'static str, String)>,
+    pub attrs: Attrs,
 }
 
 /// A compact, serializable view of one span — what chaos reproducers embed
@@ -112,26 +160,91 @@ pub struct SpanDump {
     pub depth: u32,
 }
 
+/// Index of a string in the hub's [`Names`] table.
+type NameId = usize;
+
+/// The per-call metric series labelled by one name (a component, or a
+/// syscall function). Each is resolved when it is first updated and reached
+/// by id from then on; resolving creates the series, so none is resolved
+/// ahead of its first update.
+#[derive(Debug, Default, Clone, Copy)]
+struct NameSeries {
+    calls_in: Option<CounterId>,
+    calls_out: Option<CounterId>,
+    call_latency: Option<HistogramId>,
+    syscalls: Option<CounterId>,
+    syscall_latency: Option<HistogramId>,
+    log_shrunk: Option<CounterId>,
+    log_bytes: Option<GaugeId>,
+    log_records: Option<GaugeId>,
+}
+
+/// The hub's string table. A hub sees a few dozen distinct track, span and
+/// event names (components, functions, recovery phases), so records share
+/// one `Rc<str>` per name instead of owning a copy each, and an event looks
+/// each of its names up once — the lookup also finds the name's metric
+/// series.
+#[derive(Debug, Default)]
+struct Names {
+    ids: BTreeMap<Rc<str>, NameId>,
+    strings: Vec<Rc<str>>,
+    series: Vec<NameSeries>,
+}
+
+impl Names {
+    fn intern(&mut self, s: &str) -> NameId {
+        if let Some(&id) = self.ids.get(s) {
+            return id;
+        }
+        let shared: Rc<str> = Rc::from(s);
+        self.strings.push(Rc::clone(&shared));
+        self.series.push(NameSeries::default());
+        self.ids.insert(shared, self.strings.len() - 1);
+        self.strings.len() - 1
+    }
+
+    fn get(&self, id: NameId) -> Rc<str> {
+        Rc::clone(&self.strings[id])
+    }
+
+    fn shared(&mut self, s: &str) -> Rc<str> {
+        let id = self.intern(s);
+        self.get(id)
+    }
+}
+
 #[derive(Debug)]
 struct OpenSpan {
     id: u64,
     parent: Option<u64>,
-    track: String,
-    name: String,
+    track: NameId,
+    name: NameId,
     kind: SpanKind,
     start: Nanos,
-    attrs: Vec<(&'static str, String)>,
+    attrs: Attrs,
+}
+
+/// What closing a span leaves for its `*_end` caller; the record itself is
+/// already stored, at the back of `finished`.
+#[derive(Debug, Clone, Copy)]
+struct Closed {
+    track: NameId,
+    name: NameId,
+    duration: Nanos,
 }
 
 /// The structured collector: span trees, instants, and metrics.
 #[derive(Debug, Default)]
 pub struct TelemetryHub {
     next_id: u64,
+    names: Names,
     open: Vec<OpenSpan>,
     finished: VecDeque<SpanRecord>,
     instants: VecDeque<InstantRecord>,
     evicted: u64,
     metrics: MetricsRegistry,
+    /// The attributes of every record that has none.
+    no_attrs: Attrs,
 }
 
 impl TelemetryHub {
@@ -141,7 +254,7 @@ impl TelemetryHub {
     }
 
     fn push_finished(&mut self, record: SpanRecord) {
-        if self.finished.len() == DEFAULT_CAPACITY {
+        if self.finished.len() == SPAN_CAPACITY {
             self.finished.pop_front();
             self.note_eviction();
         }
@@ -149,7 +262,7 @@ impl TelemetryHub {
     }
 
     fn push_instant(&mut self, record: InstantRecord) {
-        if self.instants.len() == DEFAULT_CAPACITY {
+        if self.instants.len() == SPAN_CAPACITY {
             self.instants.pop_front();
             self.note_eviction();
         }
@@ -182,26 +295,28 @@ impl TelemetryHub {
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
+        let track = self.names.shared(track);
+        let name = self.names.shared(name);
         self.push_finished(SpanRecord {
             id,
             parent,
-            track: track.to_owned(),
-            name: name.to_owned(),
+            track,
+            name,
             kind,
             start,
             end: end.max(start),
-            attrs,
+            attrs: attrs.into_iter().map(|(k, v)| (k, v.into())).collect(),
         });
         id
     }
 
     fn open_span(
         &mut self,
-        track: &str,
-        name: &str,
+        track: NameId,
+        name: NameId,
         kind: SpanKind,
         start: Nanos,
-        attrs: Vec<(&'static str, String)>,
+        attrs: Attrs,
     ) {
         let id = self.next_id;
         self.next_id += 1;
@@ -209,46 +324,55 @@ impl TelemetryHub {
         self.open.push(OpenSpan {
             id,
             parent,
-            track: track.to_owned(),
-            name: name.to_owned(),
+            track,
+            name,
             kind,
             start,
             attrs,
         });
     }
 
-    fn close_span(&mut self, expected: SpanKind, end: Nanos) -> Option<SpanRecord> {
+    /// Pops the innermost open span and stores its record; `*_end` callers
+    /// that enrich the record reach it through `finished.back_mut()`.
+    fn close_span(&mut self, expected: SpanKind, end: Nanos) -> Option<Closed> {
         let span = self.open.pop()?;
         debug_assert_eq!(
             span.kind, expected,
             "unbalanced span stack: closing {:?} but innermost open is {} ({:?})",
-            expected, span.name, span.kind
+            expected, self.names.strings[span.name], span.kind
         );
+        let end = end.max(span.start);
         let record = SpanRecord {
             id: span.id,
             parent: span.parent,
-            track: span.track,
-            name: span.name,
+            track: self.names.get(span.track),
+            name: self.names.get(span.name),
             kind: span.kind,
             start: span.start,
-            end: end.max(span.start),
+            end,
             attrs: span.attrs,
         };
-        self.push_finished(record.clone());
-        Some(record)
+        self.push_finished(record);
+        Some(Closed {
+            track: span.track,
+            name: span.name,
+            duration: end.saturating_sub(span.start),
+        })
     }
 
-    fn attach_instant(
-        &mut self,
-        track: &str,
-        name: &str,
-        at: Nanos,
-        attrs: Vec<(&'static str, String)>,
-    ) {
+    /// Appends outcome attributes to the span `close_span` just stored,
+    /// after the ones it opened with.
+    fn extend_last<const N: usize>(&mut self, outcome: [(&'static str, AttrValue); N]) {
+        if let Some(stored) = self.finished.back_mut() {
+            stored.attrs = stored.attrs.iter().cloned().chain(outcome).collect();
+        }
+    }
+
+    fn attach_instant(&mut self, track: NameId, name: Rc<str>, at: Nanos, attrs: Attrs) {
         let parent = self.open.last().map(|s| s.id);
         self.push_instant(InstantRecord {
-            track: track.to_owned(),
-            name: name.to_owned(),
+            track: self.names.get(track),
+            name,
             at,
             parent,
             attrs,
@@ -281,31 +405,40 @@ impl TelemetryHub {
     }
 
     /// The aggregated metrics, mutably (percentile queries need `&mut`).
+    /// Add to the registry, never replace it: the hub holds ids of series
+    /// it has resolved in it.
     pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
         &mut self.metrics
+    }
+
+    /// Borrows the retained spans and instants in export order — spans by
+    /// `(start, id)`, instants by timestamp. What every exporter renders
+    /// from; fleet exports take one such view per instance hub and hand
+    /// them to [`perfetto::render_processes`] as one pid-track each.
+    pub fn sorted_records(&self) -> (Vec<&SpanRecord>, Vec<&InstantRecord>) {
+        let mut instants: Vec<&InstantRecord> = self.instants.iter().collect();
+        instants.sort_by_key(|i| i.at);
+        (self.sorted_spans(), instants)
+    }
+
+    fn sorted_spans(&self) -> Vec<&SpanRecord> {
+        let mut spans: Vec<&SpanRecord> = self.finished.iter().collect();
+        spans.sort_by_key(|s| (s.start, s.id));
+        spans
     }
 
     /// Renders retained spans and instants as Chrome trace-event JSON
     /// (loads in Perfetto / `chrome://tracing`): one track per component,
     /// recovery phases as nested slices, instants as thread-scoped points.
     pub fn chrome_trace_json(&self) -> String {
-        let mut spans: Vec<&SpanRecord> = self.finished.iter().collect();
-        spans.sort_by_key(|s| (s.start, s.id));
-        let mut instants: Vec<&InstantRecord> = self.instants.iter().collect();
-        instants.sort_by_key(|i| i.at);
+        let (spans, instants) = self.sorted_records();
         perfetto::chrome_trace(&spans, &instants)
     }
 
-    /// Clones the retained spans and instants in export order — spans by
-    /// `(start, id)`, instants by timestamp. Fleet exports snapshot every
-    /// instance's hub this way and render them with
-    /// [`perfetto::chrome_trace_processes`] as one pid-track per instance.
-    pub fn export_records(&self) -> (Vec<SpanRecord>, Vec<InstantRecord>) {
-        let mut spans: Vec<SpanRecord> = self.finished.iter().cloned().collect();
-        spans.sort_by_key(|s| (s.start, s.id));
-        let mut instants: Vec<InstantRecord> = self.instants.iter().cloned().collect();
-        instants.sort_by_key(|i| i.at);
-        (spans, instants)
+    /// Clones the retained spans in export order, for consumers that
+    /// outlive the hub borrow ([`crate::analyze()`] input, chaos forensics).
+    pub fn export_spans(&self) -> Vec<SpanRecord> {
+        self.sorted_spans().into_iter().cloned().collect()
     }
 
     /// Renders the metrics as Prometheus text exposition.
@@ -346,8 +479,8 @@ impl TelemetryHub {
                     cursor = parents.get(&id).copied().flatten();
                 }
                 SpanDump {
-                    track: s.track.clone(),
-                    name: s.name.clone(),
+                    track: s.track.to_string(),
+                    name: s.name.to_string(),
                     start_ns: s.start.as_nanos(),
                     dur_ns: s.duration().as_nanos(),
                     depth,
@@ -356,22 +489,22 @@ impl TelemetryHub {
             .collect()
     }
 
-    fn innermost_recovery(&self) -> Option<(u64, String)> {
+    fn innermost_recovery(&self) -> Option<(u64, NameId)> {
         self.open
             .iter()
             .rev()
             .find(|s| s.kind == SpanKind::Recovery)
-            .map(|s| (s.id, s.track.clone()))
+            .map(|s| (s.id, s.track))
     }
 
     /// All track names referenced by retained spans and instants, sorted.
     pub fn tracks(&self) -> BTreeSet<String> {
         let mut tracks: BTreeSet<String> = BTreeSet::new();
         for s in &self.finished {
-            tracks.insert(s.track.clone());
+            tracks.insert(s.track.to_string());
         }
         for i in &self.instants {
-            tracks.insert(i.track.clone());
+            tracks.insert(i.track.to_string());
         }
         tracks
     }
@@ -379,36 +512,49 @@ impl TelemetryHub {
 
 impl Collector for TelemetryHub {
     fn call_begin(&mut self, caller: &str, target: &str, func: &str, at: Nanos) {
+        let track = self.names.intern(target);
+        let name = self.names.intern(func);
+        let caller_id = self.names.intern(caller);
         self.open_span(
-            target,
-            func,
+            track,
+            name,
             SpanKind::Call,
             at,
-            vec![("caller", caller.to_owned())],
+            Rc::from([("caller", AttrValue::Shared(self.names.get(caller_id)))]),
         );
-        self.metrics.counter_add(
-            "vampos_calls_total",
-            &[("component", target), ("direction", "in")],
-            1,
-        );
-        self.metrics.counter_add(
-            "vampos_calls_total",
-            &[("component", caller), ("direction", "out")],
-            1,
-        );
+        let metrics = &mut self.metrics;
+        let calls_in = *self.names.series[track].calls_in.get_or_insert_with(|| {
+            metrics.counter(
+                "vampos_calls_total",
+                &[("component", target), ("direction", "in")],
+            )
+        });
+        metrics.add(calls_in, 1);
+        let calls_out = *self.names.series[caller_id]
+            .calls_out
+            .get_or_insert_with(|| {
+                metrics.counter(
+                    "vampos_calls_total",
+                    &[("component", caller), ("direction", "out")],
+                )
+            });
+        metrics.add(calls_out, 1);
     }
 
     fn call_end(&mut self, at: Nanos, ok: bool) {
         if let Some(span) = self.close_span(SpanKind::Call, at) {
-            self.metrics.observe(
-                "vampos_call_latency_us",
-                &[("component", &span.track)],
-                span.duration(),
-            );
+            let component = &self.names.strings[span.track];
+            let metrics = &mut self.metrics;
+            let latency = *self.names.series[span.track]
+                .call_latency
+                .get_or_insert_with(|| {
+                    metrics.histogram("vampos_call_latency_us", &[("component", component)])
+                });
+            metrics.record(latency, span.duration);
             if !ok {
                 self.metrics.counter_add(
                     "vampos_call_errors_total",
-                    &[("component", &span.track)],
+                    &[("component", component)],
                     1,
                 );
             }
@@ -416,51 +562,68 @@ impl Collector for TelemetryHub {
     }
 
     fn syscall_begin(&mut self, func: &str, at: Nanos) {
-        self.open_span("app", func, SpanKind::Syscall, at, Vec::new());
-        self.metrics
-            .counter_add("vampos_syscalls_total", &[("func", func)], 1);
+        let track = self.names.intern("app");
+        let name = self.names.intern(func);
+        self.open_span(
+            track,
+            name,
+            SpanKind::Syscall,
+            at,
+            Rc::clone(&self.no_attrs),
+        );
+        let metrics = &mut self.metrics;
+        let syscalls = *self.names.series[name]
+            .syscalls
+            .get_or_insert_with(|| metrics.counter("vampos_syscalls_total", &[("func", func)]));
+        metrics.add(syscalls, 1);
     }
 
     fn syscall_end(&mut self, at: Nanos, ok: bool) {
         if let Some(span) = self.close_span(SpanKind::Syscall, at) {
-            self.metrics.observe(
-                "vampos_syscall_latency_us",
-                &[("func", &span.name)],
-                span.duration(),
-            );
+            let func = &self.names.strings[span.name];
+            let metrics = &mut self.metrics;
+            let latency = *self.names.series[span.name]
+                .syscall_latency
+                .get_or_insert_with(|| {
+                    metrics.histogram("vampos_syscall_latency_us", &[("func", func)])
+                });
+            metrics.record(latency, span.duration);
             if !ok {
                 self.metrics
-                    .counter_add("vampos_syscall_errors_total", &[("func", &span.name)], 1);
+                    .counter_add("vampos_syscall_errors_total", &[("func", func)], 1);
             }
         }
     }
 
     fn recovery_begin(&mut self, component: &str, trigger: &str, at: Nanos) {
+        let track = self.names.intern(component);
+        let name = self.names.intern("recovery");
         self.open_span(
-            component,
-            "recovery",
+            track,
+            name,
             SpanKind::Recovery,
             at,
-            vec![("trigger", trigger.to_owned())],
+            Rc::from([("trigger", trigger.to_owned().into())]),
         );
     }
 
     fn recovery_phase(&mut self, member: &str, phase: RecoveryPhase, start: Nanos, end: Nanos) {
         let (parent, track) = match self.innermost_recovery() {
             Some((id, track)) => (Some(id), track),
-            None => (None, member.to_owned()),
+            None => (None, self.names.intern(member)),
         };
         let id = self.next_id;
         self.next_id += 1;
+        let name = self.names.shared(phase.name());
         self.push_finished(SpanRecord {
             id,
             parent,
-            track,
-            name: phase.name().to_owned(),
+            track: self.names.get(track),
+            name,
             kind: SpanKind::Phase,
             start,
             end: end.max(start),
-            attrs: vec![("member", member.to_owned())],
+            attrs: Rc::from([("member", member.to_owned().into())]),
         });
         self.metrics.observe(
             "vampos_recovery_phase_us",
@@ -470,13 +633,11 @@ impl Collector for TelemetryHub {
     }
 
     fn recovery_end(&mut self, component: &str, at: Nanos, replayed: usize, snap_bytes: usize) {
-        if let Some(mut span) = self.close_span(SpanKind::Recovery, at) {
-            span.attrs.push(("replayed", replayed.to_string()));
-            span.attrs.push(("snapshot_bytes", snap_bytes.to_string()));
-            // Re-write the stored record with the enriched attributes.
-            if let Some(stored) = self.finished.back_mut() {
-                stored.attrs = span.attrs.clone();
-            }
+        if let Some(span) = self.close_span(SpanKind::Recovery, at) {
+            self.extend_last([
+                ("replayed", replayed.to_string().into()),
+                ("snapshot_bytes", snap_bytes.to_string().into()),
+            ]);
             self.metrics.counter_add(
                 "vampos_component_reboots_total",
                 &[("component", component)],
@@ -495,16 +656,14 @@ impl Collector for TelemetryHub {
             self.metrics.observe(
                 "vampos_recovery_downtime_us",
                 &[("component", component)],
-                span.duration(),
+                span.duration,
             );
         }
     }
 
     fn recovery_abort(&mut self, component: &str, at: Nanos, error: &str) {
         if self.close_span(SpanKind::Recovery, at).is_some() {
-            if let Some(stored) = self.finished.back_mut() {
-                stored.attrs.push(("error", error.to_owned()));
-            }
+            self.extend_last([("error", error.to_owned().into())]);
             self.metrics.counter_add(
                 "vampos_recovery_aborts_total",
                 &[("component", component)],
@@ -514,11 +673,13 @@ impl Collector for TelemetryHub {
     }
 
     fn failure_detected(&mut self, component: &str, kind: &str, at: Nanos) {
+        let track = self.names.intern(component);
+        let name = self.names.shared("failure_detected");
         self.attach_instant(
-            component,
-            "failure_detected",
+            track,
+            name,
             at,
-            vec![("kind", kind.to_owned())],
+            Rc::from([("kind", kind.to_owned().into())]),
         );
         self.metrics.counter_add(
             "vampos_failures_total",
@@ -528,56 +689,61 @@ impl Collector for TelemetryHub {
     }
 
     fn mpk_violation(&mut self, component: &str, region_owner: &str, at: Nanos) {
+        let track = self.names.intern(component);
+        let name = self.names.shared("mpk_denial");
         self.attach_instant(
-            component,
-            "mpk_denial",
+            track,
+            name,
             at,
-            vec![("region_owner", region_owner.to_owned())],
+            Rc::from([("region_owner", region_owner.to_owned().into())]),
         );
         self.metrics
             .counter_add("vampos_mpk_denials_total", &[("component", component)], 1);
     }
 
     fn log_shrunk(&mut self, component: &str, removed: usize, at: Nanos) {
+        let track = self.names.intern(component);
+        let name = self.names.shared("log_shrunk");
         self.attach_instant(
-            component,
-            "log_shrunk",
+            track,
+            name,
             at,
-            vec![("removed", removed.to_string())],
+            Rc::from([("removed", removed.to_string().into())]),
         );
-        self.metrics.counter_add(
-            "vampos_log_shrunk_entries_total",
-            &[("component", component)],
-            removed as u64,
-        );
+        let metrics = &mut self.metrics;
+        let shrunk = *self.names.series[track].log_shrunk.get_or_insert_with(|| {
+            metrics.counter(
+                "vampos_log_shrunk_entries_total",
+                &[("component", component)],
+            )
+        });
+        metrics.add(shrunk, removed as u64);
     }
 
     fn log_stats(&mut self, component: &str, live_bytes: usize, live_records: usize) {
-        self.metrics.gauge_set(
-            "vampos_log_bytes_live",
-            &[("component", component)],
-            live_bytes as u64,
-        );
-        self.metrics.gauge_set(
-            "vampos_log_records_live",
-            &[("component", component)],
-            live_records as u64,
-        );
+        let id = self.names.intern(component);
+        let metrics = &mut self.metrics;
+        let series = &mut self.names.series[id];
+        let bytes = *series.log_bytes.get_or_insert_with(|| {
+            metrics.gauge("vampos_log_bytes_live", &[("component", component)])
+        });
+        metrics.set(bytes, live_bytes as u64);
+        let records = *series.log_records.get_or_insert_with(|| {
+            metrics.gauge("vampos_log_records_live", &[("component", component)])
+        });
+        metrics.set(records, live_records as u64);
     }
 
     fn full_reboot(&mut self, start: Nanos, end: Nanos, connections_reset: u64) {
-        let id = self.next_id;
-        self.next_id += 1;
-        self.push_finished(SpanRecord {
-            id,
-            parent: None,
-            track: "*".to_owned(),
-            name: "full_reboot".to_owned(),
-            kind: SpanKind::Recovery,
+        self.push_span(
+            "*",
+            "full_reboot",
+            SpanKind::Recovery,
             start,
-            end: end.max(start),
-            attrs: vec![("connections_reset", connections_reset.to_string())],
-        });
+            end,
+            None,
+            vec![("connections_reset", connections_reset.to_string())],
+        );
         self.metrics
             .counter_add("vampos_full_reboots_total", &[], 1);
         self.metrics
@@ -591,15 +757,19 @@ impl Collector for TelemetryHub {
 
     fn instant(&mut self, track: &str, name: &str, detail: &str, at: Nanos) {
         let attrs = if detail.is_empty() {
-            Vec::new()
+            Rc::clone(&self.no_attrs)
         } else {
-            vec![("detail", detail.to_owned())]
+            Rc::from([("detail", detail.to_owned().into())])
         };
+        let track = self.names.intern(track);
+        let name = self.names.shared(name);
         self.attach_instant(track, name, at, attrs);
     }
 
     fn note(&mut self, text: &str, at: Nanos) {
-        self.attach_instant("system", text, at, Vec::new());
+        // Free-form text: interning it would grow the table without bound.
+        let track = self.names.intern("system");
+        self.attach_instant(track, Rc::from(text), at, Rc::clone(&self.no_attrs));
     }
 }
 
@@ -628,6 +798,16 @@ impl TelemetrySink {
     pub fn with<R>(&self, f: impl FnOnce(&mut TelemetryHub) -> R) -> R {
         f(&mut self.hub.borrow_mut())
     }
+
+    /// Borrows the hub for as long as the guard lives: exporters render
+    /// several hubs' records in one document without copying them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if called from inside a [`TelemetrySink::with`] closure.
+    pub fn hub(&self) -> Ref<'_, TelemetryHub> {
+        self.hub.borrow()
+    }
 }
 
 #[cfg(test)]
@@ -648,9 +828,9 @@ mod tests {
         let spans: Vec<&SpanRecord> = hub.spans().collect();
         assert_eq!(spans.len(), 2);
         // Inner span finishes first.
-        assert_eq!(spans[0].track, "virtio");
+        assert_eq!(&*spans[0].track, "virtio");
         assert_eq!(spans[0].parent, Some(spans[1].id));
-        assert_eq!(spans[1].track, "9pfs");
+        assert_eq!(&*spans[1].track, "9pfs");
         assert_eq!(spans[1].parent, None);
         assert_eq!(spans[1].duration(), ns(150));
         assert_eq!(hub.open_spans(), 0);
@@ -673,12 +853,16 @@ mod tests {
         let spans: Vec<&SpanRecord> = hub.spans().collect();
         assert_eq!(spans.len(), 5);
         let recovery = spans.iter().find(|s| s.kind == SpanKind::Recovery).unwrap();
-        assert_eq!(recovery.name, "recovery");
-        assert!(recovery.attrs.contains(&("trigger", "panic".to_owned())));
-        assert!(recovery.attrs.contains(&("replayed", "7".to_owned())));
+        assert_eq!(&*recovery.name, "recovery");
+        assert!(recovery
+            .attrs
+            .contains(&("trigger", "panic".to_owned().into())));
+        assert!(recovery
+            .attrs
+            .contains(&("replayed", "7".to_owned().into())));
         for phase in spans.iter().filter(|s| s.kind == SpanKind::Phase) {
             assert_eq!(phase.parent, Some(recovery.id));
-            assert_eq!(phase.track, "9pfs");
+            assert_eq!(&*phase.track, "9pfs");
         }
     }
 
@@ -763,7 +947,7 @@ mod tests {
     #[test]
     fn evictions_surface_as_a_metric() {
         let mut hub = TelemetryHub::new();
-        for i in 0..(super::DEFAULT_CAPACITY as u64 + 3) {
+        for i in 0..(super::SPAN_CAPACITY as u64 + 3) {
             hub.push_span(
                 "t",
                 "s",
@@ -788,8 +972,8 @@ mod tests {
         hub.full_reboot(ns(0), ns(5_000), 3);
         let spans: Vec<&SpanRecord> = hub.spans().collect();
         assert_eq!(spans.len(), 1);
-        assert_eq!(spans[0].track, "*");
-        assert_eq!(spans[0].name, "full_reboot");
+        assert_eq!(&*spans[0].track, "*");
+        assert_eq!(&*spans[0].name, "full_reboot");
         assert_eq!(
             hub.metrics()
                 .counter_value("vampos_connections_reset_total", &[]),

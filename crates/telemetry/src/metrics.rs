@@ -146,12 +146,87 @@ fn label_key(labels: &[(&'static str, &str)]) -> LabelSet {
     key
 }
 
+/// One kind of series — counters, gauges or histograms. The ordered maps
+/// are only the *index*: they fix the export order (families by name,
+/// series by sorted label set) and map each series to a cell. The values
+/// sit in `cells`, so a caller that resolved a series once updates it by
+/// position, without building a label key or walking either map again.
+///
+/// Every index entry holds a distinct, valid position in `cells`, and
+/// series are never removed, so a position stays valid for the registry's
+/// lifetime.
+#[derive(Debug, Clone)]
+pub(crate) struct Series<T> {
+    pub(crate) index: BTreeMap<&'static str, BTreeMap<LabelSet, usize>>,
+    pub(crate) cells: Vec<T>,
+}
+
+impl<T> Default for Series<T> {
+    fn default() -> Self {
+        Series {
+            index: BTreeMap::new(),
+            cells: Vec::new(),
+        }
+    }
+}
+
+impl<T: Default> Series<T> {
+    /// The cell of `name{labels}`, created at `T::default()` if new.
+    fn resolve(&mut self, name: &'static str, labels: LabelSet) -> usize {
+        let cells = &mut self.cells;
+        *self
+            .index
+            .entry(name)
+            .or_default()
+            .entry(labels)
+            .or_insert_with(|| {
+                cells.push(T::default());
+                cells.len() - 1
+            })
+    }
+
+    fn get(&self, name: &str, labels: &[(&'static str, &str)]) -> Option<&T> {
+        let cell = *self.index.get(name)?.get(&label_key(labels))?;
+        Some(&self.cells[cell])
+    }
+
+    /// Folds every series of `other` into this one with `fold`.
+    fn merge(&mut self, other: &Series<T>, fold: impl Fn(&mut T, &T)) {
+        for (name, series) in &other.index {
+            for (labels, &theirs) in series {
+                let ours = self.resolve(name, labels.clone());
+                fold(&mut self.cells[ours], &other.cells[theirs]);
+            }
+        }
+    }
+}
+
+/// A counter series resolved by [`MetricsRegistry::counter`]. Ids are only
+/// meaningful to the registry that issued them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterId(usize);
+
+/// A gauge series resolved by [`MetricsRegistry::gauge`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct GaugeId(usize);
+
+/// A histogram series resolved by [`MetricsRegistry::histogram`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HistogramId(usize);
+
 /// Registry of counters, gauges, and histograms in stable iteration order.
+///
+/// Emission sites that fire once per simulated call resolve their series
+/// once ([`MetricsRegistry::counter`] and friends) and update it by id;
+/// everything else names the series inline ([`MetricsRegistry::counter_add`]
+/// and friends), which resolves and updates in one step. Resolving *creates*
+/// the series, so resolve a series when it is first updated, not earlier:
+/// a counter that never fired must stay absent from the exports.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<&'static str, BTreeMap<LabelSet, u64>>,
-    gauges: BTreeMap<&'static str, BTreeMap<LabelSet, u64>>,
-    histograms: BTreeMap<&'static str, BTreeMap<LabelSet, Histogram>>,
+    pub(crate) counters: Series<u64>,
+    pub(crate) gauges: Series<u64>,
+    pub(crate) histograms: Series<Histogram>,
 }
 
 impl MetricsRegistry {
@@ -160,68 +235,71 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
+    /// Resolves the counter `name{labels}`, creating it at zero.
+    pub fn counter(&mut self, name: &'static str, labels: &[(&'static str, &str)]) -> CounterId {
+        CounterId(self.counters.resolve(name, label_key(labels)))
+    }
+
+    /// Resolves the gauge `name{labels}`, creating it at zero.
+    pub fn gauge(&mut self, name: &'static str, labels: &[(&'static str, &str)]) -> GaugeId {
+        GaugeId(self.gauges.resolve(name, label_key(labels)))
+    }
+
+    /// Resolves the histogram `name{labels}`, creating it empty.
+    pub fn histogram(
+        &mut self,
+        name: &'static str,
+        labels: &[(&'static str, &str)],
+    ) -> HistogramId {
+        HistogramId(self.histograms.resolve(name, label_key(labels)))
+    }
+
+    /// Adds `delta` to a resolved counter.
+    pub fn add(&mut self, id: CounterId, delta: u64) {
+        self.counters.cells[id.0] += delta;
+    }
+
+    /// Sets a resolved gauge to `value`.
+    pub fn set(&mut self, id: GaugeId, value: u64) {
+        self.gauges.cells[id.0] = value;
+    }
+
+    /// Records a duration into a resolved histogram (as µs).
+    pub fn record(&mut self, id: HistogramId, d: Nanos) {
+        self.histograms.cells[id.0].record_nanos(d);
+    }
+
     /// Adds `delta` to the counter `name{labels}` (created at zero).
     pub fn counter_add(&mut self, name: &'static str, labels: &[(&'static str, &str)], delta: u64) {
-        *self
-            .counters
-            .entry(name)
-            .or_default()
-            .entry(label_key(labels))
-            .or_insert(0) += delta;
+        let id = self.counter(name, labels);
+        self.add(id, delta);
     }
 
     /// Sets the gauge `name{labels}` to `value`.
     pub fn gauge_set(&mut self, name: &'static str, labels: &[(&'static str, &str)], value: u64) {
-        self.gauges
-            .entry(name)
-            .or_default()
-            .insert(label_key(labels), value);
+        let id = self.gauge(name, labels);
+        self.set(id, value);
     }
 
     /// Records a duration into the histogram `name{labels}` (as µs).
     pub fn observe(&mut self, name: &'static str, labels: &[(&'static str, &str)], d: Nanos) {
-        self.histograms
-            .entry(name)
-            .or_default()
-            .entry(label_key(labels))
-            .or_default()
-            .record_nanos(d);
+        let id = self.histogram(name, labels);
+        self.record(id, d);
     }
 
     /// Current value of a counter series, if it exists.
     pub fn counter_value(&self, name: &str, labels: &[(&'static str, &str)]) -> Option<u64> {
-        self.counters.get(name)?.get(&label_key(labels)).copied()
+        self.counters.get(name, labels).copied()
     }
 
     /// Current value of a gauge series, if it exists.
     pub fn gauge_value(&self, name: &str, labels: &[(&'static str, &str)]) -> Option<u64> {
-        self.gauges.get(name)?.get(&label_key(labels)).copied()
+        self.gauges.get(name, labels).copied()
     }
 
     /// Number of observations in a histogram series (0 when absent).
     pub fn histogram_len(&self, name: &str, labels: &[(&'static str, &str)]) -> usize {
-        self.histograms
-            .get(name)
-            .and_then(|m| m.get(&label_key(labels)))
-            .map(|h| h.len())
-            .unwrap_or(0)
-    }
-
-    /// Counter families in name order.
-    pub fn counters(&self) -> impl Iterator<Item = (&'static str, &BTreeMap<LabelSet, u64>)> {
-        self.counters.iter().map(|(n, m)| (*n, m))
-    }
-
-    /// Gauge families in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&'static str, &BTreeMap<LabelSet, u64>)> {
-        self.gauges.iter().map(|(n, m)| (*n, m))
-    }
-
-    /// Histogram families in name order, mutably (quantile queries mutate).
-    pub fn histograms_mut(
-        &mut self,
-    ) -> impl Iterator<Item = (&'static str, &mut BTreeMap<LabelSet, Histogram>)> {
-        self.histograms.iter_mut().map(|(n, m)| (*n, m))
+        self.histograms.get(name, labels).map_or(0, Histogram::len)
     }
 
     /// Folds `other` into this registry: counters and gauges add (a fleet
@@ -230,24 +308,11 @@ impl MetricsRegistry {
     /// lexicographic, so merging is deterministic regardless of how many
     /// registries fold in.
     pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (name, series) in &other.counters {
-            let family = self.counters.entry(name).or_default();
-            for (labels, value) in series {
-                *family.entry(labels.clone()).or_insert(0) += value;
-            }
-        }
-        for (name, series) in &other.gauges {
-            let family = self.gauges.entry(name).or_default();
-            for (labels, value) in series {
-                *family.entry(labels.clone()).or_insert(0) += value;
-            }
-        }
-        for (name, series) in &other.histograms {
-            let family = self.histograms.entry(name).or_default();
-            for (labels, hist) in series {
-                family.entry(labels.clone()).or_default().merge(hist);
-            }
-        }
+        self.counters
+            .merge(&other.counters, |ours, theirs| *ours += theirs);
+        self.gauges
+            .merge(&other.gauges, |ours, theirs| *ours += theirs);
+        self.histograms.merge(&other.histograms, Histogram::merge);
     }
 
     /// Renders the registry as a deterministic JSON document:
@@ -274,77 +339,51 @@ impl MetricsRegistry {
             }
             out
         }
+        /// One `"section": {family: {series: value}}` object; `value`
+        /// renders a cell.
+        fn section<T>(
+            out: &mut String,
+            series: &mut Series<T>,
+            mut value: impl FnMut(&mut T) -> String,
+        ) {
+            let mut first_family = true;
+            for (name, family) in &series.index {
+                if !first_family {
+                    out.push(',');
+                }
+                first_family = false;
+                out.push_str(&format!("\n    \"{}\": {{", escape(name)));
+                let mut first = true;
+                for (labels, &cell) in family {
+                    if !first {
+                        out.push(',');
+                    }
+                    first = false;
+                    out.push_str(&format!(
+                        "\n      \"{}\": {}",
+                        escape(&label_string(labels)),
+                        value(&mut series.cells[cell])
+                    ));
+                }
+                out.push_str("\n    }");
+            }
+        }
         let mut out = String::from("{\n  \"counters\": {");
-        let mut first_family = true;
-        for (name, series) in &self.counters {
-            if !first_family {
-                out.push(',');
-            }
-            first_family = false;
-            out.push_str(&format!("\n    \"{}\": {{", escape(name)));
-            let mut first = true;
-            for (labels, value) in series {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!(
-                    "\n      \"{}\": {}",
-                    escape(&label_string(labels)),
-                    value
-                ));
-            }
-            out.push_str("\n    }");
-        }
+        section(&mut out, &mut self.counters, |v| v.to_string());
         out.push_str("\n  },\n  \"gauges\": {");
-        first_family = true;
-        for (name, series) in &self.gauges {
-            if !first_family {
-                out.push(',');
-            }
-            first_family = false;
-            out.push_str(&format!("\n    \"{}\": {{", escape(name)));
-            let mut first = true;
-            for (labels, value) in series {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!(
-                    "\n      \"{}\": {}",
-                    escape(&label_string(labels)),
-                    value
-                ));
-            }
-            out.push_str("\n    }");
-        }
+        section(&mut out, &mut self.gauges, |v| v.to_string());
         out.push_str("\n  },\n  \"summaries\": {");
-        first_family = true;
-        for (name, series) in self.histograms.iter_mut() {
-            if !first_family {
-                out.push(',');
-            }
-            first_family = false;
-            out.push_str(&format!("\n    \"{}\": {{", escape(name)));
-            let mut first = true;
-            for (labels, hist) in series.iter_mut() {
-                if !first {
-                    out.push(',');
-                }
-                first = false;
-                out.push_str(&format!(
-                    "\n      \"{}\": {{\"count\": {}, \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
-                    escape(&label_string(labels)),
-                    hist.len(),
-                    hist.mean(),
-                    hist.percentile(50.0),
-                    hist.percentile(90.0),
-                    hist.percentile(99.0),
-                    hist.max(),
-                ));
-            }
-            out.push_str("\n    }");
-        }
+        section(&mut out, &mut self.histograms, |hist| {
+            format!(
+                "{{\"count\": {}, \"mean\": {}, \"p50\": {}, \"p90\": {}, \"p99\": {}, \"max\": {}}}",
+                hist.len(),
+                hist.mean(),
+                hist.percentile(50.0),
+                hist.percentile(90.0),
+                hist.percentile(99.0),
+                hist.max(),
+            )
+        });
         out.push_str("\n  }\n}\n");
         out
     }

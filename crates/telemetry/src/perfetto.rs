@@ -10,112 +10,128 @@
 //! emitted sorted by `(start, id)`, and timestamps are formatted from
 //! integer nanoseconds as `<µs>.<3-digit-ns-remainder>` — no float
 //! formatting anywhere, so two same-seed runs serialize byte-identically.
+//!
+//! There is one renderer, [`render_processes`]. It borrows the records it
+//! renders and writes every event straight into one `String` sized from the
+//! record count: a fleet export is tens of MiB, and neither the records nor
+//! the events exist a second time while it is built.
 
 use std::collections::BTreeMap;
 
-use crate::hub::{InstantRecord, SpanRecord};
+use crate::hub::{AttrValue, InstantRecord, SpanRecord};
+use crate::text::{push_escaped, push_u64};
 
-/// Escapes a string for embedding in a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
+/// Output bytes reserved per span or instant. Fleet exports measure ≈ 150
+/// (flow events included); one reallocation of a 70 MiB buffer costs more
+/// than the slack does.
+const BYTES_PER_RECORD: usize = 200;
 
-/// Formats integer nanoseconds as a microsecond JSON number token with
-/// nanosecond precision (`2500` ns → `2.500`).
-fn micros(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-fn args_json(pairs: &[(&str, String)]) -> String {
-    let mut out = String::from("{");
-    for (i, (k, v)) in pairs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(&format!("\"{}\":\"{}\"", escape(k), escape(v)));
-    }
-    out.push('}');
-    out
-}
-
-/// One process track group in a multi-process export: a `pid`, an optional
-/// `process_name` metadata label, and the process's (sorted) spans and
-/// instants. Fleet exports use one process per unikernel instance.
-#[derive(Debug, Clone)]
-pub struct TraceProcess {
+/// One process track group of an export: a `pid`, an optional
+/// `process_name` metadata label, and the process's spans and instants,
+/// already in export order (spans by `(start, id)`, instants by timestamp).
+/// Fleet exports use one process per unikernel instance.
+#[derive(Debug, Clone, Copy)]
+pub struct ProcessRefs<'a> {
     /// Trace-event `pid` for every event of this process.
     pub pid: u64,
-    /// Rendered as `process_name` metadata when non-empty.
-    pub name: String,
+    /// Rendered as `process_name` metadata when present.
+    pub name: Option<&'a str>,
     /// Finished spans, sorted by `(start, id)`.
-    pub spans: Vec<SpanRecord>,
+    pub spans: &'a [&'a SpanRecord],
     /// Instants, sorted by timestamp.
-    pub instants: Vec<InstantRecord>,
+    pub instants: &'a [&'a InstantRecord],
 }
 
 /// Renders spans and instants (already sorted by the caller) as a Chrome
-/// trace-event JSON document: `{"traceEvents": [...]}`.
+/// trace-event JSON document: `{"traceEvents": [...]}`. The same bytes as
+/// [`render_processes`] over a single unnamed process with pid 1.
 pub fn chrome_trace(spans: &[&SpanRecord], instants: &[&InstantRecord]) -> String {
-    let process = ProcessRefs {
+    render_processes(&[ProcessRefs {
         pid: 1,
         name: None,
         spans,
         instants,
+    }])
+}
+
+/// Appends integer nanoseconds as a microsecond JSON number token with
+/// nanosecond precision (`2500` ns → `2.500`).
+fn push_micros(out: &mut String, ns: u64) {
+    push_u64(out, ns / 1_000);
+    let rem = (ns % 1_000) as u32;
+    out.push('.');
+    for digit in [rem / 100, rem / 10 % 10, rem % 10] {
+        out.push(char::from_digit(digit, 10).expect("a decimal digit"));
+    }
+}
+
+/// Appends `,"pid":P,"tid":T`.
+fn push_pid_tid(out: &mut String, pid: u64, tid: u64) {
+    out.push_str(",\"pid\":");
+    push_u64(out, pid);
+    out.push_str(",\"tid\":");
+    push_u64(out, tid);
+}
+
+/// Appends one `ph:"M"` metadata event naming a process or a thread.
+fn push_metadata(out: &mut String, what: &str, pid: u64, tid: u64, name: &str) {
+    out.push_str("{\"name\":\"");
+    out.push_str(what);
+    out.push_str("\",\"ph\":\"M\"");
+    push_pid_tid(out, pid, tid);
+    out.push_str(",\"args\":{\"name\":\"");
+    push_escaped(out, name);
+    out.push_str("\"}},\n");
+}
+
+/// Appends the `"k":"v"` members of an `args` object; `first` says whether
+/// a member still has to open the object without a leading comma.
+fn push_attrs(out: &mut String, mut first: bool, attrs: &[(&'static str, AttrValue)]) {
+    for (k, v) in attrs {
+        if !first {
+            out.push(',');
+        }
+        first = false;
+        out.push('"');
+        push_escaped(out, k);
+        out.push_str("\":\"");
+        push_escaped(out, v);
+        out.push('"');
+    }
+}
+
+/// Appends `"parent":"N"` when there is a parent; returns whether the
+/// `args` object is still empty.
+fn push_parent(out: &mut String, first: bool, parent: Option<u64>) -> bool {
+    let Some(parent) = parent else {
+        return first;
     };
-    render_processes(&[process])
+    if !first {
+        out.push(',');
+    }
+    out.push_str("\"parent\":\"");
+    push_u64(out, parent);
+    out.push('"');
+    false
 }
 
 /// Renders several processes — one per fleet instance — in a single Chrome
 /// trace-event JSON document. Track `tid`s restart per process, and each
-/// process with a non-empty name gets `process_name` metadata, so Perfetto
-/// groups every instance's component tracks under its own process row.
-/// A single unnamed process renders byte-identically to [`chrome_trace`].
-pub fn chrome_trace_processes(processes: &[TraceProcess]) -> String {
-    let span_refs: Vec<Vec<&SpanRecord>> =
-        processes.iter().map(|p| p.spans.iter().collect()).collect();
-    let instant_refs: Vec<Vec<&InstantRecord>> = processes
+/// named process gets `process_name` metadata, so Perfetto groups every
+/// instance's component tracks under its own process row.
+pub fn render_processes(processes: &[ProcessRefs<'_>]) -> String {
+    let records: usize = processes
         .iter()
-        .map(|p| p.instants.iter().collect())
-        .collect();
-    let refs: Vec<ProcessRefs<'_>> = processes
-        .iter()
-        .zip(span_refs.iter().zip(&instant_refs))
-        .map(|(p, (spans, instants))| ProcessRefs {
-            pid: p.pid,
-            name: (!p.name.is_empty()).then_some(p.name.as_str()),
-            spans,
-            instants,
-        })
-        .collect();
-    render_processes(&refs)
-}
+        .map(|p| p.spans.len() + p.instants.len())
+        .sum();
+    let mut out = String::with_capacity(64 + records * BYTES_PER_RECORD);
+    out.push_str("{\"traceEvents\":[\n");
+    let header = out.len();
 
-struct ProcessRefs<'a> {
-    pid: u64,
-    name: Option<&'a str>,
-    spans: &'a [&'a SpanRecord],
-    instants: &'a [&'a InstantRecord],
-}
-
-fn render_processes(processes: &[ProcessRefs<'_>]) -> String {
-    let mut events: Vec<String> = Vec::new();
+    // Every event below ends in ",\n"; the last separator is cut off at the
+    // end. Metadata first (process names, then per-process thread names),
+    // so the single-process layout is: thread_name block, spans, instants.
     let mut all_tids: Vec<BTreeMap<&str, u64>> = Vec::with_capacity(processes.len());
-
-    // Metadata first (process names, then per-process thread names), so
-    // the single-process layout stays unchanged: thread_name block, spans,
-    // instants.
     for p in processes {
         let mut tids: BTreeMap<&str, u64> = BTreeMap::new();
         for s in p.spans {
@@ -128,322 +144,93 @@ fn render_processes(processes: &[ProcessRefs<'_>]) -> String {
             *tid = n as u64 + 1;
         }
         if let Some(name) = p.name {
-            events.push(format!(
-                "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\"args\":{{\"name\":\"{}\"}}}}",
-                p.pid,
-                escape(name)
-            ));
+            push_metadata(&mut out, "process_name", p.pid, 0, name);
         }
         for (track, tid) in &tids {
-            events.push(format!(
-                "{{\"name\":\"thread_name\",\"ph\":\"M\",\"pid\":{},\"tid\":{},\"args\":{{\"name\":\"{}\"}}}}",
-                p.pid,
-                tid,
-                escape(track)
-            ));
+            push_metadata(&mut out, "thread_name", p.pid, *tid, track);
         }
         all_tids.push(tids);
     }
+
+    // Journey flow members, collected while the spans render: every span
+    // carrying a `journey` attribute is a hop of that journey.
+    let mut flows: Vec<(&str, u64, u64, u64, u64)> = Vec::new();
     for (p, tids) in processes.iter().zip(&all_tids) {
         for s in p.spans {
-            let tid = tids[s.track.as_str()];
-            let mut args: Vec<(&str, String)> = vec![("id", s.id.to_string())];
-            if let Some(parent) = s.parent {
-                args.push(("parent", parent.to_string()));
+            let tid = tids[&*s.track];
+            out.push_str("{\"name\":\"");
+            push_escaped(&mut out, &s.name);
+            out.push_str("\",\"cat\":\"");
+            out.push_str(s.kind.name());
+            out.push_str("\",\"ph\":\"X\",\"ts\":");
+            push_micros(&mut out, s.start.as_nanos());
+            out.push_str(",\"dur\":");
+            push_micros(&mut out, s.duration().as_nanos());
+            push_pid_tid(&mut out, p.pid, tid);
+            out.push_str(",\"args\":{\"id\":\"");
+            push_u64(&mut out, s.id);
+            out.push('"');
+            push_parent(&mut out, false, s.parent);
+            push_attrs(&mut out, false, &s.attrs);
+            out.push_str("}},\n");
+            if let Some((_, journey)) = s.attrs.iter().find(|(k, _)| *k == "journey") {
+                flows.push((journey, s.start.as_nanos(), p.pid, tid, s.id));
             }
-            args.extend(s.attrs.iter().map(|(k, v)| (*k, v.clone())));
-            events.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{}}}",
-                escape(&s.name),
-                s.kind.name(),
-                micros(s.start.as_nanos()),
-                micros(s.duration().as_nanos()),
-                p.pid,
-                tid,
-                args_json(&args)
-            ));
         }
     }
     for (p, tids) in processes.iter().zip(&all_tids) {
         for i in p.instants {
-            let tid = tids[i.track.as_str()];
-            let mut args: Vec<(&str, String)> = Vec::new();
-            if let Some(parent) = i.parent {
-                args.push(("parent", parent.to_string()));
-            }
-            args.extend(i.attrs.iter().map(|(k, v)| (*k, v.clone())));
-            events.push(format!(
-                "{{\"name\":\"{}\",\"cat\":\"instant\",\"ph\":\"i\",\"ts\":{},\"pid\":{},\"tid\":{},\"s\":\"t\",\"args\":{}}}",
-                escape(&i.name),
-                micros(i.at.as_nanos()),
-                p.pid,
-                tid,
-                args_json(&args)
-            ));
+            out.push_str("{\"name\":\"");
+            push_escaped(&mut out, &i.name);
+            out.push_str("\",\"cat\":\"instant\",\"ph\":\"i\",\"ts\":");
+            push_micros(&mut out, i.at.as_nanos());
+            push_pid_tid(&mut out, p.pid, tids[&*i.track]);
+            out.push_str(",\"s\":\"t\",\"args\":{");
+            let first = push_parent(&mut out, true, i.parent);
+            push_attrs(&mut out, first, &i.attrs);
+            out.push_str("}},\n");
         }
     }
 
-    // Journey flow events: every span carrying a `journey` attribute is a
-    // hop of that journey, and Perfetto draws arrows between the hops when
-    // they share a flow id — across processes, so a request's path from
-    // the fleet balancer through instance serve windows is one chain.
-    // Groups are keyed and emitted in journey-value order; members sort by
-    // `(start, pid, tid, span id)`. A journey with a single anchored span
-    // emits no flow events at all (an arrow needs two ends).
-    let mut flows: BTreeMap<&str, Vec<(u64, u64, u64, u64)>> = BTreeMap::new();
-    for (p, tids) in processes.iter().zip(&all_tids) {
-        for s in p.spans {
-            if let Some((_, journey)) = s.attrs.iter().find(|(k, _)| *k == "journey") {
-                flows.entry(journey).or_default().push((
-                    s.start.as_nanos(),
-                    p.pid,
-                    tids[s.track.as_str()],
-                    s.id,
-                ));
-            }
-        }
-    }
-    for (journey, members) in flows.iter_mut() {
+    // Journey flow events: Perfetto draws arrows between the hops of one
+    // flow id — across processes, so a request's path from the fleet
+    // balancer through instance serve windows is one chain. Journeys emit
+    // in order of the attribute *string* (`"10"` before `"2"`): the export
+    // is pinned byte for byte, so the key must stay a `&str`. Members sort
+    // by `(start, pid, tid, span id)`. A journey with a single anchored
+    // span emits no flow events at all (an arrow needs two ends).
+    flows.sort_unstable();
+    for members in flows.chunk_by(|a, b| a.0 == b.0) {
         if members.len() < 2 {
             continue;
         }
-        members.sort_unstable();
         let last = members.len() - 1;
-        for (n, (start, pid, tid, _)) in members.iter().enumerate() {
-            let (ph, bind) = match n {
-                0 => ("s", ""),
-                n if n == last => ("f", ",\"bp\":\"e\""),
-                _ => ("t", ",\"bp\":\"e\""),
+        for (n, (journey, start, pid, tid, _)) in members.iter().enumerate() {
+            let ph = match n {
+                0 => "s",
+                n if n == last => "f",
+                _ => "t",
             };
-            events.push(format!(
-                "{{\"name\":\"journey\",\"cat\":\"journey\",\"ph\":\"{}\",\"id\":\"{}\",\"ts\":{},\"pid\":{},\"tid\":{}{}}}",
-                ph,
-                escape(journey),
-                micros(*start),
-                pid,
-                tid,
-                bind
-            ));
+            out.push_str("{\"name\":\"journey\",\"cat\":\"journey\",\"ph\":\"");
+            out.push_str(ph);
+            out.push_str("\",\"id\":\"");
+            push_escaped(&mut out, journey);
+            out.push_str("\",\"ts\":");
+            push_micros(&mut out, *start);
+            push_pid_tid(&mut out, *pid, *tid);
+            if n > 0 {
+                out.push_str(",\"bp\":\"e\"");
+            }
+            out.push_str("},\n");
         }
     }
 
-    let mut out = String::from("{\"traceEvents\":[\n");
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push_str(",\n");
-        }
-        out.push_str(e);
+    if out.len() > header {
+        out.truncate(out.len() - ",\n".len());
     }
     out.push_str("\n]}\n");
     out
 }
 
 #[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::hub::SpanKind;
-    use vampos_sim::Nanos;
-
-    fn span(
-        id: u64,
-        parent: Option<u64>,
-        track: &str,
-        name: &str,
-        start: u64,
-        end: u64,
-    ) -> SpanRecord {
-        SpanRecord {
-            id,
-            parent,
-            track: track.to_owned(),
-            name: name.to_owned(),
-            kind: if name == "recovery" {
-                SpanKind::Recovery
-            } else {
-                SpanKind::Call
-            },
-            start: Nanos::from_nanos(start),
-            end: Nanos::from_nanos(end),
-            attrs: Vec::new(),
-        }
-    }
-
-    #[test]
-    fn timestamps_are_microseconds_with_nanosecond_remainder() {
-        assert_eq!(micros(0), "0.000");
-        assert_eq!(micros(2_500), "2.500");
-        assert_eq!(micros(1_000_042), "1000.042");
-    }
-
-    #[test]
-    fn tracks_get_stable_tids_in_name_order() {
-        let s1 = span(0, None, "zeta", "recovery", 0, 10);
-        let s2 = span(1, None, "alpha", "call", 5, 8);
-        let json = chrome_trace(&[&s1, &s2], &[]);
-        let alpha = json.find("\"name\":\"alpha\"").unwrap();
-        let zeta = json.find("\"name\":\"zeta\"").unwrap();
-        assert!(alpha < zeta, "metadata should list alpha (tid 1) first");
-        assert!(json.contains("\"tid\":1,\"args\":{\"name\":\"alpha\"}"));
-        assert!(json.contains("\"tid\":2,\"args\":{\"name\":\"zeta\"}"));
-    }
-
-    #[test]
-    fn complete_events_have_ts_dur_pid() {
-        let s = span(3, Some(1), "9pfs", "recovery", 1_500, 4_000);
-        let json = chrome_trace(&[&s], &[]);
-        assert!(json.contains("\"ph\":\"X\""));
-        assert!(json.contains("\"ts\":1.500"));
-        assert!(json.contains("\"dur\":2.500"));
-        assert!(json.contains("\"pid\":1"));
-        assert!(json.contains("\"parent\":\"1\""));
-    }
-
-    #[test]
-    fn instants_are_thread_scoped() {
-        let i = InstantRecord {
-            track: "lwip".to_owned(),
-            name: "mpk_denial".to_owned(),
-            at: Nanos::from_nanos(77),
-            parent: None,
-            attrs: vec![("region_owner", "9pfs".to_owned())],
-        };
-        let json = chrome_trace(&[], &[&i]);
-        assert!(json.contains("\"ph\":\"i\""));
-        assert!(json.contains("\"s\":\"t\""));
-        assert!(json.contains("\"region_owner\":\"9pfs\""));
-    }
-
-    #[test]
-    fn output_is_identical_for_identical_input() {
-        let s = span(0, None, "vfs", "call", 10, 20);
-        let a = chrome_trace(&[&s], &[]);
-        let b = chrome_trace(&[&s], &[]);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    fn single_unnamed_process_matches_chrome_trace_bytes() {
-        let s1 = span(0, None, "vfs", "call", 10, 20);
-        let s2 = span(1, Some(0), "9pfs", "recovery", 12, 18);
-        let i = InstantRecord {
-            track: "vfs".to_owned(),
-            name: "failure_detected".to_owned(),
-            at: Nanos::from_nanos(15),
-            parent: Some(0),
-            attrs: Vec::new(),
-        };
-        let single = chrome_trace(&[&s1, &s2], &[&i]);
-        let multi = chrome_trace_processes(&[TraceProcess {
-            pid: 1,
-            name: String::new(),
-            spans: vec![s1, s2],
-            instants: vec![i],
-        }]);
-        assert_eq!(single, multi);
-    }
-
-    #[test]
-    fn fleet_export_gives_each_instance_its_own_pid() {
-        let processes = vec![
-            TraceProcess {
-                pid: 1,
-                name: "instance-00".to_owned(),
-                spans: vec![span(0, None, "vfs", "call", 0, 5)],
-                instants: Vec::new(),
-            },
-            TraceProcess {
-                pid: 2,
-                name: "instance-01".to_owned(),
-                spans: vec![span(0, None, "vfs", "call", 3, 9)],
-                instants: Vec::new(),
-            },
-        ];
-        let json = chrome_trace_processes(&processes);
-        assert!(json.contains(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":1,\"tid\":0,\"args\":{\"name\":\"instance-00\"}}"
-        ));
-        assert!(json.contains(
-            "{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":2,\"tid\":0,\"args\":{\"name\":\"instance-01\"}}"
-        ));
-        // Same track name on both instances, but distinct pids.
-        assert!(json.contains("\"pid\":1,\"tid\":1,\"args\":{\"name\":\"vfs\"}"));
-        assert!(json.contains("\"pid\":2,\"tid\":1,\"args\":{\"name\":\"vfs\"}"));
-        let a = chrome_trace_processes(&processes);
-        assert_eq!(json, a, "fleet export is deterministic");
-    }
-
-    #[test]
-    fn journey_spans_are_linked_by_flow_events_across_processes() {
-        let mut hop = span(0, None, "journeys", "hop", 0, 10);
-        hop.kind = SpanKind::Journey;
-        hop.attrs = vec![("journey", "7".to_owned())];
-        let mut serve = span(0, None, "journeys", "serve", 4, 9);
-        serve.kind = SpanKind::Journey;
-        serve.attrs = vec![("journey", "7".to_owned())];
-        let processes = vec![
-            TraceProcess {
-                pid: 1,
-                name: "fleet".to_owned(),
-                spans: vec![hop],
-                instants: Vec::new(),
-            },
-            TraceProcess {
-                pid: 2,
-                name: "instance-00".to_owned(),
-                spans: vec![serve],
-                instants: Vec::new(),
-            },
-        ];
-        let json = chrome_trace_processes(&processes);
-        assert!(json.contains(
-            "{\"name\":\"journey\",\"cat\":\"journey\",\"ph\":\"s\",\"id\":\"7\",\"ts\":0.000,\"pid\":1,\"tid\":1}"
-        ));
-        assert!(json.contains(
-            "{\"name\":\"journey\",\"cat\":\"journey\",\"ph\":\"f\",\"id\":\"7\",\"ts\":0.004,\"pid\":2,\"tid\":1,\"bp\":\"e\"}"
-        ));
-        // The start event comes before the finish event.
-        assert!(json.find("\"ph\":\"s\"").unwrap() < json.find("\"ph\":\"f\"").unwrap());
-        let again = chrome_trace_processes(&processes);
-        assert_eq!(json, again, "flow emission is deterministic");
-    }
-
-    #[test]
-    fn three_hop_journeys_use_step_events_and_singletons_emit_none() {
-        let mut spans = Vec::new();
-        for (id, start) in [(0u64, 0u64), (1, 5), (2, 9)] {
-            let mut s = span(id, None, "journeys", "hop", start, start + 3);
-            s.kind = SpanKind::Journey;
-            s.attrs = vec![("journey", "3".to_owned())];
-            spans.push(s);
-        }
-        let mut lone = span(9, None, "journeys", "hop", 20, 22);
-        lone.kind = SpanKind::Journey;
-        lone.attrs = vec![("journey", "4".to_owned())];
-        spans.push(lone);
-        let refs: Vec<&SpanRecord> = spans.iter().collect();
-        let json = chrome_trace(&refs, &[]);
-        assert!(json.contains("\"ph\":\"s\",\"id\":\"3\""));
-        assert!(json.contains("\"ph\":\"t\",\"id\":\"3\",\"ts\":0.005"));
-        assert!(json.contains("\"ph\":\"f\",\"id\":\"3\",\"ts\":0.009"));
-        assert!(
-            !json.contains("\"id\":\"4\""),
-            "single-hop journeys emit no flow events"
-        );
-    }
-
-    #[test]
-    fn spans_without_journey_attrs_emit_no_flow_events() {
-        let s1 = span(0, None, "vfs", "call", 10, 20);
-        let s2 = span(1, Some(0), "9pfs", "recovery", 12, 18);
-        let json = chrome_trace(&[&s1, &s2], &[]);
-        assert!(!json.contains("\"cat\":\"journey\""));
-    }
-
-    #[test]
-    fn escape_handles_quotes_and_control_chars() {
-        assert_eq!(escape("a\"b"), "a\\\"b");
-        assert_eq!(escape("a\\b"), "a\\\\b");
-        assert_eq!(escape("a\nb"), "a\\nb");
-        assert_eq!(escape("a\u{1}b"), "a\\u0001b");
-    }
-}
+mod tests;

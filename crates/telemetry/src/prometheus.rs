@@ -9,11 +9,12 @@
 //! byte-identical.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use crate::metrics::{metric_help, LabelSet, MetricsRegistry};
+use crate::text::push_u64;
 
-fn escape_label(v: &str) -> String {
-    let mut out = String::with_capacity(v.len());
+fn push_label_value(out: &mut String, v: &str) {
     for c in v.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -22,86 +23,94 @@ fn escape_label(v: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
-/// Renders `labels` (plus optional extra trailing pairs) as `{k="v",...}`,
-/// or an empty string when there are no labels at all.
-fn label_block(labels: &LabelSet, extra: &[(&str, &str)]) -> String {
-    if labels.is_empty() && extra.is_empty() {
-        return String::new();
+/// Appends a sample line up to its value: `name` + `suffix`, the labels
+/// (plus a trailing `quantile` label when given) as `{k="v",...}` — nothing
+/// when there are no labels at all — and the separating space.
+fn push_series(
+    out: &mut String,
+    name: &str,
+    suffix: &str,
+    labels: &LabelSet,
+    quantile: Option<&str>,
+) {
+    out.push_str(name);
+    out.push_str(suffix);
+    let quantile = quantile.map(|q| ("quantile", q));
+    let mut open = false;
+    for (k, v) in labels.iter().map(|(k, v)| (*k, v.as_str())).chain(quantile) {
+        out.push(if open { ',' } else { '{' });
+        open = true;
+        out.push_str(k);
+        out.push_str("=\"");
+        push_label_value(out, v);
+        out.push('"');
     }
-    let mut parts: Vec<String> = labels
-        .iter()
-        .map(|(k, v)| format!("{}=\"{}\"", k, escape_label(v)))
-        .collect();
-    parts.extend(
-        extra
-            .iter()
-            .map(|(k, v)| format!("{}=\"{}\"", k, escape_label(v))),
-    );
-    format!("{{{}}}", parts.join(","))
+    if open {
+        out.push('}');
+    }
+    out.push(' ');
 }
 
-fn family_header(out: &mut String, name: &str, kind: &str) {
-    out.push_str(&format!("# HELP {} {}\n", name, metric_help(name)));
-    out.push_str(&format!("# TYPE {} {}\n", name, kind));
+/// Appends a float sample value and the line end; `f64`'s `Display` prints
+/// `12.0` as `12`.
+fn push_float_line(out: &mut String, value: f64) {
+    writeln!(out, "{value}").expect("writing to a String cannot fail");
+}
+
+enum Kind {
+    Counter,
+    Gauge,
+    Summary,
 }
 
 /// Renders the registry as Prometheus text exposition (version 0.0.4).
 pub fn render(metrics: &mut MetricsRegistry) -> String {
-    // Render each family into a name-keyed map first so counters, gauges
-    // and summaries interleave in one global metric-name order.
-    let mut families: BTreeMap<String, String> = BTreeMap::new();
-
-    for (name, series) in metrics.counters() {
-        let mut block = String::new();
-        family_header(&mut block, name, "counter");
-        for (labels, value) in series {
-            block.push_str(&format!("{}{} {}\n", name, label_block(labels, &[]), value));
-        }
-        families.insert(name.to_owned(), block);
-    }
-    for (name, series) in metrics.gauges() {
-        let mut block = String::new();
-        family_header(&mut block, name, "gauge");
-        for (labels, value) in series {
-            block.push_str(&format!("{}{} {}\n", name, label_block(labels, &[]), value));
-        }
-        families.insert(name.to_owned(), block);
-    }
-    for (name, series) in metrics.histograms_mut() {
-        let mut block = String::new();
-        family_header(&mut block, name, "summary");
-        for (labels, hist) in series.iter_mut() {
-            for (q, qs) in [(50.0, "0.5"), (90.0, "0.9"), (99.0, "0.99")] {
-                block.push_str(&format!(
-                    "{}{} {}\n",
-                    name,
-                    label_block(labels, &[("quantile", qs)]),
-                    hist.percentile(q)
-                ));
-            }
-            let count = hist.len();
-            block.push_str(&format!(
-                "{}_sum{} {}\n",
-                name,
-                label_block(labels, &[]),
-                hist.mean() * count as f64
-            ));
-            block.push_str(&format!(
-                "{}_count{} {}\n",
-                name,
-                label_block(labels, &[]),
-                count
-            ));
-        }
-        families.insert(name.to_owned(), block);
-    }
+    // Counters, gauges and summaries interleave in one global metric-name
+    // order.
+    let mut families: BTreeMap<&'static str, Kind> = BTreeMap::new();
+    families.extend(metrics.counters.index.keys().map(|n| (*n, Kind::Counter)));
+    families.extend(metrics.gauges.index.keys().map(|n| (*n, Kind::Gauge)));
+    families.extend(metrics.histograms.index.keys().map(|n| (*n, Kind::Summary)));
 
     let mut out = String::new();
-    for block in families.values() {
-        out.push_str(block);
+    for (name, kind) in families {
+        let (kind_name, scalars) = match kind {
+            Kind::Counter => ("counter", Some(&metrics.counters)),
+            Kind::Gauge => ("gauge", Some(&metrics.gauges)),
+            Kind::Summary => ("summary", None),
+        };
+        out.push_str("# HELP ");
+        out.push_str(name);
+        out.push(' ');
+        out.push_str(metric_help(name));
+        out.push_str("\n# TYPE ");
+        out.push_str(name);
+        out.push(' ');
+        out.push_str(kind_name);
+        out.push('\n');
+        if let Some(scalars) = scalars {
+            for (labels, &cell) in &scalars.index[name] {
+                push_series(&mut out, name, "", labels, None);
+                push_u64(&mut out, scalars.cells[cell]);
+                out.push('\n');
+            }
+            continue;
+        }
+        for (labels, &cell) in &metrics.histograms.index[name] {
+            let hist = &mut metrics.histograms.cells[cell];
+            for (q, qs) in [(50.0, "0.5"), (90.0, "0.9"), (99.0, "0.99")] {
+                push_series(&mut out, name, "", labels, Some(qs));
+                push_float_line(&mut out, hist.percentile(q));
+            }
+            let count = hist.len();
+            push_series(&mut out, name, "_sum", labels, None);
+            push_float_line(&mut out, hist.mean() * count as f64);
+            push_series(&mut out, name, "_count", labels, None);
+            push_u64(&mut out, count as u64);
+            out.push('\n');
+        }
     }
     out
 }

@@ -29,8 +29,11 @@
 //! prove the gate actually fails closed. `--write-baseline` records the
 //! observed numbers with 1.5x headroom on budgets/ceilings (rung counts
 //! are exact) instead of auditing. Exit codes: 0 pass, 1 regression or
-//! run error, 2 usage error.
+//! run error, 2 usage error — which includes a `--baseline` that is
+//! unreadable, malformed or missing a key: it is validated before the
+//! scenario runs.
 
+use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use vampos::chaos::json::{parse_value, Json};
@@ -260,11 +263,57 @@ fn check(failures: &mut u64, name: &str, pass: bool, detail: String) {
     }
 }
 
-fn audit(baseline: &Json, obs: &Observed) -> Result<u64, String> {
+/// The SLO budgets of a baseline file, every key present and well-typed.
+struct Baseline {
+    /// Where it was read from, for the verdict header.
+    path: String,
+    /// Per-phase budget, indexed like [`PHASES`].
+    phase_budget_ns: [u64; 4],
+    journey_p99_ceiling_ns: u64,
+    acked_loss_max: u64,
+    telemetry_evicted_max: u64,
+    rung_counts: BTreeMap<String, u64>,
+}
+
+impl Baseline {
+    /// Reads and validates the baseline at `path`. A baseline that cannot
+    /// be audited against is a usage error, found before the scenario runs.
+    fn load(path: &str) -> Result<Baseline, String> {
+        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+        Baseline::parse(path, &text).map_err(|e| format!("{path}: {e}"))
+    }
+
+    fn parse(path: &str, text: &str) -> Result<Baseline, String> {
+        let json = parse_value(text)?;
+        let budgets = json.get("phase_budget_ns")?;
+        let mut phase_budget_ns = [0; 4];
+        for (budget, name) in phase_budget_ns.iter_mut().zip(PHASES) {
+            *budget = budgets.get(name)?.as_u64()?;
+        }
+        let Json::Obj(rungs) = json.get("rung_counts")? else {
+            return Err("rung_counts must be an object".to_owned());
+        };
+        Ok(Baseline {
+            path: path.to_owned(),
+            phase_budget_ns,
+            journey_p99_ceiling_ns: json.get("journey_p99_ceiling_ns")?.as_u64()?,
+            acked_loss_max: json.get("acked_loss_max")?.as_u64()?,
+            telemetry_evicted_max: json.get("telemetry_evicted_max")?.as_u64()?,
+            rung_counts: rungs
+                .iter()
+                .map(|(rung, count)| Ok((rung.clone(), count.as_u64()?)))
+                .collect::<Result<_, String>>()?,
+        })
+    }
+}
+
+fn audit(baseline: &Baseline, obs: &Observed) -> u64 {
     let mut failures = 0;
-    let budgets = baseline.get("phase_budget_ns")?;
-    for (name, ns) in PHASES.iter().zip(obs.phase_max_ns) {
-        let budget = budgets.get(name)?.as_u64()?;
+    for ((name, ns), budget) in PHASES
+        .iter()
+        .zip(obs.phase_max_ns)
+        .zip(baseline.phase_budget_ns)
+    {
         check(
             &mut failures,
             &format!("phase {name}"),
@@ -272,21 +321,21 @@ fn audit(baseline: &Json, obs: &Observed) -> Result<u64, String> {
             format!("max {ns}ns vs budget {budget}ns"),
         );
     }
-    let ceiling = baseline.get("journey_p99_ceiling_ns")?.as_u64()?;
+    let ceiling = baseline.journey_p99_ceiling_ns;
     check(
         &mut failures,
         "journey p99 latency",
         obs.p99_ns <= ceiling,
         format!("{}ns vs ceiling {}ns", obs.p99_ns, ceiling),
     );
-    let acked_max = baseline.get("acked_loss_max")?.as_u64()?;
+    let acked_max = baseline.acked_loss_max;
     check(
         &mut failures,
         "acked loss",
         obs.acked_loss <= acked_max,
         format!("{} vs max {}", obs.acked_loss, acked_max),
     );
-    let evicted_max = baseline.get("telemetry_evicted_max")?.as_u64()?;
+    let evicted_max = baseline.telemetry_evicted_max;
     check(
         &mut failures,
         "telemetry evictions",
@@ -302,11 +351,7 @@ fn audit(baseline: &Json, obs: &Observed) -> Result<u64, String> {
     // Rung attribution is exact both ways: a rung in the baseline must
     // fire exactly its recorded count, and a rung the baseline never saw
     // is itself a regression.
-    let Json::Obj(expected) = baseline.get("rung_counts")? else {
-        return Err("rung_counts must be an object".to_owned());
-    };
-    for (rung, count) in expected {
-        let want = count.as_u64()?;
+    for (rung, &want) in &baseline.rung_counts {
         let got = obs
             .analysis
             .rungs
@@ -322,7 +367,7 @@ fn audit(baseline: &Json, obs: &Observed) -> Result<u64, String> {
         );
     }
     for r in &obs.analysis.rungs {
-        if !expected.contains_key(&r.rung) {
+        if !baseline.rung_counts.contains_key(&r.rung) {
             check(
                 &mut failures,
                 &format!("rung {}", r.rung),
@@ -331,10 +376,10 @@ fn audit(baseline: &Json, obs: &Observed) -> Result<u64, String> {
             );
         }
     }
-    Ok(failures)
+    failures
 }
 
-fn run(args: &Args) -> Result<u64, String> {
+fn run(args: &Args, baseline: Option<&Baseline>) -> Result<u64, String> {
     let mut obs = match args.scenario {
         "fleet" => run_fleet(args.seed)?,
         _ => run_recursive(args.seed)?,
@@ -362,11 +407,9 @@ fn run(args: &Args) -> Result<u64, String> {
         println!("baseline written: {path}");
         return Ok(0);
     }
-    let path = args.baseline.as_deref().expect("parse_args requires one");
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let baseline = parse_value(&text).map_err(|e| format!("{path}: {e}"))?;
-    println!("== audit vs {path} ==");
-    let failures = audit(&baseline, &obs).map_err(|e| format!("{path}: {e}"))?;
+    let baseline = baseline.expect("main loads one unless --write-baseline is given");
+    println!("== audit vs {} ==", baseline.path);
+    let failures = audit(baseline, &obs);
     if failures == 0 {
         println!("verdict: PASS");
     } else {
@@ -388,7 +431,19 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match run(&args) {
+    // The baseline is input like the flags are: read it before the scenario
+    // runs, and call one that cannot be audited against a usage error.
+    let baseline = match (&args.write_baseline, &args.baseline) {
+        (None, Some(path)) => match Baseline::load(path) {
+            Ok(baseline) => Some(baseline),
+            Err(msg) => {
+                eprintln!("vampos-audit: {msg}");
+                return ExitCode::from(2);
+            }
+        },
+        _ => None,
+    };
+    match run(&args, baseline.as_ref()) {
         Ok(0) => ExitCode::SUCCESS,
         Ok(_) => ExitCode::FAILURE,
         Err(msg) => {
