@@ -1,257 +1,322 @@
-//! The campaign sweep: generate → execute (faulted + twin) → oracles →
-//! shrink, fanned out over worker threads with per-campaign seed isolation.
+//! The component family: single-system fault schedules (panics, hangs,
+//! leaks, bit flips, timed reboots) against a fault-free twin issuing the
+//! identical request stream, judged by the four oracles of
+//! [`crate::oracle`].
 //!
 //! Everything here is deterministic for a given configuration: campaign
-//! seeds are pure derivations of `(base seed, workload, index)`, each
-//! campaign builds its own simulated system (no shared state between
-//! workers), and [`vampos_bench::parallel_map`] preserves input order — so
-//! the sweep report is byte-identical across runs and across worker counts.
+//! seeds are pure derivations of `(base seed, workload, index)` and each
+//! campaign builds its own simulated system, which is what lets
+//! [`crate::sweep`] fan campaigns out over worker threads and still render
+//! a byte-identical report.
 
-use vampos_bench::parallel_map;
 use vampos_sim::derive_seed;
-use vampos_telemetry::{SpanDump, TelemetrySink};
+use vampos_telemetry::TelemetrySink;
+use vampos_ukernel::OsError;
 
+use crate::family::{Family, Outcome, Tails, SPAN_TAIL};
 use crate::gen::generate_spec;
-use crate::json;
+use crate::json::{array, inline, list, num, object, quote, text, Json};
 use crate::oracle::{self, Violation};
-use crate::shrink;
-use crate::spec::{CampaignSpec, WorkloadKind};
+use crate::shrink::{halve, Shrinker};
+use crate::spec::{CampaignSpec, EventKind, EventSpec, FaultSpec, WorkloadKind};
 
-/// Executions the shrinker may spend per failing campaign.
-const SHRINK_BUDGET: usize = 150;
-
-/// Telemetry spans embedded in a failing campaign's reproducer: the last
-/// window of activity before the faulted run quiesced.
-const SPAN_TAIL: usize = 24;
-
-/// Sweep configuration (mirrors the `vampos-chaos` CLI).
+/// The component family and the shape of its sweeps (mirrors the
+/// `vampos-chaos` CLI).
 #[derive(Debug, Clone)]
-pub struct SweepConfig {
-    /// Base seed; every campaign derives its own from it.
-    pub seed: u64,
-    /// Campaigns per workload.
-    pub campaigns: u64,
-    /// Workloads to sweep.
+pub struct ComponentFamily {
+    /// Workloads to sweep, `campaigns` specs each.
     pub workloads: Vec<WorkloadKind>,
     /// Max scheduled events per campaign.
     pub budget: usize,
     /// Plant a deliberate state divergence in every campaign (pipeline
     /// self-test: all campaigns must then fail and shrink).
     pub plant: bool,
-    /// Run campaigns on the calling thread, in order (debugging aid).
-    pub sequential: bool,
 }
 
-impl Default for SweepConfig {
+impl Default for ComponentFamily {
     fn default() -> Self {
-        SweepConfig {
-            seed: 42,
-            campaigns: 100,
+        ComponentFamily {
             workloads: vec![WorkloadKind::Kv],
             budget: 4,
             plant: false,
-            sequential: false,
         }
     }
 }
 
-/// The outcome of one campaign.
-#[derive(Debug, Clone)]
-pub struct CampaignOutcome {
-    /// The executed spec.
-    pub spec: CampaignSpec,
-    /// Oracle violations (empty = pass).
-    pub violations: Vec<Violation>,
-    /// The minimized reproducer, when the campaign failed.
-    pub shrunk: Option<CampaignSpec>,
-    /// Executions the shrinker spent.
-    pub shrink_runs: usize,
-    /// The trailing telemetry-span window of the shrunk faulted run —
-    /// the last thing the system did before the oracles fired. Empty for
-    /// passing campaigns.
-    pub span_tail: Vec<SpanDump>,
-}
-
-impl CampaignOutcome {
-    /// Whether every oracle was silent.
-    pub fn passed(&self) -> bool {
-        self.violations.is_empty()
-    }
-
-    /// The minimized reproducer serialized as JSON (failing campaigns
-    /// only), with the shrunk run's trailing span window embedded.
-    pub fn reproducer_json(&self) -> Option<String> {
-        self.shrunk
-            .as_ref()
-            .map(|s| json::reproducer_to_json(s, &self.span_tail))
-    }
-
-    /// The stable one-line summary the sweep prints.
-    pub fn summary_line(&self) -> String {
-        if self.passed() {
-            format!(
-                "PASS {} #{} seed={:#018x} events={} ops={}",
-                self.spec.workload.name(),
-                self.spec.campaign,
-                self.spec.seed,
-                self.spec.events.len(),
-                self.spec.ops,
-            )
-        } else {
-            let kinds: Vec<&str> = {
-                let mut ks: Vec<&str> = self.violations.iter().map(|v| v.kind.name()).collect();
-                ks.sort_unstable();
-                ks.dedup();
-                ks
-            };
-            format!(
-                "FAIL {} #{} seed={:#018x} oracles=[{}] shrunk to {} event(s), {} op(s) in {} run(s)",
-                self.spec.workload.name(),
-                self.spec.campaign,
-                self.spec.seed,
-                kinds.join(","),
-                self.shrunk.as_ref().map_or(0, |s| s.events.len()),
-                self.shrunk.as_ref().map_or(0, |s| s.ops),
-                self.shrink_runs,
-            )
-        }
-    }
-}
-
-/// Executes one spec — faulted run, fault-free twin, all four oracles.
-pub fn execute_spec(spec: &CampaignSpec) -> Vec<Violation> {
-    let faulted = crate::drive::run(spec, true);
-    let twin = crate::drive::run(spec, false);
-    oracle::check(spec, &faulted, &twin)
-}
-
-/// Re-executes the shrunk spec once more with a telemetry sink attached
-/// and harvests the trailing span window. The extra run is deterministic
-/// (virtual clock, derived seeds), so the tail is byte-stable.
-fn harvest_span_tail(spec: &CampaignSpec) -> Vec<SpanDump> {
+/// Re-executes `spec` faulted with a telemetry sink attached. The extra
+/// run is deterministic (virtual clock, derived seeds), so everything
+/// read from the sink is byte-stable.
+fn traced(spec: &CampaignSpec) -> TelemetrySink {
     let sink = TelemetrySink::default();
     crate::drive::run_with_sink(spec, true, Some(&sink));
-    sink.with(|hub| hub.tail(SPAN_TAIL))
+    sink
 }
 
-/// Runs one campaign end to end, shrinking on failure.
-pub fn run_campaign(spec: CampaignSpec) -> CampaignOutcome {
-    let violations = execute_spec(&spec);
-    if violations.is_empty() {
-        return CampaignOutcome {
-            spec,
-            violations,
-            shrunk: None,
-            shrink_runs: 0,
-            span_tail: Vec::new(),
-        };
+/// Halves an event's firing time, its `after` countdown and a bit-flip
+/// offset, all in one candidate; whether anything moved.
+fn halve_event(event: &mut EventSpec) -> bool {
+    let mut changed = halve(&mut event.at_ns, 1);
+    if let EventKind::Inject { after, fault, .. } = &mut event.kind {
+        changed |= halve(after, 0);
+        if let FaultSpec::BitFlip { offset, .. } = fault {
+            changed |= halve(offset, 0);
+        }
     }
-    let out = shrink::shrink(&spec, &violations, SHRINK_BUDGET, execute_spec);
-    let span_tail = harvest_span_tail(&out.spec);
-    CampaignOutcome {
-        spec,
-        violations,
-        shrunk: Some(out.spec),
-        shrink_runs: out.runs,
-        span_tail,
-    }
+    changed
 }
 
-/// The result of a whole sweep.
-#[derive(Debug, Clone)]
-pub struct SweepReport {
-    /// Every campaign, in (workload, index) order.
-    pub outcomes: Vec<CampaignOutcome>,
-}
+impl Family for ComponentFamily {
+    const NAME: &'static str = "component";
+    const ORACLES: &'static str = "all four";
+    const SHRINK_BUDGET: usize = 150;
+    const TELEMETRY: Option<fn(&CampaignSpec) -> TelemetrySink> = Some(traced);
 
-impl SweepReport {
-    /// Failing campaigns.
-    pub fn failures(&self) -> impl Iterator<Item = &CampaignOutcome> {
-        self.outcomes.iter().filter(|o| !o.passed())
-    }
+    type Spec = CampaignSpec;
+    type Report = Vec<Violation>;
+    type Violation = Violation;
 
-    /// The full, deterministic text report (one line per campaign plus a
-    /// trailer).
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        for outcome in &self.outcomes {
-            out.push_str(&outcome.summary_line());
-            out.push('\n');
-            for v in &outcome.violations {
-                out.push_str(&format!("  {}: {}\n", v.kind.name(), v.detail));
+    fn specs(&self, seed: u64, campaigns: u64) -> Vec<CampaignSpec> {
+        let mut specs = Vec::new();
+        for workload in &self.workloads {
+            // Two-level derivation: workload stream, then campaign stream —
+            // adding a workload to the sweep never perturbs another's seeds.
+            let stream = derive_seed(seed, workload.id());
+            for campaign in 0..campaigns {
+                let seed = derive_seed(stream, campaign);
+                specs.push(generate_spec(
+                    *workload,
+                    seed,
+                    campaign,
+                    self.budget,
+                    self.plant,
+                ));
             }
         }
-        let failed = self.failures().count();
-        out.push_str(&format!(
-            "{} campaign(s), {} passed, {} failed\n",
-            self.outcomes.len(),
-            self.outcomes.len() - failed,
-            failed,
-        ));
-        out
+        specs
+    }
+
+    /// Faulted run, fault-free twin, all four oracles; never errors.
+    fn execute(spec: &CampaignSpec) -> Result<Vec<Violation>, OsError> {
+        let faulted = crate::drive::run(spec, true);
+        let twin = crate::drive::run(spec, false);
+        Ok(oracle::check(spec, &faulted, &twin))
+    }
+
+    fn forensics(spec: &CampaignSpec) -> Result<Tails, OsError> {
+        Ok((traced(spec).with(|hub| hub.tail(SPAN_TAIL)), Vec::new()))
+    }
+
+    fn violations(report: &Vec<Violation>) -> &[Violation] {
+        report
+    }
+
+    fn kind(violation: &Violation) -> &'static str {
+        violation.kind.name()
+    }
+
+    fn describe(violation: &Violation) -> String {
+        format!("{}: {}", violation.kind.name(), violation.detail)
+    }
+
+    /// Drop one scheduled event at a time; halve each event's time and
+    /// numeric payloads; halve the request count until a halving fails,
+    /// then decrement it.
+    fn shrink_pass(shrinker: &mut Shrinker<'_, CampaignSpec>) {
+        shrinker.drop_each(|spec| &mut spec.events);
+        for i in 0..shrinker.best.events.len() {
+            let mut candidate = shrinker.best.clone();
+            if halve_event(&mut candidate.events[i]) && shrinker.attempt(candidate).is_none() {
+                return;
+            }
+        }
+        for step in [|ops: usize| ops / 2, |ops: usize| ops - 1] {
+            while shrinker.best.ops > 1 {
+                let mut candidate = shrinker.best.clone();
+                candidate.ops = step(candidate.ops).max(1);
+                if shrinker.attempt(candidate) != Some(true) {
+                    break;
+                }
+            }
+        }
+    }
+
+    fn write_spec(spec: &CampaignSpec) -> String {
+        object(&[
+            ("workload", quote(spec.workload.name())),
+            ("seed", spec.seed.to_string()),
+            ("campaign", spec.campaign.to_string()),
+            ("ops", spec.ops.to_string()),
+            ("tail", spec.tail.to_string()),
+            ("aof", spec.aof.to_string()),
+            ("plant", spec.plant.to_string()),
+            ("events", array(spec.events.iter().map(write_event))),
+        ])
+    }
+
+    fn read_spec(doc: &Json) -> Result<CampaignSpec, String> {
+        let workload = doc.get("workload")?.as_str()?;
+        let workload = WorkloadKind::parse(workload)
+            .ok_or_else(|| format!("unknown workload {workload:?}"))?;
+        Ok(CampaignSpec {
+            workload,
+            seed: num(doc, "seed")?,
+            campaign: num(doc, "campaign")?,
+            ops: num(doc, "ops")?,
+            tail: num(doc, "tail")?,
+            aof: doc.get("aof")?.as_bool()?,
+            plant: doc.get("plant")?.as_bool()?,
+            events: list(doc, "events", read_event)?,
+        })
+    }
+
+    fn summary_line(outcome: &Outcome<Self>) -> String {
+        let spec = &outcome.spec;
+        let head = format!(
+            "{} #{} seed={:#018x}",
+            spec.workload.name(),
+            spec.campaign,
+            spec.seed
+        );
+        match &outcome.shrunk {
+            None => format!("PASS {head} events={} ops={}", spec.events.len(), spec.ops),
+            Some(shrunk) => format!(
+                "FAIL {head} oracles=[{}] shrunk to {} event(s), {} op(s) in {} run(s)",
+                outcome.oracles(),
+                shrunk.events.len(),
+                shrunk.ops,
+                outcome.shrink_runs,
+            ),
+        }
+    }
+
+    fn repro_file_name(spec: &CampaignSpec) -> String {
+        format!(
+            "chaos-repro-{}-{}.json",
+            spec.workload.name(),
+            spec.campaign
+        )
+    }
+
+    fn banner(spec: &CampaignSpec) -> String {
+        format!(
+            "replaying {} campaign #{} (seed {:#018x}, {} event(s), {} op(s))",
+            spec.workload.name(),
+            spec.campaign,
+            spec.seed,
+            spec.events.len(),
+            spec.ops,
+        )
     }
 }
 
-/// Runs a full sweep: `campaigns` specs per workload, fanned out over
-/// worker threads (or sequentially), order-preserving.
-pub fn run_sweep(cfg: &SweepConfig) -> SweepReport {
-    let mut specs = Vec::new();
-    for workload in &cfg.workloads {
-        // Two-level derivation: workload stream, then campaign stream —
-        // adding a workload to the sweep never perturbs another's seeds.
-        let stream = derive_seed(cfg.seed, workload.id());
-        for campaign in 0..cfg.campaigns {
-            let seed = derive_seed(stream, campaign);
-            specs.push(generate_spec(
-                *workload, seed, campaign, cfg.budget, cfg.plant,
-            ));
+fn write_event(event: &EventSpec) -> String {
+    let mut fields = vec![("at_ns", event.at_ns.to_string())];
+    let kind = |name: &str| ("kind", quote(name));
+    match &event.kind {
+        EventKind::ComponentReboot(name) => {
+            fields.extend([kind("component_reboot"), ("component", quote(name))]);
         }
+        EventKind::FullReboot => fields.push(kind("full_reboot")),
+        EventKind::Inject {
+            component,
+            after,
+            fault,
+        } => {
+            fields.extend([
+                kind("inject"),
+                ("component", quote(component)),
+                ("after", after.to_string()),
+            ]);
+            let fault_name = |name: &str| ("fault", quote(name));
+            match fault {
+                FaultSpec::Panic => fields.push(fault_name("panic")),
+                FaultSpec::Hang => fields.push(fault_name("hang")),
+                FaultSpec::LeakPerOp { bytes } => {
+                    fields.extend([fault_name("leak"), ("bytes", bytes.to_string())]);
+                }
+                FaultSpec::BitFlip { offset, bit } => fields.extend([
+                    fault_name("bit_flip"),
+                    ("offset", offset.to_string()),
+                    ("bit", bit.to_string()),
+                ]),
+            }
+        }
+        EventKind::Fail(name) => fields.extend([kind("fail"), ("component", quote(name))]),
+        EventKind::RejuvenateAll => fields.push(kind("rejuvenate_all")),
     }
-    let outcomes = if cfg.sequential {
-        specs.into_iter().map(run_campaign).collect()
-    } else {
-        parallel_map(specs, run_campaign)
+    inline(&fields)
+}
+
+fn read_event(v: &Json) -> Result<EventSpec, String> {
+    let kind = match v.get("kind")?.as_str()? {
+        "component_reboot" => EventKind::ComponentReboot(text(v, "component")?),
+        "full_reboot" => EventKind::FullReboot,
+        "fail" => EventKind::Fail(text(v, "component")?),
+        "rejuvenate_all" => EventKind::RejuvenateAll,
+        "inject" => {
+            let fault = match v.get("fault")?.as_str()? {
+                "panic" => FaultSpec::Panic,
+                "hang" => FaultSpec::Hang,
+                "leak" => FaultSpec::LeakPerOp {
+                    bytes: num(v, "bytes")?,
+                },
+                "bit_flip" => FaultSpec::BitFlip {
+                    offset: num(v, "offset")?,
+                    bit: num(v, "bit")?,
+                },
+                other => return Err(format!("unknown fault {other:?}")),
+            };
+            EventKind::Inject {
+                component: text(v, "component")?,
+                after: num(v, "after")?,
+                fault,
+            }
+        }
+        other => return Err(format!("unknown event kind {other:?}")),
     };
-    SweepReport { outcomes }
+    Ok(EventSpec {
+        at_ns: num(v, "at_ns")?,
+        kind,
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::family::sweep;
+    use crate::laws::{self, laws};
 
-    fn tiny(workloads: Vec<WorkloadKind>, plant: bool) -> SweepConfig {
-        SweepConfig {
-            seed: 42,
-            campaigns: 3,
-            workloads,
-            budget: 3,
-            plant,
-            sequential: false,
-        }
-    }
+    // The JSON laws run under their older names in `json::tests`, the
+    // shrinker's in `shrink::tests`.
+    laws!(ComponentFamily:
+        foreign_family_documents_are_rejected,
+        shrinking_preserves_the_violation_kind,
+    );
 
     #[test]
     fn sweep_is_deterministic_across_runs_and_scheduling() {
-        let cfg = tiny(vec![WorkloadKind::Kv, WorkloadKind::Echo], false);
-        let a = run_sweep(&cfg).render();
-        let b = run_sweep(&cfg).render();
-        assert_eq!(a, b);
-        let mut seq = cfg.clone();
-        seq.sequential = true;
-        assert_eq!(run_sweep(&seq).render(), a, "parallel vs sequential");
+        laws::a_small_sweep_passes_and_reruns_identically::<ComponentFamily>();
     }
 
     #[test]
     fn adding_a_workload_does_not_perturb_existing_seeds() {
-        let kv_only = run_sweep(&tiny(vec![WorkloadKind::Kv], false));
-        let both = run_sweep(&tiny(vec![WorkloadKind::Echo, WorkloadKind::Kv], false));
-        let kv_in_both: Vec<u64> = both
-            .outcomes
-            .iter()
-            .filter(|o| o.spec.workload == WorkloadKind::Kv)
-            .map(|o| o.spec.seed)
-            .collect();
-        let kv_alone: Vec<u64> = kv_only.outcomes.iter().map(|o| o.spec.seed).collect();
-        assert_eq!(kv_in_both, kv_alone);
+        let seeds_of_kv = |workloads: Vec<WorkloadKind>| -> Vec<u64> {
+            let family = ComponentFamily {
+                workloads,
+                budget: 3,
+                plant: false,
+            };
+            let report = sweep(&family, 42, 3, false).expect("sweep");
+            report
+                .outcomes
+                .iter()
+                .filter(|o| o.spec.workload == WorkloadKind::Kv)
+                .map(|o| o.spec.seed)
+                .collect()
+        };
+        assert_eq!(
+            seeds_of_kv(vec![WorkloadKind::Echo, WorkloadKind::Kv]),
+            seeds_of_kv(vec![WorkloadKind::Kv])
+        );
     }
 }

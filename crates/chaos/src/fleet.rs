@@ -21,14 +21,18 @@
 //! independent of recovery timing, which keeps the faulted and twin fleets
 //! serving identical per-instance streams.
 
-use vampos_bench::parallel_map;
 use vampos_cluster::{
     check_equivalence, check_liveness, Fleet, FleetConfig, FleetLoad, FleetOpKind, FleetPlan,
     FleetViolation, Policy,
 };
 use vampos_core::InjectedFault;
 use vampos_sim::{derive_seed, Nanos, SimRng};
+use vampos_telemetry::SpanKind;
 use vampos_ukernel::OsError;
+
+use crate::family::{Family, Outcome, Plant, Tails, SPAN_TAIL};
+use crate::json::{array, index, inline, list, num, object, population, quote, text, Json};
+use crate::shrink::{halve, Shrinker};
 
 /// One instance-scoped fault: a one-shot panic armed against `component`
 /// on `instance` at `at_ns` (relative to run start).
@@ -62,17 +66,11 @@ pub struct FleetCampaignSpec {
     pub plant: bool,
 }
 
-/// Outcome of one fleet campaign.
+/// What one fleet campaign reports.
 #[derive(Debug, Clone)]
-pub struct FleetCampaignOutcome {
-    /// The spec that ran.
-    pub spec: FleetCampaignSpec,
+pub struct FleetCampaignReport {
     /// Oracle violations (empty = recovery was fleet-transparent).
     pub violations: Vec<FleetViolation>,
-    /// Requests that missed their deadline while an instance recovered.
-    pub failures: usize,
-    /// Total requests recorded.
-    pub requests: usize,
     /// Component reboots the faults triggered across the fleet.
     pub recovery_reboots: u64,
 }
@@ -150,64 +148,249 @@ impl FleetCampaignSpec {
     }
 }
 
-/// Runs one fleet campaign: faulted fleet vs fault-free twin under the
-/// identical client population, equivalence checked before the (state
-/// perturbing) liveness probe.
-///
-/// # Errors
-///
-/// Propagates simulation errors (an instance that fail-stopped outright).
-pub fn run_fleet_campaign(spec: &FleetCampaignSpec) -> Result<FleetCampaignOutcome, OsError> {
-    let load = spec.load();
-    let mut faulted = Fleet::new(spec.config())?;
-    let report = faulted.run(&load, Policy::RoundRobin, spec.plan())?;
-    let mut twin = Fleet::new(spec.config())?;
-    twin.run(&load, Policy::RoundRobin, FleetPlan::none())?;
-
-    if spec.plant {
-        // Self-test: one extra request against the faulted fleet only — a
-        // deliberate state divergence the equivalence oracle must catch.
-        faulted.probe(&load.path)?;
-    }
-
-    let mut violations = check_equivalence(&faulted, &twin);
-    violations.extend(check_liveness(&mut faulted, &load, &report)?);
-    Ok(FleetCampaignOutcome {
-        spec: spec.clone(),
-        violations,
-        failures: report.failures(),
-        requests: report.requests(),
-        recovery_reboots: faulted
-            .instances()
-            .iter()
-            .map(|i| i.sys.stats().component_reboots)
-            .sum(),
-    })
+/// Boots and runs the faulted fleet, traced or not.
+fn run_faulted(
+    spec: &FleetCampaignSpec,
+    telemetry: bool,
+) -> Result<(Fleet, vampos_cluster::FleetRunReport), OsError> {
+    let mut faulted = Fleet::new(FleetConfig {
+        telemetry,
+        ..spec.config()
+    })?;
+    let report = faulted.run(&spec.load(), Policy::RoundRobin, spec.plan())?;
+    Ok((faulted, report))
 }
 
-/// Runs `campaigns` independently seeded fleet campaigns (fanned out over
-/// workers, reported in campaign order).
-///
-/// # Errors
-///
-/// Propagates the first simulation error of any campaign.
-pub fn run_fleet_sweep(
-    seed: u64,
-    campaigns: u64,
-    instances: usize,
-    budget: usize,
-) -> Result<Vec<FleetCampaignOutcome>, OsError> {
-    let specs: Vec<FleetCampaignSpec> = (0..campaigns)
-        .map(|c| generate_fleet_spec(derive_seed(seed, c), c, instances, budget))
-        .collect();
-    parallel_map(specs, |spec| run_fleet_campaign(&spec))
-        .into_iter()
-        .collect()
+/// The fleet family: `instances`-strong clusters with at most `budget`
+/// instance-scoped faults per campaign.
+#[derive(Debug, Clone)]
+pub struct FleetFamily {
+    /// Fleet size.
+    pub instances: usize,
+    /// Max faults per campaign (at most one per instance).
+    pub budget: usize,
+}
+
+impl Family for FleetFamily {
+    const NAME: &'static str = "fleet";
+    const ORACLES: &'static str = "both";
+    /// Every execution boots two fleets; same budget as the mesh family.
+    const SHRINK_BUDGET: usize = 40;
+
+    type Spec = FleetCampaignSpec;
+    type Report = FleetCampaignReport;
+    type Violation = FleetViolation;
+
+    fn specs(&self, seed: u64, campaigns: u64) -> Vec<FleetCampaignSpec> {
+        (0..campaigns)
+            .map(|c| generate_fleet_spec(derive_seed(seed, c), c, self.instances, self.budget))
+            .collect()
+    }
+
+    fn plants(&self) -> Vec<Plant<Self>> {
+        let (instances, budget) = (self.instances, self.budget);
+        // The extra request lands on one instance and moves the digest of
+        // every component it crossed, so several equivalence findings fire.
+        vec![Plant {
+            name: "divergence",
+            expected: "app-divergence",
+            strict: false,
+            spec: Box::new(move |seed, campaign| FleetCampaignSpec {
+                plant: true,
+                ..generate_fleet_spec(seed, campaign, instances, budget)
+            }),
+        }]
+    }
+
+    /// Faulted fleet vs fault-free twin under the identical client
+    /// population, equivalence checked before the (state perturbing)
+    /// liveness probe.
+    fn execute(spec: &FleetCampaignSpec) -> Result<FleetCampaignReport, OsError> {
+        let load = spec.load();
+        let (mut faulted, report) = run_faulted(spec, false)?;
+        let mut twin = Fleet::new(spec.config())?;
+        twin.run(&load, Policy::RoundRobin, FleetPlan::none())?;
+
+        if spec.plant {
+            // Self-test: one extra request against the faulted fleet only — a
+            // deliberate state divergence the equivalence oracle must catch.
+            faulted.probe(&load.path)?;
+        }
+
+        let mut violations = check_equivalence(&faulted, &twin);
+        violations.extend(check_liveness(&mut faulted, &load, &report)?);
+        let reboots = faulted.instances().iter();
+        Ok(FleetCampaignReport {
+            violations,
+            recovery_reboots: reboots.map(|i| i.sys.stats().component_reboots).sum(),
+        })
+    }
+
+    fn forensics(spec: &FleetCampaignSpec) -> Result<Tails, OsError> {
+        let (faulted, _) = run_faulted(spec, true)?;
+        Ok(faulted
+            .fleet_telemetry()
+            .map(|sink| {
+                sink.with(|hub| {
+                    (
+                        hub.tail_where(SPAN_TAIL, |s| s.kind != SpanKind::Journey),
+                        hub.tail_where(SPAN_TAIL, |s| s.kind == SpanKind::Journey),
+                    )
+                })
+            })
+            .unwrap_or_default())
+    }
+
+    fn violations(report: &FleetCampaignReport) -> &[FleetViolation] {
+        &report.violations
+    }
+
+    fn kind(violation: &FleetViolation) -> &'static str {
+        match violation {
+            FleetViolation::ArmedFaultLeft { .. } => "armed-fault-left",
+            FleetViolation::RequestCountMismatch { .. } => "request-count-mismatch",
+            FleetViolation::InstanceUnresponsive { .. } => "instance-unresponsive",
+            FleetViolation::DigestMismatch { .. } => "digest-mismatch",
+            FleetViolation::AppDivergence { .. } => "app-divergence",
+        }
+    }
+
+    /// Drop one fault at a time; halve every arming time, the per-client
+    /// request count and the client population.
+    fn shrink_pass(shrinker: &mut Shrinker<'_, FleetCampaignSpec>) {
+        shrinker.drop_each(|spec| &mut spec.faults);
+        shrinker.halve_each(&[
+            |s| {
+                let mut moved = false;
+                for fault in &mut s.faults {
+                    moved |= halve(&mut fault.at_ns, 1);
+                }
+                moved
+            },
+            |s| halve(&mut s.requests_per_client, 4),
+            |s| halve(&mut s.clients, 2),
+        ]);
+    }
+
+    fn write_spec(spec: &FleetCampaignSpec) -> String {
+        let faults = spec.faults.iter().map(|fault| {
+            inline(&[
+                ("at_ns", fault.at_ns.to_string()),
+                ("instance", fault.instance.to_string()),
+                ("component", quote(&fault.component)),
+            ])
+        });
+        object(&[
+            ("family", quote(Self::NAME)),
+            ("seed", spec.seed.to_string()),
+            ("campaign", spec.campaign.to_string()),
+            ("instances", spec.instances.to_string()),
+            ("clients", spec.clients.to_string()),
+            ("requests_per_client", spec.requests_per_client.to_string()),
+            ("plant", spec.plant.to_string()),
+            ("faults", array(faults)),
+        ])
+    }
+
+    fn read_spec(doc: &Json) -> Result<FleetCampaignSpec, String> {
+        let instances = population(doc, "instances")?;
+        if instances == 0 {
+            return Err("instances must be at least 1".to_owned());
+        }
+        let fault = |v: &Json| {
+            Ok(InstanceFault {
+                at_ns: num(v, "at_ns")?,
+                instance: index(v, "instance", instances)?,
+                component: text(v, "component")?,
+            })
+        };
+        Ok(FleetCampaignSpec {
+            instances,
+            seed: num(doc, "seed")?,
+            campaign: num(doc, "campaign")?,
+            clients: population(doc, "clients")?,
+            requests_per_client: population(doc, "requests_per_client")?,
+            faults: list(doc, "faults", fault)?,
+            plant: doc.get("plant")?.as_bool()?,
+        })
+    }
+
+    fn summary_line(outcome: &Outcome<Self>) -> String {
+        let spec = &outcome.spec;
+        let head = format!("fleet #{} seed={:#018x}", spec.campaign, spec.seed);
+        if outcome.passed() {
+            format!(
+                "PASS {head} faults={} reboots={}",
+                spec.faults.len(),
+                outcome.report.recovery_reboots
+            )
+        } else {
+            format!(
+                "FAIL {head} oracles=[{}] faults={} shrunk in {} run(s)",
+                outcome.oracles(),
+                spec.faults.len(),
+                outcome.shrink_runs
+            )
+        }
+    }
+
+    fn repro_file_name(spec: &FleetCampaignSpec) -> String {
+        format!("chaos-fleet-{}.json", spec.campaign)
+    }
+
+    fn banner(spec: &FleetCampaignSpec) -> String {
+        format!(
+            "replaying fleet campaign #{} (seed {:#018x}, {} instance(s), {} fault(s), plant {})",
+            spec.campaign,
+            spec.seed,
+            spec.instances,
+            spec.faults.len(),
+            spec.plant,
+        )
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::family::{kinds, run_outcome, sweep};
+    use crate::laws::{laws, read as from_json, Lab};
+
+    laws!(FleetFamily:
+        every_class_and_plant_round_trips_through_json,
+        reproducers_embed_and_recover_span_and_journey_tails,
+        a_small_sweep_passes_and_reruns_identically,
+        the_plant_battery_reports_every_plant_awake,
+        a_passing_spec_is_left_alone,
+        shrinking_preserves_the_violation_kind,
+        respects_the_run_budget,
+    );
+
+    #[test]
+    fn foreign_family_documents_are_rejected() {
+        crate::laws::foreign_family_documents_are_rejected::<FleetFamily>();
+        // So are a fault on an instance the fleet does not have, a fleet
+        // of none, and a population no experiment drives.
+        let spec = generate_fleet_spec(7, 0, 3, 2);
+        let text = FleetFamily::write_spec(&spec);
+        for (from, to, complaint) in [
+            ("\"instance\": ", "\"instance\": 9", "instance 9"),
+            ("\"instances\": 3", "\"instances\": 0", "at least 1"),
+            (
+                "\"instances\": 3",
+                "\"instances\": 65537",
+                "instances 65537",
+            ),
+            (
+                "\"clients\": 6",
+                "\"clients\": 4294967296",
+                "clients 4294967296",
+            ),
+        ] {
+            let err = from_json::<FleetFamily>(&text.replacen(from, to, 1)).unwrap_err();
+            assert!(err.contains(complaint), "{err}");
+        }
+    }
 
     #[test]
     fn generation_is_a_pure_function_of_the_seed() {
@@ -237,29 +420,39 @@ mod tests {
 
     #[test]
     fn a_small_sweep_passes_every_oracle() {
-        let outcomes = run_fleet_sweep(7, 3, 3, 2).expect("sweep");
-        assert_eq!(outcomes.len(), 3);
-        let mut recoveries = 0;
-        for outcome in &outcomes {
-            assert!(
-                outcome.violations.is_empty(),
-                "campaign {}: {:?}",
-                outcome.spec.campaign,
-                outcome.violations
-            );
-            recoveries += outcome.recovery_reboots;
-        }
+        let report = sweep(&FleetFamily::family(), 7, 3, false).expect("sweep");
+        assert_eq!(report.outcomes.len(), 3);
+        assert_eq!(report.failures().count(), 0, "{}", report.render());
+        let recoveries: u64 = report
+            .outcomes
+            .iter()
+            .map(|o| o.report.recovery_reboots)
+            .sum();
         assert!(recoveries > 0, "the sweep never triggered a recovery");
     }
 
     #[test]
     fn a_planted_divergence_is_caught() {
-        let mut spec = generate_fleet_spec(derive_seed(7, 0), 0, 3, 2);
-        spec.plant = true;
-        let outcome = run_fleet_campaign(&spec).expect("campaign");
+        let plant = FleetFamily::family().plants().remove(0);
+        let outcome = run_outcome::<FleetFamily>((plant.spec)(derive_seed(7, 0), 0)).expect("run");
         assert!(
-            !outcome.violations.is_empty(),
+            kinds::<FleetFamily>(&outcome.report).contains(plant.expected),
             "the oracles missed a planted divergence"
         );
+
+        // The failure shrinks to a reproducer that names its family, reads
+        // back as the shrunk spec, and still diverges when replayed.
+        let shrunk = outcome.shrunk.clone().expect("failures shrink");
+        assert!(
+            shrunk.faults.is_empty(),
+            "the plant needs no fault: {shrunk:?}"
+        );
+        let json = outcome
+            .reproducer_json()
+            .expect("failures carry a reproducer");
+        assert!(json.starts_with("{\n  \"family\": \"fleet\",\n"), "{json}");
+        assert_eq!(from_json::<FleetFamily>(&json), Ok(shrunk.clone()));
+        let replayed = FleetFamily::execute(&shrunk).expect("replay");
+        assert!(kinds::<FleetFamily>(&replayed).contains(plant.expected));
     }
 }

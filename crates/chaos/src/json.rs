@@ -2,15 +2,14 @@
 //!
 //! The build environment is offline (no serde), and a reproducer only needs
 //! a small, fixed schema, so this module implements just enough JSON for
-//! [`CampaignSpec`]: objects, arrays, strings with basic escapes, and
-//! integers. Integers are kept as raw token strings end to end — seeds use
-//! the full `u64` range and must not round-trip through `f64`.
+//! the four families' specs: objects, arrays, strings with basic escapes,
+//! and integers. Integers are kept as raw token strings end to end — seeds
+//! use the full `u64` range and must not round-trip through `f64` — and
+//! are narrowed with a range check ([`num`], [`population`]), never `as`.
 
 use std::collections::BTreeMap;
 
 use vampos_telemetry::SpanDump;
-
-use crate::spec::{CampaignSpec, EventKind, EventSpec, FaultSpec, WorkloadKind};
 
 /// A parsed JSON value. Numbers keep their raw token text so 64-bit
 /// integers survive exactly.
@@ -81,8 +80,9 @@ impl Json {
     }
 }
 
-pub(crate) fn escape(s: &str, out: &mut String) {
-    out.push('"');
+/// `s` as a JSON string literal.
+pub(crate) fn quote(s: &str) -> String {
+    let mut out = String::from('"');
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -95,125 +95,107 @@ pub(crate) fn escape(s: &str, out: &mut String) {
         }
     }
     out.push('"');
-}
-
-/// Serializes a spec as pretty-printed JSON (stable field order — the
-/// reproducer artifact must be byte-identical across runs).
-pub fn to_json(spec: &CampaignSpec) -> String {
-    let mut out = String::new();
-    out.push_str("{\n");
-    out.push_str(&format!("  \"workload\": \"{}\",\n", spec.workload.name()));
-    out.push_str(&format!("  \"seed\": {},\n", spec.seed));
-    out.push_str(&format!("  \"campaign\": {},\n", spec.campaign));
-    out.push_str(&format!("  \"ops\": {},\n", spec.ops));
-    out.push_str(&format!("  \"tail\": {},\n", spec.tail));
-    out.push_str(&format!("  \"aof\": {},\n", spec.aof));
-    out.push_str(&format!("  \"plant\": {},\n", spec.plant));
-    out.push_str("  \"events\": [");
-    for (i, event) in spec.events.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str("    { ");
-        out.push_str(&format!("\"at_ns\": {}, ", event.at_ns));
-        match &event.kind {
-            EventKind::ComponentReboot(name) => {
-                out.push_str("\"kind\": \"component_reboot\", \"component\": ");
-                escape(name, &mut out);
-            }
-            EventKind::FullReboot => out.push_str("\"kind\": \"full_reboot\""),
-            EventKind::Inject {
-                component,
-                after,
-                fault,
-            } => {
-                out.push_str("\"kind\": \"inject\", \"component\": ");
-                escape(component, &mut out);
-                out.push_str(&format!(", \"after\": {after}, "));
-                match fault {
-                    FaultSpec::Panic => out.push_str("\"fault\": \"panic\""),
-                    FaultSpec::Hang => out.push_str("\"fault\": \"hang\""),
-                    FaultSpec::LeakPerOp { bytes } => {
-                        out.push_str(&format!("\"fault\": \"leak\", \"bytes\": {bytes}"));
-                    }
-                    FaultSpec::BitFlip { offset, bit } => {
-                        out.push_str(&format!(
-                            "\"fault\": \"bit_flip\", \"offset\": {offset}, \"bit\": {bit}"
-                        ));
-                    }
-                }
-            }
-            EventKind::Fail(name) => {
-                out.push_str("\"kind\": \"fail\", \"component\": ");
-                escape(name, &mut out);
-            }
-            EventKind::RejuvenateAll => out.push_str("\"kind\": \"rejuvenate_all\""),
-        }
-        out.push_str(" }");
-    }
-    out.push_str(if spec.events.is_empty() {
-        "]\n"
-    } else {
-        "\n  ]\n"
-    });
-    out.push_str("}\n");
     out
 }
 
-/// Serializes a reproducer: the spec plus the shrunk faulted run's trailing
-/// telemetry-span window. With an empty tail this is exactly [`to_json`];
-/// otherwise a `"span_tail"` array is spliced in before the closing brace.
-/// [`from_json`] ignores the extra key, so reproducers with embedded spans
-/// replay unchanged.
-pub fn reproducer_to_json(spec: &CampaignSpec, tail: &[SpanDump]) -> String {
-    // `to_json` always ends `}\n`; `splice_tail` re-opens the object there.
-    let mut out = to_json(spec);
-    splice_tail(&mut out, "span_tail", tail);
-    out
-}
-
-/// Extracts the embedded span tail from a reproducer document. Returns an
-/// empty vector when the document has no `"span_tail"` key (reproducers
-/// written before spans were embedded, or passing-spec serializations).
-///
-/// # Errors
-///
-/// A description of the first syntax or schema error.
-pub fn span_tail_from_json(text: &str) -> Result<Vec<SpanDump>, String> {
-    tail_from_key(text, "span_tail")
-}
-
-/// Extracts the embedded journey tail (the request journeys in flight when
-/// a recursive campaign failed) from a reproducer document. Returns an
-/// empty vector when the document has no `"journey_tail"` key.
-///
-/// # Errors
-///
-/// A description of the first syntax or schema error.
-pub fn journey_tail_from_json(text: &str) -> Result<Vec<SpanDump>, String> {
-    tail_from_key(text, "journey_tail")
-}
-
-fn tail_from_key(text: &str, key: &str) -> Result<Vec<SpanDump>, String> {
-    let v = parse_value(text)?;
-    let Ok(arr) = v.get(key) else {
-        return Ok(Vec::new());
-    };
-    arr.as_arr()?
+/// The pretty-printed top-level object every spec serializes to: one
+/// `"key": value` per line in the given order (reproducer artifacts must
+/// be byte-identical across runs), closed by `}\n`.
+pub(crate) fn object(fields: &[(&str, String)]) -> String {
+    let lines: Vec<String> = fields
         .iter()
-        .map(|e| {
-            Ok(SpanDump {
-                track: e.get("track")?.as_str()?.to_owned(),
-                name: e.get("name")?.as_str()?.to_owned(),
-                start_ns: e.get("start_ns")?.as_u64()?,
-                dur_ns: e.get("dur_ns")?.as_u64()?,
-                depth: e.get("depth")?.as_u64()? as u32,
-            })
+        .map(|(key, value)| format!("  \"{key}\": {value}"))
+        .collect();
+    format!("{{\n{}\n}}\n", lines.join(",\n"))
+}
+
+/// A one-line object, the element layout of every array in a reproducer.
+pub(crate) fn inline(fields: &[(&str, String)]) -> String {
+    let pairs: Vec<String> = fields
+        .iter()
+        .map(|(key, value)| format!("\"{key}\": {value}"))
+        .collect();
+    format!("{{ {} }}", pairs.join(", "))
+}
+
+/// An array value of a top-level key, one element per line.
+pub(crate) fn array(items: impl IntoIterator<Item = String>) -> String {
+    let items: Vec<String> = items.into_iter().collect();
+    if items.is_empty() {
+        return "[]".to_owned();
+    }
+    format!("[\n    {}\n  ]", items.join(",\n    "))
+}
+
+/// The largest fleet, replica set or client population any experiment in
+/// the tree drives. A reproducer asking for more is refused before a
+/// single instance is allocated.
+pub const MAX_POPULATION: usize = 65_536;
+
+/// Reads the unsigned integer at `key`, refusing values the target type
+/// cannot hold (a reproducer is outside input: `as` would reinterpret
+/// them silently). Errors name the key.
+pub fn num<T: TryFrom<u64>>(doc: &Json, key: &str) -> Result<T, String> {
+    let raw = doc.get(key)?.as_u64()?;
+    T::try_from(raw).map_err(|_| format!("{key} {raw} is out of range"))
+}
+
+/// Reads an instance, replica, client or per-client request count: a
+/// [`num`] of at most [`MAX_POPULATION`].
+pub fn population(doc: &Json, key: &str) -> Result<usize, String> {
+    let n: usize = num(doc, key)?;
+    if n > MAX_POPULATION {
+        return Err(format!(
+            "{key} {n} exceeds the population ceiling {MAX_POPULATION}"
+        ));
+    }
+    Ok(n)
+}
+
+/// Reads an index into a population of `len` at `key`.
+pub fn index(doc: &Json, key: &str, len: usize) -> Result<usize, String> {
+    let i: usize = num(doc, key)?;
+    if i >= len {
+        return Err(format!("{key} {i} is out of range for {len}"));
+    }
+    Ok(i)
+}
+
+/// Reads the string at `key`.
+pub fn text(doc: &Json, key: &str) -> Result<String, String> {
+    Ok(doc.get(key)?.as_str()?.to_owned())
+}
+
+/// Reads the array at `key`, element by element.
+pub fn list<T>(
+    doc: &Json,
+    key: &str,
+    item: impl Fn(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    doc.get(key)?.as_arr()?.iter().map(item).collect()
+}
+
+/// Extracts an embedded span array (`"span_tail"`, `"journey_tail"`) from
+/// a reproducer document. Empty when the document has no such key
+/// (reproducers written before spans were embedded, or bare specs).
+pub fn tail(doc: &Json, key: &str) -> Result<Vec<SpanDump>, String> {
+    if doc.get_opt(key).is_none() {
+        return Ok(Vec::new());
+    }
+    list(doc, key, |e| {
+        Ok(SpanDump {
+            track: text(e, "track")?,
+            name: text(e, "name")?,
+            start_ns: num(e, "start_ns")?,
+            dur_ns: num(e, "dur_ns")?,
+            depth: num(e, "depth")?,
         })
-        .collect()
+    })
 }
 
 /// Splices a named span-dump array into a serialized JSON object, before
-/// its closing brace. `out` must end `}\n` (every spec serializer here
-/// does). No-op for an empty tail.
+/// its closing brace. `out` must end `}\n` (every [`object`] does). No-op
+/// for an empty tail.
 pub(crate) fn splice_tail(out: &mut String, key: &str, tail: &[SpanDump]) {
     if tail.is_empty() {
         return;
@@ -222,19 +204,16 @@ pub(crate) fn splice_tail(out: &mut String, key: &str, tail: &[SpanDump]) {
     while out.ends_with(char::is_whitespace) {
         out.pop();
     }
-    out.push_str(&format!(",\n  \"{key}\": ["));
-    for (i, span) in tail.iter().enumerate() {
-        out.push_str(if i == 0 { "\n" } else { ",\n" });
-        out.push_str("    { \"track\": ");
-        escape(&span.track, out);
-        out.push_str(", \"name\": ");
-        escape(&span.name, out);
-        out.push_str(&format!(
-            ", \"start_ns\": {}, \"dur_ns\": {}, \"depth\": {} }}",
-            span.start_ns, span.dur_ns, span.depth
-        ));
-    }
-    out.push_str("\n  ]\n}\n");
+    let spans = tail.iter().map(|span| {
+        inline(&[
+            ("track", quote(&span.track)),
+            ("name", quote(&span.name)),
+            ("start_ns", span.start_ns.to_string()),
+            ("dur_ns", span.dur_ns.to_string()),
+            ("depth", span.depth.to_string()),
+        ])
+    });
+    out.push_str(&format!(",\n  \"{key}\": {}\n}}\n", array(spans)));
 }
 
 struct Parser<'a> {
@@ -425,130 +404,32 @@ pub fn parse_value(text: &str) -> Result<Json, String> {
     Ok(v)
 }
 
-fn event_from_json(v: &Json) -> Result<EventSpec, String> {
-    let at_ns = v.get("at_ns")?.as_u64()?;
-    let kind = match v.get("kind")?.as_str()? {
-        "component_reboot" => EventKind::ComponentReboot(v.get("component")?.as_str()?.to_owned()),
-        "full_reboot" => EventKind::FullReboot,
-        "fail" => EventKind::Fail(v.get("component")?.as_str()?.to_owned()),
-        "rejuvenate_all" => EventKind::RejuvenateAll,
-        "inject" => {
-            let fault = match v.get("fault")?.as_str()? {
-                "panic" => FaultSpec::Panic,
-                "hang" => FaultSpec::Hang,
-                "leak" => FaultSpec::LeakPerOp {
-                    bytes: v.get("bytes")?.as_u64()? as usize,
-                },
-                "bit_flip" => FaultSpec::BitFlip {
-                    offset: v.get("offset")?.as_u64()?,
-                    bit: v.get("bit")?.as_u64()? as u8,
-                },
-                other => return Err(format!("unknown fault {other:?}")),
-            };
-            EventKind::Inject {
-                component: v.get("component")?.as_str()?.to_owned(),
-                after: v.get("after")?.as_u64()?,
-                fault,
-            }
-        }
-        other => return Err(format!("unknown event kind {other:?}")),
-    };
-    Ok(EventSpec { at_ns, kind })
-}
-
-/// Parses a reproducer document back into a [`CampaignSpec`].
-///
-/// # Errors
-///
-/// A description of the first syntax or schema error.
-pub fn from_json(text: &str) -> Result<CampaignSpec, String> {
-    let v = parse_value(text)?;
-    let workload = v.get("workload")?.as_str()?;
-    let workload =
-        WorkloadKind::parse(workload).ok_or_else(|| format!("unknown workload {workload:?}"))?;
-    Ok(CampaignSpec {
-        workload,
-        seed: v.get("seed")?.as_u64()?,
-        campaign: v.get("campaign")?.as_u64()?,
-        ops: v.get("ops")?.as_u64()? as usize,
-        tail: v.get("tail")?.as_u64()? as usize,
-        aof: v.get("aof")?.as_bool()?,
-        plant: v.get("plant")?.as_bool()?,
-        events: v
-            .get("events")?
-            .as_arr()?
-            .iter()
-            .map(event_from_json)
-            .collect::<Result<Vec<_>, _>>()?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::family::{reproducer_json, Family};
+    use crate::laws::{self, read as from_json, sample_campaign as sample};
+    use crate::spec::{CampaignSpec, EventKind, EventSpec};
+    use crate::ComponentFamily;
 
-    fn sample() -> CampaignSpec {
-        CampaignSpec {
-            workload: WorkloadKind::Kv,
-            seed: u64::MAX - 3, // must survive without f64 rounding
-            campaign: 17,
-            ops: 48,
-            tail: 16,
-            aof: true,
-            plant: false,
-            events: vec![
-                EventSpec {
-                    at_ns: 1_234_567,
-                    kind: EventKind::ComponentReboot("9pfs".into()),
-                },
-                EventSpec {
-                    at_ns: 2_000_000,
-                    kind: EventKind::Inject {
-                        component: "vfs".into(),
-                        after: 3,
-                        fault: FaultSpec::BitFlip {
-                            offset: 4096,
-                            bit: 7,
-                        },
-                    },
-                },
-                EventSpec {
-                    at_ns: 2_500_000,
-                    kind: EventKind::Inject {
-                        component: "lwip".into(),
-                        after: 0,
-                        fault: FaultSpec::LeakPerOp { bytes: 512 },
-                    },
-                },
-                EventSpec {
-                    at_ns: 3_000_000,
-                    kind: EventKind::FullReboot,
-                },
-                EventSpec {
-                    at_ns: 3_500_000,
-                    kind: EventKind::Fail("timer".into()),
-                },
-                EventSpec {
-                    at_ns: 4_000_000,
-                    kind: EventKind::RejuvenateAll,
-                },
-            ],
-        }
+    fn to_json(spec: &CampaignSpec) -> String {
+        ComponentFamily::write_spec(spec)
+    }
+
+    fn round_trip(spec: &CampaignSpec) -> CampaignSpec {
+        from_json::<ComponentFamily>(&to_json(spec)).unwrap()
     }
 
     #[test]
     fn round_trips_every_event_kind() {
-        let spec = sample();
-        let text = to_json(&spec);
-        assert_eq!(from_json(&text).unwrap(), spec);
+        laws::every_class_and_plant_round_trips_through_json::<ComponentFamily>();
     }
 
     #[test]
     fn u64_seeds_survive_exactly() {
         let mut spec = sample();
         spec.seed = 18_446_744_073_709_551_615; // u64::MAX
-        let text = to_json(&spec);
-        assert_eq!(from_json(&text).unwrap().seed, u64::MAX);
+        assert_eq!(round_trip(&spec).seed, u64::MAX);
     }
 
     #[test]
@@ -560,7 +441,7 @@ mod tests {
     fn empty_events_round_trip() {
         let mut spec = sample();
         spec.events.clear();
-        assert_eq!(from_json(&to_json(&spec)).unwrap(), spec);
+        assert_eq!(round_trip(&spec), spec);
     }
 
     #[test]
@@ -570,63 +451,43 @@ mod tests {
             at_ns: 1,
             kind: EventKind::Fail("we\"ird\\nameß".into()),
         }];
-        assert_eq!(from_json(&to_json(&spec)).unwrap(), spec);
-    }
-
-    fn sample_tail() -> Vec<SpanDump> {
-        vec![
-            SpanDump {
-                track: "9pfs".into(),
-                name: "recovery".into(),
-                start_ns: 10_000,
-                dur_ns: 5_500,
-                depth: 0,
-            },
-            SpanDump {
-                track: "9pfs".into(),
-                name: "log_replay".into(),
-                start_ns: 12_000,
-                dur_ns: 2_000,
-                depth: 1,
-            },
-        ]
+        assert_eq!(round_trip(&spec), spec);
     }
 
     #[test]
     fn reproducer_with_empty_tail_is_plain_to_json() {
         let spec = sample();
-        assert_eq!(reproducer_to_json(&spec, &[]), to_json(&spec));
-    }
-
-    #[test]
-    fn span_tail_round_trips_and_spec_still_parses() {
-        for empty_events in [false, true] {
-            let mut spec = sample();
-            if empty_events {
-                spec.events.clear();
-            }
-            let tail = sample_tail();
-            let text = reproducer_to_json(&spec, &tail);
-            assert_eq!(from_json(&text).unwrap(), spec, "spec survives the tail");
-            assert_eq!(span_tail_from_json(&text).unwrap(), tail);
-        }
-    }
-
-    #[test]
-    fn documents_without_a_tail_yield_an_empty_tail() {
         assert_eq!(
-            span_tail_from_json(&to_json(&sample())).unwrap(),
-            Vec::new()
+            reproducer_json::<ComponentFamily>(&spec, &[], &[]),
+            to_json(&spec)
         );
     }
 
     #[test]
+    fn span_tail_round_trips_and_spec_still_parses() {
+        laws::reproducers_embed_and_recover_span_and_journey_tails::<ComponentFamily>();
+    }
+
+    #[test]
+    fn documents_without_a_tail_yield_an_empty_tail() {
+        let doc = parse_value(&to_json(&sample())).unwrap();
+        assert_eq!(tail(&doc, "span_tail").unwrap(), Vec::new());
+    }
+
+    #[test]
     fn schema_errors_are_reported() {
-        assert!(from_json("{").is_err());
-        assert!(from_json("{}").is_err());
-        assert!(from_json("{\"workload\": \"marsrover\"}").is_err());
-        let truncated = to_json(&sample());
-        let broken = &truncated[..truncated.len() / 2];
-        assert!(from_json(broken).is_err());
+        let read = from_json::<ComponentFamily>;
+        assert!(read("{").is_err());
+        assert!(read("{}").is_err());
+        assert!(read("{\"workload\": \"marsrover\"}").is_err());
+        let whole = to_json(&sample());
+        assert!(read(&whole[..whole.len() / 2]).is_err());
+        // Numbers wider than their field are refused, not truncated.
+        let err = read(&whole.replace("\"bit\": 7", "\"bit\": 263")).unwrap_err();
+        assert!(err.contains("bit 263"), "{err}");
+        let deep = "{\"span_tail\": [{\"track\": \"t\", \"name\": \"n\", \
+                    \"start_ns\": 1, \"dur_ns\": 1, \"depth\": 4294967296}]}";
+        let err = tail(&parse_value(deep).unwrap(), "span_tail").unwrap_err();
+        assert!(err.contains("depth 4294967296"), "{err}");
     }
 }

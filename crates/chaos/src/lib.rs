@@ -1,20 +1,21 @@
 //! `vampos-chaos`: a seeded, fully deterministic fault-campaign engine for
 //! the VampOS-RS reproduction.
 //!
-//! A *campaign* takes a workload (echo / kv / http / sql), a seed, and a
-//! fault budget; generates a randomized schedule of injected faults and
-//! administrative disruptions (panics, hangs, leaks, bit flips, timed
-//! component and full reboots); runs the faulted execution against a
-//! fault-free twin issuing the identical request stream; and checks four
-//! recovery-correctness oracles:
+//! A *campaign* takes a seed and a fault budget; generates a randomized
+//! schedule of injected faults and administrative disruptions; runs the
+//! faulted execution against a fault-free twin issuing the identical
+//! request stream; and checks recovery-correctness oracles. Four campaign
+//! *families* implement [`Family`] and share one harness ([`family`]):
 //!
-//! 1. **state equivalence** — application state matches the twin once
-//!    recovery quiesces,
-//! 2. **replay consistency** — every rebooted component reaches the twin's
-//!    state digest,
-//! 3. **isolation** — no MPK policy violations during recovery,
-//! 4. **liveness** — every armed fault fired, every event came due, and
-//!    recovery stayed within the cost-model bound.
+//! * [`ComponentFamily`] — one system under panics, hangs, leaks, bit
+//!   flips and timed reboots; four oracles (state equivalence, replay
+//!   consistency, isolation, liveness),
+//! * [`FleetFamily`] — instance-scoped panics in a cluster; fleet
+//!   equivalence and liveness,
+//! * [`RecursiveFamily`] — faults in the recovery plane itself; ladder
+//!   convergence, no acknowledged loss, rung attribution,
+//! * [`MeshFamily`] — request pipelines under front and backend recovery;
+//!   pipeline equivalence, no acknowledged loss, retry budgets.
 //!
 //! Failing campaigns are shrunk to a minimal JSON reproducer that
 //! `vampos-chaos --replay <file>` re-executes bit-for-bit. Campaign sweeps
@@ -22,20 +23,19 @@
 //! output.
 //!
 //! ```
-//! use vampos_chaos::{run_sweep, SweepConfig, WorkloadKind};
+//! use vampos_chaos::{sweep, ComponentFamily, WorkloadKind};
 //!
-//! let cfg = SweepConfig {
-//!     seed: 7,
-//!     campaigns: 2,
+//! let family = ComponentFamily {
 //!     workloads: vec![WorkloadKind::Echo],
-//!     ..SweepConfig::default()
+//!     ..ComponentFamily::default()
 //! };
-//! let report = run_sweep(&cfg);
+//! let report = sweep(&family, 7, 2, false).expect("sweep");
 //! assert_eq!(report.failures().count(), 0);
 //! ```
 
 pub mod drive;
 pub mod engine;
+pub mod family;
 pub mod fleet;
 pub mod gen;
 pub mod json;
@@ -46,28 +46,21 @@ pub mod shrink;
 pub mod spec;
 
 pub use drive::{run_with_sink, RunResult};
-pub use engine::{
-    execute_spec, run_campaign, run_sweep, CampaignOutcome, SweepConfig, SweepReport,
+pub use engine::ComponentFamily;
+pub use family::{
+    family_of, kinds, parse_spec, plant_battery, reproducer_json, run_outcome, sweep, Family,
+    Outcome, Plant, SweepReport,
 };
 pub use fleet::{
-    generate_fleet_spec, run_fleet_campaign, run_fleet_sweep, FleetCampaignOutcome,
-    FleetCampaignSpec, InstanceFault,
+    generate_fleet_spec, FleetCampaignReport, FleetCampaignSpec, FleetFamily, InstanceFault,
 };
 pub use gen::generate_spec;
-pub use json::{
-    from_json, journey_tail_from_json, reproducer_to_json, span_tail_from_json, to_json,
-};
-pub use mesh::{
-    mesh_from_json, mesh_reproducer_to_json, mesh_to_json, run_mesh_outcome, run_mesh_plants,
-    run_mesh_sweep, shrink_mesh, MeshClassSummary, MeshOutcome, MeshPlantCheck, MeshShrinkOutcome,
-    MeshSweepConfig, MeshSweepReport,
-};
+pub use mesh::MeshFamily;
 pub use oracle::{OracleKind, Violation};
-pub use recursive::{
-    recursive_from_json, recursive_reproducer_to_json, recursive_to_json, run_recursive_outcome,
-    run_recursive_plants, run_recursive_sweep, shrink_recursive, ClassSummary, PlantCheck,
-    RecursiveOutcome, RecursiveShrinkOutcome, RecursiveSweepConfig, RecursiveSweepReport,
-};
-pub use shrink::{shrink, ShrinkOutcome};
+pub use recursive::RecursiveFamily;
+pub use shrink::{shrink, Shrinker};
 pub use spec::{CampaignSpec, EventKind, EventSpec, FaultSpec, WorkloadKind};
 pub use vampos_telemetry::{SpanDump, TelemetrySink};
+
+#[cfg(test)]
+mod laws;

@@ -1,13 +1,12 @@
-//! Reproducer minimization.
+//! Reproducer minimization, once for every family.
 //!
 //! A failing campaign is shrunk to a smaller spec that still violates (at
-//! least one of) the same oracles. Candidate moves, applied greedily to a
-//! fixpoint under a run budget:
-//!
-//! * drop one scheduled event,
-//! * halve an event's firing time, its `after` countdown, or a bit-flip
-//!   offset,
-//! * halve (then decrement) the main request count.
+//! least one of) the same oracles. [`shrink`] owns the greedy fixpoint
+//! loop, the run counter, the budget and the acceptance rule; a family
+//! supplies only its candidate moves, in its order
+//! ([`Family::shrink_pass`]), built from [`Shrinker::attempt`] and the two
+//! shapes most moves take: [`Shrinker::drop_each`] and
+//! [`Shrinker::halve_each`].
 //!
 //! Acceptance requires the candidate's violation kinds to *intersect* the
 //! original's: without that, shrinking can walk onto a different bug — the
@@ -16,137 +15,109 @@
 //! reproducer no longer reproduces anything of interest.
 
 use std::collections::BTreeSet;
+use std::ops::Div;
 
-use crate::oracle::{OracleKind, Violation};
-use crate::spec::{CampaignSpec, EventKind, FaultSpec};
+use crate::family::Family;
 
-/// Shrink outcome: the smallest accepted spec and the number of campaign
-/// executions spent finding it.
-#[derive(Debug, Clone)]
-pub struct ShrinkOutcome {
-    /// The minimized spec (possibly the original, if nothing smaller
-    /// reproduced).
-    pub spec: CampaignSpec,
-    /// Executions spent.
-    pub runs: usize,
-}
+/// The set of oracle names a report (or a shrink candidate) violated.
+pub type Kinds = BTreeSet<&'static str>;
 
-fn kinds(violations: &[Violation]) -> BTreeSet<OracleKind> {
-    violations.iter().map(|v| v.kind).collect()
-}
-
-/// Minimizes `spec` under `budget` campaign executions.
-///
-/// `execute` runs a candidate and returns its violations (the engine passes
-/// its own faulted-plus-twin pipeline in, which keeps this module free of
-/// drive details and directly testable).
-pub fn shrink<F>(
-    spec: &CampaignSpec,
-    original: &[Violation],
+/// The state of one minimization: the best spec so far and the budget
+/// spent finding it.
+pub struct Shrinker<'a, S> {
+    /// The smallest spec accepted so far.
+    pub best: S,
+    runs: usize,
     budget: usize,
-    mut execute: F,
-) -> ShrinkOutcome
-where
-    F: FnMut(&CampaignSpec) -> Vec<Violation>,
-{
-    let target = kinds(original);
-    let mut best = spec.clone();
-    let mut runs = 0usize;
-    if target.is_empty() {
-        return ShrinkOutcome { spec: best, runs };
+    improved: bool,
+    reproduces: &'a mut dyn FnMut(&S) -> bool,
+}
+
+impl<S: Clone> Shrinker<'_, S> {
+    /// Executes `candidate` and adopts it as [`Shrinker::best`] if it
+    /// still reproduces. `None` once the budget is spent (the candidate
+    /// did not run); the order of calls is the order of executions, which
+    /// the sweep report prints as `in {k} run(s)`.
+    pub fn attempt(&mut self, candidate: S) -> Option<bool> {
+        if self.runs >= self.budget {
+            return None;
+        }
+        self.runs += 1;
+        let accepted = (self.reproduces)(&candidate);
+        if accepted {
+            self.best = candidate;
+            self.improved = true;
+        }
+        Some(accepted)
     }
 
-    let mut reproduces = |candidate: &CampaignSpec, runs: &mut usize| -> bool {
-        *runs += 1;
-        !kinds(&execute(candidate)).is_disjoint(&target)
-    };
-
-    loop {
-        let mut improved = false;
-
-        // Pass 1: drop events, one at a time.
+    /// Tries dropping each element of a list, one at a time; after a
+    /// successful drop the same index holds the next element.
+    pub fn drop_each<T>(&mut self, items: fn(&mut S) -> &mut Vec<T>) {
         let mut i = 0;
-        while i < best.events.len() {
-            if runs >= budget {
-                return ShrinkOutcome { spec: best, runs };
-            }
-            let mut candidate = best.clone();
-            candidate.events.remove(i);
-            if reproduces(&candidate, &mut runs) {
-                best = candidate;
-                improved = true;
-                // Same index now holds the next event.
-            } else {
-                i += 1;
+        while i < items(&mut self.best).len() {
+            let mut candidate = self.best.clone();
+            items(&mut candidate).remove(i);
+            match self.attempt(candidate) {
+                None => return,
+                Some(true) => {}
+                Some(false) => i += 1,
             }
         }
+    }
 
-        // Pass 2: halve event times and numeric payloads.
-        for i in 0..best.events.len() {
-            if runs >= budget {
-                return ShrinkOutcome { spec: best, runs };
-            }
-            let mut candidate = best.clone();
-            let event = &mut candidate.events[i];
-            let mut changed = false;
-            if event.at_ns > 1 {
-                event.at_ns /= 2;
-                changed = true;
-            }
-            match &mut event.kind {
-                EventKind::Inject { after, fault, .. } => {
-                    if *after > 0 {
-                        *after /= 2;
-                        changed = true;
-                    }
-                    if let FaultSpec::BitFlip { offset, .. } = fault {
-                        if *offset > 0 {
-                            *offset /= 2;
-                            changed = true;
-                        }
-                    }
-                }
-                EventKind::ComponentReboot(_)
-                | EventKind::FullReboot
-                | EventKind::Fail(_)
-                | EventKind::RejuvenateAll => {}
-            }
-            if changed && reproduces(&candidate, &mut runs) {
-                best = candidate;
-                improved = true;
+    /// Tries each magnitude reduction once, in order. A move returns
+    /// whether it changed the spec; unchanged candidates cost no run.
+    pub fn halve_each(&mut self, moves: &[fn(&mut S) -> bool]) {
+        for reduce in moves {
+            let mut candidate = self.best.clone();
+            if reduce(&mut candidate) && self.attempt(candidate).is_none() {
+                return;
             }
         }
+    }
+}
 
-        // Pass 3: shrink the request stream (halve, then decrement).
-        while best.ops > 1 {
-            if runs >= budget {
-                return ShrinkOutcome { spec: best, runs };
-            }
-            let mut candidate = best.clone();
-            candidate.ops = (candidate.ops / 2).max(1);
-            if candidate.ops == best.ops {
-                break;
-            }
-            if reproduces(&candidate, &mut runs) {
-                best = candidate;
-                improved = true;
-            } else {
-                break;
-            }
-        }
-        while best.ops > 1 && runs < budget {
-            let mut candidate = best.clone();
-            candidate.ops -= 1;
-            if reproduces(&candidate, &mut runs) {
-                best = candidate;
-                improved = true;
-            } else {
-                break;
-            }
-        }
+/// Halves `value` towards `floor`; whether it moved.
+pub fn halve<T>(value: &mut T, floor: T) -> bool
+where
+    T: Copy + Ord + Div<Output = T> + From<u8>,
+{
+    if *value <= floor {
+        return false;
+    }
+    *value = (*value / T::from(2)).max(floor);
+    true
+}
 
-        if !improved || runs >= budget {
-            return ShrinkOutcome { spec: best, runs };
+/// Minimizes `spec` under `budget` executions and returns the smallest
+/// accepted spec (possibly the original) with the executions spent.
+///
+/// `execute` runs a candidate and returns the kinds it violated. The
+/// harness passes [`Family::execute`] and [`Family::SHRINK_BUDGET`] in;
+/// tests pass synthetic bugs and budgets they can count to.
+pub fn shrink<F: Family>(
+    spec: &F::Spec,
+    target: &Kinds,
+    budget: usize,
+    mut execute: impl FnMut(&F::Spec) -> Kinds,
+) -> (F::Spec, usize) {
+    if target.is_empty() {
+        return (spec.clone(), 0);
+    }
+    let mut reproduces = |candidate: &F::Spec| !execute(candidate).is_disjoint(target);
+    let mut shrinker = Shrinker {
+        best: spec.clone(),
+        runs: 0,
+        budget,
+        improved: false,
+        reproduces: &mut reproduces,
+    };
+    loop {
+        shrinker.improved = false;
+        F::shrink_pass(&mut shrinker);
+        if !shrinker.improved || shrinker.runs >= shrinker.budget {
+            return (shrinker.best, shrinker.runs);
         }
     }
 }
@@ -154,13 +125,15 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{EventSpec, WorkloadKind};
+    use crate::laws::{self, laws};
+    use crate::spec::{CampaignSpec, EventKind, EventSpec, WorkloadKind};
+    use crate::ComponentFamily;
 
-    fn violation(kind: OracleKind) -> Violation {
-        Violation {
-            kind,
-            detail: "x".into(),
-        }
+    laws!(ComponentFamily: respects_the_run_budget);
+
+    #[test]
+    fn passing_spec_is_left_alone() {
+        laws::a_passing_spec_is_left_alone::<ComponentFamily>();
     }
 
     fn spec_with_events(n: usize) -> CampaignSpec {
@@ -185,22 +158,18 @@ mod tests {
     fn drops_irrelevant_events_and_shrinks_ops() {
         // Synthetic bug: reproduces iff the "c2" event is present.
         let execute = |candidate: &CampaignSpec| {
-            if candidate
-                .events
-                .iter()
-                .any(|e| e.kind == EventKind::ComponentReboot("c2".into()))
-            {
-                vec![violation(OracleKind::StateEquivalence)]
+            let c2 = EventKind::ComponentReboot("c2".into());
+            if candidate.events.iter().any(|e| e.kind == c2) {
+                Kinds::from(["state-equivalence"])
             } else {
-                Vec::new()
+                Kinds::new()
             }
         };
         let spec = spec_with_events(5);
-        let original = execute(&spec);
-        let out = shrink(&spec, &original, 200, execute);
-        assert_eq!(out.spec.events.len(), 1, "{:?}", out.spec.events);
-        assert_eq!(out.spec.ops, 1);
-        assert!(out.runs <= 200);
+        let (out, runs) = shrink::<ComponentFamily>(&spec, &execute(&spec), 200, execute);
+        assert_eq!(out.events.len(), 1, "{:?}", out.events);
+        assert_eq!(out.ops, 1);
+        assert!(runs <= 200);
     }
 
     #[test]
@@ -209,38 +178,16 @@ mod tests {
         // be accepted.
         let execute = |candidate: &CampaignSpec| {
             if candidate.events.len() < 3 || candidate.ops < 64 {
-                vec![violation(OracleKind::Liveness)]
+                Kinds::from(["liveness"])
             } else {
-                vec![violation(OracleKind::Isolation)]
+                Kinds::from(["isolation"])
             }
         };
-        let spec = spec_with_events(3);
-        let original = vec![violation(OracleKind::Isolation)];
-        let out = shrink(&spec, &original, 100, execute);
+        let target = Kinds::from(["isolation"]);
+        let (out, _) = shrink::<ComponentFamily>(&spec_with_events(3), &target, 100, execute);
         // Time halvings keep the oracle and may be accepted; structural
         // shrinks (fewer events, fewer ops) flip it and must not be.
-        assert_eq!(out.spec.events.len(), 3);
-        assert_eq!(out.spec.ops, 64);
-    }
-
-    #[test]
-    fn respects_the_run_budget() {
-        let execute = |_: &CampaignSpec| vec![violation(OracleKind::StateEquivalence)];
-        let spec = spec_with_events(8);
-        let original = vec![violation(OracleKind::StateEquivalence)];
-        let out = shrink(&spec, &original, 5, execute);
-        assert!(out.runs <= 5, "runs = {}", out.runs);
-    }
-
-    #[test]
-    fn passing_spec_is_left_alone() {
-        let mut calls = 0;
-        let out = shrink(&spec_with_events(4), &[], 100, |_| {
-            calls += 1;
-            Vec::new()
-        });
-        assert_eq!(out.runs, 0);
-        assert_eq!(out.spec.events.len(), 4);
-        let _ = calls;
+        assert_eq!(out.events.len(), 3);
+        assert_eq!(out.ops, 64);
     }
 }

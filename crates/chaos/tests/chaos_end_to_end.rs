@@ -1,68 +1,70 @@
-//! End-to-end tests of the chaos engine: sweep determinism across worker
-//! fan-out, and the plant → shrink → JSON → replay round trip the CLI
-//! exposes.
+//! End-to-end tests of the chaos harness: sweep determinism across worker
+//! fan-out, the plant → shrink → JSON → replay round trip the CLI exposes,
+//! and the reproducers the pre-`Family` code wrote (`tests/fixtures/`,
+//! recorded at commit c5aa6c3), which the one generic path must regenerate
+//! byte for byte.
 
+use vampos_chaos::json::{parse_value, tail};
 use vampos_chaos::{
-    execute_spec, from_json, reproducer_to_json, run_sweep, run_with_sink, span_tail_from_json,
-    CampaignSpec, OracleKind, SweepConfig, TelemetrySink, WorkloadKind,
+    parse_spec, reproducer_json, run_outcome, run_with_sink, sweep, CampaignSpec, ComponentFamily,
+    Family, MeshFamily, OracleKind, RecursiveFamily, SweepReport, TelemetrySink, WorkloadKind,
 };
+use vampos_sim::derive_seed;
 use vampos_telemetry::validate_exposition;
+
+fn component_sweep(
+    seed: u64,
+    campaigns: u64,
+    family: ComponentFamily,
+    sequential: bool,
+) -> SweepReport<ComponentFamily> {
+    sweep(&family, seed, campaigns, sequential).expect("component campaigns cannot error")
+}
+
+fn planted_kv() -> ComponentFamily {
+    ComponentFamily {
+        plant: true,
+        ..ComponentFamily::default()
+    }
+}
 
 #[test]
 fn seeded_sweep_passes_and_is_deterministic_across_runs_and_fanout() {
-    let cfg = SweepConfig {
-        seed: 42,
-        campaigns: 4,
+    let all = || ComponentFamily {
         workloads: WorkloadKind::ALL.to_vec(),
-        ..SweepConfig::default()
+        ..ComponentFamily::default()
     };
-    let first = run_sweep(&cfg);
+    let first = component_sweep(42, 4, all(), false);
     assert_eq!(
         first.failures().count(),
         0,
         "clean sweep must pass every oracle:\n{}",
         first.render()
     );
-
-    let second = run_sweep(&cfg);
-    let sequential = run_sweep(&SweepConfig {
-        sequential: true,
-        ..cfg
-    });
     // Byte-identical reports: same campaigns, same digests, same order —
     // whether campaigns ran on worker threads or inline.
-    assert_eq!(first.render(), second.render());
-    assert_eq!(first.render(), sequential.render());
+    assert_eq!(
+        first.render(),
+        component_sweep(42, 4, all(), false).render()
+    );
+    assert_eq!(first.render(), component_sweep(42, 4, all(), true).render());
 }
 
 #[test]
 fn different_seeds_generate_different_campaigns() {
-    let cfg = |seed| SweepConfig {
-        seed,
-        campaigns: 2,
-        workloads: vec![WorkloadKind::Kv],
-        ..SweepConfig::default()
-    };
-    let a = run_sweep(&cfg(1));
-    let b = run_sweep(&cfg(2));
-    assert_ne!(a.render(), b.render());
+    let render = |seed| component_sweep(seed, 2, ComponentFamily::default(), false).render();
+    assert_ne!(render(1), render(2));
 }
 
 #[test]
 fn planted_divergence_shrinks_to_a_reproducer_that_replays() {
-    let report = run_sweep(&SweepConfig {
-        seed: 42,
-        campaigns: 1,
-        workloads: vec![WorkloadKind::Kv],
-        plant: true,
-        ..SweepConfig::default()
-    });
+    let report = component_sweep(42, 1, planted_kv(), false);
     let failure = report
         .failures()
         .next()
         .expect("a planted campaign must fail");
     assert!(failure
-        .violations
+        .report
         .iter()
         .any(|v| v.kind == OracleKind::StateEquivalence));
 
@@ -71,15 +73,16 @@ fn planted_divergence_shrinks_to_a_reproducer_that_replays() {
     let json = failure
         .reproducer_json()
         .expect("failures carry a reproducer");
-    let spec = from_json(&json).expect("reproducer parses");
-    let tail = span_tail_from_json(&json).expect("span tail parses");
-    assert!(!tail.is_empty(), "failing reproducers embed a span tail");
-    assert_eq!(reproducer_to_json(&spec, &tail), json);
-    assert_eq!(tail, failure.span_tail);
+    let doc = parse_value(&json).expect("reproducer parses");
+    let spec = parse_spec::<ComponentFamily>(&doc).expect("reproducer reads back");
+    let spans = tail(&doc, "span_tail").expect("span tail parses");
+    assert!(!spans.is_empty(), "failing reproducers embed a span tail");
+    assert_eq!(reproducer_json::<ComponentFamily>(&spec, &spans, &[]), json);
+    assert_eq!(spans, failure.span_tail);
 
     // ...and still reproduces the planted divergence when replayed, the
     // exact path `vampos-chaos --replay` takes.
-    let replayed = execute_spec(&spec);
+    let replayed = ComponentFamily::execute(&spec).expect("component campaigns cannot error");
     assert!(
         replayed
             .iter()
@@ -101,18 +104,8 @@ fn export(spec: &CampaignSpec) -> (String, String) {
 
 #[test]
 fn telemetry_exports_are_byte_identical_across_sequential_and_parallel_sweeps() {
-    let cfg = SweepConfig {
-        seed: 42,
-        campaigns: 2,
-        workloads: vec![WorkloadKind::Kv],
-        plant: true,
-        ..SweepConfig::default()
-    };
-    let parallel = run_sweep(&cfg);
-    let sequential = run_sweep(&SweepConfig {
-        sequential: true,
-        ..cfg
-    });
+    let parallel = component_sweep(42, 2, planted_kv(), false);
+    let sequential = component_sweep(42, 2, planted_kv(), true);
 
     // Reproducers — span tails included — are identical whether campaigns
     // ran on worker threads or inline.
@@ -125,14 +118,11 @@ fn telemetry_exports_are_byte_identical_across_sequential_and_parallel_sweeps() 
     // The exported trace and exposition for the same shrunk spec are
     // byte-identical across both sweeps' reproducers and across repeated
     // exports, and the exposition passes the format check.
-    let spec_p = parallel.failures().next().unwrap().shrunk.clone().unwrap();
-    let spec_s = sequential
-        .failures()
-        .next()
-        .unwrap()
-        .shrunk
-        .clone()
-        .unwrap();
+    let first_shrunk = |report: &SweepReport<ComponentFamily>| {
+        let failure = report.failures().next().expect("planted sweeps fail");
+        failure.shrunk.clone().expect("failures shrink")
+    };
+    let (spec_p, spec_s) = (first_shrunk(&parallel), first_shrunk(&sequential));
     assert_eq!(spec_p, spec_s);
     let (trace_a, prom_a) = export(&spec_p);
     let (trace_b, prom_b) = export(&spec_s);
@@ -140,4 +130,42 @@ fn telemetry_exports_are_byte_identical_across_sequential_and_parallel_sweeps() 
     assert_eq!(prom_a, prom_b);
     validate_exposition(&prom_a).expect("exposition format");
     assert!(trace_a.starts_with("{\"traceEvents\":["));
+}
+
+fn fixture(path: &str) -> String {
+    let path = format!("{}/tests/fixtures/{path}", env!("CARGO_MANIFEST_DIR"));
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// Runs every plant of the battery at seed 42 to a full outcome and
+/// compares reproducer and summary line with what `run_*_outcome` produced
+/// before the harness was made generic. No recursive or mesh campaign
+/// fails naturally, so this is the one place their shrink → tails →
+/// reproducer path (candidate order, run counts, field order) is pinned.
+fn planted_outcomes_match_their_fixtures<F: Family>(family: &F) {
+    for (i, plant) in family.plants().iter().enumerate() {
+        let spec = (plant.spec)(derive_seed(42, i as u64), i as u64);
+        let outcome = run_outcome::<F>(spec).expect("planted campaign runs");
+        let stem = format!("plants/{}-{}", F::NAME, plant.name);
+        assert_eq!(
+            outcome.reproducer_json().expect("plants fail"),
+            fixture(&format!("{stem}.json")),
+            "{stem}.json"
+        );
+        assert_eq!(
+            F::summary_line(&outcome) + "\n",
+            fixture(&format!("{stem}.summary")),
+            "{stem}.summary"
+        );
+    }
+}
+
+#[test]
+fn planted_recursive_outcomes_regenerate_the_recorded_reproducers() {
+    planted_outcomes_match_their_fixtures(&RecursiveFamily { classes: vec![] });
+}
+
+#[test]
+fn planted_mesh_outcomes_regenerate_the_recorded_reproducers() {
+    planted_outcomes_match_their_fixtures(&MeshFamily { classes: vec![] });
 }

@@ -1,0 +1,270 @@
+//! `vampos-chaos` at its command line: what it prints, what it writes and
+//! how it exits.
+//!
+//! The expected output lives in `crates/chaos/tests/fixtures/` and was
+//! recorded from the binary at commit c5aa6c3, before the four families
+//! were folded into one `Family` trait. CI's chaos diffs compare parallel
+//! against sequential within one binary; these compare the binary against
+//! that recording, so a refactor that moves a byte fails here.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+use vampos::chaos::{run_outcome, Family, FleetFamily};
+use vampos::sim::derive_seed;
+
+const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/chaos/tests/fixtures");
+
+fn fixture(path: &str) -> String {
+    let path = format!("{FIXTURES}/{path}");
+    std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{path}: {e}"))
+}
+
+/// A fresh working directory for one test, so relative `--out` paths echo
+/// the way the fixtures recorded them.
+fn workdir(name: &str) -> PathBuf {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("create the working directory");
+    dir
+}
+
+fn chaos(dir: &Path, args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_vampos-chaos"))
+        .current_dir(dir)
+        .args(args)
+        .output()
+        .expect("run vampos-chaos")
+}
+
+fn stdout(out: &Output) -> String {
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+fn assert_exit(out: &Output, code: i32, what: &str) {
+    assert_eq!(
+        out.status.code(),
+        Some(code),
+        "{what}: stderr was: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+/// Exit 2, the complaint on stderr, nothing on stdout.
+fn assert_usage_error(out: &Output, complaint: &str) {
+    assert_exit(out, 2, complaint);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains(complaint), "stderr was: {stderr}");
+    assert!(out.stdout.is_empty(), "stdout was: {}", stdout(out));
+}
+
+/// The acceptance command set: fixture name, exit code, arguments.
+const COMMANDS: [(&str, i32, &str); 11] = [
+    ("component-all", 0, "--campaigns 25 --workload all"),
+    (
+        "component-plant",
+        1,
+        "--campaigns 3 --workload all --plant --out out-plant",
+    ),
+    (
+        "component-telemetry",
+        0,
+        "--campaigns 5 --workload kv --trace-out trace.json --metrics-out metrics.prom",
+    ),
+    ("fleet", 0, "--family fleet --campaigns 20 --instances 4"),
+    ("recursive", 0, "--family recursive --campaigns 10"),
+    ("recursive-plant", 0, "--family recursive --plant"),
+    ("mesh", 0, "--family mesh --campaigns 5"),
+    ("mesh-plant", 0, "--family mesh --plant"),
+    (
+        "mesh-plant-wrong-value",
+        1,
+        "--family mesh --plant-kind wrong-value",
+    ),
+    (
+        "mesh-plant-acked-loss",
+        1,
+        "--family mesh --plant-kind acked-loss",
+    ),
+    (
+        "mesh-plant-retry-storm",
+        1,
+        "--family mesh --plant-kind retry-storm",
+    ),
+];
+
+fn the_command_set_prints_what_the_parent_printed(seed: &str) {
+    let dir = workdir(&format!("chaos-cli-{seed}"));
+    for (name, code, args) in COMMANDS {
+        let args: Vec<&str> = ["--seed", seed]
+            .into_iter()
+            .chain(args.split(' '))
+            .collect();
+        let out = chaos(&dir, &args);
+        assert_exit(&out, code, name);
+        assert_eq!(
+            stdout(&out),
+            fixture(&format!("cli/{seed}/{name}.stdout")),
+            "{name}"
+        );
+    }
+    assert!(dir.join("trace.json").is_file() && dir.join("metrics.prom").is_file());
+}
+
+#[test]
+fn seed_42_prints_what_the_parent_printed() {
+    the_command_set_prints_what_the_parent_printed("42");
+}
+
+#[test]
+fn seed_1337_prints_what_the_parent_printed() {
+    the_command_set_prints_what_the_parent_printed("1337");
+}
+
+#[test]
+fn planted_component_sweeps_write_the_recorded_reproducers() {
+    let dir = workdir("chaos-cli-repro");
+    let out = chaos(
+        &dir,
+        &[
+            "--seed",
+            "1",
+            "--campaigns",
+            "2",
+            "--workload",
+            "kv",
+            "--plant",
+        ],
+    );
+    assert_exit(&out, 1, "every planted campaign fails");
+    for name in ["chaos-repro-kv-0.json", "chaos-repro-kv-1.json"] {
+        let written = std::fs::read_to_string(dir.join(name)).expect(name);
+        assert_eq!(written, fixture(&format!("repro/{name}")), "{name}");
+    }
+}
+
+/// Old reproducers still replay: same banner, same tails, same verdict.
+#[test]
+fn every_recorded_reproducer_replays_to_the_recorded_verdict() {
+    let dir = workdir("chaos-cli-replay");
+    for path in [
+        "repro/chaos-repro-kv-0",
+        "repro/chaos-repro-kv-1",
+        "plants/recursive-ladder-stall",
+        "plants/recursive-acked-loss",
+        "plants/recursive-misattributed-rung",
+        "plants/mesh-wrong-value",
+        "plants/mesh-acked-loss",
+        "plants/mesh-retry-storm",
+    ] {
+        let out = chaos(&dir, &["--replay", &format!("{FIXTURES}/{path}.json")]);
+        assert_exit(&out, 1, path);
+        let name = path.rsplit('/').next().expect("a file name");
+        assert_eq!(
+            stdout(&out),
+            fixture(&format!("replay/{name}.stdout")),
+            "{path}"
+        );
+    }
+}
+
+#[test]
+fn a_failing_fleet_campaign_replays_from_its_reproducer() {
+    let dir = workdir("chaos-cli-fleet");
+    let family = FleetFamily {
+        instances: 3,
+        budget: 2,
+    };
+    let plant = family.plants().remove(0);
+    let outcome = run_outcome::<FleetFamily>((plant.spec)(derive_seed(7, 0), 0)).expect("run");
+    let name = FleetFamily::repro_file_name(&outcome.spec);
+    assert_eq!(name, "chaos-fleet-0.json");
+    let json = outcome.reproducer_json().expect("the plant fails");
+    std::fs::write(dir.join(&name), json).expect("write the reproducer");
+
+    let out = chaos(&dir, &["--replay", &name]);
+    assert_exit(&out, 1, "the planted divergence reproduces");
+    let text = stdout(&out);
+    assert!(text.starts_with("replaying fleet campaign #0 "), "{text}");
+    assert!(text.ends_with("violation(s) reproduced\n"), "{text}");
+
+    // The family's one named plant, and its sequential sweep.
+    let out = chaos(&dir, &["--family", "fleet", "--plant-kind", "divergence"]);
+    assert_exit(&out, 1, "caught");
+    let sweep = ["--family", "fleet", "--campaigns", "3", "--instances", "3"];
+    let parallel = chaos(&dir, &sweep);
+    assert_exit(&parallel, 0, "a clean fleet sweep");
+    let sequential = chaos(&dir, &[&sweep[..], &["--sequential"]].concat());
+    assert_eq!(stdout(&parallel), stdout(&sequential));
+}
+
+#[test]
+fn named_plants_resolve_through_the_family() {
+    let dir = workdir("chaos-cli-plants");
+    let out = chaos(
+        &dir,
+        &["--family", "recursive", "--plant-kind", "acked-loss"],
+    );
+    assert_exit(&out, 1, "the recursive family's plants are named too");
+    assert!(stdout(&out).ends_with("plant acked-loss caught by 1 violation(s)\n"));
+
+    let out = chaos(&dir, &["--plant-kind", "acked-loss"]);
+    assert_usage_error(&out, "the component family has no named plants");
+    let out = chaos(&dir, &["--family", "mesh", "--plant-kind", "ladder-stall"]);
+    assert_usage_error(&out, "unknown plant kind \"ladder-stall\"");
+}
+
+#[test]
+fn bad_flags_are_usage_errors() {
+    let dir = workdir("chaos-cli-flags");
+    let out = chaos(&dir, &["--family", "swarm"]);
+    assert_usage_error(&out, "unknown family \"swarm\"");
+    let out = chaos(&dir, &["--family", "mesh", "--class", "ninep-stall"]);
+    assert_usage_error(&out, "does not belong to the selected family");
+    let out = chaos(&dir, &["--class", "gremlins"]);
+    assert_usage_error(&out, "unknown fault class \"gremlins\"");
+    let out = chaos(&dir, &["--family", "fleet", "--trace-out", "t.json"]);
+    assert_usage_error(&out, "component-family only");
+}
+
+/// Replays `text` saved as `file`.
+fn replay(dir: &Path, file: &str, text: &str, more: &[&str]) -> Output {
+    std::fs::write(dir.join(file), text).expect("write the reproducer under test");
+    chaos(dir, &[&["--replay", file], more].concat())
+}
+
+#[test]
+fn hostile_reproducers_are_usage_errors() {
+    let dir = workdir("chaos-cli-hostile");
+    let recursive = fixture("plants/recursive-acked-loss.json");
+    let mesh = fixture("plants/mesh-wrong-value.json");
+
+    let cut = recursive.find("\"class\"").expect("the field");
+    let out = replay(&dir, "truncated.json", &recursive[..cut], &[]);
+    assert_usage_error(&out, "unexpected end of input");
+
+    // Used to abort with `capacity overflow` (exit 101)...
+    let huge = recursive.replace("\"instances\": 3", "\"instances\": 18446744073709551615");
+    assert_ne!(huge, recursive);
+    let out = replay(&dir, "instances.json", &huge, &[]);
+    assert_usage_error(&out, "instances 18446744073709551615");
+
+    // ...to die allocating five terabytes (SIGABRT)...
+    let huge = mesh.replace("\"replicas\": 2", "\"replicas\": 4294967296");
+    assert_ne!(huge, mesh);
+    let out = replay(&dir, "replicas.json", &huge, &[]);
+    assert_usage_error(&out, "replicas 4294967296");
+
+    // ...and to replay a different campaign after `as u32`.
+    let field = recursive.find("\"glitch_count\": ").expect("the field") + 16;
+    let digits = recursive[field..].find(',').expect("not the last field");
+    let mut wide = recursive.clone();
+    wide.replace_range(field..field + digits, "4294967297");
+    let out = replay(&dir, "glitches.json", &wide, &[]);
+    assert_usage_error(&out, "glitch_count 4294967297");
+
+    // A telemetry export a family cannot produce is refused, not skipped.
+    let out = replay(&dir, "mesh.json", &mesh, &["--trace-out", "t.json"]);
+    assert_usage_error(&out, "component-family only");
+    assert!(!dir.join("t.json").exists());
+}
