@@ -157,7 +157,9 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// JSON string escaping (quotes, backslashes, control characters).
+/// JSON string escaping (quotes, backslashes, control characters). Its own
+/// copy (not `vampos_telemetry::text`): a `vampos-telemetry` edge from this
+/// crate would rewrite the committed `benchmark/Cargo.lock`.
 fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');

@@ -3,7 +3,7 @@
 //! ```text
 //! repro [fig5|table3|fig6|fig7|table4|table5|fleet|recursive|mesh|fig8|ablations|all]
 //!       [--list] [--quick] [--sequential] [--json[=PATH]]
-//!       [--trace-out=PATH] [--metrics-out=PATH]
+//!       [--trace-out PATH] [--metrics-out PATH]
 //! ```
 //!
 //! `--list` prints every experiment's name and description and exits.
@@ -26,11 +26,14 @@
 //! every experiment builds its own deterministic simulation. `--json` runs
 //! both paths, verifies that equivalence, writes per-experiment wall-clock
 //! timings to `BENCH.json` (or `PATH`), and exits non-zero on mismatch.
+//! Exit codes: 0 success, 1 a failed export or mismatch, 2 usage error.
 
-use std::env;
 use std::fmt::Write as _;
+use std::path::{Path, PathBuf};
+use std::process::ExitCode;
 use std::time::Instant;
 
+use vampos_bench::cli::{self, Cli, Failure};
 use vampos_bench::experiments::{
     ablations, fig5, fig6, fig7, fig8, fleet, mesh, recursive, table3, table4, table5,
 };
@@ -105,69 +108,89 @@ const SECTIONS: [Section; 11] = [
     },
 ];
 
-fn main() {
-    let args: Vec<String> = env::args().skip(1).collect();
-    if args.iter().any(|a| a == "--list") {
+const USAGE: &str = "\
+usage: repro [fig5|table3|fig6|fig7|table4|table5|fleet|recursive|mesh|fig8|ablations|all]
+             [--list] [--quick] [--sequential] [--json[=PATH]]
+             [--trace-out PATH] [--metrics-out PATH]
+";
+
+#[derive(Default)]
+struct Args {
+    /// The experiment named, if one was.
+    which: Option<String>,
+    list: bool,
+    quick: bool,
+    sequential: bool,
+    json: Option<PathBuf>,
+    trace_out: Option<PathBuf>,
+    metrics_out: Option<PathBuf>,
+}
+
+fn parse_args(cli: &mut Cli) -> Result<Args, String> {
+    let mut args = Args::default();
+    while let Some(arg) = cli.flag()? {
+        match arg {
+            "--list" => args.list = true,
+            "--quick" => args.quick = true,
+            "--sequential" => args.sequential = true,
+            "--json" => args.json = Some(cli.inline().unwrap_or("BENCH.json").into()),
+            "--trace-out" => args.trace_out = Some(cli.path()?),
+            "--metrics-out" => args.metrics_out = Some(cli.path()?),
+            word if !word.starts_with('-') && args.which.is_none() => {
+                args.which = Some(word.to_owned());
+            }
+            _ => return Err(cli.unknown()),
+        }
+    }
+    Ok(args)
+}
+
+fn run(args: Args) -> Result<ExitCode, Failure> {
+    if args.list {
         println!("experiments:");
         for s in &SECTIONS {
             println!("  {:<10} {}", s.key, s.desc);
         }
         println!("  {:<10} every experiment above, in that order", "all");
-        return;
+        return Ok(ExitCode::SUCCESS);
     }
-    let quick = args.iter().any(|a| a == "--quick");
-    let sequential = args.iter().any(|a| a == "--sequential");
-    let json_path = args.iter().find_map(|a| {
-        a.strip_prefix("--json=")
-            .map(str::to_owned)
-            .or_else(|| (a == "--json").then(|| "BENCH.json".to_owned()))
-    });
-    let trace_out = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--trace-out=").map(str::to_owned));
-    let metrics_out = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--metrics-out=").map(str::to_owned));
-    if trace_out.is_some() || metrics_out.is_some() {
-        if !export_telemetry(trace_out.as_deref(), metrics_out.as_deref()) {
-            std::process::exit(1);
-        }
-        // Telemetry export is its own mode: no section was named, don't
-        // also run the full evaluation.
-        if args.iter().all(|a| a.starts_with("--")) {
-            return;
-        }
-    }
-    let which = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .unwrap_or("all");
-
+    let which = args.which.as_deref().unwrap_or("all");
     let selected: Vec<&Section> = SECTIONS
         .iter()
         .filter(|s| which == "all" || which == s.key)
         .collect();
     if selected.is_empty() {
-        eprintln!(
+        return Err(Failure::Input(format!(
             "unknown experiment {which:?}; expected \
              fig5|table3|fig6|fig7|table4|table5|fleet|recursive|mesh|fig8|ablations|all \
              (see --list)"
-        );
-        std::process::exit(2);
+        )));
     }
-
-    if let Some(path) = json_path {
-        let ok = write_bench_json(&path, &selected, quick);
-        if !ok {
-            std::process::exit(1);
+    if args.trace_out.is_some() || args.metrics_out.is_some() {
+        export_telemetry(args.trace_out.as_deref(), args.metrics_out.as_deref())
+            .map_err(Failure::Run)?;
+        // Telemetry export is its own mode: no section was named, don't
+        // also run the full evaluation.
+        if args.which.is_none() {
+            return Ok(ExitCode::SUCCESS);
         }
-        return;
     }
-
-    for text in render_all(&selected, quick, sequential) {
+    if let Some(path) = &args.json {
+        let identical = write_bench_json(path, &selected, args.quick).map_err(Failure::Run)?;
+        return Ok(if identical {
+            ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
+        });
+    }
+    for text in render_all(&selected, args.quick, args.sequential) {
         print!("{text}");
     }
+    Ok(ExitCode::SUCCESS)
+}
+
+fn main() -> ExitCode {
+    cli::run("repro", USAGE, parse_args, run)
 }
 
 /// Renders the selected sections, concurrently unless `sequential`, and
@@ -183,8 +206,8 @@ fn render_all(selected: &[&Section], quick: bool, sequential: bool) -> Vec<Strin
 /// Runs the selected sections both sequentially and in parallel, checks
 /// the outputs are byte-identical, and writes per-experiment wall-clock
 /// timings — plus the fleet drive-engine comparison — to `path`. Returns
-/// false (after an error message) on mismatch.
-fn write_bench_json(path: &str, selected: &[&Section], quick: bool) -> bool {
+/// whether they were (after an error message per section if not).
+fn write_bench_json(path: &Path, selected: &[&Section], quick: bool) -> Result<bool, String> {
     // Warm-up at quick scale: touches every section's code paths so the
     // first timed pass doesn't pay cold-start costs (page faults, lazy
     // allocator arenas) that the second pass then doesn't — the timings
@@ -265,16 +288,14 @@ fn write_bench_json(path: &str, selected: &[&Section], quick: bool) -> bool {
     }
     let _ = writeln!(json, "  ]");
     let _ = writeln!(json, "}}");
-    if let Err(e) = std::fs::write(path, &json) {
-        eprintln!("cannot write {path}: {e}");
-        return false;
-    }
+    std::fs::write(path, &json).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
     println!(
-        "wrote {path}: sequential {seq_total:.0}ms, parallel {par_total:.0}ms \
+        "wrote {}: sequential {seq_total:.0}ms, parallel {par_total:.0}ms \
          on {} worker(s), outputs identical: {identical}",
+        path.display(),
         worker_count(usize::MAX)
     );
-    identical
+    Ok(identical)
 }
 
 fn heading(out: &mut String, title: &str) {
@@ -323,7 +344,7 @@ fn fleet_engine_block(quick: bool) -> String {
 /// fault-triggered recovery (detect → checkpoint-restore → replay → resume)
 /// from an injected 9PFS panic, an administrative VFS reboot, and
 /// aging-driven rejuvenation.
-fn export_telemetry(trace_out: Option<&str>, metrics_out: Option<&str>) -> bool {
+fn export_telemetry(trace_out: Option<&Path>, metrics_out: Option<&Path>) -> Result<(), String> {
     use vampos_core::{ComponentSet, InjectedFault, Mode, System, TelemetrySink};
     use vampos_oslib::vfs::OpenFlags;
 
@@ -353,35 +374,15 @@ fn export_telemetry(trace_out: Option<&str>, metrics_out: Option<&str>) -> bool 
         sys.os().close(fd)?;
         Ok(())
     };
-    if let Err(e) = scenario() {
-        eprintln!("telemetry scenario failed: {e}");
-        return false;
-    }
-
-    let write = |path: &str, data: &str| -> bool {
-        if let Err(e) = std::fs::write(path, data) {
-            eprintln!("cannot write {path}: {e}");
-            return false;
-        }
-        println!("telemetry written: {path}");
-        true
-    };
+    scenario().map_err(|e| format!("telemetry scenario failed: {e}"))?;
     if let Some(path) = trace_out {
-        if !write(path, &sink.with(|hub| hub.chrome_trace_json())) {
-            return false;
-        }
+        cli::write(path, sink.with(|hub| hub.chrome_trace_json()), "telemetry")?;
     }
     if let Some(path) = metrics_out {
-        let dump = if path.ends_with(".json") {
-            sink.with(|hub| hub.metrics_json())
-        } else {
-            sink.with(|hub| hub.prometheus_text())
-        };
-        if !write(path, &dump) {
-            return false;
-        }
+        let metrics = sink.with(|hub| hub.metrics_mut().render_for(path));
+        cli::write(path, metrics, "telemetry")?;
     }
-    true
+    Ok(())
 }
 
 fn render_fig5(quick: bool) -> String {

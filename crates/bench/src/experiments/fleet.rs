@@ -26,7 +26,12 @@
 //! seeded from [`super::EXP_SEED`], so the sweep fans out over workers and
 //! stays byte-identical to a sequential run.
 
-use vampos_cluster::{ArrivalShape, Fleet, FleetConfig, FleetLoad, FleetPlan, Policy};
+// The sweep keeps the named plans' start and drain lead; the spacing is
+// its own ([`spacing`]).
+use vampos_cluster::{
+    ArrivalShape, Fleet, FleetConfig, FleetLoad, FleetPlan, Policy,
+    ROLLING_DRAIN_LEAD as DRAIN_LEAD, ROLLING_START as START,
+};
 use vampos_sim::Nanos;
 
 use super::EXP_SEED;
@@ -91,10 +96,6 @@ pub struct ShapeRow {
     pub p99_us: f64,
 }
 
-/// First plan operation; gives the load a ramp before maintenance starts.
-const START: Nanos = Nanos::from_millis(20);
-/// Drain lead ahead of each rolling rejuvenation.
-const DRAIN_LEAD: Nanos = Nanos::from_millis(8);
 /// Open-loop think time: each client offers one request every 4 ms.
 const THINK: Nanos = Nanos::from_millis(4);
 /// Load left after the last plan op so every reboot window sees traffic.

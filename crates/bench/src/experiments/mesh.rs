@@ -26,9 +26,8 @@
 //! byte-identical across invocations and across the sequential/parallel
 //! render paths.
 
-use vampos_cluster::{FleetConfig, FleetLoad, FleetOpKind, FleetPlan, Policy};
-use vampos_mesh::{BackendOpKind, Mesh, MeshConfig, MeshPlan, MeshTopology};
-use vampos_sim::Nanos;
+use vampos_cluster::{FleetConfig, FleetLoad, Policy};
+use vampos_mesh::{Mesh, MeshConfig, MeshPlan, MeshTopology};
 
 use crate::parallel::parallel_map;
 
@@ -36,10 +35,9 @@ use crate::parallel::parallel_map;
 const FRONT_INSTANCES: usize = 3;
 /// Replicas per replicated backend service.
 const REPLICAS: usize = 2;
-/// Service indices in [`MeshTopology::standard`] registry order.
-const SVC_KV: usize = 1;
 
-/// The four recovery scenarios, in report order.
+/// The four recovery scenarios ([`MeshPlan::scenario`], by the label the
+/// table prints), in report order.
 pub const CONFIGS: [&str; 4] = [
     "fault-free",
     "component-reboot",
@@ -102,38 +100,6 @@ pub struct MeshResult {
     pub rows: Vec<MeshRow>,
 }
 
-/// The maintenance plan arming `config`'s scenario, scaled to the load's
-/// virtual span so the recovery windows land while traffic is in flight.
-fn plan_for(config: &str, span_ns: u64) -> MeshPlan {
-    let at = |frac_num: u64, frac_den: u64| Nanos::from_nanos(span_ns * frac_num / frac_den);
-    let mut plan = MeshPlan::none();
-    match config {
-        "fault-free" => {}
-        "component-reboot" => {
-            plan.push_backend(at(1, 4), SVC_KV, 0, BackendOpKind::Rejuvenate);
-            plan.front
-                .push(at(1, 2), 1, FleetOpKind::RejuvenateComponents);
-        }
-        "recovery-plane" => {
-            plan.push_backend(
-                at(1, 4),
-                SVC_KV,
-                0,
-                BackendOpKind::SpuriousReboot {
-                    component: "lwip".to_owned(),
-                },
-            );
-        }
-        "rolling-rejuv" => {
-            plan.front =
-                FleetPlan::rolling_rejuvenation(FRONT_INSTANCES, at(1, 8), at(1, 6), at(1, 24));
-            plan.push_backend(at(2, 3), SVC_KV, 0, BackendOpKind::Rejuvenate);
-        }
-        other => unreachable!("unknown mesh config {other:?}"),
-    }
-    plan
-}
-
 fn run_case(config: &'static str, armed: bool, clients: usize, rpc: usize, seed: u64) -> MeshRow {
     let mut mesh = Mesh::new(MeshConfig {
         front: FleetConfig {
@@ -150,9 +116,12 @@ fn run_case(config: &'static str, armed: bool, clients: usize, rpc: usize, seed:
         requests_per_client: rpc,
         ..FleetLoad::default()
     };
+    // Scaled to the load's virtual span, so the recovery windows land
+    // while traffic is in flight.
     let span_ns = load.think_time.as_nanos() * rpc as u64;
+    let plan = MeshPlan::scenario(config, FRONT_INSTANCES, span_ns).expect("one of CONFIGS");
     let report = mesh
-        .run(&load, Policy::RecoveryAware, plan_for(config, span_ns))
+        .run(&load, Policy::RecoveryAware, plan)
         .expect("mesh run");
     MeshRow {
         config,

@@ -15,7 +15,12 @@
 //!
 //! Workload sizes default to the paper's parameters where tractable and are
 //! uniformly scalable otherwise; every result records the parameters used.
+//!
+//! The crate is also where the harness code every binary links lives:
+//! [`cli`] (argument cursor, exit codes, export writer), [`format`] and
+//! [`parallel`].
 
+pub mod cli;
 pub mod experiments;
 pub mod format;
 pub mod parallel;

@@ -15,7 +15,8 @@ use vampos_core::{ComponentSet, Mode, System};
 use vampos_host::HostHandle;
 use vampos_sim::{Nanos, TraceEvent};
 use vampos_telemetry::TelemetrySink;
-use vampos_workloads::{EchoLoad, HttpLoad, KvLoad, Schedule, SqlLoad};
+use vampos_ukernel::OsError;
+use vampos_workloads::{EchoLoad, HttpLoad, KvLoad, LoadReport, Schedule, SqlLoad};
 
 use crate::spec::{CampaignSpec, WorkloadKind};
 
@@ -28,7 +29,7 @@ const TRACE_CAPACITY: usize = 65_536;
 pub const DEFAULT_TAIL: usize = 16;
 
 /// Everything one run exposes to the oracles.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunResult {
     /// Successful requests in the main + tail stream (plant excluded).
     pub successes: usize,
@@ -109,6 +110,32 @@ fn http_load() -> HttpLoad {
     }
 }
 
+/// Boots `app` and drives `main` under `schedule` — and, for a planted
+/// run, `planted` under an empty one — booking the main stream's report
+/// and the app's final digest into `result`.
+fn drive<A: App>(
+    sys: &mut System,
+    mut app: A,
+    schedule: &mut Schedule,
+    plant: bool,
+    result: &mut RunResult,
+    main: impl FnOnce(&mut System, &mut A, &mut Schedule) -> Result<LoadReport, OsError>,
+    planted: impl FnOnce(&mut System, &mut A, &mut Schedule) -> Result<LoadReport, OsError>,
+) -> Result<(), String> {
+    app.boot(sys)
+        .map_err(|e| format!("app boot failed: {e:?}"))?;
+    let report = main(sys, &mut app, schedule).map_err(|e| format!("drive failed: {e:?}"))?;
+    result.successes = report.successes();
+    result.reconnects = report.reconnects;
+    result.duration = report.duration;
+    if plant {
+        planted(sys, &mut app, &mut Schedule::default())
+            .map_err(|e| format!("plant failed: {e:?}"))?;
+    }
+    result.app_digest = app.state_digest();
+    Ok(())
+}
+
 /// Runs one spec. `faulted` selects whether the schedule (and the planted
 /// extra request) apply; the twin is the same call with `faulted = false`.
 pub fn run(spec: &CampaignSpec, faulted: bool) -> RunResult {
@@ -134,24 +161,8 @@ pub fn run_with_sink(
     let requests = spec.ops + spec.tail;
 
     let mut result = RunResult {
-        successes: 0,
         requests,
-        reconnects: 0,
-        app_digest: 0,
-        component_digests: BTreeMap::new(),
-        rebooted_components: BTreeSet::new(),
-        mpk_violations: 0,
-        trace_dropped: 0,
-        downtime: Vec::new(),
-        component_reboots: 0,
-        full_reboots: 0,
-        replayed_entries: 0,
-        unfired_faults: Vec::new(),
-        pending_disruptions: 0,
-        arena_bytes: 0,
-        hops_by_target: BTreeMap::new(),
-        duration: Nanos::ZERO,
-        error: None,
+        ..RunResult::default()
     };
 
     let mut sys = match build_system(spec, sink) {
@@ -162,145 +173,63 @@ pub fn run_with_sink(
         }
     };
 
-    // Boot the app, then drive. Each workload keeps its own concrete app
-    // type (state_digest is on the trait).
-    let drive_outcome: Result<(), String> = match spec.workload {
-        WorkloadKind::Echo => {
-            let mut app = Echo::new();
-            app.boot(&mut sys)
-                .map_err(|e| format!("app boot failed: {e:?}"))
-                .and_then(|()| {
-                    let load = EchoLoad {
-                        messages: requests,
-                        ..EchoLoad::default()
-                    };
-                    let outcome = load.run_with_disruptions(&mut sys, &mut app, &mut schedule);
-                    if let Ok(report) = &outcome {
-                        result.successes = report.successes();
-                        result.reconnects = report.reconnects;
-                        result.duration = report.duration;
-                    }
-                    outcome
-                        .map(|_| ())
-                        .map_err(|e| format!("drive failed: {e:?}"))
-                })
-                .and_then(|()| {
-                    if plant {
-                        let one = EchoLoad {
-                            messages: 1,
-                            ..EchoLoad::default()
-                        };
-                        let mut empty = Schedule::new(Vec::new());
-                        one.run_with_disruptions(&mut sys, &mut app, &mut empty)
-                            .map(|_| ())
-                            .map_err(|e| format!("plant failed: {e:?}"))
-                    } else {
-                        Ok(())
-                    }
-                })
-                .map(|()| result.app_digest = app.state_digest())
-        }
-        WorkloadKind::Kv => {
-            let mut app = MiniKv::new(spec.aof);
-            app.boot(&mut sys)
-                .map_err(|e| format!("app boot failed: {e:?}"))
-                .and_then(|()| {
-                    let load = KvLoad::default();
-                    let outcome =
-                        load.run_sets_with_disruptions(&mut sys, &mut app, requests, &mut schedule);
-                    if let Ok(report) = &outcome {
-                        result.successes = report.successes();
-                        result.reconnects = report.reconnects;
-                        result.duration = report.duration;
-                    }
-                    outcome
-                        .map(|_| ())
-                        .map_err(|e| format!("drive failed: {e:?}"))
-                })
-                .and_then(|()| {
-                    if plant {
-                        // A longer value for key 0000 than the main stream
-                        // writes: guaranteed to change the stored bytes.
-                        let planted = KvLoad {
-                            value_len: KvLoad::default().value_len + 2,
-                            ..KvLoad::default()
-                        };
-                        let mut empty = Schedule::new(Vec::new());
-                        planted
-                            .run_sets_with_disruptions(&mut sys, &mut app, 1, &mut empty)
-                            .map(|_| ())
-                            .map_err(|e| format!("plant failed: {e:?}"))
-                    } else {
-                        Ok(())
-                    }
-                })
-                .map(|()| result.app_digest = app.state_digest())
-        }
-        WorkloadKind::Http => {
-            let mut app = MiniHttpd::default();
-            app.boot(&mut sys)
-                .map_err(|e| format!("app boot failed: {e:?}"))
-                .and_then(|()| {
-                    let outcome =
-                        http_load().run_requests(&mut sys, &mut app, requests, &mut schedule);
-                    if let Ok(report) = &outcome {
-                        result.successes = report.successes();
-                        result.reconnects = report.reconnects;
-                        result.duration = report.duration;
-                    }
-                    outcome
-                        .map(|_| ())
-                        .map_err(|e| format!("drive failed: {e:?}"))
-                })
-                .and_then(|()| {
-                    if plant {
-                        let mut empty = Schedule::new(Vec::new());
-                        http_load()
-                            .run_requests(&mut sys, &mut app, 1, &mut empty)
-                            .map(|_| ())
-                            .map_err(|e| format!("plant failed: {e:?}"))
-                    } else {
-                        Ok(())
-                    }
-                })
-                .map(|()| result.app_digest = app.state_digest())
-        }
-        WorkloadKind::Sql => {
-            let mut app = MiniSql::new();
-            app.boot(&mut sys)
-                .map_err(|e| format!("app boot failed: {e:?}"))
-                .and_then(|()| {
-                    let load = SqlLoad {
-                        inserts: requests,
-                        item_len: 1,
-                    };
-                    let outcome = load.run_with_disruptions(&mut sys, &mut app, &mut schedule);
-                    if let Ok(report) = &outcome {
-                        result.successes = report.successes();
-                        result.reconnects = report.reconnects;
-                        result.duration = report.duration;
-                    }
-                    outcome
-                        .map(|_| ())
-                        .map_err(|e| format!("drive failed: {e:?}"))
-                })
-                .and_then(|()| {
-                    if plant {
-                        // Re-insert row 0: a duplicate row the twin lacks.
-                        let one = SqlLoad {
-                            inserts: 1,
-                            item_len: 1,
-                        };
-                        let mut empty = Schedule::new(Vec::new());
-                        one.run_with_disruptions(&mut sys, &mut app, &mut empty)
-                            .map(|_| ())
-                            .map_err(|e| format!("plant failed: {e:?}"))
-                    } else {
-                        Ok(())
-                    }
-                })
-                .map(|()| result.app_digest = app.state_digest())
-        }
+    // Each arm builds its app, the main load and the planted extra request.
+    let echo = |messages| EchoLoad {
+        messages,
+        ..EchoLoad::default()
+    };
+    let sql = |inserts| SqlLoad {
+        inserts,
+        item_len: 1,
+    };
+    let drive_outcome = match spec.workload {
+        WorkloadKind::Echo => drive(
+            &mut sys,
+            Echo::new(),
+            &mut schedule,
+            plant,
+            &mut result,
+            |sys, app, schedule| echo(requests).run_with_disruptions(sys, app, schedule),
+            |sys, app, schedule| echo(1).run_with_disruptions(sys, app, schedule),
+        ),
+        WorkloadKind::Kv => drive(
+            &mut sys,
+            MiniKv::new(spec.aof),
+            &mut schedule,
+            plant,
+            &mut result,
+            |sys, app, schedule| {
+                KvLoad::default().run_sets_with_disruptions(sys, app, requests, schedule)
+            },
+            // A longer value for key 0000 than the main stream writes:
+            // guaranteed to change the stored bytes.
+            |sys, app, schedule| {
+                KvLoad {
+                    value_len: KvLoad::default().value_len + 2,
+                    ..KvLoad::default()
+                }
+                .run_sets_with_disruptions(sys, app, 1, schedule)
+            },
+        ),
+        WorkloadKind::Http => drive(
+            &mut sys,
+            MiniHttpd::default(),
+            &mut schedule,
+            plant,
+            &mut result,
+            |sys, app, schedule| http_load().run_requests(sys, app, requests, schedule),
+            |sys, app, schedule| http_load().run_requests(sys, app, 1, schedule),
+        ),
+        WorkloadKind::Sql => drive(
+            &mut sys,
+            MiniSql::new(),
+            &mut schedule,
+            plant,
+            &mut result,
+            |sys, app, schedule| sql(requests).run_with_disruptions(sys, app, schedule),
+            // Re-insert row 0: a duplicate row the twin lacks.
+            |sys, app, schedule| sql(1).run_with_disruptions(sys, app, schedule),
+        ),
     };
     result.error = drive_outcome.err();
 

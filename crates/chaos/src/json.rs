@@ -9,6 +9,7 @@
 
 use std::collections::BTreeMap;
 
+use vampos_telemetry::text::push_escaped;
 use vampos_telemetry::SpanDump;
 
 /// A parsed JSON value. Numbers keep their raw token text so 64-bit
@@ -83,17 +84,7 @@ impl Json {
 /// `s` as a JSON string literal.
 pub(crate) fn quote(s: &str) -> String {
     let mut out = String::from('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
+    push_escaped(&mut out, s);
     out.push('"');
     out
 }
@@ -127,10 +118,9 @@ pub(crate) fn array(items: impl IntoIterator<Item = String>) -> String {
     format!("[\n    {}\n  ]", items.join(",\n    "))
 }
 
-/// The largest fleet, replica set or client population any experiment in
-/// the tree drives. A reproducer asking for more is refused before a
-/// single instance is allocated.
-pub const MAX_POPULATION: usize = 65_536;
+/// The ceiling [`population`] enforces: the one the command-line flags
+/// sizing the same `Vec`s are held to.
+pub use vampos_bench::cli::MAX_POPULATION;
 
 /// Reads the unsigned integer at `key`, refusing values the target type
 /// cannot hold (a reproducer is outside input: `as` would reinterpret
@@ -216,9 +206,16 @@ pub(crate) fn splice_tail(out: &mut String, key: &str, tail: &[SpanDump]) {
     out.push_str(&format!(",\n  \"{key}\": {}\n}}\n", array(spans)));
 }
 
+/// Deepest `[`/`{` nesting [`parse_value`] follows; reproducers nest 3
+/// deep. `Parser::value` recurses per level, so an unbounded document
+/// (200 KB of `[`) would overflow the stack instead of failing to parse.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Containers open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -336,52 +333,71 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek()? {
-            b'{' => {
-                self.expect(b'{')?;
-                let mut map = BTreeMap::new();
-                if self.peek()? == b'}' {
-                    self.pos += 1;
-                    return Ok(Json::Obj(map));
+            open @ (b'{' | b'[') => {
+                if self.depth == MAX_DEPTH {
+                    return Err(format!(
+                        "nesting deeper than {MAX_DEPTH} at byte {}",
+                        self.pos
+                    ));
                 }
-                loop {
-                    self.skip_ws();
-                    let key = self.string()?;
-                    self.expect(b':')?;
-                    map.insert(key, self.value()?);
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b'}' => {
-                            self.pos += 1;
-                            return Ok(Json::Obj(map));
-                        }
-                        other => return Err(format!("expected , or }} got {:?}", other as char)),
-                    }
-                }
-            }
-            b'[' => {
-                self.expect(b'[')?;
-                let mut items = Vec::new();
-                if self.peek()? == b']' {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                loop {
-                    items.push(self.value()?);
-                    match self.peek()? {
-                        b',' => self.pos += 1,
-                        b']' => {
-                            self.pos += 1;
-                            return Ok(Json::Arr(items));
-                        }
-                        other => return Err(format!("expected , or ] got {:?}", other as char)),
-                    }
-                }
+                self.pos += 1;
+                self.depth += 1;
+                let container = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                container
             }
             b'"' => Ok(Json::Str(self.string()?)),
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
             b'n' => self.literal("null", Json::Null),
             _ => self.number(),
+        }
+    }
+
+    /// The rest of an object whose `{` was just consumed.
+    fn object(&mut self) -> Result<Json, String> {
+        let mut map = BTreeMap::new();
+        if self.peek()? == b'}' {
+            self.pos += 1;
+            return Ok(Json::Obj(map));
+        }
+        loop {
+            self.skip_ws();
+            let key = self.string()?;
+            self.expect(b':')?;
+            map.insert(key, self.value()?);
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b'}' => {
+                    self.pos += 1;
+                    return Ok(Json::Obj(map));
+                }
+                other => return Err(format!("expected , or }} got {:?}", other as char)),
+            }
+        }
+    }
+
+    /// The rest of an array whose `[` was just consumed.
+    fn array(&mut self) -> Result<Json, String> {
+        let mut items = Vec::new();
+        if self.peek()? == b']' {
+            self.pos += 1;
+            return Ok(Json::Arr(items));
+        }
+        loop {
+            items.push(self.value()?);
+            match self.peek()? {
+                b',' => self.pos += 1,
+                b']' => {
+                    self.pos += 1;
+                    return Ok(Json::Arr(items));
+                }
+                other => return Err(format!("expected , or ] got {:?}", other as char)),
+            }
         }
     }
 }
@@ -395,6 +411,7 @@ pub fn parse_value(text: &str) -> Result<Json, String> {
     let mut p = Parser {
         bytes: text.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     let v = p.value()?;
     p.skip_ws();
@@ -472,6 +489,18 @@ mod tests {
     fn documents_without_a_tail_yield_an_empty_tail() {
         let doc = parse_value(&to_json(&sample())).unwrap();
         assert_eq!(tail(&doc, "span_tail").unwrap(), Vec::new());
+    }
+
+    #[test]
+    fn nesting_is_followed_to_the_cap_and_refused_past_it() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse_value(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse_value(&nested(MAX_DEPTH + 1)).unwrap_err(),
+            "nesting deeper than 64 at byte 64"
+        );
+        // Siblings do not add up: the cap is on open containers.
+        assert!(parse_value(&format!("[{}]", vec!["[[]]"; 100].join(","))).is_ok());
     }
 
     #[test]

@@ -149,3 +149,62 @@ proptest! {
         }
     }
 }
+
+/// Bytes as the text `parse_value` is handed: a file read with
+/// `read_to_string` is UTF-8 or was refused before the parser saw it.
+fn as_text(bytes: &[u8]) -> String {
+    String::from_utf8_lossy(bytes).into_owned()
+}
+
+/// What hostile JSON is made of; raw random bytes rarely get past the
+/// first token.
+const ALPHABET: &[u8] = b"{}[]\",:\\/untfrale0123456789-+.E \n\xc3\xa9";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4096))]
+    #[test]
+    fn the_parser_answers_any_bytes_without_panicking(
+        raw in proptest::collection::vec(any::<u8>(), 0..64),
+        jsonish in proptest::collection::vec(0usize..ALPHABET.len(), 0..64),
+    ) {
+        let _ = parse_value(&as_text(&raw));
+        let jsonish: Vec<u8> = jsonish.iter().map(|&i| ALPHABET[i]).collect();
+        let _ = parse_value(&as_text(&jsonish));
+    }
+
+    #[test]
+    fn one_flipped_byte_is_parsed_or_refused_but_never_panics(
+        family in 0usize..4,
+        pick in any::<usize>(),
+        at in any::<usize>(),
+        bit in 0u8..8,
+    ) {
+        let documents = &valid()[family];
+        let mut bytes = documents[pick % documents.len()].clone().into_bytes();
+        let at = at % bytes.len();
+        bytes[at] ^= 1 << bit;
+        let _ = parse_value(&as_text(&bytes));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+    #[test]
+    fn bracket_runs_of_any_depth_never_overflow_the_stack(
+        depth in 1usize..=100_000,
+        object in any::<bool>(),
+        closed in any::<bool>(),
+    ) {
+        let (open, close) = if object { ("{\"k\":", "}") } else { ("[", "]") };
+        let mut text = open.repeat(depth);
+        if closed {
+            text.push('0');
+            text.push_str(&close.repeat(depth));
+        }
+        match parse_value(&text) {
+            Ok(_) => prop_assert!(closed && depth <= 64, "depth {depth} parsed"),
+            Err(e) if depth > 64 => prop_assert!(e.starts_with("nesting deeper than 64 at byte "), "{e}"),
+            Err(e) => prop_assert!(!closed && e == "unexpected end of input", "{e}"),
+        }
+    }
+}

@@ -32,6 +32,16 @@ impl Policy {
             Policy::RecoveryAware => "recovery-aware",
         }
     }
+
+    /// Parses a [`Policy::name`].
+    pub fn from_name(name: &str) -> Option<Policy> {
+        match name {
+            "round-robin" => Some(Policy::RoundRobin),
+            "least-outstanding" => Some(Policy::LeastOutstanding),
+            "recovery-aware" => Some(Policy::RecoveryAware),
+            _ => None,
+        }
+    }
 }
 
 /// The fleet front-end: applies a [`Policy`] deterministically.

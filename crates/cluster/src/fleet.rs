@@ -22,11 +22,11 @@ use vampos_telemetry::{
     Collector, MetricsRegistry, SpanKind, SpanRecord, TelemetryHub, TelemetrySink,
 };
 use vampos_ukernel::OsError;
-use vampos_workloads::{LoadReport, RequestRecord};
+use vampos_workloads::{exchange, LoadReport, RequestRecord};
 
 use crate::balancer::{Balancer, Policy};
 use crate::engine::{ArrivalShape, EventClass, EventHeap};
-use crate::instance::{exchange, HopCost, Instance};
+use crate::instance::{HopCost, Instance};
 use crate::ladder::{EscalationLadder, Rung};
 use crate::plan::{FleetOp, FleetOpKind, FleetPlan, RecoveryFault};
 use crate::report::FleetRunReport;

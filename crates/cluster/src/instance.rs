@@ -5,13 +5,14 @@
 
 use std::collections::VecDeque;
 
+use vampos_apps::httpd::HTTP_PORT;
 use vampos_apps::{App, MiniHttpd};
 use vampos_core::System;
-use vampos_host::{ClientConnId, ClientConnState, HostHandle};
+use vampos_host::{ClientConnId, HostHandle};
 use vampos_sim::{derive_seed, Nanos, SimClock};
 use vampos_telemetry::TelemetrySink;
 use vampos_ukernel::OsError;
-use vampos_workloads::LoadReport;
+use vampos_workloads::{self as wire, LoadReport};
 
 use crate::fleet::FleetConfig;
 
@@ -163,36 +164,6 @@ impl Occupancy {
     }
 }
 
-/// Sends `request` on `conn`, lets `app` serve it, and collects the
-/// response, advancing `sys`'s clock by one network flight each way. An
-/// empty response means the send itself failed (dead connection).
-///
-/// # Errors
-///
-/// Propagates an unrecovered failure from the serving poll.
-pub fn exchange<A: App>(
-    sys: &mut System,
-    app: &mut A,
-    conn: ClientConnId,
-    request: &[u8],
-    one_way: Nanos,
-) -> Result<Vec<u8>, OsError> {
-    if sys
-        .host()
-        .with(|w| w.network_mut().send(conn, request))
-        .is_err()
-    {
-        return Ok(Vec::new());
-    }
-    sys.clock().advance(one_way);
-    app.poll(sys)?;
-    sys.clock().advance(one_way);
-    Ok(sys
-        .host()
-        .with(|w| w.network_mut().recv(conn))
-        .unwrap_or_default())
-}
-
 /// A single unikernel instance inside a [`crate::Fleet`].
 ///
 /// Each instance owns its own host world, system, and HTTP server; only the
@@ -308,20 +279,12 @@ impl Instance {
     ///
     /// Propagates unrecovered system failures.
     pub(crate) fn connect(&mut self) -> Result<ClientConnId, OsError> {
-        let conn = self
-            .sys
-            .host()
-            .with(|w| w.network_mut().connect(vampos_apps::httpd::HTTP_PORT));
-        self.app.poll(&mut self.sys)?;
-        Ok(conn)
+        wire::connect(&mut self.sys, &mut self.app, HTTP_PORT)
     }
 
     /// Whether the server side dropped `conn` (e.g. across a full reboot).
     pub(crate) fn conn_dead(&self, conn: ClientConnId) -> bool {
-        !matches!(
-            self.sys.host().with(|w| w.network().state(conn)),
-            Ok(ClientConnState::Established)
-        )
+        wire::conn_dead(&self.sys, conn)
     }
 
     /// Closes a client connection (proactive migration).

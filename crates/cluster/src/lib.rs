@@ -71,10 +71,13 @@ pub mod single;
 pub use balancer::{Balancer, Policy};
 pub use engine::{ArrivalShape, Event, EventClass, EventHeap};
 pub use fleet::{Fleet, FleetConfig, FleetLoad, FrontOutcome};
-pub use instance::{exchange, Booking, HopCost, Instance, Occupancy};
+pub use instance::{Booking, HopCost, Instance, Occupancy};
 pub use ladder::{EscalationLadder, Rung, RungEvent};
 pub use oracle::{check_equivalence, check_liveness, FleetViolation};
-pub use plan::{FleetOp, FleetOpKind, FleetPlan, RecoveryFault};
+pub use plan::{
+    FleetOp, FleetOpKind, FleetPlan, RecoveryFault, ROLLING_DRAIN_LEAD, ROLLING_SPACING,
+    ROLLING_START,
+};
 pub use recursive::{
     expected_rungs, generate_recursive_spec, run_recursive_campaign,
     run_recursive_campaign_forensics, run_recursive_campaign_traced, FaultClass, PlantKind,
@@ -82,3 +85,5 @@ pub use recursive::{
 };
 pub use report::FleetRunReport;
 pub use single::run_single;
+// The one send/poll/recv, shared with the load generators a layer down.
+pub use vampos_workloads::exchange;

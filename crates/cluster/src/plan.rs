@@ -145,10 +145,44 @@ pub struct FleetPlan {
     ops: Vec<FleetOp>,
 }
 
+/// First operation of the named plans: gives the load a ramp before
+/// maintenance starts.
+pub const ROLLING_START: Nanos = Nanos::from_millis(20);
+/// Gap between consecutive instances of the named rolling plans: one at a
+/// time, wider than the ~48 ms rejuvenation window.
+pub const ROLLING_SPACING: Nanos = Nanos::from_millis(60);
+/// Drain lead ahead of each rolling rejuvenation.
+pub const ROLLING_DRAIN_LEAD: Nanos = Nanos::from_millis(8);
+
 impl FleetPlan {
+    /// The names [`FleetPlan::named`] knows, `none` first.
+    pub const NAMES: [&'static str; 4] = ["none", "rolling", "rolling-full", "simultaneous"];
+
     /// The empty plan.
     pub fn none() -> Self {
         FleetPlan::default()
+    }
+
+    /// The maintenance scenario `vampos-fleet --plan` and `vampos-audit`
+    /// call by name, over `instances` instances on the `ROLLING_*`
+    /// schedule; `None` for a name outside [`FleetPlan::NAMES`].
+    pub fn named(name: &str, instances: usize) -> Option<Self> {
+        let (start, spacing) = (ROLLING_START, ROLLING_SPACING);
+        match name {
+            "none" => Some(FleetPlan::none()),
+            "rolling" => Some(FleetPlan::rolling_rejuvenation(
+                instances,
+                start,
+                spacing,
+                ROLLING_DRAIN_LEAD,
+            )),
+            "rolling-full" => Some(FleetPlan::rolling_full_reboot(instances, start, spacing)),
+            "simultaneous" => Some(FleetPlan::simultaneous_rejuvenation(
+                instances,
+                start + spacing,
+            )),
+            _ => None,
+        }
     }
 
     /// Appends an operation.
@@ -248,6 +282,19 @@ mod tests {
         assert_eq!(ops[2].kind, FleetOpKind::Resume);
         assert_eq!(ops[3].instance, 1);
         assert!(ops[3].at > ops[2].at);
+    }
+
+    #[test]
+    fn every_listed_name_is_a_plan_and_nothing_else_is() {
+        for name in FleetPlan::NAMES {
+            let plan = FleetPlan::named(name, 3).expect(name);
+            assert_eq!(plan.is_empty(), name == "none", "{name}");
+        }
+        assert_eq!(FleetPlan::named("Rolling", 3), None);
+        let rolling = FleetPlan::named("rolling", 2).expect("listed");
+        assert_eq!(rolling.ops()[0].at, ROLLING_START);
+        assert_eq!(rolling.ops()[1].at, ROLLING_START + ROLLING_DRAIN_LEAD);
+        assert_eq!(rolling.ops()[3].at, ROLLING_START + ROLLING_SPACING);
     }
 
     #[test]

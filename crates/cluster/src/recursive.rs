@@ -31,10 +31,11 @@ use vampos_core::InjectedFault;
 use vampos_sim::{Nanos, SimRng};
 use vampos_telemetry::{SpanDump, SpanKind, SpanRecord};
 use vampos_ukernel::OsError;
+use vampos_workloads::exchange;
 
 use crate::balancer::Policy;
 use crate::fleet::{http_body, Fleet, FleetConfig, FleetLoad};
-use crate::instance::{exchange, Instance};
+use crate::instance::Instance;
 use crate::ladder::{EscalationLadder, Rung};
 use crate::plan::{FleetOpKind, FleetPlan, RecoveryFault};
 

@@ -161,7 +161,8 @@ impl Report {
     }
 }
 
-/// Escapes a string for inclusion in a JSON string literal.
+/// Escapes a string for inclusion in a JSON string literal. Its own copy
+/// (not `vampos_telemetry::text`): this crate is dependency-free by charter.
 pub fn json_escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
     for c in s.chars() {

@@ -25,15 +25,10 @@ use vampos_ukernel::OsError;
 
 use crate::mesh::{BackendOpKind, Mesh, MeshConfig, MeshPlan, MeshPlant, MeshPlantKind};
 use crate::report::MeshRunReport;
-use crate::topology::MeshTopology;
+use crate::topology::{MeshTopology, SVC_AUTH, SVC_KV, SVC_SQL};
 
 /// Front-tier instances every campaign boots.
 pub const FRONT_INSTANCES: usize = 3;
-
-/// Service indices in [`MeshTopology::standard`].
-const SVC_AUTH: usize = 0;
-const SVC_KV: usize = 1;
-const SVC_SQL: usize = 2;
 
 /// Components a spurious detection may accuse on a kv replica.
 const MISFIRE_COMPONENTS: [&str; 2] = ["lwip", "vfs"];

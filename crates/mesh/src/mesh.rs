@@ -24,7 +24,9 @@
 //! fault-free twin's journey-for-journey — the pipeline-equivalence
 //! oracle of the mesh chaos family.
 
-use vampos_cluster::{Fleet, FleetConfig, FleetLoad, FleetPlan, FrontOutcome, HopCost, Policy};
+use vampos_cluster::{
+    Fleet, FleetConfig, FleetLoad, FleetOpKind, FleetPlan, FrontOutcome, HopCost, Policy,
+};
 use vampos_sim::{Nanos, SimClock};
 use vampos_telemetry::{Collector, SpanKind, TelemetrySink};
 use vampos_ukernel::digest::DigestBuilder;
@@ -32,7 +34,7 @@ use vampos_ukernel::OsError;
 
 use crate::backend::{expected_response, BackendInstance, HopServe};
 use crate::report::{JourneyOutcome, MeshRunReport, StageRecord, StageReport};
-use crate::topology::{MeshTopology, Routing, StageOp};
+use crate::topology::{MeshTopology, Routing, StageOp, SVC_KV};
 
 /// Digest perturbation the wrong-value plant applies — any non-zero
 /// constant works; the twin comparison only checks equality.
@@ -126,6 +128,50 @@ impl MeshPlan {
             replica,
             kind,
         });
+    }
+
+    /// The `(name, label)` of every [`MeshPlan::scenario`]: `vampos-mesh
+    /// --config` takes the name, the `repro mesh` table prints the label,
+    /// and `scenario` answers to both.
+    pub const SCENARIOS: [(&'static str, &'static str); 4] = [
+        ("fault-free", "fault-free"),
+        ("reboot", "component-reboot"),
+        ("recovery", "recovery-plane"),
+        ("rolling", "rolling-rejuv"),
+    ];
+
+    /// A recovery scenario over the standard topology, scaled to the
+    /// load's virtual span `span_ns` so its windows land while traffic is
+    /// in flight: `reboot` rejuvenates a KV replica and then front
+    /// instance `1 % front`; `recovery` has the failure detector misfire
+    /// against a healthy `lwip` on a KV replica; `rolling` rolls a
+    /// rejuvenation wave over the `front` instances while a KV replica
+    /// takes its own window. `None` for a name outside
+    /// [`MeshPlan::SCENARIOS`].
+    pub fn scenario(name: &str, front: usize, span_ns: u64) -> Option<MeshPlan> {
+        let (name, _) = Self::SCENARIOS
+            .iter()
+            .find(|(short, label)| name == *short || name == *label)?;
+        let at = |num: u64, den: u64| Nanos::from_nanos(span_ns * num / den);
+        let mut plan = MeshPlan::none();
+        match *name {
+            "reboot" => {
+                plan.push_backend(at(1, 4), SVC_KV, 0, BackendOpKind::Rejuvenate);
+                plan.front
+                    .push(at(1, 2), 1 % front, FleetOpKind::RejuvenateComponents);
+            }
+            "recovery" => {
+                let component = "lwip".to_owned();
+                let misfire = BackendOpKind::SpuriousReboot { component };
+                plan.push_backend(at(1, 4), SVC_KV, 0, misfire);
+            }
+            "rolling" => {
+                plan.front = FleetPlan::rolling_rejuvenation(front, at(1, 8), at(1, 6), at(1, 24));
+                plan.push_backend(at(2, 3), SVC_KV, 0, BackendOpKind::Rejuvenate);
+            }
+            _ => {}
+        }
+        Some(plan)
     }
 
     /// Backend ops in firing order: `(at, service, replica)`, stable.
@@ -667,5 +713,28 @@ impl Pipeline<'_> {
                 }
             }
         });
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_scenario_answers_to_its_name_and_its_label_and_to_nothing_else() {
+        for (name, label) in MeshPlan::SCENARIOS {
+            let plan = MeshPlan::scenario(name, 3, 1_000_000).expect(name);
+            assert_eq!(MeshPlan::scenario(label, 3, 1_000_000), Some(plan.clone()));
+            assert_eq!(plan == MeshPlan::none(), name == "fault-free", "{name}");
+        }
+        assert_eq!(MeshPlan::scenario("reboot ", 3, 1_000_000), None);
+    }
+
+    #[test]
+    fn the_reboot_scenario_targets_a_front_instance_that_exists() {
+        for (front, target) in [(1, 0), (2, 1), (3, 1)] {
+            let plan = MeshPlan::scenario("reboot", front, 1_000_000).expect("listed");
+            assert_eq!(plan.front.ops()[0].instance, target, "front {front}");
+        }
     }
 }

@@ -9,6 +9,11 @@
 
 use crate::policy::HopPolicy;
 
+/// Service indices in [`MeshTopology::standard`] registry order.
+pub(crate) const SVC_AUTH: usize = 0;
+pub(crate) const SVC_KV: usize = 1;
+pub(crate) const SVC_SQL: usize = 2;
+
 /// Keys pre-warmed into every auth replica at boot; the auth stage reads
 /// `key:{journey % AUTH_KEYS}`, so its responses are identical on every
 /// replica — the property that makes the stage safely hedgeable.

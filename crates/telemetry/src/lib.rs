@@ -49,7 +49,7 @@ mod hub;
 pub mod metrics;
 pub mod perfetto;
 pub mod prometheus;
-mod text;
+pub mod text;
 
 pub use analyze::{analyze, Analysis};
 pub use collector::{Collector, RecoveryPhase};

@@ -8,8 +8,11 @@
 //! [`vampos_sim::Histogram::record_nanos`] established).
 
 use std::collections::BTreeMap;
+use std::path::Path;
 
 use vampos_sim::{Histogram, Nanos};
+
+use crate::text::escape;
 
 /// A sorted list of `(label name, label value)` pairs identifying a series.
 pub type LabelSet = Vec<(&'static str, String)>;
@@ -315,6 +318,17 @@ impl MetricsRegistry {
         self.histograms.merge(&other.histograms, Histogram::merge);
     }
 
+    /// Renders the registry in the format `path` asks for: the JSON dump
+    /// of [`MetricsRegistry::to_json`] when it ends `.json`, Prometheus
+    /// text exposition otherwise. Every `--metrics-out` goes through here.
+    pub fn render_for(&mut self, path: &Path) -> String {
+        if path.extension().is_some_and(|ext| ext == "json") {
+            self.to_json()
+        } else {
+            crate::prometheus::render(self)
+        }
+    }
+
     /// Renders the registry as a deterministic JSON document:
     /// `{"counters": {...}, "gauges": {...}, "summaries": {...}}` with
     /// series keyed by a `k=v,k=v` label string in sorted order.
@@ -325,19 +339,6 @@ impl MetricsRegistry {
                 .map(|(k, v)| format!("{k}={v}"))
                 .collect::<Vec<_>>()
                 .join(",")
-        }
-        fn escape(s: &str) -> String {
-            let mut out = String::with_capacity(s.len());
-            for c in s.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    '\n' => out.push_str("\\n"),
-                    c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-                    c => out.push(c),
-                }
-            }
-            out
         }
         /// One `"section": {family: {series: value}}` object; `value`
         /// renders a cell.
@@ -450,6 +451,22 @@ mod tests {
         };
         assert_eq!(build(), build());
         assert!(build().find("a_total").unwrap() < build().find("b_total").unwrap());
+        // Label values go through the shared escaper: short escapes for
+        // tab and carriage return (no series in the tree holds either).
+        let mut m = MetricsRegistry::new();
+        m.counter_add("t_total", &[("c", "a\tb\r\"\u{1}")], 1);
+        assert!(m.to_json().contains(r#""c=a\tb\r\"\u0001": 1"#));
+    }
+
+    #[test]
+    fn the_path_picks_the_export_format() {
+        let mut m = MetricsRegistry::new();
+        m.counter_add("a_total", &[], 1);
+        assert_eq!(m.render_for(Path::new("out/m.json")), m.to_json());
+        for prom in ["m.prom", "m.json.txt", "json", "m"] {
+            let text = m.render_for(Path::new(prom));
+            assert!(text.starts_with("# HELP a_total"), "{prom}: {text}");
+        }
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! In-place text writers shared by the exporters.
+//! In-place text writers shared by the exporters, and the JSON string
+//! escaper of every crate that links this one (`vampos-chaos` quotes
+//! reproducer strings with it).
 //!
 //! Every helper appends to a caller-owned `String`: an export of 400k spans
 //! writes half a million lines, and a `format!` (or an escaped copy) per
@@ -21,7 +23,7 @@ pub(crate) fn push_u64(out: &mut String, mut n: u64) {
 
 /// Appends `s` escaped for a JSON string literal. Runs of plain characters
 /// are copied whole; almost every name and attribute value is one run.
-pub(crate) fn push_escaped(out: &mut String, s: &str) {
+pub fn push_escaped(out: &mut String, s: &str) {
     let mut plain_from = 0;
     for (i, b) in s.bytes().enumerate() {
         let escape = match b {
@@ -47,7 +49,7 @@ pub(crate) fn push_escaped(out: &mut String, s: &str) {
 }
 
 /// `s` escaped for a JSON string literal, as a new `String`.
-pub(crate) fn escape(s: &str) -> String {
+pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     push_escaped(&mut out, s);
     out

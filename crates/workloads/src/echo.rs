@@ -1,11 +1,13 @@
 //! The Echo message workload (§VII-C: a 159-byte payload for a minute).
 
+use vampos_apps::echo::ECHO_PORT;
 use vampos_apps::{App, Echo};
 use vampos_core::System;
 use vampos_ukernel::OsError;
 
 use crate::disruption::Schedule;
 use crate::report::{LoadReport, RequestRecord};
+use crate::wire;
 
 /// Configuration of an echo run.
 #[derive(Debug, Clone)]
@@ -38,38 +40,7 @@ impl EchoLoad {
     ///
     /// Propagates system fail-stops.
     pub fn run(&self, sys: &mut System, app: &mut Echo) -> Result<LoadReport, OsError> {
-        let mut report = LoadReport::default();
-        let started = sys.clock().now();
-        let conns: Vec<_> = (0..self.connections.max(1))
-            .map(|_| {
-                sys.host()
-                    .with(|w| w.network_mut().connect(vampos_apps::echo::ECHO_PORT))
-            })
-            .collect();
-        app.poll(sys)?; // handshakes
-        let payload = vec![b'm'; self.payload_len];
-        let one_way = sys.costs().net_rtt(self.payload_len, self.remote) / 2;
-        for i in 0..self.messages {
-            let conn = conns[i % conns.len()];
-            let start = sys.clock().now();
-            sys.host()
-                .with(|w| w.network_mut().send(conn, &payload))
-                .map_err(|e| OsError::Io(e.to_string()))?;
-            sys.clock().advance(one_way);
-            app.poll(sys)?;
-            sys.clock().advance(one_way);
-            let echoed = sys
-                .host()
-                .with(|w| w.network_mut().recv(conn))
-                .unwrap_or_default();
-            report.records.push(RequestRecord {
-                start,
-                end: sys.clock().now(),
-                ok: echoed == payload,
-            });
-        }
-        report.duration = sys.clock().now().saturating_sub(started);
-        Ok(report)
+        self.run_with_disruptions(sys, app, &mut Schedule::default())
     }
 
     /// Like [`EchoLoad::run`], but fires `schedule` at its virtual times and
@@ -90,36 +61,26 @@ impl EchoLoad {
     ) -> Result<LoadReport, OsError> {
         let mut report = LoadReport::default();
         let started = sys.clock().now();
-        let mut conn = sys
-            .host()
-            .with(|w| w.network_mut().connect(vampos_apps::echo::ECHO_PORT));
+        // All connections open before one poll completes their handshakes.
+        let mut conns: Vec<_> = (0..self.connections.max(1))
+            .map(|_| sys.host().with(|w| w.network_mut().connect(ECHO_PORT)))
+            .collect();
         app.poll(sys)?;
         let payload = vec![b'm'; self.payload_len];
         let one_way = sys.costs().net_rtt(self.payload_len, self.remote) / 2;
-        for _ in 0..self.messages {
+        for i in 0..self.messages {
             schedule.fire_due(sys.clock().now().saturating_sub(started), sys, app)?;
-            let dead = !matches!(
-                sys.host().with(|w| w.network().state(conn)),
-                Ok(vampos_host::ClientConnState::Established)
-            );
-            if dead {
+            let slot = i % conns.len();
+            let conn = &mut conns[slot];
+            if wire::conn_dead(sys, *conn) {
                 report.reconnects += 1;
-                conn = sys
-                    .host()
-                    .with(|w| w.network_mut().connect(vampos_apps::echo::ECHO_PORT));
-                app.poll(sys)?;
+                *conn = wire::connect(sys, app, ECHO_PORT)?;
             }
             let start = sys.clock().now();
             sys.host()
-                .with(|w| w.network_mut().send(conn, &payload))
+                .with(|w| w.network_mut().send(*conn, &payload))
                 .map_err(|e| OsError::Io(e.to_string()))?;
-            sys.clock().advance(one_way);
-            app.poll(sys)?;
-            sys.clock().advance(one_way);
-            let echoed = sys
-                .host()
-                .with(|w| w.network_mut().recv(conn))
-                .unwrap_or_default();
+            let echoed = wire::response(sys, app, *conn, one_way)?;
             report.records.push(RequestRecord {
                 start,
                 end: sys.clock().now(),
@@ -138,6 +99,7 @@ impl EchoLoad {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disruption::Disruption;
     use vampos_core::{ComponentSet, Mode};
 
     #[test]
@@ -158,6 +120,30 @@ mod tests {
         .run(&mut sys, &mut app)
         .unwrap();
         assert_eq!(report.successes(), 100);
+    }
+
+    #[test]
+    fn every_connection_a_full_reboot_drops_is_reopened_in_its_slot() {
+        let mut sys = System::builder()
+            .mode(Mode::unikraft())
+            .components(ComponentSet::echo())
+            .build()
+            .unwrap();
+        let mut app = Echo::new();
+        app.boot(&mut sys).unwrap();
+        let load = EchoLoad {
+            messages: 40,
+            connections: 3,
+            ..EchoLoad::default()
+        };
+        let halfway = load.run(&mut sys, &mut app).unwrap().duration / 2;
+        let mut schedule = Schedule::new(vec![Disruption::full_reboot(halfway)]);
+        let report = load
+            .run_with_disruptions(&mut sys, &mut app, &mut schedule)
+            .unwrap();
+        assert_eq!(schedule.pending(), 0);
+        assert_eq!(report.reconnects, 3);
+        assert_eq!(report.successes(), 40);
     }
 
     #[test]

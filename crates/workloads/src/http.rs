@@ -6,14 +6,16 @@
 //! reconnects — exactly how siege counts the failed transactions of the
 //! paper's Table V.
 
-use vampos_apps::{App, MiniHttpd};
+use vampos_apps::httpd::HTTP_PORT;
+use vampos_apps::MiniHttpd;
 use vampos_core::System;
-use vampos_host::{ClientConnId, ClientConnState};
+use vampos_host::ClientConnId;
 use vampos_sim::Nanos;
 use vampos_ukernel::OsError;
 
 use crate::disruption::{Disruption, Schedule};
 use crate::report::{LoadReport, RequestRecord};
+use crate::wire;
 
 /// Configuration of an HTTP load run.
 #[derive(Debug, Clone)]
@@ -48,28 +50,25 @@ struct Client {
 }
 
 impl HttpLoad {
-    fn connect(
-        &self,
-        sys: &mut System,
-        app: &mut MiniHttpd,
-        report: &mut LoadReport,
-        fresh: bool,
-    ) -> Result<ClientConnId, OsError> {
-        if !fresh {
-            report.reconnects += 1;
-        }
-        let conn = sys
-            .host()
-            .with(|w| w.network_mut().connect(vampos_apps::httpd::HTTP_PORT));
-        app.poll(sys)?; // completes the handshake
-        Ok(conn)
+    /// The GET every client issues. Callers build it per request and hold
+    /// it until the record is booked: the host benchmark's `peak_rss_mb`
+    /// follows the allocation order of these loops (ROADMAP item 1).
+    fn request(&self) -> String {
+        format!("GET {} HTTP/1.1\r\nHost: vampos\r\n\r\n", self.path)
     }
 
-    fn conn_dead(sys: &System, conn: ClientConnId) -> bool {
-        !matches!(
-            sys.host().with(|w| w.network().state(conn)),
-            Ok(ClientConnState::Established)
-        )
+    /// Sends `request` over `conn`; whether it was answered `200` on a
+    /// connection that is still up. A refused send is a failed request,
+    /// not a failed drive.
+    fn get(
+        sys: &mut System,
+        app: &mut MiniHttpd,
+        conn: ClientConnId,
+        request: &str,
+        one_way: Nanos,
+    ) -> Result<bool, OsError> {
+        let response = wire::exchange(sys, app, conn, request.as_bytes(), one_way)?;
+        Ok(response.starts_with(b"HTTP/1.1 200") && !wire::conn_dead(sys, conn))
     }
 
     /// Runs the load against a booted server, firing `disruptions` at their
@@ -118,8 +117,9 @@ impl HttpLoad {
             let start = due;
             // A connection the server lost is a failed transaction (siege
             // counts connection errors): record it and reconnect.
-            if clients[idx].conn.is_some_and(|c| Self::conn_dead(sys, c)) {
-                clients[idx].conn = Some(self.connect(sys, app, &mut report, false)?);
+            if clients[idx].conn.is_some_and(|c| wire::conn_dead(sys, c)) {
+                report.reconnects += 1;
+                clients[idx].conn = Some(wire::connect(sys, app, HTTP_PORT)?);
                 report.records.push(RequestRecord {
                     start,
                     end: sys.clock().now(),
@@ -128,28 +128,14 @@ impl HttpLoad {
                 clients[idx].next_send = sys.clock().now() + self.think_time;
                 continue;
             }
-            if clients[idx].conn.is_none() {
-                clients[idx].conn = Some(self.connect(sys, app, &mut report, true)?);
-            }
-            let conn = clients[idx].conn.expect("just connected");
+            let conn = match clients[idx].conn {
+                Some(conn) => conn,
+                None => wire::connect(sys, app, HTTP_PORT)?,
+            };
+            clients[idx].conn = Some(conn);
 
-            // Issue the request.
-            let request = format!("GET {} HTTP/1.1\r\nHost: vampos\r\n\r\n", self.path);
-            let send_ok = sys
-                .host()
-                .with(|w| w.network_mut().send(conn, request.as_bytes()))
-                .is_ok();
-            let mut ok = false;
-            if send_ok {
-                sys.clock().advance(one_way);
-                app.poll(sys)?;
-                sys.clock().advance(one_way);
-                let response = sys
-                    .host()
-                    .with(|w| w.network_mut().recv(conn))
-                    .unwrap_or_default();
-                ok = response.starts_with(b"HTTP/1.1 200") && !Self::conn_dead(sys, conn);
-            }
+            let request = self.request();
+            let ok = Self::get(sys, app, conn, &request, one_way)?;
             if !ok {
                 // The connection died (reset under us): drop it.
                 clients[idx].conn = None;
@@ -186,29 +172,16 @@ impl HttpLoad {
         let mut report = LoadReport::default();
         let started = sys.clock().now();
         let one_way = sys.costs().net_rtt(0, self.remote) / 2;
-        let mut conn = self.connect(sys, app, &mut report, true)?;
+        let mut conn = wire::connect(sys, app, HTTP_PORT)?;
         for _ in 0..requests {
             schedule.fire_due(sys.clock().now().saturating_sub(started), sys, app)?;
-            if Self::conn_dead(sys, conn) {
-                conn = self.connect(sys, app, &mut report, false)?;
+            if wire::conn_dead(sys, conn) {
+                report.reconnects += 1;
+                conn = wire::connect(sys, app, HTTP_PORT)?;
             }
             let start = sys.clock().now();
-            let request = format!("GET {} HTTP/1.1\r\nHost: vampos\r\n\r\n", self.path);
-            let send_ok = sys
-                .host()
-                .with(|w| w.network_mut().send(conn, request.as_bytes()))
-                .is_ok();
-            let mut ok = false;
-            if send_ok {
-                sys.clock().advance(one_way);
-                app.poll(sys)?;
-                sys.clock().advance(one_way);
-                let response = sys
-                    .host()
-                    .with(|w| w.network_mut().recv(conn))
-                    .unwrap_or_default();
-                ok = response.starts_with(b"HTTP/1.1 200") && !Self::conn_dead(sys, conn);
-            }
+            let request = self.request();
+            let ok = Self::get(sys, app, conn, &request, one_way)?;
             report.records.push(RequestRecord {
                 start,
                 end: sys.clock().now(),
@@ -227,6 +200,7 @@ impl HttpLoad {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vampos_apps::App;
     use vampos_core::{ComponentSet, Mode};
     use vampos_host::HostHandle;
 

@@ -1,6 +1,7 @@
 //! The redis-benchmark-like generator (§VII-C) and the Fig. 8 latency probe.
 
-use vampos_apps::{App, MiniKv};
+use vampos_apps::kv::KV_PORT;
+use vampos_apps::MiniKv;
 use vampos_core::System;
 use vampos_host::ClientConnId;
 use vampos_sim::Nanos;
@@ -8,6 +9,7 @@ use vampos_ukernel::OsError;
 
 use crate::disruption::{Disruption, Schedule};
 use crate::report::{LoadReport, RequestRecord};
+use crate::wire;
 
 /// One sample of the Fig. 8 latency time series.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -42,14 +44,6 @@ impl Default for KvLoad {
 }
 
 impl KvLoad {
-    fn connect(sys: &mut System, app: &mut MiniKv) -> Result<ClientConnId, OsError> {
-        let conn = sys
-            .host()
-            .with(|w| w.network_mut().connect(vampos_apps::kv::KV_PORT));
-        app.poll(sys)?;
-        Ok(conn)
-    }
-
     fn round_trip(
         &self,
         sys: &mut System,
@@ -61,13 +55,7 @@ impl KvLoad {
         sys.host()
             .with(|w| w.network_mut().send(conn, format!("{line}\n").as_bytes()))
             .map_err(|e| OsError::Io(e.to_string()))?;
-        sys.clock().advance(one_way);
-        app.poll(sys)?;
-        sys.clock().advance(one_way);
-        Ok(sys
-            .host()
-            .with(|w| w.network_mut().recv(conn))
-            .unwrap_or_default())
+        wire::response(sys, app, conn, one_way)
     }
 
     /// The §VII-C workload: `sets` SET commands over one connection.
@@ -82,22 +70,7 @@ impl KvLoad {
         app: &mut MiniKv,
         sets: usize,
     ) -> Result<LoadReport, OsError> {
-        let mut report = LoadReport::default();
-        let started = sys.clock().now();
-        let conn = Self::connect(sys, app)?;
-        let value = "v".repeat(self.value_len);
-        for i in 0..sets {
-            let key = format!("{:0width$}", i % 10_000, width = self.key_len);
-            let start = sys.clock().now();
-            let resp = self.round_trip(sys, app, conn, &format!("SET {key} {value}"))?;
-            report.records.push(RequestRecord {
-                start,
-                end: sys.clock().now(),
-                ok: resp == b"+OK\n",
-            });
-        }
-        report.duration = sys.clock().now().saturating_sub(started);
-        Ok(report)
+        self.run_sets_with_disruptions(sys, app, sets, &mut Schedule::default())
     }
 
     /// Like [`KvLoad::run_sets`], but fires `schedule` at its virtual times
@@ -117,17 +90,13 @@ impl KvLoad {
     ) -> Result<LoadReport, OsError> {
         let mut report = LoadReport::default();
         let started = sys.clock().now();
-        let mut conn = Self::connect(sys, app)?;
+        let mut conn = wire::connect(sys, app, KV_PORT)?;
         let value = "v".repeat(self.value_len);
         for i in 0..sets {
             schedule.fire_due(sys.clock().now().saturating_sub(started), sys, app)?;
-            let dead = !matches!(
-                sys.host().with(|w| w.network().state(conn)),
-                Ok(vampos_host::ClientConnState::Established)
-            );
-            if dead {
+            if wire::conn_dead(sys, conn) {
                 report.reconnects += 1;
-                conn = Self::connect(sys, app)?;
+                conn = wire::connect(sys, app, KV_PORT)?;
             }
             let key = format!("{:0width$}", i % 10_000, width = self.key_len);
             let start = sys.clock().now();
@@ -165,7 +134,7 @@ impl KvLoad {
         let mut schedule = Schedule::new(disruptions);
         let started = sys.clock().now();
         let deadline = started + duration;
-        let mut conn = Self::connect(sys, app)?;
+        let mut conn = wire::connect(sys, app, KV_PORT)?;
         let keys = app.len().max(1);
         let mut points = Vec::new();
         let mut next_probe = started;
@@ -176,12 +145,8 @@ impl KvLoad {
             schedule.fire_due(sys.clock().now().saturating_sub(started), sys, app)?;
 
             // Reconnect if the connection died (full reboot).
-            let dead = !matches!(
-                sys.host().with(|w| w.network().state(conn)),
-                Ok(vampos_host::ClientConnState::Established)
-            );
-            if dead {
-                conn = Self::connect(sys, app)?;
+            if wire::conn_dead(sys, conn) {
+                conn = wire::connect(sys, app, KV_PORT)?;
             }
 
             // Background request burst.
@@ -212,6 +177,7 @@ impl KvLoad {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vampos_apps::App;
     use vampos_core::{ComponentSet, InjectedFault, Mode};
 
     fn booted(mode: Mode, aof: bool) -> (MiniKv, System) {

@@ -21,6 +21,7 @@ pub mod http;
 pub mod kv;
 pub mod report;
 pub mod sql;
+mod wire;
 
 pub use disruption::{Disruption, DisruptionKind, Schedule};
 pub use echo::EchoLoad;
@@ -28,3 +29,4 @@ pub use http::HttpLoad;
 pub use kv::{KvLoad, LatencyPoint};
 pub use report::{LoadReport, RequestRecord};
 pub use sql::SqlLoad;
+pub use wire::{conn_dead, connect, exchange};

@@ -33,24 +33,7 @@ impl SqlLoad {
     ///
     /// Propagates SQL/storage errors.
     pub fn run(&self, sys: &mut System, db: &mut MiniSql) -> Result<LoadReport, OsError> {
-        let mut report = LoadReport::default();
-        let started = sys.clock().now();
-        if db.row_count("items").is_none() {
-            db.execute(sys, "CREATE TABLE items (id, body)")?;
-        }
-        let body = "x".repeat(self.item_len.max(1));
-        for i in 0..self.inserts {
-            let start = sys.clock().now();
-            let result = db.execute(sys, &format!("INSERT INTO items VALUES ({i}, '{body}')"));
-            report.records.push(RequestRecord {
-                start,
-                end: sys.clock().now(),
-                ok: result.is_ok(),
-            });
-            result?;
-        }
-        report.duration = sys.clock().now().saturating_sub(started);
-        Ok(report)
+        self.run_with_disruptions(sys, db, &mut Schedule::default())
     }
 
     /// Like [`SqlLoad::run`], but fires `schedule` at its virtual times

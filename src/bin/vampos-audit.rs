@@ -34,21 +34,18 @@
 //! scenario runs.
 
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use vampos::bench::cli::{self, Cli, Failure};
 use vampos::chaos::json::{parse_value, Json};
 use vampos::cluster::{
     generate_recursive_spec, run_recursive_campaign_forensics, FaultClass, Fleet, FleetConfig,
     FleetLoad, FleetPlan, PlantKind, Policy,
 };
-use vampos::sim::{derive_seed, Nanos};
+use vampos::sim::derive_seed;
 use vampos::telemetry::analyze::{Analysis, PHASES};
 use vampos::telemetry::{analyze, MetricsRegistry};
-
-/// Rolling schedule matching `vampos-fleet` / `repro fleet`.
-const START: Nanos = Nanos::from_millis(20);
-const SPACING: Nanos = Nanos::from_millis(60);
-const DRAIN_LEAD: Nanos = Nanos::from_millis(8);
 
 /// Span-tail window requested from the recursive campaign (the audit only
 /// uses the per-process exports, but the forensics API captures both).
@@ -65,25 +62,23 @@ enum Plant {
 struct Args {
     scenario: &'static str,
     seed: u64,
-    baseline: Option<String>,
-    report: Option<String>,
+    /// The budgets to audit against; absent under `--write-baseline`.
+    baseline: Option<Baseline>,
+    report: Option<PathBuf>,
     plant: Plant,
-    write_baseline: Option<String>,
+    write_baseline: Option<PathBuf>,
 }
 
-fn usage() -> String {
-    "usage: vampos-audit <fleet|recursive> [--baseline FILE] [--seed S]\n\
-     \x20                   [--report FILE] [--plant phase-budget|p99]\n\
-     \x20                   [--write-baseline FILE]\n"
-        .to_owned()
-}
+const USAGE: &str = "\
+usage: vampos-audit <fleet|recursive> [--baseline FILE] [--seed S]
+                    [--report FILE] [--plant phase-budget|p99]
+                    [--write-baseline FILE]
+";
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
-    let mut it = argv.iter();
-    let scenario = match it.next().map(String::as_str) {
+fn parse_args(cli: &mut Cli) -> Result<Args, String> {
+    let scenario = match cli.flag()? {
         Some("fleet") => "fleet",
         Some("recursive") => "recursive",
-        Some("--help") | Some("-h") => return Err(String::new()),
         Some(other) => return Err(format!("unknown scenario {other:?}")),
         None => return Err("a scenario (fleet or recursive) is required".to_owned()),
     };
@@ -95,30 +90,28 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         plant: Plant::None,
         write_baseline: None,
     };
-    while let Some(arg) = it.next() {
-        let mut value = || {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{arg} needs a value"))
-        };
-        match arg.as_str() {
-            "--seed" => args.seed = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--baseline" => args.baseline = Some(value()?.to_owned()),
-            "--report" => args.report = Some(value()?.to_owned()),
+    let mut baseline = None;
+    while let Some(flag) = cli.flag()? {
+        match flag {
+            "--seed" => args.seed = cli.value()?,
+            "--baseline" => baseline = Some(cli.path()?),
+            "--report" => args.report = Some(cli.path()?),
             "--plant" => {
-                args.plant = match value()? {
-                    "phase-budget" => Plant::PhaseBudget,
-                    "p99" => Plant::P99,
-                    other => return Err(format!("unknown plant {other:?}")),
-                }
+                args.plant = cli.named(|name| match name {
+                    "phase-budget" => Some(Plant::PhaseBudget),
+                    "p99" => Some(Plant::P99),
+                    _ => None,
+                })?;
             }
-            "--write-baseline" => args.write_baseline = Some(value()?.to_owned()),
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown argument {other:?}")),
+            "--write-baseline" => args.write_baseline = Some(cli.path()?),
+            _ => return Err(cli.unknown()),
         }
     }
-    if args.baseline.is_none() && args.write_baseline.is_none() {
-        return Err("either --baseline or --write-baseline is required".to_owned());
+    // The baseline is input like the flags are: read it before the scenario
+    // runs, and call one that cannot be audited against a usage error.
+    if args.write_baseline.is_none() {
+        let path = baseline.ok_or("either --baseline or --write-baseline is required")?;
+        args.baseline = Some(Baseline::load(&path)?);
     }
     Ok(args)
 }
@@ -157,7 +150,7 @@ fn run_fleet(seed: u64) -> Result<Observed, String> {
         requests_per_client: 120,
         ..FleetLoad::default()
     };
-    let plan = FleetPlan::rolling_rejuvenation(instances, START, SPACING, DRAIN_LEAD);
+    let plan = FleetPlan::named("rolling", instances).expect("a listed plan");
     let mut fleet = Fleet::new(config).map_err(|e| format!("fleet boot failed: {e}"))?;
     fleet
         .run(&load, Policy::RecoveryAware, plan)
@@ -266,7 +259,7 @@ fn check(failures: &mut u64, name: &str, pass: bool, detail: String) {
 /// The SLO budgets of a baseline file, every key present and well-typed.
 struct Baseline {
     /// Where it was read from, for the verdict header.
-    path: String,
+    path: PathBuf,
     /// Per-phase budget, indexed like [`PHASES`].
     phase_budget_ns: [u64; 4],
     journey_p99_ceiling_ns: u64,
@@ -278,12 +271,13 @@ struct Baseline {
 impl Baseline {
     /// Reads and validates the baseline at `path`. A baseline that cannot
     /// be audited against is a usage error, found before the scenario runs.
-    fn load(path: &str) -> Result<Baseline, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-        Baseline::parse(path, &text).map_err(|e| format!("{path}: {e}"))
+    fn load(path: &Path) -> Result<Baseline, String> {
+        let text = std::fs::read_to_string(path)
+            .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+        Baseline::parse(path, &text).map_err(|e| format!("{}: {e}", path.display()))
     }
 
-    fn parse(path: &str, text: &str) -> Result<Baseline, String> {
+    fn parse(path: &Path, text: &str) -> Result<Baseline, String> {
         let json = parse_value(text)?;
         let budgets = json.get("phase_budget_ns")?;
         let mut phase_budget_ns = [0; 4];
@@ -379,7 +373,7 @@ fn audit(baseline: &Baseline, obs: &Observed) -> u64 {
     failures
 }
 
-fn run(args: &Args, baseline: Option<&Baseline>) -> Result<u64, String> {
+fn run(args: &Args) -> Result<u64, String> {
     let mut obs = match args.scenario {
         "fleet" => run_fleet(args.seed)?,
         _ => run_recursive(args.seed)?,
@@ -397,18 +391,18 @@ fn run(args: &Args, baseline: Option<&Baseline>) -> Result<u64, String> {
     apply_plant(&mut obs, args.plant);
     print!("{}", obs.analysis.render());
     if let Some(path) = &args.report {
-        std::fs::write(path, obs.analysis.to_json())
-            .map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("analysis report written: {path}");
+        cli::write(path, obs.analysis.to_json(), "analysis report")?;
     }
     if let Some(path) = &args.write_baseline {
         let text = render_baseline(args.scenario, args.seed, &obs);
-        std::fs::write(path, text).map_err(|e| format!("cannot write {path}: {e}"))?;
-        println!("baseline written: {path}");
+        cli::write(path, text, "baseline")?;
         return Ok(0);
     }
-    let baseline = baseline.expect("main loads one unless --write-baseline is given");
-    println!("== audit vs {} ==", baseline.path);
+    let baseline = args
+        .baseline
+        .as_ref()
+        .expect("parse_args loads one unless --write-baseline is given");
+    println!("== audit vs {} ==", baseline.path.display());
     let failures = audit(baseline, &obs);
     if failures == 0 {
         println!("verdict: PASS");
@@ -419,36 +413,9 @@ fn run(args: &Args, baseline: Option<&Baseline>) -> Result<u64, String> {
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(args) => args,
-        Err(msg) => {
-            if msg.is_empty() {
-                print!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("vampos-audit: {msg}\n{}", usage());
-            return ExitCode::from(2);
-        }
-    };
-    // The baseline is input like the flags are: read it before the scenario
-    // runs, and call one that cannot be audited against a usage error.
-    let baseline = match (&args.write_baseline, &args.baseline) {
-        (None, Some(path)) => match Baseline::load(path) {
-            Ok(baseline) => Some(baseline),
-            Err(msg) => {
-                eprintln!("vampos-audit: {msg}");
-                return ExitCode::from(2);
-            }
-        },
-        _ => None,
-    };
-    match run(&args, baseline.as_ref()) {
-        Ok(0) => ExitCode::SUCCESS,
-        Ok(_) => ExitCode::FAILURE,
-        Err(msg) => {
-            eprintln!("vampos-audit: {msg}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::run("vampos-audit", USAGE, parse_args, |args| match run(&args) {
+        Ok(0) => Ok(ExitCode::SUCCESS),
+        Ok(_) => Ok(ExitCode::FAILURE),
+        Err(msg) => Err(Failure::Run(msg)),
+    })
 }

@@ -47,9 +47,10 @@
 //! usage or I/O error (including a planted self-test whose oracle did not
 //! fire).
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
+use vampos::bench::cli::{self, Cli, Failure};
 use vampos::chaos::json::{self, parse_value, Json};
 use vampos::chaos::{
     family_of, parse_spec, plant_battery, sweep, ComponentFamily, Family, FleetFamily, MeshFamily,
@@ -77,39 +78,38 @@ struct Args {
     metrics_out: Option<PathBuf>,
 }
 
-fn usage() -> String {
-    "usage: vampos-chaos [--family component|fleet|recursive|mesh]\n\
-     \x20                   [--seed N] [--campaigns K] [--workload echo|kv|http|sql|all]\n\
-     \x20                   [--class CLASS|all] [--instances N]\n\
-     \x20                   [--budget B] [--plant] [--plant-kind KIND]\n\
-     \x20                   [--sequential] [--out DIR]\n\
-     \x20                   [--trace-out FILE] [--metrics-out FILE]\n\
-     \x20      vampos-chaos --replay FILE [--trace-out FILE] [--metrics-out FILE]\n\
-     \n\
-     --workload selects the component family's application; --class filters the\n\
-     recursive family's recovery-plane fault classes (ninep-corrupt, ninep-stall,\n\
-     virtio-drop, virtio-dup, detector-false-negative, detector-false-positive,\n\
-     balancer-stale-view, checkpoint-corrupt, replay-divergence,\n\
-     reboot-during-reboot) or the mesh family's recovery scenarios (front-reboot,\n\
-     front-rejuvenate, rolling-front, kv-rejuvenate, kv-reboot, sql-reboot,\n\
-     auth-rejuvenate, detector-misfire); --instances sizes the fleet family's\n\
-     cluster.\n\
-     --plant runs the oracle self-test: component plants a state divergence every\n\
-     campaign must catch (exit 1); fleet, recursive and mesh run their plant\n\
-     battery (each plant must flip its oracle; a sleeping oracle exits 2).\n\
-     --plant-kind runs a single named plant of the family (fleet: divergence;\n\
-     recursive: ladder-stall, acked-loss, misattributed-rung; mesh: wrong-value,\n\
-     acked-loss, retry-storm) and exits 1 iff an oracle caught it — wired as\n\
-     `!`-negated CI steps so a sleeping oracle fails the build.\n\
-     --trace-out writes a Chrome trace-event JSON (load in Perfetto / chrome://tracing)\n\
-     --metrics-out writes Prometheus text exposition (or a JSON dump for .json paths)\n\
-     Both exports re-execute one deterministic spec with telemetry attached: the\n\
-     first failing campaign's shrunk reproducer in sweep mode (the first campaign\n\
-     when all pass), or the replayed spec in --replay mode (component family only).\n"
-        .to_owned()
-}
+const USAGE: &str = "\
+usage: vampos-chaos [--family component|fleet|recursive|mesh]
+                    [--seed N] [--campaigns K] [--workload echo|kv|http|sql|all]
+                    [--class CLASS|all] [--instances N]
+                    [--budget B] [--plant] [--plant-kind KIND]
+                    [--sequential] [--out DIR]
+                    [--trace-out FILE] [--metrics-out FILE]
+       vampos-chaos --replay FILE [--trace-out FILE] [--metrics-out FILE]
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
+--workload selects the component family's application; --class filters the
+recursive family's recovery-plane fault classes (ninep-corrupt, ninep-stall,
+virtio-drop, virtio-dup, detector-false-negative, detector-false-positive,
+balancer-stale-view, checkpoint-corrupt, replay-divergence,
+reboot-during-reboot) or the mesh family's recovery scenarios (front-reboot,
+front-rejuvenate, rolling-front, kv-rejuvenate, kv-reboot, sql-reboot,
+auth-rejuvenate, detector-misfire); --instances sizes the fleet family's
+cluster.
+--plant runs the oracle self-test: component plants a state divergence every
+campaign must catch (exit 1); fleet, recursive and mesh run their plant
+battery (each plant must flip its oracle; a sleeping oracle exits 2).
+--plant-kind runs a single named plant of the family (fleet: divergence;
+recursive: ladder-stall, acked-loss, misattributed-rung; mesh: wrong-value,
+acked-loss, retry-storm) and exits 1 iff an oracle caught it — wired as
+`!`-negated CI steps so a sleeping oracle fails the build.
+--trace-out writes a Chrome trace-event JSON (load in Perfetto / chrome://tracing)
+--metrics-out writes Prometheus text exposition (or a JSON dump for .json paths)
+Both exports re-execute one deterministic spec with telemetry attached: the
+first failing campaign's shrunk reproducer in sweep mode (the first campaign
+when all pass), or the replayed spec in --replay mode (component family only).
+";
+
+fn parse_args(cli: &mut Cli) -> Result<Args, String> {
     let mut args = Args {
         family: ComponentFamily::NAME.to_owned(),
         seed: 42,
@@ -127,48 +127,29 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         trace_out: None,
         metrics_out: None,
     };
-    let mut class = None;
-    let mut it = argv.iter();
-    while let Some(flag) = it.next() {
-        let mut value = |name: &str| {
-            it.next()
-                .cloned()
-                .ok_or_else(|| format!("{name} needs a value"))
-        };
-        match flag.as_str() {
-            "--family" => args.family = value("--family")?,
-            "--seed" => args.seed = value("--seed")?.parse().map_err(|e| format!("{e}"))?,
-            "--campaigns" => {
-                args.campaigns = value("--campaigns")?.parse().map_err(|e| format!("{e}"))?;
-            }
-            "--budget" => {
-                args.budget = value("--budget")?.parse().map_err(|e| format!("{e}"))?;
-            }
+    let mut class: Option<String> = None;
+    while let Some(flag) = cli.flag()? {
+        match flag {
+            "--family" => args.family = cli.value()?,
+            "--seed" => args.seed = cli.value()?,
+            "--campaigns" => args.campaigns = cli.value()?,
+            "--budget" => args.budget = cli.population(0)?,
             "--workload" => {
-                let name = value("--workload")?;
-                args.workloads = if name == "all" {
-                    WorkloadKind::ALL.to_vec()
-                } else {
-                    vec![WorkloadKind::parse(&name)
-                        .ok_or_else(|| format!("unknown workload {name:?}"))?]
-                };
+                args.workloads = cli.named(|name| match name {
+                    "all" => Some(WorkloadKind::ALL.to_vec()),
+                    one => WorkloadKind::parse(one).map(|kind| vec![kind]),
+                })?;
             }
-            "--class" => class = Some(value("--class")?),
-            "--instances" => {
-                args.instances = value("--instances")?.parse().map_err(|e| format!("{e}"))?;
-                if args.instances == 0 {
-                    return Err("--instances must be at least 1".to_owned());
-                }
-            }
+            "--class" => class = Some(cli.value()?),
+            "--instances" => args.instances = cli.population(1)?,
             "--plant" => args.plant = true,
-            "--plant-kind" => args.plant_kind = Some(value("--plant-kind")?),
+            "--plant-kind" => args.plant_kind = Some(cli.value()?),
             "--sequential" => args.sequential = true,
-            "--out" => args.out_dir = PathBuf::from(value("--out")?),
-            "--trace-out" => args.trace_out = Some(PathBuf::from(value("--trace-out")?)),
-            "--metrics-out" => args.metrics_out = Some(PathBuf::from(value("--metrics-out")?)),
-            "--replay" => args.replay = Some(PathBuf::from(value("--replay")?)),
-            "--help" | "-h" => return Err(usage()),
-            other => return Err(format!("unknown flag {other:?}\n{}", usage())),
+            "--out" => args.out_dir = cli.path()?,
+            "--trace-out" => args.trace_out = Some(cli.path()?),
+            "--metrics-out" => args.metrics_out = Some(cli.path()?),
+            "--replay" => args.replay = Some(cli.path()?),
+            _ => return Err(cli.unknown()),
         }
     }
     // Class names are family-scoped; flags arrive in any order, so the
@@ -178,7 +159,7 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         let recursive = FaultClass::from_name(&name);
         let mesh = MeshFaultClass::from_name(&name);
         if recursive.is_none() && mesh.is_none() {
-            return Err(format!("unknown fault class {name:?}\n{}", usage()));
+            return Err(format!("unknown fault class {name:?}"));
         }
         if (args.family == RecursiveFamily::NAME && recursive.is_none())
             || (args.family == MeshFamily::NAME && mesh.is_none())
@@ -228,7 +209,7 @@ fn dispatch(args: &Args, family: &str, reproducer: Option<&Json>) -> Result<Exit
             args,
             reproducer,
         ),
-        other => Err(format!("unknown family {other:?}\n{}", usage())),
+        other => Err(format!("unknown family {other:?}")),
     }
 }
 
@@ -257,21 +238,13 @@ fn export_telemetry<F: Family>(spec: &F::Spec, args: &Args) -> Result<(), String
         return Ok(());
     };
     let sink = traced(spec);
-    let write = |path: &Path, data: &str| -> Result<(), String> {
-        std::fs::write(path, data).map_err(|e| format!("cannot write {}: {e}", path.display()))?;
-        println!("telemetry written: {}", path.display());
-        Ok(())
-    };
     if let Some(path) = &args.trace_out {
-        write(path, &sink.with(|hub| hub.chrome_trace_json()))?;
+        let trace = sink.with(|hub| hub.chrome_trace_json());
+        cli::write(path, trace, "telemetry")?;
     }
     if let Some(path) = &args.metrics_out {
-        let dump = if path.extension().is_some_and(|e| e == "json") {
-            sink.with(|hub| hub.metrics_json())
-        } else {
-            sink.with(|hub| hub.prometheus_text())
-        };
-        write(path, &dump)?;
+        let metrics = sink.with(|hub| hub.metrics_mut().render_for(path));
+        cli::write(path, metrics, "telemetry")?;
     }
     Ok(())
 }
@@ -353,7 +326,7 @@ fn single_plant<F: Family>(family: &F, name: &str, seed: u64) -> Result<ExitCode
     let plant = plants
         .iter()
         .find(|plant| plant.name == name)
-        .ok_or_else(|| format!("unknown plant kind {name:?}\n{}", usage()))?;
+        .ok_or_else(|| format!("unknown plant kind {name:?}"))?;
     let spec = (plant.spec)(derive_seed(seed, 0), 0);
     let report = F::execute(&spec).map_err(|e| format!("planted campaign failed to run: {e}"))?;
     let slipped = format!("plant {name} slipped past every oracle (harness defect)");
@@ -391,11 +364,10 @@ fn run<F: Family>(family: &F, args: &Args) -> Result<ExitCode, String> {
         let Some(json) = outcome.reproducer_json() else {
             continue;
         };
-        let file = args.out_dir.join(F::repro_file_name(&outcome.spec));
         std::fs::create_dir_all(&args.out_dir)
-            .and_then(|()| std::fs::write(&file, json))
-            .map_err(|e| format!("cannot write {}: {e}", file.display()))?;
-        println!("reproducer written: {}", file.display());
+            .map_err(|e| format!("cannot create {}: {e}", args.out_dir.display()))?;
+        let file = args.out_dir.join(F::repro_file_name(&outcome.spec));
+        cli::write(&file, json, "reproducer")?;
     }
 
     // Telemetry exports instrument one deterministic spec: the first
@@ -412,18 +384,16 @@ fn run<F: Family>(family: &F, args: &Args) -> Result<ExitCode, String> {
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let result = parse_args(&argv).and_then(|args| match &args.replay {
-        None => dispatch(&args, &args.family, None),
-        Some(path) => {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
-            let doc = parse_value(&text)?;
-            dispatch(&args, family_of(&doc)?, Some(&doc))
-        }
-    });
-    result.unwrap_or_else(|msg| {
-        eprintln!("{msg}");
-        ExitCode::from(2)
+    // Exit 1 means "violations found", so nothing else may use it: a sweep
+    // that could not run exits 2 like the unusable input it usually is.
+    cli::run("vampos-chaos", USAGE, parse_args, |args| {
+        let outcome = match &args.replay {
+            None => dispatch(&args, &args.family, None),
+            Some(path) => std::fs::read_to_string(path)
+                .map_err(|e| format!("cannot read {}: {e}", path.display()))
+                .and_then(|text| parse_value(&text))
+                .and_then(|doc| dispatch(&args, family_of(&doc)?, Some(&doc))),
+        };
+        outcome.map_err(Failure::Input)
     })
 }

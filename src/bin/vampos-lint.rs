@@ -3,8 +3,9 @@
 //! Runs the full analyzer on every (component set × execution mode)
 //! combination the repository ships, including the PKRU least-privilege
 //! check against the policies the runtime actually loads, and prints a
-//! human-readable report (or JSON with `--json`). Exits non-zero when any
-//! configuration has error-severity findings, so CI can gate on it.
+//! human-readable report (or JSON with `--json`). Exits 1 when any
+//! configuration has error-severity findings, so CI can gate on it, and 2
+//! on an argument it does not know.
 //!
 //! ```text
 //! cargo run --bin vampos-lint [-- --json]
@@ -13,6 +14,7 @@
 use std::process::ExitCode;
 
 use vampos::analyze::{analyze, AnalysisReport};
+use vampos::bench::cli::{self, Cli};
 use vampos::core::{analysis, ComponentSet, Mode, System};
 
 fn sets() -> Vec<ComponentSet> {
@@ -61,8 +63,21 @@ fn lint(set: &ComponentSet, mode: &Mode) -> AnalysisReport {
     analyze(&input)
 }
 
-fn main() -> ExitCode {
-    let json = std::env::args().any(|a| a == "--json");
+const USAGE: &str = "usage: vampos-lint [--json]\n";
+
+/// Whether `--json` was given; the only flag there is.
+fn parse_args(cli: &mut Cli) -> Result<bool, String> {
+    let mut json = false;
+    while let Some(flag) = cli.flag()? {
+        if flag != "--json" {
+            return Err(cli.unknown());
+        }
+        json = true;
+    }
+    Ok(json)
+}
+
+fn report(json: bool) -> ExitCode {
     let mut total_errors = 0;
     let mut total_warnings = 0;
     let mut json_items = Vec::new();
@@ -97,4 +112,8 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
+}
+
+fn main() -> ExitCode {
+    cli::run("vampos-lint", USAGE, parse_args, |json| Ok(report(json)))
 }

@@ -1,13 +1,6 @@
 //! `vampos-mesh`: drive a deterministic service-mesh pipeline from the
 //! command line.
 //!
-//! ```text
-//! vampos-mesh [--front N] [--replicas R] [--clients C] [--requests K]
-//!             [--seed S] [--policy round-robin|least-outstanding|recovery-aware]
-//!             [--config fault-free|reboot|recovery|rolling] [--no-policy]
-//!             [--trace-out FILE] [--metrics-out FILE]
-//! ```
-//!
 //! Boots a MiniHttpd front fleet plus the standard backend registry (a
 //! warm replicated auth KV, a pinned durable KV, a single SQL instance) on
 //! one shared virtual clock, fans every ingress request across the
@@ -21,19 +14,17 @@
 //! attempt, no backoff, no hedging) for A/B runs against the armed
 //! default. `--trace-out` writes a Perfetto-loadable Chrome trace with one
 //! process track per instance (mesh pipeline spans included);
-//! `--metrics-out` writes merged metrics as Prometheus text exposition, or
-//! a JSON dump when the file ends `.json`. Output is byte-identical for a
-//! given argument list — CI diffs two same-seed runs. Exit codes: 0
-//! success, 1 run error, 2 usage error.
+//! `--metrics-out` writes the merged metrics. Output is byte-identical for
+//! a given argument list — CI diffs two same-seed runs. Flag syntax, exit
+//! codes and the export formats are the shared conventions of
+//! [`vampos::bench::cli`]; [`USAGE`] lists the flags.
 
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use vampos::cluster::{FleetConfig, FleetLoad, FleetOpKind, FleetPlan, Policy};
-use vampos::mesh::{BackendOpKind, Mesh, MeshConfig, MeshPlan, MeshTopology};
-use vampos::sim::Nanos;
-
-/// Service index of the pinned KV service in the standard registry.
-const SVC_KV: usize = 1;
+use vampos::bench::cli::{self, Cli, Failure};
+use vampos::cluster::{FleetConfig, FleetLoad, Policy};
+use vampos::mesh::{Mesh, MeshConfig, MeshPlan, MeshTopology};
 
 struct Args {
     front: usize,
@@ -44,19 +35,18 @@ struct Args {
     policy: Policy,
     config: &'static str,
     armed: bool,
-    trace_out: Option<String>,
-    metrics_out: Option<String>,
+    trace_out: Option<PathBuf>,
+    metrics_out: Option<PathBuf>,
 }
 
-fn usage() -> String {
-    "usage: vampos-mesh [--front N] [--replicas R] [--clients C] [--requests K] [--seed S]\n\
-     \x20                  [--policy round-robin|least-outstanding|recovery-aware]\n\
-     \x20                  [--config fault-free|reboot|recovery|rolling] [--no-policy]\n\
-     \x20                  [--trace-out FILE] [--metrics-out FILE]\n"
-        .to_owned()
-}
+const USAGE: &str = "\
+usage: vampos-mesh [--front N] [--replicas R] [--clients C] [--requests K] [--seed S]
+                   [--policy round-robin|least-outstanding|recovery-aware]
+                   [--config fault-free|reboot|recovery|rolling] [--no-policy]
+                   [--trace-out FILE] [--metrics-out FILE]
+";
 
-fn parse_args(argv: &[String]) -> Result<Args, String> {
+fn parse_args(cli: &mut Cli) -> Result<Args, String> {
     let mut args = Args {
         front: 3,
         replicas: 2,
@@ -69,194 +59,107 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
         trace_out: None,
         metrics_out: None,
     };
-    let mut it = argv.iter();
-    while let Some(arg) = it.next() {
-        let mut value = || {
-            it.next()
-                .map(String::as_str)
-                .ok_or_else(|| format!("{arg} needs a value"))
-        };
-        match arg.as_str() {
-            "--front" => args.front = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--replicas" => args.replicas = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--clients" => args.clients = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--requests" => args.requests = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--seed" => args.seed = value()?.parse().map_err(|e| format!("{e}"))?,
-            "--policy" => {
-                args.policy = match value()? {
-                    "round-robin" => Policy::RoundRobin,
-                    "least-outstanding" => Policy::LeastOutstanding,
-                    "recovery-aware" => Policy::RecoveryAware,
-                    other => return Err(format!("unknown policy {other:?}")),
-                }
-            }
-            "--config" => {
-                args.config = match value()? {
-                    "fault-free" => "fault-free",
-                    "reboot" => "reboot",
-                    "recovery" => "recovery",
-                    "rolling" => "rolling",
-                    other => return Err(format!("unknown config {other:?}")),
-                }
-            }
+    while let Some(flag) = cli.flag()? {
+        match flag {
+            "--front" => args.front = cli.population(1)?,
+            "--replicas" => args.replicas = cli.population(1)?,
+            "--clients" => args.clients = cli.population(0)?,
+            "--requests" => args.requests = cli.population(0)?,
+            "--seed" => args.seed = cli.value()?,
+            "--policy" => args.policy = cli.named(Policy::from_name)?,
+            "--config" => args.config = cli.one_of(&MeshPlan::SCENARIOS.map(|(name, _)| name))?,
             "--no-policy" => args.armed = false,
-            "--trace-out" => args.trace_out = Some(value()?.to_owned()),
-            "--metrics-out" => args.metrics_out = Some(value()?.to_owned()),
-            "--help" | "-h" => return Err(String::new()),
-            other => return Err(format!("unknown argument {other:?}")),
+            "--trace-out" => args.trace_out = Some(cli.path()?),
+            "--metrics-out" => args.metrics_out = Some(cli.path()?),
+            _ => return Err(cli.unknown()),
         }
-    }
-    if args.front == 0 {
-        return Err("--front must be at least 1".to_owned());
-    }
-    if args.replicas == 0 {
-        return Err("--replicas must be at least 1".to_owned());
     }
     Ok(args)
 }
 
-/// The maintenance plan for `config`, scaled to the load's virtual span
-/// (mirrors the `repro mesh` experiment's scenarios).
-fn plan_for(config: &str, front: usize, span_ns: u64) -> MeshPlan {
-    let at = |num: u64, den: u64| Nanos::from_nanos(span_ns * num / den);
-    let mut plan = MeshPlan::none();
-    match config {
-        "reboot" => {
-            plan.push_backend(at(1, 4), SVC_KV, 0, BackendOpKind::Rejuvenate);
-            plan.front
-                .push(at(1, 2), 1 % front, FleetOpKind::RejuvenateComponents);
-        }
-        "recovery" => {
-            plan.push_backend(
-                at(1, 4),
-                SVC_KV,
-                0,
-                BackendOpKind::SpuriousReboot {
-                    component: "lwip".to_owned(),
-                },
-            );
-        }
-        "rolling" => {
-            plan.front = FleetPlan::rolling_rejuvenation(front, at(1, 8), at(1, 6), at(1, 24));
-            plan.push_backend(at(2, 3), SVC_KV, 0, BackendOpKind::Rejuvenate);
-        }
-        _ => {}
+fn run(args: Args) -> Result<ExitCode, Failure> {
+    let mut mesh = Mesh::new(MeshConfig {
+        front: FleetConfig {
+            instances: args.front,
+            seed: args.seed,
+            telemetry: args.trace_out.is_some() || args.metrics_out.is_some(),
+            ..FleetConfig::default()
+        },
+        topology: MeshTopology::standard(args.replicas, args.armed),
+        ..MeshConfig::default()
+    })?;
+    let load = FleetLoad {
+        clients: args.clients,
+        requests_per_client: args.requests,
+        ..FleetLoad::default()
+    };
+    let span_ns = load.think_time.as_nanos() * args.requests as u64;
+    let plan = MeshPlan::scenario(args.config, args.front, span_ns)
+        .expect("--config took one of SCENARIOS");
+    let report = mesh.run(&load, args.policy, plan)?;
+
+    println!(
+        "mesh: {} front instance(s), {} replica(s), {} clients x {} requests, \
+         policy {}, config {}, hops {}, seed {:#x}",
+        args.front,
+        args.replicas,
+        args.clients,
+        args.requests,
+        args.policy.name(),
+        args.config,
+        if args.armed { "armed" } else { "no-policy" },
+        args.seed
+    );
+    println!("stage            hops      ok     p50 us     p99 us  retries  hedges  cached");
+    for stage in &report.stages {
+        println!(
+            "{:<14} {:>6}  {:>6}  {:>9.2}  {:>9.2}  {:>7}  {:>6}  {:>6}",
+            stage.label,
+            stage.records.len(),
+            stage.records.iter().filter(|r| r.ok).count(),
+            stage.p50_us(),
+            stage.p99_us(),
+            stage.retries(),
+            stage.hedges(),
+            stage.records.iter().filter(|r| r.cached).count(),
+        );
     }
-    plan
+    println!(
+        "e2e: {}/{} acked ({:.1}%), p50 {:.2}us, p99 {:.2}us, {} retried, {} hedged",
+        report.acked(),
+        report.journeys.len(),
+        report.success_pct(),
+        report.e2e_p50_us(),
+        report.e2e_p99_us(),
+        report.retries,
+        report.hedges,
+    );
+    println!(
+        "front: {}/{} ok, {} component / {} full reboot(s), {} of virtual time",
+        report.front.successes(),
+        report.front.requests(),
+        report.front.component_reboots,
+        report.front.full_reboots,
+        report.front.duration,
+    );
+
+    if let Some(path) = &args.trace_out {
+        let trace = mesh
+            .fleet()
+            .chrome_trace_json()
+            .expect("telemetry was enabled for --trace-out");
+        cli::write(path, trace, "trace").map_err(Failure::Run)?;
+    }
+    if let Some(path) = &args.metrics_out {
+        let mut metrics = mesh
+            .fleet()
+            .merged_metrics()
+            .expect("telemetry was enabled for --metrics-out");
+        cli::write(path, metrics.render_for(path), "metrics").map_err(Failure::Run)?;
+    }
+    Ok(ExitCode::SUCCESS)
 }
 
 fn main() -> ExitCode {
-    let argv: Vec<String> = std::env::args().skip(1).collect();
-    let args = match parse_args(&argv) {
-        Ok(args) => args,
-        Err(msg) => {
-            if msg.is_empty() {
-                print!("{}", usage());
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("vampos-mesh: {msg}\n{}", usage());
-            return ExitCode::from(2);
-        }
-    };
-
-    let run = || -> Result<(), vampos::ukernel::OsError> {
-        let mut mesh = Mesh::new(MeshConfig {
-            front: FleetConfig {
-                instances: args.front,
-                seed: args.seed,
-                telemetry: args.trace_out.is_some() || args.metrics_out.is_some(),
-                ..FleetConfig::default()
-            },
-            topology: MeshTopology::standard(args.replicas, args.armed),
-            ..MeshConfig::default()
-        })?;
-        let load = FleetLoad {
-            clients: args.clients,
-            requests_per_client: args.requests,
-            ..FleetLoad::default()
-        };
-        let span_ns = load.think_time.as_nanos() * args.requests as u64;
-        let report = mesh.run(
-            &load,
-            args.policy,
-            plan_for(args.config, args.front, span_ns),
-        )?;
-
-        println!(
-            "mesh: {} front instance(s), {} replica(s), {} clients x {} requests, \
-             policy {}, config {}, hops {}, seed {:#x}",
-            args.front,
-            args.replicas,
-            args.clients,
-            args.requests,
-            args.policy.name(),
-            args.config,
-            if args.armed { "armed" } else { "no-policy" },
-            args.seed
-        );
-        println!("stage            hops      ok     p50 us     p99 us  retries  hedges  cached");
-        for stage in &report.stages {
-            println!(
-                "{:<14} {:>6}  {:>6}  {:>9.2}  {:>9.2}  {:>7}  {:>6}  {:>6}",
-                stage.label,
-                stage.records.len(),
-                stage.records.iter().filter(|r| r.ok).count(),
-                stage.p50_us(),
-                stage.p99_us(),
-                stage.retries(),
-                stage.hedges(),
-                stage.records.iter().filter(|r| r.cached).count(),
-            );
-        }
-        println!(
-            "e2e: {}/{} acked ({:.1}%), p50 {:.2}us, p99 {:.2}us, {} retried, {} hedged",
-            report.acked(),
-            report.journeys.len(),
-            report.success_pct(),
-            report.e2e_p50_us(),
-            report.e2e_p99_us(),
-            report.retries,
-            report.hedges,
-        );
-        println!(
-            "front: {}/{} ok, {} component / {} full reboot(s), {} of virtual time",
-            report.front.successes(),
-            report.front.requests(),
-            report.front.component_reboots,
-            report.front.full_reboots,
-            report.front.duration,
-        );
-
-        if let Some(path) = &args.trace_out {
-            let trace = mesh
-                .fleet()
-                .chrome_trace_json()
-                .expect("telemetry was enabled for --trace-out");
-            std::fs::write(path, trace)
-                .map_err(|e| vampos::ukernel::OsError::Io(format!("cannot write {path}: {e}")))?;
-            println!("trace written: {path}");
-        }
-        if let Some(path) = &args.metrics_out {
-            let mut reg = mesh
-                .fleet()
-                .merged_metrics()
-                .expect("telemetry was enabled for --metrics-out");
-            let dump = if path.ends_with(".json") {
-                reg.to_json()
-            } else {
-                vampos::telemetry::prometheus::render(&mut reg)
-            };
-            std::fs::write(path, dump)
-                .map_err(|e| vampos::ukernel::OsError::Io(format!("cannot write {path}: {e}")))?;
-            println!("metrics written: {path}");
-        }
-        Ok(())
-    };
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("vampos-mesh: run failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    cli::run("vampos-mesh", USAGE, parse_args, run)
 }

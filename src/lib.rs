@@ -32,7 +32,9 @@
 //! * [`mesh`] — the service-mesh layer: multi-component request pipelines
 //!   (front fleet → auth / KV / SQL backend services) with per-hop
 //!   deadlines, bounded retries, idempotency keys, and hedged requests,
-//!   measured end to end under component-level recovery.
+//!   measured end to end under component-level recovery;
+//! * [`bench`] — the experiment harness, and the command-line kit
+//!   ([`bench::cli`]) every binary of this package parses with.
 //!
 //! # Quickstart
 //!
@@ -60,6 +62,7 @@
 
 pub use vampos_analyze as analyze;
 pub use vampos_apps as apps;
+pub use vampos_bench as bench;
 pub use vampos_chaos as chaos;
 pub use vampos_cluster as cluster;
 pub use vampos_core as core;

@@ -55,3 +55,10 @@ fn baseline_missing_a_key_is_a_usage_error() {
     let out = audit_against("audit-incomplete.json", &incomplete);
     assert_usage_error_before_the_run(&out, "missing key \"journey_p99_ceiling_ns\"");
 }
+
+/// The JSON parser bounds its recursion: no stack overflow, a usage error.
+#[test]
+fn bottomless_baseline_is_a_usage_error() {
+    let out = audit_against("audit-deep.json", &"[".repeat(200_000));
+    assert_usage_error_before_the_run(&out, "nesting deeper than 64 at byte 64");
+}

@@ -263,6 +263,10 @@ fn hostile_reproducers_are_usage_errors() {
     let out = replay(&dir, "glitches.json", &wide, &[]);
     assert_usage_error(&out, "glitch_count 4294967297");
 
+    // ...and to overflow the stack one `[` at a time (SIGABRT).
+    let out = replay(&dir, "deep.json", &"[".repeat(200_000), &[]);
+    assert_usage_error(&out, "nesting deeper than 64 at byte 64");
+
     // A telemetry export a family cannot produce is refused, not skipped.
     let out = replay(&dir, "mesh.json", &mesh, &["--trace-out", "t.json"]);
     assert_usage_error(&out, "component-family only");
