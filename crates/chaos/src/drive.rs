@@ -249,7 +249,12 @@ pub fn run_with_sink(
                 }
             }
             TraceEvent::MessageHop { target, .. } => {
-                *result.hops_by_target.entry(target.clone()).or_insert(0) += 1;
+                match result.hops_by_target.get_mut(target.as_str()) {
+                    Some(hops) => *hops += 1,
+                    None => {
+                        result.hops_by_target.insert(target.to_string(), 1);
+                    }
+                }
             }
             _ => {}
         }

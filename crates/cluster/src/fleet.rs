@@ -16,7 +16,7 @@ use std::cell::Ref;
 use vampos_apps::App;
 use vampos_core::{ComponentSet, Mode};
 use vampos_host::{ClientConnId, NinePGlitch, RingGlitch};
-use vampos_sim::{Nanos, SimClock};
+use vampos_sim::{Name, Nanos, SimClock};
 use vampos_telemetry::perfetto::{render_processes, ProcessRefs};
 use vampos_telemetry::{
     Collector, MetricsRegistry, SpanKind, SpanRecord, TelemetryHub, TelemetrySink,
@@ -528,7 +528,7 @@ impl Fleet {
     /// because [`crate::Occupancy::maintain`] books nothing for it, the
     /// instance stays exposed and follow-up traffic drives that next rung.
     fn fire_rung(&mut self, instance: usize, rung: Rung, at: Nanos, reason: &str) {
-        let label = self.instances[instance].label().to_owned();
+        let label = Name::from(self.instances[instance].label());
         if let Some(sink) = &self.fleet_sink {
             let kind = format!("rung:{}:{}", rung.name(), reason);
             sink.with(|hub| {
@@ -670,9 +670,10 @@ impl Fleet {
         });
         if let Some(end) = window {
             let close = end.max(at);
+            let label = Name::from(label);
             sink.with(|hub| {
-                hub.recovery_begin(label, "plan", at);
-                hub.recovery_end(label, close, 0, 0);
+                hub.recovery_begin(&label, "plan", at);
+                hub.recovery_end(&label, close, 0, 0);
             });
             heap.push(close, EventClass::Window, op.instance as u64);
         }

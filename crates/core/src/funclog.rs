@@ -15,7 +15,7 @@
 //!
 //! # Implementation notes
 //!
-//! The log is stored as an append-only slot vector (`Option<Arc<LogEntry>>`,
+//! The log is stored as an append-only slot vector (`Option<Rc<LogEntry>>`,
 //! tombstoned on removal and garbage-collected when tombstones dominate)
 //! with per-session indices over it, so every shrinking operation touches
 //! only the entries of the sessions involved:
@@ -28,23 +28,24 @@
 //! * `close_index` — session → kept `Close` slots referencing it.
 //!
 //! `byte_len` and `record_count` are maintained incrementally, and
-//! [`FunctionLog::replay_entries`] hands out `Arc`-shared entries instead of
+//! [`FunctionLog::replay_entries`] hands out `Rc`-shared entries instead of
 //! deep clones — an outstanding replay snapshot stays frozen even if the
 //! live log keeps shrinking (copy-on-write of the one mutable field, an
 //! `Open` entry's live-session set).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::Arc;
+use std::rc::Rc;
 
+use vampos_sim::Name;
 use vampos_ukernel::{OsError, SessionEvent, TouchSynthesis, Value};
 
 /// One recorded downcall made while executing a logged entry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DownRec {
     /// Component that was invoked.
-    pub target: String,
+    pub target: Name,
     /// Function that was invoked.
-    pub func: String,
+    pub func: Name,
     /// The outcome the downcall produced (errors are part of the recorded
     /// control flow: a `NotFound` from `lookup` steers `open` into its
     /// create path, and replay must reproduce that).
@@ -79,9 +80,9 @@ pub struct LogEntry {
     /// Monotonic sequence number within the component's log.
     pub seq: u64,
     /// The calling component (or `"app"`).
-    pub caller: String,
+    pub caller: Name,
     /// Invoked function.
-    pub func: String,
+    pub func: Name,
     /// Marshalled arguments.
     pub args: Vec<Value>,
     /// The value the call returned.
@@ -135,7 +136,7 @@ pub struct AppendOutcome {
 #[derive(Debug, Clone, Default)]
 pub struct FunctionLog {
     /// Append-ordered entry store; removals tombstone in place.
-    slots: Vec<Option<Arc<LogEntry>>>,
+    slots: Vec<Option<Rc<LogEntry>>>,
     /// Live (non-tombstoned) entries.
     live: usize,
     /// Incrementally maintained total of [`LogEntry::byte_len`].
@@ -199,11 +200,11 @@ impl FunctionLog {
         self.slots.iter().filter_map(|s| s.as_deref())
     }
 
-    /// A cheap snapshot of the entries for replay: the `Arc`s are shared
+    /// A cheap snapshot of the entries for replay: the `Rc`s are shared
     /// with the live log, which keeps accumulating (and shrinking)
     /// independently — a later mutation of an `Open` entry's live set
     /// copies only that entry.
-    pub fn replay_entries(&self) -> Vec<Arc<LogEntry>> {
+    pub fn replay_entries(&self) -> Vec<Rc<LogEntry>> {
         self.slots.iter().flatten().cloned().collect()
     }
 
@@ -226,9 +227,9 @@ impl FunctionLog {
     /// an empty log).
     pub fn corrupt_newest_ret(&mut self) -> bool {
         for slot in self.slots.iter_mut().rev() {
-            if let Some(arc) = slot.as_mut() {
-                let before = arc.byte_len();
-                let entry = Arc::make_mut(arc);
+            if let Some(rc) = slot.as_mut() {
+                let before = rc.byte_len();
+                let entry = Rc::make_mut(rc);
                 entry.ret = Value::from("corrupted-log-record");
                 self.bytes = self.bytes - before + entry.byte_len();
                 return true;
@@ -308,7 +309,7 @@ impl FunctionLog {
         self.bytes += entry.byte_len();
         self.records += entry.record_count();
         let slot = self.slots.len();
-        self.slots.push(Some(Arc::new(entry)));
+        self.slots.push(Some(Rc::new(entry)));
         self.link(slot);
     }
 
@@ -331,14 +332,16 @@ impl FunctionLog {
     }
 
     /// Appends a logged call, applying session-aware shrinking when
-    /// `shrinking` is enabled and the event is a cancel.
+    /// `shrinking` is enabled and the event is a cancel. The runtime passes
+    /// the names it already shares with its slot and descriptor tables;
+    /// string literals work too and allocate only if the entry is kept.
     // The parameters are the fields of the entry being built; bundling them
     // into a struct would only move the same list one call site up.
     #[allow(clippy::too_many_arguments)]
     pub fn append(
         &mut self,
-        caller: &str,
-        func: &str,
+        caller: impl Into<Name>,
+        func: impl Into<Name>,
         args: &[Value],
         ret: &Value,
         downcalls: Vec<DownRec>,
@@ -380,8 +383,8 @@ impl FunctionLog {
 
         let entry = LogEntry {
             seq: self.next_seq,
-            caller: caller.to_owned(),
-            func: func.to_owned(),
+            caller: caller.into(),
+            func: func.into(),
             args: args.to_vec(),
             ret: ret.clone(),
             downcalls,
@@ -422,12 +425,12 @@ impl FunctionLog {
             // Take the whole bucket: every one of these entries loses `s`
             // from its live set right here.
             for slot in self.open_index.remove(&s).unwrap_or_default() {
-                let Some(arc) = self.slots[slot].as_mut() else {
+                let Some(rc) = self.slots[slot].as_mut() else {
                     continue;
                 };
                 // Copy-on-write: shared only while a replay snapshot is
                 // outstanding, in which case the snapshot must stay frozen.
-                let entry = Arc::make_mut(arc);
+                let entry = Rc::make_mut(rc);
                 let EntryTag::Open { created, live } = &mut entry.tag else {
                     continue;
                 };
@@ -494,7 +497,7 @@ impl FunctionLog {
                     if removed > 0 {
                         self.insert(LogEntry {
                             seq: self.next_seq,
-                            caller: "compactor".to_owned(),
+                            caller: Name::from("compactor"),
                             func,
                             args,
                             ret,
@@ -728,7 +731,7 @@ mod tests {
     #[test]
     fn replay_snapshot_is_frozen_across_shrinking() {
         // An outstanding replay snapshot must not see later mutations of an
-        // Open entry's live set (copy-on-write path of Arc::make_mut).
+        // Open entry's live set (copy-on-write path of Rc::make_mut).
         let mut log = FunctionLog::new();
         append_simple(&mut log, "pipe", SessionEvent::Open(vec![3, 4]), true);
         let snap = log.replay_entries();

@@ -5,7 +5,7 @@
 
 use std::collections::VecDeque;
 
-use vampos_sim::Nanos;
+use vampos_sim::{Name, Nanos};
 use vampos_telemetry::RecoveryPhase;
 use vampos_ukernel::{OsError, Value};
 
@@ -80,22 +80,15 @@ impl System {
     ///
     /// Stops at the first failed reboot.
     pub fn rejuvenate_all(&mut self) -> Result<Vec<RebootOutcome>, OsError> {
-        let names: Vec<String> = self
-            .slots
-            .iter()
-            .filter(|s| s.desc.is_rebootable())
-            .map(|s| s.name.clone())
-            .collect();
         let mut outcomes = Vec::new();
         let mut done_groups = Vec::new();
-        for name in names {
-            let idx = self.by_name[&name];
+        for idx in 0..self.slots.len() {
             let group = self.slots[idx].group;
-            if done_groups.contains(&group) {
-                continue; // composite already rebooted with its leader
+            if !self.slots[idx].desc.is_rebootable() || done_groups.contains(&group) {
+                continue; // unrebootable, or a composite already rebooted with its leader
             }
             done_groups.push(group);
-            outcomes.push(self.reboot_component(&name)?);
+            outcomes.push(self.reboot_index(idx)?);
         }
         Ok(outcomes)
     }
@@ -107,11 +100,17 @@ impl System {
         let members: Vec<usize> = (0..self.slots.len())
             .filter(|&i| self.slots[i].group == group)
             .collect();
-        let label = members
-            .iter()
-            .map(|&i| self.slots[i].name.as_str())
-            .collect::<Vec<_>>()
-            .join("+");
+        // A lone component's label is its slot's name, shared as such.
+        let label = match members[..] {
+            [only] => self.slots[only].name.clone(),
+            _ => Name::from(
+                members
+                    .iter()
+                    .map(|&i| self.slots[i].name.as_str())
+                    .collect::<Vec<_>>()
+                    .join("+"),
+            ),
+        };
 
         let start = self.clock.now();
         // Failure paths stash their detection context; an explicit reboot
@@ -145,13 +144,13 @@ impl System {
         self.stats.component_reboots += 1;
         self.stats.replayed_entries += replayed_total as u64;
         self.stats.downtime.push(DowntimeWindow {
-            component: label.clone(),
+            component: label.to_string(),
             start,
             end,
         });
         self.emit(|c| c.recovery_end(&label, end, replayed_total, snapshot_total));
         Ok(RebootOutcome {
-            component: label,
+            component: label.to_string(),
             downtime: end.saturating_sub(start),
             replayed: replayed_total,
             snapshot_bytes: snapshot_total,
@@ -222,7 +221,7 @@ impl System {
         // runtime data goes back into the component so the follow-up
         // attempt (which consumes the armed interrupt) can re-extract it;
         // the slot stays down until then.
-        if self.reboot_interrupts.remove(&member_name) {
+        if self.reboot_interrupts.remove(member_name.as_str()) {
             let restored = match extract {
                 Some(data) => comp.restore_runtime(data),
                 None => Ok(()),
@@ -260,7 +259,7 @@ impl System {
                         self.failed = true;
                         self.slots[idx].comp = Some(comp);
                         return Err(OsError::ReplayMismatch {
-                            component: name,
+                            component: name.to_string(),
                             detail: format!(
                                 "{} replayed to {ret} (logged {})",
                                 entry.func, entry.ret
@@ -271,7 +270,7 @@ impl System {
                         self.failed = true;
                         self.slots[idx].comp = Some(comp);
                         return Err(OsError::ReplayMismatch {
-                            component: name,
+                            component: name.to_string(),
                             detail: format!("{} failed during replay: {e}", entry.func),
                         });
                     }
@@ -324,7 +323,10 @@ impl System {
         let detect_start = self.clock.now();
         self.clock.advance(self.costs.detector_check);
         let detect_end = self.clock.now();
-        self.emit(|c| c.failure_detected(component, "panic", detect_end));
+        let name = &self.slots[tid].name;
+        Self::emit_to(&mut self.trace, &self.telemetry, |c| {
+            c.failure_detected(name, "panic", detect_end)
+        });
         if !self.auto_recover || !self.slots[tid].desc.is_rebootable() {
             return Err(self.terminal_failure(
                 tid,
@@ -364,7 +366,10 @@ impl System {
         let detect_start = self.clock.now();
         self.clock.advance(self.costs.detector_check);
         let detect_end = self.clock.now();
-        self.emit(|c| c.failure_detected(component, "spurious", detect_end));
+        let name = &self.slots[tid].name;
+        Self::emit_to(&mut self.trace, &self.telemetry, |c| {
+            c.failure_detected(name, "spurious", detect_end)
+        });
         self.pending_recovery = Some(PendingRecovery {
             kind: "spurious",
             detect_start,
@@ -455,10 +460,10 @@ impl System {
         tid: usize,
         err: OsError,
         caller: Option<usize>,
-        target: &str,
         func: &str,
         args: &[Value],
     ) -> Result<Value, OsError> {
+        let target = self.slots[tid].name.clone();
         if self.detector_suppressed > 0 {
             // False-negative window (chaos fault injection): the detector
             // sleeps through this failure. The component stays down and
@@ -482,7 +487,7 @@ impl System {
             OsError::ProtectionFault(_) => "mpk-violation",
             _ => "failure",
         };
-        self.emit(|c| c.failure_detected(target, kind, detect_end));
+        self.emit(|c| c.failure_detected(&target, kind, detect_end));
 
         if !self.auto_recover {
             return Err(err);
@@ -501,7 +506,7 @@ impl System {
                 });
                 self.reboot_index(tid)?;
             }
-            1 if self.alternates.contains_key(target) => {
+            1 if self.alternates.contains_key(target.as_str()) => {
                 // The failure recurred on the re-executed input: a
                 // deterministic bug in the component's code. Swap in the
                 // registered alternate version (§VIII multi-versioning) —
@@ -509,9 +514,9 @@ impl System {
                 // from the same log, and try once more.
                 let alt = self
                     .alternates
-                    .remove(target)
+                    .remove(target.as_str())
                     .expect("checked contains_key");
-                self.faults.clear_component(target);
+                self.faults.clear_component(&target);
                 self.pending_recovery = Some(PendingRecovery {
                     kind,
                     detect_start,
@@ -531,7 +536,7 @@ impl System {
 
         // Re-execute the in-flight message.
         self.retry_depth += 1;
-        let result = self.invoke_from(caller, target, func, args);
+        let result = self.invoke_from(caller, &target, func, args);
         self.retry_depth -= 1;
         match result {
             Ok(v) => {

@@ -54,7 +54,7 @@ impl System {
         mut replacement: ComponentBox,
     ) -> Result<RebootOutcome, OsError> {
         let name = self.slots[tid].name.clone();
-        if replacement.descriptor().name().as_str() != name {
+        if *replacement.descriptor().name() != name {
             return Err(OsError::Io(format!(
                 "replacement component is named {}, expected {name}",
                 replacement.descriptor().name()
@@ -116,7 +116,7 @@ impl System {
                     Ok(ret) => {
                         self.failed = true;
                         let err = OsError::ReplayMismatch {
-                            component: name.clone(),
+                            component: name.to_string(),
                             detail: format!(
                                 "{} replayed to {ret} on the replacement (logged {})",
                                 entry.func, entry.ret
@@ -130,7 +130,7 @@ impl System {
                     Err(e) => {
                         self.failed = true;
                         let err = OsError::ReplayMismatch {
-                            component: name.clone(),
+                            component: name.to_string(),
                             detail: format!("{} failed on the replacement: {e}", entry.func),
                         };
                         let at = self.clock.now();
@@ -169,13 +169,13 @@ impl System {
         let end = self.clock.now();
         self.emit(|c| c.recovery_phase(&name, RecoveryPhase::Resume, replay_end, end));
         self.stats.downtime.push(crate::stats::DowntimeWindow {
-            component: name.clone(),
+            component: name.to_string(),
             start,
             end,
         });
         self.emit(|c| c.recovery_end(&name, end, replayed, 0));
         Ok(RebootOutcome {
-            component: self.slots[tid].name.clone(),
+            component: name.to_string(),
             downtime: end.saturating_sub(start),
             replayed,
             snapshot_bytes: 0,
@@ -211,7 +211,7 @@ impl System {
         self.slots
             .iter()
             .filter(|s| s.condemned)
-            .map(|s| s.name.clone())
+            .map(|s| s.name.to_string())
             .collect()
     }
 
@@ -229,7 +229,7 @@ impl System {
                 let comp = s.comp.as_ref()?;
                 let arena = comp.arena();
                 Some(AgingEntry {
-                    component: s.name.clone(),
+                    component: s.name.to_string(),
                     leaked_bytes: arena.aging().leaked_bytes(),
                     descriptor_leaks: arena.aging().descriptor_leaks(),
                     fragmentation: arena.allocator().fragmentation(),
@@ -257,7 +257,7 @@ impl System {
             .collect();
         let mut outcomes = Vec::new();
         for name in aged {
-            let idx = self.by_name[&name];
+            let idx = self.by_name[name.as_str()];
             if self.slots[idx].desc.is_rebootable() {
                 outcomes.push(self.reboot_index(idx)?);
             }

@@ -1,18 +1,18 @@
 //! The VampOS runtime: [`System`], its builder, boot sequence, and the
 //! message-passing invoke path (§V-A, §V-C, §V-D).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use vampos_host::HostHandle;
 use vampos_mem::Snapshot;
 use vampos_mpk::{AccessKind, DomainId, KeyRegistry, Pkru};
-use vampos_sim::{CostModel, EventTrace, Nanos, SimClock, SimRng};
+use vampos_sim::{CostModel, EventTrace, Name, Nanos, SimClock, SimRng};
 use vampos_telemetry::{Collector, TelemetrySink};
 use vampos_ukernel::{names, CallContext, ComponentBox, ComponentDescriptor, OsError, Value};
 
 use crate::config::{ComponentSet, Mode, SchedulerKind};
 use crate::faults::{FaultAction, FaultPlan};
-use crate::funclog::{DownRec, FunctionLog};
+use crate::funclog::{DownRec, FunctionLog, LogEntry};
 use crate::os::Os;
 use crate::stats::SystemStats;
 
@@ -21,7 +21,9 @@ use crate::stats::SystemStats;
 pub const MSG_DOMAIN_BYTES: usize = 256 << 10;
 
 pub(crate) struct Slot {
-    pub(crate) name: String,
+    /// The descriptor's name: every trace event, log entry and downcall
+    /// record that mentions the component shares this allocation.
+    pub(crate) name: Name,
     pub(crate) comp: Option<ComponentBox>,
     pub(crate) desc: ComponentDescriptor,
     pub(crate) log: FunctionLog,
@@ -83,7 +85,12 @@ pub struct System {
     pub(crate) set: ComponentSet,
     pub(crate) host: HostHandle,
     pub(crate) slots: Vec<Slot>,
-    pub(crate) by_name: BTreeMap<String, usize>,
+    pub(crate) by_name: BTreeMap<Name, usize>,
+    /// The application's name as a caller (`names::APP`).
+    pub(crate) app: Name,
+    /// Names of invoked functions no descriptor declares, interned on
+    /// first use so that they too are shared from the second hop on.
+    pub(crate) undeclared: BTreeSet<Name>,
     pub(crate) mpk: KeyRegistry,
     pub(crate) auto_recover: bool,
     pub(crate) graceful: bool,
@@ -101,7 +108,7 @@ pub struct System {
     pub(crate) detector_suppressed: u32,
     /// Components whose next reboot aborts partway (reboot-during-reboot
     /// chaos fault injection); each entry is consumed by one aborted reboot.
-    pub(crate) reboot_interrupts: std::collections::BTreeSet<String>,
+    pub(crate) reboot_interrupts: BTreeSet<String>,
 }
 
 /// Detection context stashed by the failure paths so the recovery span a
@@ -299,21 +306,17 @@ impl SystemBuilder {
 
         let mut slots: Vec<Slot> = Vec::new();
         let mut by_name = BTreeMap::new();
-        let mut boot_components: Vec<(String, ComponentBox)> = Vec::new();
+        let mut boot_components: Vec<ComponentBox> = Vec::new();
         for &name in self.set.components() {
-            let comp = crate::analysis::instantiate(name, &host)?;
-            boot_components.push((name.to_owned(), comp));
+            boot_components.push(crate::analysis::instantiate(name, &host)?);
         }
-        for comp in self.extra {
-            let name = comp.descriptor().name().as_str().to_owned();
-            boot_components.push((name, comp));
-        }
+        boot_components.extend(self.extra);
 
         // Pre-boot static analysis over the full configuration (built-ins
         // plus user-defined extras). Error-severity findings abort the boot
         // unless the caller opted out.
         let analysis_input = vampos_analyze::AnalysisInput::new(self.set.name())
-            .components(boot_components.iter().map(|(_, c)| c.descriptor().clone()))
+            .components(boot_components.iter().map(|c| c.descriptor().clone()))
             .merges(&merges)
             .virtualized(mpk.is_virtualized());
         let report = vampos_analyze::analyze(&analysis_input);
@@ -324,9 +327,9 @@ impl SystemBuilder {
             });
         }
 
-        for (name, comp) in boot_components {
-            let name = name.as_str();
+        for comp in boot_components {
             let desc = comp.descriptor().clone();
+            let name = desc.name().as_str();
             let idx = slots.len();
             // A merged component shares the protection domain of the first
             // member of its group (§V-F: "a single MPK tag manages the
@@ -349,9 +352,9 @@ impl SystemBuilder {
                     idx,
                 ),
             };
-            by_name.insert(name.to_owned(), idx);
+            by_name.insert(desc.name().clone(), idx);
             slots.push(Slot {
-                name: name.to_owned(),
+                name: desc.name().clone(),
                 comp: Some(comp),
                 desc,
                 log: FunctionLog::new(),
@@ -379,6 +382,8 @@ impl SystemBuilder {
             host,
             slots,
             by_name,
+            app: Name::from(names::APP),
+            undeclared: BTreeSet::new(),
             mpk,
             auto_recover: self.auto_recover,
             graceful: self.graceful,
@@ -395,7 +400,7 @@ impl SystemBuilder {
             telemetry: self.telemetry,
             pending_recovery: None,
             detector_suppressed: 0,
-            reboot_interrupts: std::collections::BTreeSet::new(),
+            reboot_interrupts: BTreeSet::new(),
         };
         sys.boot()?;
         Ok(sys)
@@ -414,32 +419,29 @@ impl System {
         let known = [
             "virtio", "netdev", "9pfs", "lwip", "process", "sysinfo", "user", "timer", "vfs",
         ];
-        let mut order: Vec<String> = known
+        let mut order: Vec<usize> = known
             .iter()
-            .filter(|n| self.by_name.contains_key(**n))
-            .map(|n| (*n).to_owned())
+            .filter_map(|n| self.by_name.get(*n).copied())
             .collect();
-        for slot in &self.slots {
+        for (idx, slot) in self.slots.iter().enumerate() {
             if !known.contains(&slot.name.as_str()) {
-                order.push(slot.name.clone());
+                order.push(idx);
             }
         }
-        for name in order {
-            if let Some(&idx) = self.by_name.get(name.as_str()) {
-                let mut comp = self.slots[idx]
-                    .comp
-                    .take()
-                    .expect("boot: component present");
-                let mut ctx = Ctx {
-                    sys: self,
-                    me: idx,
-                    pending: None,
-                    replay: None,
-                };
-                let res = comp.init(&mut ctx);
-                self.slots[idx].comp = Some(comp);
-                res?;
-            }
+        for idx in order {
+            let mut comp = self.slots[idx]
+                .comp
+                .take()
+                .expect("boot: component present");
+            let mut ctx = Ctx {
+                sys: self,
+                me: idx,
+                pending: None,
+                replay: None,
+            };
+            let res = comp.init(&mut ctx);
+            self.slots[idx].comp = Some(comp);
+            res?;
         }
         // Mount the root file system through the regular (logged) path.
         if self.by_name.contains_key("9pfs") {
@@ -529,7 +531,7 @@ impl System {
     /// [`System::emit`] over the two fields it uses, for emission sites
     /// that keep a slot's name borrowed across the call instead of copying
     /// it.
-    fn emit_to(
+    pub(crate) fn emit_to(
         trace: &mut EventTrace,
         telemetry: &Option<TelemetrySink>,
         f: impl Fn(&mut dyn Collector),
@@ -649,6 +651,15 @@ impl System {
             .unwrap_or(0)
     }
 
+    /// A component's live log entries in replay order (none for unknown
+    /// names).
+    pub fn log_entries(&self, component: &str) -> impl Iterator<Item = &LogEntry> + '_ {
+        self.by_name
+            .get(component)
+            .into_iter()
+            .flat_map(|&i| self.slots[i].log.iter())
+    }
+
     /// Total log records across all components.
     pub fn total_log_records(&self) -> usize {
         self.slots.iter().map(|s| s.log.record_count()).sum()
@@ -679,6 +690,17 @@ impl System {
         }
     }
 
+    /// Host bytes backing a component's arena: the regions something has
+    /// written, where [`MemoryReport::arenas`] counts logical sizes. `None`
+    /// for unknown names.
+    pub fn arena_resident_bytes(&self, component: &str) -> Option<usize> {
+        let &idx = self.by_name.get(component)?;
+        self.slots[idx]
+            .comp
+            .as_ref()
+            .map(|c| c.arena().resident_bytes())
+    }
+
     /// A component's current state digest (testing / corruption checks).
     pub fn state_digest(&self, component: &str) -> Option<u64> {
         let &idx = self.by_name.get(component)?;
@@ -695,7 +717,7 @@ impl System {
 
     /// Names of all linked components, in boot order.
     pub fn component_names(&self) -> Vec<String> {
-        self.slots.iter().map(|s| s.name.clone()).collect()
+        self.slots.iter().map(|s| s.name.to_string()).collect()
     }
 
     /// Issues a syscall from the application layer, recording its timing.
@@ -752,9 +774,14 @@ impl System {
         if isolation && !permitted {
             self.stats.mpk_switches += 1;
             let at = self.clock.now();
-            self.emit(|c| c.mpk_violation(from, to, at));
+            let (culprit, victim) = (&self.slots[from_idx].name, &self.slots[to_idx].name);
+            Self::emit_to(&mut self.trace, &self.telemetry, |c| {
+                c.mpk_violation(culprit, victim, at)
+            });
             self.stats.failures += 1;
-            self.emit(|c| c.failure_detected(from, "mpk-violation", at));
+            Self::emit_to(&mut self.trace, &self.telemetry, |c| {
+                c.failure_detected(culprit, "mpk-violation", at)
+            });
             if self.auto_recover && self.slots[from_idx].desc.is_rebootable() {
                 self.pending_recovery = Some(PendingRecovery {
                     kind: "mpk-violation",
@@ -852,7 +879,7 @@ impl System {
                                 .desc
                                 .dependencies()
                                 .iter()
-                                .any(|d| d.as_str() == self.slots[target].name),
+                                .any(|d| *d == self.slots[target].name),
                         };
                         let mut w = if predicted {
                             self.costs.das_wait()
@@ -902,13 +929,10 @@ impl System {
         }
     }
 
-    pub(crate) fn invoke_from(
-        &mut self,
-        caller: Option<usize>,
-        target: &str,
-        func: &str,
-        args: &[Value],
-    ) -> Result<Value, OsError> {
+    /// The checks and lookups a call makes before any cost is charged:
+    /// the target's slot, and the function's shared name and logging
+    /// decision from the one descriptor table that holds both.
+    fn resolve(&mut self, target: &str, func: &str) -> Result<Callee, OsError> {
         if self.failed {
             return Err(OsError::FailStop {
                 reason: "system previously fail-stopped".to_owned(),
@@ -918,29 +942,66 @@ impl System {
             .by_name
             .get(target)
             .ok_or_else(|| OsError::UnknownComponent(target.to_owned()))?;
-        if !self.slots[tid].up {
+        let slot = &self.slots[tid];
+        if !slot.up {
             return Err(OsError::ComponentUnavailable {
                 component: target.to_owned(),
             });
         }
-        if self.slots[tid].comp.is_none() {
+        if slot.comp.is_none() {
             // The target's (conceptual) thread is blocked inside a call and
             // our simulation cannot re-enter it; VampOS would attach a fresh
             // thread (§V-A). The component DAG keeps this from happening on
             // legitimate paths.
             return Err(OsError::Io(format!("re-entrant call into {target}")));
         }
+        let (func, logged) = match slot.desc.function(func) {
+            Some(info) => (info.name.clone(), info.logged && self.mode.is_vampos()),
+            None => match self.undeclared.get(func) {
+                Some(name) => (name.clone(), false),
+                None => {
+                    let name = Name::from(func);
+                    self.undeclared.insert(name.clone());
+                    (name, false)
+                }
+            },
+        };
+        Ok(Callee { tid, func, logged })
+    }
+
+    pub(crate) fn invoke_from(
+        &mut self,
+        caller: Option<usize>,
+        target: &str,
+        func: &str,
+        args: &[Value],
+    ) -> Result<Value, OsError> {
+        let callee = self.resolve(target, func)?;
+        self.invoke_resolved(caller, &callee, args)
+    }
+
+    fn invoke_resolved(
+        &mut self,
+        caller: Option<usize>,
+        callee: &Callee,
+        args: &[Value],
+    ) -> Result<Value, OsError> {
+        let Callee {
+            tid,
+            ref func,
+            logged,
+        } = *callee;
 
         // Fault injection fires at message-pull time.
-        let action = self.faults.on_call(target, func);
+        let action = self.faults.on_call(&self.slots[tid].name, func);
         match action {
             FaultAction::None => {}
             FaultAction::Panic => {
                 let err = OsError::Panic {
-                    component: target.to_owned(),
+                    component: self.slots[tid].name.to_string(),
                     reason: "injected fail-stop fault".to_owned(),
                 };
-                return self.handle_failure(tid, err, caller, target, func, args);
+                return self.handle_failure(tid, err, caller, func, args);
             }
             FaultAction::Hang(threshold) => {
                 self.clock.advance(threshold);
@@ -951,9 +1012,9 @@ impl System {
                     return Err(OsError::WouldBlock);
                 }
                 let err = OsError::Hang {
-                    component: target.to_owned(),
+                    component: self.slots[tid].name.to_string(),
                 };
-                return self.handle_failure(tid, err, caller, target, func, args);
+                return self.handle_failure(tid, err, caller, func, args);
             }
             FaultAction::Leak(bytes) => {
                 if let Some(comp) = self.slots[tid].comp.as_mut() {
@@ -967,16 +1028,16 @@ impl System {
             }
         }
 
-        let logged = self.mode.is_vampos() && self.slots[tid].desc.is_logged(func);
         let args_bytes: usize = args.iter().map(Value::byte_len).sum();
         let hop_start = self.clock.now();
         self.charge_request_hop(caller, tid, args_bytes, logged);
-        let caller_name = caller
-            .map(|c| self.slots[c].name.clone())
-            .unwrap_or_else(|| names::APP.to_owned());
-        self.emit(|c| c.call_begin(&caller_name, target, func, hop_start));
+        let caller_name = caller.map_or(&self.app, |c| &self.slots[c].name);
+        let target = &self.slots[tid].name;
+        Self::emit_to(&mut self.trace, &self.telemetry, |c| {
+            c.call_begin(caller_name, target, func, hop_start)
+        });
 
-        let mut comp = self.slots[tid].comp.take().expect("checked above");
+        let mut comp = self.slots[tid].comp.take().expect("checked by resolve");
         let mut ctx = Ctx {
             sys: self,
             me: tid,
@@ -1001,12 +1062,12 @@ impl System {
                     // Components report their own crashes generically; pin
                     // the component name for the detector.
                     OsError::Panic { reason, .. } => OsError::Panic {
-                        component: target.to_owned(),
+                        component: self.slots[tid].name.to_string(),
                         reason,
                     },
                     other => other,
                 };
-                self.handle_failure(tid, err, caller, target, func, args)
+                self.handle_failure(tid, err, caller, func, args)
             }
             Err(err) => {
                 self.charge_reply_hop(caller, tid, 8);
@@ -1023,15 +1084,17 @@ impl System {
         &mut self,
         tid: usize,
         caller: Option<usize>,
-        func: &str,
+        func: &Name,
         args: &[Value],
         ret: &Value,
         downcalls: Vec<DownRec>,
     ) {
-        let caller_name = caller
-            .map(|c| self.slots[c].name.clone())
-            .unwrap_or_else(|| names::APP.to_owned());
-        let cfg = self.mode.vamp_config().cloned().unwrap_or_default();
+        let cfg = self
+            .mode
+            .vamp_config()
+            .expect("only VampOS modes log calls");
+        let (log_shrinking, shrink_threshold) = (cfg.log_shrinking, cfg.shrink_threshold);
+        let caller_name = caller.map_or(&self.app, |c| &self.slots[c].name).clone();
         let slot = &mut self.slots[tid];
         let event = slot
             .comp
@@ -1039,26 +1102,27 @@ impl System {
             .expect("component present")
             .session_event(func, args, ret);
         let outcome = slot.log.append(
-            &caller_name,
+            caller_name,
             func,
             args,
             ret,
             downcalls,
             event,
-            cfg.log_shrinking,
+            log_shrinking,
         );
         self.stats.log_appended += 1;
         self.stats.log_removed += outcome.removed as u64;
         if outcome.removed > 0 {
             let removed = outcome.removed;
-            let name = slot.name.clone();
             self.clock
                 .advance(self.costs.log_shrink_scan * (removed as u64 + slot.log.len() as u64));
             let at = self.clock.now();
-            self.emit(|c| c.log_shrunk(&name, removed, at));
+            Self::emit_to(&mut self.trace, &self.telemetry, |c| {
+                c.log_shrunk(&slot.name, removed, at)
+            });
         }
         // Threshold-triggered compaction of still-open sessions (§V-F).
-        if cfg.log_shrinking && self.slots[tid].log.len() > cfg.shrink_threshold {
+        if log_shrinking && self.slots[tid].log.len() > shrink_threshold {
             self.compact_component_log(tid);
         }
         if self.telemetry.is_some() {
@@ -1085,9 +1149,11 @@ impl System {
         if removed_total > 0 {
             self.clock.advance(self.costs.compaction_pause);
             self.stats.log_removed += removed_total as u64;
-            let name = self.slots[tid].name.clone();
+            let name = &self.slots[tid].name;
             let at = self.clock.now();
-            self.emit(|c| c.log_shrunk(&name, removed_total, at));
+            Self::emit_to(&mut self.trace, &self.telemetry, |c| {
+                c.log_shrunk(name, removed_total, at)
+            });
         }
     }
 }
@@ -1115,6 +1181,14 @@ impl MemoryReport {
     }
 }
 
+/// A call's target and function, resolved once per hop.
+struct Callee {
+    tid: usize,
+    func: Name,
+    /// The call is appended to the target's function log.
+    logged: bool,
+}
+
 /// The live call context handed to an executing component.
 pub(crate) struct Ctx<'a> {
     pub(crate) sys: &'a mut System,
@@ -1130,7 +1204,7 @@ pub(crate) struct Ctx<'a> {
 pub(crate) struct ReplayState {
     pub(crate) downcalls: std::collections::VecDeque<DownRec>,
     pub(crate) hint: Value,
-    pub(crate) component: String,
+    pub(crate) component: Name,
 }
 
 impl CallContext for Ctx<'_> {
@@ -1142,12 +1216,12 @@ impl CallContext for Ctx<'_> {
                 .downcalls
                 .pop_front()
                 .ok_or_else(|| OsError::ReplayMismatch {
-                    component: replay.component.clone(),
+                    component: replay.component.to_string(),
                     detail: format!("unrecorded downcall {target}.{func} during replay"),
                 })?;
             if rec.target != target || rec.func != func {
                 return Err(OsError::ReplayMismatch {
-                    component: replay.component.clone(),
+                    component: replay.component.to_string(),
                     detail: format!(
                         "replay expected {}.{}, component called {target}.{func}",
                         rec.target, rec.func
@@ -1157,11 +1231,21 @@ impl CallContext for Ctx<'_> {
             self.sys.clock.advance(self.sys.costs.direct_call);
             return rec.ret;
         }
-        let result = self.sys.invoke_from(Some(self.me), target, func, args);
+        let callee = self.sys.resolve(target, func);
+        let result = match &callee {
+            Ok(callee) => self.sys.invoke_resolved(Some(self.me), callee, args),
+            Err(e) => Err(e.clone()),
+        };
         if let Some(pending) = &mut self.pending {
+            // A call that resolved is recorded under the names the slot and
+            // descriptor tables already share.
+            let (target, func) = match callee {
+                Ok(callee) => (self.sys.slots[callee.tid].name.clone(), callee.func),
+                Err(_) => (Name::from(target), Name::from(func)),
+            };
             pending.push(DownRec {
-                target: target.to_owned(),
-                func: func.to_owned(),
+                target,
+                func,
                 ret: result.clone(),
             });
         }

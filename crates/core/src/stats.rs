@@ -68,10 +68,16 @@ pub struct SystemStats {
 impl SystemStats {
     /// Records one syscall timing sample.
     pub fn record_syscall(&mut self, name: &str, took: Nanos) {
-        self.syscall_times
-            .entry(name.to_owned())
-            .or_default()
-            .record_nanos(took);
+        // Look up before inserting: `entry` would need an owned key, a
+        // `String` allocated and freed on every hit.
+        match self.syscall_times.get_mut(name) {
+            Some(summary) => summary.record_nanos(took),
+            None => self
+                .syscall_times
+                .entry(name.to_owned())
+                .or_default()
+                .record_nanos(took),
+        }
     }
 
     /// Total downtime across all windows.

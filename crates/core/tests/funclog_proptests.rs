@@ -118,7 +118,7 @@ impl NaiveLog {
                     if removed > 0 {
                         self.entries.push(NaiveEntry {
                             seq: self.next_seq,
-                            func: func.clone(),
+                            func: func.to_string(),
                             tag: NaiveTag::Touch(session),
                             synthetic: true,
                         });

@@ -1,0 +1,209 @@
+//! The message hop shares names instead of copying them.
+//!
+//! Both tests drive the steady-state request of the fleet workloads — a
+//! keep-alive `GET` served from an open file: `poll_ready`, `recv`,
+//! `pread`, `writev` — through `System::os()`, the way `MiniHttpd::poll`
+//! does. One checks that the records a hop leaves behind point at the
+//! runtime's own name allocations; the other counts every allocation a
+//! `GET` makes, in its own test binary so the counting allocator sees
+//! nothing else.
+
+use std::alloc::{GlobalAlloc, Layout, System as HostAllocator};
+use std::cell::Cell;
+use std::collections::BTreeMap;
+
+use vampos_core::{ComponentSet, Mode, System};
+use vampos_host::{ClientConnId, HostHandle};
+use vampos_oslib::OpenFlags;
+use vampos_sim::{Name, TraceEvent};
+
+thread_local! {
+    /// Allocations made by this thread. The test harness runs each test on
+    /// a thread of its own, so a test reads only its own count.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to the system
+// allocator, which upholds the `GlobalAlloc` contract; the only addition
+// is a bump of a const-initialised, destructor-free thread-local `Cell`,
+// which neither allocates nor unwinds.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: `layout` is the caller's, passed through.
+        unsafe { HostAllocator.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `alloc`/`realloc` above with this layout.
+        unsafe { HostAllocator.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { HostAllocator.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Counting = Counting;
+
+const PORT: u16 = 80;
+const REQUEST: &[u8] = b"GET /index.html HTTP/1.1\r\nHost: vampos\r\n\r\n";
+
+/// An nginx-shaped system with one accepted keep-alive connection and the
+/// served document open.
+struct Server {
+    sys: System,
+    listen: u64,
+    conn: u64,
+    file: u64,
+    size: u64,
+    client: ClientConnId,
+}
+
+impl Server {
+    fn boot() -> Server {
+        let host = HostHandle::new();
+        host.with(|w| w.ninep_mut().put_file("/www/index.html", &[b'x'; 180]));
+        let mut sys = System::builder()
+            .mode(Mode::vampos_das())
+            .components(ComponentSet::nginx())
+            .host(host)
+            .build()
+            .unwrap();
+        let listen = sys.os().socket().unwrap();
+        sys.os().bind(listen, PORT).unwrap();
+        sys.os().listen(listen, 16).unwrap();
+        let client = sys.host().with(|w| w.network_mut().connect(PORT));
+        assert_eq!(sys.os().poll_ready(&[listen]).unwrap(), [listen]);
+        let conn = sys.os().accept(listen).unwrap();
+        let file = sys.os().open("/www/index.html", OpenFlags::RDONLY).unwrap();
+        let size = sys.os().fstat(file).unwrap();
+        Server {
+            sys,
+            listen,
+            conn,
+            file,
+            size,
+            client,
+        }
+    }
+
+    fn get(&mut self) {
+        let one_way = self.sys.costs().net_rtt(0, false) / 2;
+        self.sys
+            .host()
+            .with(|w| w.network_mut().send(self.client, REQUEST))
+            .unwrap();
+        self.sys.clock().advance(one_way);
+        let ready = self.sys.os().poll_ready(&[self.listen, self.conn]).unwrap();
+        assert_eq!(ready, [self.conn]);
+        let request = self.sys.os().recv(self.conn, 64 << 10).unwrap();
+        assert_eq!(request, REQUEST);
+        let body = self.sys.os().pread(self.file, self.size, 0).unwrap();
+        let header = b"HTTP/1.1 200 OK\r\nContent-Length: 180\r\nConnection: keep-alive\r\n\r\n";
+        self.sys.os().writev(self.conn, &[header, &body]).unwrap();
+        self.sys.clock().advance(one_way);
+        let response = self
+            .sys
+            .host()
+            .with(|w| w.network_mut().recv(self.client))
+            .unwrap();
+        assert!(response.starts_with(b"HTTP/1.1 200"));
+    }
+}
+
+fn hops(sys: &System) -> impl Iterator<Item = (&Name, &Name, &Name)> {
+    sys.trace().iter().filter_map(|e| match e {
+        TraceEvent::MessageHop {
+            caller,
+            target,
+            func,
+        } => Some((caller, target, func)),
+        _ => None,
+    })
+}
+
+#[test]
+fn hop_records_share_the_runtimes_names() {
+    let mut server = Server::boot();
+    for _ in 0..8 {
+        server.get();
+    }
+    let sys = &server.sys;
+
+    // Every hop of one interface function (a name in its target's
+    // descriptor), from any request, carries one allocation; so does every
+    // mention of one component, as caller or as target.
+    fn shared<'a>(known: &mut Vec<&'a Name>, name: &'a Name) {
+        match known.iter().find(|k| ***k == *name) {
+            Some(first) => assert!(Name::ptr_eq(first, name), "{name} was copied"),
+            None => known.push(name),
+        }
+    }
+    let mut funcs: BTreeMap<&str, Vec<&Name>> = BTreeMap::new();
+    let mut components: Vec<&Name> = Vec::new();
+    let mut seen = 0;
+    for (caller, target, func) in hops(sys) {
+        seen += 1;
+        shared(funcs.entry(target).or_default(), func);
+        shared(&mut components, caller);
+        shared(&mut components, target);
+    }
+    assert!(seen > 8 * 4, "the loop made hops: {seen}");
+    assert!(funcs["vfs"].iter().any(|f| **f == "pread"));
+
+    // The function log and its downcall records hold the same allocations
+    // the hops do: a slot's name, not a copy of it.
+    let slot_name = |text: &str| -> &Name {
+        components
+            .iter()
+            .find(|c| ***c == *text)
+            .unwrap_or_else(|| panic!("no hop mentions {text}"))
+    };
+    let mut entries = 0;
+    let mut downcalls = 0;
+    for component in sys.component_names() {
+        for entry in sys.log_entries(&component) {
+            entries += 1;
+            let caller = slot_name(&entry.caller);
+            assert!(Name::ptr_eq(caller, &entry.caller), "log caller copied");
+            for down in &entry.downcalls {
+                downcalls += 1;
+                assert!(
+                    Name::ptr_eq(slot_name(&down.target), &down.target),
+                    "downcall target copied"
+                );
+            }
+        }
+    }
+    assert!(entries > 0 && downcalls > 0, "{entries} / {downcalls}");
+}
+
+/// Allocations one warmed keep-alive `GET` may make. The loop below
+/// measures 51; the parent commit, which copied three names per hop and per
+/// downcall record and the whole `VampConfig` per logged call, measures 138.
+const ALLOCATIONS_PER_GET: u64 = 60;
+
+#[test]
+fn a_warm_get_stays_under_its_allocation_ceiling() {
+    let mut server = Server::boot();
+    // Fill the event-trace ring and every lazily grown buffer first.
+    for _ in 0..512 {
+        server.get();
+    }
+    const GETS: u64 = 256;
+    let before = ALLOCATIONS.with(Cell::get);
+    for _ in 0..GETS {
+        server.get();
+    }
+    let per_get = (ALLOCATIONS.with(Cell::get) - before) / GETS;
+    assert!(
+        per_get <= ALLOCATIONS_PER_GET,
+        "{per_get} allocations per GET, ceiling {ALLOCATIONS_PER_GET}"
+    );
+}

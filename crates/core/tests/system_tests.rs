@@ -435,6 +435,51 @@ fn without_isolation_wild_writes_corrupt_silently() {
     assert_eq!(sys.stats().failures, 0);
 }
 
+#[test]
+fn a_wild_write_materialises_only_the_victims_heap() {
+    use vampos_ukernel::Component;
+    let mut cfg = match Mode::vampos_das() {
+        Mode::VampOs(c) => c,
+        _ => unreachable!(),
+    };
+    cfg.isolation = false;
+    let mut sys = System::builder()
+        .mode(Mode::VampOs(cfg))
+        .components(ComponentSet::sqlite())
+        .host(staged_host())
+        .build()
+        .unwrap();
+    let fd = sys.os().open("/etc/motd", OpenFlags::RDWR).unwrap();
+    sys.os().read(fd, 5).unwrap();
+    let resident = |sys: &System| -> Vec<(String, usize)> {
+        sys.component_names()
+            .into_iter()
+            .map(|name| {
+                let bytes = sys.arena_resident_bytes(&name).unwrap();
+                (name, bytes)
+            })
+            .filter(|&(_, bytes)| bytes > 0)
+            .collect()
+    };
+    // Components account their state by `alloc`/`free` alone: booting and
+    // serving writes no arena byte, so nothing is backed.
+    assert_eq!(resident(&sys), []);
+    let arenas = sys.memory_report().arenas;
+
+    sys.trigger_wild_write("vfs", "9pfs").unwrap();
+    let victim_heap = vampos_oslib::NinePFs::new().descriptor().layout().heap;
+    assert_eq!(resident(&sys), [("9pfs".to_owned(), victim_heap)]);
+    assert_eq!(
+        sys.memory_report().arenas,
+        arenas,
+        "Fig. 7b sizes are logical"
+    );
+
+    sys.full_reboot().unwrap();
+    assert_eq!(resident(&sys), []);
+    assert_eq!(sys.arena_resident_bytes("nope"), None);
+}
+
 // ---------- full reboot baseline ----------
 
 #[test]

@@ -7,33 +7,7 @@ use std::sync::Arc;
 use crate::aging::AgingState;
 use crate::buddy::{BuddyAllocator, BuddyError};
 use crate::region::{Region, RegionKind};
-use crate::snapshot::Snapshot;
-
-thread_local! {
-    /// Shared all-zero snapshot images, keyed by region length.
-    ///
-    /// Every component arena starts life zero-filled, and large regions
-    /// (the 8 MB VFS/LWIP heaps) are often never written before the boot
-    /// checkpoint is captured. Handing all of them the same `Arc` means the
-    /// first capture of a pristine region neither reads nor copies its
-    /// backing pages — fleet-scale boots stop faulting in ~40 MB per
-    /// instance. Thread-local (not a global lock) keeps the deterministic
-    /// simulation free of D004 synchronisation primitives.
-    static ZERO_IMAGES: std::cell::RefCell<std::collections::BTreeMap<usize, Arc<[u8]>>> =
-        const { std::cell::RefCell::new(std::collections::BTreeMap::new()) };
-}
-
-/// The process-wide zero image of `len` bytes (see [`ZERO_IMAGES`]).
-fn zero_image(len: usize) -> Arc<[u8]> {
-    ZERO_IMAGES.with(|cache| {
-        Arc::clone(
-            cache
-                .borrow_mut()
-                .entry(len)
-                .or_insert_with(|| Arc::from(vec![0u8; len])),
-        )
-    })
-}
+use crate::snapshot::{Image, Snapshot};
 
 /// An address in a component's local address space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -290,9 +264,15 @@ impl MemoryArena {
         Addr(self.heap_base)
     }
 
-    /// Total mapped bytes (all regions).
+    /// Total mapped bytes (all regions): the logical size Fig. 7b reports,
+    /// whatever the host holds for it.
     pub fn footprint(&self) -> usize {
         self.layout.total()
+    }
+
+    /// Host bytes backing the regions that have been written so far.
+    pub fn resident_bytes(&self) -> usize {
+        self.regions.iter().map(Region::resident_bytes).sum()
     }
 
     /// Bytes of heap in use (live + leaked allocations).
@@ -367,7 +347,10 @@ impl MemoryArena {
         let idx = self.region_for(addr, len)?;
         let r = &self.regions[idx];
         let start = (addr.0 - r.base()) as usize;
-        Ok(r.bytes()[start..start + len].to_vec())
+        Ok(match r.bytes() {
+            Some(bytes) => bytes[start..start + len].to_vec(),
+            None => vec![0; len],
+        })
     }
 
     /// Writes `bytes` at `addr`.
@@ -409,26 +392,22 @@ impl MemoryArena {
     /// Incremental: only regions written since the last capture (or
     /// restore) are copied; clean regions share their cached `Arc` image
     /// with the previous snapshot, and regions that were never written at
-    /// all (still [`Region::is_pristine`]) share one process-wide zero
-    /// image without being read. [`Snapshot::byte_len`] — the cost-model
-    /// input — is unaffected by what was actually copied.
+    /// all are captured as a length. [`Snapshot::byte_len`] — the
+    /// cost-model input — is unaffected by what was actually copied.
     pub fn snapshot(&mut self) -> Snapshot {
         let regions = self
             .regions
             .iter()
             .enumerate()
             .map(|(idx, r)| {
-                let image = match (&self.images[idx], self.dirty[idx]) {
-                    (Some(image), false) => Arc::clone(image),
-                    _ => {
-                        let fresh: Arc<[u8]> = if r.is_pristine() {
-                            zero_image(r.len())
-                        } else {
-                            Arc::from(r.bytes())
-                        };
+                let image = match (r.bytes(), &self.images[idx], self.dirty[idx]) {
+                    (None, ..) => Image::Zero(r.len()),
+                    (Some(_), Some(image), false) => Image::Bytes(Arc::clone(image)),
+                    (Some(bytes), ..) => {
+                        let fresh: Arc<[u8]> = Arc::from(bytes);
                         self.images[idx] = Some(Arc::clone(&fresh));
                         self.dirty[idx] = false;
-                        fresh
+                        Image::Bytes(fresh)
                     }
                 };
                 (r.kind(), image)
@@ -443,16 +422,22 @@ impl MemoryArena {
     }
 
     /// Captures a checkpoint without consulting or updating the
-    /// dirty-region cache: every region is copied afresh. Semantically
-    /// identical to [`MemoryArena::snapshot`]; tests use it to cross-check
-    /// the incremental path.
+    /// dirty-region cache: every materialised region is copied afresh.
+    /// Semantically identical to [`MemoryArena::snapshot`]; tests use it to
+    /// cross-check the incremental path.
     pub fn snapshot_full(&self) -> Snapshot {
         Snapshot {
             arena_name: self.name.clone(),
             regions: self
                 .regions
                 .iter()
-                .map(|r| (r.kind(), Arc::from(r.bytes())))
+                .map(|r| {
+                    let image = match r.bytes() {
+                        Some(bytes) => Image::Bytes(Arc::from(bytes)),
+                        None => Image::Zero(r.len()),
+                    };
+                    (r.kind(), image)
+                })
                 .collect(),
             allocator: self.allocator.clone(),
             aging: self.aging.clone(),
@@ -474,20 +459,28 @@ impl MemoryArena {
         if snap.arena_name != self.name || snap.regions.len() != self.regions.len() {
             return Err(MemError::SnapshotMismatch);
         }
-        for (region, (kind, bytes)) in self.regions.iter_mut().zip(&snap.regions) {
-            if region.kind() != *kind || region.len() != bytes.len() {
+        for (region, (kind, image)) in self.regions.iter().zip(&snap.regions) {
+            if region.kind() != *kind || region.len() != image.len() {
                 return Err(MemError::SnapshotMismatch);
             }
         }
-        for (idx, (region, (_, bytes))) in self.regions.iter_mut().zip(&snap.regions).enumerate() {
-            let unchanged = !self.dirty[idx]
-                && self.images[idx]
-                    .as_ref()
-                    .is_some_and(|img| Arc::ptr_eq(img, bytes));
-            if !unchanged {
-                region.overwrite(bytes);
-                self.images[idx] = Some(Arc::clone(bytes));
-                self.dirty[idx] = false;
+        for (idx, (region, (_, image))) in self.regions.iter_mut().zip(&snap.regions).enumerate() {
+            match image {
+                Image::Zero(_) => {
+                    region.clear();
+                    self.images[idx] = None;
+                }
+                Image::Bytes(bytes) => {
+                    let unchanged = !self.dirty[idx]
+                        && self.images[idx]
+                            .as_ref()
+                            .is_some_and(|img| Arc::ptr_eq(img, bytes));
+                    if !unchanged {
+                        region.overwrite(bytes);
+                        self.images[idx] = Some(Arc::clone(bytes));
+                        self.dirty[idx] = false;
+                    }
+                }
             }
         }
         self.allocator = snap.allocator.clone();
@@ -496,16 +489,12 @@ impl MemoryArena {
     }
 
     /// Resets the arena to pristine boot state: zero fill of writable
-    /// regions, a fresh allocator, and rejuvenated aging counters.
-    /// Regions that are still provably zero are left untouched (and keep
-    /// their shared zero image), so resetting a barely-used arena costs
-    /// nothing proportional to its size.
+    /// regions (their backing is released), a fresh allocator, and
+    /// rejuvenated aging counters.
     pub fn reset(&mut self) {
         for (idx, region) in self.regions.iter_mut().enumerate() {
-            if region.kind().is_writable() && !region.is_pristine() {
-                region.bytes_mut().fill(0);
-                region.mark_pristine();
-                self.dirty[idx] = true;
+            if region.kind().is_writable() {
+                region.clear();
                 self.images[idx] = None;
             }
         }
@@ -520,6 +509,15 @@ mod tests {
 
     fn arena() -> MemoryArena {
         MemoryArena::new("test", ArenaLayout::small())
+    }
+
+    /// Whether two captures hold one image: the same copy, or no bytes.
+    fn shared(a: &Image, b: &Image) -> bool {
+        match (a, b) {
+            (Image::Zero(a), Image::Zero(b)) => a == b,
+            (Image::Bytes(a), Image::Bytes(b)) => Arc::ptr_eq(a, b),
+            _ => false,
+        }
     }
 
     #[test]
@@ -646,7 +644,7 @@ mod tests {
         // Nothing written in between: every region image is shared.
         let s2 = a.snapshot();
         for ((_, b1), (_, b2)) in s1.regions.iter().zip(&s2.regions) {
-            assert!(Arc::ptr_eq(b1, b2), "clean region was recopied");
+            assert!(shared(b1, b2), "clean region was recopied");
         }
         // Dirty the heap only: the heap image is fresh, the rest shared.
         a.write(h.addr(), &[2; 64]).unwrap();
@@ -657,7 +655,7 @@ mod tests {
             .unwrap();
         for (idx, ((_, b2), (_, b3))) in s2.regions.iter().zip(&s3.regions).enumerate() {
             assert_eq!(
-                Arc::ptr_eq(b2, b3),
+                shared(b2, b3),
                 idx != heap_idx,
                 "wrong sharing for region {idx}"
             );
@@ -693,7 +691,7 @@ mod tests {
         // And a snapshot right after a restore shares the restored images.
         let s2 = a.snapshot();
         for ((_, b1), (_, b2)) in snap.regions.iter().zip(&s2.regions) {
-            assert!(Arc::ptr_eq(b1, b2), "post-restore capture recopied");
+            assert!(shared(b1, b2), "post-restore capture recopied");
         }
     }
 
@@ -703,7 +701,7 @@ mod tests {
         let snap = a.snapshot();
         a.flip_bit(Addr(0), 3).unwrap(); // text: not writable, still dirties
         let s2 = a.snapshot();
-        assert!(!Arc::ptr_eq(&snap.regions[0].1, &s2.regions[0].1));
+        assert!(!shared(&snap.regions[0].1, &s2.regions[0].1));
         assert_ne!(snap.regions[0].1, s2.regions[0].1);
     }
 
@@ -715,35 +713,77 @@ mod tests {
         let sb = b.snapshot();
         for ((ka, ia), (kb, ib)) in sa.regions.iter().zip(&sb.regions) {
             assert_eq!(ka, kb);
-            assert!(Arc::ptr_eq(ia, ib), "pristine {ka} region was copied");
+            assert!(shared(ia, ib), "pristine {ka} region was copied");
         }
-        // The shared-image shortcut must stay observationally identical to
-        // a full byte copy.
-        assert_eq!(sa, a.snapshot_full());
+        assert_eq!((a.resident_bytes(), b.resident_bytes()), (0, 0));
+        // The byte-less image must stay observationally identical to a
+        // full byte copy of a region that holds materialised zeros.
+        let mut eager = MemoryArena::new("a", ArenaLayout::medium());
+        for r in &mut eager.regions {
+            r.bytes_mut();
+        }
+        assert_eq!(eager.resident_bytes(), eager.footprint());
+        assert_eq!(sa, eager.snapshot_full());
+        assert_eq!(a, eager);
     }
 
     #[test]
     fn writes_break_pristineness_and_reset_restores_it() {
         let mut a = arena();
+        let l = ArenaLayout::small();
+        assert_eq!(a.resident_bytes(), 0);
         let h = a.alloc(32).unwrap();
+        assert_eq!(a.resident_bytes(), 0, "alloc touched bytes");
         a.write(h.addr(), &[1; 32]).unwrap();
+        assert_eq!(a.resident_bytes(), l.heap, "only the heap was written");
         let dirty = a.snapshot();
         let heap_idx = RegionKind::ALL
             .iter()
             .position(|&k| k == RegionKind::Heap)
             .unwrap();
-        let heap_len = dirty.regions[heap_idx].1.len();
         assert!(
-            !Arc::ptr_eq(&dirty.regions[heap_idx].1, &zero_image(heap_len)),
-            "written heap still mapped to the shared zero image"
+            matches!(dirty.regions[heap_idx].1, Image::Bytes(_)),
+            "written heap captured without its bytes"
         );
         a.reset();
+        assert_eq!(a.resident_bytes(), 0);
         let clean = a.snapshot();
         assert!(
-            Arc::ptr_eq(&clean.regions[heap_idx].1, &zero_image(heap_len)),
-            "reset heap did not return to the shared zero image"
+            matches!(clean.regions[heap_idx].1, Image::Zero(len) if len == l.heap),
+            "reset heap did not return to the zero image"
         );
         assert_eq!(clean, a.snapshot_full());
+        assert_eq!(a.read(h.addr(), 32).unwrap(), vec![0; 32]);
+    }
+
+    #[test]
+    fn a_large_arena_holds_no_bytes_until_written() {
+        let large = ArenaLayout::large();
+        let mut a = MemoryArena::new("vfs", large);
+        assert_eq!((a.resident_bytes(), a.footprint()), (0, large.total()));
+        a.write(Addr(large.text as u64), &[1]).unwrap(); // first byte of data
+        assert_eq!(a.resident_bytes(), large.data);
+        a.reset();
+        assert_eq!((a.resident_bytes(), a.footprint()), (0, large.total()));
+    }
+
+    #[test]
+    fn restore_crosses_materialised_and_unmaterialised_states() {
+        let mut a = arena();
+        let zero = a.snapshot();
+        let h = a.alloc(16).unwrap();
+        a.write(h.addr(), &[3; 16]).unwrap();
+        let dirty = a.snapshot();
+        // Zero snapshot into a written arena: the backing is released.
+        a.restore(&zero).unwrap();
+        assert_eq!(a.resident_bytes(), 0);
+        assert_eq!(a.read(h.addr(), 16).unwrap(), vec![0; 16]);
+        assert_eq!(a.snapshot(), zero);
+        // Dirty snapshot into an unmaterialised arena: only the heap comes back.
+        a.restore(&dirty).unwrap();
+        assert_eq!(a.resident_bytes(), ArenaLayout::small().heap);
+        assert_eq!(a.read(h.addr(), 16).unwrap(), vec![3; 16]);
+        assert_eq!(a.snapshot_full(), dirty);
     }
 
     #[test]

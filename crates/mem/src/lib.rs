@@ -9,7 +9,10 @@
 //! This crate rebuilds those pieces:
 //!
 //! * [`RegionKind`] / [`MemoryArena`] — a component's address space, laid out
-//!   as fixed regions over a flat local address range,
+//!   as fixed regions over a flat local address range. Region sizes are
+//!   logical: a region gets host memory on its first write, so an arena
+//!   nobody writes costs its bookkeeping and nothing else
+//!   ([`MemoryArena::footprint`] vs [`MemoryArena::resident_bytes`]),
 //! * [`BuddyAllocator`] — a real binary-buddy allocator with splitting and
 //!   coalescing, equivalent in behaviour to `ukallocbuddy`,
 //! * [`AgingState`] — leak/fragmentation accounting, the observable effect of

@@ -51,25 +51,34 @@ impl fmt::Display for RegionKind {
 }
 
 /// One contiguous memory region: a kind, a base address in the component's
-/// local address space, and backing bytes.
+/// local address space, and a logical size. Backing bytes are allocated by
+/// the first mutable byte access; until then the region reads as zeros and
+/// costs the host nothing.
 #[derive(Debug, Clone, Eq)]
 pub struct Region {
     kind: RegionKind,
     base: u64,
-    bytes: Vec<u8>,
-    /// Provably all-zero: no mutable borrow has been handed out since the
-    /// region was created (or re-zeroed). Lets snapshots substitute a
-    /// shared zero image without reading — or even faulting in — the
-    /// backing pages.
-    pristine: bool,
+    len: usize,
+    backing: Option<Vec<u8>>,
 }
 
-// `pristine` is a conservative optimisation hint, not observable state: a
-// region that lost the flag but still holds zeros equals a pristine one.
+// Backing is a host-side detail, not observable state: an unmaterialised
+// region equals a materialised one that holds only zeros.
 impl PartialEq for Region {
     fn eq(&self, other: &Self) -> bool {
-        self.kind == other.kind && self.base == other.base && self.bytes == other.bytes
+        self.kind == other.kind
+            && self.base == other.base
+            && self.len == other.len
+            && match (&self.backing, &other.backing) {
+                (None, None) => true,
+                (Some(a), Some(b)) => a == b,
+                (Some(bytes), None) | (None, Some(bytes)) => is_zero(bytes),
+            }
     }
+}
+
+pub(crate) fn is_zero(bytes: &[u8]) -> bool {
+    bytes.iter().all(|&b| b == 0)
 }
 
 impl Region {
@@ -78,8 +87,8 @@ impl Region {
         Region {
             kind,
             base,
-            bytes: vec![0; size],
-            pristine: true,
+            len: size,
+            backing: None,
         }
     }
 
@@ -95,17 +104,17 @@ impl Region {
 
     /// Size in bytes.
     pub fn len(&self) -> usize {
-        self.bytes.len()
+        self.len
     }
 
     /// True when the region has zero size.
     pub fn is_empty(&self) -> bool {
-        self.bytes.is_empty()
+        self.len == 0
     }
 
     /// One past the last address of the region.
     pub fn end(&self) -> u64 {
-        self.base + self.bytes.len() as u64
+        self.base + self.len as u64
     }
 
     /// Whether `addr..addr+len` falls entirely inside this region.
@@ -113,31 +122,24 @@ impl Region {
         addr >= self.base && addr.saturating_add(len as u64) <= self.end()
     }
 
-    /// Borrow the backing bytes.
-    pub fn bytes(&self) -> &[u8] {
-        &self.bytes
+    /// The backing bytes, or `None` while the region has never been
+    /// mutably accessed (since creation or the last [`Region::clear`]) and
+    /// so reads as [`Region::len`] zeros.
+    pub fn bytes(&self) -> Option<&[u8]> {
+        self.backing.as_deref()
     }
 
-    /// Whether the region provably still holds its creation-time zeros (no
-    /// mutable borrow handed out since creation or the last re-zeroing).
-    pub fn is_pristine(&self) -> bool {
-        self.pristine
+    /// Host bytes held by the backing: `len` once materialised, else 0.
+    pub fn resident_bytes(&self) -> usize {
+        self.backing.as_ref().map_or(0, Vec::len)
     }
 
-    /// Re-asserts pristineness after the caller zero-filled the region
-    /// (e.g. [`crate::MemoryArena::reset`]).
-    pub(crate) fn mark_pristine(&mut self) {
-        debug_assert!(self.bytes.iter().all(|&b| b == 0));
-        self.pristine = true;
-    }
-
-    /// Mutably borrow the backing bytes.
+    /// Mutably borrow the backing bytes, allocating them on first use.
     ///
     /// Write-permission checks are performed by the arena, not here; this is
     /// also the hook fault injection uses to corrupt memory directly.
     pub fn bytes_mut(&mut self) -> &mut [u8] {
-        self.pristine = false;
-        &mut self.bytes
+        self.backing.get_or_insert_with(|| vec![0; self.len])
     }
 
     /// Replaces the backing bytes (used by snapshot restore).
@@ -148,12 +150,16 @@ impl Region {
     pub fn overwrite(&mut self, bytes: &[u8]) {
         assert_eq!(
             bytes.len(),
-            self.bytes.len(),
+            self.len,
             "snapshot size mismatch for {} region",
             self.kind
         );
-        self.pristine = false;
-        self.bytes.copy_from_slice(bytes);
+        self.bytes_mut().copy_from_slice(bytes);
+    }
+
+    /// Zero-fills the region by releasing its backing.
+    pub fn clear(&mut self) {
+        self.backing = None;
     }
 }
 
@@ -193,8 +199,23 @@ mod tests {
     #[test]
     fn overwrite_round_trips() {
         let mut r = Region::new(RegionKind::Data, 0, 4);
+        assert_eq!(r.bytes(), None);
         r.overwrite(&[1, 2, 3, 4]);
-        assert_eq!(r.bytes(), &[1, 2, 3, 4]);
+        assert_eq!(r.bytes(), Some(&[1, 2, 3, 4][..]));
+        assert_eq!(r.resident_bytes(), 4);
+        r.clear();
+        assert_eq!((r.bytes(), r.len(), r.resident_bytes()), (None, 4, 0));
+    }
+
+    #[test]
+    fn backing_is_not_observable_state() {
+        let fresh = Region::new(RegionKind::Heap, 0, 8);
+        let mut touched = fresh.clone();
+        touched.bytes_mut()[3] = 0;
+        assert_eq!(fresh, touched, "materialised zeros differ from no backing");
+        touched.bytes_mut()[3] = 1;
+        assert_ne!(fresh, touched);
+        assert_ne!(fresh, Region::new(RegionKind::Heap, 0, 9));
     }
 
     #[test]

@@ -10,7 +10,38 @@ use std::sync::Arc;
 
 use crate::aging::AgingState;
 use crate::buddy::BuddyAllocator;
-use crate::region::RegionKind;
+use crate::region::{is_zero, RegionKind};
+
+/// One region's captured bytes.
+#[derive(Debug, Clone)]
+pub(crate) enum Image {
+    /// The region had no backing at capture time: this many zeros.
+    Zero(usize),
+    /// A copy of the region's backing.
+    Bytes(Arc<[u8]>),
+}
+
+impl Image {
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            Image::Zero(len) => *len,
+            Image::Bytes(bytes) => bytes.len(),
+        }
+    }
+}
+
+// Like `Region`: what was materialised is not observable, only the bytes.
+impl PartialEq for Image {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Image::Zero(a), Image::Zero(b)) => a == b,
+            (Image::Bytes(a), Image::Bytes(b)) => a == b,
+            (Image::Zero(len), Image::Bytes(bytes)) | (Image::Bytes(bytes), Image::Zero(len)) => {
+                bytes.len() == *len && is_zero(bytes)
+            }
+        }
+    }
+}
 
 /// A checkpoint of a [`MemoryArena`](crate::MemoryArena).
 ///
@@ -22,13 +53,14 @@ use crate::region::RegionKind;
 ///
 /// Region images are `Arc`-shared with the arena's dirty-region cache:
 /// capturing a snapshot copies only the regions written since the previous
-/// capture, and regions untouched between two snapshots share one image.
+/// capture, regions untouched between two snapshots share one image, and a
+/// region that was never written is captured as a length with no bytes.
 /// `byte_len` still reports the full (non-text) image size — the cost-model
 /// input is unchanged; only the real (host) copying work shrinks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     pub(crate) arena_name: String,
-    pub(crate) regions: Vec<(RegionKind, Arc<[u8]>)>,
+    pub(crate) regions: Vec<(RegionKind, Image)>,
     pub(crate) allocator: BuddyAllocator,
     pub(crate) aging: AgingState,
 }
@@ -48,7 +80,7 @@ impl Snapshot {
         self.regions
             .iter()
             .filter(|(kind, _)| *kind != RegionKind::Text)
-            .map(|(_, bytes)| bytes.len())
+            .map(|(_, image)| image.len())
             .sum()
     }
 

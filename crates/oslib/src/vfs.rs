@@ -896,7 +896,7 @@ impl Component for Vfs {
         }
         match self.fds.get(&session).map(|e| &e.kind) {
             Some(FdKind::File { offset, .. }) => TouchSynthesis::Replace {
-                func: f::SET_OFFSET.to_owned(),
+                func: f::SET_OFFSET.into(),
                 args: vec![Value::U64(session), Value::U64(*offset)],
                 ret: Value::Unit,
             },

@@ -12,6 +12,8 @@
 //! * [`Nanos`] / [`SimClock`] — virtual time,
 //! * [`SimRng`] — a deterministic, seedable random number generator,
 //! * [`CostModel`] — the tunable constants of the performance model,
+//! * [`Name`] — the shared string every component and function name is
+//!   carried as,
 //! * [`stats`] — summary statistics and histograms used by the benchmark
 //!   harness,
 //! * [`trace`] — a lightweight event trace for debugging and assertions in
@@ -28,12 +30,14 @@
 //! ```
 
 pub mod cost;
+pub mod name;
 pub mod rng;
 pub mod stats;
 pub mod time;
 pub mod trace;
 
 pub use cost::CostModel;
+pub use name::Name;
 pub use rng::{derive_seed, SimRng};
 pub use stats::{Histogram, Summary};
 pub use time::{Nanos, SimClock};

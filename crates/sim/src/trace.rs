@@ -7,51 +7,55 @@
 
 use std::collections::VecDeque;
 
+use crate::name::Name;
+
 /// One traced simulation event.
 ///
-/// Component identity is carried as a `String` name rather than a typed id so
-/// that this substrate crate stays independent of the component framework.
+/// Component identity is carried as a name rather than a typed id so that
+/// this substrate crate stays independent of the component framework; the
+/// names are [`Name`]s shared with the runtime's slot table, so recording
+/// an event allocates nothing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TraceEvent {
     /// A message hop `caller → target` for function `func`.
     MessageHop {
         /// Sending component.
-        caller: String,
+        caller: Name,
         /// Receiving component.
-        target: String,
+        target: Name,
         /// Invoked interface function.
-        func: String,
+        func: Name,
     },
     /// A component reboot began.
     RebootStart {
         /// Component being rebooted.
-        component: String,
+        component: Name,
     },
     /// A component reboot finished; `replayed` log entries were replayed.
     RebootDone {
         /// Component that was rebooted.
-        component: String,
+        component: Name,
         /// Number of log entries replayed during encapsulated restoration.
         replayed: usize,
     },
     /// The failure detector flagged a component.
     FailureDetected {
         /// Component that failed.
-        component: String,
+        component: Name,
         /// Human-readable failure kind (panic / hang / mpk-violation / ...).
         kind: String,
     },
     /// An MPK access check denied an access.
     MpkViolation {
         /// Component whose thread performed the access.
-        component: String,
+        component: Name,
         /// Owner of the region that was illegally touched.
-        region_owner: String,
+        region_owner: Name,
     },
     /// Session-aware log shrinking removed entries.
     LogShrunk {
         /// Component whose log was shrunk.
-        component: String,
+        component: Name,
         /// Entries removed by this shrink.
         removed: usize,
     },

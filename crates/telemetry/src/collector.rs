@@ -10,7 +10,7 @@
 //! Every method has a no-op default so collectors implement only what they
 //! can represent.
 
-use vampos_sim::{EventTrace, Nanos, TraceEvent};
+use vampos_sim::{EventTrace, Name, Nanos, TraceEvent};
 
 /// The phases a component recovery decomposes into (§V of the paper):
 /// detection, checkpoint restore (§V-E), encapsulated log replay (§V-B),
@@ -54,10 +54,13 @@ impl RecoveryPhase {
 /// the runtime's in-line recovery recurses through the failed call, so the
 /// enclosing span always outlives its children. Collectors may therefore
 /// keep a plain stack.
+///
+/// Component and function names that a collector may retain arrive as
+/// [`Name`]s, so retaining one is a reference-count bump, not a copy.
 pub trait Collector {
     /// A cross-component call `caller → target` for `func` began; `at` is
     /// the span start (before the request hop was charged).
-    fn call_begin(&mut self, _caller: &str, _target: &str, _func: &str, _at: Nanos) {}
+    fn call_begin(&mut self, _caller: &Name, _target: &Name, _func: &Name, _at: Nanos) {}
 
     /// The innermost open call finished (reply hop charged, log appended).
     fn call_end(&mut self, _at: Nanos, _ok: bool) {}
@@ -73,7 +76,7 @@ pub trait Collector {
     /// `admin` (explicit reboot / rejuvenation), `version-swap`, `update`.
     /// For failure-triggered recoveries `at` backdates the span to the
     /// start of detection.
-    fn recovery_begin(&mut self, _component: &str, _trigger: &str, _at: Nanos) {}
+    fn recovery_begin(&mut self, _component: &Name, _trigger: &str, _at: Nanos) {}
 
     /// One phase of the innermost open recovery covered `[start, end]` on
     /// `member` (for composites, phases repeat per member).
@@ -81,7 +84,13 @@ pub trait Collector {
     }
 
     /// The innermost open recovery completed.
-    fn recovery_end(&mut self, _component: &str, _at: Nanos, _replayed: usize, _snap_bytes: usize) {
+    fn recovery_end(
+        &mut self,
+        _component: &Name,
+        _at: Nanos,
+        _replayed: usize,
+        _snap_bytes: usize,
+    ) {
     }
 
     /// The innermost open recovery failed (e.g. a replay mismatch); the
@@ -89,14 +98,14 @@ pub trait Collector {
     fn recovery_abort(&mut self, _component: &str, _at: Nanos, _error: &str) {}
 
     /// The failure detector flagged `component`.
-    fn failure_detected(&mut self, _component: &str, _kind: &str, _at: Nanos) {}
+    fn failure_detected(&mut self, _component: &Name, _kind: &str, _at: Nanos) {}
 
     /// An MPK access check denied `component` access to `region_owner`'s
     /// memory.
-    fn mpk_violation(&mut self, _component: &str, _region_owner: &str, _at: Nanos) {}
+    fn mpk_violation(&mut self, _component: &Name, _region_owner: &Name, _at: Nanos) {}
 
     /// Session-aware log shrinking removed `removed` entries.
-    fn log_shrunk(&mut self, _component: &str, _removed: usize, _at: Nanos) {}
+    fn log_shrunk(&mut self, _component: &Name, _removed: usize, _at: Nanos) {}
 
     /// The component's live log is now `live_bytes` / `live_records` large
     /// (emitted after appends and compactions; gauges, not events).
@@ -118,46 +127,46 @@ pub trait Collector {
 /// while the trace was enabled (so they never count as suppressed), while
 /// all other events go through [`EventTrace::push`] unconditionally.
 impl Collector for EventTrace {
-    fn call_begin(&mut self, caller: &str, target: &str, func: &str, _at: Nanos) {
+    fn call_begin(&mut self, caller: &Name, target: &Name, func: &Name, _at: Nanos) {
         if self.is_enabled() {
             self.push(TraceEvent::MessageHop {
-                caller: caller.to_owned(),
-                target: target.to_owned(),
-                func: func.to_owned(),
+                caller: caller.clone(),
+                target: target.clone(),
+                func: func.clone(),
             });
         }
     }
 
-    fn recovery_begin(&mut self, component: &str, _trigger: &str, _at: Nanos) {
+    fn recovery_begin(&mut self, component: &Name, _trigger: &str, _at: Nanos) {
         self.push(TraceEvent::RebootStart {
-            component: component.to_owned(),
+            component: component.clone(),
         });
     }
 
-    fn recovery_end(&mut self, component: &str, _at: Nanos, replayed: usize, _snap_bytes: usize) {
+    fn recovery_end(&mut self, component: &Name, _at: Nanos, replayed: usize, _snap_bytes: usize) {
         self.push(TraceEvent::RebootDone {
-            component: component.to_owned(),
+            component: component.clone(),
             replayed,
         });
     }
 
-    fn failure_detected(&mut self, component: &str, kind: &str, _at: Nanos) {
+    fn failure_detected(&mut self, component: &Name, kind: &str, _at: Nanos) {
         self.push(TraceEvent::FailureDetected {
-            component: component.to_owned(),
+            component: component.clone(),
             kind: kind.to_owned(),
         });
     }
 
-    fn mpk_violation(&mut self, component: &str, region_owner: &str, _at: Nanos) {
+    fn mpk_violation(&mut self, component: &Name, region_owner: &Name, _at: Nanos) {
         self.push(TraceEvent::MpkViolation {
-            component: component.to_owned(),
-            region_owner: region_owner.to_owned(),
+            component: component.clone(),
+            region_owner: region_owner.clone(),
         });
     }
 
-    fn log_shrunk(&mut self, component: &str, removed: usize, _at: Nanos) {
+    fn log_shrunk(&mut self, component: &Name, removed: usize, _at: Nanos) {
         self.push(TraceEvent::LogShrunk {
-            component: component.to_owned(),
+            component: component.clone(),
             removed,
         });
     }
@@ -189,13 +198,14 @@ mod tests {
     #[test]
     fn event_trace_maps_collector_calls_onto_legacy_events() {
         let mut t = EventTrace::default();
-        t.call_begin("app", "vfs", "write", Nanos::ZERO);
-        t.failure_detected("vfs", "panic", Nanos::ZERO);
-        t.recovery_begin("vfs", "panic", Nanos::ZERO);
-        t.recovery_phase("vfs", RecoveryPhase::LogReplay, Nanos::ZERO, Nanos::ZERO);
-        t.recovery_end("vfs", Nanos::ZERO, 3, 0);
-        t.mpk_violation("lwip", "vfs", Nanos::ZERO);
-        t.log_shrunk("vfs", 2, Nanos::ZERO);
+        let [app, vfs, lwip, write] = ["app", "vfs", "lwip", "write"].map(Name::from);
+        t.call_begin(&app, &vfs, &write, Nanos::ZERO);
+        t.failure_detected(&vfs, "panic", Nanos::ZERO);
+        t.recovery_begin(&vfs, "panic", Nanos::ZERO);
+        t.recovery_phase(&vfs, RecoveryPhase::LogReplay, Nanos::ZERO, Nanos::ZERO);
+        t.recovery_end(&vfs, Nanos::ZERO, 3, 0);
+        t.mpk_violation(&lwip, &vfs, Nanos::ZERO);
+        t.log_shrunk(&vfs, 2, Nanos::ZERO);
         t.note("hi", Nanos::ZERO);
         // recovery_phase has no legacy representation; everything else maps.
         let got: Vec<TraceEvent> = t.iter().cloned().collect();
@@ -229,15 +239,28 @@ mod tests {
                 TraceEvent::Note("hi".into()),
             ]
         );
+        // The retained names are the caller's allocations, not copies.
+        let Some(TraceEvent::MessageHop {
+            caller,
+            target,
+            func,
+        }) = t.iter().next()
+        else {
+            panic!("first event is the hop");
+        };
+        assert!(Name::ptr_eq(caller, &app));
+        assert!(Name::ptr_eq(target, &vfs));
+        assert!(Name::ptr_eq(func, &write));
     }
 
     #[test]
     fn disabled_trace_suppresses_hops_silently_but_counts_other_events() {
         let mut t = EventTrace::default();
         t.set_enabled(false);
-        t.call_begin("app", "vfs", "write", Nanos::ZERO);
+        let [app, vfs, write] = ["app", "vfs", "write"].map(Name::from);
+        t.call_begin(&app, &vfs, &write, Nanos::ZERO);
         assert_eq!(t.suppressed(), 0, "hops skip the push when disabled");
-        t.failure_detected("vfs", "panic", Nanos::ZERO);
+        t.failure_detected(&vfs, "panic", Nanos::ZERO);
         assert_eq!(t.suppressed(), 1);
     }
 }

@@ -16,7 +16,7 @@ use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
-use vampos_sim::Nanos;
+use vampos_sim::{Name, Nanos};
 
 use crate::collector::{Collector, RecoveryPhase};
 use crate::metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
@@ -511,7 +511,8 @@ impl TelemetryHub {
 }
 
 impl Collector for TelemetryHub {
-    fn call_begin(&mut self, caller: &str, target: &str, func: &str, at: Nanos) {
+    fn call_begin(&mut self, caller: &Name, target: &Name, func: &Name, at: Nanos) {
+        let (caller, target) = (caller.as_str(), target.as_str());
         let track = self.names.intern(target);
         let name = self.names.intern(func);
         let caller_id = self.names.intern(caller);
@@ -595,7 +596,7 @@ impl Collector for TelemetryHub {
         }
     }
 
-    fn recovery_begin(&mut self, component: &str, trigger: &str, at: Nanos) {
+    fn recovery_begin(&mut self, component: &Name, trigger: &str, at: Nanos) {
         let track = self.names.intern(component);
         let name = self.names.intern("recovery");
         self.open_span(
@@ -632,7 +633,8 @@ impl Collector for TelemetryHub {
         );
     }
 
-    fn recovery_end(&mut self, component: &str, at: Nanos, replayed: usize, snap_bytes: usize) {
+    fn recovery_end(&mut self, component: &Name, at: Nanos, replayed: usize, snap_bytes: usize) {
+        let component = component.as_str();
         if let Some(span) = self.close_span(SpanKind::Recovery, at) {
             self.extend_last([
                 ("replayed", replayed.to_string().into()),
@@ -672,7 +674,8 @@ impl Collector for TelemetryHub {
         }
     }
 
-    fn failure_detected(&mut self, component: &str, kind: &str, at: Nanos) {
+    fn failure_detected(&mut self, component: &Name, kind: &str, at: Nanos) {
+        let component = component.as_str();
         let track = self.names.intern(component);
         let name = self.names.shared("failure_detected");
         self.attach_instant(
@@ -688,20 +691,22 @@ impl Collector for TelemetryHub {
         );
     }
 
-    fn mpk_violation(&mut self, component: &str, region_owner: &str, at: Nanos) {
+    fn mpk_violation(&mut self, component: &Name, region_owner: &Name, at: Nanos) {
+        let component = component.as_str();
         let track = self.names.intern(component);
         let name = self.names.shared("mpk_denial");
         self.attach_instant(
             track,
             name,
             at,
-            Rc::from([("region_owner", region_owner.to_owned().into())]),
+            Rc::from([("region_owner", region_owner.to_string().into())]),
         );
         self.metrics
             .counter_add("vampos_mpk_denials_total", &[("component", component)], 1);
     }
 
-    fn log_shrunk(&mut self, component: &str, removed: usize, at: Nanos) {
+    fn log_shrunk(&mut self, component: &Name, removed: usize, at: Nanos) {
+        let component = component.as_str();
         let track = self.names.intern(component);
         let name = self.names.shared("log_shrunk");
         self.attach_instant(
@@ -818,11 +823,15 @@ mod tests {
         Nanos::from_nanos(n)
     }
 
+    fn n(s: &str) -> Name {
+        Name::from(s)
+    }
+
     #[test]
     fn call_spans_nest_and_record_latency() {
         let mut hub = TelemetryHub::new();
-        hub.call_begin("app", "9pfs", "read", ns(100));
-        hub.call_begin("9pfs", "virtio", "ninep", ns(150));
+        hub.call_begin(&n("app"), &n("9pfs"), &n("read"), ns(100));
+        hub.call_begin(&n("9pfs"), &n("virtio"), &n("ninep"), ns(150));
         hub.call_end(ns(180), true);
         hub.call_end(ns(250), true);
         let spans: Vec<&SpanRecord> = hub.spans().collect();
@@ -839,7 +848,7 @@ mod tests {
     #[test]
     fn recovery_spans_carry_phases_and_outcome_attrs() {
         let mut hub = TelemetryHub::new();
-        hub.recovery_begin("9pfs", "panic", ns(1_000));
+        hub.recovery_begin(&n("9pfs"), "panic", ns(1_000));
         hub.recovery_phase("9pfs", RecoveryPhase::FailureDetect, ns(1_000), ns(1_200));
         hub.recovery_phase(
             "9pfs",
@@ -849,7 +858,7 @@ mod tests {
         );
         hub.recovery_phase("9pfs", RecoveryPhase::LogReplay, ns(1_500), ns(2_000));
         hub.recovery_phase("9pfs", RecoveryPhase::Resume, ns(2_000), ns(2_100));
-        hub.recovery_end("9pfs", ns(2_100), 7, 4096);
+        hub.recovery_end(&n("9pfs"), ns(2_100), 7, 4096);
         let spans: Vec<&SpanRecord> = hub.spans().collect();
         assert_eq!(spans.len(), 5);
         let recovery = spans.iter().find(|s| s.kind == SpanKind::Recovery).unwrap();
@@ -869,9 +878,9 @@ mod tests {
     #[test]
     fn instants_attach_to_the_innermost_open_span() {
         let mut hub = TelemetryHub::new();
-        hub.mpk_violation("lwip", "9pfs", ns(5));
-        hub.call_begin("app", "lwip", "send", ns(10));
-        hub.failure_detected("lwip", "panic", ns(20));
+        hub.mpk_violation(&n("lwip"), &n("9pfs"), ns(5));
+        hub.call_begin(&n("app"), &n("lwip"), &n("send"), ns(10));
+        hub.failure_detected(&n("lwip"), "panic", ns(20));
         hub.call_end(ns(30), false);
         let instants: Vec<&InstantRecord> = hub.instants().collect();
         assert_eq!(instants[0].parent, None);
@@ -885,9 +894,9 @@ mod tests {
     #[test]
     fn tail_orders_by_start_and_computes_depth() {
         let mut hub = TelemetryHub::new();
-        hub.recovery_begin("vfs", "admin", ns(100));
+        hub.recovery_begin(&n("vfs"), "admin", ns(100));
         hub.recovery_phase("vfs", RecoveryPhase::LogReplay, ns(150), ns(180));
-        hub.recovery_end("vfs", ns(200), 0, 0);
+        hub.recovery_end(&n("vfs"), ns(200), 0, 0);
         let tail = hub.tail(10);
         assert_eq!(tail.len(), 2);
         assert_eq!(tail[0].name, "recovery");
@@ -910,7 +919,7 @@ mod tests {
     #[test]
     fn push_span_takes_explicit_parents_and_skips_the_stack() {
         let mut hub = TelemetryHub::new();
-        hub.call_begin("app", "vfs", "read", ns(10));
+        hub.call_begin(&n("app"), &n("vfs"), &n("read"), ns(10));
         let root = hub.push_span(
             "journeys",
             "journey",

@@ -25,17 +25,18 @@
 //! # Example
 //!
 //! ```
-//! use vampos_sim::SimClock;
+//! use vampos_sim::{Name, SimClock};
 //! use vampos_telemetry::{Collector, RecoveryPhase, TelemetrySink};
 //!
 //! let sink = TelemetrySink::default();
 //! let clock = SimClock::new();
+//! let ninep = Name::from("9pfs");
 //! sink.with(|hub| {
 //!     let t0 = clock.now();
-//!     hub.recovery_begin("9pfs", "panic", t0);
+//!     hub.recovery_begin(&ninep, "panic", t0);
 //!     let t1 = clock.advance(vampos_sim::Nanos::from_micros(3));
-//!     hub.recovery_phase("9pfs", RecoveryPhase::CheckpointRestore, t0, t1);
-//!     hub.recovery_end("9pfs", t1, 4, 4096);
+//!     hub.recovery_phase(&ninep, RecoveryPhase::CheckpointRestore, t0, t1);
+//!     hub.recovery_end(&ninep, t1, 4, 4096);
 //! });
 //! let trace = sink.with(|hub| hub.chrome_trace_json());
 //! assert!(trace.contains("\"checkpoint_restore\""));

@@ -1,52 +1,27 @@
 //! The [`Component`] trait and its static metadata.
 
-use std::collections::BTreeSet;
-use std::fmt;
+use std::collections::BTreeMap;
 
 use vampos_mem::{ArenaLayout, MemoryArena};
-use vampos_sim::{CostModel, Nanos, SimRng};
+use vampos_sim::{CostModel, Name, Nanos, SimRng};
 
 use crate::error::OsError;
 use crate::value::Value;
 
 /// A component's name (also its protection-domain name).
-#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct ComponentName(String);
+pub type ComponentName = Name;
 
-impl ComponentName {
-    /// Creates a name.
-    pub fn new(name: impl Into<String>) -> Self {
-        ComponentName(name.into())
-    }
-
-    /// The name as a string slice.
-    pub fn as_str(&self) -> &str {
-        &self.0
-    }
-}
-
-impl fmt::Display for ComponentName {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.0)
-    }
-}
-
-impl From<&str> for ComponentName {
-    fn from(s: &str) -> Self {
-        ComponentName(s.to_owned())
-    }
-}
-
-impl From<String> for ComponentName {
-    fn from(s: String) -> Self {
-        ComponentName(s)
-    }
-}
-
-impl AsRef<str> for ComponentName {
-    fn as_ref(&self) -> &str {
-        &self.0
-    }
+/// What a descriptor declares about one interface function.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct FnInfo {
+    /// The function's name, shared by every record that mentions it.
+    pub name: Name,
+    /// Calls are logged for restoration (paper Table II).
+    pub logged: bool,
+    /// Part of the declared interface (paper Table I).
+    pub exported: bool,
+    /// Restorable without a log entry.
+    pub replay_safe: bool,
 }
 
 /// Static metadata describing a component to the VampOS runtime.
@@ -76,9 +51,9 @@ pub struct ComponentDescriptor {
     host_shared: bool,
     host_handshake: bool,
     dependencies: Vec<ComponentName>,
-    logged: BTreeSet<&'static str>,
-    exports: BTreeSet<&'static str>,
-    replay_safe: BTreeSet<&'static str>,
+    /// Every function some declaration names: the one table the message
+    /// hop consults, for both the logging decision and the shared name.
+    functions: BTreeMap<&'static str, FnInfo>,
     layout: ArenaLayout,
 }
 
@@ -95,9 +70,7 @@ impl ComponentDescriptor {
             host_shared: false,
             host_handshake: false,
             dependencies: Vec::new(),
-            logged: BTreeSet::new(),
-            exports: BTreeSet::new(),
-            replay_safe: BTreeSet::new(),
+            functions: BTreeMap::new(),
             layout,
         }
     }
@@ -166,9 +139,8 @@ impl ComponentDescriptor {
     /// outside this set are not logged — they do not change component state
     /// that restoration needs.
     #[must_use]
-    pub fn logs(mut self, funcs: &[&'static str]) -> Self {
-        self.logged = funcs.iter().copied().collect();
-        self
+    pub fn logs(self, funcs: &[&'static str]) -> Self {
+        self.declare(funcs, |f| &mut f.logged)
     }
 
     /// Declares the component's complete interface (paper Table I): every
@@ -178,9 +150,8 @@ impl ComponentDescriptor {
     /// Leaving the set empty means "interface undeclared"; coverage checks
     /// are then skipped.
     #[must_use]
-    pub fn exports(mut self, funcs: &[&'static str]) -> Self {
-        self.exports = funcs.iter().copied().collect();
-        self
+    pub fn exports(self, funcs: &[&'static str]) -> Self {
+        self.declare(funcs, |f| &mut f.exported)
     }
 
     /// Declares exports whose calls need no log entry for restoration:
@@ -188,8 +159,26 @@ impl ComponentDescriptor {
     /// host-owned state (`unlink`), and functions whose state is rebuilt
     /// from runtime-data extraction instead of replay (`accept`, §V-B).
     #[must_use]
-    pub fn replay_safe(mut self, funcs: &[&'static str]) -> Self {
-        self.replay_safe = funcs.iter().copied().collect();
+    pub fn replay_safe(self, funcs: &[&'static str]) -> Self {
+        self.declare(funcs, |f| &mut f.replay_safe)
+    }
+
+    /// Makes `funcs` the set of functions carrying one of the three flags.
+    fn declare(mut self, funcs: &[&'static str], flag: fn(&mut FnInfo) -> &mut bool) -> Self {
+        for info in self.functions.values_mut() {
+            *flag(info) = false;
+        }
+        for &func in funcs {
+            let info = self.functions.entry(func).or_insert_with(|| FnInfo {
+                name: Name::from(func),
+                logged: false,
+                exported: false,
+                replay_safe: false,
+            });
+            *flag(info) = true;
+        }
+        self.functions
+            .retain(|_, f| f.logged || f.exported || f.replay_safe);
         self
     }
 
@@ -233,41 +222,57 @@ impl ComponentDescriptor {
         &self.dependencies
     }
 
+    /// What the descriptor declares about `func`; `None` when no
+    /// declaration names it.
+    pub fn function(&self, func: &str) -> Option<&FnInfo> {
+        self.functions.get(func)
+    }
+
+    fn functions_where(
+        &self,
+        flag: fn(&FnInfo) -> bool,
+    ) -> impl Iterator<Item = &'static str> + '_ {
+        self.functions
+            .iter()
+            .filter(move |(_, info)| flag(info))
+            .map(|(&func, _)| func)
+    }
+
     /// Whether calls to `func` are logged for restoration.
     pub fn is_logged(&self, func: &str) -> bool {
-        self.logged.contains(func)
+        self.function(func).is_some_and(|f| f.logged)
     }
 
     /// The logged-function set.
     pub fn logged_functions(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.logged.iter().copied()
+        self.functions_where(|f| f.logged)
     }
 
     /// Whether the component declares its interface (a non-empty
     /// [`ComponentDescriptor::exports`] set).
     pub fn declares_interface(&self) -> bool {
-        !self.exports.is_empty()
+        self.exported_functions().next().is_some()
     }
 
     /// Whether `func` is part of the declared interface.
     pub fn is_exported(&self, func: &str) -> bool {
-        self.exports.contains(func)
+        self.function(func).is_some_and(|f| f.exported)
     }
 
     /// The declared interface, in name order.
     pub fn exported_functions(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.exports.iter().copied()
+        self.functions_where(|f| f.exported)
     }
 
     /// Whether `func` is declared replay-safe (restorable without a log
     /// entry).
     pub fn is_replay_safe(&self, func: &str) -> bool {
-        self.replay_safe.contains(func)
+        self.function(func).is_some_and(|f| f.replay_safe)
     }
 
     /// The declared replay-safe set, in name order.
     pub fn replay_safe_functions(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.replay_safe.iter().copied()
+        self.functions_where(|f| f.replay_safe)
     }
 
     /// The component's memory layout.
@@ -309,7 +314,7 @@ pub enum TouchSynthesis {
     /// entry (e.g. `vfs_set_offset` summarising a run of reads/writes).
     Replace {
         /// Synthetic function name.
-        func: String,
+        func: Name,
         /// Its arguments.
         args: Vec<Value>,
         /// Its expected return value.
@@ -582,6 +587,17 @@ mod tests {
         assert!(!d.is_replay_safe("open"));
         assert_eq!(d.exported_functions().count(), 3);
         assert_eq!(d.replay_safe_functions().count(), 1);
+        let open = d.function("open").expect("declared");
+        assert_eq!(open.name, "open");
+        assert!(open.logged && open.exported && !open.replay_safe);
+        assert!(d.function("nope").is_none());
+        // Each declaration replaces the set it declares, and no other.
+        let d = d.logs(&["close"]);
+        assert!(!d.is_logged("open") && d.is_exported("open"));
+        assert!(d
+            .exports(&[])
+            .function("fstat")
+            .is_some_and(|f| f.replay_safe));
         let bare = ComponentDescriptor::new("x", ArenaLayout::small());
         assert!(!bare.declares_interface());
     }
@@ -621,6 +637,6 @@ mod tests {
         assert_eq!(n.as_str(), "vfs");
         assert_eq!(n.to_string(), "vfs");
         assert_eq!(n.as_ref(), "vfs");
-        assert_eq!(ComponentName::new(String::from("x")).as_str(), "x");
+        assert_eq!(ComponentName::from(String::from("x")).as_str(), "x");
     }
 }

@@ -30,7 +30,7 @@ pub mod error;
 pub mod value;
 
 pub use component::{
-    CallContext, Component, ComponentBox, ComponentDescriptor, ComponentName, SessionEvent,
+    CallContext, Component, ComponentBox, ComponentDescriptor, ComponentName, FnInfo, SessionEvent,
     TouchSynthesis,
 };
 pub use error::OsError;
