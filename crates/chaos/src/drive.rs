@@ -13,16 +13,12 @@ use std::collections::{BTreeMap, BTreeSet};
 use vampos_apps::{App, Echo, MiniHttpd, MiniKv, MiniSql};
 use vampos_core::{ComponentSet, Mode, System};
 use vampos_host::HostHandle;
-use vampos_sim::{Nanos, TraceEvent};
+use vampos_sim::Nanos;
 use vampos_telemetry::TelemetrySink;
 use vampos_ukernel::OsError;
 use vampos_workloads::{EchoLoad, HttpLoad, KvLoad, LoadReport, Schedule, SqlLoad};
 
 use crate::spec::{CampaignSpec, WorkloadKind};
-
-/// Trace capacity for chaos runs: large enough that no MPK violation or
-/// reboot event is evicted mid-campaign.
-const TRACE_CAPACITY: usize = 65_536;
 
 /// Quiesce requests appended after the main stream (also the [`CampaignSpec::tail`]
 /// default the generator uses).
@@ -43,11 +39,8 @@ pub struct RunResult {
     pub component_digests: BTreeMap<String, u64>,
     /// Components that went through a reboot (composite labels split).
     pub rebooted_components: BTreeSet<String>,
-    /// MPK policy violations observed in the trace.
+    /// MPK policy violations the runtime counted.
     pub mpk_violations: u64,
-    /// Trace events dropped by the ring buffer (must stay 0 for the
-    /// isolation oracle to be trustworthy).
-    pub trace_dropped: u64,
     /// Downtime windows, in order (component name, duration).
     pub downtime: Vec<(String, Nanos)>,
     /// Component reboots performed.
@@ -92,8 +85,7 @@ fn build_system(spec: &CampaignSpec, sink: Option<&TelemetrySink>) -> Result<Sys
         .mode(Mode::vampos_das())
         .components(component_set(spec.workload))
         .seed(spec.seed)
-        .host(host)
-        .trace_capacity(TRACE_CAPACITY);
+        .host(host);
     if let Some(sink) = sink {
         builder = builder.telemetry(sink.clone());
     }
@@ -233,34 +225,22 @@ pub fn run_with_sink(
     };
     result.error = drive_outcome.err();
 
-    // Harvest system-side observables (even after a drive error — a partial
-    // trace still tells the oracles what happened before the failure).
+    // Harvest system-side observables (even after a drive error — the
+    // counters still tell the oracles what happened before the failure).
     for name in sys.component_names() {
+        let counters = sys.component_counters(&name).unwrap_or_default();
+        if counters.recoveries > 0 {
+            result.rebooted_components.insert(name.clone());
+        }
+        if counters.hops > 0 {
+            result.hops_by_target.insert(name.clone(), counters.hops);
+        }
         if let Some(d) = sys.state_digest(&name) {
             result.component_digests.insert(name, d);
         }
     }
-    for event in sys.trace().iter() {
-        match event {
-            TraceEvent::MpkViolation { .. } => result.mpk_violations += 1,
-            TraceEvent::RebootStart { component } => {
-                for part in component.split('+') {
-                    result.rebooted_components.insert(part.to_owned());
-                }
-            }
-            TraceEvent::MessageHop { target, .. } => {
-                match result.hops_by_target.get_mut(target.as_str()) {
-                    Some(hops) => *hops += 1,
-                    None => {
-                        result.hops_by_target.insert(target.to_string(), 1);
-                    }
-                }
-            }
-            _ => {}
-        }
-    }
-    result.trace_dropped = sys.trace().dropped();
     let stats = sys.stats();
+    result.mpk_violations = stats.mpk_violations;
     result.component_reboots = stats.component_reboots;
     result.full_reboots = stats.full_reboots;
     result.replayed_entries = stats.replayed_entries;

@@ -36,7 +36,7 @@ pub enum OracleKind {
     StateEquivalence,
     /// A rebooted component's digest diverged from the twin.
     ReplayConsistency,
-    /// An MPK policy violation was traced.
+    /// The runtime denied an MPK access.
     Isolation,
     /// The run wedged, left schedule entries unfired, or blew the
     /// recovery-time bound.
@@ -149,16 +149,6 @@ pub fn check(spec: &CampaignSpec, faulted: &RunResult, twin: &RunResult) -> Vec<
             ),
         ));
     }
-    if faulted.trace_dropped > 0 {
-        // A saturated trace could hide a violation; treat it as one.
-        violations.push(Violation::new(
-            OracleKind::Isolation,
-            format!(
-                "trace ring dropped {} event(s); isolation evidence incomplete",
-                faulted.trace_dropped
-            ),
-        ));
-    }
 
     // Oracle 4: liveness.
     if let Some(error) = &faulted.error {
@@ -218,7 +208,6 @@ mod tests {
             component_digests: BTreeMap::from([("vfs".to_owned(), 1u64)]),
             rebooted_components: BTreeSet::new(),
             mpk_violations: 0,
-            trace_dropped: 0,
             downtime: Vec::new(),
             component_reboots: 0,
             full_reboots: 0,

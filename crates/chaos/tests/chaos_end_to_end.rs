@@ -50,6 +50,29 @@ fn seeded_sweep_passes_and_is_deterministic_across_runs_and_fanout() {
     assert_eq!(first.render(), component_sweep(42, 4, all(), true).render());
 }
 
+/// The isolation oracle reads exact counters, so a run is never too long to
+/// vouch for: this one makes more hops than the 65,536-event ring the
+/// oracle used to read held, and reported as dropped evidence.
+#[test]
+fn a_long_fault_free_run_passes_every_oracle() {
+    let spec = CampaignSpec {
+        workload: WorkloadKind::Kv,
+        seed: 1,
+        campaign: 0,
+        ops: 6_000,
+        tail: 16,
+        aof: false,
+        plant: false,
+        events: Vec::new(),
+    };
+    let faulted = vampos_chaos::drive::run(&spec, true);
+    let twin = vampos_chaos::drive::run(&spec, false);
+    let hops: u64 = faulted.hops_by_target.values().sum();
+    assert!(hops >= 66_000, "only {hops} hops");
+    assert_eq!(faulted.hops_by_target, twin.hops_by_target);
+    assert_eq!(vampos_chaos::oracle::check(&spec, &faulted, &twin), vec![]);
+}
+
 #[test]
 fn different_seeds_generate_different_campaigns() {
     let render = |seed| component_sweep(seed, 2, ComponentFamily::default(), false).render();

@@ -49,7 +49,7 @@ pub use os::{Os, Whence};
 pub use reboot::{FullRebootOutcome, RebootOutcome};
 pub use resilience::AgingEntry;
 pub use runtime::{MemoryReport, System, SystemBuilder};
-pub use stats::{DowntimeWindow, SystemStats};
+pub use stats::{ComponentCounters, DowntimeWindow, SystemStats};
 pub use vampos_telemetry::{
     Collector, RecoveryPhase, SpanDump, SpanKind, SpanRecord, TelemetryHub, TelemetrySink,
 };

@@ -120,6 +120,9 @@ impl System {
         let trigger = pending.as_ref().map(|p| p.kind).unwrap_or("admin");
         let span_start = pending.as_ref().map(|p| p.detect_start).unwrap_or(start);
         let detect_end = pending.as_ref().map(|p| p.detect_end).unwrap_or(start);
+        for &member in &members {
+            self.slots[member].counters.recoveries += 1;
+        }
         self.emit(|c| c.recovery_begin(&label, trigger, span_start));
         self.emit(|c| {
             c.recovery_phase(&label, RecoveryPhase::FailureDetect, span_start, detect_end)
@@ -196,11 +199,10 @@ impl System {
             self.clock
                 .advance(self.costs.snapshot_restore(snapshot_bytes));
             // The boot image predates every rejuvenation; re-establish the
-            // cumulative count (each call also clears the aging counters,
-            // which the boot image already has at zero).
-            for _ in 0..=prior_rejuvenations {
-                comp.arena_mut().aging_mut().rejuvenate();
-            }
+            // cumulative count, this reboot included.
+            comp.arena_mut()
+                .aging_mut()
+                .rejuvenate_times(prior_rejuvenations + 1);
         }
 
         let restore_end = self.clock.now();
@@ -324,9 +326,7 @@ impl System {
         self.clock.advance(self.costs.detector_check);
         let detect_end = self.clock.now();
         let name = &self.slots[tid].name;
-        Self::emit_to(&mut self.trace, &self.telemetry, |c| {
-            c.failure_detected(name, "panic", detect_end)
-        });
+        self.emit(|c| c.failure_detected(name, "panic", detect_end));
         if !self.auto_recover || !self.slots[tid].desc.is_rebootable() {
             return Err(self.terminal_failure(
                 tid,
@@ -367,9 +367,7 @@ impl System {
         self.clock.advance(self.costs.detector_check);
         let detect_end = self.clock.now();
         let name = &self.slots[tid].name;
-        Self::emit_to(&mut self.trace, &self.telemetry, |c| {
-            c.failure_detected(name, "spurious", detect_end)
-        });
+        self.emit(|c| c.failure_detected(name, "spurious", detect_end));
         self.pending_recovery = Some(PendingRecovery {
             kind: "spurious",
             detect_start,

@@ -67,6 +67,7 @@ impl System {
         let trigger = pending.as_ref().map(|_| "version-swap").unwrap_or("update");
         let span_start = pending.as_ref().map(|p| p.detect_start).unwrap_or(start);
         let detect_end = pending.as_ref().map(|p| p.detect_end).unwrap_or(start);
+        self.slots[tid].counters.recoveries += 1;
         self.emit(|c| c.recovery_begin(&name, trigger, span_start));
         self.emit(|c| {
             c.recovery_phase(&name, RecoveryPhase::FailureDetect, span_start, detect_end)

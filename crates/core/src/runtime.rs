@@ -6,7 +6,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use vampos_host::HostHandle;
 use vampos_mem::Snapshot;
 use vampos_mpk::{AccessKind, DomainId, KeyRegistry, Pkru};
-use vampos_sim::{CostModel, EventTrace, Name, Nanos, SimClock, SimRng};
+use vampos_sim::{CostModel, Name, Nanos, SimClock, SimRng};
 use vampos_telemetry::{Collector, TelemetrySink};
 use vampos_ukernel::{names, CallContext, ComponentBox, ComponentDescriptor, OsError, Value};
 
@@ -14,15 +14,15 @@ use crate::config::{ComponentSet, Mode, SchedulerKind};
 use crate::faults::{FaultAction, FaultPlan};
 use crate::funclog::{DownRec, FunctionLog, LogEntry};
 use crate::os::Os;
-use crate::stats::SystemStats;
+use crate::stats::{ComponentCounters, SystemStats};
 
 /// Message-domain memory reserved per component in VampOS mode (message
 /// buffers; the function logs are accounted separately by actual size).
 pub const MSG_DOMAIN_BYTES: usize = 256 << 10;
 
 pub(crate) struct Slot {
-    /// The descriptor's name: every trace event, log entry and downcall
-    /// record that mentions the component shares this allocation.
+    /// The descriptor's name: every span, log entry and downcall record
+    /// that mentions the component shares this allocation.
     pub(crate) name: Name,
     pub(crate) comp: Option<ComponentBox>,
     pub(crate) desc: ComponentDescriptor,
@@ -33,6 +33,8 @@ pub(crate) struct Slot {
     pub(crate) group: usize,
     pub(crate) boot_snapshot: Option<Snapshot>,
     pub(crate) reboots: u64,
+    /// Calls and recoveries begun on this slot, telemetry or not.
+    pub(crate) counters: ComponentCounters,
     /// Permanently down (graceful degradation after unrecoverable failure).
     pub(crate) condemned: bool,
     /// The stored boot checkpoint fails validation (chaos fault injection);
@@ -80,7 +82,6 @@ pub struct System {
     pub(crate) clock: SimClock,
     pub(crate) costs: CostModel,
     pub(crate) rng: SimRng,
-    pub(crate) trace: EventTrace,
     pub(crate) mode: Mode,
     pub(crate) set: ComponentSet,
     pub(crate) host: HostHandle,
@@ -139,7 +140,6 @@ pub struct SystemBuilder {
     seed: u64,
     host: Option<HostHandle>,
     auto_recover: bool,
-    trace_capacity: usize,
     extra: Vec<ComponentBox>,
     graceful: bool,
     alternates: Vec<ComponentBox>,
@@ -167,7 +167,6 @@ impl Default for SystemBuilder {
             seed: 0x5EED,
             host: None,
             auto_recover: true,
-            trace_capacity: 4096,
             extra: Vec::new(),
             graceful: false,
             alternates: Vec::new(),
@@ -216,16 +215,9 @@ impl SystemBuilder {
         self
     }
 
-    /// Event-trace capacity (events retained).
-    pub fn trace_capacity(mut self, capacity: usize) -> Self {
-        self.trace_capacity = capacity;
-        self
-    }
-
     /// Attaches a telemetry sink: every cross-component call, syscall and
-    /// recovery is additionally recorded as a timestamped span (with
-    /// per-component metrics) in the sink's [`vampos_telemetry::TelemetryHub`].
-    /// The legacy event trace keeps recording either way.
+    /// recovery is recorded as a timestamped span (with per-component
+    /// metrics) in the sink's [`vampos_telemetry::TelemetryHub`].
     pub fn telemetry(mut self, sink: TelemetrySink) -> Self {
         self.telemetry = Some(sink);
         self
@@ -363,6 +355,7 @@ impl SystemBuilder {
                 group,
                 boot_snapshot: None,
                 reboots: 0,
+                counters: ComponentCounters::default(),
                 condemned: false,
                 checkpoint_corrupt: false,
             });
@@ -376,7 +369,6 @@ impl SystemBuilder {
             clock: self.clock.unwrap_or_default(),
             costs: self.costs,
             rng: SimRng::seed_from(self.seed),
-            trace: EventTrace::with_capacity(self.trace_capacity),
             mode: self.mode,
             set: self.set,
             host,
@@ -511,40 +503,17 @@ impl System {
         &mut self.stats
     }
 
-    /// The event trace.
-    pub fn trace(&self) -> &EventTrace {
-        &self.trace
-    }
-
     /// The attached telemetry sink, if any.
     pub fn telemetry(&self) -> Option<&TelemetrySink> {
         self.telemetry.as_ref()
     }
 
-    /// Fans one observability event out to every collector: the legacy
-    /// event trace first (preserving its historical push order), then the
-    /// telemetry hub when one is attached.
-    pub(crate) fn emit(&mut self, f: impl Fn(&mut dyn Collector)) {
-        Self::emit_to(&mut self.trace, &self.telemetry, f);
-    }
-
-    /// [`System::emit`] over the two fields it uses, for emission sites
-    /// that keep a slot's name borrowed across the call instead of copying
-    /// it.
-    pub(crate) fn emit_to(
-        trace: &mut EventTrace,
-        telemetry: &Option<TelemetrySink>,
-        f: impl Fn(&mut dyn Collector),
-    ) {
-        f(trace);
-        if let Some(sink) = telemetry {
+    /// Hands one observability event to the attached telemetry hub; without
+    /// a sink `f` never runs, so what it would compute costs nothing.
+    pub(crate) fn emit(&self, f: impl FnOnce(&mut dyn Collector)) {
+        if let Some(sink) = &self.telemetry {
             sink.with(|hub| f(hub));
         }
-    }
-
-    /// Clears the event trace (keeps recording).
-    pub fn trace_clear(&mut self) {
-        self.trace.clear();
     }
 
     /// True once the system has fail-stopped (§II-B).
@@ -715,6 +684,13 @@ impl System {
             .unwrap_or(0)
     }
 
+    /// A component's exact call and recovery counts (`None` for unknown
+    /// names). Kept whether or not a telemetry sink is attached.
+    pub fn component_counters(&self, component: &str) -> Option<ComponentCounters> {
+        let &idx = self.by_name.get(component)?;
+        Some(self.slots[idx].counters)
+    }
+
     /// Names of all linked components, in boot order.
     pub fn component_names(&self) -> Vec<String> {
         self.slots.iter().map(|s| s.name.to_string()).collect()
@@ -773,15 +749,12 @@ impl System {
         let permitted = pkru.permits(victim_key, AccessKind::Write);
         if isolation && !permitted {
             self.stats.mpk_switches += 1;
+            self.stats.mpk_violations += 1;
             let at = self.clock.now();
             let (culprit, victim) = (&self.slots[from_idx].name, &self.slots[to_idx].name);
-            Self::emit_to(&mut self.trace, &self.telemetry, |c| {
-                c.mpk_violation(culprit, victim, at)
-            });
+            self.emit(|c| c.mpk_violation(culprit, victim, at));
             self.stats.failures += 1;
-            Self::emit_to(&mut self.trace, &self.telemetry, |c| {
-                c.failure_detected(culprit, "mpk-violation", at)
-            });
+            self.emit(|c| c.failure_detected(culprit, "mpk-violation", at));
             if self.auto_recover && self.slots[from_idx].desc.is_rebootable() {
                 self.pending_recovery = Some(PendingRecovery {
                     kind: "mpk-violation",
@@ -1031,11 +1004,10 @@ impl System {
         let args_bytes: usize = args.iter().map(Value::byte_len).sum();
         let hop_start = self.clock.now();
         self.charge_request_hop(caller, tid, args_bytes, logged);
+        self.slots[tid].counters.hops += 1;
         let caller_name = caller.map_or(&self.app, |c| &self.slots[c].name);
         let target = &self.slots[tid].name;
-        Self::emit_to(&mut self.trace, &self.telemetry, |c| {
-            c.call_begin(caller_name, target, func, hop_start)
-        });
+        self.emit(|c| c.call_begin(caller_name, target, func, hop_start));
 
         let mut comp = self.slots[tid].comp.take().expect("checked by resolve");
         let mut ctx = Ctx {
@@ -1117,20 +1089,15 @@ impl System {
             self.clock
                 .advance(self.costs.log_shrink_scan * (removed as u64 + slot.log.len() as u64));
             let at = self.clock.now();
-            Self::emit_to(&mut self.trace, &self.telemetry, |c| {
-                c.log_shrunk(&slot.name, removed, at)
-            });
+            let name = &self.slots[tid].name;
+            self.emit(|c| c.log_shrunk(name, removed, at));
         }
         // Threshold-triggered compaction of still-open sessions (§V-F).
         if log_shrinking && self.slots[tid].log.len() > shrink_threshold {
             self.compact_component_log(tid);
         }
-        if self.telemetry.is_some() {
-            let slot = &self.slots[tid];
-            Self::emit_to(&mut self.trace, &self.telemetry, |c| {
-                c.log_stats(&slot.name, slot.log.byte_len(), slot.log.record_count())
-            });
-        }
+        let slot = &self.slots[tid];
+        self.emit(|c| c.log_stats(&slot.name, slot.log.byte_len(), slot.log.record_count()));
     }
 
     fn compact_component_log(&mut self, tid: usize) {
@@ -1151,9 +1118,7 @@ impl System {
             self.stats.log_removed += removed_total as u64;
             let name = &self.slots[tid].name;
             let at = self.clock.now();
-            Self::emit_to(&mut self.trace, &self.telemetry, |c| {
-                c.log_shrunk(name, removed_total, at)
-            });
+            self.emit(|c| c.log_shrunk(name, removed_total, at));
         }
     }
 }
@@ -1279,14 +1244,11 @@ impl CallContext for Ctx<'_> {
     fn trace_instant(&mut self, name: &str, detail: &str) {
         // Replayed downcalls must not re-emit their original instants: the
         // replay already renders as a `log_replay` phase span.
-        if self.replay.is_some() || self.sys.telemetry.is_none() {
+        if self.replay.is_some() {
             return;
         }
-        let sys = &mut *self.sys;
-        let track = &sys.slots[self.me].name;
-        let at = sys.clock.now();
-        System::emit_to(&mut sys.trace, &sys.telemetry, |c| {
-            c.instant(track, name, detail, at)
-        });
+        let track = &self.sys.slots[self.me].name;
+        let at = self.sys.clock.now();
+        self.sys.emit(|c| c.instant(track, name, detail, at));
     }
 }

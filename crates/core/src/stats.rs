@@ -22,6 +22,17 @@ impl DowntimeWindow {
     }
 }
 
+/// One component's exact work counters, bumped where the runtime narrates
+/// the same transitions to its telemetry collector.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ComponentCounters {
+    /// Cross-component calls delivered to the component.
+    pub hops: u64,
+    /// Recoveries begun on it — reboots (once per composite member),
+    /// version swaps and updates, aborted ones included.
+    pub recoveries: u64,
+}
+
 /// Counters and timings collected by a running [`System`](crate::System).
 #[derive(Debug, Clone, Default)]
 pub struct SystemStats {
@@ -34,6 +45,8 @@ pub struct SystemStats {
     pub ctx_switches: u64,
     /// PKRU writes (protection-domain switches).
     pub mpk_switches: u64,
+    /// Accesses the MPK check denied.
+    pub mpk_violations: u64,
     /// Dependency-aware dispatches whose target was *not* in the caller's
     /// declared dependency set (the scheduler falls back to a full scan).
     pub das_mispredicts: u64,

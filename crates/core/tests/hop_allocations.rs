@@ -3,7 +3,7 @@
 //! Both tests drive the steady-state request of the fleet workloads — a
 //! keep-alive `GET` served from an open file: `poll_ready`, `recv`,
 //! `pread`, `writev` — through `System::os()`, the way `MiniHttpd::poll`
-//! does. One checks that the records a hop leaves behind point at the
+//! does. One checks that the log records a hop leaves behind point at the
 //! runtime's own name allocations; the other counts every allocation a
 //! `GET` makes, in its own test binary so the counting allocator sees
 //! nothing else.
@@ -15,7 +15,7 @@ use std::collections::BTreeMap;
 use vampos_core::{ComponentSet, Mode, System};
 use vampos_host::{ClientConnId, HostHandle};
 use vampos_oslib::OpenFlags;
-use vampos_sim::{Name, TraceEvent};
+use vampos_sim::Name;
 
 thread_local! {
     /// Allocations made by this thread. The test harness runs each test on
@@ -117,17 +117,6 @@ impl Server {
     }
 }
 
-fn hops(sys: &System) -> impl Iterator<Item = (&Name, &Name, &Name)> {
-    sys.trace().iter().filter_map(|e| match e {
-        TraceEvent::MessageHop {
-            caller,
-            target,
-            func,
-        } => Some((caller, target, func)),
-        _ => None,
-    })
-}
-
 #[test]
 fn hop_records_share_the_runtimes_names() {
     let mut server = Server::boot();
@@ -136,52 +125,35 @@ fn hop_records_share_the_runtimes_names() {
     }
     let sys = &server.sys;
 
-    // Every hop of one interface function (a name in its target's
+    // Every record of one interface function (a name in its target's
     // descriptor), from any request, carries one allocation; so does every
-    // mention of one component, as caller or as target.
+    // mention of one component, as log caller or as downcall target: a
+    // slot's name, not a copy of it.
     fn shared<'a>(known: &mut Vec<&'a Name>, name: &'a Name) {
         match known.iter().find(|k| ***k == *name) {
             Some(first) => assert!(Name::ptr_eq(first, name), "{name} was copied"),
             None => known.push(name),
         }
     }
+    let names = sys.component_names();
     let mut funcs: BTreeMap<&str, Vec<&Name>> = BTreeMap::new();
     let mut components: Vec<&Name> = Vec::new();
-    let mut seen = 0;
-    for (caller, target, func) in hops(sys) {
-        seen += 1;
-        shared(funcs.entry(target).or_default(), func);
-        shared(&mut components, caller);
-        shared(&mut components, target);
-    }
-    assert!(seen > 8 * 4, "the loop made hops: {seen}");
-    assert!(funcs["vfs"].iter().any(|f| **f == "pread"));
-
-    // The function log and its downcall records hold the same allocations
-    // the hops do: a slot's name, not a copy of it.
-    let slot_name = |text: &str| -> &Name {
-        components
-            .iter()
-            .find(|c| ***c == *text)
-            .unwrap_or_else(|| panic!("no hop mentions {text}"))
-    };
     let mut entries = 0;
     let mut downcalls = 0;
-    for component in sys.component_names() {
-        for entry in sys.log_entries(&component) {
+    for component in &names {
+        for entry in sys.log_entries(component) {
             entries += 1;
-            let caller = slot_name(&entry.caller);
-            assert!(Name::ptr_eq(caller, &entry.caller), "log caller copied");
+            shared(funcs.entry(component).or_default(), &entry.func);
+            shared(&mut components, &entry.caller);
             for down in &entry.downcalls {
                 downcalls += 1;
-                assert!(
-                    Name::ptr_eq(slot_name(&down.target), &down.target),
-                    "downcall target copied"
-                );
+                shared(funcs.entry(&down.target).or_default(), &down.func);
+                shared(&mut components, &down.target);
             }
         }
     }
-    assert!(entries > 0 && downcalls > 0, "{entries} / {downcalls}");
+    assert!(entries > 8 && downcalls > 8, "{entries} / {downcalls}");
+    assert!(funcs["vfs"].iter().any(|f| **f == "pread"));
 }
 
 /// Allocations one warmed keep-alive `GET` may make. The loop below
@@ -192,7 +164,7 @@ const ALLOCATIONS_PER_GET: u64 = 60;
 #[test]
 fn a_warm_get_stays_under_its_allocation_ceiling() {
     let mut server = Server::boot();
-    // Fill the event-trace ring and every lazily grown buffer first.
+    // Fill every lazily grown buffer first.
     for _ in 0..512 {
         server.get();
     }

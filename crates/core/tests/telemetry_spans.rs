@@ -1,6 +1,7 @@
 //! Integration tests of the telemetry layer over the real component stack:
 //! recovery-span structure (one span per reboot, four ordered phases),
-//! trigger attribution, deterministic export, and legacy-trace neutrality.
+//! trigger attribution, deterministic export, sink neutrality and the
+//! runtime's own counters.
 
 use vampos_core::{
     ComponentSet, InjectedFault, Mode, RecoveryPhase, SpanKind, System, TelemetrySink,
@@ -143,8 +144,19 @@ fn exports_are_byte_identical_across_identical_runs() {
     assert!(prom_a.contains("vampos_component_reboots_total"));
 }
 
+/// What a run leaves behind on the system itself: clock, statistics, the
+/// per-component counters and every state digest.
+fn observables(sys: &System) -> String {
+    let components: Vec<_> = sys
+        .component_names()
+        .into_iter()
+        .map(|c| (sys.component_counters(&c), sys.state_digest(&c), c))
+        .collect();
+    format!("{} {:?} {components:?}", sys.clock().now(), sys.stats())
+}
+
 #[test]
-fn the_legacy_event_trace_is_unchanged_by_the_sink() {
+fn a_sink_perturbs_nothing() {
     let (mut with_sink, _sink) = instrumented();
     drive(&mut with_sink);
     let mut without_sink = System::builder()
@@ -154,11 +166,65 @@ fn the_legacy_event_trace_is_unchanged_by_the_sink() {
         .build()
         .expect("boot");
     drive(&mut without_sink);
-    let a: Vec<_> = with_sink.trace().iter().cloned().collect();
-    let b: Vec<_> = without_sink.trace().iter().cloned().collect();
-    assert_eq!(a, b, "telemetry must not perturb the legacy ring buffer");
-    assert_eq!(
-        with_sink.state_digest("vfs"),
-        without_sink.state_digest("vfs")
-    );
+    assert_eq!(observables(&with_sink), observables(&without_sink));
+}
+
+/// Checks every component's counters against what the hub recorded: call
+/// spans on its track, recovery spans whose `+`-joined label names it.
+fn assert_counters_match_the_hub(sys: &System, sink: &TelemetrySink) {
+    sink.with(|hub| {
+        for component in sys.component_names() {
+            let counters = sys.component_counters(&component).expect("linked");
+            let calls = hub
+                .spans()
+                .filter(|s| s.kind == SpanKind::Call && *s.track == *component)
+                .count();
+            let recoveries = hub
+                .spans()
+                .filter(|s| s.kind == SpanKind::Recovery)
+                .filter(|s| s.track.split('+').any(|member| member == component))
+                .count();
+            assert_eq!(counters.hops, calls as u64, "hops of {component}");
+            assert_eq!(
+                counters.recoveries, recoveries as u64,
+                "recoveries of {component}"
+            );
+        }
+        let denials = hub.instants().filter(|i| &*i.name == "mpk_denial").count();
+        assert_eq!(sys.stats().mpk_violations, denials as u64);
+    });
+}
+
+#[test]
+fn counters_equal_the_hubs_span_counts() {
+    let (mut sys, sink) = instrumented();
+    drive(&mut sys);
+    sys.trigger_wild_write("9pfs", "vfs")
+        .expect_err("isolation must catch the wild write");
+    // Aborted recoveries open a span and count like completed ones.
+    sys.arm_reboot_interrupt("9pfs");
+    sys.reboot_component("9pfs")
+        .expect_err("interrupted reboot");
+    sys.corrupt_boot_checkpoint("vfs");
+    sys.reboot_component("vfs").expect_err("corrupt checkpoint");
+    assert_eq!(sys.component_counters("vfs").unwrap().recoveries, 2);
+    assert_eq!(sys.component_counters("9pfs").unwrap().recoveries, 3);
+    assert_eq!(sys.stats().mpk_violations, 1);
+    assert_eq!(sys.component_counters("nope"), None);
+    assert_counters_match_the_hub(&sys, &sink);
+
+    // A composite reboot is one span and one recovery per member.
+    let sink = TelemetrySink::default();
+    let mut merged = System::builder()
+        .mode(Mode::vampos_fsm())
+        .components(ComponentSet::sqlite())
+        .telemetry(sink.clone())
+        .build()
+        .expect("boot");
+    let outcome = merged.reboot_component("vfs").expect("composite reboot");
+    assert_eq!(outcome.component, "vfs+9pfs");
+    for member in ["vfs", "9pfs"] {
+        assert_eq!(merged.component_counters(member).unwrap().recoveries, 1);
+    }
+    assert_counters_match_the_hub(&merged, &sink);
 }

@@ -36,7 +36,7 @@
 //! ## No external parser
 //!
 //! The build environment is fully offline (the workspace vendors even its
-//! proptest/criterion stand-ins), so the scanner is hand-rolled: a
+//! proptest stand-in), so the scanner is hand-rolled: a
 //! line-level lexer separates code from comments and string literals, a
 //! small `use`-tree expander resolves imports (brace groups, `as` renames,
 //! globs) to absolute paths, and rules match on resolved paths — `Arc` in

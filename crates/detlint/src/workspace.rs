@@ -6,7 +6,7 @@
 //! listed in [`DETERMINISTIC_CRATES`] are that set. Deliberately outside
 //! it: `bench` (wall-clock timing and the scoped-thread `parallel_map`
 //! live there by design), `analyze` and `detlint` (host-side tools),
-//! and the vendored `proptest`/`criterion` stand-ins.
+//! and the vendored `proptest` stand-in.
 
 use crate::report::Report;
 use crate::scan::lint_source;
@@ -153,7 +153,7 @@ mod tests {
         let mut sorted = DETERMINISTIC_CRATES.to_vec();
         sorted.sort_unstable();
         assert_eq!(sorted, DETERMINISTIC_CRATES);
-        for tool in ["bench", "analyze", "detlint", "proptest", "criterion"] {
+        for tool in ["bench", "analyze", "detlint", "proptest"] {
             assert!(!DETERMINISTIC_CRATES.contains(&tool));
         }
     }

@@ -85,11 +85,15 @@ impl AgingState {
     /// Clears all aging effects (called on component reboot) and bumps the
     /// rejuvenation counter.
     pub fn rejuvenate(&mut self) {
-        self.leaked_bytes = 0;
-        self.leak_events = 0;
-        self.ops_since_boot = 0;
-        self.descriptor_leaks = 0;
-        self.rejuvenations += 1;
+        self.rejuvenate_times(1);
+    }
+
+    /// [`AgingState::rejuvenate`] `times` times over, in one step.
+    pub fn rejuvenate_times(&mut self, times: u64) {
+        *self = AgingState {
+            rejuvenations: self.rejuvenations + times,
+            ..AgingState::default()
+        };
     }
 }
 
@@ -132,5 +136,23 @@ mod tests {
         assert_eq!(a.rejuvenations(), 1);
         a.rejuvenate();
         assert_eq!(a.rejuvenations(), 2);
+    }
+
+    #[test]
+    fn rejuvenate_times_equals_the_loop() {
+        for prior in [0u64, 1, 10_000] {
+            let mut aged = AgingState::new();
+            aged.rejuvenate(); // a boot image need not start at zero
+            aged.record_leak(100);
+            aged.record_descriptor_leak();
+            aged.record_op();
+            let mut looped = aged.clone();
+            for _ in 0..=prior {
+                looped.rejuvenate();
+            }
+            aged.rejuvenate_times(prior + 1);
+            assert_eq!(aged, looped, "{prior} prior rejuvenations");
+            assert_eq!(aged.rejuvenations(), prior + 2);
+        }
     }
 }

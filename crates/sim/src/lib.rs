@@ -15,9 +15,7 @@
 //! * [`Name`] — the shared string every component and function name is
 //!   carried as,
 //! * [`stats`] — summary statistics and histograms used by the benchmark
-//!   harness,
-//! * [`trace`] — a lightweight event trace for debugging and assertions in
-//!   tests.
+//!   harness.
 //!
 //! # Example
 //!
@@ -34,11 +32,9 @@ pub mod name;
 pub mod rng;
 pub mod stats;
 pub mod time;
-pub mod trace;
 
 pub use cost::CostModel;
 pub use name::Name;
 pub use rng::{derive_seed, SimRng};
 pub use stats::{Histogram, Summary};
 pub use time::{Nanos, SimClock};
-pub use trace::{EventTrace, TraceEvent};

@@ -2,8 +2,8 @@
 //!
 //! A simulated system has a few dozen names — components, interface
 //! functions — and mentions them millions of times: every message hop
-//! records caller, target and function in the event trace, every logged
-//! call stores them again. [`Name`] is one allocation per distinct name
+//! hands caller, target and function to the telemetry collector, every
+//! logged call stores them again. [`Name`] is one allocation per distinct name
 //! and a reference-count bump per mention.
 
 use std::borrow::Borrow;

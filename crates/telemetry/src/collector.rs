@@ -2,15 +2,13 @@
 //!
 //! The VampOS runtime does not know how its events are consumed. It calls
 //! the domain-specific methods below at each interesting transition and the
-//! collector decides what to retain: the legacy [`EventTrace`] maps a subset
-//! onto flat [`TraceEvent`]s (bit-for-bit what the runtime pushed before
-//! this crate existed), while [`crate::TelemetryHub`] builds timestamped
-//! span trees and metrics out of all of them.
+//! collector decides what to retain: [`crate::TelemetryHub`] builds
+//! timestamped span trees and metrics out of all of them.
 //!
 //! Every method has a no-op default so collectors implement only what they
 //! can represent.
 
-use vampos_sim::{EventTrace, Name, Nanos, TraceEvent};
+use vampos_sim::{Name, Nanos};
 
 /// The phases a component recovery decomposes into (§V of the paper):
 /// detection, checkpoint restore (§V-E), encapsulated log replay (§V-B),
@@ -121,61 +119,6 @@ pub trait Collector {
     fn note(&mut self, _text: &str, _at: Nanos) {}
 }
 
-/// The legacy ring buffer as a collector: maps the events it can represent
-/// onto the flat [`TraceEvent`] stream exactly as the runtime used to push
-/// them — including the historical quirk that message hops were only pushed
-/// while the trace was enabled (so they never count as suppressed), while
-/// all other events go through [`EventTrace::push`] unconditionally.
-impl Collector for EventTrace {
-    fn call_begin(&mut self, caller: &Name, target: &Name, func: &Name, _at: Nanos) {
-        if self.is_enabled() {
-            self.push(TraceEvent::MessageHop {
-                caller: caller.clone(),
-                target: target.clone(),
-                func: func.clone(),
-            });
-        }
-    }
-
-    fn recovery_begin(&mut self, component: &Name, _trigger: &str, _at: Nanos) {
-        self.push(TraceEvent::RebootStart {
-            component: component.clone(),
-        });
-    }
-
-    fn recovery_end(&mut self, component: &Name, _at: Nanos, replayed: usize, _snap_bytes: usize) {
-        self.push(TraceEvent::RebootDone {
-            component: component.clone(),
-            replayed,
-        });
-    }
-
-    fn failure_detected(&mut self, component: &Name, kind: &str, _at: Nanos) {
-        self.push(TraceEvent::FailureDetected {
-            component: component.clone(),
-            kind: kind.to_owned(),
-        });
-    }
-
-    fn mpk_violation(&mut self, component: &Name, region_owner: &Name, _at: Nanos) {
-        self.push(TraceEvent::MpkViolation {
-            component: component.clone(),
-            region_owner: region_owner.clone(),
-        });
-    }
-
-    fn log_shrunk(&mut self, component: &Name, removed: usize, _at: Nanos) {
-        self.push(TraceEvent::LogShrunk {
-            component: component.clone(),
-            removed,
-        });
-    }
-
-    fn note(&mut self, text: &str, _at: Nanos) {
-        self.push(TraceEvent::Note(text.to_owned()));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -193,74 +136,5 @@ mod tests {
             ]
         );
         assert!(RecoveryPhase::FailureDetect < RecoveryPhase::Resume);
-    }
-
-    #[test]
-    fn event_trace_maps_collector_calls_onto_legacy_events() {
-        let mut t = EventTrace::default();
-        let [app, vfs, lwip, write] = ["app", "vfs", "lwip", "write"].map(Name::from);
-        t.call_begin(&app, &vfs, &write, Nanos::ZERO);
-        t.failure_detected(&vfs, "panic", Nanos::ZERO);
-        t.recovery_begin(&vfs, "panic", Nanos::ZERO);
-        t.recovery_phase(&vfs, RecoveryPhase::LogReplay, Nanos::ZERO, Nanos::ZERO);
-        t.recovery_end(&vfs, Nanos::ZERO, 3, 0);
-        t.mpk_violation(&lwip, &vfs, Nanos::ZERO);
-        t.log_shrunk(&vfs, 2, Nanos::ZERO);
-        t.note("hi", Nanos::ZERO);
-        // recovery_phase has no legacy representation; everything else maps.
-        let got: Vec<TraceEvent> = t.iter().cloned().collect();
-        assert_eq!(
-            got,
-            vec![
-                TraceEvent::MessageHop {
-                    caller: "app".into(),
-                    target: "vfs".into(),
-                    func: "write".into(),
-                },
-                TraceEvent::FailureDetected {
-                    component: "vfs".into(),
-                    kind: "panic".into(),
-                },
-                TraceEvent::RebootStart {
-                    component: "vfs".into(),
-                },
-                TraceEvent::RebootDone {
-                    component: "vfs".into(),
-                    replayed: 3,
-                },
-                TraceEvent::MpkViolation {
-                    component: "lwip".into(),
-                    region_owner: "vfs".into(),
-                },
-                TraceEvent::LogShrunk {
-                    component: "vfs".into(),
-                    removed: 2,
-                },
-                TraceEvent::Note("hi".into()),
-            ]
-        );
-        // The retained names are the caller's allocations, not copies.
-        let Some(TraceEvent::MessageHop {
-            caller,
-            target,
-            func,
-        }) = t.iter().next()
-        else {
-            panic!("first event is the hop");
-        };
-        assert!(Name::ptr_eq(caller, &app));
-        assert!(Name::ptr_eq(target, &vfs));
-        assert!(Name::ptr_eq(func, &write));
-    }
-
-    #[test]
-    fn disabled_trace_suppresses_hops_silently_but_counts_other_events() {
-        let mut t = EventTrace::default();
-        t.set_enabled(false);
-        let [app, vfs, write] = ["app", "vfs", "write"].map(Name::from);
-        t.call_begin(&app, &vfs, &write, Nanos::ZERO);
-        assert_eq!(t.suppressed(), 0, "hops skip the push when disabled");
-        t.failure_detected(&vfs, "panic", Nanos::ZERO);
-        assert_eq!(t.suppressed(), 1);
     }
 }

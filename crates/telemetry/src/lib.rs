@@ -5,18 +5,14 @@
 //! virtual timestamps, recoveries decompose into the paper's phases
 //! (`failure_detect` → `checkpoint_restore` → `log_replay` → `resume`), and
 //! MPK denials / detector firings become point events attached to the
-//! enclosing span. Two collectors ship with the workspace:
-//!
-//! * the legacy [`vampos_sim::EventTrace`] ring buffer (this crate
-//!   implements [`Collector`] for it, preserving the exact flat
-//!   [`vampos_sim::TraceEvent`] stream existing tests assert on), and
-//! * the [`TelemetryHub`], which retains structured [`SpanRecord`]s and
-//!   [`InstantRecord`]s, aggregates a [`MetricsRegistry`] of per-component
-//!   counters, gauges and histograms, and exports
-//!   Chrome-trace-event JSON ([`TelemetryHub::chrome_trace_json`], loads in
-//!   Perfetto / `chrome://tracing`), Prometheus text exposition
-//!   ([`TelemetryHub::prometheus_text`]) and a JSON metrics dump
-//!   ([`TelemetryHub::metrics_json`]).
+//! enclosing span. One collector ships with the workspace, the
+//! [`TelemetryHub`]: it retains structured [`SpanRecord`]s and
+//! [`InstantRecord`]s, aggregates a [`MetricsRegistry`] of per-component
+//! counters, gauges and histograms, and exports Chrome-trace-event JSON
+//! ([`TelemetryHub::chrome_trace_json`], loads in Perfetto /
+//! `chrome://tracing`), Prometheus text exposition
+//! ([`TelemetryHub::prometheus_text`]) and a JSON metrics dump
+//! ([`TelemetryHub::metrics_json`]).
 //!
 //! Everything is keyed off the simulation clock and emitted in stable
 //! order, so two runs of the same seed produce **byte-identical** exports —

@@ -1,17 +1,18 @@
 //! `vampos-fleet` and `vampos-mesh` at their command lines — and the
 //! conventions all five binaries of this package share.
 //!
-//! The expected output lives in `tests/fixtures/cli/` and was recorded from
-//! the binaries at commit 9d591a7, when each still parsed its own flags and
-//! wrote its own exports. CI's fleet and mesh diffs compare two runs of one
-//! binary; these compare the binary against that recording, stdout and
-//! exported files alike. (`repro` belongs to `vampos-bench`; its rows of
-//! the conventions table are in `crates/bench/tests/repro_cli.rs`.)
+//! The expected output lives in `tests/fixtures/cli/42/` and was recorded
+//! from the binaries at commit 9d591a7 with `--seed 42`, when each still
+//! parsed its own flags and wrote its own exports. CI's fleet and mesh
+//! diffs compare two runs of one binary; these compare the binary against
+//! that recording, stdout and exported files alike. (`repro` belongs to
+//! `vampos-bench`; its rows of the conventions table are in
+//! `crates/bench/tests/repro_cli.rs`.)
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
-const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/cli");
+const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/fixtures/cli/42");
 
 fn exe(binary: &str) -> &'static str {
     match binary {
@@ -90,12 +91,18 @@ const COMMANDS: [(&str, &str, &[&str]); 13] = [
     ),
 ];
 
-fn the_command_set_prints_and_exports_what_the_parent_did(seed: &str) {
+/// Runs the command set with `--seed seed` against the one recording,
+/// made at seed 42. No simulated value draws from the seed, so another
+/// seed's stdout is the recording with the banner's `seed 0x2a` rewritten
+/// to its own, and its exports are the recorded bytes.
+fn the_command_set_prints_and_exports_what_the_parent_did(seed: u64) {
+    let banner = format!("seed {seed:#x}");
+    let seed = seed.to_string();
     let dir = workdir(&format!("fleet-mesh-cli-{seed}"));
-    let recorded = Path::new(FIXTURES).join(seed);
+    let recorded = Path::new(FIXTURES);
     for (name, args, exports) in COMMANDS {
         let binary = format!("vampos-{}", name.split('-').next().expect("a prefix"));
-        let args: Vec<&str> = ["--seed", seed]
+        let args: Vec<&str> = ["--seed", &seed]
             .into_iter()
             .chain(args.split_whitespace())
             .collect();
@@ -106,9 +113,11 @@ fn the_command_set_prints_and_exports_what_the_parent_did(seed: &str) {
             "{name}: stderr was: {}",
             String::from_utf8_lossy(&out.stderr)
         );
+        let expected = read(&recorded.join(format!("{name}.stdout")));
+        assert_eq!(expected.matches("seed 0x2a").count(), 1, "{name}");
         assert_eq!(
             String::from_utf8_lossy(&out.stdout),
-            read(&recorded.join(format!("{name}.stdout"))),
+            expected.replace("seed 0x2a", &banner),
             "{name}"
         );
         for file in exports {
@@ -122,12 +131,12 @@ fn the_command_set_prints_and_exports_what_the_parent_did(seed: &str) {
 
 #[test]
 fn seed_42_prints_and_exports_what_the_parent_did() {
-    the_command_set_prints_and_exports_what_the_parent_did("42");
+    the_command_set_prints_and_exports_what_the_parent_did(42);
 }
 
 #[test]
 fn seed_1337_prints_and_exports_what_the_parent_did() {
-    the_command_set_prints_and_exports_what_the_parent_did("1337");
+    the_command_set_prints_and_exports_what_the_parent_did(1337);
 }
 
 /// Command lines no binary may panic on, abort on, run something else for
