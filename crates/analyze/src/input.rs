@@ -101,11 +101,6 @@ impl AnalysisInput {
             .find(|d| d.name().as_str() == component)
     }
 
-    /// The merge groups.
-    pub fn merge_groups(&self) -> &[Vec<String>] {
-        &self.merges
-    }
-
     /// Whether protection keys are virtualized.
     pub fn is_virtualized(&self) -> bool {
         self.virtualized

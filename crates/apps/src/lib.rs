@@ -45,9 +45,24 @@ pub trait App {
     fn boot(&mut self, sys: &mut System) -> Result<(), OsError>;
 
     /// Discards all volatile in-memory state, as a process crash / VM
-    /// restart would. Called by the full-reboot path before [`App::boot`];
+    /// restart would. Called by [`App::full_reboot`] before [`App::boot`];
     /// only state recoverable from storage may survive.
     fn crash(&mut self);
+
+    /// Restarts the whole VM — the one recipe behind every full reboot,
+    /// scheduled or escalated: [`System::full_reboot`], then
+    /// [`App::crash`] and [`App::boot`]. The VM went down whether or not
+    /// the restart succeeded, so the application crashes and attempts its
+    /// boot regardless.
+    ///
+    /// # Errors
+    ///
+    /// The first failure, the system's before the application's.
+    fn full_reboot(&mut self, sys: &mut System) -> Result<(), OsError> {
+        let rebooted = sys.full_reboot().map(drop);
+        self.crash();
+        rebooted.and(self.boot(sys))
+    }
 
     /// Processes all pending work (accepts connections, serves buffered
     /// requests). Returns the number of requests served this call.

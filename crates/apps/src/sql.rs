@@ -69,11 +69,6 @@ impl MiniSql {
         self.statements
     }
 
-    /// Number of tables.
-    pub fn table_count(&self) -> usize {
-        self.tables.len()
-    }
-
     /// Number of rows in `table`, if it exists.
     pub fn row_count(&self, table: &str) -> Option<usize> {
         self.tables.get(table).map(|t| t.rows.len())

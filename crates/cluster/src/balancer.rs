@@ -82,11 +82,6 @@ impl Balancer {
         self.frozen = Some((view, until));
     }
 
-    /// Whether a stale frozen view is currently answering eligibility.
-    pub fn view_is_stale(&self, at: Nanos) -> bool {
-        matches!(&self.frozen, Some((_, until)) if at < *until)
-    }
-
     fn eligible(&self, instances: &[Instance], i: usize, at: Nanos) -> bool {
         if let Some((view, until)) = &self.frozen {
             if at < *until {

@@ -13,7 +13,6 @@
 
 use std::cell::Ref;
 
-use vampos_apps::App;
 use vampos_core::{ComponentSet, Mode};
 use vampos_host::{ClientConnId, NinePGlitch, RingGlitch};
 use vampos_sim::{Name, Nanos, SimClock};
@@ -545,16 +544,13 @@ impl Fleet {
         let _ = match rung {
             // Component-level recovery: rejuvenate every rebootable
             // component and re-establish the 9P session.
-            Rung::Component => inst.occ.maintain(&mut inst.sys, at, |sys| {
-                let recovered = sys.rejuvenate_all().map(drop);
-                sys.host().with(|w| w.ninep_mut().clear_session_glitch());
+            Rung::Component => {
+                let recovered = inst.rejuvenate(at);
+                let host = inst.sys.host();
+                host.with(|w| w.ninep_mut().clear_session_glitch());
                 recovered
-            }),
-            Rung::Instance => inst.occ.maintain(&mut inst.sys, at, |sys| {
-                let rebooted = sys.full_reboot().map(drop);
-                inst.app.crash();
-                rebooted.and(inst.app.boot(sys))
-            }),
+            }
+            Rung::Instance => inst.full_reboot(at),
             // Permanent failover: the drain is never resumed, so the
             // recovery-aware balancer routes every future request to the
             // survivors.
@@ -586,15 +582,8 @@ impl Fleet {
         match &op.kind {
             FleetOpKind::Drain => inst.set_draining(true),
             FleetOpKind::Resume => inst.set_draining(false),
-            FleetOpKind::RejuvenateComponents => {
-                inst.occ
-                    .maintain(&mut inst.sys, at, |sys| sys.rejuvenate_all().map(drop))?;
-            }
-            FleetOpKind::FullReboot => inst.occ.maintain(&mut inst.sys, at, |sys| {
-                sys.full_reboot()?;
-                inst.app.crash();
-                inst.app.boot(sys)
-            })?,
+            FleetOpKind::RejuvenateComponents => inst.rejuvenate(at)?,
+            FleetOpKind::FullReboot => inst.full_reboot(at)?,
             FleetOpKind::Inject(fault) => inst.sys.inject_fault(fault.clone()),
             FleetOpKind::RecoveryFault(fault) => match fault {
                 RecoveryFault::NinepCorrupt { count } => inst.sys.host().with(|w| {

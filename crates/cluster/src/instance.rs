@@ -262,6 +262,28 @@ impl Instance {
         self.completions.len()
     }
 
+    /// Rejuvenates every rebootable component at grid time `at` and books
+    /// the window: a plan op, or the ladder's component rung.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first failed reboot; nothing is booked for it.
+    pub fn rejuvenate(&mut self, at: Nanos) -> Result<(), OsError> {
+        self.occ
+            .maintain(&mut self.sys, at, |sys| sys.rejuvenate_all().map(drop))
+    }
+
+    /// Restarts the whole VM at grid time `at` ([`App::full_reboot`]) and
+    /// books the window: a plan op, or the ladder's instance rung.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failed restart; nothing is booked for it.
+    pub fn full_reboot(&mut self, at: Nanos) -> Result<(), OsError> {
+        self.occ
+            .maintain(&mut self.sys, at, |sys| self.app.full_reboot(sys))
+    }
+
     pub(crate) fn set_draining(&mut self, draining: bool) {
         self.draining = draining;
     }
@@ -346,9 +368,7 @@ mod tests {
         // double-book it.
         let at = Nanos::from_millis(3);
         let t0 = inst.sys.clock().now();
-        inst.occ
-            .maintain(&mut inst.sys, at, |sys| sys.rejuvenate_all().map(drop))
-            .expect("rejuvenation");
+        inst.rejuvenate(at).expect("rejuvenation");
         let dur = inst.sys.clock().now().saturating_sub(t0);
         let booked = inst.recovery_until();
         assert!(booked >= at + dur);

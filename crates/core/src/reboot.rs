@@ -46,15 +46,7 @@ impl System {
     /// the host (VIRTIO), [`OsError::ReplayMismatch`] when restoration
     /// cannot reproduce the pre-reboot state (the system then fail-stops).
     pub fn reboot_component(&mut self, name: &str) -> Result<RebootOutcome, OsError> {
-        let &idx = self
-            .by_name
-            .get(name)
-            .ok_or_else(|| OsError::UnknownComponent(name.to_owned()))?;
-        if !self.slots[idx].desc.is_rebootable() {
-            return Err(OsError::Unrebootable {
-                component: name.to_owned(),
-            });
-        }
+        let idx = self.rebootable_index(name)?;
         self.reboot_index(idx)
     }
 
@@ -66,10 +58,7 @@ impl System {
     ///
     /// Same as [`System::reboot_component`], minus the rebootability check.
     pub fn force_reboot_component(&mut self, name: &str) -> Result<RebootOutcome, OsError> {
-        let &idx = self
-            .by_name
-            .get(name)
-            .ok_or_else(|| OsError::UnknownComponent(name.to_owned()))?;
+        let idx = self.index_of(name)?;
         self.reboot_index(idx)
     }
 
@@ -93,7 +82,22 @@ impl System {
         Ok(outcomes)
     }
 
+    /// An explicit reboot (admin / rejuvenation).
     pub(crate) fn reboot_index(&mut self, idx: usize) -> Result<RebootOutcome, OsError> {
+        self.recover(idx, "admin")
+    }
+
+    /// The one way a component comes back, whatever asked for it: restore
+    /// the boot-phase image, replay the function log, resume. A failure
+    /// path has stashed its detection ([`System::detect`]), which names the
+    /// trigger and back-dates the recovery span to when detection began, so
+    /// downtime reads off the span directly; a recovery nothing detected
+    /// runs under `unprompted` and starts now.
+    pub(crate) fn recover(
+        &mut self,
+        idx: usize,
+        unprompted: &'static str,
+    ) -> Result<RebootOutcome, OsError> {
         // A merged component reboots as a composite: load every member's
         // snapshot and replay each member's log (§V-F).
         let group = self.slots[idx].group;
@@ -113,19 +117,23 @@ impl System {
         };
 
         let start = self.clock.now();
-        // Failure paths stash their detection context; an explicit reboot
-        // (admin / rejuvenation) has none. The recovery span is back-dated
-        // to when detection began so downtime reads off the span directly.
-        let pending = self.pending_recovery.take();
-        let trigger = pending.as_ref().map(|p| p.kind).unwrap_or("admin");
-        let span_start = pending.as_ref().map(|p| p.detect_start).unwrap_or(start);
-        let detect_end = pending.as_ref().map(|p| p.detect_end).unwrap_or(start);
+        let why = self.pending_recovery.take().unwrap_or(PendingRecovery {
+            kind: unprompted,
+            detect_start: start,
+            detect_end: start,
+        });
+        let (detect_start, detect_end) = (why.detect_start, why.detect_end);
         for &member in &members {
             self.slots[member].counters.recoveries += 1;
         }
-        self.emit(|c| c.recovery_begin(&label, trigger, span_start));
+        self.emit(|c| c.recovery_begin(&label, why.kind, detect_start));
         self.emit(|c| {
-            c.recovery_phase(&label, RecoveryPhase::FailureDetect, span_start, detect_end)
+            c.recovery_phase(
+                &label,
+                RecoveryPhase::FailureDetect,
+                detect_start,
+                detect_end,
+            )
         });
         let mut replayed_total = 0usize;
         let mut snapshot_total = 0usize;
@@ -291,12 +299,11 @@ impl System {
             )
         });
 
-        if let Some(data) = extract {
-            comp.restore_runtime(data)?;
-        }
+        let restored = extract.map_or(Ok(()), |data| comp.restore_runtime(data));
         comp.finish_replay();
 
         self.slots[idx].comp = Some(comp);
+        restored?; // refused: the slot stays down, with its component in it
         self.slots[idx].up = true;
         self.slots[idx].reboots += 1;
         let resume_end = self.clock.now();
@@ -317,28 +324,33 @@ impl System {
     /// [`OsError::FailStop`] when the component is unrebootable or
     /// auto-recovery is off; reboot errors otherwise.
     pub fn force_component_failure(&mut self, component: &str) -> Result<RebootOutcome, OsError> {
-        let &tid = self
-            .by_name
-            .get(component)
-            .ok_or_else(|| OsError::UnknownComponent(component.to_owned()))?;
+        let tid = self.index_of(component)?;
         self.stats.failures += 1;
-        let detect_start = self.clock.now();
-        self.clock.advance(self.costs.detector_check);
-        let detect_end = self.clock.now();
-        let name = &self.slots[tid].name;
-        self.emit(|c| c.failure_detected(name, "panic", detect_end));
+        let detected = self.detect(tid, "panic");
         if !self.auto_recover || !self.slots[tid].desc.is_rebootable() {
             return Err(self.terminal_failure(
                 tid,
                 &format!("component {component} fail-stopped without recovery"),
             ));
         }
-        self.pending_recovery = Some(PendingRecovery {
-            kind: "panic",
+        self.pending_recovery = Some(detected);
+        self.reboot_index(tid)
+    }
+
+    /// The failure detector's check of `tid`: pays for the heart-beat,
+    /// reports a failure of `kind`, and returns the detection for the
+    /// caller to stash once it has decided to recover.
+    fn detect(&mut self, tid: usize, kind: &'static str) -> PendingRecovery {
+        let detect_start = self.clock.now();
+        self.clock.advance(self.costs.detector_check);
+        let detect_end = self.clock.now();
+        let name = &self.slots[tid].name;
+        self.emit(|c| c.failure_detected(name, kind, detect_end));
+        PendingRecovery {
+            kind,
             detect_start,
             detect_end,
-        });
-        self.reboot_index(tid)
+        }
     }
 
     /// Fires the failure detector against a perfectly healthy component —
@@ -353,26 +365,9 @@ impl System {
     /// [`OsError::Unrebootable`] for host-shared components; reboot errors
     /// otherwise.
     pub fn spurious_detection(&mut self, component: &str) -> Result<RebootOutcome, OsError> {
-        let &tid = self
-            .by_name
-            .get(component)
-            .ok_or_else(|| OsError::UnknownComponent(component.to_owned()))?;
-        if !self.slots[tid].desc.is_rebootable() {
-            return Err(OsError::Unrebootable {
-                component: component.to_owned(),
-            });
-        }
+        let tid = self.rebootable_index(component)?;
         self.stats.spurious_detections += 1;
-        let detect_start = self.clock.now();
-        self.clock.advance(self.costs.detector_check);
-        let detect_end = self.clock.now();
-        let name = &self.slots[tid].name;
-        self.emit(|c| c.failure_detected(name, "spurious", detect_end));
-        self.pending_recovery = Some(PendingRecovery {
-            kind: "spurious",
-            detect_start,
-            detect_end,
-        });
+        self.pending_recovery = Some(self.detect(tid, "spurious"));
         self.reboot_index(tid)
     }
 
@@ -414,25 +409,7 @@ impl System {
         self.detector_suppressed = 0;
         self.reboot_interrupts.clear();
 
-        if self.by_name.contains_key("9pfs") {
-            self.syscall(
-                vampos_ukernel::names::VFS,
-                vampos_oslib::funcs::vfs::MOUNT,
-                &[Value::from("9pfs"), Value::from("/")],
-            )?;
-        }
-        // Refresh boot checkpoints.
-        for idx in 0..self.slots.len() {
-            if self.slots[idx].desc.uses_checkpoint_init() {
-                let snap = self.slots[idx]
-                    .comp
-                    .as_mut()
-                    .expect("present after reboot")
-                    .arena_mut()
-                    .snapshot();
-                self.slots[idx].boot_snapshot = Some(snap);
-            }
-        }
+        self.mount_and_checkpoint(false)?;
 
         let end = self.clock.now();
         self.stats.full_reboots += 1;
@@ -476,16 +453,13 @@ impl System {
             return Err(err);
         }
         self.stats.failures += 1;
-        let detect_start = self.clock.now();
-        self.clock.advance(self.costs.detector_check);
-        let detect_end = self.clock.now();
         let kind = match &err {
             OsError::Panic { .. } => "panic",
             OsError::Hang { .. } => "hang",
             OsError::ProtectionFault(_) => "mpk-violation",
             _ => "failure",
         };
-        self.emit(|c| c.failure_detected(&target, kind, detect_end));
+        let mut detected = self.detect(tid, kind);
 
         if !self.auto_recover {
             return Err(err);
@@ -497,11 +471,7 @@ impl System {
         }
         match self.retry_depth {
             0 => {
-                self.pending_recovery = Some(PendingRecovery {
-                    kind,
-                    detect_start,
-                    detect_end,
-                });
+                self.pending_recovery = Some(detected);
                 self.reboot_index(tid)?;
             }
             1 if self.alternates.contains_key(target.as_str()) => {
@@ -515,12 +485,8 @@ impl System {
                     .remove(target.as_str())
                     .expect("checked contains_key");
                 self.faults.clear_component(&target);
-                self.pending_recovery = Some(PendingRecovery {
-                    kind,
-                    detect_start,
-                    detect_end,
-                });
-                self.swap_component(tid, alt)?;
+                detected.kind = "version-swap";
+                self.swap_component(tid, alt, Some(detected))?;
                 self.stats.version_swaps += 1;
             }
             _ => {

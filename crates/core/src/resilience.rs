@@ -23,11 +23,10 @@
 //!   [`System::rejuvenate_aged`] reboots exactly the components whose leak
 //!   volume crossed a threshold.
 
-use vampos_telemetry::RecoveryPhase;
 use vampos_ukernel::{ComponentBox, OsError};
 
 use crate::reboot::RebootOutcome;
-use crate::runtime::System;
+use crate::runtime::{PendingRecovery, System};
 
 /// One component's software-aging summary.
 #[derive(Debug, Clone, PartialEq)]
@@ -45,142 +44,47 @@ pub struct AgingEntry {
 }
 
 impl System {
-    /// Swaps in a fresh implementation for `component` — either a
-    /// registered alternate (multi-version recovery) or an explicit update
-    /// — and restores its state from the function log and runtime extract.
+    /// Installs `replacement` behind slot `tid` — a registered alternate
+    /// (multi-version recovery) or an explicit update — and recovers the
+    /// slot the way every component comes back ([`System::recover`]).
+    ///
+    /// `boot()` is the only caller of `Component::init`, so the
+    /// replacement's boot image is its arena after `reset()`: that pristine
+    /// arena becomes the slot's boot checkpoint, which the recovery restores
+    /// and replays the function log over, like any later reboot will.
+    /// Whatever can refuse the replacement (its name, the old version's
+    /// runtime data) does so before the slot is touched: a refused update
+    /// leaves the old version serving.
     pub(crate) fn swap_component(
         &mut self,
         tid: usize,
         mut replacement: ComponentBox,
+        detected: Option<PendingRecovery>,
     ) -> Result<RebootOutcome, OsError> {
-        let name = self.slots[tid].name.clone();
-        if *replacement.descriptor().name() != name {
+        let (slot, new) = (&self.slots[tid], replacement.descriptor().name());
+        if *new != slot.name {
+            let expected = &slot.name;
             return Err(OsError::Io(format!(
-                "replacement component is named {}, expected {name}",
-                replacement.descriptor().name()
+                "replacement component is named {new}, expected {expected}"
             )));
         }
-        let start = self.clock.now();
-        // Multi-version recovery stashes its detection context like a
-        // reboot; a plain update has none.
-        let pending = self.pending_recovery.take();
-        let trigger = pending.as_ref().map(|_| "version-swap").unwrap_or("update");
-        let span_start = pending.as_ref().map(|p| p.detect_start).unwrap_or(start);
-        let detect_end = pending.as_ref().map(|p| p.detect_end).unwrap_or(start);
-        self.slots[tid].counters.recoveries += 1;
-        self.emit(|c| c.recovery_begin(&name, trigger, span_start));
-        self.emit(|c| {
-            c.recovery_phase(&name, RecoveryPhase::FailureDetect, span_start, detect_end)
-        });
-        self.slots[tid].up = false;
-
-        // The old implementation's boot checkpoint does not describe the
-        // new code's memory image; the replacement boots from its own
-        // pristine state and re-earns a checkpoint.
-        let old = match self.slots[tid].comp.take() {
-            Some(old) => old,
-            None => {
-                let err = OsError::Io(format!("{name} busy during swap"));
-                let at = self.clock.now();
-                let detail = err.to_string();
-                self.emit(|c| c.recovery_abort(&name, at, &detail));
-                return Err(err);
-            }
-        };
-        let extract = old.extract_runtime();
-        drop(old);
-
+        let busy = || OsError::Io(format!("{} busy during swap", slot.name));
+        // The recovery extracts the runtime data again, from the
+        // replacement, and hands it back after the replay.
         replacement.reset();
-        self.clock.advance(self.costs.thread_spawn);
-        self.slots[tid].desc = replacement.descriptor().clone();
-        self.slots[tid].boot_snapshot = None;
-
-        // Encapsulated restoration against the new implementation.
-        let replay_start = self.clock.now();
-        let mut replayed = 0usize;
-        if self.slots[tid].desc.is_stateful() {
-            let entries = self.slots[tid].log.replay_entries();
-            for entry in entries {
-                self.clock.advance(self.costs.replay_entry);
-                let mut ctx = crate::runtime::Ctx {
-                    sys: self,
-                    me: tid,
-                    pending: None,
-                    replay: Some(crate::runtime::ReplayState {
-                        downcalls: std::collections::VecDeque::from(entry.downcalls.clone()),
-                        hint: entry.ret.clone(),
-                        component: name.clone(),
-                    }),
-                };
-                match replacement.call(&mut ctx, &entry.func, &entry.args) {
-                    Ok(ret) if ret == entry.ret => {}
-                    Ok(ret) => {
-                        self.failed = true;
-                        let err = OsError::ReplayMismatch {
-                            component: name.to_string(),
-                            detail: format!(
-                                "{} replayed to {ret} on the replacement (logged {})",
-                                entry.func, entry.ret
-                            ),
-                        };
-                        let at = self.clock.now();
-                        let detail = err.to_string();
-                        self.emit(|c| c.recovery_abort(&name, at, &detail));
-                        return Err(err);
-                    }
-                    Err(e) => {
-                        self.failed = true;
-                        let err = OsError::ReplayMismatch {
-                            component: name.to_string(),
-                            detail: format!("{} failed on the replacement: {e}", entry.func),
-                        };
-                        let at = self.clock.now();
-                        let detail = err.to_string();
-                        self.emit(|c| c.recovery_abort(&name, at, &detail));
-                        return Err(err);
-                    }
-                }
-                replayed += 1;
-            }
+        if let Some(data) = slot.comp.as_ref().ok_or_else(busy)?.extract_runtime() {
+            replacement.restore_runtime(data)?;
         }
-        let replay_end = self.clock.now();
-        self.emit(|c| c.recovery_phase(&name, RecoveryPhase::LogReplay, replay_start, replay_end));
-        if let Some(data) = extract {
-            if let Err(e) = replacement.restore_runtime(data) {
-                let at = self.clock.now();
-                let detail = e.to_string();
-                self.emit(|c| c.recovery_abort(&name, at, &detail));
-                return Err(e);
-            }
-        }
-        replacement.finish_replay();
-
-        // Capture the replacement's own boot-phase checkpoint for future
-        // (regular) reboots.
-        if self.slots[tid].desc.uses_checkpoint_init() {
-            let snap = replacement.arena_mut().snapshot();
-            self.clock
-                .advance(self.costs.snapshot_capture(snap.byte_len()));
-            self.slots[tid].boot_snapshot = Some(snap);
-        }
-
-        self.slots[tid].comp = Some(replacement);
-        self.slots[tid].up = true;
-        self.slots[tid].reboots += 1;
-        let end = self.clock.now();
-        self.emit(|c| c.recovery_phase(&name, RecoveryPhase::Resume, replay_end, end));
-        self.stats.downtime.push(crate::stats::DowntimeWindow {
-            component: name.to_string(),
-            start,
-            end,
-        });
-        self.emit(|c| c.recovery_end(&name, end, replayed, 0));
-        Ok(RebootOutcome {
-            component: name.to_string(),
-            downtime: end.saturating_sub(start),
-            replayed,
-            snapshot_bytes: 0,
-        })
+        let slot = &mut self.slots[tid];
+        slot.desc = replacement.descriptor().clone();
+        slot.boot_snapshot = slot
+            .desc
+            .uses_checkpoint_init()
+            .then(|| replacement.arena_mut().snapshot());
+        slot.checkpoint_corrupt = false;
+        slot.comp = Some(replacement);
+        self.pending_recovery = detected;
+        self.recover(tid, "update")
     }
 
     /// Live-updates `component` to a new implementation (§VIII "Reboots for
@@ -190,19 +94,17 @@ impl System {
     ///
     /// # Errors
     ///
-    /// [`OsError::UnknownComponent`], name mismatches, or
-    /// [`OsError::ReplayMismatch`] when the new implementation does not
-    /// reproduce the logged behaviour.
+    /// [`OsError::UnknownComponent`], a name mismatch or the replacement's
+    /// refusal of the old version's runtime data (the old version keeps
+    /// serving), or [`OsError::ReplayMismatch`] when the new implementation
+    /// does not reproduce the logged behaviour (the system fail-stops).
     pub fn update_component(
         &mut self,
         component: &str,
         replacement: ComponentBox,
     ) -> Result<RebootOutcome, OsError> {
-        let &tid = self
-            .by_name
-            .get(component)
-            .ok_or_else(|| OsError::UnknownComponent(component.to_owned()))?;
-        let outcome = self.swap_component(tid, replacement)?;
+        let tid = self.index_of(component)?;
+        let outcome = self.swap_component(tid, replacement, None)?;
         self.stats.component_updates += 1;
         Ok(outcome)
     }
@@ -258,8 +160,7 @@ impl System {
             .collect();
         let mut outcomes = Vec::new();
         for name in aged {
-            let idx = self.by_name[name.as_str()];
-            if self.slots[idx].desc.is_rebootable() {
+            if let Ok(idx) = self.rebootable_index(&name) {
                 outcomes.push(self.reboot_index(idx)?);
             }
         }

@@ -112,8 +112,8 @@ pub struct System {
     pub(crate) reboot_interrupts: BTreeSet<String>,
 }
 
-/// Detection context stashed by the failure paths so the recovery span a
-/// subsequent [`System::reboot_index`] opens can name its trigger and be
+/// Detection context stashed by the failure paths so the recovery span the
+/// [`System::recover`] that follows opens can name its trigger and be
 /// back-dated to when detection started.
 pub(crate) struct PendingRecovery {
     pub(crate) kind: &'static str,
@@ -136,7 +136,6 @@ impl std::fmt::Debug for System {
 pub struct SystemBuilder {
     mode: Mode,
     set: ComponentSet,
-    costs: CostModel,
     seed: u64,
     host: Option<HostHandle>,
     auto_recover: bool,
@@ -163,7 +162,6 @@ impl Default for SystemBuilder {
         SystemBuilder {
             mode: Mode::vampos_das(),
             set: ComponentSet::echo(),
-            costs: CostModel::default(),
             seed: 0x5EED,
             host: None,
             auto_recover: true,
@@ -187,12 +185,6 @@ impl SystemBuilder {
     /// Sets the component set.
     pub fn components(mut self, set: ComponentSet) -> Self {
         self.set = set;
-        self
-    }
-
-    /// Overrides the cost model.
-    pub fn cost_model(mut self, costs: CostModel) -> Self {
-        self.costs = costs;
         self
     }
 
@@ -367,7 +359,7 @@ impl SystemBuilder {
 
         let mut sys = System {
             clock: self.clock.unwrap_or_default(),
-            costs: self.costs,
+            costs: CostModel::default(),
             rng: SimRng::seed_from(self.seed),
             mode: self.mode,
             set: self.set,
@@ -435,7 +427,18 @@ impl System {
             self.slots[idx].comp = Some(comp);
             res?;
         }
-        // Mount the root file system through the regular (logged) path.
+        self.mount_and_checkpoint(true)?;
+        self.booted_at = self.clock.now();
+        Ok(())
+    }
+
+    /// The tail every boot ends with, first or full reboot: mount the root
+    /// file system through the regular (logged) path, then capture the
+    /// boot-phase checkpoints (§V-E) of the checkpoint-init components. A
+    /// first boot pays for each capture; a full reboot passes
+    /// `charge_capture: false` because `CostModel::full_boot` is the whole
+    /// VM's measured boot time, captures included.
+    pub(crate) fn mount_and_checkpoint(&mut self, charge_capture: bool) -> Result<(), OsError> {
         if self.by_name.contains_key("9pfs") {
             self.syscall(
                 names::VFS,
@@ -443,8 +446,6 @@ impl System {
                 &[Value::from("9pfs"), Value::from("/")],
             )?;
         }
-        // Capture boot-phase checkpoints (§V-E) for checkpoint-init
-        // components.
         for idx in 0..self.slots.len() {
             if self.slots[idx].desc.uses_checkpoint_init() {
                 let snap = self.slots[idx]
@@ -453,12 +454,13 @@ impl System {
                     .expect("boot: component present")
                     .arena_mut()
                     .snapshot();
-                self.clock
-                    .advance(self.costs.snapshot_capture(snap.byte_len()));
+                if charge_capture {
+                    self.clock
+                        .advance(self.costs.snapshot_capture(snap.byte_len()));
+                }
                 self.slots[idx].boot_snapshot = Some(snap);
             }
         }
-        self.booted_at = self.clock.now();
         Ok(())
     }
 
@@ -496,11 +498,6 @@ impl System {
     /// Collected statistics.
     pub fn stats(&self) -> &SystemStats {
         &self.stats
-    }
-
-    /// Mutable statistics (the harness resets summaries between phases).
-    pub fn stats_mut(&mut self) -> &mut SystemStats {
-        &mut self.stats
     }
 
     /// The attached telemetry sink, if any.
@@ -585,6 +582,23 @@ impl System {
     /// runs to completion.
     pub fn arm_reboot_interrupt(&mut self, component: &str) {
         self.reboot_interrupts.insert(component.to_owned());
+    }
+
+    /// The slot `name` is linked into.
+    pub(crate) fn index_of(&self, name: &str) -> Result<usize, OsError> {
+        let idx = self.by_name.get(name).copied();
+        idx.ok_or_else(|| OsError::UnknownComponent(name.to_owned()))
+    }
+
+    /// [`System::index_of`], for a component that can be rebooted alone.
+    pub(crate) fn rebootable_index(&self, name: &str) -> Result<usize, OsError> {
+        let idx = self.index_of(name)?;
+        if !self.slots[idx].desc.is_rebootable() {
+            return Err(OsError::Unrebootable {
+                component: name.to_owned(),
+            });
+        }
+        Ok(idx)
     }
 
     /// Whether `component` can be rebooted alone (`None` for unknown
@@ -725,14 +739,8 @@ impl System {
     ///
     /// [`OsError::ProtectionFault`] when isolation caught the access.
     pub fn trigger_wild_write(&mut self, from: &str, to: &str) -> Result<(), OsError> {
-        let &from_idx = self
-            .by_name
-            .get(from)
-            .ok_or_else(|| OsError::UnknownComponent(from.to_owned()))?;
-        let &to_idx = self
-            .by_name
-            .get(to)
-            .ok_or_else(|| OsError::UnknownComponent(to.to_owned()))?;
+        let from_idx = self.index_of(from)?;
+        let to_idx = self.index_of(to)?;
         let isolation = self
             .mode
             .vamp_config()
@@ -756,12 +764,9 @@ impl System {
             self.stats.failures += 1;
             self.emit(|c| c.failure_detected(culprit, "mpk-violation", at));
             if self.auto_recover && self.slots[from_idx].desc.is_rebootable() {
-                self.pending_recovery = Some(PendingRecovery {
-                    kind: "mpk-violation",
-                    detect_start: at,
-                    detect_end: at,
-                });
-                self.reboot_index(from_idx)?;
+                // The denial trapped at the faulting store: detection is
+                // the zero-length window an unprompted recovery gets.
+                self.recover(from_idx, "mpk-violation")?;
             }
             return Err(OsError::ProtectionFault(format!(
                 "{from} attempted write into memory of {to}"
@@ -791,10 +796,7 @@ impl System {
     ///
     /// [`OsError::UnknownComponent`] for unknown names.
     pub fn pkru_for(&mut self, component: &str) -> Result<Pkru, OsError> {
-        let &tid = self
-            .by_name
-            .get(component)
-            .ok_or_else(|| OsError::UnknownComponent(component.to_owned()))?;
+        let tid = self.index_of(component)?;
         let own = self
             .mpk
             .physical(self.slots[tid].domain)
@@ -911,10 +913,7 @@ impl System {
                 reason: "system previously fail-stopped".to_owned(),
             });
         }
-        let &tid = self
-            .by_name
-            .get(target)
-            .ok_or_else(|| OsError::UnknownComponent(target.to_owned()))?;
+        let tid = self.index_of(target)?;
         let slot = &self.slots[tid];
         if !slot.up {
             return Err(OsError::ComponentUnavailable {

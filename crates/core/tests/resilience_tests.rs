@@ -240,6 +240,160 @@ fn update_rejects_a_differently_named_component() {
     assert!(matches!(err, OsError::Io(_)));
 }
 
+/// A counter that carries runtime data across reboots, and whose `picky`
+/// build refuses whatever an older version extracted.
+struct RuntimeCounter {
+    inner: Counter,
+    picky: bool,
+}
+
+impl Component for RuntimeCounter {
+    fn descriptor(&self) -> &ComponentDescriptor {
+        self.inner.descriptor()
+    }
+    fn arena(&self) -> &MemoryArena {
+        self.inner.arena()
+    }
+    fn arena_mut(&mut self) -> &mut MemoryArena {
+        self.inner.arena_mut()
+    }
+    fn call(
+        &mut self,
+        ctx: &mut dyn CallContext,
+        func: &str,
+        args: &[Value],
+    ) -> Result<Value, OsError> {
+        self.inner.call(ctx, func, args)
+    }
+    fn reset(&mut self) {
+        self.inner.reset();
+    }
+    fn extract_runtime(&self) -> Option<Value> {
+        Some(Value::U64(0xC0FFEE))
+    }
+    fn restore_runtime(&mut self, _data: Value) -> Result<(), OsError> {
+        if self.picky {
+            return Err(OsError::Inval);
+        }
+        Ok(())
+    }
+}
+
+#[test]
+fn a_refused_update_leaves_the_old_version_serving() {
+    let runtime_counter = |picky| RuntimeCounter {
+        inner: Counter::new(false),
+        picky,
+    };
+    let mut sys = System::builder()
+        .mode(Mode::vampos_das())
+        .components(ComponentSet::echo())
+        .extra_component(Box::new(runtime_counter(false)))
+        .build()
+        .unwrap();
+    for _ in 0..3 {
+        sys.syscall("counter", "bump", &[]).unwrap();
+    }
+    let err = sys
+        .update_component("counter", Box::new(runtime_counter(true)))
+        .unwrap_err();
+    assert_eq!(err, OsError::Inval);
+    assert!(!sys.has_failed());
+    assert_eq!(sys.stats().component_updates, 0);
+    assert_eq!(sys.syscall("counter", "value", &[]), Ok(Value::U64(3)));
+    // And the old version still reboots from its own checkpoint and log.
+    sys.reboot_component("counter").unwrap();
+    assert_eq!(sys.syscall("counter", "value", &[]), Ok(Value::U64(3)));
+}
+
+#[test]
+fn a_reboot_whose_runtime_restore_is_refused_keeps_the_component() {
+    let mut sys = System::builder()
+        .mode(Mode::vampos_das())
+        .components(ComponentSet::echo())
+        .extra_component(Box::new(RuntimeCounter {
+            inner: Counter::new(false),
+            picky: true,
+        }))
+        .build()
+        .unwrap();
+    sys.syscall("counter", "bump", &[]).unwrap();
+    assert_eq!(sys.reboot_component("counter"), Err(OsError::Inval));
+    // Down, not gone: the next full reboot finds a component to boot.
+    assert!(matches!(
+        sys.syscall("counter", "value", &[]),
+        Err(OsError::ComponentUnavailable { .. })
+    ));
+    sys.full_reboot().unwrap();
+    assert_eq!(sys.syscall("counter", "value", &[]), Ok(Value::U64(0)));
+}
+
+#[test]
+fn the_checkpoint_an_update_stores_is_a_boot_image() {
+    // The same file work on two systems: one reboots VFS twice, the other
+    // updates it to the same implementation and then reboots it.
+    let worked = || {
+        let mut sys = System::builder()
+            .mode(Mode::vampos_das())
+            .components(ComponentSet::sqlite())
+            .build()
+            .unwrap();
+        let fd = sys
+            .os()
+            .open("/db.sqlite", OpenFlags::RDWR | OpenFlags::CREAT)
+            .unwrap();
+        sys.os().write(fd, b"page0").unwrap();
+        let scratch = sys.os().create("/journal").unwrap();
+        sys.os().write(scratch, b"begin").unwrap();
+        sys.os().close(scratch).unwrap();
+        (sys, fd)
+    };
+    let (mut rebooted, fd) = worked();
+    rebooted.reboot_component("vfs").unwrap();
+    rebooted.reboot_component("vfs").unwrap();
+    let (mut updated, updated_fd) = worked();
+    updated
+        .update_component("vfs", Box::new(vampos_oslib::Vfs::new()))
+        .unwrap();
+    updated.reboot_component("vfs").unwrap();
+    assert_eq!(fd, updated_fd);
+
+    for name in rebooted.component_names() {
+        assert_eq!(
+            updated.state_digest(&name),
+            rebooted.state_digest(&name),
+            "{name}"
+        );
+        assert_eq!(
+            updated.arena_resident_bytes(&name),
+            rebooted.arena_resident_bytes(&name),
+            "{name}"
+        );
+    }
+    let vfs_fragmentation = |sys: &System| {
+        let report = sys.aging_report();
+        let vfs = report.iter().find(|e| e.component == "vfs").unwrap();
+        vfs.fragmentation
+    };
+    assert_eq!(vfs_fragmentation(&updated), vfs_fragmentation(&rebooted));
+    assert_eq!(updated.memory_report(), rebooted.memory_report());
+    // The descriptor opened before either recovery survived both.
+    assert_eq!(updated.os().write(fd, b"page1"), Ok(5));
+    assert_eq!(rebooted.os().write(fd, b"page1"), Ok(5));
+}
+
+#[test]
+fn an_update_replaces_a_corrupt_checkpoint() {
+    let mut sys = System::builder()
+        .components(ComponentSet::sqlite())
+        .build()
+        .unwrap();
+    sys.corrupt_boot_checkpoint("vfs");
+    sys.update_component("vfs", Box::new(vampos_oslib::Vfs::new()))
+        .unwrap();
+    sys.reboot_component("vfs").unwrap();
+}
+
 // ---------- aging-driven rejuvenation ----------
 
 #[test]

@@ -7,6 +7,7 @@ use vampos_core::{
     ComponentSet, InjectedFault, Mode, RecoveryPhase, SpanKind, System, TelemetrySink,
 };
 use vampos_oslib::vfs::OpenFlags;
+use vampos_oslib::{NinePFs, Vfs};
 use vampos_telemetry::validate_exposition;
 
 fn instrumented() -> (System, TelemetrySink) {
@@ -227,4 +228,31 @@ fn counters_equal_the_hubs_span_counts() {
         assert_eq!(merged.component_counters(member).unwrap().recoveries, 1);
     }
     assert_counters_match_the_hub(&merged, &sink);
+
+    // A version swap and an update are recoveries on the same path: one
+    // span and one count each, under their own trigger.
+    let sink = TelemetrySink::default();
+    let mut sys = System::builder()
+        .components(ComponentSet::sqlite())
+        .alternate(Box::new(NinePFs::new()))
+        .telemetry(sink.clone())
+        .build()
+        .expect("boot");
+    sys.inject_fault(InjectedFault::panic_deterministic("9pfs"));
+    sys.os().create("/swapped").expect("the alternate serves");
+    sys.update_component("vfs", Box::new(Vfs::new()))
+        .expect("update");
+    assert_eq!(sys.stats().version_swaps, 1);
+    assert_eq!(sys.stats().component_reboots, 3);
+    assert_eq!(sys.component_counters("9pfs").unwrap().recoveries, 2);
+    assert_eq!(sys.component_counters("vfs").unwrap().recoveries, 1);
+    assert_counters_match_the_hub(&sys, &sink);
+    let triggers: Vec<String> = sink.with(|hub| {
+        hub.spans()
+            .filter(|s| s.kind == SpanKind::Recovery)
+            .flat_map(|s| s.attrs.iter().find(|(k, _)| *k == "trigger"))
+            .map(|(_, trigger)| trigger.to_string())
+            .collect()
+    });
+    assert_eq!(triggers, ["panic", "version-swap", "update"]);
 }

@@ -232,16 +232,6 @@ impl BuddyAllocator {
         1.0 - self.largest_free_block() as f64 / free as f64
     }
 
-    /// Number of live (non-leaked) allocations.
-    pub fn live_allocations(&self) -> usize {
-        self.allocated.len()
-    }
-
-    /// Live allocation offsets, ascending.
-    pub fn allocation_offsets(&self) -> impl Iterator<Item = u64> + '_ {
-        self.allocated.keys().copied()
-    }
-
     /// Resets the allocator to its pristine boot state, reclaiming every
     /// allocation *and every leak* — this is what gives component reboot its
     /// rejuvenation effect.

@@ -83,9 +83,4 @@ impl Snapshot {
             .map(|(_, image)| image.len())
             .sum()
     }
-
-    /// Captured region kinds, in layout order.
-    pub fn region_kinds(&self) -> impl Iterator<Item = RegionKind> + '_ {
-        self.regions.iter().map(|(k, _)| *k)
-    }
 }

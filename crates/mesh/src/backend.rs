@@ -43,17 +43,10 @@ enum BackendApp {
 }
 
 impl BackendApp {
-    fn crash(&mut self) {
+    fn as_app(&mut self) -> &mut dyn App {
         match self {
-            BackendApp::Kv(kv) => kv.crash(),
-            BackendApp::Sql(sql) => sql.crash(),
-        }
-    }
-
-    fn boot(&mut self, sys: &mut System) -> Result<(), OsError> {
-        match self {
-            BackendApp::Kv(kv) => kv.boot(sys),
-            BackendApp::Sql(sql) => sql.boot(sys),
+            BackendApp::Kv(kv) => kv,
+            BackendApp::Sql(sql) => sql,
         }
     }
 }
@@ -156,6 +149,14 @@ impl BackendInstance {
         }
     }
 
+    /// The application's logical-state digest (oracle probe).
+    pub fn app_digest(&self) -> u64 {
+        match &self.app {
+            BackendApp::Kv(kv) => kv.state_digest(),
+            BackendApp::Sql(sql) => sql.state_digest(),
+        }
+    }
+
     /// Rows in `events` whose `id` column equals `id` (oracle probe);
     /// `None` for kv replicas.
     pub fn sql_rows_with_id(&mut self, id: u64) -> Option<usize> {
@@ -245,15 +246,11 @@ impl BackendInstance {
     ///
     /// Propagates unrecovered reboot failures.
     pub fn maintain(&mut self, kind: &BackendOpKind, at: Nanos) -> Result<(), OsError> {
-        let (app, applied) = (&mut self.app, &mut self.applied);
         self.occ.maintain(&mut self.sys, at, |sys| match kind {
             BackendOpKind::Rejuvenate => sys.rejuvenate_all().map(drop),
             BackendOpKind::FullReboot => {
-                sys.full_reboot()?;
-                app.crash();
-                app.boot(sys)?;
-                applied.clear();
-                Ok(())
+                self.applied.clear();
+                self.app.as_app().full_reboot(sys)
             }
             BackendOpKind::SpuriousReboot { component } => {
                 sys.spurious_detection(component).map(drop)

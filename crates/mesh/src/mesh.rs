@@ -283,11 +283,6 @@ impl Mesh {
         &self.fleet
     }
 
-    /// Mutable front-tier access (oracles, tests).
-    pub fn fleet_mut(&mut self) -> &mut Fleet {
-        &mut self.fleet
-    }
-
     /// The shared virtual clock.
     pub fn clock(&self) -> &SimClock {
         &self.clock

@@ -98,11 +98,7 @@ impl Disruption {
             DisruptionKind::ComponentReboot(name) => {
                 sys.reboot_component(name)?;
             }
-            DisruptionKind::FullReboot => {
-                sys.full_reboot()?;
-                app.crash();
-                app.boot(sys)?;
-            }
+            DisruptionKind::FullReboot => app.full_reboot(sys)?,
             DisruptionKind::Inject(fault) => {
                 sys.inject_fault(fault.clone());
             }

@@ -1,5 +1,5 @@
-//! `vampos-fleet` and `vampos-mesh` at their command lines — and the
-//! conventions all five binaries of this package share.
+//! `vampos-fleet`, `vampos-mesh` and `vampos-audit` at their command lines
+//! — and the conventions all five binaries of this package share.
 //!
 //! The expected output lives in `tests/fixtures/cli/42/` and was recorded
 //! from the binaries at commit 9d591a7 with `--seed 42`, when each still
@@ -137,6 +137,26 @@ fn seed_42_prints_and_exports_what_the_parent_did() {
 #[test]
 fn seed_1337_prints_and_exports_what_the_parent_did() {
     the_command_set_prints_and_exports_what_the_parent_did(1337);
+}
+
+/// `vampos-audit`'s two passing scenarios, recorded from the binary at
+/// d25efb1 (default seed only: the recursive scenario's spec generator
+/// draws from it). The recursive one walks the ladder's instance rung over
+/// a failed restart, so it is the pin that tells a full reboot that crashes
+/// the application regardless from one that gives up first.
+#[test]
+fn the_audit_scenarios_print_what_the_parent_did() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    for (scenario, baseline) in [
+        ("fleet", "baselines/fleet-n16.json"),
+        ("recursive", "baselines/recursive-ninep-stall.json"),
+    ] {
+        // From the repository root, so the echoed baseline path matches.
+        let out = run("vampos-audit", root, &[scenario, "--baseline", baseline]);
+        assert_eq!(out.status.code(), Some(0), "{scenario}");
+        let expected = read(&Path::new(FIXTURES).join(format!("audit-{scenario}.stdout")));
+        assert_eq!(String::from_utf8_lossy(&out.stdout), expected, "{scenario}");
+    }
 }
 
 /// Command lines no binary may panic on, abort on, run something else for
