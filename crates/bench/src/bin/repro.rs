@@ -31,7 +31,6 @@
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
-use std::time::Instant;
 
 use vampos_bench::cli::{self, Cli, Failure};
 use vampos_bench::experiments::{
@@ -203,6 +202,17 @@ fn render_all(selected: &[&Section], quick: bool, sequential: bool) -> Vec<Strin
     }
 }
 
+/// Runs `f` and returns its result with the wall-clock milliseconds it took.
+#[expect(
+    clippy::disallowed_types,
+    reason = "D002: BENCH.json reports host time; no simulated byte is derived from it"
+)]
+fn wall_ms<T>(f: impl FnOnce() -> T) -> (T, f64) {
+    let t = std::time::Instant::now();
+    let out = f();
+    (out, t.elapsed().as_secs_f64() * 1e3)
+}
+
 /// Runs the selected sections both sequentially and in parallel, checks
 /// the outputs are byte-identical, and writes per-experiment wall-clock
 /// timings — plus the fleet drive-engine comparison — to `path`. Returns
@@ -216,22 +226,16 @@ fn write_bench_json(path: &Path, selected: &[&Section], quick: bool) -> Result<b
         let _ = (s.render)(true);
     }
     let timed = |sequential: bool| -> (Vec<String>, Vec<f64>, f64) {
-        let t0 = Instant::now();
-        let each: Vec<(String, f64)> = if sequential {
-            selected
-                .iter()
-                .map(|s| {
-                    let t = Instant::now();
-                    ((s.render)(quick), t.elapsed().as_secs_f64() * 1e3)
-                })
-                .collect()
-        } else {
-            parallel_map(selected.to_vec(), |s| {
-                let t = Instant::now();
-                ((s.render)(quick), t.elapsed().as_secs_f64() * 1e3)
-            })
-        };
-        let total = t0.elapsed().as_secs_f64() * 1e3;
+        let (each, total): (Vec<(String, f64)>, f64) = wall_ms(|| {
+            if sequential {
+                selected
+                    .iter()
+                    .map(|s| wall_ms(|| (s.render)(quick)))
+                    .collect()
+            } else {
+                parallel_map(selected.to_vec(), |s| wall_ms(|| (s.render)(quick)))
+            }
+        });
         let (texts, times) = each.into_iter().unzip();
         (texts, times, total)
     };
@@ -314,11 +318,7 @@ fn fleet_engine_block(quick: bool) -> String {
     };
     let sweeps: Vec<(usize, f64)> = sizes
         .iter()
-        .map(|&n| {
-            let t = Instant::now();
-            let _ = fleet::run_sized(&[n], cpi, sweep_rpc);
-            (n, t.elapsed().as_secs_f64() * 1e3)
-        })
+        .map(|&n| (n, wall_ms(|| fleet::run_sized(&[n], cpi, sweep_rpc)).1))
         .collect();
 
     let mut json = String::new();

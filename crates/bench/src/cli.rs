@@ -17,12 +17,30 @@ use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::str::FromStr;
 
+use vampos_sim::Nanos;
 use vampos_ukernel::OsError;
 
 /// The largest fleet, replica set or client population any experiment in
 /// the tree drives. A flag or a reproducer asking for more is refused
 /// before a single instance is allocated.
 pub const MAX_POPULATION: usize = 65_536;
+
+/// The most requests (clients x requests per client) one run issues: each
+/// leaves a record until the report is printed, so two counts that are
+/// each inside [`MAX_POPULATION`] can still multiply to more memory than
+/// the host has. 2^24 is 128 times the largest run in the tree.
+pub const MAX_REQUESTS: usize = 1 << 24;
+
+/// Refuses a client population whose run would issue more than
+/// [`MAX_REQUESTS`] requests.
+pub fn request_budget(clients: usize, requests: usize) -> Result<(), String> {
+    match clients.checked_mul(requests) {
+        Some(total) if total <= MAX_REQUESTS => Ok(()),
+        _ => Err(format!(
+            "--clients x --requests: {clients} x {requests} exceeds the request ceiling {MAX_REQUESTS}"
+        )),
+    }
+}
 
 /// A cursor over the arguments after `argv[0]`. Every error names the flag
 /// it is about.
@@ -117,6 +135,16 @@ impl<'a> Cli<'a> {
         }
         Ok(n)
     }
+
+    /// The flag's value as a count of `unit`s (`Nanos::MICRO` for a
+    /// `--…-us` flag), refused if it is more nanoseconds than a `u64`
+    /// holds.
+    pub fn duration(&mut self, unit: Nanos) -> Result<Nanos, String> {
+        let n: u64 = self.value()?;
+        n.checked_mul(unit.as_nanos())
+            .map(Nanos::from_nanos)
+            .ok_or_else(|| format!("{}: {n} overflows u64 nanoseconds", self.flag))
+    }
 }
 
 /// Why a binary's `body` gave up.
@@ -144,6 +172,10 @@ pub fn run<A>(
     parse: impl FnOnce(&mut Cli) -> Result<A, String>,
     body: impl FnOnce(A) -> Result<ExitCode, Failure>,
 ) -> ExitCode {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "D003: the one read of the command line; everything below takes the parsed config"
+    )]
     let argv: Vec<String> = std::env::args().skip(1).collect();
     if argv.iter().any(|arg| arg == "--help" || arg == "-h") {
         print!("{usage}");
@@ -244,5 +276,32 @@ mod tests {
             "{err}"
         );
         assert_eq!(next(1).unwrap_err(), "--n: invalid digit found in string");
+    }
+
+    #[test]
+    fn durations_and_request_totals_stop_where_they_would_overflow() {
+        let argv = split("--us 500 --ms 18446744073709 --ms 18446744073710 --us x");
+        let mut cli = Cli::new(&argv);
+        let mut next = |unit| {
+            cli.flag().unwrap();
+            cli.duration(unit)
+        };
+        assert_eq!(next(Nanos::MICRO), Ok(Nanos::from_micros(500)));
+        assert_eq!(next(Nanos::MILLI), Ok(Nanos::from_millis(18446744073709)));
+        assert_eq!(
+            next(Nanos::MILLI).unwrap_err(),
+            "--ms: 18446744073710 overflows u64 nanoseconds"
+        );
+        assert_eq!(
+            next(Nanos::MICRO).unwrap_err(),
+            "--us: invalid digit found in string"
+        );
+
+        assert_eq!(request_budget(MAX_POPULATION, 256), Ok(()));
+        assert_eq!(
+            request_budget(MAX_POPULATION, 257).unwrap_err(),
+            "--clients x --requests: 65536 x 257 exceeds the request ceiling 16777216"
+        );
+        assert!(request_budget(usize::MAX, 2).is_err());
     }
 }

@@ -108,7 +108,6 @@ fn run_case(config: &'static str, armed: bool, clients: usize, rpc: usize, seed:
             ..FleetConfig::default()
         },
         topology: MeshTopology::standard(REPLICAS, armed),
-        ..MeshConfig::default()
     })
     .expect("mesh boot");
     let load = FleetLoad {

@@ -14,6 +14,12 @@
 //!
 //! [`System`]: vampos_core::System
 
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "D004: the one fan-out; units share nothing and results return in input order"
+)]
+
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

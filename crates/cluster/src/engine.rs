@@ -26,8 +26,8 @@
 //!
 //! Every component of the key is an integer and the heap is a plain
 //! `BinaryHeap` over it, so the schedule is a pure function of the inputs:
-//! no hash ordering, no wall clock, no thread interleaving (detlint
-//! D001–D004 clean).
+//! no hash ordering, no wall clock, no thread interleaving (the charter
+//! `clippy.toml` enforces, D001–D004).
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;

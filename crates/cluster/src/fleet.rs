@@ -62,6 +62,13 @@ impl Default for FleetConfig {
     }
 }
 
+/// Client-side deadline: a response slower than this counts as a failed
+/// transaction even though the server eventually served it.
+pub(crate) const CLIENT_TIMEOUT: Nanos = Nanos::from_millis(2);
+
+/// Most records a run's reports are pre-sized for, fleet-wide (24 MiB).
+const PRESIZE_CEILING: usize = 1 << 20;
+
 /// An HTTP load: every client issues `requests_per_client` GETs, timed by
 /// [`ArrivalShape`]. The default open-loop grid (one request every
 /// `think_time`, clients staggered across one think interval) offers every
@@ -78,9 +85,6 @@ pub struct FleetLoad {
     /// Per-client pause between request due times (open loop) or after
     /// each response (closed loop).
     pub think_time: Nanos,
-    /// Client-side deadline: a response slower than this counts as a
-    /// failed transaction even though the server eventually served it.
-    pub timeout: Nanos,
     /// Path requested.
     pub path: String,
     /// Clients on a separate machine (higher network RTT).
@@ -100,7 +104,6 @@ impl Default for FleetLoad {
             clients: 16,
             requests_per_client: 30,
             think_time: Nanos::from_millis(4),
-            timeout: Nanos::from_millis(2),
             path: "/index.html".to_owned(),
             remote: false,
             shape: ArrivalShape::OpenLoop,
@@ -311,7 +314,12 @@ impl Fleet {
             .map(|i| (i.sys.stats().component_reboots, i.sys.stats().full_reboots))
             .collect();
         let n_clients = load.clients.max(1);
-        let per_instance_cap = n_clients * load.requests_per_client / self.instances.len() + 16;
+        // A hint, not a bound: records grow past it, and the product of two
+        // in-range counts can ask for more memory than the host has.
+        let expected = n_clients
+            .saturating_mul(load.requests_per_client)
+            .min(PRESIZE_CEILING);
+        let per_instance_cap = expected / self.instances.len() + 16;
         for inst in &mut self.instances {
             inst.report = LoadReport::with_capacity(per_instance_cap);
             // Downtime from boot or a previous run is history, not a
@@ -786,7 +794,7 @@ impl Fleet {
             let delta = inst.sys.clock().now().saturating_sub(t0);
             let service = delta.saturating_sub(one_way + one_way);
             let booked = inst.occ.book(due, one_way, service);
-            let ok = served && booked.end.saturating_sub(due) <= load.timeout;
+            let ok = served && booked.end.saturating_sub(due) <= CLIENT_TIMEOUT;
             if served {
                 inst.note_service(booked.busy_from + service, booked.end);
                 note_serve_span(

@@ -369,3 +369,18 @@ fn every_arrival_shape_is_deterministic() {
         );
     }
 }
+
+#[test]
+fn the_record_presize_is_a_clamped_hint() {
+    // Each count is one a binary accepts; their product, pre-sized at 24
+    // bytes a record, was a 103 GB allocation and an abort.
+    let mut fleet = Fleet::new(config(1, 0xABCD, false)).expect("boot");
+    let load = FleetLoad {
+        clients: 65_536,
+        requests_per_client: 65_536,
+        ..FleetLoad::default()
+    };
+    let _run = fleet.start_run(&load, Policy::RoundRobin);
+    let presized = fleet.instances[0].report.records.capacity();
+    assert!(presized <= super::PRESIZE_CEILING + 16, "{presized}");
+}

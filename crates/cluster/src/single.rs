@@ -16,7 +16,7 @@ use vampos_telemetry::TelemetrySink;
 use vampos_ukernel::OsError;
 use vampos_workloads::{LoadReport, RequestRecord};
 
-use crate::fleet::{note_serve_span, FleetConfig, FleetLoad};
+use crate::fleet::{note_serve_span, FleetConfig, FleetLoad, CLIENT_TIMEOUT};
 
 struct BareClient {
     conn: Option<ClientConnId>,
@@ -121,7 +121,7 @@ pub fn run_single(
         let arrival = due + one_way;
         let busy_from = arrival.max(next_free);
         let end = busy_from + service + one_way;
-        let ok = served && end.saturating_sub(due) <= load.timeout;
+        let ok = served && end.saturating_sub(due) <= CLIENT_TIMEOUT;
         if served {
             next_free = busy_from + service;
             note_serve_span(sink.as_ref(), issued, busy_from, arrival, service);

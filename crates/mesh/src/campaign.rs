@@ -161,7 +161,6 @@ impl MeshChaosSpec {
                 ..FleetConfig::default()
             },
             topology: MeshTopology::standard(self.replicas, true),
-            ..MeshConfig::default()
         }
     }
 

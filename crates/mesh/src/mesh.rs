@@ -43,6 +43,10 @@ const WRONG_VALUE_TWIST: u64 = 0x00DE_FEC8_ED00_C0DE;
 /// Extra attempts the retry-storm plant books past the budget.
 const STORM_EXTRA_ATTEMPTS: u32 = 2;
 
+/// Router overhead between the front tier and the first stage, and again
+/// on the way back.
+const ROUTE_COST: Nanos = Nanos::from_micros(2);
+
 /// Full mesh configuration.
 #[derive(Debug, Clone)]
 pub struct MeshConfig {
@@ -50,8 +54,6 @@ pub struct MeshConfig {
     pub front: FleetConfig,
     /// Service registry and stage pipeline.
     pub topology: MeshTopology,
-    /// Router overhead between the front tier and the first stage.
-    pub route_cost: Nanos,
 }
 
 impl Default for MeshConfig {
@@ -59,7 +61,6 @@ impl Default for MeshConfig {
         MeshConfig {
             front: FleetConfig::default(),
             topology: MeshTopology::standard(2, true),
-            route_cost: Nanos::from_micros(2),
         }
     }
 }
@@ -233,7 +234,6 @@ pub struct Mesh {
     fleet: Fleet,
     clock: SimClock,
     topology: MeshTopology,
-    route_cost: Nanos,
     backends: Vec<Vec<BackendInstance>>,
     backend_one_way: Nanos,
 }
@@ -272,7 +272,6 @@ impl Mesh {
             fleet,
             clock,
             topology: cfg.topology,
-            route_cost: cfg.route_cost,
             backends,
             backend_one_way,
         })
@@ -370,7 +369,6 @@ impl Mesh {
             clock: &self.clock,
             topology: &self.topology,
             backends: &mut self.backends,
-            route_cost: self.route_cost,
             one_way: self.backend_one_way,
             sink: self.fleet.fleet_telemetry().cloned(),
             started,
@@ -416,7 +414,6 @@ struct Pipeline<'a> {
     clock: &'a SimClock,
     topology: &'a MeshTopology,
     backends: &'a mut [Vec<BackendInstance>],
-    route_cost: Nanos,
     one_way: Nanos,
     sink: Option<TelemetrySink>,
     started: Nanos,
@@ -470,7 +467,7 @@ impl Pipeline<'_> {
             planted(MeshPlantKind::RetryStorm),
             planted(MeshPlantKind::WrongValue),
         );
-        let mut hop_due = front.end + self.route_cost;
+        let mut hop_due = front.end + ROUTE_COST;
         let mut digest = DigestBuilder::new();
         let mut records: Vec<(usize, StageRecord)> = Vec::with_capacity(topology.stages.len());
         let mut pipe_ok = true;
@@ -559,7 +556,7 @@ impl Pipeline<'_> {
         if wrong_value {
             value ^= WRONG_VALUE_TWIST;
         }
-        let end = hop_due + self.route_cost;
+        let end = hop_due + ROUTE_COST;
         self.note_journey(journey, due, end, front.ok && pipe_ok, &records);
         for (si, rec) in records {
             self.stages[si].records.push(rec);

@@ -51,7 +51,6 @@ fn assert_depth1_transparent(
     let mut mesh = Mesh::new(MeshConfig {
         front: front_config(instances, seed),
         topology: MeshTopology::depth1(),
-        ..MeshConfig::default()
     })
     .expect("mesh boot");
     let mesh_report = mesh

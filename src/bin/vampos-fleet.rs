@@ -73,8 +73,8 @@ fn parse_args(cli: &mut Cli) -> Result<Args, String> {
             "--policy" => args.policy = cli.named(Policy::from_name)?,
             "--plan" => args.plan = cli.one_of(&FleetPlan::NAMES)?,
             "--shape" => args.shape = cli.one_of(&["open", "closed", "diurnal", "bursty"])?,
-            "--think-us" => args.think = Nanos::from_micros(cli.value()?),
-            "--period-ms" => args.period = Nanos::from_millis(cli.value()?),
+            "--think-us" => args.think = cli.duration(Nanos::MICRO)?,
+            "--period-ms" => args.period = cli.duration(Nanos::MILLI)?,
             "--burst" => args.burst = cli.population(1)?,
             "--no-keepalive" => args.keepalive = false,
             "--trace-out" => args.trace_out = Some(cli.path()?),
@@ -82,6 +82,7 @@ fn parse_args(cli: &mut Cli) -> Result<Args, String> {
             _ => return Err(cli.unknown()),
         }
     }
+    cli::request_budget(args.clients, args.requests)?;
     Ok(args)
 }
 

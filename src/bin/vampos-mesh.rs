@@ -74,6 +74,7 @@ fn parse_args(cli: &mut Cli) -> Result<Args, String> {
             _ => return Err(cli.unknown()),
         }
     }
+    cli::request_budget(args.clients, args.requests)?;
     Ok(args)
 }
 
@@ -86,7 +87,6 @@ fn run(args: Args) -> Result<ExitCode, Failure> {
             ..FleetConfig::default()
         },
         topology: MeshTopology::standard(args.replicas, args.armed),
-        ..MeshConfig::default()
     })?;
     let load = FleetLoad {
         clients: args.clients,

@@ -16,8 +16,6 @@
 //! * [`host`] — the "host side": 9P file server, network peer, virtio rings;
 //! * [`ukernel`] — the component framework (descriptors, value ABI, errors);
 //! * [`analyze`] — pre-boot static analysis of component configurations;
-//! * [`detlint`] — source-level determinism linter for the workspace
-//!   (hash-ordered containers, wall-clock, ambient entropy, threading);
 //! * [`oslib`] — the nine Unikraft-style components (VFS, 9PFS, LWIP, ...);
 //! * [`core`] — the VampOS runtime itself (message passing, scheduling,
 //!   logging/replay, protection domains, checkpointing, reboot engine);
@@ -66,7 +64,6 @@ pub use vampos_bench as bench;
 pub use vampos_chaos as chaos;
 pub use vampos_cluster as cluster;
 pub use vampos_core as core;
-pub use vampos_detlint as detlint;
 pub use vampos_host as host;
 pub use vampos_mem as mem;
 pub use vampos_mesh as mesh;
@@ -89,7 +86,6 @@ pub mod prelude {
         analyze_configuration, ComponentSet, FullRebootOutcome, Mode, RebootOutcome, System,
         SystemBuilder, Whence,
     };
-    pub use vampos_detlint::{lint_workspace, Report as DetlintReport, RuleCode};
     pub use vampos_mesh::{
         generate_mesh_spec, run_mesh_campaign, HopPolicy, Mesh, MeshConfig, MeshFaultClass,
         MeshPlan, MeshRunReport, MeshTopology,

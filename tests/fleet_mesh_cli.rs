@@ -161,7 +161,7 @@ fn the_audit_scenarios_print_what_the_parent_did() {
 
 /// Command lines no binary may panic on, abort on, run something else for
 /// or let pass: binary, arguments, what stderr must name.
-const HOSTILE: [(&str, &str, &str); 12] = [
+const HOSTILE: [(&str, &str, &str); 16] = [
     (
         "vampos-fleet",
         "--instances x",
@@ -171,6 +171,29 @@ const HOSTILE: [(&str, &str, &str); 12] = [
         "vampos-fleet",
         "--clients 18446744073709551615 --requests 1",
         "--clients: 18446744073709551615 exceeds",
+    ),
+    (
+        // Each count is inside the ceiling; their product was a 103 GB
+        // allocation and an abort.
+        "vampos-fleet",
+        "--clients 65536 --requests 65536 --instances 1",
+        "--clients x --requests: 65536 x 65536 exceeds",
+    ),
+    (
+        "vampos-mesh",
+        "--clients 65536 --requests 65536",
+        "--clients x --requests: 65536 x 65536 exceeds",
+    ),
+    (
+        // Wrapped silently in release, panicked in debug.
+        "vampos-fleet",
+        "--think-us 18446744073709551615",
+        "--think-us: 18446744073709551615 overflows",
+    ),
+    (
+        "vampos-fleet",
+        "--shape diurnal --period-ms 18446744073709552",
+        "--period-ms: 18446744073709552 overflows",
     ),
     (
         "vampos-mesh",
