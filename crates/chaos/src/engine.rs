@@ -13,9 +13,9 @@ use vampos_sim::derive_seed;
 use vampos_telemetry::TelemetrySink;
 use vampos_ukernel::OsError;
 
-use crate::family::{Family, Outcome, Tails, SPAN_TAIL};
+use crate::family::{Family, Outcome, Traced};
 use crate::gen::generate_spec;
-use crate::json::{array, inline, list, num, object, quote, text, Json};
+use crate::json::{array, inline, list, num, object, population, quote, text, Json};
 use crate::oracle::{self, Violation};
 use crate::shrink::{halve, Shrinker};
 use crate::spec::{CampaignSpec, EventKind, EventSpec, FaultSpec, WorkloadKind};
@@ -43,15 +43,6 @@ impl Default for ComponentFamily {
     }
 }
 
-/// Re-executes `spec` faulted with a telemetry sink attached. The extra
-/// run is deterministic (virtual clock, derived seeds), so everything
-/// read from the sink is byte-stable.
-fn traced(spec: &CampaignSpec) -> TelemetrySink {
-    let sink = TelemetrySink::default();
-    crate::drive::run_with_sink(spec, true, Some(&sink));
-    sink
-}
-
 /// Halves an event's firing time, its `after` countdown and a bit-flip
 /// offset, all in one candidate; whether anything moved.
 fn halve_event(event: &mut EventSpec) -> bool {
@@ -69,7 +60,6 @@ impl Family for ComponentFamily {
     const NAME: &'static str = "component";
     const ORACLES: &'static str = "all four";
     const SHRINK_BUDGET: usize = 150;
-    const TELEMETRY: Option<fn(&CampaignSpec) -> TelemetrySink> = Some(traced);
 
     type Spec = CampaignSpec;
     type Report = Vec<Violation>;
@@ -102,8 +92,16 @@ impl Family for ComponentFamily {
         Ok(oracle::check(spec, &faulted, &twin))
     }
 
-    fn forensics(spec: &CampaignSpec) -> Result<Tails, OsError> {
-        Ok((traced(spec).with(|hub| hub.tail(SPAN_TAIL)), Vec::new()))
+    /// The faulted run once more, its one system's hub attached.
+    fn traced(spec: &CampaignSpec) -> Result<Traced, OsError> {
+        let sink = TelemetrySink::default();
+        crate::drive::run_with_sink(spec, true, Some(&sink));
+        let (trace, metrics) = sink.with(|hub| (hub.chrome_trace_json(), hub.metrics().clone()));
+        Ok(Traced {
+            hub: sink,
+            trace,
+            metrics,
+        })
     }
 
     fn violations(report: &Vec<Violation>) -> &[Violation] {
@@ -161,8 +159,8 @@ impl Family for ComponentFamily {
             workload,
             seed: num(doc, "seed")?,
             campaign: num(doc, "campaign")?,
-            ops: num(doc, "ops")?,
-            tail: num(doc, "tail")?,
+            ops: population(doc, "ops")?,
+            tail: population(doc, "tail")?,
             aof: doc.get("aof")?.as_bool()?,
             plant: doc.get("plant")?.as_bool()?,
             events: list(doc, "events", read_event)?,
@@ -290,6 +288,7 @@ mod tests {
     // shrinker's in `shrink::tests`.
     laws!(ComponentFamily:
         foreign_family_documents_are_rejected,
+        traced_reruns_agree_and_a_plant_leaves_tails,
         shrinking_preserves_the_violation_kind,
     );
 

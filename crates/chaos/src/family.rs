@@ -6,8 +6,8 @@
 //! the recovery plane itself ([`crate::RecursiveFamily`]), pipelines under
 //! backend recovery ([`crate::MeshFamily`]). Everything around that is the
 //! same for all of them and lives here: the fan-out [`sweep`] (parallel ≡
-//! sequential), shrink-on-failure, the forensics tails, the reproducer
-//! document, the text report, and the planted self-test battery.
+//! sequential), shrink-on-failure, the reproducer (the shrunk spec), the
+//! traced re-run ([`Traced`]), the text report, and the plant battery.
 //!
 //! What stays with the family is what differs observably. *Seed
 //! derivation* is the family's ([`Family::specs`]): the component family
@@ -21,19 +21,53 @@
 use std::fmt;
 
 use vampos_bench::parallel_map;
+use vampos_cluster::Fleet;
 use vampos_sim::derive_seed;
-use vampos_telemetry::{SpanDump, TelemetrySink};
+use vampos_telemetry::{MetricsRegistry, SpanDump, SpanKind, TelemetrySink};
 use vampos_ukernel::OsError;
 
-use crate::json::{self, Json};
+use crate::json::Json;
 use crate::shrink::{shrink, Kinds, Shrinker};
 
-/// Telemetry spans embedded in a failing campaign's reproducer: the last
-/// window of activity before the shrunk faulted run quiesced.
+/// Spans per tail `--replay` prints: the last window of activity before
+/// the faulted run quiesced.
 pub const SPAN_TAIL: usize = 24;
 
-/// The runtime-span tail and the journey-span tail of one traced run.
-pub type Tails = (Vec<SpanDump>, Vec<SpanDump>);
+/// One spec's faulted run re-executed with telemetry attached: everything
+/// `--replay`, `--trace-out` and `--metrics-out` show of it. The run is a
+/// pure function of the spec, so none of this is stored in a reproducer.
+pub struct Traced {
+    /// The hub of record: the system's hub, or a cluster's fleet hub.
+    pub hub: TelemetrySink,
+    /// The run's Chrome trace (a cluster's: one process per instance).
+    pub trace: String,
+    /// The run's metrics, merged across every hub.
+    pub metrics: MetricsRegistry,
+}
+
+impl Traced {
+    /// What a fleet recorded of the run it just made. Panics unless it was
+    /// booted with telemetry, which every family's traced run does.
+    pub(crate) fn of_fleet(fleet: &Fleet) -> Traced {
+        let built = "a traced run boots its fleet with telemetry";
+        Traced {
+            hub: fleet.fleet_telemetry().expect(built).clone(),
+            trace: fleet.chrome_trace_json().expect(built),
+            metrics: fleet.merged_metrics().expect(built),
+        }
+    }
+
+    /// The last [`SPAN_TAIL`] runtime spans and the last [`SPAN_TAIL`]
+    /// journey spans of the hub of record, oldest first: journeys get their
+    /// own window so the runtime one stays recovery-only.
+    pub fn tails(&self) -> (Vec<SpanDump>, Vec<SpanDump>) {
+        let hub = self.hub.hub();
+        (
+            hub.tail_where(SPAN_TAIL, |s| s.kind != SpanKind::Journey),
+            hub.tail_where(SPAN_TAIL, |s| s.kind == SpanKind::Journey),
+        )
+    }
+}
 
 /// One planted self-test: a spec built to flip one oracle.
 pub struct Plant<F: Family> {
@@ -58,11 +92,6 @@ pub trait Family: Sized {
     const ORACLES: &'static str;
     /// Executions the shrinker may spend per failing campaign.
     const SHRINK_BUDGET: usize;
-    /// Re-runs a spec faulted with a telemetry sink attached, for the
-    /// `--trace-out` / `--metrics-out` exports; `None` for families whose
-    /// reproducers embed their span tails instead.
-    const TELEMETRY: Option<fn(&Self::Spec) -> TelemetrySink> = None;
-
     /// A fully self-contained campaign.
     type Spec: Clone + Send;
     /// What one execution reports: the violations plus whatever the
@@ -83,9 +112,9 @@ pub trait Family: Sized {
     /// campaign never became meaningful, not that an oracle fired.
     fn execute(spec: &Self::Spec) -> Result<Self::Report, OsError>;
 
-    /// Re-runs one spec traced and returns its trailing [`SPAN_TAIL`]
-    /// spans.
-    fn forensics(spec: &Self::Spec) -> Result<Tails, OsError>;
+    /// Re-runs one spec's faulted run with telemetry attached. Telemetry
+    /// only records, so this is the run [`Family::execute`] judged.
+    fn traced(spec: &Self::Spec) -> Result<Traced, OsError>;
 
     /// The violations of a report (empty = every oracle silent).
     fn violations(report: &Self::Report) -> &[Self::Violation];
@@ -144,11 +173,6 @@ pub struct Outcome<F: Family> {
     pub shrunk: Option<F::Spec>,
     /// Executions the shrinker spent.
     pub shrink_runs: usize,
-    /// Trailing runtime spans of the shrunk faulted run (empty on a pass).
-    pub span_tail: Vec<SpanDump>,
-    /// Trailing journey spans of the shrunk faulted run (empty on a pass,
-    /// and for families without journeys).
-    pub journey_tail: Vec<SpanDump>,
 }
 
 impl<F: Family> Outcome<F> {
@@ -162,31 +186,11 @@ impl<F: Family> Outcome<F> {
         Vec::from_iter(kinds::<F>(&self.report)).join(",")
     }
 
-    /// The minimized reproducer serialized as JSON (failing campaigns
-    /// only), with the shrunk run's span windows embedded.
+    /// The reproducer of a failing campaign: its shrunk spec, serialized.
+    /// Everything else is re-derived from it ([`Family::traced`]).
     pub fn reproducer_json(&self) -> Option<String> {
-        let spec = self.shrunk.as_ref()?;
-        Some(reproducer_json::<F>(
-            spec,
-            &self.span_tail,
-            &self.journey_tail,
-        ))
+        self.shrunk.as_ref().map(F::write_spec)
     }
-}
-
-/// Serializes a reproducer: the spec plus the failing run's trailing
-/// runtime spans and the journeys in flight when it failed. With empty
-/// tails this is exactly [`Family::write_spec`]; [`parse_spec`] ignores
-/// the extra keys, so reproducers with embedded spans replay unchanged.
-pub fn reproducer_json<F: Family>(
-    spec: &F::Spec,
-    span_tail: &[SpanDump],
-    journey_tail: &[SpanDump],
-) -> String {
-    let mut out = F::write_spec(spec);
-    json::splice_tail(&mut out, "span_tail", span_tail);
-    json::splice_tail(&mut out, "journey_tail", journey_tail);
-    out
 }
 
 /// The family a reproducer belongs to. Documents without a `"family"` key
@@ -196,7 +200,8 @@ pub fn family_of(doc: &Json) -> Result<&str, String> {
 }
 
 /// Reads family `F`'s spec out of a parsed reproducer; another family's
-/// document is refused by name.
+/// document is refused by name. Keys the family does not read are ignored:
+/// an older binary's reproducer (spec plus span windows) replays as its spec.
 pub fn parse_spec<F: Family>(doc: &Json) -> Result<F::Spec, String> {
     let family = family_of(doc)?;
     if family != F::NAME {
@@ -205,10 +210,9 @@ pub fn parse_spec<F: Family>(doc: &Json) -> Result<F::Spec, String> {
     F::read_spec(doc)
 }
 
-/// Runs one campaign end to end: execute, shrink on failure, and harvest
-/// the shrunk run's span tails for the reproducer. Only the *original*
-/// spec's simulation error propagates: an erroring shrink candidate counts
-/// as non-reproducing, an erroring forensics run yields empty tails.
+/// Runs one campaign end to end: execute, and shrink on failure. Only the
+/// *original* spec's simulation error propagates: an erroring shrink
+/// candidate counts as non-reproducing.
 pub fn run_outcome<F: Family>(spec: F::Spec) -> Result<Outcome<F>, OsError> {
     let report = F::execute(&spec)?;
     let target = kinds::<F>(&report);
@@ -217,8 +221,6 @@ pub fn run_outcome<F: Family>(spec: F::Spec) -> Result<Outcome<F>, OsError> {
         report,
         shrunk: None,
         shrink_runs: 0,
-        span_tail: Vec::new(),
-        journey_tail: Vec::new(),
     };
     if target.is_empty() {
         return Ok(outcome);
@@ -226,7 +228,6 @@ pub fn run_outcome<F: Family>(spec: F::Spec) -> Result<Outcome<F>, OsError> {
     let (shrunk, runs) = shrink::<F>(&outcome.spec, &target, F::SHRINK_BUDGET, |candidate| {
         F::execute(candidate).map_or_else(|_| Kinds::new(), |report| kinds::<F>(&report))
     });
-    (outcome.span_tail, outcome.journey_tail) = F::forensics(&shrunk).unwrap_or_default();
     outcome.shrunk = Some(shrunk);
     outcome.shrink_runs = runs;
     Ok(outcome)

@@ -27,10 +27,9 @@ use vampos_cluster::{
 };
 use vampos_core::InjectedFault;
 use vampos_sim::{derive_seed, Nanos, SimRng};
-use vampos_telemetry::SpanKind;
 use vampos_ukernel::OsError;
 
-use crate::family::{Family, Outcome, Plant, Tails, SPAN_TAIL};
+use crate::family::{Family, Outcome, Plant, Traced};
 use crate::json::{array, index, inline, list, num, object, population, quote, text, Json};
 use crate::shrink::{halve, Shrinker};
 
@@ -226,19 +225,8 @@ impl Family for FleetFamily {
         })
     }
 
-    fn forensics(spec: &FleetCampaignSpec) -> Result<Tails, OsError> {
-        let (faulted, _) = run_faulted(spec, true)?;
-        Ok(faulted
-            .fleet_telemetry()
-            .map(|sink| {
-                sink.with(|hub| {
-                    (
-                        hub.tail_where(SPAN_TAIL, |s| s.kind != SpanKind::Journey),
-                        hub.tail_where(SPAN_TAIL, |s| s.kind == SpanKind::Journey),
-                    )
-                })
-            })
-            .unwrap_or_default())
+    fn traced(spec: &FleetCampaignSpec) -> Result<Traced, OsError> {
+        run_faulted(spec, true).map(|(faulted, _)| Traced::of_fleet(&faulted))
     }
 
     fn violations(report: &FleetCampaignReport) -> &[FleetViolation] {
@@ -358,7 +346,7 @@ mod tests {
 
     laws!(FleetFamily:
         every_class_and_plant_round_trips_through_json,
-        reproducers_embed_and_recover_span_and_journey_tails,
+        traced_reruns_agree_and_a_plant_leaves_tails,
         a_small_sweep_passes_and_reruns_identically,
         the_plant_battery_reports_every_plant_awake,
         a_passing_spec_is_left_alone,

@@ -10,7 +10,6 @@
 use std::collections::BTreeMap;
 
 use vampos_telemetry::text::push_escaped;
-use vampos_telemetry::SpanDump;
 
 /// A parsed JSON value. Numbers keep their raw token text so 64-bit
 /// integers survive exactly.
@@ -163,47 +162,6 @@ pub fn list<T>(
     item: impl Fn(&Json) -> Result<T, String>,
 ) -> Result<Vec<T>, String> {
     doc.get(key)?.as_arr()?.iter().map(item).collect()
-}
-
-/// Extracts an embedded span array (`"span_tail"`, `"journey_tail"`) from
-/// a reproducer document. Empty when the document has no such key
-/// (reproducers written before spans were embedded, or bare specs).
-pub fn tail(doc: &Json, key: &str) -> Result<Vec<SpanDump>, String> {
-    if doc.get_opt(key).is_none() {
-        return Ok(Vec::new());
-    }
-    list(doc, key, |e| {
-        Ok(SpanDump {
-            track: text(e, "track")?,
-            name: text(e, "name")?,
-            start_ns: num(e, "start_ns")?,
-            dur_ns: num(e, "dur_ns")?,
-            depth: num(e, "depth")?,
-        })
-    })
-}
-
-/// Splices a named span-dump array into a serialized JSON object, before
-/// its closing brace. `out` must end `}\n` (every [`object`] does). No-op
-/// for an empty tail.
-pub(crate) fn splice_tail(out: &mut String, key: &str, tail: &[SpanDump]) {
-    if tail.is_empty() {
-        return;
-    }
-    out.truncate(out.len() - 2);
-    while out.ends_with(char::is_whitespace) {
-        out.pop();
-    }
-    let spans = tail.iter().map(|span| {
-        inline(&[
-            ("track", quote(&span.track)),
-            ("name", quote(&span.name)),
-            ("start_ns", span.start_ns.to_string()),
-            ("dur_ns", span.dur_ns.to_string()),
-            ("depth", span.depth.to_string()),
-        ])
-    });
-    out.push_str(&format!(",\n  \"{key}\": {}\n}}\n", array(spans)));
 }
 
 /// Deepest `[`/`{` nesting [`parse_value`] follows; reproducers nest 3
@@ -424,7 +382,7 @@ pub fn parse_value(text: &str) -> Result<Json, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::family::{reproducer_json, Family};
+    use crate::family::Family;
     use crate::laws::{self, read as from_json, sample_campaign as sample};
     use crate::spec::{CampaignSpec, EventKind, EventSpec};
     use crate::ComponentFamily;
@@ -472,26 +430,6 @@ mod tests {
     }
 
     #[test]
-    fn reproducer_with_empty_tail_is_plain_to_json() {
-        let spec = sample();
-        assert_eq!(
-            reproducer_json::<ComponentFamily>(&spec, &[], &[]),
-            to_json(&spec)
-        );
-    }
-
-    #[test]
-    fn span_tail_round_trips_and_spec_still_parses() {
-        laws::reproducers_embed_and_recover_span_and_journey_tails::<ComponentFamily>();
-    }
-
-    #[test]
-    fn documents_without_a_tail_yield_an_empty_tail() {
-        let doc = parse_value(&to_json(&sample())).unwrap();
-        assert_eq!(tail(&doc, "span_tail").unwrap(), Vec::new());
-    }
-
-    #[test]
     fn nesting_is_followed_to_the_cap_and_refused_past_it() {
         let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
         assert!(parse_value(&nested(MAX_DEPTH)).is_ok());
@@ -514,9 +452,14 @@ mod tests {
         // Numbers wider than their field are refused, not truncated.
         let err = read(&whole.replace("\"bit\": 7", "\"bit\": 263")).unwrap_err();
         assert!(err.contains("bit 263"), "{err}");
-        let deep = "{\"span_tail\": [{\"track\": \"t\", \"name\": \"n\", \
-                    \"start_ns\": 1, \"dur_ns\": 1, \"depth\": 4294967296}]}";
-        let err = tail(&parse_value(deep).unwrap(), "span_tail").unwrap_err();
-        assert!(err.contains("depth 4294967296"), "{err}");
+        // A request count no sweep writes is refused, not added to `tail`.
+        for (key, field) in [("ops", "\"ops\": 48"), ("tail", "\"tail\": 16")] {
+            let wide = whole.replace(field, &format!("\"{key}\": 18446744073709551615"));
+            let err = read(&wide).unwrap_err();
+            assert!(
+                err.contains("exceeds the population ceiling"),
+                "{key}: {err}"
+            );
+        }
     }
 }

@@ -10,15 +10,15 @@ use std::fmt::Debug;
 use vampos_cluster::FaultClass;
 use vampos_mesh::MeshFaultClass;
 use vampos_sim::derive_seed;
-use vampos_telemetry::SpanDump;
+use vampos_telemetry::prometheus;
 
-use crate::family::{parse_spec, plant_battery, reproducer_json, sweep, Family};
-use crate::json::{parse_value, tail};
+use crate::family::{parse_spec, plant_battery, sweep, Family};
+use crate::json::parse_value;
 use crate::shrink::{shrink, Kinds};
 use crate::spec::{CampaignSpec, EventKind, EventSpec, FaultSpec, WorkloadKind};
 use crate::{
-    generate_fleet_spec, ComponentFamily, FleetCampaignSpec, FleetFamily, MeshFamily,
-    RecursiveFamily,
+    generate_fleet_spec, generate_spec, ComponentFamily, FleetCampaignSpec, FleetFamily,
+    MeshFamily, RecursiveFamily,
 };
 
 /// Instantiates laws for one family: `laws!(MeshFamily: law_a, law_b)`
@@ -40,6 +40,11 @@ pub(crate) trait Lab: Family<Spec: PartialEq + Debug> {
     const CAMPAIGNS: u64;
     /// Specs whose JSON must round-trip: every class, plant and variant.
     fn samples() -> Vec<Self::Spec>;
+    /// A spec built to fail: the family's first named plant.
+    fn planted() -> Self::Spec {
+        let plant = Self::family().plants().remove(0);
+        (plant.spec)(derive_seed(9, 0), 0)
+    }
     /// The magnitude the synthetic bug of the shrink law watches, and
     /// whether every other magnitude has reached its floor.
     fn gauge(spec: &Self::Spec) -> (u64, bool);
@@ -116,6 +121,11 @@ impl Lab for ComponentFamily {
         };
         let both = |workload| [variant(workload, false), variant(workload, true)];
         WorkloadKind::ALL.into_iter().flat_map(both).collect()
+    }
+
+    /// No named plants: `plant` is an argument of the generator.
+    fn planted() -> CampaignSpec {
+        generate_spec(WorkloadKind::Kv, derive_seed(9, 0), 0, 3, true)
     }
 
     fn gauge(spec: &CampaignSpec) -> (u64, bool) {
@@ -218,34 +228,19 @@ pub(crate) fn foreign_family_documents_are_rejected<F: Lab>() {
     }
 }
 
-fn span(track: &str, name: &str, start_ns: u64) -> SpanDump {
-    SpanDump {
-        track: track.into(),
-        name: name.into(),
-        start_ns,
-        dur_ns: 20,
-        depth: 1,
-    }
-}
-
-/// Both tails ride in the reproducer, either can ride alone, the spec
-/// still parses under them, and no tails means a bare spec.
-pub(crate) fn reproducers_embed_and_recover_span_and_journey_tails<F: Lab>() {
-    let spans = vec![span("9pfs", "recovery", 10), span("9pfs", "log_replay", 12)];
-    let journeys = vec![span("journeys", "we\"ird\\nameß", 5)];
-    for spec in F::samples() {
-        let text = reproducer_json::<F>(&spec, &spans, &journeys);
-        let doc = parse_value(&text).unwrap();
-        assert_eq!(read::<F>(&text).unwrap(), spec, "spec survives the tails");
-        assert_eq!(tail(&doc, "span_tail").unwrap(), spans);
-        assert_eq!(tail(&doc, "journey_tail").unwrap(), journeys);
-
-        let only_journeys = parse_value(&reproducer_json::<F>(&spec, &[], &journeys)).unwrap();
-        assert_eq!(tail(&only_journeys, "span_tail").unwrap(), Vec::new());
-        assert_eq!(tail(&only_journeys, "journey_tail").unwrap(), journeys);
-
-        assert_eq!(reproducer_json::<F>(&spec, &[], &[]), F::write_spec(&spec));
-    }
+/// The traced re-run is a pure function of the spec — two calls agree on
+/// tails, trace and rendered metrics — and a planted run leaves a tail to
+/// read, which is why a reproducer stores none of it.
+pub(crate) fn traced_reruns_agree_and_a_plant_leaves_tails<F: Lab>() {
+    let spec = F::planted();
+    let run = || {
+        let mut traced = F::traced(&spec).expect("a planted campaign runs");
+        let metrics = prometheus::render(&mut traced.metrics);
+        (traced.tails(), traced.trace, metrics)
+    };
+    let first = run();
+    assert_ne!(first.0, (Vec::new(), Vec::new()), "no tail: {spec:?}");
+    assert_eq!(run(), first, "same spec, same forensics");
 }
 
 /// The tiny sweep passes, renders the same twice in a row, and renders the

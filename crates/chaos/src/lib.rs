@@ -48,8 +48,8 @@ pub mod spec;
 pub use drive::{run_with_sink, RunResult};
 pub use engine::ComponentFamily;
 pub use family::{
-    family_of, kinds, parse_spec, plant_battery, reproducer_json, run_outcome, sweep, Family,
-    Outcome, Plant, SweepReport,
+    family_of, kinds, parse_spec, plant_battery, run_outcome, sweep, Family, Outcome, Plant,
+    SweepReport, Traced,
 };
 pub use fleet::{
     generate_fleet_spec, FleetCampaignReport, FleetCampaignSpec, FleetFamily, InstanceFault,

@@ -10,12 +10,12 @@
 //! report, its JSON fields and its three plants.
 
 use vampos_mesh::{
-    generate_mesh_spec, run_mesh_campaign, run_mesh_campaign_forensics, MeshCampaignReport,
+    generate_mesh_spec, run_mesh_campaign, run_mesh_campaign_traced, MeshCampaignReport,
     MeshChaosSpec, MeshFaultClass, MeshPlantKind, MeshViolation, FRONT_INSTANCES,
 };
 use vampos_ukernel::OsError;
 
-use crate::family::{per_class, Family, Outcome, Plant, SweepReport, Tails, SPAN_TAIL};
+use crate::family::{per_class, Family, Outcome, Plant, SweepReport, Traced};
 use crate::json::{index, num, object, population, quote, text, Json};
 use crate::shrink::{halve, Shrinker};
 
@@ -65,8 +65,9 @@ impl Family for MeshFamily {
         run_mesh_campaign(spec)
     }
 
-    fn forensics(spec: &MeshChaosSpec) -> Result<Tails, OsError> {
-        run_mesh_campaign_forensics(spec, SPAN_TAIL).map(|f| (f.span_tail, f.journey_tail))
+    /// The front fleet's telemetry: backends carry no sink.
+    fn traced(spec: &MeshChaosSpec) -> Result<Traced, OsError> {
+        run_mesh_campaign_traced(spec).map(|(_, mesh)| Traced::of_fleet(mesh.fleet()))
     }
 
     fn violations(report: &MeshCampaignReport) -> &[MeshViolation] {
@@ -210,7 +211,7 @@ mod tests {
 
     laws!(MeshFamily:
         every_class_and_plant_round_trips_through_json,
-        reproducers_embed_and_recover_span_and_journey_tails,
+        traced_reruns_agree_and_a_plant_leaves_tails,
         a_small_sweep_passes_and_reruns_identically,
         a_passing_spec_is_left_alone,
         shrinking_preserves_the_violation_kind,

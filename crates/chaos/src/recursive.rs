@@ -9,12 +9,12 @@
 //! fields and its three plants.
 
 use vampos_cluster::{
-    generate_recursive_spec, run_recursive_campaign, run_recursive_campaign_forensics, FaultClass,
+    generate_recursive_spec, run_recursive_campaign, run_recursive_campaign_traced, FaultClass,
     PlantKind, RecursiveCampaignReport, RecursiveCampaignSpec, RecursiveViolation, Rung,
 };
 use vampos_ukernel::OsError;
 
-use crate::family::{per_class, Family, Outcome, Plant, SweepReport, Tails, SPAN_TAIL};
+use crate::family::{per_class, Family, Outcome, Plant, SweepReport, Traced};
 use crate::json::{index, num, object, population, quote, text, Json};
 use crate::shrink::{halve, Shrinker};
 
@@ -64,8 +64,8 @@ impl Family for RecursiveFamily {
         run_recursive_campaign(spec)
     }
 
-    fn forensics(spec: &RecursiveCampaignSpec) -> Result<Tails, OsError> {
-        run_recursive_campaign_forensics(spec, SPAN_TAIL).map(|f| (f.span_tail, f.journey_tail))
+    fn traced(spec: &RecursiveCampaignSpec) -> Result<Traced, OsError> {
+        run_recursive_campaign_traced(spec).map(|(_, fleet)| Traced::of_fleet(&fleet))
     }
 
     fn violations(report: &RecursiveCampaignReport) -> &[RecursiveViolation] {
@@ -217,7 +217,7 @@ mod tests {
 
     laws!(RecursiveFamily:
         every_class_and_plant_round_trips_through_json,
-        reproducers_embed_and_recover_span_and_journey_tails,
+        traced_reruns_agree_and_a_plant_leaves_tails,
         a_small_sweep_passes_and_reruns_identically,
         a_passing_spec_is_left_alone,
         shrinking_preserves_the_violation_kind,

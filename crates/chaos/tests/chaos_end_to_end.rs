@@ -4,10 +4,10 @@
 //! recorded at commit c5aa6c3), which the one generic path must regenerate
 //! byte for byte.
 
-use vampos_chaos::json::{parse_value, tail};
+use vampos_chaos::json::parse_value;
 use vampos_chaos::{
-    parse_spec, reproducer_json, run_outcome, run_with_sink, sweep, CampaignSpec, ComponentFamily,
-    Family, MeshFamily, OracleKind, RecursiveFamily, SweepReport, TelemetrySink, WorkloadKind,
+    parse_spec, run_outcome, sweep, CampaignSpec, ComponentFamily, Family, MeshFamily, OracleKind,
+    RecursiveFamily, SweepReport, WorkloadKind,
 };
 use vampos_sim::derive_seed;
 use vampos_telemetry::validate_exposition;
@@ -91,17 +91,17 @@ fn planted_divergence_shrinks_to_a_reproducer_that_replays() {
         .iter()
         .any(|v| v.kind == OracleKind::StateEquivalence));
 
-    // The minimized spec round-trips through JSON losslessly, with the
-    // shrunk run's trailing telemetry spans embedded alongside it...
+    // The reproducer is the minimized spec, which round-trips through
+    // JSON losslessly; its traced re-run has a span tail to show...
     let json = failure
         .reproducer_json()
         .expect("failures carry a reproducer");
     let doc = parse_value(&json).expect("reproducer parses");
     let spec = parse_spec::<ComponentFamily>(&doc).expect("reproducer reads back");
-    let spans = tail(&doc, "span_tail").expect("span tail parses");
-    assert!(!spans.is_empty(), "failing reproducers embed a span tail");
-    assert_eq!(reproducer_json::<ComponentFamily>(&spec, &spans, &[]), json);
-    assert_eq!(spans, failure.span_tail);
+    assert_eq!(Some(&spec), failure.shrunk.as_ref());
+    assert_eq!(ComponentFamily::write_spec(&spec), json);
+    let traced = ComponentFamily::traced(&spec).expect("component campaigns cannot error");
+    assert!(!traced.tails().0.is_empty(), "a failing run leaves a tail");
 
     // ...and still reproduces the planted divergence when replayed, the
     // exact path `vampos-chaos --replay` takes.
@@ -114,15 +114,12 @@ fn planted_divergence_shrinks_to_a_reproducer_that_replays() {
     );
 }
 
-/// The telemetry export the CLI performs: re-run one spec faulted with a
-/// sink attached, render both exporters.
+/// The telemetry export the CLI performs: re-run one spec traced, render
+/// both exporters.
 fn export(spec: &CampaignSpec) -> (String, String) {
-    let sink = TelemetrySink::default();
-    run_with_sink(spec, true, Some(&sink));
-    (
-        sink.with(|hub| hub.chrome_trace_json()),
-        sink.with(|hub| hub.prometheus_text()),
-    )
+    let mut traced = ComponentFamily::traced(spec).expect("component campaigns cannot error");
+    let exposition = vampos_telemetry::prometheus::render(&mut traced.metrics);
+    (traced.trace, exposition)
 }
 
 #[test]
@@ -130,12 +127,11 @@ fn telemetry_exports_are_byte_identical_across_sequential_and_parallel_sweeps() 
     let parallel = component_sweep(42, 2, planted_kv(), false);
     let sequential = component_sweep(42, 2, planted_kv(), true);
 
-    // Reproducers — span tails included — are identical whether campaigns
-    // ran on worker threads or inline.
+    // Reproducers are identical whether campaigns ran on worker threads
+    // or inline.
     assert_eq!(parallel.outcomes.len(), sequential.outcomes.len());
     for (p, s) in parallel.outcomes.iter().zip(&sequential.outcomes) {
         assert_eq!(p.reproducer_json(), s.reproducer_json());
-        assert_eq!(p.span_tail, s.span_tail);
     }
 
     // The exported trace and exposition for the same shrunk spec are
@@ -163,18 +159,19 @@ fn fixture(path: &str) -> String {
 /// Runs every plant of the battery at seed 42 to a full outcome and
 /// compares reproducer and summary line with what `run_*_outcome` produced
 /// before the harness was made generic. No recursive or mesh campaign
-/// fails naturally, so this is the one place their shrink → tails →
-/// reproducer path (candidate order, run counts, field order) is pinned.
+/// fails naturally, so this is the one place their shrink → reproducer
+/// path (candidate order, run counts, field order) is pinned. The
+/// reproducers are that recording minus the span windows it embedded: a
+/// reproducer is the shrunk spec and nothing else.
 fn planted_outcomes_match_their_fixtures<F: Family>(family: &F) {
     for (i, plant) in family.plants().iter().enumerate() {
         let spec = (plant.spec)(derive_seed(42, i as u64), i as u64);
         let outcome = run_outcome::<F>(spec).expect("planted campaign runs");
         let stem = format!("plants/{}-{}", F::NAME, plant.name);
-        assert_eq!(
-            outcome.reproducer_json().expect("plants fail"),
-            fixture(&format!("{stem}.json")),
-            "{stem}.json"
-        );
+        let reproducer = outcome.reproducer_json().expect("plants fail");
+        assert_eq!(reproducer, fixture(&format!("{stem}.json")), "{stem}.json");
+        let shrunk = outcome.shrunk.as_ref().expect("failures shrink");
+        assert_eq!(reproducer, F::write_spec(shrunk), "{stem}: spec only");
         assert_eq!(
             F::summary_line(&outcome) + "\n",
             fixture(&format!("{stem}.summary")),

@@ -79,9 +79,8 @@ pub use plan::{
     ROLLING_START,
 };
 pub use recursive::{
-    expected_rungs, generate_recursive_spec, run_recursive_campaign,
-    run_recursive_campaign_forensics, run_recursive_campaign_traced, FaultClass, PlantKind,
-    RecursiveCampaignReport, RecursiveCampaignSpec, RecursiveForensics, RecursiveViolation,
+    expected_rungs, generate_recursive_spec, run_recursive_campaign, run_recursive_campaign_traced,
+    FaultClass, PlantKind, RecursiveCampaignReport, RecursiveCampaignSpec, RecursiveViolation,
 };
 pub use report::FleetRunReport;
 pub use single::run_single;

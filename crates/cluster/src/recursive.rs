@@ -29,7 +29,6 @@
 
 use vampos_core::InjectedFault;
 use vampos_sim::{Nanos, SimRng};
-use vampos_telemetry::{SpanDump, SpanKind, SpanRecord};
 use vampos_ukernel::OsError;
 use vampos_workloads::exchange;
 
@@ -492,63 +491,31 @@ fn probe_instance(inst: &mut Instance, one_way: Nanos, request: &str) -> (bool, 
 pub fn run_recursive_campaign(
     spec: &RecursiveCampaignSpec,
 ) -> Result<RecursiveCampaignReport, OsError> {
-    run_campaign(spec, None).map(|f| f.report)
+    run_campaign(spec, false).map(|(report, _)| report)
 }
 
-/// [`run_recursive_campaign`] with the fleet telemetry sink attached:
-/// also returns the run's trailing window of (at most) `tail` runtime
-/// spans, oldest first, for embedding in reproducers. Telemetry only
-/// records — the simulation itself is byte-identical to the untraced run.
+/// [`run_recursive_campaign`] with telemetry attached, handing back the
+/// fleet it ran on for its `fleet_telemetry()` / `span_processes()` /
+/// `chrome_trace_json()` / `merged_metrics()`. Telemetry only records: the
+/// simulation itself is byte-identical to the untraced run.
 ///
 /// # Errors
 ///
 /// Same conditions as [`run_recursive_campaign`].
 pub fn run_recursive_campaign_traced(
     spec: &RecursiveCampaignSpec,
-    tail: usize,
-) -> Result<(RecursiveCampaignReport, Vec<SpanDump>), OsError> {
-    run_campaign(spec, Some(tail)).map(|f| (f.report, f.span_tail))
-}
-
-/// Everything a forensic consumer wants from one traced recursive
-/// campaign: the report, the runtime and journey span tails (reproducer
-/// embeds), and the per-process span exports the critical-path analyzer
-/// reduces.
-#[derive(Debug, Clone)]
-pub struct RecursiveForensics {
-    /// The campaign report (spec, oracle violations, rung attribution).
-    pub report: RecursiveCampaignReport,
-    /// Trailing window of runtime spans (journey spans excluded), oldest
-    /// first.
-    pub span_tail: Vec<SpanDump>,
-    /// Trailing window of journey spans, oldest first.
-    pub journey_tail: Vec<SpanDump>,
-    /// Per-process span exports (`instance-NN` entries then `fleet`) for
-    /// [`vampos_telemetry::analyze`].
-    pub processes: Vec<(String, Vec<SpanRecord>)>,
-}
-
-/// [`run_recursive_campaign_traced`] returning the full
-/// [`RecursiveForensics`] capture instead of just the runtime span tail.
-///
-/// # Errors
-///
-/// Same conditions as [`run_recursive_campaign`].
-pub fn run_recursive_campaign_forensics(
-    spec: &RecursiveCampaignSpec,
-    tail: usize,
-) -> Result<RecursiveForensics, OsError> {
-    run_campaign(spec, Some(tail))
+) -> Result<(RecursiveCampaignReport, Fleet), OsError> {
+    run_campaign(spec, true)
 }
 
 fn run_campaign(
     spec: &RecursiveCampaignSpec,
-    tail: Option<usize>,
-) -> Result<RecursiveForensics, OsError> {
+    telemetry: bool,
+) -> Result<(RecursiveCampaignReport, Fleet), OsError> {
     let load = spec.load();
     let request = format!("GET {} HTTP/1.1\r\nHost: vampos\r\n\r\n", load.path);
     let mut cfg = spec.config();
-    cfg.telemetry = tail.is_some();
+    cfg.telemetry = telemetry;
     let mut fleet = Fleet::new(cfg)?;
     let one_way = fleet.instances()[0].sys.costs().net_rtt(0, false) / 2;
 
@@ -604,30 +571,8 @@ fn run_campaign(
         });
     }
 
-    // Trailing span windows for reproducers; the sink only records, so
-    // the traced run stays byte-identical to the untraced one. Journey
-    // spans get their own tail so the runtime window stays recovery-only.
-    let (span_tail, journey_tail) = match tail {
-        Some(n) => fleet
-            .fleet_telemetry()
-            .map(|sink| {
-                sink.with(|hub| {
-                    (
-                        hub.tail_where(n, |s| s.kind != SpanKind::Journey),
-                        hub.tail_where(n, |s| s.kind == SpanKind::Journey),
-                    )
-                })
-            })
-            .unwrap_or_default(),
-        None => Default::default(),
-    };
-    let processes = match tail {
-        Some(_) => fleet.span_processes().unwrap_or_default(),
-        None => Vec::new(),
-    };
-
-    Ok(RecursiveForensics {
-        report: RecursiveCampaignReport {
+    Ok((
+        RecursiveCampaignReport {
             spec: spec.clone(),
             violations,
             rungs,
@@ -637,10 +582,8 @@ fn run_campaign(
             requests: report.requests(),
             failures: report.failures(),
         },
-        span_tail,
-        journey_tail,
-        processes,
-    })
+        fleet,
+    ))
 }
 
 #[cfg(test)]

@@ -20,7 +20,6 @@
 
 use vampos_cluster::{FleetConfig, FleetLoad, FleetOpKind, FleetPlan, Policy};
 use vampos_sim::{Nanos, SimRng};
-use vampos_telemetry::{SpanDump, SpanKind, SpanRecord};
 use vampos_ukernel::OsError;
 
 use crate::mesh::{BackendOpKind, Mesh, MeshConfig, MeshPlan, MeshPlant, MeshPlantKind};
@@ -277,21 +276,6 @@ pub struct MeshCampaignReport {
     pub hedges: u64,
 }
 
-/// Everything a forensic consumer wants from one traced mesh campaign.
-#[derive(Debug, Clone)]
-pub struct MeshCampaignForensics {
-    /// The campaign report.
-    pub report: MeshCampaignReport,
-    /// Trailing window of runtime spans (journey spans excluded), oldest
-    /// first.
-    pub span_tail: Vec<SpanDump>,
-    /// Trailing window of journey spans (front journeys and mesh
-    /// pipelines), oldest first.
-    pub journey_tail: Vec<SpanDump>,
-    /// Per-process span exports for [`vampos_telemetry::analyze`].
-    pub processes: Vec<(String, Vec<SpanRecord>)>,
-}
-
 /// Runs one mesh campaign and evaluates the three oracles against a
 /// fault-free twin.
 ///
@@ -300,12 +284,13 @@ pub struct MeshCampaignForensics {
 /// Propagates boot failures and unrecovered system failures — both mean
 /// the campaign never became meaningful, not that an oracle fired.
 pub fn run_mesh_campaign(spec: &MeshChaosSpec) -> Result<MeshCampaignReport, OsError> {
-    run_campaign(spec, None).map(|f| f.report)
+    run_campaign(spec, false).map(|(report, _)| report)
 }
 
-/// [`run_mesh_campaign`] with the fleet telemetry sink attached; also
-/// returns the trailing runtime span window for reproducer embeds.
-/// Telemetry only records — the simulation is byte-identical to the
+/// [`run_mesh_campaign`] with telemetry attached to the faulted mesh,
+/// handing that mesh back for its front fleet's `fleet_telemetry()` /
+/// `span_processes()` / `chrome_trace_json()` / `merged_metrics()`.
+/// Telemetry only records: the simulation is byte-identical to the
 /// untraced run.
 ///
 /// # Errors
@@ -313,30 +298,17 @@ pub fn run_mesh_campaign(spec: &MeshChaosSpec) -> Result<MeshCampaignReport, OsE
 /// Same conditions as [`run_mesh_campaign`].
 pub fn run_mesh_campaign_traced(
     spec: &MeshChaosSpec,
-    tail: usize,
-) -> Result<(MeshCampaignReport, Vec<SpanDump>), OsError> {
-    run_campaign(spec, Some(tail)).map(|f| (f.report, f.span_tail))
-}
-
-/// [`run_mesh_campaign_traced`] returning the full forensics capture.
-///
-/// # Errors
-///
-/// Same conditions as [`run_mesh_campaign`].
-pub fn run_mesh_campaign_forensics(
-    spec: &MeshChaosSpec,
-    tail: usize,
-) -> Result<MeshCampaignForensics, OsError> {
-    run_campaign(spec, Some(tail))
+) -> Result<(MeshCampaignReport, Mesh), OsError> {
+    run_campaign(spec, true)
 }
 
 fn run_campaign(
     spec: &MeshChaosSpec,
-    tail: Option<usize>,
-) -> Result<MeshCampaignForensics, OsError> {
+    telemetry: bool,
+) -> Result<(MeshCampaignReport, Mesh), OsError> {
     let load = spec.load();
     let mut cfg = spec.config();
-    cfg.front.telemetry = tail.is_some();
+    cfg.front.telemetry = telemetry;
     let mut mesh = Mesh::new(cfg)?;
     let report = match spec.plant {
         Some(kind) => mesh.run_planted(
@@ -352,35 +324,13 @@ fn run_campaign(
     };
 
     // The fault-free twin: same spec, empty plan, no plant, no telemetry.
-    let mut twin_cfg = spec.config();
-    twin_cfg.front.telemetry = false;
-    let mut twin = Mesh::new(twin_cfg)?;
+    let mut twin = Mesh::new(spec.config())?;
     let twin_report = twin.run(&load, Policy::RoundRobin, MeshPlan::none())?;
 
     let violations = judge(spec, &mut mesh, &report, &twin_report);
 
-    let (span_tail, journey_tail) = match tail {
-        Some(n) => mesh
-            .fleet()
-            .fleet_telemetry()
-            .map(|sink| {
-                sink.with(|hub| {
-                    (
-                        hub.tail_where(n, |s| s.kind != SpanKind::Journey),
-                        hub.tail_where(n, |s| s.kind == SpanKind::Journey),
-                    )
-                })
-            })
-            .unwrap_or_default(),
-        None => Default::default(),
-    };
-    let processes = match tail {
-        Some(_) => mesh.fleet().span_processes().unwrap_or_default(),
-        None => Vec::new(),
-    };
-
-    Ok(MeshCampaignForensics {
-        report: MeshCampaignReport {
+    Ok((
+        MeshCampaignReport {
             spec: spec.clone(),
             violations,
             journeys: report.journeys.len(),
@@ -388,10 +338,8 @@ fn run_campaign(
             retries: report.retries,
             hedges: report.hedges,
         },
-        span_tail,
-        journey_tail,
-        processes,
-    })
+        mesh,
+    ))
 }
 
 /// Evaluates the three oracles. Pure over the two reports except for the

@@ -29,8 +29,8 @@ pub mod topology;
 
 pub use backend::{BackendInstance, HopServe};
 pub use campaign::{
-    generate_mesh_spec, run_mesh_campaign, run_mesh_campaign_forensics, MeshCampaignForensics,
-    MeshCampaignReport, MeshChaosSpec, MeshFaultClass, MeshViolation, FRONT_INSTANCES,
+    generate_mesh_spec, run_mesh_campaign, run_mesh_campaign_traced, MeshCampaignReport,
+    MeshChaosSpec, MeshFaultClass, MeshViolation, FRONT_INSTANCES,
 };
 pub use mesh::{BackendOp, BackendOpKind, Mesh, MeshConfig, MeshPlan, MeshPlant, MeshPlantKind};
 pub use policy::HopPolicy;

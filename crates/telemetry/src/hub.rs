@@ -144,8 +144,8 @@ pub struct InstantRecord {
     pub attrs: Attrs,
 }
 
-/// A compact, serializable view of one span — what chaos reproducers embed
-/// as their trailing span window (`span_tail`).
+/// A compact view of one span — what `vampos-chaos --replay` prints as
+/// the trailing span window of a traced run.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanDump {
     /// Track (component) name.
@@ -451,17 +451,12 @@ impl TelemetryHub {
         self.metrics.to_json()
     }
 
-    /// The last `n` finished spans ordered by `(start, id)`, with nesting
-    /// depth computed against all retained spans (ancestors evicted from
-    /// the bounded buffer stop the depth walk).
-    pub fn tail(&self, n: usize) -> Vec<SpanDump> {
-        self.tail_where(n, |_| true)
-    }
-
-    /// [`TelemetryHub::tail`] restricted to spans matching `keep`; depth is
-    /// still computed against *all* retained spans, so a filtered dump
-    /// keeps the nesting of the full trace. Chaos reproducers use this to
-    /// embed the runtime span tail and the journey tail separately.
+    /// The last `n` finished spans matching `keep`, ordered by
+    /// `(start, id)`. Nesting depth is computed against *all* retained
+    /// spans, so a filtered dump keeps the nesting of the full trace
+    /// (ancestors evicted from the bounded buffer stop the depth walk).
+    /// Chaos replays print the runtime span tail and the journey tail
+    /// separately with it.
     pub fn tail_where(&self, n: usize, keep: impl Fn(&SpanRecord) -> bool) -> Vec<SpanDump> {
         let mut sorted: Vec<&SpanRecord> = self.finished.iter().filter(|s| keep(s)).collect();
         sorted.sort_by_key(|s| (s.start, s.id));
@@ -897,13 +892,13 @@ mod tests {
         hub.recovery_begin(&n("vfs"), "admin", ns(100));
         hub.recovery_phase("vfs", RecoveryPhase::LogReplay, ns(150), ns(180));
         hub.recovery_end(&n("vfs"), ns(200), 0, 0);
-        let tail = hub.tail(10);
+        let tail = hub.tail_where(10, |_| true);
         assert_eq!(tail.len(), 2);
         assert_eq!(tail[0].name, "recovery");
         assert_eq!(tail[0].depth, 0);
         assert_eq!(tail[1].name, "log_replay");
         assert_eq!(tail[1].depth, 1);
-        let just_one = hub.tail(1);
+        let just_one = hub.tail_where(1, |_| true);
         assert_eq!(just_one.len(), 1);
         assert_eq!(just_one[0].name, "log_replay");
     }

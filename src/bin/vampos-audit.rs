@@ -40,16 +40,12 @@ use std::process::ExitCode;
 use vampos::bench::cli::{self, Cli, Failure};
 use vampos::chaos::json::{parse_value, Json};
 use vampos::cluster::{
-    generate_recursive_spec, run_recursive_campaign_forensics, FaultClass, Fleet, FleetConfig,
+    generate_recursive_spec, run_recursive_campaign_traced, FaultClass, Fleet, FleetConfig,
     FleetLoad, FleetPlan, PlantKind, Policy,
 };
 use vampos::sim::derive_seed;
+use vampos::telemetry::analyze;
 use vampos::telemetry::analyze::{Analysis, PHASES};
-use vampos::telemetry::{analyze, MetricsRegistry};
-
-/// Span-tail window requested from the recursive campaign (the audit only
-/// uses the per-process exports, but the forensics API captures both).
-const SPAN_TAIL: usize = 24;
 
 /// Which observation `--plant` inflates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,10 +127,22 @@ struct Observed {
     violations: usize,
 }
 
-fn evicted_total(metrics: &MetricsRegistry) -> u64 {
-    metrics
-        .counter_value("vampos_telemetry_evicted_total", &[])
-        .unwrap_or(0)
+/// What a traced fleet recorded of the run it just made: its span store
+/// analysed and its hubs' evictions. The oracle fields are the caller's.
+fn observe(fleet: &Fleet) -> Observed {
+    let processes = fleet.span_processes().expect("telemetry was enabled");
+    let metrics = fleet.merged_metrics().expect("telemetry was enabled");
+    let analysis = analyze(&processes);
+    Observed {
+        phase_max_ns: analysis.phase_max_ns(),
+        p99_ns: analysis.journeys.latency.p99,
+        acked_loss: 0,
+        evicted: metrics
+            .counter_value("vampos_telemetry_evicted_total", &[])
+            .unwrap_or(0),
+        violations: 0,
+        analysis,
+    }
 }
 
 fn run_fleet(seed: u64) -> Result<Observed, String> {
@@ -155,17 +163,7 @@ fn run_fleet(seed: u64) -> Result<Observed, String> {
     fleet
         .run(&load, Policy::RecoveryAware, plan)
         .map_err(|e| format!("fleet run failed: {e}"))?;
-    let processes = fleet.span_processes().expect("telemetry was enabled");
-    let metrics = fleet.merged_metrics().expect("telemetry was enabled");
-    let analysis = analyze(&processes);
-    Ok(Observed {
-        phase_max_ns: analysis.phase_max_ns(),
-        p99_ns: analysis.journeys.latency.p99,
-        acked_loss: 0,
-        evicted: evicted_total(&metrics),
-        violations: 0,
-        analysis,
-    })
+    Ok(observe(&fleet))
 }
 
 fn run_recursive(seed: u64) -> Result<Observed, String> {
@@ -177,17 +175,12 @@ fn run_recursive(seed: u64) -> Result<Observed, String> {
         FaultClass::NinepStall,
         PlantKind::None,
     );
-    let forensics = run_recursive_campaign_forensics(&spec, SPAN_TAIL)
+    let (report, fleet) = run_recursive_campaign_traced(&spec)
         .map_err(|e| format!("recursive campaign failed: {e}"))?;
-    let analysis = analyze(&forensics.processes);
-    Ok(Observed {
-        phase_max_ns: analysis.phase_max_ns(),
-        p99_ns: analysis.journeys.latency.p99,
-        acked_loss: forensics.report.acked_bad,
-        evicted: 0,
-        violations: forensics.report.violations.len(),
-        analysis,
-    })
+    let mut observed = observe(&fleet);
+    observed.acked_loss = report.acked_bad;
+    observed.violations = report.violations.len();
+    Ok(observed)
 }
 
 /// Inflates the planted observation far past any committed budget while

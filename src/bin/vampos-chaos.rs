@@ -39,7 +39,10 @@
 //!   budgets).
 //!
 //! Failing campaigns are shrunk to a minimal reproducer written under
-//! `--out`, replayable with `--replay` (the family is encoded in the file).
+//! `--out`: the shrunk spec and nothing else (the family is encoded in the
+//! file). A run is a pure function of its spec, so `--replay` re-runs it
+//! traced and prints that run's span and journey tails, and `--trace-out`
+//! / `--metrics-out` export the same traced run, for any family.
 //!
 //! Output is byte-identical for a given seed: campaigns fan out over worker
 //! threads but results are reported in campaign order with no wall-clock
@@ -51,14 +54,15 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use vampos::bench::cli::{self, Cli, Failure};
-use vampos::chaos::json::{self, parse_value, Json};
+use vampos::chaos::json::{parse_value, Json};
 use vampos::chaos::{
     family_of, parse_spec, plant_battery, sweep, ComponentFamily, Family, FleetFamily, MeshFamily,
-    RecursiveFamily, WorkloadKind,
+    RecursiveFamily, SpanDump, Traced, WorkloadKind,
 };
 use vampos::cluster::FaultClass;
 use vampos::mesh::MeshFaultClass;
 use vampos::sim::derive_seed;
+use vampos::ukernel::OsError;
 
 struct Args {
     family: String,
@@ -104,9 +108,11 @@ acked-loss, retry-storm) and exits 1 iff an oracle caught it — wired as
 `!`-negated CI steps so a sleeping oracle fails the build.
 --trace-out writes a Chrome trace-event JSON (load in Perfetto / chrome://tracing)
 --metrics-out writes Prometheus text exposition (or a JSON dump for .json paths)
-Both exports re-execute one deterministic spec with telemetry attached: the
-first failing campaign's shrunk reproducer in sweep mode (the first campaign
-when all pass), or the replayed spec in --replay mode (component family only).
+Both exports re-execute one deterministic spec with telemetry attached, for
+any family: the first failing campaign's shrunk reproducer in sweep mode (the
+first campaign when all pass), the planted spec under --plant-kind, or the
+replayed spec under --replay, which prints the same run's span and journey
+tails. A plant battery or a sweep of 0 campaigns has no such run: exit 2.
 ";
 
 fn parse_args(cli: &mut Cli) -> Result<Args, String> {
@@ -178,7 +184,7 @@ fn parse_args(cli: &mut Cli) -> Result<Args, String> {
 /// `"family"` key — becomes a type.
 fn dispatch(args: &Args, family: &str, reproducer: Option<&Json>) -> Result<ExitCode, String> {
     match family {
-        ComponentFamily::NAME => go(
+        ComponentFamily::NAME => run(
             &ComponentFamily {
                 workloads: args.workloads.clone(),
                 budget: args.budget,
@@ -187,7 +193,7 @@ fn dispatch(args: &Args, family: &str, reproducer: Option<&Json>) -> Result<Exit
             args,
             reproducer,
         ),
-        FleetFamily::NAME => go(
+        FleetFamily::NAME => run(
             &FleetFamily {
                 instances: args.instances,
                 budget: args.budget,
@@ -195,14 +201,14 @@ fn dispatch(args: &Args, family: &str, reproducer: Option<&Json>) -> Result<Exit
             args,
             reproducer,
         ),
-        RecursiveFamily::NAME => go(
+        RecursiveFamily::NAME => run(
             &RecursiveFamily {
                 classes: args.classes.clone(),
             },
             args,
             reproducer,
         ),
-        MeshFamily::NAME => go(
+        MeshFamily::NAME => run(
             &MeshFamily {
                 classes: args.mesh_classes.clone(),
             },
@@ -213,62 +219,39 @@ fn dispatch(args: &Args, family: &str, reproducer: Option<&Json>) -> Result<Exit
     }
 }
 
-fn go<F: Family>(family: &F, args: &Args, reproducer: Option<&Json>) -> Result<ExitCode, String> {
-    // A telemetry export the family cannot produce is refused before
-    // anything runs, not after a verdict that would read as success.
-    if F::TELEMETRY.is_none() && (args.trace_out.is_some() || args.metrics_out.is_some()) {
-        return Err(
-            "--trace-out/--metrics-out exports are component-family only \
-             (fleet, recursive and mesh reproducers embed their span tails instead)"
-                .to_owned(),
-        );
-    }
-    match reproducer {
-        Some(doc) => replay::<F>(args, doc),
-        None => run(family, args),
-    }
+/// The export flag given, if any: a mode with no single run to export
+/// refuses it by name before anything runs.
+fn export_flag(args: &Args) -> Option<&'static str> {
+    let trace = args.trace_out.as_ref().map(|_| "--trace-out");
+    trace.or(args.metrics_out.as_ref().map(|_| "--metrics-out"))
 }
 
-/// Re-executes `spec` faulted with a telemetry sink attached and writes the
-/// requested exports. The run is deterministic, so the files are
-/// byte-identical across invocations with the same spec.
-fn export_telemetry<F: Family>(spec: &F::Spec, args: &Args) -> Result<(), String> {
-    let wanted = args.trace_out.is_some() || args.metrics_out.is_some();
-    let Some(traced) = F::TELEMETRY.filter(|_| wanted) else {
+/// Writes the requested exports of a traced run, which is made only if one
+/// is requested. The run is deterministic, so the files are byte-identical
+/// across invocations with the same spec.
+fn export(args: &Args, traced: impl FnOnce() -> Result<Traced, OsError>) -> Result<(), String> {
+    if export_flag(args).is_none() {
         return Ok(());
-    };
-    let sink = traced(spec);
+    }
+    let mut traced = traced().map_err(|e| format!("traced run failed: {e}"))?;
     if let Some(path) = &args.trace_out {
-        let trace = sink.with(|hub| hub.chrome_trace_json());
-        cli::write(path, trace, "telemetry")?;
+        cli::write(path, &traced.trace, "telemetry")?;
     }
     if let Some(path) = &args.metrics_out {
-        let metrics = sink.with(|hub| hub.metrics_mut().render_for(path));
-        cli::write(path, metrics, "telemetry")?;
+        cli::write(path, traced.metrics.render_for(path), "telemetry")?;
     }
     Ok(())
 }
 
-/// Prints one of the reproducer's embedded tails as an indented timeline:
-/// the last thing the faulted system did before the oracles fired
-/// (`span_tail`), and the request journeys in flight at that point
-/// (`journey_tail`).
-fn print_tail(doc: &Json, key: &str, label: &str) {
-    let tail = match json::tail(doc, key) {
-        Ok(tail) => tail,
-        Err(e) => {
-            eprintln!("warning: unreadable {key}: {e}");
-            return;
-        }
-    };
+/// Prints one tail of the traced run as an indented timeline: the last
+/// thing the faulted system did before it quiesced (`span`), and the
+/// request journeys in flight at that point (`journey`).
+fn print_tail(tail: &[SpanDump], label: &str) {
     if tail.is_empty() {
         return;
     }
-    println!(
-        "embedded {label} tail ({} span(s), oldest first):",
-        tail.len()
-    );
-    for span in &tail {
+    println!("{label} tail ({} span(s), oldest first):", tail.len());
+    for span in tail {
         println!(
             "  {:>12} ns  {}{} :: {}  [{} ns]",
             span.start_ns,
@@ -302,10 +285,12 @@ fn verdict<F: Family>(
 fn replay<F: Family>(args: &Args, doc: &Json) -> Result<ExitCode, String> {
     let spec = parse_spec::<F>(doc)?;
     println!("{}", F::banner(&spec));
-    print_tail(doc, "span_tail", "span");
-    print_tail(doc, "journey_tail", "journey");
+    let traced = F::traced(&spec).map_err(|e| format!("replay failed: {e}"))?;
+    let (spans, journeys) = traced.tails();
+    print_tail(&spans, "span");
+    print_tail(&journeys, "journey");
     let report = F::execute(&spec).map_err(|e| format!("replay failed: {e}"))?;
-    export_telemetry::<F>(&spec, args)?;
+    export(args, || Ok(traced))?;
     let silent = format!(
         "{} oracles silent: the reproducer no longer fails",
         F::ORACLES
@@ -318,7 +303,7 @@ fn replay<F: Family>(args: &Args, doc: &Json) -> Result<ExitCode, String> {
 /// `--plant-kind`: one planted campaign, exit 1 iff at least one oracle
 /// caught it. CI runs these as `!`-negated steps, so a sleeping oracle
 /// (exit 0) fails the build.
-fn single_plant<F: Family>(family: &F, name: &str, seed: u64) -> Result<ExitCode, String> {
+fn single_plant<F: Family>(family: &F, name: &str, args: &Args) -> Result<ExitCode, String> {
     let plants = family.plants();
     if plants.is_empty() {
         return Err(format!("the {} family has no named plants", F::NAME));
@@ -327,24 +312,34 @@ fn single_plant<F: Family>(family: &F, name: &str, seed: u64) -> Result<ExitCode
         .iter()
         .find(|plant| plant.name == name)
         .ok_or_else(|| format!("unknown plant kind {name:?}"))?;
-    let spec = (plant.spec)(derive_seed(seed, 0), 0);
+    let spec = (plant.spec)(derive_seed(args.seed, 0), 0);
     let report = F::execute(&spec).map_err(|e| format!("planted campaign failed to run: {e}"))?;
+    export(args, || F::traced(&spec))?;
     let slipped = format!("plant {name} slipped past every oracle (harness defect)");
     Ok(verdict::<F>(&report, slipped, |n| {
         format!("plant {name} caught by {n} violation(s)")
     }))
 }
 
-fn run<F: Family>(family: &F, args: &Args) -> Result<ExitCode, String> {
+fn run<F: Family>(family: &F, args: &Args, reproducer: Option<&Json>) -> Result<ExitCode, String> {
+    if let Some(doc) = reproducer {
+        return replay::<F>(args, doc);
+    }
     if let Some(name) = &args.plant_kind {
-        return single_plant(family, name, args.seed);
+        return single_plant(family, name, args);
     }
     // `--plant` is the battery for a family with named plants: a plant
     // that does not flip its oracle means an oracle is asleep, which is a
     // harness defect (exit 2), not a campaign failure. The component
     // family has none; its `--plant` is a field of the family value and
     // turns the sweep below into one whose every campaign must fail.
-    if args.plant && !family.plants().is_empty() {
+    let battery = args.plant && !family.plants().is_empty();
+    if let Some(flag) = export_flag(args).filter(|_| battery || args.campaigns == 0) {
+        return Err(format!(
+            "{flag}: a plant battery or a sweep of 0 campaigns has no single run to export"
+        ));
+    }
+    if battery {
         let (text, awake) = plant_battery(family, args.seed)
             .map_err(|e| format!("plant battery failed to run: {e}"))?;
         print!("{text}");
@@ -378,7 +373,7 @@ fn run<F: Family>(family: &F, args: &Args) -> Result<ExitCode, String> {
         .find_map(|o| o.shrunk.as_ref())
         .or_else(|| report.outcomes.first().map(|o| &o.spec));
     if let Some(spec) = export_spec {
-        export_telemetry::<F>(spec, args)?;
+        export(args, || F::traced(spec))?;
     }
     Ok(exit)
 }

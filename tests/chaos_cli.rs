@@ -5,13 +5,17 @@
 //! recorded from the binary at commit c5aa6c3, before the four families
 //! were folded into one `Family` trait. CI's chaos diffs compare parallel
 //! against sequential within one binary; these compare the binary against
-//! that recording, so a refactor that moves a byte fails here.
+//! that recording, so a refactor that moves a byte fails here. (Since a
+//! reproducer became its spec, the eight recorded reproducers are that
+//! recording minus the span windows it embedded and the replay recordings
+//! minus the word `embedded`; `legacy/` keeps one old document whole.)
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 
 use vampos::chaos::{run_outcome, Family, FleetFamily};
 use vampos::sim::derive_seed;
+use vampos::telemetry::validate_exposition;
 
 const FIXTURES: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/crates/chaos/tests/fixtures");
 
@@ -143,7 +147,10 @@ fn planted_component_sweeps_write_the_recorded_reproducers() {
     }
 }
 
-/// Old reproducers still replay: same banner, same tails, same verdict.
+/// A reproducer is its spec: banner, tails and verdict are re-derived at
+/// replay. The documents are the parent's minus the span windows it
+/// embedded, the recorded stdout is the parent's (which printed those
+/// windows) minus the word `embedded`.
 #[test]
 fn every_recorded_reproducer_replays_to_the_recorded_verdict() {
     let dir = workdir("chaos-cli-replay");
@@ -165,6 +172,61 @@ fn every_recorded_reproducer_replays_to_the_recorded_verdict() {
             fixture(&format!("replay/{name}.stdout")),
             "{path}"
         );
+    }
+}
+
+/// The one old-format document kept: the spec plus the span windows older
+/// binaries embedded. The extra keys are ignored and the tails re-derived,
+/// so it replays exactly like its re-recorded twin.
+#[test]
+fn a_legacy_reproducer_with_embedded_tails_replays_like_its_spec() {
+    let dir = workdir("chaos-cli-legacy");
+    let legacy = fixture("legacy/recursive-ladder-stall.json");
+    let twin = fixture("plants/recursive-ladder-stall.json");
+    let spec = twin.strip_suffix("\n}\n").expect("an object");
+    assert!(legacy.starts_with(spec) && legacy.contains("\"journey_tail\": ["));
+    let out = replay(&dir, "legacy.json", &legacy, &[]);
+    assert_exit(&out, 1, "the legacy document still reproduces");
+    assert_eq!(
+        stdout(&out),
+        fixture("replay/recursive-ladder-stall.stdout")
+    );
+}
+
+/// Every family's replay exports the traced run it printed the tails of:
+/// same spec, same bytes, an exposition the format check accepts and a
+/// trace that opens like one.
+#[test]
+fn every_family_replays_to_byte_identical_exports() {
+    let dir = workdir("chaos-cli-exports");
+    let plant = FleetFamily {
+        instances: 3,
+        budget: 2,
+    }
+    .plants()
+    .remove(0);
+    let fleet = FleetFamily::write_spec(&(plant.spec)(derive_seed(7, 0), 0));
+    std::fs::write(dir.join("fleet.json"), fleet).expect("write the fleet reproducer");
+    let recorded = |path: &str| format!("{FIXTURES}/{path}.json");
+    for (family, reproducer) in [
+        ("component", recorded("repro/chaos-repro-kv-0")),
+        ("fleet", "fleet.json".to_owned()),
+        ("recursive", recorded("plants/recursive-acked-loss")),
+        ("mesh", recorded("plants/mesh-retry-storm")),
+    ] {
+        let export = |round: &str| {
+            let trace = format!("{family}-{round}.trace.json");
+            let metrics = format!("{family}-{round}.prom");
+            let flags = ["--trace-out", &trace, "--metrics-out", &metrics];
+            let out = chaos(&dir, &[&["--replay", &reproducer], &flags[..]].concat());
+            assert_exit(&out, 1, family);
+            let read = |file: &str| std::fs::read_to_string(dir.join(file)).expect("an export");
+            (read(&trace), read(&metrics))
+        };
+        let (trace, metrics) = export("a");
+        assert!(trace.starts_with("{\"traceEvents\":["), "{family}");
+        validate_exposition(&metrics).unwrap_or_else(|e| panic!("{family}: {e}"));
+        assert_eq!(export("b"), (trace, metrics), "{family}");
     }
 }
 
@@ -223,8 +285,40 @@ fn bad_flags_are_usage_errors() {
     assert_usage_error(&out, "does not belong to the selected family");
     let out = chaos(&dir, &["--class", "gremlins"]);
     assert_usage_error(&out, "unknown fault class \"gremlins\"");
-    let out = chaos(&dir, &["--family", "fleet", "--trace-out", "t.json"]);
-    assert_usage_error(&out, "component-family only");
+}
+
+/// An export flag either writes its file or is refused by name: no mode
+/// exits 0 having skipped it.
+#[test]
+fn exports_are_written_or_refused_never_skipped() {
+    let dir = workdir("chaos-cli-exports-refused");
+    let out = chaos(&dir, &["--campaigns", "0", "--trace-out", "t.json"]);
+    assert_usage_error(
+        &out,
+        "--trace-out: a plant battery or a sweep of 0 campaigns has no",
+    );
+    let battery = ["--family", "mesh", "--plant", "--metrics-out", "m.prom"];
+    let out = chaos(&dir, &battery);
+    assert_usage_error(
+        &out,
+        "--metrics-out: a plant battery or a sweep of 0 campaigns has no",
+    );
+    assert!(!dir.join("t.json").exists() && !dir.join("m.prom").exists());
+
+    // A named plant is one spec: its traced run is exported.
+    let plant = ["--family", "recursive", "--plant-kind", "ladder-stall"];
+    let out = chaos(&dir, &[&plant[..], &["--trace-out", "plant.json"]].concat());
+    assert_exit(&out, 1, "caught");
+    assert!(stdout(&out).starts_with("telemetry written: plant.json\n"));
+    let trace = std::fs::read_to_string(dir.join("plant.json")).expect("the export");
+    assert!(trace.starts_with("{\"traceEvents\":["));
+
+    // So is a mesh replay, which older binaries refused.
+    let mesh = format!("{FIXTURES}/plants/mesh-wrong-value.json");
+    let out = chaos(&dir, &["--replay", &mesh, "--trace-out", "mesh.json"]);
+    assert_exit(&out, 1, "the plant reproduces");
+    let trace = std::fs::read_to_string(dir.join("mesh.json")).expect("the export");
+    assert!(trace.starts_with("{\"traceEvents\":["));
 }
 
 /// Replays `text` saved as `file`.
@@ -267,8 +361,20 @@ fn hostile_reproducers_are_usage_errors() {
     let out = replay(&dir, "deep.json", &"[".repeat(200_000), &[]);
     assert_usage_error(&out, "nesting deeper than 64 at byte 64");
 
-    // A telemetry export a family cannot produce is refused, not skipped.
-    let out = replay(&dir, "mesh.json", &mesh, &["--trace-out", "t.json"]);
-    assert_usage_error(&out, "component-family only");
-    assert!(!dir.join("t.json").exists());
+    // ...and to replay a 15-request campaign (release) or abort on the
+    // addition (debug) when `ops + tail` wrapped, or to never return.
+    let component = fixture("repro/chaos-repro-kv-0.json");
+    for (field, value) in [
+        ("\"ops\": 1,", "18446744073709551615"),
+        ("\"ops\": 1,", "4000000000000"),
+        ("\"tail\": 16,", "18446744073709551615"),
+    ] {
+        let key = field.split(':').next().expect("a key");
+        let hostile = component.replace(field, &format!("{key}: {value},"));
+        assert_ne!(hostile, component);
+        let out = replay(&dir, "requests.json", &hostile, &[]);
+        let name = key.trim_matches('"');
+        let complaint = format!("{name} {value} exceeds the population ceiling 65536");
+        assert_usage_error(&out, &complaint);
+    }
 }
