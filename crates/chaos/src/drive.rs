@@ -247,7 +247,7 @@ pub fn run_with_sink(
     result.downtime = stats
         .downtime
         .iter()
-        .map(|w| (w.component.clone(), w.duration()))
+        .map(|w| (w.component.to_string(), w.duration()))
         .collect();
     result.unfired_faults = sys
         .armed_faults()

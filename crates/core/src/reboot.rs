@@ -3,7 +3,7 @@
 //! handling with in-line recovery and fail-stop on recurrence (§II-B), and
 //! the full-reboot baseline (§II-A).
 
-use std::collections::VecDeque;
+use std::rc::Rc;
 
 use vampos_sim::{Name, Nanos};
 use vampos_telemetry::RecoveryPhase;
@@ -69,8 +69,8 @@ impl System {
     ///
     /// Stops at the first failed reboot.
     pub fn rejuvenate_all(&mut self) -> Result<Vec<RebootOutcome>, OsError> {
-        let mut outcomes = Vec::new();
-        let mut done_groups = Vec::new();
+        let mut outcomes = Vec::with_capacity(self.slots.len());
+        let mut done_groups = Vec::with_capacity(self.slots.len());
         for idx in 0..self.slots.len() {
             let group = self.slots[idx].group;
             if !self.slots[idx].desc.is_rebootable() || done_groups.contains(&group) {
@@ -99,21 +99,22 @@ impl System {
         unprompted: &'static str,
     ) -> Result<RebootOutcome, OsError> {
         // A merged component reboots as a composite: load every member's
-        // snapshot and replay each member's log (§V-F).
+        // snapshot and replay each member's log (§V-F). The members are the
+        // slots of `idx`'s group, in slot order.
         let group = self.slots[idx].group;
-        let members: Vec<usize> = (0..self.slots.len())
-            .filter(|&i| self.slots[i].group == group)
-            .collect();
+        let members = self.slots.iter().filter(|s| s.group == group).count();
         // A lone component's label is its slot's name, shared as such.
-        let label = match members[..] {
-            [only] => self.slots[only].name.clone(),
-            _ => Name::from(
-                members
+        let label = if members == 1 {
+            self.slots[idx].name.clone()
+        } else {
+            Name::from(
+                self.slots
                     .iter()
-                    .map(|&i| self.slots[i].name.as_str())
+                    .filter(|s| s.group == group)
+                    .map(|s| s.name.as_str())
                     .collect::<Vec<_>>()
                     .join("+"),
-            ),
+            )
         };
 
         let start = self.clock.now();
@@ -123,8 +124,8 @@ impl System {
             detect_end: start,
         });
         let (detect_start, detect_end) = (why.detect_start, why.detect_end);
-        for &member in &members {
-            self.slots[member].counters.recoveries += 1;
+        for slot in self.slots.iter_mut().filter(|s| s.group == group) {
+            slot.counters.recoveries += 1;
         }
         self.emit(|c| c.recovery_begin(&label, why.kind, detect_start));
         self.emit(|c| {
@@ -137,7 +138,10 @@ impl System {
         });
         let mut replayed_total = 0usize;
         let mut snapshot_total = 0usize;
-        for &member in &members {
+        for member in 0..self.slots.len() {
+            if self.slots[member].group != group {
+                continue;
+            }
             match self.reboot_one(member) {
                 Ok((replayed, snap)) => {
                     replayed_total += replayed;
@@ -155,7 +159,7 @@ impl System {
         self.stats.component_reboots += 1;
         self.stats.replayed_entries += replayed_total as u64;
         self.stats.downtime.push(DowntimeWindow {
-            component: label.to_string(),
+            component: label.clone(),
             start,
             end,
         });
@@ -257,8 +261,8 @@ impl System {
                     me: idx,
                     pending: None,
                     replay: Some(ReplayState {
-                        downcalls: VecDeque::from(entry.downcalls.clone()),
-                        hint: entry.ret.clone(),
+                        entry: Rc::clone(&entry),
+                        next: 0,
                         component: name.clone(),
                     }),
                 };
@@ -414,7 +418,7 @@ impl System {
         let end = self.clock.now();
         self.stats.full_reboots += 1;
         self.stats.downtime.push(DowntimeWindow {
-            component: "*".to_owned(),
+            component: Name::from("*"),
             start,
             end,
         });

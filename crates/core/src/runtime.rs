@@ -2,6 +2,7 @@
 //! message-passing invoke path (§V-A, §V-C, §V-D).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use vampos_host::HostHandle;
 use vampos_mem::Snapshot;
@@ -1163,11 +1164,14 @@ pub(crate) struct Ctx<'a> {
     pub(crate) replay: Option<ReplayState>,
 }
 
-/// Replay bookkeeping: recorded downcalls served in order + the original
-/// return value (the allocation hint).
+/// Replay bookkeeping: the logged entry being replayed, whose recorded
+/// downcalls are served in order from a cursor and whose return value is
+/// the allocation hint. Nothing is copied out of the log but the values the
+/// component is handed.
 pub(crate) struct ReplayState {
-    pub(crate) downcalls: std::collections::VecDeque<DownRec>,
-    pub(crate) hint: Value,
+    pub(crate) entry: Rc<LogEntry>,
+    /// The next recorded downcall to serve.
+    pub(crate) next: usize,
     pub(crate) component: Name,
 }
 
@@ -1176,13 +1180,13 @@ impl CallContext for Ctx<'_> {
         if let Some(replay) = &mut self.replay {
             // Encapsulated restoration: answer from the return-value log
             // instead of invoking the (running) component — §V-B.
-            let rec = replay
-                .downcalls
-                .pop_front()
-                .ok_or_else(|| OsError::ReplayMismatch {
+            let Some(rec) = replay.entry.downcalls.get(replay.next) else {
+                return Err(OsError::ReplayMismatch {
                     component: replay.component.to_string(),
                     detail: format!("unrecorded downcall {target}.{func} during replay"),
-                })?;
+                });
+            };
+            replay.next += 1;
             if rec.target != target || rec.func != func {
                 return Err(OsError::ReplayMismatch {
                     component: replay.component.to_string(),
@@ -1193,7 +1197,7 @@ impl CallContext for Ctx<'_> {
                 });
             }
             self.sys.clock.advance(self.sys.costs.direct_call);
-            return rec.ret;
+            return rec.ret.clone();
         }
         let callee = self.sys.resolve(target, func);
         let result = match &callee {
@@ -1237,7 +1241,7 @@ impl CallContext for Ctx<'_> {
     }
 
     fn replay_hint(&self) -> Option<&Value> {
-        self.replay.as_ref().map(|r| &r.hint)
+        self.replay.as_ref().map(|r| &r.entry.ret)
     }
 
     fn trace_instant(&mut self, name: &str, detail: &str) {

@@ -2,13 +2,14 @@
 
 use std::collections::BTreeMap;
 
-use vampos_sim::{Nanos, Summary};
+use vampos_sim::{Name, Nanos, Summary};
 
 /// One downtime window recorded by the reboot engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DowntimeWindow {
-    /// The rebooted component, or `"*"` for a full reboot.
-    pub component: String,
+    /// The rebooted component (its slot's shared name; composites join
+    /// their members' names with `+`), or `"*"` for a full reboot.
+    pub component: Name,
     /// Window start (virtual time).
     pub start: Nanos,
     /// Window end.

@@ -483,7 +483,7 @@ impl MemoryArena {
                 }
             }
         }
-        self.allocator = snap.allocator.clone();
+        self.allocator.clone_from(&snap.allocator);
         self.aging = snap.aging.clone();
         Ok(())
     }

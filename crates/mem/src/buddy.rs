@@ -6,7 +6,7 @@
 //! The allocator also exposes the *fragmentation* view that software-aging
 //! experiments need: total free bytes vs. the largest contiguous free block.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cmp::Reverse;
 use std::error::Error;
 use std::fmt;
 
@@ -45,6 +45,10 @@ impl Error for BuddyError {}
 
 /// A binary buddy allocator over a `size`-byte heap.
 ///
+/// Its state is three sorted `Vec`s, so [`BuddyAllocator::reset`] and
+/// `clone_from` (how an arena restores its checkpoint) reuse the capacity
+/// they have already grown instead of allocating afresh.
+///
 /// # Example
 ///
 /// ```
@@ -58,17 +62,66 @@ impl Error for BuddyError {}
 /// assert_eq!(heap.free_bytes(), 1 << 16); // fully coalesced
 /// # Ok::<(), vampos_mem::BuddyError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, PartialEq, Eq)]
 pub struct BuddyAllocator {
     size: usize,
     min_block: usize,
     max_order: u32,
-    /// Free block offsets per order (order 0 = `min_block` bytes).
-    free_lists: Vec<BTreeSet<u64>>,
-    /// Live allocations: offset → order.
-    allocated: BTreeMap<u64, u32>,
-    /// Blocks leaked on purpose by aging injection: offset → order.
-    leaked: BTreeMap<u64, u32>,
+    /// Free blocks of every order (order 0 = `min_block` bytes) as
+    /// `(order, Reverse(offset))`, sorted: one order's blocks are
+    /// contiguous, and the lowest offset, the one `alloc` serves, is last.
+    free: Vec<(u32, Reverse<u64>)>,
+    /// Live allocations.
+    allocated: Blocks,
+    /// Blocks leaked on purpose by aging injection.
+    leaked: Blocks,
+}
+
+impl Clone for BuddyAllocator {
+    fn clone(&self) -> Self {
+        BuddyAllocator {
+            size: self.size,
+            min_block: self.min_block,
+            max_order: self.max_order,
+            free: self.free.clone(),
+            allocated: self.allocated.clone(),
+            leaked: self.leaked.clone(),
+        }
+    }
+
+    fn clone_from(&mut self, source: &Self) {
+        self.size = source.size;
+        self.min_block = source.min_block;
+        self.max_order = source.max_order;
+        self.free.clone_from(&source.free);
+        self.allocated.0.clone_from(&source.allocated.0);
+        self.leaked.0.clone_from(&source.leaked.0);
+    }
+}
+
+/// Blocks by offset: `(offset, order)` pairs sorted by offset.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct Blocks(Vec<(u64, u32)>);
+
+impl Blocks {
+    fn insert(&mut self, offset: u64, order: u32) {
+        let at = self.0.partition_point(|&(o, _)| o < offset);
+        self.0.insert(at, (offset, order));
+    }
+
+    fn get(&self, offset: u64) -> Option<u32> {
+        let at = self.0.binary_search_by_key(&offset, |&(o, _)| o).ok()?;
+        Some(self.0[at].1)
+    }
+
+    fn remove(&mut self, offset: u64) -> Option<u32> {
+        let at = self.0.binary_search_by_key(&offset, |&(o, _)| o).ok()?;
+        Some(self.0.remove(at).1)
+    }
+
+    fn orders(&self) -> impl Iterator<Item = u32> + '_ {
+        self.0.iter().map(|&(_, order)| order)
+    }
 }
 
 impl BuddyAllocator {
@@ -86,15 +139,13 @@ impl BuddyAllocator {
         );
         assert!(min_block <= size, "min block larger than heap");
         let max_order = (size / min_block).trailing_zeros();
-        let mut free_lists = vec![BTreeSet::new(); max_order as usize + 1];
-        free_lists[max_order as usize].insert(0);
         BuddyAllocator {
             size,
             min_block,
             max_order,
-            free_lists,
-            allocated: BTreeMap::new(),
-            leaked: BTreeMap::new(),
+            free: vec![(max_order, Reverse(0))],
+            allocated: Blocks::default(),
+            leaked: Blocks::default(),
         }
     }
 
@@ -122,21 +173,18 @@ impl BuddyAllocator {
         if want > self.max_order {
             return Err(BuddyError::OutOfMemory { requested: bytes });
         }
-        // Find the smallest order >= want with a free block.
-        let mut found = None;
-        for order in want..=self.max_order {
-            if let Some(&off) = self.free_lists[order as usize].iter().next() {
-                found = Some((order, off));
-                break;
-            }
-        }
-        let (mut order, off) = found.ok_or(BuddyError::OutOfMemory { requested: bytes })?;
-        self.free_lists[order as usize].remove(&off);
-        // Split down to the wanted order, returning upper halves to the lists.
+        // Take the lowest block of the smallest order >= want with one.
+        let (mut order, _) = *self
+            .free
+            .get(self.free.partition_point(|&(o, _)| o < want))
+            .ok_or(BuddyError::OutOfMemory { requested: bytes })?;
+        let last = self.free.partition_point(|&(o, _)| o <= order) - 1;
+        let (_, Reverse(off)) = self.free.remove(last);
+        // Split down to the wanted order, freeing the upper halves.
         while order > want {
             order -= 1;
             let buddy = off + self.block_bytes(order) as u64;
-            self.free_lists[order as usize].insert(buddy);
+            self.insert_free(order, buddy);
         }
         self.allocated.insert(off, want);
         Ok(off)
@@ -150,7 +198,7 @@ impl BuddyAllocator {
     pub fn free(&mut self, offset: u64) -> Result<(), BuddyError> {
         let order = self
             .allocated
-            .remove(&offset)
+            .remove(offset)
             .ok_or(BuddyError::InvalidFree { offset })?;
         self.insert_and_coalesce(offset, order);
         Ok(())
@@ -159,19 +207,27 @@ impl BuddyAllocator {
     fn insert_and_coalesce(&mut self, mut offset: u64, mut order: u32) {
         while order < self.max_order {
             let buddy = offset ^ self.block_bytes(order) as u64;
-            if self.free_lists[order as usize].remove(&buddy) {
-                offset = offset.min(buddy);
-                order += 1;
-            } else {
-                break;
+            match self.free.binary_search(&(order, Reverse(buddy))) {
+                Ok(at) => {
+                    self.free.remove(at);
+                    offset = offset.min(buddy);
+                    order += 1;
+                }
+                Err(_) => break,
             }
         }
-        self.free_lists[order as usize].insert(offset);
+        self.insert_free(order, offset);
+    }
+
+    fn insert_free(&mut self, order: u32, offset: u64) {
+        let block = (order, Reverse(offset));
+        let at = self.free.partition_point(|&b| b < block);
+        self.free.insert(at, block);
     }
 
     /// Size in bytes of the live allocation at `offset`, if any.
     pub fn allocation_size(&self, offset: u64) -> Option<usize> {
-        self.allocated.get(&offset).map(|&o| self.block_bytes(o))
+        self.allocated.get(offset).map(|o| self.block_bytes(o))
     }
 
     /// Simulates an aging bug: allocates a block and *loses* the reference.
@@ -182,7 +238,7 @@ impl BuddyAllocator {
     /// Same conditions as [`BuddyAllocator::alloc`].
     pub fn leak(&mut self, bytes: usize) -> Result<(), BuddyError> {
         let off = self.alloc(bytes)?;
-        let order = self.allocated.remove(&off).expect("just allocated");
+        let order = self.allocated.remove(off).expect("just allocated");
         self.leaked.insert(off, order);
         Ok(())
     }
@@ -194,32 +250,22 @@ impl BuddyAllocator {
 
     /// Bytes currently free.
     pub fn free_bytes(&self) -> usize {
-        self.free_lists
-            .iter()
-            .enumerate()
-            .map(|(order, list)| list.len() * self.block_bytes(order as u32))
-            .sum()
+        self.free.iter().map(|&(o, _)| self.block_bytes(o)).sum()
     }
 
     /// Bytes held by live allocations.
     pub fn allocated_bytes(&self) -> usize {
-        self.allocated.values().map(|&o| self.block_bytes(o)).sum()
+        self.allocated.orders().map(|o| self.block_bytes(o)).sum()
     }
 
     /// Bytes lost to injected leaks.
     pub fn leaked_bytes(&self) -> usize {
-        self.leaked.values().map(|&o| self.block_bytes(o)).sum()
+        self.leaked.orders().map(|o| self.block_bytes(o)).sum()
     }
 
     /// Largest allocation currently satisfiable, in bytes.
     pub fn largest_free_block(&self) -> usize {
-        self.free_lists
-            .iter()
-            .enumerate()
-            .rev()
-            .find(|(_, list)| !list.is_empty())
-            .map(|(order, _)| self.block_bytes(order as u32))
-            .unwrap_or(0)
+        self.free.last().map_or(0, |&(o, _)| self.block_bytes(o))
     }
 
     /// External fragmentation in `[0, 1]`: `1 − largest_free/total_free`
@@ -236,12 +282,10 @@ impl BuddyAllocator {
     /// allocation *and every leak* — this is what gives component reboot its
     /// rejuvenation effect.
     pub fn reset(&mut self) {
-        for list in &mut self.free_lists {
-            list.clear();
-        }
-        self.free_lists[self.max_order as usize].insert(0);
-        self.allocated.clear();
-        self.leaked.clear();
+        self.free.clear();
+        self.free.push((self.max_order, Reverse(0)));
+        self.allocated.0.clear();
+        self.leaked.0.clear();
     }
 }
 

@@ -1,23 +1,30 @@
 //! Scheduled disruptions fired during a load run.
 
+use std::borrow::Cow;
+use std::cmp::Ordering;
+
 use vampos_apps::App;
 use vampos_core::{InjectedFault, System};
 use vampos_sim::Nanos;
 use vampos_ukernel::OsError;
 
 /// What a disruption does when it fires.
+///
+/// Payloads are boxed so a [`Disruption`] stays 32 bytes: a load run's
+/// schedule can hold tens of thousands of them, and building it is setup
+/// work.
 #[derive(Debug, Clone, PartialEq)]
 pub enum DisruptionKind {
     /// VampOS component-level reboot of the named component.
-    ComponentReboot(String),
+    ComponentReboot(Box<str>),
     /// Conventional full reboot of the whole unikernel-linked application
     /// (the application re-boots afterwards, restoring its own state).
     FullReboot,
     /// Arm a fault; it fires when the matching call next reaches the target.
-    Inject(InjectedFault),
+    Inject(Box<InjectedFault>),
     /// Force an immediate fail-stop of the named component (the detector
     /// fires right away; under auto-recovery the component is rebooted).
-    Fail(String),
+    Fail(Box<str>),
     /// Rejuvenate every rebootable component, one by one.
     RejuvenateAll,
 }
@@ -37,7 +44,7 @@ impl Disruption {
     pub fn component_reboot(at: Nanos, component: &str) -> Self {
         Disruption {
             at,
-            kind: DisruptionKind::ComponentReboot(component.to_owned()),
+            kind: DisruptionKind::ComponentReboot(component.into()),
         }
     }
 
@@ -53,7 +60,7 @@ impl Disruption {
     pub fn inject(at: Nanos, fault: InjectedFault) -> Self {
         Disruption {
             at,
-            kind: DisruptionKind::Inject(fault),
+            kind: DisruptionKind::Inject(Box::new(fault)),
         }
     }
 
@@ -61,7 +68,7 @@ impl Disruption {
     pub fn fail(at: Nanos, component: &str) -> Self {
         Disruption {
             at,
-            kind: DisruptionKind::Fail(component.to_owned()),
+            kind: DisruptionKind::Fail(component.into()),
         }
     }
 
@@ -73,18 +80,34 @@ impl Disruption {
         }
     }
 
-    /// A total-order sort key: firing time first, then a deterministic
-    /// tiebreak on the action itself so schedules built from permuted
-    /// input fire identically (see [`Schedule::new`]).
-    fn order_key(&self) -> (Nanos, u8, String) {
-        let (rank, detail) = match &self.kind {
-            DisruptionKind::ComponentReboot(name) => (0, name.clone()),
-            DisruptionKind::FullReboot => (1, String::new()),
-            DisruptionKind::Inject(fault) => (2, format!("{fault:?}")),
-            DisruptionKind::Fail(name) => (3, name.clone()),
-            DisruptionKind::RejuvenateAll => (4, String::new()),
-        };
-        (self.at, rank, detail)
+    /// A total order: firing time first, then a deterministic tiebreak on
+    /// the action itself so schedules built from permuted input fire
+    /// identically (see [`Schedule::new`]). The action's kind decides
+    /// before its target, whose text is only looked at on a tie.
+    fn order(&self, other: &Self) -> Ordering {
+        (self.at, self.rank())
+            .cmp(&(other.at, other.rank()))
+            .then_with(|| self.detail().cmp(&other.detail()))
+    }
+
+    fn rank(&self) -> u8 {
+        match self.kind {
+            DisruptionKind::ComponentReboot(_) => 0,
+            DisruptionKind::FullReboot => 1,
+            DisruptionKind::Inject(_) => 2,
+            DisruptionKind::Fail(_) => 3,
+            DisruptionKind::RejuvenateAll => 4,
+        }
+    }
+
+    fn detail(&self) -> Cow<'_, str> {
+        match &self.kind {
+            DisruptionKind::ComponentReboot(name) | DisruptionKind::Fail(name) => {
+                Cow::Borrowed(name)
+            }
+            DisruptionKind::Inject(fault) => Cow::Owned(format!("{fault:?}")),
+            DisruptionKind::FullReboot | DisruptionKind::RejuvenateAll => Cow::Borrowed(""),
+        }
     }
 
     /// Fires the disruption against the system (and application, which must
@@ -100,7 +123,7 @@ impl Disruption {
             }
             DisruptionKind::FullReboot => app.full_reboot(sys)?,
             DisruptionKind::Inject(fault) => {
-                sys.inject_fault(fault.clone());
+                sys.inject_fault(InjectedFault::clone(fault));
             }
             DisruptionKind::Fail(component) => {
                 sys.force_component_failure(component)?;
@@ -117,6 +140,8 @@ impl Disruption {
 #[derive(Debug, Clone, Default)]
 pub struct Schedule {
     items: Vec<Disruption>,
+    /// The next disruption to fire: `items[next..]` is the queue.
+    next: usize,
 }
 
 impl Schedule {
@@ -128,20 +153,21 @@ impl Schedule {
     /// matter how the caller assembled the vector. Chaos-campaign replay
     /// depends on this.
     pub fn new(mut items: Vec<Disruption>) -> Self {
-        items.sort_by_key(Disruption::order_key);
-        Schedule { items }
+        items.sort_by(Disruption::order);
+        Schedule { items, next: 0 }
     }
 
     /// The disruptions still queued, in firing order.
     pub fn items(&self) -> &[Disruption] {
-        &self.items
+        &self.items[self.next..]
     }
 
     /// Fires every disruption due at or before `now`. Returns how many fired.
     ///
     /// # Errors
     ///
-    /// Propagates the first failing disruption.
+    /// Propagates the first failing disruption, which is consumed all the
+    /// same: the next call does not fire it again.
     pub fn fire_due(
         &mut self,
         now: Nanos,
@@ -149,12 +175,9 @@ impl Schedule {
         app: &mut dyn App,
     ) -> Result<usize, OsError> {
         let mut fired = 0;
-        while let Some(first) = self.items.first() {
-            if first.at > now {
-                break;
-            }
-            let d = self.items.remove(0);
-            d.fire(sys, app)?;
+        while let Some(due) = self.items.get(self.next).filter(|d| d.at <= now) {
+            self.next += 1;
+            due.fire(sys, app)?;
             fired += 1;
         }
         Ok(fired)
@@ -162,7 +185,7 @@ impl Schedule {
 
     /// Disruptions not yet fired.
     pub fn pending(&self) -> usize {
-        self.items.len()
+        self.items.len() - self.next
     }
 }
 
