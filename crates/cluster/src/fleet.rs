@@ -12,13 +12,15 @@
 //! its only entry points.
 
 use std::cell::Ref;
+use std::rc::Rc;
 
 use vampos_core::{ComponentSet, Mode};
 use vampos_host::{ClientConnId, NinePGlitch, RingGlitch};
 use vampos_sim::{Name, Nanos, SimClock};
+use vampos_telemetry::metrics::{CounterId, HistogramId};
 use vampos_telemetry::perfetto::{render_processes, ProcessRefs};
 use vampos_telemetry::{
-    Collector, MetricsRegistry, SpanKind, SpanRecord, TelemetryHub, TelemetrySink,
+    AttrValue, Collector, MetricsRegistry, SpanKind, SpanRecord, TelemetryHub, TelemetrySink,
 };
 use vampos_ukernel::OsError;
 use vampos_workloads::{exchange, LoadReport, RequestRecord};
@@ -155,7 +157,7 @@ impl Run<'_> {
 /// One routing attempt of a request journey, accumulated locally while the
 /// instance borrow is live and flushed to the fleet hub afterwards.
 struct JourneyHop {
-    label: String,
+    label: Rc<str>,
     start: Nanos,
     end: Nanos,
     served: bool,
@@ -173,7 +175,7 @@ fn note_dead_attempt(inst: &mut Instance, due: Nanos, hops: Option<&mut Vec<Jour
     });
     if let Some(hops) = hops {
         hops.push(JourneyHop {
-            label: inst.label().to_owned(),
+            label: Rc::clone(inst.shared_label()),
             start: due,
             end: due,
             served: false,
@@ -212,13 +214,13 @@ pub(crate) fn note_serve_span(
             busy_from,
             busy_from + service,
             None,
-            vec![
-                ("journey", journey.to_string()),
+            [
+                ("journey", AttrValue::U64(journey)),
                 (
                     "queue_ns",
-                    busy_from.saturating_sub(arrival).as_nanos().to_string(),
+                    AttrValue::U64(busy_from.saturating_sub(arrival).as_nanos()),
                 ),
-                ("service_ns", service.as_nanos().to_string()),
+                ("service_ns", AttrValue::U64(service.as_nanos())),
             ],
         );
     });
@@ -257,11 +259,22 @@ impl FrontOutcome {
     }
 }
 
+/// The journey metric series of the fleet hub, each resolved at its first
+/// update (resolving creates the series) and updated by id from then on.
+#[derive(Debug, Default)]
+struct JourneySeries {
+    /// `vampos_journeys_total{ok="false"}` and `{ok="true"}`.
+    total: [Option<CounterId>; 2],
+    latency: Option<HistogramId>,
+    stall: Option<HistogramId>,
+}
+
 /// A deterministic fleet of unikernel instances sharing one virtual clock.
 pub struct Fleet {
     clock: SimClock,
     instances: Vec<Instance>,
     fleet_sink: Option<TelemetrySink>,
+    journey_series: JourneySeries,
 }
 
 impl Fleet {
@@ -283,6 +296,7 @@ impl Fleet {
             clock,
             instances,
             fleet_sink,
+            journey_series: JourneySeries::default(),
         })
     }
 
@@ -517,6 +531,7 @@ impl Fleet {
                     if let Some(sink) = &self.fleet_sink {
                         let label = self.instances[ev.actor as usize].label();
                         sink.with(|hub| {
+                            let label = format_args!("{label}");
                             Collector::instant(hub, "fleet", "window_close", label, ev.at);
                         });
                     }
@@ -539,7 +554,7 @@ impl Fleet {
         if let Some(sink) = &self.fleet_sink {
             let kind = format!("rung:{}:{}", rung.name(), reason);
             sink.with(|hub| {
-                Collector::instant(hub, "fleet", rung.name(), &label, at);
+                Collector::instant(hub, "fleet", rung.name(), format_args!("{label}"), at);
                 hub.metrics_mut().counter_add(
                     "vampos_fleet_rungs_total",
                     &[("rung", rung.name())],
@@ -661,7 +676,7 @@ impl Fleet {
             FleetOpKind::RecoveryFault(fault) => (fault.name(), None),
         };
         sink.with(|hub| {
-            Collector::instant(hub, "fleet", name, label, at);
+            Collector::instant(hub, "fleet", name, format_args!("{label}"), at);
             hub.metrics_mut()
                 .counter_add("vampos_fleet_ops_total", &[("kind", name)], 1);
         });
@@ -833,7 +848,7 @@ impl Fleet {
             });
             if forensics {
                 hops.push(JourneyHop {
-                    label: inst.label().to_owned(),
+                    label: Rc::clone(inst.shared_label()),
                     start: due,
                     end: booked.end,
                     served,
@@ -860,10 +875,18 @@ impl Fleet {
     /// Records the fleet-level journey root and its hop spans, plus the
     /// journey metrics, on the fleet hub. Bookkeeping only: nothing here
     /// touches the clock or instance state.
-    fn note_journey(&self, journey: u64, due: Nanos, end: Nanos, ok: bool, hops: &[JourneyHop]) {
+    fn note_journey(
+        &mut self,
+        journey: u64,
+        due: Nanos,
+        end: Nanos,
+        ok: bool,
+        hops: &[JourneyHop],
+    ) {
         let Some(sink) = &self.fleet_sink else {
             return;
         };
+        let series = &mut self.journey_series;
         let stall: u64 = hops.iter().map(|h| h.cost.stall_ns).sum();
         sink.with(|hub| {
             let root = hub.push_span(
@@ -873,10 +896,10 @@ impl Fleet {
                 due,
                 end,
                 None,
-                vec![
-                    ("journey", journey.to_string()),
-                    ("ok", ok.to_string()),
-                    ("hops", hops.len().to_string()),
+                [
+                    ("journey", AttrValue::U64(journey)),
+                    ("ok", AttrValue::Bool(ok)),
+                    ("hops", AttrValue::U64(hops.len() as u64)),
                 ],
             );
             for h in hops {
@@ -887,25 +910,31 @@ impl Fleet {
                     h.start,
                     h.end,
                     Some(root),
-                    vec![
-                        ("journey", journey.to_string()),
-                        ("instance", h.label.clone()),
-                        ("served", h.served.to_string()),
-                        ("wire_ns", h.cost.wire_ns.to_string()),
-                        ("queue_ns", h.cost.queue_ns.to_string()),
-                        ("stall_ns", h.cost.stall_ns.to_string()),
-                        ("service_ns", h.cost.service_ns.to_string()),
+                    [
+                        ("journey", AttrValue::U64(journey)),
+                        ("instance", AttrValue::Shared(Rc::clone(&h.label))),
+                        ("served", AttrValue::Bool(h.served)),
+                        ("wire_ns", AttrValue::U64(h.cost.wire_ns)),
+                        ("queue_ns", AttrValue::U64(h.cost.queue_ns)),
+                        ("stall_ns", AttrValue::U64(h.cost.stall_ns)),
+                        ("service_ns", AttrValue::U64(h.cost.service_ns)),
                     ],
                 );
             }
             let metrics = hub.metrics_mut();
-            metrics.counter_add(
-                "vampos_journeys_total",
-                &[("ok", if ok { "true" } else { "false" })],
-                1,
-            );
-            metrics.observe("vampos_journey_latency_us", &[], end.saturating_sub(due));
-            metrics.observe("vampos_journey_stall_us", &[], Nanos::from_nanos(stall));
+            let total = *series.total[usize::from(ok)].get_or_insert_with(|| {
+                let ok = if ok { "true" } else { "false" };
+                metrics.counter("vampos_journeys_total", &[("ok", ok)])
+            });
+            metrics.add(total, 1);
+            let latency = *series
+                .latency
+                .get_or_insert_with(|| metrics.histogram("vampos_journey_latency_us", &[]));
+            metrics.record(latency, end.saturating_sub(due));
+            let stall_us = *series
+                .stall
+                .get_or_insert_with(|| metrics.histogram("vampos_journey_stall_us", &[]));
+            metrics.record(stall_us, Nanos::from_nanos(stall));
         });
     }
 

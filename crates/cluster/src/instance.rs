@@ -4,6 +4,7 @@
 //! backend replicas) books its requests and maintenance windows against.
 
 use std::collections::VecDeque;
+use std::rc::Rc;
 
 use vampos_apps::httpd::HTTP_PORT;
 use vampos_apps::{App, MiniHttpd};
@@ -173,7 +174,7 @@ impl Occupancy {
 /// seed would build.
 pub struct Instance {
     id: usize,
-    label: String,
+    label: Rc<str>,
     /// The simulated unikernel.
     pub sys: System,
     /// The HTTP server running on it.
@@ -218,7 +219,7 @@ impl Instance {
         app.boot(&mut sys)?;
         Ok(Instance {
             id,
-            label: format!("instance-{id:02}"),
+            label: Rc::from(format!("instance-{id:02}")),
             sys,
             app,
             report: LoadReport::default(),
@@ -236,6 +237,11 @@ impl Instance {
 
     /// Display label (`instance-NN`), also the Perfetto process name.
     pub fn label(&self) -> &str {
+        &self.label
+    }
+
+    /// The label as telemetry shares it: a journey hop's `instance`.
+    pub(crate) fn shared_label(&self) -> &Rc<str> {
         &self.label
     }
 

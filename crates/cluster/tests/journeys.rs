@@ -14,7 +14,7 @@ use proptest::prelude::*;
 
 use vampos_cluster::{Fleet, FleetConfig, FleetLoad, FleetPlan, Policy};
 use vampos_sim::Nanos;
-use vampos_telemetry::{SpanKind, SpanRecord};
+use vampos_telemetry::{AttrValue, SpanKind, SpanRecord};
 
 fn config(instances: usize, seed: u64) -> FleetConfig {
     FleetConfig {
@@ -44,18 +44,23 @@ fn policy_for(kind: u8) -> Policy {
     }
 }
 
-fn attr<'a>(span: &'a SpanRecord, key: &str) -> &'a str {
+fn attr_value<'a>(span: &'a SpanRecord, key: &str) -> &'a AttrValue {
     span.attrs
         .iter()
         .find(|(k, _)| *k == key)
-        .map(|(_, v)| v.as_str())
+        .map(|(_, v)| v)
         .unwrap_or_else(|| panic!("span {} {:?} lacks attr {key}", span.id, span.name))
 }
 
+/// The attribute as the exports render it.
+fn attr(span: &SpanRecord, key: &str) -> String {
+    attr_value(span, key).to_string()
+}
+
 fn attr_u64(span: &SpanRecord, key: &str) -> u64 {
-    attr(span, key)
-        .parse()
-        .unwrap_or_else(|e| panic!("attr {key} of span {}: {e}", span.id))
+    attr_value(span, key)
+        .as_u64()
+        .unwrap_or_else(|| panic!("attr {key} of span {} is not a number", span.id))
 }
 
 /// Runs one fleet configuration and asserts every journey invariant.
@@ -81,7 +86,7 @@ fn assert_journeys_well_formed(
         if s.kind == SpanKind::Journey && &*s.name == "journey" {
             assert_eq!(s.parent, None, "journey roots must be parentless");
             assert!(s.start <= s.end, "root {} runs backwards", s.id);
-            let jid = attr(s, "journey").to_owned();
+            let jid = attr(s, "journey");
             assert!(
                 journey_ids.insert(jid, s.id).is_none(),
                 "duplicate journey id on root {}",
@@ -186,7 +191,7 @@ fn assert_journeys_well_formed(
             assert_eq!(&*s.name, "serve", "unexpected journey span on {label}");
             serve_spans += 1;
             assert!(
-                journey_ids.contains_key(attr(s, "journey")),
+                journey_ids.contains_key(&attr(s, "journey")),
                 "serve span {} on {label} references an unknown journey",
                 s.id
             );

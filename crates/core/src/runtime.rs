@@ -2,6 +2,7 @@
 //! message-passing invoke path (§V-A, §V-C, §V-D).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::fmt;
 use std::rc::Rc;
 
 use vampos_host::HostHandle;
@@ -1244,7 +1245,7 @@ impl CallContext for Ctx<'_> {
         self.replay.as_ref().map(|r| &r.entry.ret)
     }
 
-    fn trace_instant(&mut self, name: &str, detail: &str) {
+    fn trace_instant(&mut self, name: &str, detail: fmt::Arguments<'_>) {
         // Replayed downcalls must not re-emit their original instants: the
         // replay already renders as a `log_replay` phase span.
         if self.replay.is_some() {

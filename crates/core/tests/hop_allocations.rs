@@ -1,18 +1,18 @@
 //! The message hop shares names instead of copying them.
 //!
-//! Both tests drive the steady-state request of the fleet workloads — a
+//! The tests drive the steady-state request of the fleet workloads — a
 //! keep-alive `GET` served from an open file: `poll_ready`, `recv`,
 //! `pread`, `writev` — through `System::os()`, the way `MiniHttpd::poll`
 //! does. One checks that the log records a hop leaves behind point at the
-//! runtime's own name allocations; the other counts every allocation a
-//! `GET` makes, in its own test binary so the counting allocator sees
-//! nothing else.
+//! runtime's own name allocations; the other two count every allocation a
+//! `GET` makes, untraced and traced, in their own test binary so the
+//! counting allocator sees nothing else.
 
 use std::alloc::{GlobalAlloc, Layout, System as HostAllocator};
 use std::cell::Cell;
 use std::collections::BTreeMap;
 
-use vampos_core::{ComponentSet, Mode, System};
+use vampos_core::{ComponentSet, Mode, System, TelemetrySink};
 use vampos_host::{ClientConnId, HostHandle};
 use vampos_oslib::OpenFlags;
 use vampos_sim::Name;
@@ -67,14 +67,20 @@ struct Server {
 
 impl Server {
     fn boot() -> Server {
+        Server::boot_with(None)
+    }
+
+    fn boot_with(telemetry: Option<TelemetrySink>) -> Server {
         let host = HostHandle::new();
         host.with(|w| w.ninep_mut().put_file("/www/index.html", &[b'x'; 180]));
-        let mut sys = System::builder()
+        let mut builder = System::builder()
             .mode(Mode::vampos_das())
             .components(ComponentSet::nginx())
-            .host(host)
-            .build()
-            .unwrap();
+            .host(host);
+        if let Some(sink) = telemetry {
+            builder = builder.telemetry(sink);
+        }
+        let mut sys = builder.build().unwrap();
         let listen = sys.os().socket().unwrap();
         sys.os().bind(listen, PORT).unwrap();
         sys.os().listen(listen, 16).unwrap();
@@ -157,15 +163,21 @@ fn hop_records_share_the_runtimes_names() {
 }
 
 /// Allocations one warmed keep-alive `GET` may make. The loop below
-/// measures 51; the parent commit, which copied three names per hop and per
-/// downcall record and the whole `VampConfig` per logged call, measures 138.
-const ALLOCATIONS_PER_GET: u64 = 60;
+/// measures 48 (48.9 per `GET`); the parent commit, which formatted every
+/// `virtio_kick` detail whether or not a sink would keep it, measures 51
+/// (51.9). Before names were shared on the hop it was 138.
+const ALLOCATIONS_PER_GET: u64 = 48;
 
-#[test]
-fn a_warm_get_stays_under_its_allocation_ceiling() {
-    let mut server = Server::boot();
-    // Fill every lazily grown buffer first.
-    for _ in 0..512 {
+/// Allocations one warmed keep-alive `GET` may make with a telemetry sink
+/// attached. The loop below measures 60 (60.9 per `GET`); the parent
+/// commit, which formatted every number attribute into a `String` and built
+/// a `caller` list per call span, measures 80 (80.9).
+const TRACED_ALLOCATIONS_PER_GET: u64 = 60;
+
+/// Allocations per `GET` of `server` once every lazily grown buffer —
+/// the telemetry hub's bounded record deques included — is full.
+fn allocations_per_warm_get(server: &mut Server, warm_up: u64) -> u64 {
+    for _ in 0..warm_up {
         server.get();
     }
     const GETS: u64 = 256;
@@ -173,9 +185,31 @@ fn a_warm_get_stays_under_its_allocation_ceiling() {
     for _ in 0..GETS {
         server.get();
     }
-    let per_get = (ALLOCATIONS.with(Cell::get) - before) / GETS;
+    (ALLOCATIONS.with(Cell::get) - before) / GETS
+}
+
+#[test]
+fn a_warm_get_stays_under_its_allocation_ceiling() {
+    let per_get = allocations_per_warm_get(&mut Server::boot(), 512);
     assert!(
         per_get <= ALLOCATIONS_PER_GET,
         "{per_get} allocations per GET, ceiling {ALLOCATIONS_PER_GET}"
+    );
+}
+
+#[test]
+fn a_traced_warm_get_stays_under_its_allocation_ceiling() {
+    let sink = TelemetrySink::new();
+    let mut server = Server::boot_with(Some(sink.clone()));
+    let per_get = allocations_per_warm_get(&mut server, 16_384);
+    // The hub's span and instant deques are at their bound: from here on a
+    // record evicts one, and neither deque grows again.
+    sink.with(|hub| {
+        assert!(hub.evicted() > 0);
+        assert_eq!(hub.spans().count(), hub.instants().count());
+    });
+    assert!(
+        per_get <= TRACED_ALLOCATIONS_PER_GET,
+        "{per_get} allocations per traced GET, ceiling {TRACED_ALLOCATIONS_PER_GET}"
     );
 }

@@ -120,7 +120,7 @@ fn mpk_denials_land_as_instants_and_trigger_an_attributed_recovery() {
             "detection precedes the recovery span"
         );
         let trigger = recovery.attrs.iter().find(|(k, _)| *k == "trigger");
-        assert_eq!(trigger.map(|(_, v)| v.as_str()), Some("mpk-violation"));
+        assert_eq!(trigger.and_then(|(_, v)| v.text()), Some("mpk-violation"));
     });
 }
 

@@ -24,11 +24,14 @@
 //! fault-free twin's journey-for-journey — the pipeline-equivalence
 //! oracle of the mesh chaos family.
 
+use std::rc::Rc;
+
 use vampos_cluster::{
     Fleet, FleetConfig, FleetLoad, FleetOpKind, FleetPlan, FrontOutcome, HopCost, Policy,
 };
 use vampos_sim::{Nanos, SimClock};
-use vampos_telemetry::{Collector, SpanKind, TelemetrySink};
+use vampos_telemetry::metrics::{CounterId, HistogramId};
+use vampos_telemetry::{AttrValue, Collector, SpanKind, TelemetrySink};
 use vampos_ukernel::digest::DigestBuilder;
 use vampos_ukernel::OsError;
 
@@ -371,6 +374,13 @@ impl Mesh {
             backends: &mut self.backends,
             one_way: self.backend_one_way,
             sink: self.fleet.fleet_telemetry().cloned(),
+            stage_labels: (0..self.topology.stages.len())
+                .map(|i| Rc::from(self.topology.stage_label(i)))
+                .collect(),
+            series: MeshSeries {
+                total: [None; 2],
+                stage_latency: vec![None; self.topology.stages.len()],
+            },
             started,
             ops: plan.backend_firing_order(),
             cursor: 0,
@@ -408,6 +418,17 @@ impl Mesh {
     }
 }
 
+/// The per-journey mesh metric series of the fleet hub, each resolved at
+/// its first update (resolving creates the series) and updated by id from
+/// then on.
+#[derive(Debug)]
+struct MeshSeries {
+    /// `vampos_mesh_journeys_total{ok="false"}` and `{ok="true"}`.
+    total: [Option<CounterId>; 2],
+    /// `vampos_mesh_stage_latency_us{stage=…}`, by stage index.
+    stage_latency: Vec<Option<HistogramId>>,
+}
+
 /// One run's state behind the front tier: the backend replicas, their
 /// maintenance schedule, and the stage and journey records so far.
 struct Pipeline<'a> {
@@ -416,6 +437,9 @@ struct Pipeline<'a> {
     backends: &'a mut [Vec<BackendInstance>],
     one_way: Nanos,
     sink: Option<TelemetrySink>,
+    /// Stage labels as every `mesh_hop` span's `stage` shares them.
+    stage_labels: Vec<Rc<str>>,
+    series: MeshSeries,
     started: Nanos,
     /// Backend ops in firing order; `cursor` is the next one to fire.
     ops: Vec<BackendOp>,
@@ -609,12 +633,8 @@ impl Pipeline<'_> {
             if let Some(sink) = &self.sink {
                 let name = op.kind.name();
                 sink.with(|hub| {
-                    hub.instant(
-                        "mesh",
-                        "backend_op",
-                        &format!("{name} {}", inst.label()),
-                        at,
-                    );
+                    let detail = format_args!("{name} {}", inst.label());
+                    hub.instant("mesh", "backend_op", detail, at);
                     hub.metrics_mut().counter_add(
                         "vampos_mesh_backend_ops_total",
                         &[("kind", name)],
@@ -631,7 +651,7 @@ impl Pipeline<'_> {
     /// journey span carries, with one child span per executed hop carrying
     /// the full wire/queue/stall/service decomposition.
     fn note_journey(
-        &self,
+        &mut self,
         journey: u64,
         due: Nanos,
         end: Nanos,
@@ -641,6 +661,7 @@ impl Pipeline<'_> {
         let Some(sink) = &self.sink else {
             return;
         };
+        let (labels, series) = (&self.stage_labels, &mut self.series);
         sink.with(|hub| {
             let root = hub.push_span(
                 "mesh",
@@ -649,14 +670,13 @@ impl Pipeline<'_> {
                 due,
                 end,
                 None,
-                vec![
-                    ("journey", journey.to_string()),
-                    ("acked", acked.to_string()),
-                    ("stages", records.len().to_string()),
+                [
+                    ("journey", AttrValue::U64(journey)),
+                    ("acked", AttrValue::Bool(acked)),
+                    ("stages", AttrValue::U64(records.len() as u64)),
                 ],
             );
             for (si, rec) in records {
-                let label = &self.stages[*si].label;
                 hub.push_span(
                     "mesh",
                     "mesh_hop",
@@ -664,28 +684,28 @@ impl Pipeline<'_> {
                     rec.start,
                     rec.end,
                     Some(root),
-                    vec![
-                        ("journey", journey.to_string()),
-                        ("stage", label.clone()),
-                        ("ok", rec.ok.to_string()),
-                        ("attempts", rec.attempts.to_string()),
-                        ("hedged", rec.hedged.to_string()),
-                        ("cached", rec.cached.to_string()),
-                        ("wire_ns", rec.cost.wire_ns.to_string()),
-                        ("queue_ns", rec.cost.queue_ns.to_string()),
-                        ("stall_ns", rec.cost.stall_ns.to_string()),
-                        ("service_ns", rec.cost.service_ns.to_string()),
+                    [
+                        ("journey", AttrValue::U64(journey)),
+                        ("stage", AttrValue::Shared(Rc::clone(&labels[*si]))),
+                        ("ok", AttrValue::Bool(rec.ok)),
+                        ("attempts", AttrValue::U64(u64::from(rec.attempts))),
+                        ("hedged", AttrValue::Bool(rec.hedged)),
+                        ("cached", AttrValue::Bool(rec.cached)),
+                        ("wire_ns", AttrValue::U64(rec.cost.wire_ns)),
+                        ("queue_ns", AttrValue::U64(rec.cost.queue_ns)),
+                        ("stall_ns", AttrValue::U64(rec.cost.stall_ns)),
+                        ("service_ns", AttrValue::U64(rec.cost.service_ns)),
                     ],
                 );
             }
             let metrics = hub.metrics_mut();
-            metrics.counter_add(
-                "vampos_mesh_journeys_total",
-                &[("ok", if acked { "true" } else { "false" })],
-                1,
-            );
+            let total = *series.total[usize::from(acked)].get_or_insert_with(|| {
+                let ok = if acked { "true" } else { "false" };
+                metrics.counter("vampos_mesh_journeys_total", &[("ok", ok)])
+            });
+            metrics.add(total, 1);
             for (si, rec) in records {
-                let label = &self.stages[*si].label;
+                let label = &*labels[*si];
                 if rec.attempts > 1 {
                     metrics.counter_add(
                         "vampos_mesh_retries_total",
@@ -697,11 +717,10 @@ impl Pipeline<'_> {
                     metrics.counter_add("vampos_mesh_hedges_total", &[("stage", label)], 1);
                 }
                 if rec.ok {
-                    metrics.observe(
-                        "vampos_mesh_stage_latency_us",
-                        &[("stage", label)],
-                        rec.end.saturating_sub(rec.start),
-                    );
+                    let latency = *series.stage_latency[*si].get_or_insert_with(|| {
+                        metrics.histogram("vampos_mesh_stage_latency_us", &[("stage", label)])
+                    });
+                    metrics.record(latency, rec.end.saturating_sub(rec.start));
                 }
             }
         });

@@ -118,7 +118,7 @@ impl NinePFs {
         ctx: &mut dyn CallContext,
         req: NinePRequest,
     ) -> Result<NinePResponse, OsError> {
-        ctx.trace_instant("9p_rpc", req.kind_name());
+        ctx.trace_instant("9p_rpc", format_args!("{}", req.kind_name()));
         let v = ctx.invoke(names::VIRTIO, vio::NINEP, &[Value::NinePReq(req)])?;
         Ok(v.as_ninep_resp()?.clone())
     }

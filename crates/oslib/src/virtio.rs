@@ -74,7 +74,7 @@ impl Component for Virtio {
                 };
                 let payload = Value::NinePReq(req.clone()).byte_len();
                 ctx.charge(ctx.costs().virtio_kick + ctx.costs().host_9p(payload));
-                ctx.trace_instant("virtio_kick", &format!("9p {payload}B"));
+                ctx.trace_instant("virtio_kick", format_args!("9p {payload}B"));
                 let resp = self
                     .host
                     .with(|w| w.ninep_transact(req))
@@ -90,20 +90,20 @@ impl Component for Virtio {
                 ctx.charge(
                     ctx.costs().virtio_kick + ctx.costs().net_per_byte * frame.wire_len() as u64,
                 );
-                ctx.trace_instant("virtio_kick", &format!("net-tx {}B", frame.wire_len()));
+                ctx.trace_instant("virtio_kick", format_args!("net-tx {}B", frame.wire_len()));
                 self.host.with(|w| w.net_send(frame)).map_err(ring_error)?;
                 Ok(Value::Unit)
             }
             f::NET_RX => {
                 ctx.charge(ctx.costs().virtio_kick);
-                ctx.trace_instant("virtio_kick", "net-rx");
+                ctx.trace_instant("virtio_kick", format_args!("net-rx"));
                 let frame = self.host.with(|w| w.net_recv()).map_err(ring_error)?;
                 Ok(Value::Frame(frame))
             }
             f::NET_RX_BATCH => {
                 // Real virtio drivers harvest the whole used ring per kick.
                 ctx.charge(ctx.costs().virtio_kick);
-                ctx.trace_instant("virtio_kick", "net-rx-batch");
+                ctx.trace_instant("virtio_kick", format_args!("net-rx-batch"));
                 let mut frames = Vec::new();
                 while let Some(frame) = self.host.with(|w| w.net_recv()).map_err(ring_error)? {
                     ctx.charge(ctx.costs().net_per_byte * frame.wire_len() as u64);

@@ -20,7 +20,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::hub::{SpanKind, SpanRecord};
+use crate::hub::{AttrValue, SpanKind, SpanRecord};
 use crate::text::escape;
 
 /// Recovery phase names in pipeline order; indexes [`RecoveryBreakdown::phase_ns`].
@@ -134,15 +134,12 @@ pub struct Analysis {
     pub rungs: Vec<RungStats>,
 }
 
-fn attr<'a>(span: &'a SpanRecord, key: &str) -> Option<&'a str> {
-    span.attrs
-        .iter()
-        .find(|(k, _)| *k == key)
-        .map(|(_, v)| v.as_str())
+fn attr<'a>(span: &'a SpanRecord, key: &str) -> Option<&'a AttrValue> {
+    span.attrs.iter().find(|(k, _)| *k == key).map(|(_, v)| v)
 }
 
 fn attr_u64(span: &SpanRecord, key: &str) -> u64 {
-    attr(span, key).and_then(|v| v.parse().ok()).unwrap_or(0)
+    attr(span, key).and_then(AttrValue::as_u64).unwrap_or(0)
 }
 
 /// Parses the rung name out of a `rung:<rung>:<reason>` trigger.
@@ -163,7 +160,7 @@ pub fn analyze(processes: &[(String, Vec<SpanRecord>)]) -> Analysis {
     let mut dominant_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
     let mut journeys = JourneyStats::default();
     let mut latencies: Vec<u64> = Vec::new();
-    let mut stall_by_journey: BTreeMap<String, u64> = BTreeMap::new();
+    let mut stall_by_journey: BTreeMap<u64, u64> = BTreeMap::new();
     let mut rung_downtimes: BTreeMap<String, Vec<u64>> = BTreeMap::new();
 
     // First pass: hop decompositions, so journey roots (which sort before
@@ -176,8 +173,8 @@ pub fn analyze(processes: &[(String, Vec<SpanRecord>)]) -> Analysis {
                 journeys.service_ns += attr_u64(s, "service_ns");
                 let stall = attr_u64(s, "stall_ns");
                 journeys.stall_ns += stall;
-                if let Some(j) = attr(s, "journey") {
-                    *stall_by_journey.entry(j.to_owned()).or_insert(0) += stall;
+                if let Some(j) = attr(s, "journey").and_then(AttrValue::as_u64) {
+                    *stall_by_journey.entry(j).or_insert(0) += stall;
                 }
             }
         }
@@ -207,7 +204,7 @@ pub fn analyze(processes: &[(String, Vec<SpanRecord>)]) -> Analysis {
                         PHASES[best]
                     };
                     *dominant_counts.entry(dominant).or_insert(0) += 1;
-                    let trigger = attr(s, "trigger").unwrap_or("").to_owned();
+                    let trigger = attr(s, "trigger").map_or_else(String::new, ToString::to_string);
                     if let Some(rung) = rung_of(&trigger) {
                         rung_downtimes
                             .entry(rung.to_owned())
@@ -231,14 +228,14 @@ pub fn analyze(processes: &[(String, Vec<SpanRecord>)]) -> Analysis {
                 }
                 SpanKind::Journey if &*s.name == "journey" => {
                     journeys.journeys += 1;
-                    if attr(s, "ok") == Some("true") {
+                    if matches!(attr(s, "ok"), Some(AttrValue::Bool(true))) {
                         journeys.served += 1;
                     } else {
                         journeys.failed += 1;
                     }
                     latencies.push(s.duration().as_nanos());
-                    if let Some(j) = attr(s, "journey") {
-                        if stall_by_journey.get(j).copied().unwrap_or(0) > 0 {
+                    if let Some(j) = attr(s, "journey").and_then(AttrValue::as_u64) {
+                        if stall_by_journey.get(&j).copied().unwrap_or(0) > 0 {
                             journeys.stalled += 1;
                         }
                     }
@@ -411,6 +408,10 @@ mod tests {
     use super::*;
     use vampos_sim::Nanos;
 
+    fn text(s: &str) -> AttrValue {
+        AttrValue::Owned(s.to_owned())
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn span(
         id: u64,
@@ -420,7 +421,7 @@ mod tests {
         kind: SpanKind,
         start: u64,
         end: u64,
-        attrs: Vec<(&'static str, String)>,
+        attrs: Vec<(&'static str, AttrValue)>,
     ) -> SpanRecord {
         SpanRecord {
             id,
@@ -430,7 +431,7 @@ mod tests {
             kind,
             start: Nanos::from_nanos(start),
             end: Nanos::from_nanos(end),
-            attrs: attrs.into_iter().map(|(k, v)| (k, v.into())).collect(),
+            attrs: attrs.into(),
         }
     }
 
@@ -455,7 +456,7 @@ mod tests {
                 SpanKind::Recovery,
                 100,
                 1_100,
-                vec![("trigger", "panic".to_owned())],
+                vec![("trigger", text("panic"))],
             ),
             span(
                 1,
@@ -548,9 +549,9 @@ mod tests {
                 0,
                 1_000,
                 vec![
-                    ("journey", "1".to_owned()),
-                    ("ok", "true".to_owned()),
-                    ("hops", "1".to_owned()),
+                    ("journey", AttrValue::U64(1)),
+                    ("ok", AttrValue::Bool(true)),
+                    ("hops", AttrValue::U64(1)),
                 ],
             ),
             span(
@@ -562,11 +563,11 @@ mod tests {
                 0,
                 1_000,
                 vec![
-                    ("journey", "1".to_owned()),
-                    ("wire_ns", "200".to_owned()),
-                    ("queue_ns", "300".to_owned()),
-                    ("stall_ns", "250".to_owned()),
-                    ("service_ns", "500".to_owned()),
+                    ("journey", AttrValue::U64(1)),
+                    ("wire_ns", AttrValue::U64(200)),
+                    ("queue_ns", AttrValue::U64(300)),
+                    ("stall_ns", AttrValue::U64(250)),
+                    ("service_ns", AttrValue::U64(500)),
                 ],
             ),
             span(
@@ -577,7 +578,10 @@ mod tests {
                 SpanKind::Journey,
                 50,
                 250,
-                vec![("journey", "2".to_owned()), ("ok", "false".to_owned())],
+                vec![
+                    ("journey", AttrValue::U64(2)),
+                    ("ok", AttrValue::Bool(false)),
+                ],
             ),
             span(
                 3,
@@ -587,7 +591,7 @@ mod tests {
                 SpanKind::Recovery,
                 10,
                 400,
-                vec![("trigger", "rung:instance:deadline".to_owned())],
+                vec![("trigger", text("rung:instance:deadline"))],
             ),
             span(
                 4,
@@ -597,7 +601,7 @@ mod tests {
                 SpanKind::Recovery,
                 20,
                 620,
-                vec![("trigger", "rung:instance:deadline".to_owned())],
+                vec![("trigger", text("rung:instance:deadline"))],
             ),
             span(
                 5,
@@ -607,7 +611,7 @@ mod tests {
                 SpanKind::Recovery,
                 30,
                 31,
-                vec![("trigger", "rung:component:panic".to_owned())],
+                vec![("trigger", text("rung:component:panic"))],
             ),
         ];
         let a = analyze(&[("fleet".to_owned(), fleet)]);
@@ -642,7 +646,7 @@ mod tests {
             SpanKind::Recovery,
             5,
             15,
-            vec![("trigger", "rung:component:panic".to_owned())],
+            vec![("trigger", text("rung:component:panic"))],
         )];
         let procs = vec![("i".to_owned(), spans)];
         let a = analyze(&procs);

@@ -8,6 +8,8 @@
 //! Every method has a no-op default so collectors implement only what they
 //! can represent.
 
+use std::fmt;
+
 use vampos_sim::{Name, Nanos};
 
 /// The phases a component recovery decomposes into (§V of the paper):
@@ -113,7 +115,9 @@ pub trait Collector {
     fn full_reboot(&mut self, _start: Nanos, _end: Nanos, _connections_reset: u64) {}
 
     /// A point event on `track` (host-boundary kicks, detector probes).
-    fn instant(&mut self, _track: &str, _name: &str, _detail: &str, _at: Nanos) {}
+    /// `detail` is formatted by the collector, if it keeps it, so a caller
+    /// whose event nobody records formats nothing.
+    fn instant(&mut self, _track: &str, _name: &str, _detail: fmt::Arguments<'_>, _at: Nanos) {}
 
     /// Free-form annotation.
     fn note(&mut self, _text: &str, _at: Nanos) {}

@@ -14,6 +14,7 @@
 
 use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::fmt;
 use std::rc::Rc;
 
 use vampos_sim::{Name, Nanos};
@@ -21,6 +22,7 @@ use vampos_sim::{Name, Nanos};
 use crate::collector::{Collector, RecoveryPhase};
 use crate::metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
 use crate::perfetto;
+use crate::text::Digits;
 
 /// Bound on retained finished spans, and on retained instants.
 const SPAN_CAPACITY: usize = 1 << 16;
@@ -53,31 +55,58 @@ impl SpanKind {
     }
 }
 
-/// The value of a span or instant attribute: text formatted for the one
-/// record, or a name the record shares with the rest of its hub (the
-/// `caller` of a call span). Compares and renders as the `str` it holds.
+/// The value of a span or instant attribute: text the record owns, a name
+/// it shares (the `caller` of a call span, the `instance` of a hop), or a
+/// number or flag kept as one until an exporter renders it. Renders —
+/// and compares — as its text: decimal digits for [`AttrValue::U64`],
+/// `true`/`false` for [`AttrValue::Bool`], so `U64(10)` equals
+/// `Owned("10")`.
 #[derive(Debug, Clone)]
 pub enum AttrValue {
     /// Text the record owns.
     Owned(String),
-    /// A name from the hub's string table.
+    /// Text shared with other records (a name from the hub's string table,
+    /// an instance or stage label).
     Shared(Rc<str>),
+    /// An unsigned number.
+    U64(u64),
+    /// A flag.
+    Bool(bool),
 }
 
 impl AttrValue {
-    /// The text of the value.
-    pub fn as_str(&self) -> &str {
+    /// The text of an [`AttrValue::Owned`] or [`AttrValue::Shared`] value;
+    /// `None` for a number or a flag (render those with `Display`).
+    pub fn text(&self) -> Option<&str> {
         match self {
-            AttrValue::Owned(s) => s,
-            AttrValue::Shared(s) => s,
+            AttrValue::Owned(s) => Some(s),
+            AttrValue::Shared(s) => Some(s),
+            AttrValue::U64(_) | AttrValue::Bool(_) => None,
+        }
+    }
+
+    /// The number of an [`AttrValue::U64`] value.
+    pub fn as_u64(&self) -> Option<u64> {
+        match self {
+            AttrValue::U64(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// Runs `f` over the rendered text, with no allocation.
+    pub(crate) fn with_text<R>(&self, f: impl FnOnce(&str) -> R) -> R {
+        match self {
+            AttrValue::Owned(s) => f(s),
+            AttrValue::Shared(s) => f(s),
+            AttrValue::U64(n) => f(Digits::new(*n).as_str()),
+            AttrValue::Bool(b) => f(if *b { "true" } else { "false" }),
         }
     }
 }
 
-impl std::ops::Deref for AttrValue {
-    type Target = str;
-    fn deref(&self) -> &str {
-        self.as_str()
+impl fmt::Display for AttrValue {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.with_text(|text| f.write_str(text))
     }
 }
 
@@ -89,7 +118,7 @@ impl From<String> for AttrValue {
 
 impl PartialEq for AttrValue {
     fn eq(&self, other: &Self) -> bool {
-        self.as_str() == other.as_str()
+        self.with_text(|a| other.with_text(|b| a == b))
     }
 }
 
@@ -166,9 +195,11 @@ type NameId = usize;
 /// The per-call metric series labelled by one name (a component, or a
 /// syscall function). Each is resolved when it is first updated and reached
 /// by id from then on; resolving creates the series, so none is resolved
-/// ahead of its first update.
-#[derive(Debug, Default, Clone, Copy)]
+/// ahead of its first update. Beside them, the attribute list every call
+/// span from the name shares: `[("caller", Shared(name))]`.
+#[derive(Debug, Default)]
 struct NameSeries {
+    caller_attrs: Option<Attrs>,
     calls_in: Option<CounterId>,
     calls_out: Option<CounterId>,
     call_latency: Option<HistogramId>,
@@ -183,12 +214,19 @@ struct NameSeries {
 /// event names (components, functions, recovery phases), so records share
 /// one `Rc<str>` per name instead of owning a copy each, and an event looks
 /// each of its names up once — the lookup also finds the name's metric
-/// series.
+/// series and, for a caller, the attribute list of its call spans.
 #[derive(Debug, Default)]
 struct Names {
     ids: BTreeMap<Rc<str>, NameId>,
     strings: Vec<Rc<str>>,
     series: Vec<NameSeries>,
+    /// The runtime's [`Name`]s seen so far, by allocation: a runtime passes
+    /// the same few dozen allocations on every call, so a pointer match
+    /// finds the id without comparing text. At most one entry per id, so
+    /// the list stays as short as the table. Holding the `Name` keeps its
+    /// address from being reused; only lookups depend on an address, never
+    /// an order.
+    by_alloc: Vec<(Name, NameId)>,
 }
 
 impl Names {
@@ -203,6 +241,37 @@ impl Names {
         self.strings.len() - 1
     }
 
+    /// [`Names::intern`] by allocation first, by text on a miss. A name
+    /// whose text arrives in a new allocation takes over its id's entry.
+    fn intern_name(&mut self, name: &Name) -> NameId {
+        if let Some(id) = self.find_alloc(name) {
+            return id;
+        }
+        let id = self.intern(name);
+        match self.by_alloc.iter_mut().find(|(_, known)| *known == id) {
+            Some(entry) => entry.0 = name.clone(),
+            None => self.by_alloc.push((name.clone(), id)),
+        }
+        id
+    }
+
+    /// [`Names::intern`] for text the runtime lends out of one of its
+    /// [`Name`]s (a component's track): by allocation when that `Name` has
+    /// been seen, by text otherwise.
+    fn intern_borrowed(&mut self, s: &str) -> NameId {
+        self.find_alloc(s).unwrap_or_else(|| self.intern(s))
+    }
+
+    /// The id of the held [`Name`] whose text is `s` itself — the same
+    /// address and length, so necessarily the same bytes.
+    fn find_alloc(&self, s: &str) -> Option<NameId> {
+        let (_, id) = self
+            .by_alloc
+            .iter()
+            .find(|(n, _)| std::ptr::eq(n.as_str(), s))?;
+        Some(*id)
+    }
+
     fn get(&self, id: NameId) -> Rc<str> {
         Rc::clone(&self.strings[id])
     }
@@ -210,6 +279,14 @@ impl Names {
     fn shared(&mut self, s: &str) -> Rc<str> {
         let id = self.intern(s);
         self.get(id)
+    }
+
+    /// The attributes of a call span from `caller`.
+    fn caller_attrs(&mut self, caller: NameId) -> Attrs {
+        let strings = &self.strings;
+        Rc::clone(self.series[caller].caller_attrs.get_or_insert_with(|| {
+            Rc::from([("caller", AttrValue::Shared(Rc::clone(&strings[caller])))])
+        }))
     }
 }
 
@@ -281,9 +358,11 @@ impl TelemetryHub {
     /// the LIFO open-span stack. Journey roots and hops use this: they are
     /// emitted after the fact (once a request's completion time is known),
     /// so they never nest with the runtime's call/recovery span pairs.
-    /// Returns the new span's id, for parenting follow-up spans.
+    /// Returns the new span's id, for parenting follow-up spans. `attrs`
+    /// is any list of values an [`AttrValue`] converts from: an array of
+    /// typed values, or a `Vec` of formatted `String`s.
     #[allow(clippy::too_many_arguments)]
-    pub fn push_span(
+    pub fn push_span<V: Into<AttrValue>>(
         &mut self,
         track: &str,
         name: &str,
@@ -291,7 +370,7 @@ impl TelemetryHub {
         start: Nanos,
         end: Nanos,
         parent: Option<u64>,
-        attrs: Vec<(&'static str, String)>,
+        attrs: impl IntoIterator<Item = (&'static str, V)>,
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
@@ -507,17 +586,12 @@ impl TelemetryHub {
 
 impl Collector for TelemetryHub {
     fn call_begin(&mut self, caller: &Name, target: &Name, func: &Name, at: Nanos) {
+        let track = self.names.intern_name(target);
+        let name = self.names.intern_name(func);
+        let caller_id = self.names.intern_name(caller);
+        let attrs = self.names.caller_attrs(caller_id);
+        self.open_span(track, name, SpanKind::Call, at, attrs);
         let (caller, target) = (caller.as_str(), target.as_str());
-        let track = self.names.intern(target);
-        let name = self.names.intern(func);
-        let caller_id = self.names.intern(caller);
-        self.open_span(
-            track,
-            name,
-            SpanKind::Call,
-            at,
-            Rc::from([("caller", AttrValue::Shared(self.names.get(caller_id)))]),
-        );
         let metrics = &mut self.metrics;
         let calls_in = *self.names.series[track].calls_in.get_or_insert_with(|| {
             metrics.counter(
@@ -632,8 +706,8 @@ impl Collector for TelemetryHub {
         let component = component.as_str();
         if let Some(span) = self.close_span(SpanKind::Recovery, at) {
             self.extend_last([
-                ("replayed", replayed.to_string().into()),
-                ("snapshot_bytes", snap_bytes.to_string().into()),
+                ("replayed", AttrValue::U64(replayed as u64)),
+                ("snapshot_bytes", AttrValue::U64(snap_bytes as u64)),
             ]);
             self.metrics.counter_add(
                 "vampos_component_reboots_total",
@@ -708,7 +782,7 @@ impl Collector for TelemetryHub {
             track,
             name,
             at,
-            Rc::from([("removed", removed.to_string().into())]),
+            Rc::from([("removed", AttrValue::U64(removed as u64))]),
         );
         let metrics = &mut self.metrics;
         let shrunk = *self.names.series[track].log_shrunk.get_or_insert_with(|| {
@@ -721,7 +795,7 @@ impl Collector for TelemetryHub {
     }
 
     fn log_stats(&mut self, component: &str, live_bytes: usize, live_records: usize) {
-        let id = self.names.intern(component);
+        let id = self.names.intern_borrowed(component);
         let metrics = &mut self.metrics;
         let series = &mut self.names.series[id];
         let bytes = *series.log_bytes.get_or_insert_with(|| {
@@ -742,7 +816,7 @@ impl Collector for TelemetryHub {
             start,
             end,
             None,
-            vec![("connections_reset", connections_reset.to_string())],
+            [("connections_reset", AttrValue::U64(connections_reset))],
         );
         self.metrics
             .counter_add("vampos_full_reboots_total", &[], 1);
@@ -755,13 +829,14 @@ impl Collector for TelemetryHub {
         );
     }
 
-    fn instant(&mut self, track: &str, name: &str, detail: &str, at: Nanos) {
+    fn instant(&mut self, track: &str, name: &str, detail: fmt::Arguments<'_>, at: Nanos) {
+        let detail = fmt::format(detail);
         let attrs = if detail.is_empty() {
             Rc::clone(&self.no_attrs)
         } else {
-            Rc::from([("detail", detail.to_owned().into())])
+            Rc::from([("detail", AttrValue::Owned(detail))])
         };
-        let track = self.names.intern(track);
+        let track = self.names.intern_borrowed(track);
         let name = self.names.shared(name);
         self.attach_instant(track, name, at, attrs);
     }
@@ -922,7 +997,7 @@ mod tests {
             ns(100),
             ns(200),
             None,
-            vec![("journey", "7".to_owned())],
+            [("journey", AttrValue::U64(7))],
         );
         let hop = hub.push_span(
             "journeys",
@@ -931,7 +1006,7 @@ mod tests {
             ns(100),
             ns(200),
             Some(root),
-            Vec::new(),
+            [] as [(&str, AttrValue); 0],
         );
         // The call span is still open: push_span must not disturb it.
         assert_eq!(hub.open_spans(), 1);
@@ -959,7 +1034,7 @@ mod tests {
                 ns(i),
                 ns(i + 1),
                 None,
-                Vec::new(),
+                [] as [(&str, AttrValue); 0],
             );
         }
         assert_eq!(hub.evicted(), 3);

@@ -50,6 +50,8 @@ pub mod text;
 
 pub use analyze::{analyze, Analysis};
 pub use collector::{Collector, RecoveryPhase};
-pub use hub::{InstantRecord, SpanDump, SpanKind, SpanRecord, TelemetryHub, TelemetrySink};
+pub use hub::{
+    AttrValue, InstantRecord, SpanDump, SpanKind, SpanRecord, TelemetryHub, TelemetrySink,
+};
 pub use metrics::{MetricsRegistry, METRIC_HELP};
 pub use prometheus::validate_exposition;

@@ -11,9 +11,10 @@ use crate::hub::{Attrs, SpanKind};
 use crate::text::escape;
 
 /// The exporter as it stood before it streamed (commit `45f890d`): one
-/// `format!` per event into a `Vec<String>`, joined at the end. Kept as the
-/// byte-for-byte oracle of [`render_processes`]; CI's same-seed diffs run
-/// one binary twice and cannot see a format drift between commits.
+/// `format!` per event into a `Vec<String>`, joined at the end, every
+/// attribute value rendered with `to_string()`. Kept as the byte-for-byte
+/// oracle of [`render_processes`]; CI's same-seed diffs run one binary
+/// twice and cannot see a format drift between commits.
 mod reference {
     use std::collections::BTreeMap;
 
@@ -135,11 +136,11 @@ mod reference {
         // Groups are keyed and emitted in journey-value order; members sort by
         // `(start, pid, tid, span id)`. A journey with a single anchored span
         // emits no flow events at all (an arrow needs two ends).
-        let mut flows: BTreeMap<&str, Vec<(u64, u64, u64, u64)>> = BTreeMap::new();
+        let mut flows: BTreeMap<String, Vec<(u64, u64, u64, u64)>> = BTreeMap::new();
         for (p, tids) in processes.iter().zip(&all_tids) {
             for s in p.spans {
                 if let Some((_, journey)) = s.attrs.iter().find(|(k, _)| *k == "journey") {
-                    flows.entry(journey).or_default().push((
+                    flows.entry(journey.to_string()).or_default().push((
                         s.start.as_nanos(),
                         p.pid,
                         tids[&*s.track],
@@ -443,6 +444,38 @@ fn journeys_emit_in_string_order_of_their_decimal_ids() {
 }
 
 #[test]
+fn a_typed_journey_id_and_its_text_form_one_flow() {
+    let mut spans = [
+        journey_span(0, "10", 0),
+        journey_span(1, "2", 1),
+        journey_span(2, "10", 5),
+        journey_span(3, "2", 6),
+    ];
+    spans[1].attrs = Rc::from([("journey", AttrValue::U64(2))]);
+    spans[2].attrs = Rc::from([("journey", AttrValue::U64(10))]);
+    let refs: Vec<&SpanRecord> = spans.iter().collect();
+    let json = chrome_trace(&refs, &[]);
+    assert!(json.contains("\"ph\":\"s\",\"id\":\"10\",\"ts\":0.000"));
+    assert!(json.contains("\"ph\":\"f\",\"id\":\"10\",\"ts\":0.005"));
+    assert!(json.contains("\"ph\":\"s\",\"id\":\"2\",\"ts\":0.001"));
+    assert!(json.contains("\"ph\":\"f\",\"id\":\"2\",\"ts\":0.006"));
+    let flow_start = |journey: &str| {
+        json.find(&format!("\"ph\":\"s\",\"id\":\"{journey}\""))
+            .unwrap()
+    };
+    assert!(flow_start("10") < flow_start("2"));
+    assert_eq!(
+        json,
+        reference::render_processes(&[ProcessRefs {
+            pid: 1,
+            name: None,
+            spans: &refs,
+            instants: &[],
+        }])
+    );
+}
+
+#[test]
 fn empty_exports_match_the_reference() {
     for processes in [
         Vec::new(),
@@ -474,7 +507,10 @@ const FRAGMENTS: [&str; 14] = [
 ];
 /// Journey ids: few enough that groups of 1, 2, 3 and more spans all
 /// occur, and `"10"` / `"2"` order differently as strings and as numbers.
-const JOURNEYS: [&str; 5] = ["2", "10", "7", "1", "\"q\n"];
+/// A numeric id is drawn as `U64` or as text, and both must join one flow.
+const JOURNEYS: [&str; 7] = ["2", "10", "7", "1", "100", "0", "\"q\n"];
+/// Numbers of every width the pair table splits differently.
+const NUMBERS: [u64; 8] = [0, 9, 10, 99, 100, 12_345, 4_294_967_296, u64::MAX];
 const KINDS: [SpanKind; 5] = [
     SpanKind::Call,
     SpanKind::Syscall,
@@ -490,14 +526,16 @@ fn text() -> impl Strategy<Value = String> {
 
 fn attrs() -> impl Strategy<Value = Vec<(&'static str, AttrValue)>> {
     let keys = ["caller", "detail", "k\"ey"];
-    vec((0..keys.len(), text(), any::<bool>()), 0..3).prop_map(move |pairs| {
+    let value = (0u8..4, text(), 0..NUMBERS.len(), any::<bool>());
+    vec((0..keys.len(), value), 0..3).prop_map(move |pairs| {
         pairs
             .into_iter()
-            .map(|(k, v, shared)| {
-                let value = if shared {
-                    AttrValue::Shared(v.into())
-                } else {
-                    AttrValue::Owned(v)
+            .map(|(k, (variant, v, number, flag))| {
+                let value = match variant {
+                    0 => AttrValue::Owned(v),
+                    1 => AttrValue::Shared(v.into()),
+                    2 => AttrValue::U64(NUMBERS[number]),
+                    _ => AttrValue::Bool(flag),
                 };
                 (keys[k], value)
             })
@@ -512,15 +550,25 @@ fn parent() -> impl Strategy<Value = Option<u64>> {
 fn spans() -> impl Strategy<Value = Vec<SpanRecord>> {
     let one = (
         (0u64..1_000, parent(), text(), text(), 0..KINDS.len()),
-        (0u64..5_000_000, 0u64..5_000, attrs(), 0..2 * JOURNEYS.len()),
+        (
+            0u64..5_000_000,
+            0u64..5_000,
+            attrs(),
+            0..2 * JOURNEYS.len(),
+            any::<bool>(),
+        ),
     );
     vec(one, 0..12).prop_map(|spans| {
         spans
             .into_iter()
             .map(
-                |((id, parent, track, name, kind), (start, dur, mut attrs, journey))| {
+                |((id, parent, track, name, kind), (start, dur, mut attrs, journey, typed))| {
                     if let Some(journey) = JOURNEYS.get(journey) {
-                        attrs.push(("journey", (*journey).to_owned().into()));
+                        let value = match journey.parse() {
+                            Ok(n) if typed => AttrValue::U64(n),
+                            _ => AttrValue::Owned((*journey).to_owned()),
+                        };
+                        attrs.push(("journey", value));
                     }
                     SpanRecord {
                         id,

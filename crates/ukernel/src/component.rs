@@ -1,6 +1,7 @@
 //! The [`Component`] trait and its static metadata.
 
 use std::collections::BTreeMap;
+use std::fmt;
 
 use vampos_mem::{ArenaLayout, MemoryArena};
 use vampos_sim::{CostModel, Name, Nanos, SimRng};
@@ -366,8 +367,9 @@ pub trait CallContext {
 
     /// Emits a point event on the component's telemetry track (e.g. a
     /// VIRTIO host kick or a 9P RPC). No-op unless the runtime has a
-    /// telemetry collector attached; never emitted during replay.
-    fn trace_instant(&mut self, _name: &str, _detail: &str) {}
+    /// telemetry collector attached; never emitted during replay. `detail`
+    /// is formatted only when the event is recorded.
+    fn trace_instant(&mut self, _name: &str, _detail: fmt::Arguments<'_>) {}
 }
 
 /// A unikernel component.
