@@ -16,6 +16,11 @@ pub struct Echo {
     conns: Vec<u64>,
     served: u64,
     bytes_echoed: u64,
+    /// Scratch kept between polls (the readiness query, and the table the
+    /// surviving connections are collected into), so a steady-state poll
+    /// allocates nothing of its own.
+    watched: Vec<u64>,
+    still_open: Vec<u64>,
 }
 
 impl Echo {
@@ -61,9 +66,10 @@ impl App for Echo {
     fn poll(&mut self, sys: &mut System) -> Result<usize, OsError> {
         let listen_fd = self.listen_fd.ok_or(OsError::NotConnected)?;
         // One readiness query covers the listener and every connection.
-        let mut watched = vec![listen_fd];
-        watched.extend(&self.conns);
-        let ready = sys.os().poll_ready(&watched)?;
+        self.watched.clear();
+        self.watched.push(listen_fd);
+        self.watched.extend(&self.conns);
+        let ready = sys.os().poll_ready(&self.watched)?;
         if ready.contains(&listen_fd) {
             loop {
                 match sys.os().accept(listen_fd) {
@@ -73,10 +79,13 @@ impl App for Echo {
                 }
             }
         }
-        // Echo pending data; drop closed connections.
+        // Echo pending data; drop closed connections. The table is taken
+        // for the walk, so a failed call leaves it empty.
         let mut served = 0usize;
-        let mut still_open = Vec::with_capacity(self.conns.len());
-        for conn in std::mem::take(&mut self.conns) {
+        let mut conns = std::mem::take(&mut self.conns);
+        let still_open = &mut self.still_open;
+        still_open.clear();
+        for &conn in &conns {
             if !ready.contains(&conn) {
                 still_open.push(conn);
                 continue;
@@ -99,7 +108,8 @@ impl App for Echo {
                 Err(e) => return Err(e),
             }
         }
-        self.conns = still_open;
+        conns.clear();
+        self.conns = std::mem::replace(&mut self.still_open, conns);
         self.served += served as u64;
         Ok(served)
     }

@@ -7,6 +7,7 @@
 //! long-lived TCP connections and their in-flight requests.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use vampos_core::System;
 use vampos_oslib::OpenFlags;
@@ -37,11 +38,18 @@ pub struct MiniHttpd {
     /// fleet experiments compare same-seed runs byte-for-byte, which a
     /// randomized hash-map iteration order would break.
     conns: BTreeMap<u64, ConnState>,
-    /// Open-file cache, like Nginx's `open_file_cache`: files stay open
-    /// across requests and are served with positional reads.
+    /// Open-file cache, like Nginx's `open_file_cache`, keyed by request
+    /// path: files stay open across requests and are served with
+    /// positional reads.
     file_cache: BTreeMap<String, CachedFile>,
     served: u64,
     not_found: u64,
+    /// Scratch kept between polls — the readiness query, the connections
+    /// to service, the response header — so a steady-state poll allocates
+    /// nothing of its own.
+    watched: Vec<u64>,
+    conn_fds: Vec<u64>,
+    header: String,
 }
 
 impl Default for MiniHttpd {
@@ -60,6 +68,9 @@ impl MiniHttpd {
             file_cache: BTreeMap::new(),
             served: 0,
             not_found: 0,
+            watched: Vec::new(),
+            conn_fds: Vec::new(),
+            header: String::new(),
         }
     }
 
@@ -79,14 +90,16 @@ impl MiniHttpd {
     }
 
     fn respond(&mut self, sys: &mut System, conn: u64, path: &str) -> Result<(), OsError> {
-        let full = format!("{}{}", self.doc_root, path);
-        let cached = match self.file_cache.get(&full) {
+        let cached = match self.file_cache.get(path) {
             Some(&c) => Ok(c),
-            None => match sys.os().open(&full, OpenFlags::RDONLY) {
+            None => match sys
+                .os()
+                .open(&format!("{}{path}", self.doc_root), OpenFlags::RDONLY)
+            {
                 Ok(fd) => {
                     let size = sys.os().fstat(fd)?;
                     let c = CachedFile { fd, size };
-                    self.file_cache.insert(full.clone(), c);
+                    self.file_cache.insert(path.to_owned(), c);
                     Ok(c)
                 }
                 Err(e) => Err(e),
@@ -95,11 +108,13 @@ impl MiniHttpd {
         match cached {
             Ok(CachedFile { fd, size }) => {
                 let body = sys.os().pread(fd, size, 0)?;
-                let header = format!(
+                self.header.clear();
+                let _ = write!(
+                    self.header,
                     "HTTP/1.1 200 OK\r\nContent-Length: {}\r\nConnection: keep-alive\r\n\r\n",
                     body.len()
                 );
-                sys.os().writev(conn, &[header.as_bytes(), &body])?;
+                sys.os().writev(conn, &[self.header.as_bytes(), &body])?;
                 self.served += 1;
             }
             Err(OsError::NotFound) => {
@@ -112,21 +127,31 @@ impl MiniHttpd {
         Ok(())
     }
 
-    /// Extracts complete `GET <path> ...\r\n\r\n` requests from `buf`,
-    /// returning the request paths.
-    fn parse_requests(buf: &mut Vec<u8>) -> Vec<String> {
-        let mut paths = Vec::new();
-        while let Some(end) = buf.windows(4).position(|w| w == b"\r\n\r\n").map(|p| p + 4) {
-            let request: Vec<u8> = buf.drain(..end).collect();
-            let text = String::from_utf8_lossy(&request);
+    /// Answers every complete `GET <path> ...\r\n\r\n` request at the
+    /// front of `buf`, in order, and returns how many it served. Every
+    /// complete request is consumed from `buf`, answered or not: after a
+    /// failed response the rest go unanswered and the error is returned.
+    fn serve(&mut self, sys: &mut System, conn: u64, buf: &mut Vec<u8>) -> Result<usize, OsError> {
+        let mut served = 0;
+        let mut consumed = 0;
+        let mut outcome = Ok(());
+        while let Some(at) = buf[consumed..].windows(4).position(|w| w == b"\r\n\r\n") {
+            let request = &buf[consumed..consumed + at + 4];
+            consumed += at + 4;
+            if outcome.is_err() {
+                continue;
+            }
+            let text = String::from_utf8_lossy(request);
             let mut parts = text.split_whitespace();
             if parts.next() == Some("GET") {
                 if let Some(path) = parts.next() {
-                    paths.push(path.to_owned());
+                    outcome = self.respond(sys, conn, path);
+                    served += usize::from(outcome.is_ok());
                 }
             }
         }
-        paths
+        buf.drain(..consumed);
+        outcome.map(|()| served)
     }
 }
 
@@ -152,50 +177,48 @@ impl App for MiniHttpd {
 
     fn poll(&mut self, sys: &mut System) -> Result<usize, OsError> {
         let listen_fd = self.listen_fd.ok_or(OsError::NotConnected)?;
-        let mut watched = Vec::with_capacity(self.conns.len() + 1);
-        watched.push(listen_fd);
-        watched.extend(self.conns.keys());
-        let ready = sys.os().poll_ready(&watched)?;
-        // Connections accepted below joined after the readiness query ran,
-        // so they are serviced unconditionally this poll.
-        let mut fresh = Vec::new();
+        self.watched.clear();
+        self.watched.push(listen_fd);
+        self.watched.extend(self.conns.keys());
+        let ready = sys.os().poll_ready(&self.watched)?;
+        // Ready connections plus the fresh accepts below (which joined
+        // after the readiness query ran, so they are serviced
+        // unconditionally this poll), in ascending fd order — the order
+        // the old full-table scan serviced them in, at O(ready) instead of
+        // O(connections²).
+        self.conn_fds.clear();
+        self.conn_fds
+            .extend(ready.iter().copied().filter(|&fd| fd != listen_fd));
         if ready.contains(&listen_fd) {
             loop {
                 match sys.os().accept(listen_fd) {
                     Ok(conn) => {
                         self.conns.insert(conn, ConnState::default());
-                        fresh.push(conn);
+                        self.conn_fds.push(conn);
                     }
                     Err(OsError::WouldBlock) => break,
                     Err(e) => return Err(e),
                 }
             }
         }
+        self.conn_fds.sort_unstable();
         let mut served = 0usize;
-        // Ready connections plus the fresh accepts, in ascending fd order —
-        // the order the old full-table scan serviced them in, at O(ready)
-        // instead of O(connections²).
-        let mut conn_fds: Vec<u64> = ready
-            .iter()
-            .copied()
-            .filter(|&fd| fd != listen_fd)
-            .collect();
-        conn_fds.extend(fresh);
-        conn_fds.sort_unstable();
-        for conn in conn_fds {
+        for i in 0..self.conn_fds.len() {
+            let conn = self.conn_fds[i];
             match sys.os().recv(conn, 64 << 10) {
                 Ok(data) if data.is_empty() => {
                     sys.os().close(conn)?;
                     self.conns.remove(&conn);
                 }
                 Ok(data) => {
+                    // The buffer is lent out while its requests are served
+                    // and handed back, consumed, whatever the outcome.
                     let state = self.conns.get_mut(&conn).expect("tracked");
-                    state.buf.extend_from_slice(&data);
-                    let paths = Self::parse_requests(&mut state.buf);
-                    for path in paths {
-                        self.respond(sys, conn, &path)?;
-                        served += 1;
-                    }
+                    let mut buf = std::mem::take(&mut state.buf);
+                    buf.extend_from_slice(&data);
+                    let outcome = self.serve(sys, conn, &mut buf);
+                    self.conns.get_mut(&conn).expect("tracked").buf = buf;
+                    served += outcome?;
                 }
                 Err(OsError::WouldBlock) => {}
                 Err(OsError::ConnReset) => {
@@ -302,6 +325,37 @@ mod tests {
             .with(|w| w.network_mut().send(conn, two).unwrap());
         let served = app.poll(&mut sys).unwrap();
         assert_eq!(served, 2);
+    }
+
+    #[test]
+    fn a_failed_response_still_consumes_every_complete_request() {
+        let (mut app, mut sys) = booted();
+        let conn = sys.host().with(|w| w.network_mut().connect(HTTP_PORT));
+        app.poll(&mut sys).unwrap();
+        // Walking through a file fails with an error that is not a 404, so
+        // the first response fails; the second request is complete and
+        // the third is not.
+        let segment = b"GET /index.html/x HTTP/1.1\r\n\r\nGET /index.html HTTP/1.1\r\n\r\nGET /big";
+        sys.host()
+            .with(|w| w.network_mut().send(conn, segment).unwrap());
+        assert_eq!(app.poll(&mut sys), Err(OsError::NotADirectory));
+        assert_eq!(app.served(), 0);
+        let buffered: Vec<&[u8]> = app.conns.values().map(|c| c.buf.as_slice()).collect();
+        assert_eq!(buffered, [b"GET /big".as_slice()]);
+
+        // Only the buffered partial request is answered once it completes:
+        // the second request went with the failed one.
+        sys.host().with(|w| {
+            w.network_mut()
+                .send(conn, b".html HTTP/1.1\r\n\r\n")
+                .unwrap()
+        });
+        assert_eq!(app.poll(&mut sys).unwrap(), 1);
+        assert_eq!(app.served(), 1);
+        let resp = sys.host().with(|w| w.network_mut().recv(conn).unwrap());
+        let text = String::from_utf8_lossy(&resp);
+        assert_eq!(text.matches("HTTP/1.1 200 OK").count(), 1, "{text}");
+        assert!(text.ends_with(&"x".repeat(180)), "{text}");
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! `SET <key> <value>\n` → `+OK\n`; `GET <key>\n` → `$<value>\n` or `$-1\n`;
 //! `DEL <key>\n` → `:1\n`/`:0\n`; `PING\n` → `+PONG\n`.
 
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 use vampos_core::System;
@@ -42,6 +43,10 @@ pub struct MiniKv {
     conns: BTreeMap<u64, ConnState>,
     commands: u64,
     aof_records_replayed: u64,
+    /// Scratch kept between polls (the readiness query and the connections
+    /// to service), so a steady-state poll allocates nothing of its own.
+    watched: Vec<u64>,
+    conn_fds: Vec<u64>,
 }
 
 impl MiniKv {
@@ -55,6 +60,8 @@ impl MiniKv {
             conns: BTreeMap::new(),
             commands: 0,
             aof_records_replayed: 0,
+            watched: Vec::new(),
+            conn_fds: Vec::new(),
         }
     }
 
@@ -194,10 +201,10 @@ impl MiniKv {
         Ok(())
     }
 
-    fn execute(&mut self, sys: &mut System, line: &[u8]) -> Result<Vec<u8>, OsError> {
+    fn execute(&mut self, sys: &mut System, line: &[u8]) -> Result<Cow<'static, [u8]>, OsError> {
         self.commands += 1;
         if line == b"PING" {
-            return Ok(b"+PONG\n".to_vec());
+            return Ok(Cow::Borrowed(b"+PONG\n"));
         }
         if let Some(rest) = line.strip_prefix(b"SET ".as_slice()) {
             if let Some(space) = rest.iter().position(|&b| b == b' ') {
@@ -207,35 +214,55 @@ impl MiniKv {
                     self.append_aof(sys, &key, &value)?;
                 }
                 self.store.insert(key, value);
-                return Ok(b"+OK\n".to_vec());
+                return Ok(Cow::Borrowed(b"+OK\n"));
             }
-            return Ok(b"-ERR wrong number of arguments\n".to_vec());
+            return Ok(Cow::Borrowed(b"-ERR wrong number of arguments\n"));
         }
         if let Some(key) = line.strip_prefix(b"GET ".as_slice()) {
-            let key = String::from_utf8_lossy(key).into_owned();
-            return Ok(match self.store.get(&key) {
+            return Ok(match self.store.get(&*String::from_utf8_lossy(key)) {
                 Some(value) => {
                     let mut resp = Vec::with_capacity(value.len() + 2);
                     resp.push(b'$');
                     resp.extend_from_slice(value);
                     resp.push(b'\n');
-                    resp
+                    Cow::Owned(resp)
                 }
-                None => b"$-1\n".to_vec(),
+                None => Cow::Borrowed(b"$-1\n"),
             });
         }
         if let Some(key) = line.strip_prefix(b"DEL ".as_slice()) {
-            let key = String::from_utf8_lossy(key).into_owned();
+            let key = String::from_utf8_lossy(key);
             if self.aof_enabled {
                 self.append_aof_del(sys, &key)?;
             }
-            return Ok(if self.store.remove(&key).is_some() {
-                b":1\n".to_vec()
+            return Ok(Cow::Borrowed(if self.store.remove(&*key).is_some() {
+                b":1\n"
             } else {
-                b":0\n".to_vec()
-            });
+                b":0\n"
+            }));
         }
-        Ok(b"-ERR unknown command\n".to_vec())
+        Ok(Cow::Borrowed(b"-ERR unknown command\n"))
+    }
+
+    /// Executes every complete line at the front of `buf`, in order, and
+    /// returns how many it answered. Every complete line is consumed from
+    /// `buf`, answered or not: after a failed command the rest go
+    /// unanswered and the error is returned.
+    fn serve(&mut self, sys: &mut System, conn: u64, buf: &mut Vec<u8>) -> Result<usize, OsError> {
+        let complete = buf.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+        let mut served = 0;
+        let mut outcome = Ok(());
+        for line in buf[..complete].split_inclusive(|&b| b == b'\n') {
+            outcome = self
+                .execute(sys, &line[..line.len() - 1])
+                .and_then(|resp| sys.os().send(conn, &resp).map(drop));
+            if outcome.is_err() {
+                break;
+            }
+            served += 1;
+        }
+        buf.drain(..complete);
+        outcome.map(|()| served)
     }
 }
 
@@ -274,9 +301,10 @@ impl App for MiniKv {
 
     fn poll(&mut self, sys: &mut System) -> Result<usize, OsError> {
         let listen_fd = self.listen_fd.ok_or(OsError::NotConnected)?;
-        let mut watched = vec![listen_fd];
-        watched.extend(self.conns.keys());
-        let ready = sys.os().poll_ready(&watched)?;
+        self.watched.clear();
+        self.watched.push(listen_fd);
+        self.watched.extend(self.conns.keys());
+        let ready = sys.os().poll_ready(&self.watched)?;
         if ready.contains(&listen_fd) {
             loop {
                 match sys.os().accept(listen_fd) {
@@ -289,35 +317,29 @@ impl App for MiniKv {
             }
         }
         let mut served = 0usize;
-        let conn_fds: Vec<u64> = self
-            .conns
-            .keys()
-            .copied()
-            .filter(|fd| ready.contains(fd) || !watched.contains(fd))
-            .collect();
-        for conn in conn_fds {
+        self.conn_fds.clear();
+        self.conn_fds.extend(
+            self.conns
+                .keys()
+                .copied()
+                .filter(|fd| ready.contains(fd) || !self.watched.contains(fd)),
+        );
+        for i in 0..self.conn_fds.len() {
+            let conn = self.conn_fds[i];
             match sys.os().recv(conn, 64 << 10) {
                 Ok(data) if data.is_empty() => {
                     sys.os().close(conn)?;
                     self.conns.remove(&conn);
                 }
                 Ok(data) => {
-                    let buf = {
-                        let state = self.conns.get_mut(&conn).expect("tracked");
-                        state.buf.extend_from_slice(&data);
-                        &mut state.buf
-                    };
-                    // Extract complete lines.
-                    let mut lines = Vec::new();
-                    while let Some(pos) = buf.iter().position(|&b| b == b'\n') {
-                        let line: Vec<u8> = buf.drain(..=pos).collect();
-                        lines.push(line[..line.len() - 1].to_vec());
-                    }
-                    for line in lines {
-                        let resp = self.execute(sys, &line)?;
-                        sys.os().send(conn, &resp)?;
-                        served += 1;
-                    }
+                    // The buffer is lent out while its lines execute and
+                    // handed back, consumed, whatever the outcome.
+                    let state = self.conns.get_mut(&conn).expect("tracked");
+                    let mut buf = std::mem::take(&mut state.buf);
+                    buf.extend_from_slice(&data);
+                    let outcome = self.serve(sys, conn, &mut buf);
+                    self.conns.get_mut(&conn).expect("tracked").buf = buf;
+                    served += outcome?;
                 }
                 Err(OsError::WouldBlock) => {}
                 Err(OsError::ConnReset) => {

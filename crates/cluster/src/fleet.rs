@@ -811,7 +811,7 @@ impl Fleet {
             let booked = inst.occ.book(due, one_way, service);
             let ok = served && booked.end.saturating_sub(due) <= CLIENT_TIMEOUT;
             if served {
-                inst.note_service(booked.busy_from + service, booked.end);
+                inst.note_service(due, booked.busy_from + service, booked.end);
                 note_serve_span(
                     inst.telemetry(),
                     journey,

@@ -187,7 +187,9 @@ pub struct Instance {
     pub(crate) occ: Occupancy,
     /// Administratively drained (rolling-rejuvenation lead window).
     draining: bool,
-    /// Completion times of in-flight requests, nondecreasing.
+    /// Completion times of in-flight requests, nondecreasing; pruned on
+    /// every query and every booking, so it holds at most the requests
+    /// still in flight at the latest dispatch.
     completions: VecDeque<Nanos>,
 }
 
@@ -261,6 +263,8 @@ impl Instance {
     }
 
     /// Requests dispatched to this instance that complete after `at`.
+    /// Dispatch times only move forward, so the requests completed by `at`
+    /// are forgotten.
     pub fn outstanding(&mut self, at: Nanos) -> usize {
         while self.completions.front().is_some_and(|&end| end <= at) {
             self.completions.pop_front();
@@ -294,10 +298,11 @@ impl Instance {
         self.draining = draining;
     }
 
-    /// Books a served request: the server was occupied until `busy_until`
-    /// and the client sees completion at `end`.
-    pub(crate) fn note_service(&mut self, busy_until: Nanos, end: Nanos) {
+    /// Books a served request dispatched at `due`: the server was occupied
+    /// until `busy_until` and the client sees completion at `end`.
+    pub(crate) fn note_service(&mut self, due: Nanos, busy_until: Nanos, end: Nanos) {
         self.occ.occupy(busy_until);
+        self.outstanding(due);
         self.completions.push_back(end);
     }
 
@@ -388,6 +393,41 @@ mod tests {
             "detector downtime acked by a scheduled op was carried into \
              recovery_until again"
         );
+    }
+
+    #[test]
+    fn completions_hold_only_the_requests_in_flight() {
+        // Recovery-aware routing never asks an instance for its
+        // outstanding count, so only the booking itself can prune: the
+        // deque must not keep one entry per request ever served.
+        let mut fleet = crate::Fleet::new(FleetConfig::default()).expect("boot");
+        let load = crate::FleetLoad {
+            requests_per_client: 64,
+            ..crate::FleetLoad::default()
+        };
+        let report = fleet
+            .run(
+                &load,
+                crate::Policy::RecoveryAware,
+                crate::FleetPlan::none(),
+            )
+            .expect("run");
+        for (inst, served) in fleet.instances().iter().zip(&report.per_instance) {
+            let last_due = served
+                .records
+                .iter()
+                .map(|r| r.start)
+                .max()
+                .expect("served");
+            let in_flight = served.records.iter().filter(|r| r.end > last_due).count();
+            assert!(served.records.len() > 200);
+            assert!(
+                inst.completions.len() <= in_flight,
+                "{} holds {} completions, {in_flight} in flight",
+                inst.label(),
+                inst.completions.len()
+            );
+        }
     }
 
     #[test]

@@ -244,22 +244,18 @@ impl FunctionLog {
         match &entry.tag {
             EntryTag::Free => {}
             EntryTag::Touch(s) => {
-                let s = *s;
-                self.touch_index.entry(s).or_default().push(slot);
+                self.touch_index.entry(*s).or_default().push(slot);
             }
             EntryTag::Open { created, live } => {
-                let created = created.clone();
-                let live = live.clone();
-                for s in dedup(&created) {
+                for s in distinct(created) {
                     self.created_index.entry(s).or_default().push(slot);
                 }
-                for s in dedup(&live) {
+                for s in distinct(live) {
                     self.open_index.entry(s).or_default().push(slot);
                 }
             }
             EntryTag::Close(sessions) => {
-                let sessions = sessions.clone();
-                for s in dedup(&sessions) {
+                for s in distinct(sessions) {
                     self.close_index.entry(s).or_default().push(slot);
                 }
             }
@@ -288,15 +284,15 @@ impl FunctionLog {
             EntryTag::Free => {}
             EntryTag::Touch(s) => Self::unlink_one(&mut self.touch_index, *s, slot),
             EntryTag::Open { created, live } => {
-                for s in dedup(created) {
+                for s in distinct(created) {
                     Self::unlink_one(&mut self.created_index, s, slot);
                 }
-                for s in dedup(live) {
+                for s in distinct(live) {
                     Self::unlink_one(&mut self.open_index, s, slot);
                 }
             }
             EntryTag::Close(sessions) => {
-                for s in dedup(sessions) {
+                for s in distinct(sessions) {
                     Self::unlink_one(&mut self.close_index, s, slot);
                 }
             }
@@ -364,9 +360,8 @@ impl FunctionLog {
                     self.removed_total += removed as u64;
                     // Keep this canceling entry only while some surviving
                     // entry would recreate one of its sessions on replay.
-                    let still_recreated = dedup(sessions)
-                        .into_iter()
-                        .any(|s| self.created_index.contains_key(&s));
+                    let still_recreated =
+                        distinct(sessions).any(|s| self.created_index.contains_key(&s));
                     if !still_recreated {
                         self.maybe_gc();
                         return AppendOutcome {
@@ -406,11 +401,10 @@ impl FunctionLog {
     /// candidates, never the whole log. Returns the entries removed.
     fn cancel_sessions(&mut self, sessions: &[u64]) -> usize {
         let mut removed = 0usize;
-        let closing = dedup(sessions);
 
         // 1. Remove the sessions' touch entries (bucket drained wholesale,
         //    so the per-slot unlink has nothing left to scan).
-        for &s in &closing {
+        for s in distinct(sessions) {
             for slot in self.touch_index.remove(&s).unwrap_or_default() {
                 self.remove_slot(slot);
                 removed += 1;
@@ -421,7 +415,7 @@ impl FunctionLog {
         //    no live sessions left are removed, and everything they
         //    originally created is now dead.
         let mut fully_dead: BTreeSet<u64> = BTreeSet::new();
-        for &s in &closing {
+        for s in distinct(sessions) {
             // Take the whole bucket: every one of these entries loses `s`
             // from its live set right here.
             for slot in self.open_index.remove(&s).unwrap_or_default() {
@@ -519,14 +513,14 @@ impl FunctionLog {
     }
 }
 
-/// Deduplicated copy of a small session list (order-preserving).
-fn dedup(sessions: &[u64]) -> Vec<u64> {
-    let mut seen = BTreeSet::new();
+/// The distinct sessions of a small session list, in first-seen order,
+/// visited in place.
+fn distinct(sessions: &[u64]) -> impl Iterator<Item = u64> + '_ {
     sessions
         .iter()
-        .copied()
-        .filter(|s| seen.insert(*s))
-        .collect()
+        .enumerate()
+        .filter(|&(i, s)| !sessions[..i].contains(s))
+        .map(|(_, &s)| s)
 }
 
 #[cfg(test)]

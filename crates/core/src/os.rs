@@ -80,11 +80,9 @@ impl<'a> Os<'a> {
     ///
     /// `BadFd`, `WouldBlock` (sockets/pipes with no data), transport errors.
     pub fn read(&mut self, fd: u64, max: u64) -> Result<Vec<u8>, OsError> {
-        Ok(self
-            .sys
+        self.sys
             .syscall(names::VFS, vf::READ, &[Value::U64(fd), Value::U64(max)])?
-            .as_bytes()?
-            .to_vec())
+            .into_bytes()
     }
 
     /// Positional read; the fd offset is unchanged.
@@ -93,15 +91,13 @@ impl<'a> Os<'a> {
     ///
     /// As [`Os::read`].
     pub fn pread(&mut self, fd: u64, max: u64, offset: u64) -> Result<Vec<u8>, OsError> {
-        Ok(self
-            .sys
+        self.sys
             .syscall(
                 names::VFS,
                 vf::PREAD,
                 &[Value::U64(fd), Value::U64(max), Value::U64(offset)],
             )?
-            .as_bytes()?
-            .to_vec())
+            .into_bytes()
     }
 
     /// Writes at the fd's offset; returns bytes written.

@@ -1,4 +1,5 @@
-//! The message hop shares names instead of copying them.
+//! The message hop shares names instead of copying them, and passes each
+//! payload on instead of copying it.
 //!
 //! The tests drive the steady-state request of the fleet workloads — a
 //! keep-alive `GET` served from an open file: `poll_ready`, `recv`,
@@ -163,16 +164,19 @@ fn hop_records_share_the_runtimes_names() {
 }
 
 /// Allocations one warmed keep-alive `GET` may make. The loop below
-/// measures 48 (48.9 per `GET`); the parent commit, which formatted every
-/// `virtio_kick` detail whether or not a sink would keep it, measures 51
-/// (51.9). Before names were shared on the hop it was 138.
-const ALLOCATIONS_PER_GET: u64 = 48;
+/// measures 34 (34.8 per `GET`); the parent commit, whose forwarding layers
+/// (`Os::pread`, VFS `READ`/`PREAD`/`WRITEV`, 9PFS, LWIP, NETDEV, VIRTIO)
+/// each re-copied the payload they passed on, measures 48 (48.9). Before
+/// trace details were formatted only for a sink it was 51, and before names
+/// were shared on the hop, 138.
+const ALLOCATIONS_PER_GET: u64 = 34;
 
 /// Allocations one warmed keep-alive `GET` may make with a telemetry sink
-/// attached. The loop below measures 60 (60.9 per `GET`); the parent
-/// commit, which formatted every number attribute into a `String` and built
-/// a `caller` list per call span, measures 80 (80.9).
-const TRACED_ALLOCATIONS_PER_GET: u64 = 60;
+/// attached. The loop below measures 46 (46.8 per `GET`); the parent
+/// commit, which re-copied every forwarded payload, measures 60 (60.9).
+/// Before number attributes stayed numbers and call spans shared their
+/// `caller` list it was 80.
+const TRACED_ALLOCATIONS_PER_GET: u64 = 46;
 
 /// Allocations per `GET` of `server` once every lazily grown buffer —
 /// the telemetry hub's bounded record deques included — is full.

@@ -113,6 +113,22 @@ impl Frame {
     }
 }
 
+/// Removes the first `n` bytes of a byte-stream queue and returns them,
+/// copied out one contiguous slice at a time.
+///
+/// # Panics
+///
+/// When `n` exceeds the queue's length.
+pub fn take_front(queue: &mut VecDeque<u8>, n: usize) -> Vec<u8> {
+    let (front, back) = queue.as_slices();
+    let split = n.min(front.len());
+    let mut bytes = Vec::with_capacity(n);
+    bytes.extend_from_slice(&front[..split]);
+    bytes.extend_from_slice(&back[..n - split]);
+    queue.drain(..n);
+    bytes
+}
+
 /// Identifies one client connection on the host side.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClientConnId(pub u64);
@@ -274,7 +290,8 @@ impl HostNetwork {
             .conns
             .get_mut(&id)
             .ok_or(NetPeerError::UnknownConn(id))?;
-        Ok(conn.recv_buf.drain(..).collect())
+        let len = conn.recv_buf.len();
+        Ok(take_front(&mut conn.recv_buf, len))
     }
 
     /// Starts an orderly close (sends FIN).
@@ -389,7 +406,7 @@ impl HostNetwork {
                         return;
                     }
                     conn.rcv_nxt = conn.rcv_nxt.wrapping_add(frame.payload.len() as u32);
-                    conn.recv_buf.extend(frame.payload.iter().copied());
+                    conn.recv_buf.extend(&frame.payload);
                     advanced = true;
                 }
                 if frame.flags.fin {
@@ -679,5 +696,21 @@ mod tests {
             payload: vec![0; 10],
         };
         assert_eq!(f.wire_len(), 50);
+    }
+
+    #[test]
+    fn take_front_copies_across_the_wrap() {
+        // Push at the back and pop at the front until the ring wraps, so
+        // the queued bytes sit in two slices.
+        let mut queue: VecDeque<u8> = VecDeque::with_capacity(8);
+        queue.extend(&[0, 0, 0, 0, 1, 2]);
+        queue.drain(..4);
+        queue.extend(&[3, 4, 5, 6]);
+        assert!(!queue.as_slices().1.is_empty(), "precondition: wrapped");
+        assert_eq!(take_front(&mut queue, 1), [1]);
+        assert_eq!(take_front(&mut queue, 4), [2, 3, 4, 5]);
+        assert_eq!(take_front(&mut queue, 0), [0u8; 0]);
+        assert_eq!(take_front(&mut queue, 1), [6]);
+        assert!(queue.is_empty());
     }
 }

@@ -65,14 +65,21 @@ pub struct HopServe {
 }
 
 /// One backend service replica.
+///
+/// Fields drop in declaration order, and this order is deliberate. The
+/// idempotency table and the application's store are tens of thousands of
+/// small blocks, and glibc merges freed small blocks only when a large
+/// block is freed or requested. Dropped before the system, whose teardown
+/// frees large blocks, they are merged during teardown; dropped last, the
+/// merge falls to the next boot's first large allocation.
 pub struct BackendInstance {
     label: String,
-    /// The simulated unikernel.
-    pub sys: System,
-    app: BackendApp,
-    occ: Occupancy,
     /// Idempotency table: journey id → the response its write produced.
     applied: BTreeMap<u64, Vec<u8>>,
+    app: BackendApp,
+    /// The simulated unikernel.
+    pub sys: System,
+    occ: Occupancy,
 }
 
 impl BackendInstance {

@@ -21,7 +21,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use vampos_host::{Frame, TcpFlags};
+use vampos_host::{take_front, Frame, TcpFlags};
 use vampos_mem::{AllocHandle, ArenaLayout, MemoryArena};
 use vampos_ukernel::digest::DigestBuilder;
 use vampos_ukernel::{
@@ -245,11 +245,7 @@ impl Lwip {
     /// frame may elicit an immediate reply from the peer).
     fn pump(&mut self, ctx: &mut dyn CallContext) -> Result<(), OsError> {
         loop {
-            let v = ctx.invoke(names::NETDEV, nd::RX_BATCH, &[])?;
-            let frames = match v {
-                Value::List(frames) => frames,
-                other => return Err(OsError::bad_value("list", &other)),
-            };
+            let frames = ctx.invoke(names::NETDEV, nd::RX_BATCH, &[])?.into_list()?;
             if frames.is_empty() {
                 return Ok(());
             }
@@ -368,7 +364,7 @@ impl Lwip {
                         return self.send_rst(ctx, &f2);
                     }
                     sock.rcv_nxt = sock.rcv_nxt.wrapping_add(frame.payload.len() as u32);
-                    sock.recv_buf.extend(frame.payload.iter().copied());
+                    sock.recv_buf.extend(&frame.payload);
                     advanced = true;
                 }
                 if frame.flags.fin {
@@ -576,12 +572,11 @@ impl Component for Lwip {
                     return Err(OsError::WouldBlock);
                 }
                 let n = (max as usize).min(sock.recv_buf.len());
-                let bytes: Vec<u8> = sock.recv_buf.drain(..n).collect();
-                Ok(Value::Bytes(bytes))
+                Ok(Value::Bytes(take_front(&mut sock.recv_buf, n)))
             }
             f::SEND => {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;
-                let bytes = args.get(1).ok_or(OsError::Inval)?.as_bytes()?.to_vec();
+                let bytes = args.get(1).ok_or(OsError::Inval)?.as_bytes()?;
                 // Transmit needs no inbound frames; peer ACKs are harvested
                 // by the next readiness query or receive.
                 let sock = self.sock_mut(id)?;
@@ -596,7 +591,7 @@ impl Component for Lwip {
                     seq: sock.snd_nxt,
                     ack: sock.rcv_nxt,
                     flags: TcpFlags::ACK,
-                    payload: bytes.clone(),
+                    payload: bytes.to_vec(),
                 };
                 sock.snd_nxt = sock.snd_nxt.wrapping_add(bytes.len() as u32);
                 self.tx(ctx, frame)?;

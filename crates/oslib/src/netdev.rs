@@ -4,7 +4,6 @@
 //! owns the frame counters and would own NIC configuration; rebooting it is
 //! a bare restart (no logging, no restoration — §VI).
 
-use vampos_host::Frame;
 use vampos_mem::{ArenaLayout, MemoryArena};
 use vampos_ukernel::{names, CallContext, Component, ComponentDescriptor, OsError, Value};
 
@@ -68,17 +67,14 @@ impl Component for NetDev {
     ) -> Result<Value, OsError> {
         match func {
             f::TX => {
-                let frame: &Frame = match args.first() {
-                    Some(Value::Frame(Some(frame))) => frame,
+                match args.first() {
+                    Some(Value::Frame(Some(_))) => {}
                     Some(other) => return Err(OsError::bad_value("frame", other)),
                     None => return Err(OsError::Inval),
-                };
+                }
                 self.tx_frames += 1;
-                ctx.invoke(
-                    names::VIRTIO,
-                    vio::NET_TX,
-                    &[Value::Frame(Some(frame.clone()))],
-                )?;
+                // The frame argument is forwarded as is.
+                ctx.invoke(names::VIRTIO, vio::NET_TX, &args[..1])?;
                 Ok(Value::Unit)
             }
             f::RX => {
@@ -113,7 +109,7 @@ impl Component for NetDev {
 mod tests {
     use super::*;
     use crate::testutil::StubCtx;
-    use vampos_host::TcpFlags;
+    use vampos_host::{Frame, TcpFlags};
 
     fn frame() -> Frame {
         Frame {

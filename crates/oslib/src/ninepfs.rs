@@ -119,8 +119,10 @@ impl NinePFs {
         req: NinePRequest,
     ) -> Result<NinePResponse, OsError> {
         ctx.trace_instant("9p_rpc", format_args!("{}", req.kind_name()));
-        let v = ctx.invoke(names::VIRTIO, vio::NINEP, &[Value::NinePReq(req)])?;
-        Ok(v.as_ninep_resp()?.clone())
+        match ctx.invoke(names::VIRTIO, vio::NINEP, &[Value::NinePReq(req)])? {
+            Value::NinePResp(resp) => Ok(resp),
+            other => Err(OsError::bad_value("9p-response", &other)),
+        }
     }
 
     fn expect_qid(resp: NinePResponse) -> Result<(), OsError> {

@@ -16,6 +16,7 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::ops::BitOr;
 
+use vampos_host::take_front;
 use vampos_mem::{AllocHandle, ArenaLayout, MemoryArena};
 use vampos_ukernel::digest::DigestBuilder;
 use vampos_ukernel::{
@@ -382,11 +383,12 @@ impl Vfs {
         Ok(Value::U64(fd))
     }
 
+    /// Writes `data`, a [`Value::Bytes`], forwarding it downstream as is.
     fn file_write(
         &mut self,
         ctx: &mut dyn CallContext,
         fd: u64,
-        data: &[u8],
+        data: Value,
         at: Option<u64>,
     ) -> Result<u64, OsError> {
         let (fid, offset, append) = match &self.entry(fd)?.kind {
@@ -399,20 +401,17 @@ impl Vfs {
             FdKind::Socket { sock } => {
                 let sock = *sock;
                 let n = ctx
-                    .invoke(
-                        names::LWIP,
-                        lw::SEND,
-                        &[Value::U64(sock), Value::from(data)],
-                    )?
+                    .invoke(names::LWIP, lw::SEND, &[Value::U64(sock), data])?
                     .as_u64()?;
                 return Ok(n);
             }
             FdKind::PipeWrite { pipe } => {
                 let pipe = *pipe;
+                let data = data.as_bytes()?;
                 self.pipes
                     .get_mut(&pipe)
                     .ok_or(OsError::BadFd)?
-                    .extend(data.iter().copied());
+                    .extend(data);
                 return Ok(data.len() as u64);
             }
             FdKind::PipeRead { .. } => return Err(OsError::BadFd),
@@ -429,7 +428,7 @@ impl Vfs {
             .invoke(
                 names::NINEPFS,
                 np::WRITE,
-                &[Value::U64(fid), Value::U64(write_at), Value::from(data)],
+                &[Value::U64(fid), Value::U64(write_at), data],
             )?
             .as_u64()?;
         if at.is_none() {
@@ -440,19 +439,22 @@ impl Vfs {
         Ok(n)
     }
 
+    /// Reads into a [`Value::Bytes`]: the callee's own return value, moved
+    /// on rather than copied.
     fn file_read(
         &mut self,
         ctx: &mut dyn CallContext,
         fd: u64,
         max: u64,
         at: Option<u64>,
-    ) -> Result<Vec<u8>, OsError> {
+    ) -> Result<Value, OsError> {
         let (fid, offset) = match &self.entry(fd)?.kind {
             FdKind::File { fid, offset, .. } => (*fid, *offset),
             FdKind::Socket { sock } => {
                 let sock = *sock;
                 let v = ctx.invoke(names::LWIP, lw::RECV, &[Value::U64(sock), Value::U64(max)])?;
-                return Ok(v.as_bytes()?.to_vec());
+                v.as_bytes()?;
+                return Ok(v);
             }
             FdKind::PipeRead { pipe } => {
                 let pipe = *pipe;
@@ -461,7 +463,7 @@ impl Vfs {
                     return Err(OsError::WouldBlock);
                 }
                 let n = (max as usize).min(buf.len());
-                return Ok(buf.drain(..n).collect());
+                return Ok(Value::Bytes(take_front(buf, n)));
             }
             FdKind::PipeWrite { .. } => return Err(OsError::BadFd),
         };
@@ -471,14 +473,21 @@ impl Vfs {
             np::READ,
             &[Value::U64(fid), Value::U64(read_at), Value::U64(max)],
         )?;
-        let data = v.as_bytes()?.to_vec();
+        let len = v.as_bytes()?.len();
         if at.is_none() {
             if let FdKind::File { offset, .. } = &mut self.fds.get_mut(&fd).expect("live").kind {
-                *offset = read_at + data.len() as u64;
+                *offset = read_at + len as u64;
             }
         }
-        Ok(data)
+        Ok(v)
     }
+}
+
+/// The byte-payload argument at `i`, borrowed whole so it can be forwarded.
+fn bytes_arg(args: &[Value], i: usize) -> Result<&Value, OsError> {
+    let arg = args.get(i).ok_or(OsError::Inval)?;
+    arg.as_bytes()?;
+    Ok(arg)
 }
 
 impl Component for Vfs {
@@ -529,33 +538,39 @@ impl Component for Vfs {
                     .map(Value::as_u64)
                     .transpose()?
                     .unwrap_or(u64::MAX);
-                self.file_read(ctx, fd, max, None).map(Value::Bytes)
+                self.file_read(ctx, fd, max, None)
             }
             f::PREAD => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let max = args.get(1).ok_or(OsError::Inval)?.as_u64()?;
                 let off = args.get(2).ok_or(OsError::Inval)?.as_u64()?;
-                self.file_read(ctx, fd, max, Some(off)).map(Value::Bytes)
+                self.file_read(ctx, fd, max, Some(off))
             }
             f::WRITE => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
-                let data = args.get(1).ok_or(OsError::Inval)?.as_bytes()?.to_vec();
-                self.file_write(ctx, fd, &data, None).map(Value::U64)
+                let data = bytes_arg(args, 1)?;
+                self.file_write(ctx, fd, data.clone(), None).map(Value::U64)
             }
             f::PWRITE => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
-                let data = args.get(1).ok_or(OsError::Inval)?.as_bytes()?.to_vec();
+                let data = bytes_arg(args, 1)?;
                 let off = args.get(2).ok_or(OsError::Inval)?.as_u64()?;
-                self.file_write(ctx, fd, &data, Some(off)).map(Value::U64)
+                self.file_write(ctx, fd, data.clone(), Some(off))
+                    .map(Value::U64)
             }
             f::WRITEV => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
-                let iov = args.get(1).ok_or(OsError::Inval)?.as_list()?.to_vec();
-                let mut flat = Vec::new();
-                for chunk in &iov {
+                let iov = args.get(1).ok_or(OsError::Inval)?.as_list()?;
+                let len = iov
+                    .iter()
+                    .map(|chunk| chunk.as_bytes().map(<[u8]>::len))
+                    .sum::<Result<usize, _>>()?;
+                let mut flat = Vec::with_capacity(len);
+                for chunk in iov {
                     flat.extend_from_slice(chunk.as_bytes()?);
                 }
-                self.file_write(ctx, fd, &flat, None).map(Value::U64)
+                self.file_write(ctx, fd, Value::Bytes(flat), None)
+                    .map(Value::U64)
             }
             f::LSEEK => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
@@ -745,12 +760,12 @@ impl Component for Vfs {
                 ctx.invoke(names::LWIP, target_func, &fwd)
             }
             f::POLL_READY => {
-                let queried = args.first().ok_or(OsError::Inval)?.as_list()?.to_vec();
+                let queried = args.first().ok_or(OsError::Inval)?.as_list()?;
                 // Partition: sockets go to LWIP in one readiness query;
                 // files are always ready; pipes are ready when non-empty.
                 let mut sock_fds = Vec::new();
                 let mut ready = Vec::new();
-                for v in &queried {
+                for v in queried {
                     let fd = v.as_u64()?;
                     match self.fds.get(&fd).map(|e| &e.kind) {
                         Some(FdKind::Socket { sock }) => sock_fds.push((fd, *sock)),

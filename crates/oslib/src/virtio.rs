@@ -67,17 +67,16 @@ impl Component for Virtio {
         self.transactions += 1;
         match func {
             f::NINEP => {
-                let req = match args.first() {
-                    Some(Value::NinePReq(req)) => req.clone(),
+                let (req, payload) = match args.first() {
+                    Some(v @ Value::NinePReq(req)) => (req, v.byte_len()),
                     Some(other) => return Err(OsError::bad_value("9p-request", other)),
                     None => return Err(OsError::Inval),
                 };
-                let payload = Value::NinePReq(req.clone()).byte_len();
                 ctx.charge(ctx.costs().virtio_kick + ctx.costs().host_9p(payload));
                 ctx.trace_instant("virtio_kick", format_args!("9p {payload}B"));
                 let resp = self
                     .host
-                    .with(|w| w.ninep_transact(req))
+                    .with(|w| w.ninep_transact(req.clone()))
                     .map_err(ring_error)?;
                 Ok(Value::NinePResp(resp))
             }

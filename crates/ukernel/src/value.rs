@@ -123,15 +123,28 @@ impl Value {
         }
     }
 
-    /// Borrows a 9P response.
+    /// Moves the byte payload out: a caller that owns the value (a downcall's
+    /// return) takes the buffer instead of copying it.
     ///
     /// # Errors
     ///
     /// [`OsError::BadValue`] when the variant differs.
-    pub fn as_ninep_resp(&self) -> Result<&NinePResponse, OsError> {
+    pub fn into_bytes(self) -> Result<Vec<u8>, OsError> {
         match self {
-            Value::NinePResp(v) => Ok(v),
-            other => Err(OsError::bad_value("9p-response", other)),
+            Value::Bytes(v) => Ok(v),
+            other => Err(OsError::bad_value("bytes", &other)),
+        }
+    }
+
+    /// Moves the list payload out, like [`Value::into_bytes`].
+    ///
+    /// # Errors
+    ///
+    /// [`OsError::BadValue`] when the variant differs.
+    pub fn into_list(self) -> Result<Vec<Value>, OsError> {
+        match self {
+            Value::List(v) => Ok(v),
+            other => Err(OsError::bad_value("list", &other)),
         }
     }
 
@@ -276,6 +289,35 @@ mod tests {
     fn wrong_variant_is_bad_value() {
         let err = Value::Unit.as_u64().unwrap_err();
         assert!(err.to_string().contains("expected u64"));
+    }
+
+    #[test]
+    fn into_accessors_move_the_payload_out() {
+        let bytes = vec![1u8, 2, 3];
+        let at = bytes.as_ptr();
+        let moved = Value::Bytes(bytes).into_bytes().unwrap();
+        assert_eq!(moved, [1, 2, 3]);
+        assert_eq!(moved.as_ptr(), at, "into_bytes copied the buffer");
+
+        let list = vec![Value::U64(7), Value::Unit];
+        let at = list.as_ptr();
+        let moved = Value::List(list).into_list().unwrap();
+        assert_eq!(moved, [Value::U64(7), Value::Unit]);
+        assert_eq!(moved.as_ptr(), at, "into_list copied the list");
+    }
+
+    #[test]
+    fn into_accessors_reject_the_wrong_variant() {
+        let err = Value::U64(1).into_bytes().unwrap_err();
+        assert_eq!(
+            err,
+            OsError::BadValue {
+                expected: "bytes".into(),
+                got: "u64".into(),
+            }
+        );
+        let err = Value::from(vec![1u8]).into_list().unwrap_err();
+        assert_eq!(err.to_string(), "expected list value, got bytes");
     }
 
     #[test]
