@@ -144,7 +144,7 @@ pub fn run_with_sink(
     sink: Option<&TelemetrySink>,
 ) -> RunResult {
     let disruptions = if faulted {
-        spec.disruptions()
+        spec.events.clone()
     } else {
         Vec::new()
     };
@@ -263,7 +263,7 @@ pub fn run_with_sink(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::spec::{EventKind, EventSpec};
+    use vampos_workloads::Disruption;
 
     fn base(workload: WorkloadKind) -> CampaignSpec {
         CampaignSpec {
@@ -303,10 +303,8 @@ mod tests {
     #[test]
     fn faulted_flag_controls_the_schedule() {
         let mut spec = base(WorkloadKind::Kv);
-        spec.events.push(EventSpec {
-            at_ns: 1,
-            kind: EventKind::ComponentReboot("vfs".into()),
-        });
+        spec.events
+            .push(Disruption::component_reboot(Nanos::from_nanos(1), "vfs"));
         let twin = run(&spec, false);
         assert_eq!(twin.component_reboots, 0);
         let faulted = run(&spec, true);

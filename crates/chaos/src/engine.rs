@@ -9,16 +9,18 @@
 //! [`crate::sweep`] fan campaigns out over worker threads and still render
 //! a byte-identical report.
 
-use vampos_sim::derive_seed;
+use vampos_core::FaultKind;
+use vampos_sim::{derive_seed, Nanos};
 use vampos_telemetry::TelemetrySink;
 use vampos_ukernel::OsError;
+use vampos_workloads::{Disruption, DisruptionKind};
 
 use crate::family::{Family, Outcome, Traced};
 use crate::gen::generate_spec;
 use crate::json::{array, inline, list, num, object, population, quote, text, Json};
 use crate::oracle::{self, Violation};
 use crate::shrink::{halve, Shrinker};
-use crate::spec::{CampaignSpec, EventKind, EventSpec, FaultSpec, WorkloadKind};
+use crate::spec::{inject, CampaignSpec, WorkloadKind};
 
 /// The component family and the shape of its sweeps (mirrors the
 /// `vampos-chaos` CLI).
@@ -45,11 +47,13 @@ impl Default for ComponentFamily {
 
 /// Halves an event's firing time, its `after` countdown and a bit-flip
 /// offset, all in one candidate; whether anything moved.
-fn halve_event(event: &mut EventSpec) -> bool {
-    let mut changed = halve(&mut event.at_ns, 1);
-    if let EventKind::Inject { after, fault, .. } = &mut event.kind {
-        changed |= halve(after, 0);
-        if let FaultSpec::BitFlip { offset, .. } = fault {
+fn halve_event(event: &mut Disruption) -> bool {
+    let mut at_ns = event.at.as_nanos();
+    let mut changed = halve(&mut at_ns, 1);
+    event.at = Nanos::from_nanos(at_ns);
+    if let DisruptionKind::Inject(fault) = &mut event.kind {
+        changed |= halve(&mut fault.after_calls, 0);
+        if let FaultKind::BitFlip { offset, .. } = &mut fault.kind {
             changed |= halve(offset, 0);
         }
     }
@@ -207,74 +211,65 @@ impl Family for ComponentFamily {
     }
 }
 
-fn write_event(event: &EventSpec) -> String {
-    let mut fields = vec![("at_ns", event.at_ns.to_string())];
+/// One event as a reproducer line. An inject is written as the
+/// [`inject`] that arms it: component, countdown and effect.
+fn write_event(event: &Disruption) -> String {
+    let mut fields = vec![("at_ns", event.at.as_nanos().to_string())];
     let kind = |name: &str| ("kind", quote(name));
     match &event.kind {
-        EventKind::ComponentReboot(name) => {
+        DisruptionKind::ComponentReboot(name) => {
             fields.extend([kind("component_reboot"), ("component", quote(name))]);
         }
-        EventKind::FullReboot => fields.push(kind("full_reboot")),
-        EventKind::Inject {
-            component,
-            after,
-            fault,
-        } => {
+        DisruptionKind::FullReboot => fields.push(kind("full_reboot")),
+        DisruptionKind::Inject(fault) => {
             fields.extend([
                 kind("inject"),
-                ("component", quote(component)),
-                ("after", after.to_string()),
+                ("component", quote(&fault.component)),
+                ("after", fault.after_calls.to_string()),
             ]);
             let fault_name = |name: &str| ("fault", quote(name));
-            match fault {
-                FaultSpec::Panic => fields.push(fault_name("panic")),
-                FaultSpec::Hang => fields.push(fault_name("hang")),
-                FaultSpec::LeakPerOp { bytes } => {
+            match fault.kind {
+                FaultKind::Panic => fields.push(fault_name("panic")),
+                FaultKind::Hang => fields.push(fault_name("hang")),
+                FaultKind::LeakPerOp { bytes } => {
                     fields.extend([fault_name("leak"), ("bytes", bytes.to_string())]);
                 }
-                FaultSpec::BitFlip { offset, bit } => fields.extend([
+                FaultKind::BitFlip { offset, bit } => fields.extend([
                     fault_name("bit_flip"),
                     ("offset", offset.to_string()),
                     ("bit", bit.to_string()),
                 ]),
             }
         }
-        EventKind::Fail(name) => fields.extend([kind("fail"), ("component", quote(name))]),
-        EventKind::RejuvenateAll => fields.push(kind("rejuvenate_all")),
+        DisruptionKind::Fail(name) => fields.extend([kind("fail"), ("component", quote(name))]),
+        DisruptionKind::RejuvenateAll => fields.push(kind("rejuvenate_all")),
     }
     inline(&fields)
 }
 
-fn read_event(v: &Json) -> Result<EventSpec, String> {
-    let kind = match v.get("kind")?.as_str()? {
-        "component_reboot" => EventKind::ComponentReboot(text(v, "component")?),
-        "full_reboot" => EventKind::FullReboot,
-        "fail" => EventKind::Fail(text(v, "component")?),
-        "rejuvenate_all" => EventKind::RejuvenateAll,
+fn read_event(v: &Json) -> Result<Disruption, String> {
+    let at = Nanos::from_nanos(num(v, "at_ns")?);
+    Ok(match v.get("kind")?.as_str()? {
+        "component_reboot" => Disruption::component_reboot(at, &text(v, "component")?),
+        "full_reboot" => Disruption::full_reboot(at),
+        "fail" => Disruption::fail(at, &text(v, "component")?),
+        "rejuvenate_all" => Disruption::rejuvenate_all(at),
         "inject" => {
             let fault = match v.get("fault")?.as_str()? {
-                "panic" => FaultSpec::Panic,
-                "hang" => FaultSpec::Hang,
-                "leak" => FaultSpec::LeakPerOp {
+                "panic" => FaultKind::Panic,
+                "hang" => FaultKind::Hang,
+                "leak" => FaultKind::LeakPerOp {
                     bytes: num(v, "bytes")?,
                 },
-                "bit_flip" => FaultSpec::BitFlip {
+                "bit_flip" => FaultKind::BitFlip {
                     offset: num(v, "offset")?,
                     bit: num(v, "bit")?,
                 },
                 other => return Err(format!("unknown fault {other:?}")),
             };
-            EventKind::Inject {
-                component: text(v, "component")?,
-                after: num(v, "after")?,
-                fault,
-            }
+            inject(at, &text(v, "component")?, num(v, "after")?, fault)
         }
         other => return Err(format!("unknown event kind {other:?}")),
-    };
-    Ok(EventSpec {
-        at_ns: num(v, "at_ns")?,
-        kind,
     })
 }
 

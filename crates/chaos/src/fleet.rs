@@ -30,7 +30,9 @@ use vampos_sim::{derive_seed, Nanos, SimRng};
 use vampos_ukernel::OsError;
 
 use crate::family::{Family, Outcome, Plant, Traced};
-use crate::json::{array, index, inline, list, num, object, population, quote, text, Json};
+use crate::json::{
+    array, clients_and_requests, index, inline, list, num, object, population, quote, text, Json,
+};
 use crate::shrink::{halve, Shrinker};
 
 /// One instance-scoped fault: a one-shot panic armed against `component`
@@ -285,6 +287,7 @@ impl Family for FleetFamily {
         if instances == 0 {
             return Err("instances must be at least 1".to_owned());
         }
+        let (clients, requests_per_client) = clients_and_requests(doc)?;
         let fault = |v: &Json| {
             Ok(InstanceFault {
                 at_ns: num(v, "at_ns")?,
@@ -296,8 +299,8 @@ impl Family for FleetFamily {
             instances,
             seed: num(doc, "seed")?,
             campaign: num(doc, "campaign")?,
-            clients: population(doc, "clients")?,
-            requests_per_client: population(doc, "requests_per_client")?,
+            clients,
+            requests_per_client,
             faults: list(doc, "faults", fault)?,
             plant: doc.get("plant")?.as_bool()?,
         })

@@ -31,10 +31,12 @@
 //! * full reboots only for MiniKv with the AOF on (every other
 //!   configuration legitimately loses state across one — §VII-C's point).
 
-use vampos_sim::SimRng;
+use vampos_core::FaultKind;
+use vampos_sim::{Nanos, SimRng};
+use vampos_workloads::Disruption;
 
 use crate::drive;
-use crate::spec::{CampaignSpec, EventKind, EventSpec, FaultSpec, WorkloadKind};
+use crate::spec::{inject, CampaignSpec, WorkloadKind};
 
 /// Calls a component must receive during the probe (per main-stream
 /// request, scaled) before the generator will aim an injected fault at it.
@@ -110,73 +112,70 @@ pub fn generate_spec(
 
     let events = rng.gen_between(1, budget.max(1) as u64 + 1) as usize;
     let mut crash_budget = 1usize;
-    let mut injected: Vec<String> = Vec::new();
+    let mut injected: Vec<&str> = Vec::new();
     for _ in 0..events {
         if spec.events.len() >= budget {
             break;
         }
         let at_ns = rng.gen_between(1, window_ns + 1);
-        let target = reboot_targets[rng.gen_range(reboot_targets.len() as u64) as usize].clone();
+        let at = Nanos::from_nanos(at_ns);
+        let target = &reboot_targets[rng.gen_range(reboot_targets.len() as u64) as usize];
         // Weighted action choice; arms that are unavailable in this
         // configuration fall through to a component reboot.
-        let kind = match rng.gen_range(10) {
-            0..=2 => EventKind::ComponentReboot(target),
-            3..=4 => EventKind::Fail(target),
-            5 => EventKind::RejuvenateAll,
-            6 if spec.workload == WorkloadKind::Kv && spec.aof && !plant => EventKind::FullReboot,
-            6 => EventKind::ComponentReboot(target),
+        let event = match rng.gen_range(10) {
+            0..=2 => Disruption::component_reboot(at, target),
+            3..=4 => Disruption::fail(at, target),
+            5 => Disruption::rejuvenate_all(at),
+            6 if spec.workload == WorkloadKind::Kv && spec.aof && !plant => {
+                Disruption::full_reboot(at)
+            }
+            6 => Disruption::component_reboot(at, target),
             _ => {
                 let after = rng.gen_range(4);
                 let fault = match rng.gen_range(4) {
-                    0 | 1 if crash_budget == 0 => FaultSpec::LeakPerOp {
+                    0 | 1 if crash_budget == 0 => FaultKind::LeakPerOp {
                         bytes: rng.gen_between(64, 4096) as usize,
                     },
-                    0 => FaultSpec::Panic,
-                    1 if !hang_targets.is_empty() => FaultSpec::Hang,
-                    1 => FaultSpec::Panic,
-                    2 => FaultSpec::LeakPerOp {
+                    0 => FaultKind::Panic,
+                    1 if !hang_targets.is_empty() => FaultKind::Hang,
+                    1 => FaultKind::Panic,
+                    2 => FaultKind::LeakPerOp {
                         bytes: rng.gen_between(64, 4096) as usize,
                     },
-                    _ => FaultSpec::BitFlip {
+                    _ => FaultKind::BitFlip {
                         offset: rng.gen_range(4096),
                         bit: rng.gen_range(8) as u8,
                     },
                 };
-                let component = if matches!(fault, FaultSpec::Hang) {
-                    hang_targets[rng.gen_range(hang_targets.len() as u64) as usize].clone()
+                let component = if fault == FaultKind::Hang {
+                    &hang_targets[rng.gen_range(hang_targets.len() as u64) as usize]
                 } else {
                     target
                 };
-                if injected.contains(&component) {
+                if injected.contains(&component.as_str()) {
                     // A second inject would be shadowed (see module docs);
                     // degrade to a plain reboot of the same component.
-                    spec.events.push(EventSpec {
-                        at_ns,
-                        kind: EventKind::ComponentReboot(component),
-                    });
+                    spec.events
+                        .push(Disruption::component_reboot(at, component));
                     continue;
                 }
-                injected.push(component.clone());
-                if matches!(fault, FaultSpec::Panic | FaultSpec::Hang) {
+                injected.push(component);
+                if matches!(fault, FaultKind::Panic | FaultKind::Hang) {
                     crash_budget -= 1;
                 }
-                if let FaultSpec::BitFlip { .. } = fault {
+                if let FaultKind::BitFlip { .. } = fault {
                     // Pair the flip with a later reboot of the same
                     // component so the corrupted arena is rebuilt.
                     let reboot_at = rng.gen_between(at_ns, window_ns + 2);
-                    spec.events.push(EventSpec {
-                        at_ns: reboot_at,
-                        kind: EventKind::ComponentReboot(component.clone()),
-                    });
+                    spec.events.push(Disruption::component_reboot(
+                        Nanos::from_nanos(reboot_at),
+                        component,
+                    ));
                 }
-                EventKind::Inject {
-                    component,
-                    after,
-                    fault,
-                }
+                inject(at, component, after, fault)
             }
         };
-        spec.events.push(EventSpec { at_ns, kind });
+        spec.events.push(event);
     }
     spec
 }
@@ -184,6 +183,7 @@ pub fn generate_spec(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vampos_workloads::DisruptionKind;
 
     #[test]
     fn generation_is_a_pure_function_of_the_seed() {
@@ -202,50 +202,38 @@ mod tests {
             for seed in 0..40u64 {
                 let spec = generate_spec(workload, seed, 0, 5, false);
                 assert!(spec.events.len() <= 5 + 5, "budget blown: {spec:?}");
-                let crash_injects = spec
-                    .events
-                    .iter()
-                    .filter(|e| {
-                        matches!(
-                            &e.kind,
-                            EventKind::Inject {
-                                fault: FaultSpec::Panic | FaultSpec::Hang,
-                                ..
-                            }
-                        )
-                    })
-                    .count();
-                assert!(crash_injects <= 1, "nested-retry hazard: {spec:?}");
-                let mut inject_targets: Vec<&String> = spec
-                    .events
-                    .iter()
-                    .filter_map(|e| match &e.kind {
-                        EventKind::Inject { component, .. } => Some(component),
+                let injects = || {
+                    spec.events.iter().filter_map(|e| match &e.kind {
+                        DisruptionKind::Inject(fault) => Some(fault),
                         _ => None,
                     })
-                    .collect();
+                };
+                let crash_injects = injects()
+                    .filter(|f| matches!(f.kind, FaultKind::Panic | FaultKind::Hang))
+                    .count();
+                assert!(crash_injects <= 1, "nested-retry hazard: {spec:?}");
+                let mut inject_targets: Vec<&str> =
+                    injects().map(|f| f.component.as_str()).collect();
                 let total = inject_targets.len();
-                inject_targets.sort();
+                inject_targets.sort_unstable();
                 inject_targets.dedup();
                 assert_eq!(total, inject_targets.len(), "shadowed inject: {spec:?}");
                 for event in &spec.events {
                     match &event.kind {
-                        EventKind::ComponentReboot(c) | EventKind::Fail(c) => {
-                            assert_ne!(c, "virtio", "unrebootable target: {spec:?}");
+                        DisruptionKind::ComponentReboot(c) | DisruptionKind::Fail(c) => {
+                            assert_ne!(&**c, "virtio", "unrebootable target: {spec:?}");
                         }
-                        EventKind::Inject {
-                            component, fault, ..
-                        } => {
-                            assert_ne!(component, "virtio", "unrebootable target: {spec:?}");
-                            if matches!(fault, FaultSpec::Hang) {
-                                assert_ne!(component, "lwip", "hang-exempt target: {spec:?}");
+                        DisruptionKind::Inject(fault) => {
+                            assert_ne!(fault.component, "virtio", "unrebootable target: {spec:?}");
+                            if fault.kind == FaultKind::Hang {
+                                assert_ne!(fault.component, "lwip", "hang-exempt target: {spec:?}");
                             }
                         }
-                        EventKind::FullReboot => {
+                        DisruptionKind::FullReboot => {
                             assert_eq!(spec.workload, WorkloadKind::Kv, "{spec:?}");
                             assert!(spec.aof, "full reboot without AOF: {spec:?}");
                         }
-                        EventKind::RejuvenateAll => {}
+                        DisruptionKind::RejuvenateAll => {}
                     }
                 }
             }
@@ -258,16 +246,16 @@ mod tests {
         for seed in 0..80u64 {
             let spec = generate_spec(WorkloadKind::Kv, seed, 0, 6, false);
             for event in &spec.events {
-                if let EventKind::Inject {
-                    component,
-                    fault: FaultSpec::BitFlip { .. },
-                    ..
-                } = &event.kind
-                {
+                let DisruptionKind::Inject(fault) = &event.kind else {
+                    continue;
+                };
+                if let FaultKind::BitFlip { .. } = fault.kind {
                     flips += 1;
+                    let reboot = DisruptionKind::ComponentReboot(fault.component.as_str().into());
                     assert!(
-                        spec.events.iter().any(|e| e.at_ns >= event.at_ns
-                            && e.kind == EventKind::ComponentReboot(component.clone())),
+                        spec.events
+                            .iter()
+                            .any(|e| e.at >= event.at && e.kind == reboot),
                         "unpaired flip in {spec:?}"
                     );
                 }

@@ -9,6 +9,7 @@
 
 use std::collections::BTreeMap;
 
+use vampos_bench::cli::MAX_REQUESTS;
 use vampos_telemetry::text::push_escaped;
 
 /// A parsed JSON value. Numbers keep their raw token text so 64-bit
@@ -139,6 +140,20 @@ pub fn population(doc: &Json, key: &str) -> Result<usize, String> {
         ));
     }
     Ok(n)
+}
+
+/// Reads the `clients` and `requests_per_client` populations of a fleet,
+/// recursive or mesh spec, refusing a pair whose product exceeds
+/// [`MAX_REQUESTS`], the ceiling `--clients` x `--requests` is held to.
+pub fn clients_and_requests(doc: &Json) -> Result<(usize, usize), String> {
+    let clients = population(doc, "clients")?;
+    let requests = population(doc, "requests_per_client")?;
+    match clients.checked_mul(requests) {
+        Some(total) if total <= MAX_REQUESTS => Ok((clients, requests)),
+        _ => Err(format!(
+            "clients x requests_per_client: {clients} x {requests} exceeds the request ceiling {MAX_REQUESTS}"
+        )),
+    }
 }
 
 /// Reads an index into a population of `len` at `key`.
@@ -384,7 +399,7 @@ mod tests {
     use super::*;
     use crate::family::Family;
     use crate::laws::{self, read as from_json, sample_campaign as sample};
-    use crate::spec::{CampaignSpec, EventKind, EventSpec};
+    use crate::spec::CampaignSpec;
     use crate::ComponentFamily;
 
     fn to_json(spec: &CampaignSpec) -> String {
@@ -422,10 +437,10 @@ mod tests {
     #[test]
     fn strings_with_escapes_round_trip() {
         let mut spec = sample();
-        spec.events = vec![EventSpec {
-            at_ns: 1,
-            kind: EventKind::Fail("we\"ird\\nameß".into()),
-        }];
+        spec.events = vec![vampos_workloads::Disruption::fail(
+            vampos_sim::Nanos::from_nanos(1),
+            "we\"ird\\nameß",
+        )];
         assert_eq!(round_trip(&spec), spec);
     }
 

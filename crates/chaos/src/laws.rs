@@ -8,14 +8,16 @@
 use std::fmt::Debug;
 
 use vampos_cluster::FaultClass;
+use vampos_core::FaultKind;
 use vampos_mesh::MeshFaultClass;
-use vampos_sim::derive_seed;
+use vampos_sim::{derive_seed, Nanos};
 use vampos_telemetry::prometheus;
+use vampos_workloads::Disruption;
 
 use crate::family::{parse_spec, plant_battery, sweep, Family};
 use crate::json::parse_value;
 use crate::shrink::{shrink, Kinds};
-use crate::spec::{CampaignSpec, EventKind, EventSpec, FaultSpec, WorkloadKind};
+use crate::spec::{inject, CampaignSpec, WorkloadKind};
 use crate::{
     generate_fleet_spec, generate_spec, ComponentFamily, FleetCampaignSpec, FleetFamily,
     MeshFamily, RecursiveFamily,
@@ -68,29 +70,21 @@ fn clean_and_planted<F: Family>(family: &F) -> Vec<F::Spec> {
 
 /// A component spec with every event kind and a seed `f64` cannot hold.
 pub(crate) fn sample_campaign() -> CampaignSpec {
-    let inject = |component: &str, after, fault| EventKind::Inject {
-        component: component.into(),
-        after,
-        fault,
-    };
-    let flip = FaultSpec::BitFlip {
+    let at = |i: u64| Nanos::from_nanos(500_000 * i);
+    let flip = FaultKind::BitFlip {
         offset: 4096,
         bit: 7,
     };
-    let kinds = [
-        EventKind::ComponentReboot("9pfs".into()),
-        inject("vfs", 3, flip),
-        inject("lwip", 0, FaultSpec::LeakPerOp { bytes: 512 }),
-        inject("vfs", 1, FaultSpec::Panic),
-        inject("9pfs", 2, FaultSpec::Hang),
-        EventKind::FullReboot,
-        EventKind::Fail("timer".into()),
-        EventKind::RejuvenateAll,
+    let events = vec![
+        Disruption::component_reboot(at(1), "9pfs"),
+        inject(at(2), "vfs", 3, flip),
+        inject(at(3), "lwip", 0, FaultKind::LeakPerOp { bytes: 512 }),
+        inject(at(4), "vfs", 1, FaultKind::Panic),
+        inject(at(5), "9pfs", 2, FaultKind::Hang),
+        Disruption::full_reboot(at(6)),
+        Disruption::fail(at(7), "timer"),
+        Disruption::rejuvenate_all(at(8)),
     ];
-    let events = (1..).zip(kinds).map(|(i, kind)| EventSpec {
-        at_ns: 500_000 * i,
-        kind,
-    });
     CampaignSpec {
         workload: WorkloadKind::Kv,
         seed: u64::MAX - 3,
@@ -99,7 +93,7 @@ pub(crate) fn sample_campaign() -> CampaignSpec {
         tail: 16,
         aof: true,
         plant: false,
-        events: events.collect(),
+        events,
     }
 }
 

@@ -59,7 +59,7 @@ pub use mesh::MeshFamily;
 pub use oracle::{OracleKind, Violation};
 pub use recursive::RecursiveFamily;
 pub use shrink::{shrink, Shrinker};
-pub use spec::{CampaignSpec, EventKind, EventSpec, FaultSpec, WorkloadKind};
+pub use spec::{CampaignSpec, WorkloadKind};
 pub use vampos_telemetry::{SpanDump, TelemetrySink};
 
 #[cfg(test)]

@@ -16,7 +16,7 @@ use vampos_mesh::{
 use vampos_ukernel::OsError;
 
 use crate::family::{per_class, Family, Outcome, Plant, SweepReport, Traced};
-use crate::json::{index, num, object, population, quote, text, Json};
+use crate::json::{clients_and_requests, index, num, object, population, quote, text, Json};
 use crate::shrink::{halve, Shrinker};
 
 /// The mesh family and the recovery scenarios its sweeps cover.
@@ -126,6 +126,7 @@ impl Family for MeshFamily {
             ),
         };
         let replicas = population(doc, "replicas")?;
+        let (clients, requests_per_client) = clients_and_requests(doc)?;
         Ok(MeshChaosSpec {
             seed: num(doc, "seed")?,
             campaign: num(doc, "campaign")?,
@@ -133,8 +134,8 @@ impl Family for MeshFamily {
             plant,
             plant_journey: num(doc, "plant_journey")?,
             replicas,
-            clients: population(doc, "clients")?,
-            requests_per_client: population(doc, "requests_per_client")?,
+            clients,
+            requests_per_client,
             at_ns: num(doc, "at_ns")?,
             target_replica: index(doc, "target_replica", replicas)?,
             target_front: index(doc, "target_front", FRONT_INSTANCES)?,

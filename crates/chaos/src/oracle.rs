@@ -288,10 +288,9 @@ mod tests {
     fn full_reboot_waives_equivalence_but_not_isolation() {
         let mut spec = spec();
         spec.aof = true;
-        spec.events.push(crate::spec::EventSpec {
-            at_ns: 1,
-            kind: crate::spec::EventKind::FullReboot,
-        });
+        spec.events.push(vampos_workloads::Disruption::full_reboot(
+            vampos_sim::Nanos::from_nanos(1),
+        ));
         let twin = clean_result();
         let mut diverged = clean_result();
         diverged.app_digest = 0xCD;

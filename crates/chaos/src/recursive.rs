@@ -15,7 +15,7 @@ use vampos_cluster::{
 use vampos_ukernel::OsError;
 
 use crate::family::{per_class, Family, Outcome, Plant, SweepReport, Traced};
-use crate::json::{index, num, object, population, quote, text, Json};
+use crate::json::{clients_and_requests, index, num, object, population, quote, text, Json};
 use crate::shrink::{halve, Shrinker};
 
 /// The recursive family and the fault classes its sweeps cover.
@@ -122,12 +122,13 @@ impl Family for RecursiveFamily {
         let plant =
             PlantKind::from_name(plant).ok_or_else(|| format!("unknown plant {plant:?}"))?;
         let instances = population(doc, "instances")?;
+        let (clients, requests_per_client) = clients_and_requests(doc)?;
         Ok(RecursiveCampaignSpec {
             instances,
             seed: num(doc, "seed")?,
             campaign: num(doc, "campaign")?,
-            clients: population(doc, "clients")?,
-            requests_per_client: population(doc, "requests_per_client")?,
+            clients,
+            requests_per_client,
             class,
             target: index(doc, "target", instances)?,
             at_ns: num(doc, "at_ns")?,

@@ -126,8 +126,10 @@ pub fn shrink<F: Family>(
 mod tests {
     use super::*;
     use crate::laws::{self, laws};
-    use crate::spec::{CampaignSpec, EventKind, EventSpec, WorkloadKind};
+    use crate::spec::{CampaignSpec, WorkloadKind};
     use crate::ComponentFamily;
+    use vampos_sim::Nanos;
+    use vampos_workloads::{Disruption, DisruptionKind};
 
     laws!(ComponentFamily: respects_the_run_budget);
 
@@ -146,9 +148,9 @@ mod tests {
             aof: false,
             plant: false,
             events: (0..n)
-                .map(|i| EventSpec {
-                    at_ns: 1_000 * (i as u64 + 1),
-                    kind: EventKind::ComponentReboot(format!("c{i}")),
+                .map(|i| {
+                    let at = Nanos::from_nanos(1_000 * (i as u64 + 1));
+                    Disruption::component_reboot(at, &format!("c{i}"))
                 })
                 .collect(),
         }
@@ -158,7 +160,7 @@ mod tests {
     fn drops_irrelevant_events_and_shrinks_ops() {
         // Synthetic bug: reproduces iff the "c2" event is present.
         let execute = |candidate: &CampaignSpec| {
-            let c2 = EventKind::ComponentReboot("c2".into());
+            let c2 = DisruptionKind::ComponentReboot("c2".into());
             if candidate.events.iter().any(|e| e.kind == c2) {
                 Kinds::from(["state-equivalence"])
             } else {

@@ -2,14 +2,16 @@
 //!
 //! A [`CampaignSpec`] is everything needed to re-execute a campaign
 //! bit-for-bit: the workload, the per-campaign seed, the request counts, and
-//! the absolute-time fault/disruption schedule. Specs are what the generator
-//! produces, what the shrinker mutates, and what `--replay` reads back from
-//! a reproducer JSON file — so they are plain data with no handles into a
-//! running system.
+//! the schedule. The schedule is the workload layer's own [`Disruption`]s —
+//! component reboots, full reboots, injected [`vampos_core::InjectedFault`]s,
+//! forced failures and rejuvenation sweeps at times relative to the drive's
+//! start — so the generator builds, the shrinker halves and `--replay` reads
+//! back exactly what the drive fires. Specs are plain data with no handles
+//! into a running system.
 
-use vampos_core::InjectedFault;
+use vampos_core::{FaultKind, InjectedFault};
 use vampos_sim::Nanos;
-use vampos_workloads::Disruption;
+use vampos_workloads::{Disruption, DisruptionKind};
 
 /// Which evaluation application the campaign drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,86 +61,19 @@ impl WorkloadKind {
     }
 }
 
-/// The effect of an injected fault (mirrors [`vampos_core::FaultKind`] as
-/// plain serializable data).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum FaultSpec {
-    /// One-shot fail-stop panic.
-    Panic,
-    /// One-shot hang (detected after the hang threshold).
-    Hang,
-    /// Continuous per-call heap leak.
-    LeakPerOp {
-        /// Bytes leaked per matching call.
-        bytes: usize,
-    },
-    /// One-shot arena bit flip.
-    BitFlip {
-        /// Arena-relative byte offset.
-        offset: u64,
-        /// Bit index (0–7).
-        bit: u8,
-    },
-}
-
-/// What a scheduled event does when it fires.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum EventKind {
-    /// Administrative component-level reboot of the named component.
-    ComponentReboot(String),
-    /// Conventional full reboot (application crashes and re-boots).
-    FullReboot,
-    /// Arm a fault against `component`.
-    Inject {
-        /// Target component.
-        component: String,
-        /// Matching calls to skip before the fault fires.
-        after: u64,
-        /// The effect.
-        fault: FaultSpec,
-    },
-    /// Immediate forced fail-stop of the named component.
-    Fail(String),
-    /// Rejuvenation sweep over every rebootable component.
-    RejuvenateAll,
-}
-
-/// One scheduled event: an action at an absolute virtual time (nanoseconds
-/// from the start of the drive).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EventSpec {
-    /// Firing time, in nanoseconds relative to drive start.
-    pub at_ns: u64,
-    /// The action.
-    pub kind: EventKind,
-}
-
-impl EventSpec {
-    /// Converts to the workload layer's [`Disruption`].
-    pub fn to_disruption(&self) -> Disruption {
-        let at = Nanos::from_nanos(self.at_ns);
-        match &self.kind {
-            EventKind::ComponentReboot(name) => Disruption::component_reboot(at, name),
-            EventKind::FullReboot => Disruption::full_reboot(at),
-            EventKind::Inject {
-                component,
-                after,
-                fault,
-            } => {
-                let fault = match fault {
-                    FaultSpec::Panic => InjectedFault::panic_next(component),
-                    FaultSpec::Hang => InjectedFault::hang_next(component),
-                    FaultSpec::LeakPerOp { bytes } => InjectedFault::leak_per_op(component, *bytes),
-                    FaultSpec::BitFlip { offset, bit } => {
-                        InjectedFault::bit_flip(component, *offset, *bit)
-                    }
-                };
-                Disruption::inject(at, fault.after(*after))
-            }
-            EventKind::Fail(name) => Disruption::fail(at, name),
-            EventKind::RejuvenateAll => Disruption::rejuvenate_all(at),
-        }
-    }
+/// Arms a fault of `kind` on `component` at `at`, skipping `after`
+/// matching calls first: one-shot, except a leak, which stays armed and
+/// fires on every matching call. These are the faults a component spec
+/// schedules, and the only ones its reproducer encodes.
+pub fn inject(at: Nanos, component: &str, after: u64, kind: FaultKind) -> Disruption {
+    let fault = match kind {
+        FaultKind::LeakPerOp { bytes } => InjectedFault::leak_per_op(component, bytes),
+        kind => InjectedFault {
+            kind,
+            ..InjectedFault::panic_next(component)
+        },
+    };
+    Disruption::inject(at, fault.after(after))
 }
 
 /// A fully self-contained chaos campaign.
@@ -163,7 +98,7 @@ pub struct CampaignSpec {
     /// (self-test of the whole pipeline).
     pub plant: bool,
     /// The fault/disruption schedule.
-    pub events: Vec<EventSpec>,
+    pub events: Vec<Disruption>,
 }
 
 impl CampaignSpec {
@@ -171,12 +106,9 @@ impl CampaignSpec {
     /// vacuous across one: connections and in-flight requests are
     /// legitimately lost).
     pub fn has_full_reboot(&self) -> bool {
-        self.events.iter().any(|e| e.kind == EventKind::FullReboot)
-    }
-
-    /// The schedule as workload-layer disruptions.
-    pub fn disruptions(&self) -> Vec<Disruption> {
-        self.events.iter().map(EventSpec::to_disruption).collect()
+        self.events
+            .iter()
+            .any(|e| e.kind == DisruptionKind::FullReboot)
     }
 }
 
@@ -193,31 +125,6 @@ mod tests {
     }
 
     #[test]
-    fn event_converts_to_matching_disruption() {
-        let e = EventSpec {
-            at_ns: 1_000,
-            kind: EventKind::Inject {
-                component: "vfs".into(),
-                after: 2,
-                fault: FaultSpec::BitFlip { offset: 64, bit: 3 },
-            },
-        };
-        let d = e.to_disruption();
-        assert_eq!(d.at, Nanos::from_nanos(1_000));
-        match d.kind {
-            vampos_workloads::DisruptionKind::Inject(f) => {
-                assert_eq!(f.component, "vfs");
-                assert_eq!(f.after_calls, 2);
-                assert_eq!(
-                    f.kind,
-                    vampos_core::FaultKind::BitFlip { offset: 64, bit: 3 }
-                );
-            }
-            other => panic!("wrong kind: {other:?}"),
-        }
-    }
-
-    #[test]
     fn full_reboot_detection() {
         let mut spec = CampaignSpec {
             workload: WorkloadKind::Kv,
@@ -230,10 +137,8 @@ mod tests {
             events: vec![],
         };
         assert!(!spec.has_full_reboot());
-        spec.events.push(EventSpec {
-            at_ns: 5,
-            kind: EventKind::FullReboot,
-        });
+        spec.events
+            .push(Disruption::full_reboot(Nanos::from_nanos(5)));
         assert!(spec.has_full_reboot());
     }
 }

@@ -15,7 +15,7 @@ use std::cell::Ref;
 use std::rc::Rc;
 
 use vampos_core::{ComponentSet, Mode};
-use vampos_host::{ClientConnId, NinePGlitch, RingGlitch};
+use vampos_host::ClientConnId;
 use vampos_sim::{Name, Nanos, SimClock};
 use vampos_telemetry::metrics::{CounterId, HistogramId};
 use vampos_telemetry::perfetto::{render_processes, ProcessRefs};
@@ -609,26 +609,14 @@ impl Fleet {
             FleetOpKind::FullReboot => inst.full_reboot(at)?,
             FleetOpKind::Inject(fault) => inst.sys.inject_fault(fault.clone()),
             FleetOpKind::RecoveryFault(fault) => match fault {
-                RecoveryFault::NinepCorrupt { count } => inst.sys.host().with(|w| {
-                    w.ninep_mut()
-                        .inject_glitch(NinePGlitch::Corrupt { count: *count })
-                }),
-                RecoveryFault::NinepCorruptSilent { count } => inst.sys.host().with(|w| {
-                    w.ninep_mut()
-                        .inject_glitch(NinePGlitch::CorruptSilent { count: *count });
-                }),
-                RecoveryFault::NinepStall => inst
+                RecoveryFault::Ninep(glitch) => inst
                     .sys
                     .host()
-                    .with(|w| w.ninep_mut().inject_glitch(NinePGlitch::Stall)),
-                RecoveryFault::VirtioDrop => inst
+                    .with(|w| w.ninep_mut().inject_glitch(*glitch)),
+                RecoveryFault::Ring(glitch) => inst
                     .sys
                     .host()
-                    .with(|w| w.inject_ninep_ring_glitch(RingGlitch::DropNext)),
-                RecoveryFault::VirtioDup => inst
-                    .sys
-                    .host()
-                    .with(|w| w.inject_ninep_ring_glitch(RingGlitch::DupNext)),
+                    .with(|w| w.inject_ninep_ring_glitch(*glitch)),
                 RecoveryFault::DetectorFalseNegative { window } => {
                     inst.sys.suppress_detection(*window);
                 }

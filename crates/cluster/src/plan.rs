@@ -2,6 +2,7 @@
 //! and instance-scoped fault injection.
 
 use vampos_core::InjectedFault;
+use vampos_host::{NinePGlitch, RingGlitch};
 use vampos_sim::Nanos;
 
 /// A fault aimed at the *recovery machinery itself* rather than at a
@@ -12,31 +13,15 @@ use vampos_sim::Nanos;
 /// them.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RecoveryFault {
-    /// The 9P server answers the next `count` RPCs with a loud
-    /// payload-validation error. Cleared by a fresh `Attach` (session
-    /// re-establishment — part of component-level recovery).
-    NinepCorrupt {
-        /// RPCs corrupted before the glitch drains on its own.
-        count: u32,
-    },
-    /// The 9P server flips bytes in the next `count` `Read` payloads but
-    /// reports success — the silent variant that only an end-to-end
-    /// content oracle can catch.
-    NinepCorruptSilent {
-        /// Read RPCs corrupted.
-        count: u32,
-    },
-    /// The 9P server stalls: every RPC (including the remount during a
-    /// full reboot) exceeds its deadline until the instance is failed
-    /// over.
-    NinepStall,
-    /// The host side of the 9P virtio ring drops the next descriptor
-    /// without advancing its expected id — the ring desynchronizes and
-    /// stays broken until a host-device reset (full reboot).
-    VirtioDrop,
-    /// The host side acknowledges the next descriptor twice (advances its
-    /// expected id one extra step) — same sticky desynchronization.
-    VirtioDup,
+    /// The host's 9P server misbehaves: a loud corruption window (cleared
+    /// by a fresh `Attach`, part of component-level recovery), silently
+    /// garbled reads only an end-to-end content oracle can catch, or a
+    /// stall that outlasts even a full reboot's remount.
+    Ninep(NinePGlitch),
+    /// The host side of the 9P virtio ring drops or double-acknowledges
+    /// the next descriptor; the ring stays desynchronized until a
+    /// host-device reset (full reboot).
+    Ring(RingGlitch),
     /// The failure detector misses the next `window` real failures:
     /// errors propagate raw, the slot is marked down, and no recovery
     /// runs until the ladder steps in.
@@ -85,11 +70,11 @@ impl RecoveryFault {
     /// Short display name used in telemetry and reports.
     pub fn name(&self) -> &'static str {
         match self {
-            RecoveryFault::NinepCorrupt { .. } => "ninep-corrupt",
-            RecoveryFault::NinepCorruptSilent { .. } => "ninep-corrupt-silent",
-            RecoveryFault::NinepStall => "ninep-stall",
-            RecoveryFault::VirtioDrop => "virtio-drop",
-            RecoveryFault::VirtioDup => "virtio-dup",
+            RecoveryFault::Ninep(NinePGlitch::Corrupt { .. }) => "ninep-corrupt",
+            RecoveryFault::Ninep(NinePGlitch::CorruptSilent { .. }) => "ninep-corrupt-silent",
+            RecoveryFault::Ninep(NinePGlitch::Stall) => "ninep-stall",
+            RecoveryFault::Ring(RingGlitch::DropNext) => "virtio-drop",
+            RecoveryFault::Ring(RingGlitch::DupNext) => "virtio-dup",
             RecoveryFault::DetectorFalseNegative { .. } => "detector-false-negative",
             RecoveryFault::DetectorFalsePositive { .. } => "detector-false-positive",
             RecoveryFault::BalancerStaleView { .. } => "balancer-stale-view",

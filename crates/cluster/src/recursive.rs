@@ -28,6 +28,7 @@
 //! oracles are awake.
 
 use vampos_core::InjectedFault;
+use vampos_host::{NinePGlitch, RingGlitch};
 use vampos_sim::{Nanos, SimRng};
 use vampos_ukernel::OsError;
 use vampos_workloads::exchange;
@@ -353,105 +354,63 @@ impl RecursiveCampaignSpec {
         }
     }
 
-    /// The maintenance plan arming the fault (and its paired trigger op,
-    /// for classes that only bite when a reboot runs).
+    /// The maintenance plan: the class's [`RecoveryFault`] armed on the
+    /// target at `at_ns`, then — for classes that only bite when a
+    /// failure or a reboot runs — one trigger op on the same target.
     pub fn plan(&self) -> FleetPlan {
         let at = Nanos::from_nanos(self.at_ns);
-        let t = self.target;
-        let mut plan = FleetPlan::none();
-        if self.plant == PlantKind::AckedLoss {
-            plan.push(
-                at,
-                t,
-                FleetOpKind::RecoveryFault(RecoveryFault::NinepCorruptSilent {
-                    count: self.silent_count,
-                }),
-            );
-            return plan;
-        }
-        match self.class {
-            FaultClass::NinepCorrupt => plan.push(
-                at,
-                t,
-                FleetOpKind::RecoveryFault(RecoveryFault::NinepCorrupt {
-                    count: self.glitch_count,
-                }),
+        let component = self.component.clone();
+        let rejuvenate = Some((at, FleetOpKind::RejuvenateComponents));
+        let (fault, trigger) = match self.class {
+            _ if self.plant == PlantKind::AckedLoss => {
+                let count = self.silent_count;
+                (
+                    RecoveryFault::Ninep(NinePGlitch::CorruptSilent { count }),
+                    None,
+                )
+            }
+            FaultClass::NinepCorrupt => {
+                let count = self.glitch_count;
+                (RecoveryFault::Ninep(NinePGlitch::Corrupt { count }), None)
+            }
+            FaultClass::NinepStall => (RecoveryFault::Ninep(NinePGlitch::Stall), None),
+            FaultClass::VirtioDrop => (RecoveryFault::Ring(RingGlitch::DropNext), None),
+            FaultClass::VirtioDup => (RecoveryFault::Ring(RingGlitch::DupNext), None),
+            // The blinded detector needs a real failure to miss.
+            FaultClass::DetectorFalseNegative => (
+                RecoveryFault::DetectorFalseNegative { window: 1 },
+                Some((
+                    at,
+                    FleetOpKind::Inject(InjectedFault::panic_next(&component)),
+                )),
             ),
-            FaultClass::NinepStall => {
-                plan.push(at, t, FleetOpKind::RecoveryFault(RecoveryFault::NinepStall));
+            FaultClass::DetectorFalsePositive => {
+                (RecoveryFault::DetectorFalsePositive { component }, None)
             }
-            FaultClass::VirtioDrop => {
-                plan.push(at, t, FleetOpKind::RecoveryFault(RecoveryFault::VirtioDrop));
-            }
-            FaultClass::VirtioDup => {
-                plan.push(at, t, FleetOpKind::RecoveryFault(RecoveryFault::VirtioDup));
-            }
-            FaultClass::DetectorFalseNegative => {
-                // The blinded detector needs a real failure to miss.
-                plan.push(
-                    at,
-                    t,
-                    FleetOpKind::RecoveryFault(RecoveryFault::DetectorFalseNegative { window: 1 }),
-                );
-                plan.push(
-                    at,
-                    t,
-                    FleetOpKind::Inject(InjectedFault::panic_next(&self.component)),
-                );
-            }
-            FaultClass::DetectorFalsePositive => plan.push(
-                at,
-                t,
-                FleetOpKind::RecoveryFault(RecoveryFault::DetectorFalsePositive {
-                    component: self.component.clone(),
-                }),
-            ),
-            FaultClass::BalancerStaleView => {
-                // Freeze the (all-healthy) view first, then open a real
-                // recovery window the balancer cannot see.
-                plan.push(
-                    at,
-                    t,
-                    FleetOpKind::RecoveryFault(RecoveryFault::BalancerStaleView {
-                        window: Nanos::from_millis(20),
-                    }),
-                );
-                plan.push(
+            // Freeze the (all-healthy) view first, then open a real
+            // recovery window the balancer cannot see.
+            FaultClass::BalancerStaleView => (
+                RecoveryFault::BalancerStaleView {
+                    window: Nanos::from_millis(20),
+                },
+                Some((
                     at + Nanos::from_millis(1),
-                    t,
                     FleetOpKind::RejuvenateComponents,
-                );
-            }
+                )),
+            ),
             FaultClass::CheckpointCorrupt => {
-                plan.push(
-                    at,
-                    t,
-                    FleetOpKind::RecoveryFault(RecoveryFault::CheckpointCorrupt {
-                        component: self.component.clone(),
-                    }),
-                );
-                plan.push(at, t, FleetOpKind::RejuvenateComponents);
+                (RecoveryFault::CheckpointCorrupt { component }, rejuvenate)
             }
             FaultClass::ReplayDivergence => {
-                plan.push(
-                    at,
-                    t,
-                    FleetOpKind::RecoveryFault(RecoveryFault::ReplayDivergence {
-                        component: self.component.clone(),
-                    }),
-                );
-                plan.push(at, t, FleetOpKind::RejuvenateComponents);
+                (RecoveryFault::ReplayDivergence { component }, rejuvenate)
             }
             FaultClass::RebootDuringReboot => {
-                plan.push(
-                    at,
-                    t,
-                    FleetOpKind::RecoveryFault(RecoveryFault::RebootDuringReboot {
-                        component: self.component.clone(),
-                    }),
-                );
-                plan.push(at, t, FleetOpKind::RejuvenateComponents);
+                (RecoveryFault::RebootDuringReboot { component }, rejuvenate)
             }
+        };
+        let mut plan = FleetPlan::none().with(at, self.target, FleetOpKind::RecoveryFault(fault));
+        if let Some((when, op)) = trigger {
+            plan.push(when, self.target, op);
         }
         plan
     }
@@ -609,6 +568,28 @@ mod tests {
         for rung in [Rung::Component, Rung::Instance, Rung::Fleet] {
             assert!(seen.contains(&rung), "no class exercises {rung:?}");
         }
+    }
+
+    #[test]
+    fn every_class_arms_the_fault_it_is_named_after() {
+        let arms = |class, plant| {
+            let spec = generate_recursive_spec(derive_seed(7, 0), 0, class, plant);
+            let plan = spec.plan();
+            let (armed, trigger) = plan.ops().split_first().expect("an armed fault");
+            let FleetOpKind::RecoveryFault(fault) = &armed.kind else {
+                panic!("{class:?} arms {:?} first", armed.kind);
+            };
+            let at = Nanos::from_nanos(spec.at_ns);
+            assert_eq!((armed.at, armed.instance), (at, spec.target), "{class:?}");
+            assert!(trigger.len() <= 1, "{class:?}: {trigger:?}");
+            assert!(trigger.iter().all(|op| op.instance == spec.target));
+            fault.name()
+        };
+        for class in FaultClass::ALL {
+            assert_eq!(arms(class, PlantKind::None), class.name());
+        }
+        let plant = arms(FaultClass::NinepCorrupt, PlantKind::AckedLoss);
+        assert_eq!(plant, "ninep-corrupt-silent");
     }
 
     #[test]

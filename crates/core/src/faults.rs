@@ -9,7 +9,7 @@
 use vampos_sim::Nanos;
 
 /// What the injected fault does when it fires.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultKind {
     /// The component invokes `panic()` (fail-stop crash).
     Panic,
@@ -33,7 +33,7 @@ pub enum FaultKind {
 }
 
 /// One armed fault.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InjectedFault {
     /// Target component name.
     pub component: String,
@@ -118,26 +118,6 @@ pub struct FaultPlan {
     hang_threshold: Nanos,
 }
 
-/// What the runtime should do for one inbound call.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FaultAction {
-    /// No fault fires.
-    None,
-    /// Fail the call with a panic.
-    Panic,
-    /// Burn the hang threshold, then report a hang.
-    Hang(Nanos),
-    /// Leak heap bytes, then proceed normally.
-    Leak(usize),
-    /// Flip a bit in the arena, then proceed normally.
-    Flip {
-        /// Arena-relative byte offset.
-        offset: u64,
-        /// Bit index.
-        bit: u8,
-    },
-}
-
 impl FaultPlan {
     /// Creates an empty plan with the given hang threshold.
     pub fn new(hang_threshold: Nanos) -> Self {
@@ -165,6 +145,11 @@ impl FaultPlan {
         &self.faults
     }
 
+    /// How long a hang burns before the detector reports it.
+    pub fn hang_threshold(&self) -> Nanos {
+        self.hang_threshold
+    }
+
     /// Disarms everything.
     pub fn clear(&mut self) {
         self.faults.clear();
@@ -177,13 +162,13 @@ impl FaultPlan {
         self.faults.retain(|f| f.component != component);
     }
 
-    /// Evaluates the plan for a call to `component::func`. At most one
-    /// fault fires per call; one-shot faults are consumed when they fire.
-    pub fn on_call(&mut self, component: &str, func: &str) -> FaultAction {
-        let mut action = FaultAction::None;
-        let threshold = self.hang_threshold;
+    /// Evaluates the plan for a call to `component::func`: the effect of
+    /// the fault that fires, if any. At most one fault fires per call;
+    /// one-shot faults are consumed when they fire.
+    pub fn on_call(&mut self, component: &str, func: &str) -> Option<FaultKind> {
+        let mut action = None;
         self.faults.retain_mut(|fault| {
-            if !matches!(action, FaultAction::None) {
+            if action.is_some() {
                 return true; // only one fault per call
             }
             if fault.component != component {
@@ -199,12 +184,7 @@ impl FaultPlan {
                 return true;
             }
             fault.fired += 1;
-            action = match fault.kind {
-                FaultKind::Panic => FaultAction::Panic,
-                FaultKind::Hang => FaultAction::Hang(threshold),
-                FaultKind::LeakPerOp { bytes } => FaultAction::Leak(bytes),
-                FaultKind::BitFlip { offset, bit } => FaultAction::Flip { offset, bit },
-            };
+            action = Some(fault.kind);
             // Deterministic faults stay armed; one-shot faults are consumed.
             fault.deterministic
         });
@@ -220,9 +200,9 @@ mod tests {
     fn one_shot_panic_fires_once() {
         let mut plan = FaultPlan::new(Nanos::SECOND);
         plan.arm(InjectedFault::panic_next("9pfs"));
-        assert_eq!(plan.on_call("vfs", "open"), FaultAction::None);
-        assert_eq!(plan.on_call("9pfs", "uk_9pfs_read"), FaultAction::Panic);
-        assert_eq!(plan.on_call("9pfs", "uk_9pfs_read"), FaultAction::None);
+        assert_eq!(plan.on_call("vfs", "open"), None);
+        assert_eq!(plan.on_call("9pfs", "uk_9pfs_read"), Some(FaultKind::Panic));
+        assert_eq!(plan.on_call("9pfs", "uk_9pfs_read"), None);
         assert_eq!(plan.armed(), 0);
     }
 
@@ -230,8 +210,8 @@ mod tests {
     fn deterministic_panic_keeps_firing() {
         let mut plan = FaultPlan::new(Nanos::SECOND);
         plan.arm(InjectedFault::panic_deterministic("vfs"));
-        assert_eq!(plan.on_call("vfs", "open"), FaultAction::Panic);
-        assert_eq!(plan.on_call("vfs", "open"), FaultAction::Panic);
+        assert_eq!(plan.on_call("vfs", "open"), Some(FaultKind::Panic));
+        assert_eq!(plan.on_call("vfs", "open"), Some(FaultKind::Panic));
         assert_eq!(plan.armed(), 1);
     }
 
@@ -239,20 +219,18 @@ mod tests {
     fn func_filter_and_delay() {
         let mut plan = FaultPlan::new(Nanos::SECOND);
         plan.arm(InjectedFault::panic_next("vfs").on_func("write").after(2));
-        assert_eq!(plan.on_call("vfs", "read"), FaultAction::None);
-        assert_eq!(plan.on_call("vfs", "write"), FaultAction::None); // skip 1
-        assert_eq!(plan.on_call("vfs", "write"), FaultAction::None); // skip 2
-        assert_eq!(plan.on_call("vfs", "write"), FaultAction::Panic);
+        assert_eq!(plan.on_call("vfs", "read"), None);
+        assert_eq!(plan.on_call("vfs", "write"), None); // skip 1
+        assert_eq!(plan.on_call("vfs", "write"), None); // skip 2
+        assert_eq!(plan.on_call("vfs", "write"), Some(FaultKind::Panic));
     }
 
     #[test]
     fn hang_carries_the_threshold() {
         let mut plan = FaultPlan::new(Nanos::from_millis(500));
         plan.arm(InjectedFault::hang_next("vfs"));
-        assert_eq!(
-            plan.on_call("vfs", "open"),
-            FaultAction::Hang(Nanos::from_millis(500))
-        );
+        assert_eq!(plan.on_call("vfs", "open"), Some(FaultKind::Hang));
+        assert_eq!(plan.hang_threshold(), Nanos::from_millis(500));
     }
 
     #[test]
@@ -260,7 +238,10 @@ mod tests {
         let mut plan = FaultPlan::new(Nanos::SECOND);
         plan.arm(InjectedFault::leak_per_op("vfs", 64));
         for _ in 0..5 {
-            assert_eq!(plan.on_call("vfs", "write"), FaultAction::Leak(64));
+            assert_eq!(
+                plan.on_call("vfs", "write"),
+                Some(FaultKind::LeakPerOp { bytes: 64 })
+            );
         }
         assert_eq!(plan.armed(), 1);
     }
@@ -270,10 +251,10 @@ mod tests {
         let mut plan = FaultPlan::new(Nanos::SECOND);
         plan.arm(InjectedFault::panic_next("vfs"));
         plan.arm(InjectedFault::hang_next("vfs"));
-        assert_eq!(plan.on_call("vfs", "open"), FaultAction::Panic);
+        assert_eq!(plan.on_call("vfs", "open"), Some(FaultKind::Panic));
         // The hang is still armed for the next call.
         assert_eq!(plan.armed(), 1);
-        assert!(matches!(plan.on_call("vfs", "open"), FaultAction::Hang(_)));
+        assert!(plan.on_call("vfs", "open") == Some(FaultKind::Hang));
     }
 
     #[test]
@@ -283,8 +264,8 @@ mod tests {
         let mut plan = FaultPlan::new(Nanos::SECOND);
         plan.arm(InjectedFault::hang_next("vfs").on_func("write"));
         plan.arm(InjectedFault::panic_next("vfs").on_func("write"));
-        assert!(matches!(plan.on_call("vfs", "write"), FaultAction::Hang(_)));
-        assert_eq!(plan.on_call("vfs", "write"), FaultAction::Panic);
+        assert!(plan.on_call("vfs", "write") == Some(FaultKind::Hang));
+        assert_eq!(plan.on_call("vfs", "write"), Some(FaultKind::Panic));
         assert_eq!(plan.armed(), 0);
     }
 
@@ -295,8 +276,8 @@ mod tests {
         plan.arm(InjectedFault::hang_next("vfs").on_func("write"));
         // The wildcard was armed first, so it consumes the call even though
         // the second fault names the function explicitly.
-        assert_eq!(plan.on_call("vfs", "write"), FaultAction::Panic);
-        assert!(matches!(plan.on_call("vfs", "write"), FaultAction::Hang(_)));
+        assert_eq!(plan.on_call("vfs", "write"), Some(FaultKind::Panic));
+        assert!(plan.on_call("vfs", "write") == Some(FaultKind::Hang));
     }
 
     #[test]
@@ -308,11 +289,11 @@ mod tests {
         plan.arm(InjectedFault::panic_next("vfs").after(2));
         plan.arm(InjectedFault::hang_next("vfs"));
         // Call 1: the delayed panic decrements (2→1), then the hang fires.
-        assert!(matches!(plan.on_call("vfs", "open"), FaultAction::Hang(_)));
+        assert!(plan.on_call("vfs", "open") == Some(FaultKind::Hang));
         // Call 2: only the panic remains; it decrements (1→0), nothing fires.
-        assert_eq!(plan.on_call("vfs", "open"), FaultAction::None);
+        assert_eq!(plan.on_call("vfs", "open"), None);
         // Call 3: the panic's countdown is exhausted — it fires.
-        assert_eq!(plan.on_call("vfs", "open"), FaultAction::Panic);
+        assert_eq!(plan.on_call("vfs", "open"), Some(FaultKind::Panic));
         assert_eq!(plan.armed(), 0);
     }
 
@@ -326,12 +307,12 @@ mod tests {
         plan.arm(InjectedFault::panic_next("vfs"));
         plan.arm(InjectedFault::hang_next("vfs").after(1));
         // Call 1: the panic fires; the hang's countdown must stay at 1.
-        assert_eq!(plan.on_call("vfs", "open"), FaultAction::Panic);
+        assert_eq!(plan.on_call("vfs", "open"), Some(FaultKind::Panic));
         assert_eq!(plan.faults()[0].after_calls, 1, "countdown must be frozen");
         // Call 2: the hang decrements (1→0), nothing fires.
-        assert_eq!(plan.on_call("vfs", "open"), FaultAction::None);
+        assert_eq!(plan.on_call("vfs", "open"), None);
         // Call 3: the hang fires.
-        assert!(matches!(plan.on_call("vfs", "open"), FaultAction::Hang(_)));
+        assert!(plan.on_call("vfs", "open") == Some(FaultKind::Hang));
     }
 
     #[test]
@@ -340,11 +321,11 @@ mod tests {
         plan.arm(InjectedFault::panic_next("vfs").on_func("write").after(1));
         // Non-matching component and non-matching function leave the
         // countdown untouched.
-        assert_eq!(plan.on_call("9pfs", "write"), FaultAction::None);
-        assert_eq!(plan.on_call("vfs", "read"), FaultAction::None);
+        assert_eq!(plan.on_call("9pfs", "write"), None);
+        assert_eq!(plan.on_call("vfs", "read"), None);
         assert_eq!(plan.faults()[0].after_calls, 1);
-        assert_eq!(plan.on_call("vfs", "write"), FaultAction::None); // 1→0
-        assert_eq!(plan.on_call("vfs", "write"), FaultAction::Panic);
+        assert_eq!(plan.on_call("vfs", "write"), None); // 1→0
+        assert_eq!(plan.on_call("vfs", "write"), Some(FaultKind::Panic));
     }
 
     #[test]
@@ -362,11 +343,11 @@ mod tests {
         assert_eq!(plan.faults()[0].component, "9pfs");
         assert_eq!(plan.faults()[0].after_calls, 1);
         // Cleared component: calls pass clean.
-        assert_eq!(plan.on_call("vfs", "open"), FaultAction::None);
+        assert_eq!(plan.on_call("vfs", "open"), None);
         // Other components' faults still fire exactly as armed.
-        assert_eq!(plan.on_call("9pfs", "read"), FaultAction::None); // 1→0
-        assert!(matches!(plan.on_call("9pfs", "read"), FaultAction::Hang(_)));
-        assert_eq!(plan.on_call("lwip", "socket"), FaultAction::Panic);
+        assert_eq!(plan.on_call("9pfs", "read"), None); // 1→0
+        assert!(plan.on_call("9pfs", "read") == Some(FaultKind::Hang));
+        assert_eq!(plan.on_call("lwip", "socket"), Some(FaultKind::Panic));
         assert_eq!(plan.armed(), 0);
     }
 }

@@ -13,7 +13,7 @@ use vampos_telemetry::{Collector, TelemetrySink};
 use vampos_ukernel::{names, CallContext, ComponentBox, ComponentDescriptor, OsError, Value};
 
 use crate::config::{ComponentSet, Mode, SchedulerKind};
-use crate::faults::{FaultAction, FaultPlan};
+use crate::faults::{FaultKind, FaultPlan};
 use crate::funclog::{DownRec, FunctionLog, LogEntry};
 use crate::os::Os;
 use crate::stats::{ComponentCounters, SystemStats};
@@ -967,18 +967,17 @@ impl System {
         } = *callee;
 
         // Fault injection fires at message-pull time.
-        let action = self.faults.on_call(&self.slots[tid].name, func);
-        match action {
-            FaultAction::None => {}
-            FaultAction::Panic => {
+        match self.faults.on_call(&self.slots[tid].name, func) {
+            None => {}
+            Some(FaultKind::Panic) => {
                 let err = OsError::Panic {
                     component: self.slots[tid].name.to_string(),
                     reason: "injected fail-stop fault".to_owned(),
                 };
                 return self.handle_failure(tid, err, caller, func, args);
             }
-            FaultAction::Hang(threshold) => {
-                self.clock.advance(threshold);
+            Some(FaultKind::Hang) => {
+                self.clock.advance(self.faults.hang_threshold());
                 self.stats.ctx_switches += 1;
                 if self.slots[tid].desc.is_hang_exempt() {
                     // The detector ignores event-waiting components (§V-A);
@@ -990,12 +989,12 @@ impl System {
                 };
                 return self.handle_failure(tid, err, caller, func, args);
             }
-            FaultAction::Leak(bytes) => {
+            Some(FaultKind::LeakPerOp { bytes }) => {
                 if let Some(comp) = self.slots[tid].comp.as_mut() {
                     let _ = comp.arena_mut().leak(bytes);
                 }
             }
-            FaultAction::Flip { offset, bit } => {
+            Some(FaultKind::BitFlip { offset, bit }) => {
                 if let Some(comp) = self.slots[tid].comp.as_mut() {
                     let _ = comp.arena_mut().flip_bit(vampos_mem::Addr(offset), bit);
                 }

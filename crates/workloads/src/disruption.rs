@@ -13,7 +13,7 @@ use vampos_ukernel::OsError;
 /// Payloads are boxed so a [`Disruption`] stays 32 bytes: a load run's
 /// schedule can hold tens of thousands of them, and building it is setup
 /// work.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DisruptionKind {
     /// VampOS component-level reboot of the named component.
     ComponentReboot(Box<str>),
@@ -30,7 +30,7 @@ pub enum DisruptionKind {
 }
 
 /// One scheduled disruption.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Disruption {
     /// Virtual time at which to fire, relative to the start of the load
     /// run that carries the schedule.

@@ -138,7 +138,7 @@ fn parse_args(cli: &mut Cli) -> Result<Args, String> {
         match flag {
             "--family" => args.family = cli.value()?,
             "--seed" => args.seed = cli.value()?,
-            "--campaigns" => args.campaigns = cli.value()?,
+            "--campaigns" => args.campaigns = cli.population(0)? as u64,
             "--budget" => args.budget = cli.population(0)?,
             "--workload" => {
                 args.workloads = cli.named(|name| match name {

@@ -285,6 +285,17 @@ fn bad_flags_are_usage_errors() {
     assert_usage_error(&out, "does not belong to the selected family");
     let out = chaos(&dir, &["--class", "gremlins"]);
     assert_usage_error(&out, "unknown fault class \"gremlins\"");
+    // Used to abort allocating the sweep's specs (SIGABRT).
+    let out = chaos(
+        &dir,
+        &[
+            "--family",
+            "recursive",
+            "--campaigns",
+            "18446744073709551615",
+        ],
+    );
+    assert_usage_error(&out, "--campaigns: 18446744073709551615 exceeds");
 }
 
 /// An export flag either writes its file or is refused by name: no mode
@@ -356,6 +367,19 @@ fn hostile_reproducers_are_usage_errors() {
     wide.replace_range(field..field + digits, "4294967297");
     let out = replay(&dir, "glitches.json", &wide, &[]);
     assert_usage_error(&out, "glitch_count 4294967297");
+
+    // ...and to replay 4.3 G requests, each count inside its ceiling...
+    let grid = mesh
+        .replace("\"clients\": 6", "\"clients\": 65536")
+        .replace(
+            "\"requests_per_client\": 24",
+            "\"requests_per_client\": 65536",
+        );
+    let out = replay(&dir, "grid.json", &grid, &[]);
+    assert_usage_error(
+        &out,
+        "clients x requests_per_client: 65536 x 65536 exceeds the request ceiling 16777216",
+    );
 
     // ...and to overflow the stack one `[` at a time (SIGABRT).
     let out = replay(&dir, "deep.json", &"[".repeat(200_000), &[]);
