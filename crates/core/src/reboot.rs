@@ -200,19 +200,21 @@ impl System {
 
         // Checkpoint-based initialization (§V-E): restore the boot-phase
         // memory image instead of running shutdown/boot routines.
-        let prior_rejuvenations = comp.arena().aging().rejuvenations();
         comp.reset();
+        let slot = &mut self.slots[idx];
+        let prior_rejuvenations = slot.arena.aging().rejuvenations();
+        slot.arena.reset();
         let mut snapshot_bytes = 0usize;
-        if let Some(snap) = &self.slots[idx].boot_snapshot {
+        if let Some(snap) = &slot.boot_snapshot {
             snapshot_bytes = snap.byte_len();
-            comp.arena_mut()
+            slot.arena
                 .restore(snap)
                 .map_err(|e| OsError::Io(format!("checkpoint restore: {e}")))?;
             self.clock
                 .advance(self.costs.snapshot_restore(snapshot_bytes));
             // The boot image predates every rejuvenation; re-establish the
             // cumulative count, this reboot included.
-            comp.arena_mut()
+            slot.arena
                 .aging_mut()
                 .rejuvenate_times(prior_rejuvenations + 1);
         }
@@ -237,7 +239,7 @@ impl System {
         // the slot stays down until then.
         if self.reboot_interrupts.remove(member_name.as_str()) {
             let restored = match extract {
-                Some(data) => comp.restore_runtime(data),
+                Some(data) => comp.restore_runtime(data, &mut self.slots[idx].arena),
                 None => Ok(()),
             };
             self.slots[idx].comp = Some(comp);
@@ -303,7 +305,8 @@ impl System {
             )
         });
 
-        let restored = extract.map_or(Ok(()), |data| comp.restore_runtime(data));
+        let arena = &mut self.slots[idx].arena;
+        let restored = extract.map_or(Ok(()), |data| comp.restore_runtime(data, arena));
         comp.finish_replay();
 
         self.slots[idx].comp = Some(comp);
@@ -397,6 +400,7 @@ impl System {
             if let Some(comp) = slot.comp.as_mut() {
                 comp.reset();
             }
+            slot.arena.reset();
             slot.log.clear();
             slot.up = true;
             slot.condemned = false;

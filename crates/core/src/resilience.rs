@@ -23,6 +23,7 @@
 //!   [`System::rejuvenate_aged`] reboots exactly the components whose leak
 //!   volume crossed a threshold.
 
+use vampos_mem::MemoryArena;
 use vampos_ukernel::{ComponentBox, OsError};
 
 use crate::reboot::RebootOutcome;
@@ -49,12 +50,13 @@ impl System {
     /// slot the way every component comes back ([`System::recover`]).
     ///
     /// `boot()` is the only caller of `Component::init`, so the
-    /// replacement's boot image is its arena after `reset()`: that pristine
-    /// arena becomes the slot's boot checkpoint, which the recovery restores
-    /// and replays the function log over, like any later reboot will.
-    /// Whatever can refuse the replacement (its name, the old version's
-    /// runtime data) does so before the slot is touched: a refused update
-    /// leaves the old version serving.
+    /// replacement's boot image is a fresh arena built from its descriptor,
+    /// captured before the old version's runtime data is handed over: that
+    /// pristine arena becomes the slot's boot checkpoint, which the recovery
+    /// restores and replays the function log over, like any later reboot
+    /// will. Whatever can refuse the replacement (its name, the old
+    /// version's runtime data) does so before the slot is touched: a
+    /// refused update leaves the old version serving.
     pub(crate) fn swap_component(
         &mut self,
         tid: usize,
@@ -69,18 +71,19 @@ impl System {
             )));
         }
         let busy = || OsError::Io(format!("{} busy during swap", slot.name));
+        let desc = replacement.descriptor().clone();
+        let mut arena = MemoryArena::new(new.as_str(), *desc.layout());
+        let boot_snapshot = desc.uses_checkpoint_init().then(|| arena.snapshot());
         // The recovery extracts the runtime data again, from the
         // replacement, and hands it back after the replay.
         replacement.reset();
         if let Some(data) = slot.comp.as_ref().ok_or_else(busy)?.extract_runtime() {
-            replacement.restore_runtime(data)?;
+            replacement.restore_runtime(data, &mut arena)?;
         }
         let slot = &mut self.slots[tid];
-        slot.desc = replacement.descriptor().clone();
-        slot.boot_snapshot = slot
-            .desc
-            .uses_checkpoint_init()
-            .then(|| replacement.arena_mut().snapshot());
+        slot.desc = desc;
+        slot.arena = arena;
+        slot.boot_snapshot = boot_snapshot;
         slot.checkpoint_corrupt = false;
         slot.comp = Some(replacement);
         self.pending_recovery = detected;
@@ -128,16 +131,12 @@ impl System {
     pub fn aging_report(&self) -> Vec<AgingEntry> {
         self.slots
             .iter()
-            .filter_map(|s| {
-                let comp = s.comp.as_ref()?;
-                let arena = comp.arena();
-                Some(AgingEntry {
-                    component: s.name.to_string(),
-                    leaked_bytes: arena.aging().leaked_bytes(),
-                    descriptor_leaks: arena.aging().descriptor_leaks(),
-                    fragmentation: arena.allocator().fragmentation(),
-                    rejuvenations: arena.aging().rejuvenations(),
-                })
+            .map(|s| AgingEntry {
+                component: s.name.to_string(),
+                leaked_bytes: s.arena.aging().leaked_bytes(),
+                descriptor_leaks: s.arena.aging().descriptor_leaks(),
+                fragmentation: s.arena.allocator().fragmentation(),
+                rejuvenations: s.arena.aging().rejuvenations(),
             })
             .collect()
     }

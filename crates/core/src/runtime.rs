@@ -6,7 +6,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use vampos_host::HostHandle;
-use vampos_mem::Snapshot;
+use vampos_mem::{MemoryArena, Snapshot};
 use vampos_mpk::{AccessKind, DomainId, KeyRegistry, Pkru};
 use vampos_sim::{CostModel, Name, Nanos, SimClock, SimRng};
 use vampos_telemetry::{Collector, TelemetrySink};
@@ -28,6 +28,9 @@ pub(crate) struct Slot {
     pub(crate) name: Name,
     pub(crate) comp: Option<ComponentBox>,
     pub(crate) desc: ComponentDescriptor,
+    /// The component's memory (§V-D): built from the descriptor, and
+    /// reset, snapshotted and restored here, never by the component.
+    pub(crate) arena: MemoryArena,
     pub(crate) log: FunctionLog,
     pub(crate) up: bool,
     pub(crate) domain: DomainId,
@@ -290,13 +293,13 @@ impl SystemBuilder {
             .map(|c| c.merges.clone())
             .unwrap_or_default();
 
-        let mut slots: Vec<Slot> = Vec::new();
         let mut by_name = BTreeMap::new();
         let mut boot_components: Vec<ComponentBox> = Vec::new();
         for &name in self.set.components() {
             boot_components.push(crate::analysis::instantiate(name, &host)?);
         }
         boot_components.extend(self.extra);
+        let mut slots: Vec<Slot> = Vec::with_capacity(boot_components.len());
 
         // Pre-boot static analysis over the full configuration (built-ins
         // plus user-defined extras). Error-severity findings abort the boot
@@ -342,6 +345,7 @@ impl SystemBuilder {
             slots.push(Slot {
                 name: desc.name().clone(),
                 comp: Some(comp),
+                arena: MemoryArena::new(name, *desc.layout()),
                 desc,
                 log: FunctionLog::new(),
                 up: true,
@@ -450,12 +454,7 @@ impl System {
         }
         for idx in 0..self.slots.len() {
             if self.slots[idx].desc.uses_checkpoint_init() {
-                let snap = self.slots[idx]
-                    .comp
-                    .as_mut()
-                    .expect("boot: component present")
-                    .arena_mut()
-                    .snapshot();
+                let snap = self.slots[idx].arena.snapshot();
                 if charge_capture {
                     self.clock
                         .advance(self.costs.snapshot_capture(snap.byte_len()));
@@ -658,11 +657,7 @@ impl System {
     /// Memory utilisation report (Fig. 7b): arenas + VampOS overhead
     /// (message domains + function logs).
     pub fn memory_report(&self) -> MemoryReport {
-        let arenas = self
-            .slots
-            .iter()
-            .map(|s| s.comp.as_ref().map(|c| c.arena().footprint()).unwrap_or(0))
-            .sum();
+        let arenas = self.slots.iter().map(|s| s.arena.footprint()).sum();
         let (msg_domains, logs) = if self.mode.is_vampos() {
             (self.slots.len() * MSG_DOMAIN_BYTES, self.total_log_bytes())
         } else {
@@ -680,10 +675,7 @@ impl System {
     /// for unknown names.
     pub fn arena_resident_bytes(&self, component: &str) -> Option<usize> {
         let &idx = self.by_name.get(component)?;
-        self.slots[idx]
-            .comp
-            .as_ref()
-            .map(|c| c.arena().resident_bytes())
+        Some(self.slots[idx].arena.resident_bytes())
     }
 
     /// A component's current state digest (testing / corruption checks).
@@ -775,19 +767,10 @@ impl System {
             )));
         }
         // Unprotected (or intra-merge): corrupt the victim's heap.
-        let comp =
-            self.slots[to_idx]
-                .comp
-                .as_mut()
-                .ok_or_else(|| OsError::ComponentUnavailable {
-                    component: to.to_owned(),
-                })?;
-        let base = comp.arena().heap_base();
-        let junk = [0xFFu8; 64];
-        comp.arena_mut()
-            .write(base, &junk)
-            .map_err(|e| OsError::Io(e.to_string()))?;
-        Ok(())
+        let arena = &mut self.slots[to_idx].arena;
+        arena
+            .write(arena.heap_base(), &[0xFFu8; 64])
+            .map_err(|e| OsError::Io(e.to_string()))
     }
 
     /// The PKRU value the thread scheduler installs when dispatching the
@@ -990,14 +973,12 @@ impl System {
                 return self.handle_failure(tid, err, caller, func, args);
             }
             Some(FaultKind::LeakPerOp { bytes }) => {
-                if let Some(comp) = self.slots[tid].comp.as_mut() {
-                    let _ = comp.arena_mut().leak(bytes);
-                }
+                let _ = self.slots[tid].arena.leak(bytes);
             }
             Some(FaultKind::BitFlip { offset, bit }) => {
-                if let Some(comp) = self.slots[tid].comp.as_mut() {
-                    let _ = comp.arena_mut().flip_bit(vampos_mem::Addr(offset), bit);
-                }
+                let _ = self.slots[tid]
+                    .arena
+                    .flip_bit(vampos_mem::Addr(offset), bit);
             }
         }
 
@@ -1234,6 +1215,10 @@ impl CallContext for Ctx<'_> {
 
     fn costs(&self) -> &CostModel {
         &self.sys.costs
+    }
+
+    fn arena(&mut self) -> &mut MemoryArena {
+        &mut self.sys.slots[self.me].arena
     }
 
     fn is_replay(&self) -> bool {

@@ -5,14 +5,13 @@
 
 use vampos_analyze::{analyze, codes};
 use vampos_core::{analysis, ComponentSet, Mode, System};
-use vampos_mem::{ArenaLayout, MemoryArena};
+use vampos_mem::ArenaLayout;
 use vampos_ukernel::{CallContext, Component, ComponentDescriptor, OsError, Value};
 
 /// A deliberately broken extra component: stateful, rebootable, logged —
 /// but without checkpoint-based init (VAMP-E201).
 struct NoCheckpoint {
     desc: ComponentDescriptor,
-    arena: MemoryArena,
 }
 
 impl NoCheckpoint {
@@ -21,7 +20,6 @@ impl NoCheckpoint {
             desc: ComponentDescriptor::new("nockpt", ArenaLayout::small())
                 .stateful()
                 .logs(&["poke"]),
-            arena: MemoryArena::new("nockpt", ArenaLayout::small()),
         }
     }
 }
@@ -30,12 +28,6 @@ impl Component for NoCheckpoint {
     fn descriptor(&self) -> &ComponentDescriptor {
         &self.desc
     }
-    fn arena(&self) -> &MemoryArena {
-        &self.arena
-    }
-    fn arena_mut(&mut self) -> &mut MemoryArena {
-        &mut self.arena
-    }
     fn call(
         &mut self,
         _ctx: &mut dyn CallContext,
@@ -43,9 +35,6 @@ impl Component for NoCheckpoint {
         _args: &[Value],
     ) -> Result<Value, OsError> {
         Ok(Value::Unit)
-    }
-    fn reset(&mut self) {
-        self.arena.reset();
     }
 }
 

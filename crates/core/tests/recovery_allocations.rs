@@ -9,53 +9,14 @@
 //! system, and of one reboot of a component with an empty log, in a test
 //! binary of its own so the counting allocator sees nothing else.
 
-use std::alloc::{GlobalAlloc, Layout, System as HostAllocator};
-use std::cell::Cell;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use counting_alloc::allocations;
 
 use vampos_core::{ComponentSet, Mode, System};
 use vampos_host::{ClientConnId, HostHandle};
 use vampos_oslib::OpenFlags;
-
-thread_local! {
-    /// Allocations made by this thread. The test harness runs each test on
-    /// a thread of its own, so a test reads only its own count.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to the system
-// allocator, which upholds the `GlobalAlloc` contract; the only addition
-// is a bump of a const-initialised, destructor-free thread-local `Cell`,
-// which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: `layout` is the caller's, passed through.
-        unsafe { HostAllocator.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `alloc`/`realloc` above with this layout.
-        unsafe { HostAllocator.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: as for `dealloc`; `new_size` is the caller's.
-        unsafe { HostAllocator.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
-
-/// Allocations `f` makes on this thread.
-fn allocations(f: impl FnOnce()) -> u64 {
-    let before = ALLOCATIONS.with(Cell::get);
-    f();
-    ALLOCATIONS.with(Cell::get) - before
-}
 
 /// Allocations a warm `rejuvenate_all` may make on the nginx system below:
 /// what it measures. The parent commit, which rebuilt every arena's

@@ -6,7 +6,9 @@ use vampos_core::{ComponentSet, InjectedFault, Mode, System};
 use vampos_host::HostHandle;
 use vampos_mem::{ArenaLayout, MemoryArena};
 use vampos_oslib::vfs::OpenFlags;
-use vampos_ukernel::{CallContext, Component, ComponentDescriptor, OsError, SessionEvent, Value};
+use vampos_ukernel::{
+    CallContext, Component, ComponentBox, ComponentDescriptor, OsError, SessionEvent, Value,
+};
 
 fn staged_host() -> HostHandle {
     let host = HostHandle::new();
@@ -92,7 +94,6 @@ fn without_graceful_mode_the_system_fail_stops() {
 /// A counter component whose v1 has a deterministic bug in `bump`.
 struct Counter {
     desc: ComponentDescriptor,
-    arena: MemoryArena,
     count: u64,
     buggy: bool,
 }
@@ -104,7 +105,6 @@ impl Counter {
                 .stateful()
                 .checkpoint_init()
                 .logs(&["bump"]),
-            arena: MemoryArena::new("counter", ArenaLayout::small()),
             count: 0,
             buggy,
         }
@@ -114,12 +114,6 @@ impl Counter {
 impl Component for Counter {
     fn descriptor(&self) -> &ComponentDescriptor {
         &self.desc
-    }
-    fn arena(&self) -> &MemoryArena {
-        &self.arena
-    }
-    fn arena_mut(&mut self) -> &mut MemoryArena {
-        &mut self.arena
     }
     fn call(
         &mut self,
@@ -149,7 +143,6 @@ impl Component for Counter {
     }
     fn reset(&mut self) {
         self.count = 0;
-        self.arena.reset();
     }
     fn session_event(&self, _f: &str, _a: &[Value], _r: &Value) -> SessionEvent {
         SessionEvent::None
@@ -251,12 +244,6 @@ impl Component for RuntimeCounter {
     fn descriptor(&self) -> &ComponentDescriptor {
         self.inner.descriptor()
     }
-    fn arena(&self) -> &MemoryArena {
-        self.inner.arena()
-    }
-    fn arena_mut(&mut self) -> &mut MemoryArena {
-        self.inner.arena_mut()
-    }
     fn call(
         &mut self,
         ctx: &mut dyn CallContext,
@@ -271,7 +258,7 @@ impl Component for RuntimeCounter {
     fn extract_runtime(&self) -> Option<Value> {
         Some(Value::U64(0xC0FFEE))
     }
-    fn restore_runtime(&mut self, _data: Value) -> Result<(), OsError> {
+    fn restore_runtime(&mut self, _data: Value, _arena: &mut MemoryArena) -> Result<(), OsError> {
         if self.picky {
             return Err(OsError::Inval);
         }
@@ -328,35 +315,33 @@ fn a_reboot_whose_runtime_restore_is_refused_keeps_the_component() {
     assert_eq!(sys.syscall("counter", "value", &[]), Ok(Value::U64(0)));
 }
 
-#[test]
-fn the_checkpoint_an_update_stores_is_a_boot_image() {
-    // The same file work on two systems: one reboots VFS twice, the other
-    // updates it to the same implementation and then reboots it.
+/// Runs `work` on two systems built alike: one then reboots `component`
+/// twice, the other updates it to `replacement` and reboots it once. An
+/// update stores a boot image, so both must end in the same state, arena
+/// bytes and aging included.
+fn update_matches_two_reboots<T: PartialEq + std::fmt::Debug>(
+    set: fn() -> ComponentSet,
+    work: impl Fn(&mut System) -> T,
+    component: &str,
+    replacement: ComponentBox,
+) -> [(System, T); 2] {
     let worked = || {
         let mut sys = System::builder()
             .mode(Mode::vampos_das())
-            .components(ComponentSet::sqlite())
+            .components(set())
+            .host(staged_host())
             .build()
             .unwrap();
-        let fd = sys
-            .os()
-            .open("/db.sqlite", OpenFlags::RDWR | OpenFlags::CREAT)
-            .unwrap();
-        sys.os().write(fd, b"page0").unwrap();
-        let scratch = sys.os().create("/journal").unwrap();
-        sys.os().write(scratch, b"begin").unwrap();
-        sys.os().close(scratch).unwrap();
-        (sys, fd)
+        let out = work(&mut sys);
+        (sys, out)
     };
-    let (mut rebooted, fd) = worked();
-    rebooted.reboot_component("vfs").unwrap();
-    rebooted.reboot_component("vfs").unwrap();
-    let (mut updated, updated_fd) = worked();
-    updated
-        .update_component("vfs", Box::new(vampos_oslib::Vfs::new()))
-        .unwrap();
-    updated.reboot_component("vfs").unwrap();
-    assert_eq!(fd, updated_fd);
+    let (mut rebooted, rebooted_out) = worked();
+    rebooted.reboot_component(component).unwrap();
+    rebooted.reboot_component(component).unwrap();
+    let (mut updated, updated_out) = worked();
+    updated.update_component(component, replacement).unwrap();
+    updated.reboot_component(component).unwrap();
+    assert_eq!(updated_out, rebooted_out);
 
     for name in rebooted.component_names() {
         assert_eq!(
@@ -370,16 +355,46 @@ fn the_checkpoint_an_update_stores_is_a_boot_image() {
             "{name}"
         );
     }
-    let vfs_fragmentation = |sys: &System| {
-        let report = sys.aging_report();
-        let vfs = report.iter().find(|e| e.component == "vfs").unwrap();
-        vfs.fragmentation
-    };
-    assert_eq!(vfs_fragmentation(&updated), vfs_fragmentation(&rebooted));
+    assert_eq!(updated.aging_report(), rebooted.aging_report());
     assert_eq!(updated.memory_report(), rebooted.memory_report());
-    // The descriptor opened before either recovery survived both.
-    assert_eq!(updated.os().write(fd, b"page1"), Ok(5));
-    assert_eq!(rebooted.os().write(fd, b"page1"), Ok(5));
+    [(updated, updated_out), (rebooted, rebooted_out)]
+}
+
+#[test]
+fn the_checkpoint_an_update_stores_is_a_boot_image() {
+    // VFS's runtime restore allocates nothing.
+    let file_work = |sys: &mut System| {
+        let fd = sys
+            .os()
+            .open("/db.sqlite", OpenFlags::RDWR | OpenFlags::CREAT)
+            .unwrap();
+        sys.os().write(fd, b"page0").unwrap();
+        let scratch = sys.os().create("/journal").unwrap();
+        sys.os().write(scratch, b"begin").unwrap();
+        sys.os().close(scratch).unwrap();
+        fd
+    };
+    let vfs = Box::new(vampos_oslib::Vfs::new());
+    for (mut sys, fd) in update_matches_two_reboots(ComponentSet::sqlite, file_work, "vfs", vfs) {
+        // The descriptor opened before either recovery survived both.
+        assert_eq!(sys.os().write(fd, b"page1"), Ok(5));
+    }
+
+    // LWIP's allocates a block per accepted connection, which the image
+    // must not hold: a later reboot would restore them as orphans.
+    let accepted = |sys: &mut System| {
+        let listen = sys.os().socket().unwrap();
+        sys.os().bind(listen, 80).unwrap();
+        sys.os().listen(listen, 8).unwrap();
+        (0..4)
+            .map(|_| {
+                sys.host().with(|w| w.network_mut().connect(80));
+                sys.os().accept(listen).unwrap()
+            })
+            .collect::<Vec<_>>()
+    };
+    let lwip = Box::new(vampos_oslib::Lwip::new());
+    update_matches_two_reboots(ComponentSet::nginx, accepted, "lwip", lwip);
 }
 
 #[test]
@@ -405,25 +420,33 @@ fn aging_report_and_targeted_rejuvenation() {
         .build()
         .unwrap();
     sys.inject_fault(InjectedFault::leak_per_op("vfs", 2048));
+    // PROCESS is not checkpoint-init: its reboot is a bare arena reset.
+    sys.inject_fault(InjectedFault::leak_per_op("process", 4096));
     let fd = sys.os().open("/f", OpenFlags::RDWR).unwrap();
     for _ in 0..20 {
         sys.os().pread(fd, 8, 0).unwrap();
     }
+    for _ in 0..5 {
+        sys.os().getpid().unwrap();
+    }
     let report = sys.aging_report();
     let vfs = report.iter().find(|e| e.component == "vfs").unwrap();
     assert!(vfs.leaked_bytes >= 20 * 2048, "leaked {}", vfs.leaked_bytes);
+    let process = report.iter().find(|e| e.component == "process").unwrap();
+    assert_eq!(process.leaked_bytes, 5 * 4096);
     let ninepfs = report.iter().find(|e| e.component == "9pfs").unwrap();
     assert_eq!(ninepfs.leaked_bytes, 0);
 
-    // Targeted rejuvenation reboots exactly the aged component.
-    // (Disarm the continuous fault first so the leak does not re-accrue.)
+    // Targeted rejuvenation reboots exactly the aged components.
     let outcomes = sys.rejuvenate_aged(20_000).unwrap();
-    assert_eq!(outcomes.len(), 1);
-    assert!(outcomes[0].component.contains("vfs"));
+    let rebooted: Vec<&str> = outcomes.iter().map(|o| o.component.as_str()).collect();
+    assert_eq!(rebooted, ["process", "vfs"]);
     let report = sys.aging_report();
-    let vfs = report.iter().find(|e| e.component == "vfs").unwrap();
-    assert_eq!(vfs.leaked_bytes, 0);
-    assert_eq!(vfs.rejuvenations, 1);
+    for name in ["process", "vfs"] {
+        let entry = report.iter().find(|e| e.component == name).unwrap();
+        assert_eq!(entry.leaked_bytes, 0, "{name}");
+        assert_eq!(entry.rejuvenations, 1, "{name}");
+    }
     // And the fd still works afterwards.
     assert_eq!(sys.os().pread(fd, 4, 0).unwrap(), b"dddd");
 }
@@ -433,7 +456,6 @@ fn aging_report_and_targeted_rejuvenation() {
 /// A component that calls PROCESS without declaring the dependency.
 struct Undeclared {
     desc: ComponentDescriptor,
-    arena: MemoryArena,
 }
 
 impl Undeclared {
@@ -442,22 +464,13 @@ impl Undeclared {
         if declare {
             desc = desc.depends_on(&["process"]);
         }
-        Undeclared {
-            desc,
-            arena: MemoryArena::new("chatty", ArenaLayout::small()),
-        }
+        Undeclared { desc }
     }
 }
 
 impl Component for Undeclared {
     fn descriptor(&self) -> &ComponentDescriptor {
         &self.desc
-    }
-    fn arena(&self) -> &MemoryArena {
-        &self.arena
-    }
-    fn arena_mut(&mut self) -> &mut MemoryArena {
-        &mut self.arena
     }
     fn call(
         &mut self,
@@ -472,9 +485,6 @@ impl Component for Undeclared {
                 func: other.into(),
             }),
         }
-    }
-    fn reset(&mut self) {
-        self.arena.reset();
     }
 }
 

@@ -7,44 +7,10 @@
 //! taken in a test binary of its own so the counting allocator sees
 //! nothing else.
 
-use std::alloc::{GlobalAlloc, Layout, System as HostAllocator};
-use std::cell::Cell;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 use vampos_mem::{ArenaLayout, MemoryArena};
-
-thread_local! {
-    /// Allocations made by this thread. The test harness runs each test on
-    /// a thread of its own, so a test reads only its own count.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to the system
-// allocator, which upholds the `GlobalAlloc` contract; the only addition
-// is a bump of a const-initialised, destructor-free thread-local `Cell`,
-// which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: `layout` is the caller's, passed through.
-        unsafe { HostAllocator.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `alloc`/`realloc` above with this layout.
-        unsafe { HostAllocator.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: as for `dealloc`; `new_size` is the caller's.
-        unsafe { HostAllocator.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 #[test]
 fn reset_and_restore_of_a_warm_arena_allocate_nothing() {
@@ -66,10 +32,10 @@ fn reset_and_restore_of_a_warm_arena_allocate_nothing() {
             arena.free(handle).unwrap();
         }
         arena.leak(64).unwrap();
-        let before = ALLOCATIONS.with(Cell::get);
-        arena.reset();
-        arena.restore(&boot).unwrap();
-        ALLOCATIONS.with(Cell::get) - before
+        counting_alloc::allocations(|| {
+            arena.reset();
+            arena.restore(&boot).unwrap();
+        })
     };
     cycle(&mut arena, 0); // sizes every list
     let allocations: u64 = (1..1_000).map(|k| cycle(&mut arena, k)).sum();

@@ -112,7 +112,6 @@ impl Sock {
 #[derive(Debug)]
 pub struct Lwip {
     desc: ComponentDescriptor,
-    arena: MemoryArena,
     socks: BTreeMap<u64, Sock>,
     listeners: BTreeMap<u16, u64>,
     conns: BTreeMap<(u16, u16), u64>,
@@ -166,7 +165,6 @@ impl Lwip {
                 // extraction (TCP control blocks, §V-B); poll/ready are
                 // state-unchanged queries.
                 .replay_safe(&[f::ACCEPT, f::RECV, f::SEND, f::POLL, f::READY]),
-            arena: MemoryArena::new(names::LWIP, ArenaLayout::large()),
             socks: BTreeMap::new(),
             listeners: BTreeMap::new(),
             conns: BTreeMap::new(),
@@ -293,7 +291,7 @@ impl Lwip {
             return self.send_rst(ctx, &frame);
         }
 
-        let alloc = self.arena.alloc(512).ok();
+        let alloc = ctx.arena().alloc(512).ok();
         // Accepted-connection sockets are never replayed from the log —
         // they are restored via runtime extraction.
         let id = self.lowest_free_sock();
@@ -403,12 +401,6 @@ impl Component for Lwip {
     fn descriptor(&self) -> &ComponentDescriptor {
         &self.desc
     }
-    fn arena(&self) -> &MemoryArena {
-        &self.arena
-    }
-    fn arena_mut(&mut self) -> &mut MemoryArena {
-        &mut self.arena
-    }
 
     fn call(
         &mut self,
@@ -419,7 +411,7 @@ impl Component for Lwip {
         match func {
             f::SOCKET => {
                 let id = self.alloc_sock(ctx)?;
-                let alloc = self.arena.alloc(512).ok();
+                let alloc = ctx.arena().alloc(512).ok();
                 self.socks.insert(id, Sock::new(alloc));
                 Ok(Value::U64(id))
             }
@@ -524,7 +516,7 @@ impl Component for Lwip {
                 }
                 self.conns.retain(|_, &mut sid| sid != id);
                 if let Some(alloc) = sock.alloc {
-                    let _ = self.arena.free(&alloc);
+                    let _ = ctx.arena().free(&alloc);
                 }
                 Ok(Value::Unit)
             }
@@ -640,7 +632,6 @@ impl Component for Lwip {
         self.conns.clear();
         self.iss_next = 70_000;
         self.resets_sent = 0;
-        self.arena.reset();
     }
 
     fn extract_runtime(&self) -> Option<Value> {
@@ -670,7 +661,7 @@ impl Component for Lwip {
         ]))
     }
 
-    fn restore_runtime(&mut self, data: Value) -> Result<(), OsError> {
+    fn restore_runtime(&mut self, data: Value, arena: &mut MemoryArena) -> Result<(), OsError> {
         let mismatch = |detail: &str| OsError::ReplayMismatch {
             component: names::LWIP.to_owned(),
             detail: detail.to_owned(),
@@ -696,7 +687,7 @@ impl Component for Lwip {
                 Sock::new(None)
             });
             if entry.alloc.is_none() {
-                entry.alloc = self.arena.alloc(512).ok();
+                entry.alloc = arena.alloc(512).ok();
             }
             entry.state = state;
             entry.local_port = v[2].as_u64()? as u16;
@@ -1002,7 +993,7 @@ mod tests {
         lwip.call(&mut ctx, f::LISTEN, &[Value::U64(listener), Value::U64(16)])
             .unwrap();
         ctx.clear_replay();
-        lwip.restore_runtime(extract).unwrap();
+        lwip.restore_runtime(extract, ctx.arena()).unwrap();
         lwip.finish_replay();
 
         assert_eq!(lwip.state_digest(), digest_before);
@@ -1052,7 +1043,7 @@ mod tests {
             }
         }
         lwip.reset();
-        lwip.restore_runtime(extract).unwrap();
+        lwip.restore_runtime(extract, ctx.arena()).unwrap();
         lwip.finish_replay();
 
         // Sending on the restored connection now violates the peer's

@@ -4,7 +4,7 @@
 //! owns the frame counters and would own NIC configuration; rebooting it is
 //! a bare restart (no logging, no restoration — §VI).
 
-use vampos_mem::{ArenaLayout, MemoryArena};
+use vampos_mem::ArenaLayout;
 use vampos_ukernel::{names, CallContext, Component, ComponentDescriptor, OsError, Value};
 
 use crate::funcs::{netdev as f, virtio as vio};
@@ -13,7 +13,6 @@ use crate::funcs::{netdev as f, virtio as vio};
 #[derive(Debug)]
 pub struct NetDev {
     desc: ComponentDescriptor,
-    arena: MemoryArena,
     tx_frames: u64,
     rx_frames: u64,
 }
@@ -31,7 +30,6 @@ impl NetDev {
             desc: ComponentDescriptor::new(names::NETDEV, ArenaLayout::medium())
                 .depends_on(&[names::VIRTIO])
                 .exports(&[f::TX, f::RX, f::RX_BATCH]),
-            arena: MemoryArena::new(names::NETDEV, ArenaLayout::medium()),
             tx_frames: 0,
             rx_frames: 0,
         }
@@ -51,12 +49,6 @@ impl NetDev {
 impl Component for NetDev {
     fn descriptor(&self) -> &ComponentDescriptor {
         &self.desc
-    }
-    fn arena(&self) -> &MemoryArena {
-        &self.arena
-    }
-    fn arena_mut(&mut self) -> &mut MemoryArena {
-        &mut self.arena
     }
 
     fn call(
@@ -101,7 +93,6 @@ impl Component for NetDev {
     fn reset(&mut self) {
         self.tx_frames = 0;
         self.rx_frames = 0;
-        self.arena.reset();
     }
 }
 

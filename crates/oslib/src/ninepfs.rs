@@ -15,7 +15,7 @@
 use std::collections::BTreeMap;
 
 use vampos_host::{Fid, NinePError, NinePRequest, NinePResponse};
-use vampos_mem::{AllocHandle, ArenaLayout, MemoryArena};
+use vampos_mem::{AllocHandle, ArenaLayout};
 use vampos_ukernel::digest::DigestBuilder;
 use vampos_ukernel::{
     names, CallContext, Component, ComponentDescriptor, OsError, SessionEvent, Value,
@@ -41,7 +41,6 @@ struct FidEntry {
 #[derive(Debug)]
 pub struct NinePFs {
     desc: ComponentDescriptor,
-    arena: MemoryArena,
     attached: bool,
     fids: BTreeMap<u64, FidEntry>,
 }
@@ -57,9 +56,8 @@ impl NinePFs {
     pub fn new() -> Self {
         // The paper notes 9PFS has no data/bss payload — only its heap
         // snapshot is restored, making it the fastest stateful reboot.
-        let layout = ArenaLayout::heap_only(1 << 20);
         NinePFs {
-            desc: ComponentDescriptor::new(names::NINEPFS, layout)
+            desc: ComponentDescriptor::new(names::NINEPFS, ArenaLayout::heap_only(1 << 20))
                 .stateful()
                 .checkpoint_init()
                 .depends_on(&[names::VIRTIO])
@@ -97,7 +95,6 @@ impl NinePFs {
                     f::STAT_PATH,
                     f::REMOVE_PATH,
                 ]),
-            arena: MemoryArena::new(names::NINEPFS, layout),
             attached: false,
             fids: BTreeMap::new(),
         }
@@ -225,7 +222,7 @@ impl NinePFs {
             NinePResponse::Err(e) => return Err(ninep_err(e)),
             other => return Err(OsError::Io(format!("unexpected 9p response: {other:?}"))),
         }
-        let alloc = self.arena.alloc(64).ok();
+        let alloc = ctx.arena().alloc(64).ok();
         self.fids.insert(
             fid,
             FidEntry {
@@ -256,12 +253,6 @@ fn ninep_err(e: NinePError) -> OsError {
 impl Component for NinePFs {
     fn descriptor(&self) -> &ComponentDescriptor {
         &self.desc
-    }
-    fn arena(&self) -> &MemoryArena {
-        &self.arena
-    }
-    fn arena_mut(&mut self) -> &mut MemoryArena {
-        &mut self.arena
     }
 
     fn call(
@@ -345,7 +336,7 @@ impl Component for NinePFs {
                     )?;
                 }
                 if let Some(alloc) = entry.alloc {
-                    let _ = self.arena.free(&alloc);
+                    let _ = ctx.arena().free(&alloc);
                 }
                 Ok(Value::Unit)
             }
@@ -479,7 +470,6 @@ impl Component for NinePFs {
     fn reset(&mut self) {
         self.attached = false;
         self.fids.clear();
-        self.arena.reset();
     }
 
     fn session_event(&self, func: &str, args: &[Value], ret: &Value) -> SessionEvent {

@@ -8,6 +8,7 @@
 
 use std::collections::VecDeque;
 
+use vampos_mem::{ArenaLayout, MemoryArena};
 use vampos_sim::{CostModel, Nanos, SimClock, SimRng};
 use vampos_ukernel::{CallContext, OsError, Value};
 
@@ -26,6 +27,9 @@ pub struct StubCtx {
     clock: SimClock,
     rng: SimRng,
     costs: CostModel,
+    /// The arena the component under test allocates in, as the runtime's
+    /// slot would lend it.
+    memory: MemoryArena,
     script: VecDeque<Result<Value, OsError>>,
     calls: Vec<RecordedCall>,
     replay: bool,
@@ -58,6 +62,7 @@ impl StubCtx {
             clock: SimClock::new(),
             rng: SimRng::seed_from(0xC0FFEE),
             costs: CostModel::default(),
+            memory: MemoryArena::new("stub", ArenaLayout::large()),
             script: VecDeque::new(),
             calls: Vec::new(),
             replay: false,
@@ -132,6 +137,10 @@ impl CallContext for StubCtx {
 
     fn costs(&self) -> &CostModel {
         &self.costs
+    }
+
+    fn arena(&mut self) -> &mut MemoryArena {
+        &mut self.memory
     }
 
     fn is_replay(&self) -> bool {

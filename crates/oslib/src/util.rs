@@ -5,7 +5,7 @@
 //! state an application observes across calls, so a bare reset is a correct
 //! reboot.
 
-use vampos_mem::{ArenaLayout, MemoryArena};
+use vampos_mem::ArenaLayout;
 use vampos_ukernel::{CallContext, Component, ComponentDescriptor, OsError, Value};
 
 use crate::funcs::util as f;
@@ -25,7 +25,6 @@ fn unknown(component: &str, func: &str) -> OsError {
 #[derive(Debug)]
 pub struct Process {
     desc: ComponentDescriptor,
-    arena: MemoryArena,
     calls: u64,
 }
 
@@ -41,7 +40,6 @@ impl Process {
         Process {
             desc: ComponentDescriptor::new(vampos_ukernel::names::PROCESS, ArenaLayout::small())
                 .exports(&[f::GETPID, f::GETPPID, f::GETTID]),
-            arena: MemoryArena::new(vampos_ukernel::names::PROCESS, ArenaLayout::small()),
             calls: 0,
         }
     }
@@ -50,12 +48,6 @@ impl Process {
 impl Component for Process {
     fn descriptor(&self) -> &ComponentDescriptor {
         &self.desc
-    }
-    fn arena(&self) -> &MemoryArena {
-        &self.arena
-    }
-    fn arena_mut(&mut self) -> &mut MemoryArena {
-        &mut self.arena
     }
     fn call(
         &mut self,
@@ -72,7 +64,6 @@ impl Component for Process {
     }
     fn reset(&mut self) {
         self.calls = 0;
-        self.arena.reset();
     }
 }
 
@@ -80,7 +71,6 @@ impl Component for Process {
 #[derive(Debug)]
 pub struct SysInfo {
     desc: ComponentDescriptor,
-    arena: MemoryArena,
 }
 
 impl Default for SysInfo {
@@ -95,7 +85,6 @@ impl SysInfo {
         SysInfo {
             desc: ComponentDescriptor::new(vampos_ukernel::names::SYSINFO, ArenaLayout::small())
                 .exports(&[f::UNAME, f::SYSINFO, f::GETHOSTNAME]),
-            arena: MemoryArena::new(vampos_ukernel::names::SYSINFO, ArenaLayout::small()),
         }
     }
 }
@@ -103,12 +92,6 @@ impl SysInfo {
 impl Component for SysInfo {
     fn descriptor(&self) -> &ComponentDescriptor {
         &self.desc
-    }
-    fn arena(&self) -> &MemoryArena {
-        &self.arena
-    }
-    fn arena_mut(&mut self) -> &mut MemoryArena {
-        &mut self.arena
     }
     fn call(
         &mut self,
@@ -126,9 +109,6 @@ impl Component for SysInfo {
             other => Err(unknown(vampos_ukernel::names::SYSINFO, other)),
         }
     }
-    fn reset(&mut self) {
-        self.arena.reset();
-    }
 }
 
 /// USER: user-information functions (`getuid()` and friends). A unikernel
@@ -136,7 +116,6 @@ impl Component for SysInfo {
 #[derive(Debug)]
 pub struct User {
     desc: ComponentDescriptor,
-    arena: MemoryArena,
 }
 
 impl Default for User {
@@ -151,7 +130,6 @@ impl User {
         User {
             desc: ComponentDescriptor::new(vampos_ukernel::names::USER, ArenaLayout::small())
                 .exports(&[f::GETUID, f::GETEUID, f::GETGID, f::GETEGID]),
-            arena: MemoryArena::new(vampos_ukernel::names::USER, ArenaLayout::small()),
         }
     }
 }
@@ -159,12 +137,6 @@ impl User {
 impl Component for User {
     fn descriptor(&self) -> &ComponentDescriptor {
         &self.desc
-    }
-    fn arena(&self) -> &MemoryArena {
-        &self.arena
-    }
-    fn arena_mut(&mut self) -> &mut MemoryArena {
-        &mut self.arena
     }
     fn call(
         &mut self,
@@ -177,16 +149,12 @@ impl Component for User {
             other => Err(unknown(vampos_ukernel::names::USER, other)),
         }
     }
-    fn reset(&mut self) {
-        self.arena.reset();
-    }
 }
 
 /// TIMER: time-related operations, backed by the virtual clock.
 #[derive(Debug)]
 pub struct Timer {
     desc: ComponentDescriptor,
-    arena: MemoryArena,
 }
 
 impl Default for Timer {
@@ -201,7 +169,6 @@ impl Timer {
         Timer {
             desc: ComponentDescriptor::new(vampos_ukernel::names::TIMER, ArenaLayout::small())
                 .exports(&[f::CLOCK_GETTIME, f::TIME, f::NANOSLEEP]),
-            arena: MemoryArena::new(vampos_ukernel::names::TIMER, ArenaLayout::small()),
         }
     }
 }
@@ -209,12 +176,6 @@ impl Timer {
 impl Component for Timer {
     fn descriptor(&self) -> &ComponentDescriptor {
         &self.desc
-    }
-    fn arena(&self) -> &MemoryArena {
-        &self.arena
-    }
-    fn arena_mut(&mut self) -> &mut MemoryArena {
-        &mut self.arena
     }
     fn call(
         &mut self,
@@ -232,9 +193,6 @@ impl Component for Timer {
             }
             other => Err(unknown(vampos_ukernel::names::TIMER, other)),
         }
-    }
-    fn reset(&mut self) {
-        self.arena.reset();
     }
 }
 
@@ -304,13 +262,5 @@ mod tests {
             c.call(&mut ctx, f::NANOSLEEP, &[]),
             Err(OsError::Inval)
         ));
-    }
-
-    #[test]
-    fn reset_clears_arenas() {
-        let mut c = Process::new();
-        c.arena_mut().leak(64).unwrap();
-        c.reset();
-        assert!(!c.arena().aging().is_aged());
     }
 }

@@ -136,7 +136,6 @@ struct Vnode {
 #[derive(Debug)]
 pub struct Vfs {
     desc: ComponentDescriptor,
-    arena: MemoryArena,
     fds: BTreeMap<u64, FdEntry>,
     vnodes: BTreeMap<u64, Vnode>,
     vnode_by_path: BTreeMap<String, u64>,
@@ -229,7 +228,6 @@ impl Vfs {
                     f::SET_OFFSET,
                     f::POLL_READY,
                 ]),
-            arena: MemoryArena::new(names::VFS, ArenaLayout::large()),
             fds: BTreeMap::new(),
             vnodes: BTreeMap::new(),
             vnode_by_path: BTreeMap::new(),
@@ -365,7 +363,7 @@ impl Vfs {
         };
         let vnode = self.vget_internal(path);
         let fd = self.alloc_fd(ctx, None)?;
-        let alloc = self.arena.alloc(128).ok();
+        let alloc = ctx.arena().alloc(128).ok();
         self.fds.insert(
             fd,
             FdEntry {
@@ -493,12 +491,6 @@ fn bytes_arg(args: &[Value], i: usize) -> Result<&Value, OsError> {
 impl Component for Vfs {
     fn descriptor(&self) -> &ComponentDescriptor {
         &self.desc
-    }
-    fn arena(&self) -> &MemoryArena {
-        &self.arena
-    }
-    fn arena_mut(&mut self) -> &mut MemoryArena {
-        &mut self.arena
     }
 
     fn call(
@@ -636,7 +628,7 @@ impl Component for Vfs {
                     }
                 }
                 if let Some(alloc) = entry.alloc {
-                    let _ = self.arena.free(&alloc);
+                    let _ = ctx.arena().free(&alloc);
                 }
                 self.last_close_sessions = sessions;
                 Ok(Value::Unit)
@@ -688,7 +680,7 @@ impl Component for Vfs {
                     FdEntry {
                         kind: FdKind::PipeRead { pipe },
                         status_flags: 0,
-                        alloc: self.arena.alloc(128).ok(),
+                        alloc: ctx.arena().alloc(128).ok(),
                     },
                 );
                 let wfd = self.alloc_fd(ctx, expected_w)?;
@@ -697,7 +689,7 @@ impl Component for Vfs {
                     FdEntry {
                         kind: FdKind::PipeWrite { pipe },
                         status_flags: 0,
-                        alloc: self.arena.alloc(128).ok(),
+                        alloc: ctx.arena().alloc(128).ok(),
                     },
                 );
                 Ok(Value::List(vec![Value::U64(rfd), Value::U64(wfd)]))
@@ -736,7 +728,7 @@ impl Component for Vfs {
                     FdEntry {
                         kind: FdKind::Socket { sock },
                         status_flags: 0,
-                        alloc: self.arena.alloc(128).ok(),
+                        alloc: ctx.arena().alloc(128).ok(),
                     },
                 );
                 Ok(Value::U64(fd))
@@ -832,7 +824,6 @@ impl Component for Vfs {
         self.next_pipe = 1;
         self.last_close_sessions.clear();
         self.last_vget_new = false;
-        self.arena.reset();
     }
 
     fn extract_runtime(&self) -> Option<Value> {
@@ -852,7 +843,7 @@ impl Component for Vfs {
         Some(Value::List(pipes))
     }
 
-    fn restore_runtime(&mut self, data: Value) -> Result<(), OsError> {
+    fn restore_runtime(&mut self, data: Value, _arena: &mut MemoryArena) -> Result<(), OsError> {
         for rec in data.as_list()? {
             let v = rec.as_list()?;
             let id = v.first().ok_or(OsError::Inval)?.as_u64()?;
@@ -1244,7 +1235,7 @@ mod tests {
         .unwrap();
         let extract = vfs.extract_runtime().unwrap();
         let mut fresh = Vfs::new();
-        fresh.restore_runtime(extract).unwrap();
+        fresh.restore_runtime(extract, ctx.arena()).unwrap();
         assert_eq!(fresh.pipes.get(&1).unwrap().len(), 8);
     }
 

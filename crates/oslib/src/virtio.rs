@@ -9,7 +9,7 @@
 //! and the `virtio_unrebootable` integration test).
 
 use vampos_host::HostHandle;
-use vampos_mem::{ArenaLayout, MemoryArena};
+use vampos_mem::ArenaLayout;
 use vampos_ukernel::{names, CallContext, Component, ComponentDescriptor, OsError, Value};
 
 use crate::funcs::virtio as f;
@@ -18,7 +18,6 @@ use crate::funcs::virtio as f;
 #[derive(Debug)]
 pub struct Virtio {
     desc: ComponentDescriptor,
-    arena: MemoryArena,
     host: HostHandle,
     transactions: u64,
 }
@@ -31,7 +30,6 @@ impl Virtio {
                 .host_shared()
                 .unrebootable()
                 .exports(&[f::NINEP, f::NET_TX, f::NET_RX, f::NET_RX_BATCH]),
-            arena: MemoryArena::new(names::VIRTIO, ArenaLayout::medium()),
             host,
             transactions: 0,
         }
@@ -50,12 +48,6 @@ fn ring_error(e: vampos_host::VirtQueueError) -> OsError {
 impl Component for Virtio {
     fn descriptor(&self) -> &ComponentDescriptor {
         &self.desc
-    }
-    fn arena(&self) -> &MemoryArena {
-        &self.arena
-    }
-    fn arena_mut(&mut self) -> &mut MemoryArena {
-        &mut self.arena
     }
 
     fn call(
@@ -122,7 +114,6 @@ impl Component for Virtio {
     /// the descriptor forbids rebooting this component in the first place.
     fn reset(&mut self) {
         self.transactions = 0;
-        self.arena.reset();
         self.host.with(|w| w.guest_reset_rings());
     }
 }

@@ -350,6 +350,11 @@ pub trait CallContext {
     /// The active cost model (components charge host/device costs with it).
     fn costs(&self) -> &CostModel;
 
+    /// The calling component's memory arena. The runtime owns it: it builds
+    /// the arena from the descriptor's name and layout, and snapshots,
+    /// restores, resets and ages it; the component only allocates in it.
+    fn arena(&mut self) -> &mut MemoryArena;
+
     /// True while the component is being replayed during encapsulated
     /// restoration; downcalls are then answered from the log.
     fn is_replay(&self) -> bool;
@@ -375,20 +380,18 @@ pub trait CallContext {
 /// A unikernel component.
 ///
 /// Implementations hold *real* state (fd tables, TCP control blocks, fid
-/// maps) as Rust data, mirror their dynamic footprint in their
-/// [`MemoryArena`], and expose their interface through [`Component::call`].
+/// maps) as Rust data, mirror their dynamic footprint in the
+/// [`MemoryArena`] the runtime keeps for them ([`CallContext::arena`]), and
+/// expose their interface through [`Component::call`]. A component holds no
+/// memory of its own: the runtime builds the arena from the descriptor and
+/// resets, snapshots and restores it, so a reboot can discard the
+/// component's Rust state alone.
 ///
 /// The default implementations of the optional hooks suit stateless
 /// components; stateful ones override the restoration-related hooks.
 pub trait Component {
     /// Static metadata.
     fn descriptor(&self) -> &ComponentDescriptor;
-
-    /// The component's memory arena.
-    fn arena(&self) -> &MemoryArena;
-
-    /// Mutable access to the arena (runtime snapshot/restore, faults).
-    fn arena_mut(&mut self) -> &mut MemoryArena;
 
     /// Boot-time initialization. May downcall into other components —
     /// which is exactly why reboot uses [`Component::reset`] +
@@ -415,8 +418,9 @@ pub trait Component {
     ) -> Result<Value, OsError>;
 
     /// Resets in-memory state to just-after-boot **without any downcalls**
-    /// (invoked under checkpoint-based initialization).
-    fn reset(&mut self);
+    /// (invoked under checkpoint-based initialization). The runtime resets
+    /// the arena itself; a component with no Rust state keeps the no-op.
+    fn reset(&mut self) {}
 
     /// Extracts runtime data that log replay cannot reconstruct (LWIP's TCP
     /// sequence/ACK numbers, §V-B). `None` when the component has none.
@@ -424,12 +428,13 @@ pub trait Component {
         None
     }
 
-    /// Restores previously extracted runtime data after replay.
+    /// Restores previously extracted runtime data after replay, allocating
+    /// whatever it re-creates in `arena` (the component's own).
     ///
     /// # Errors
     ///
     /// [`OsError::ReplayMismatch`] when the data is malformed.
-    fn restore_runtime(&mut self, _data: Value) -> Result<(), OsError> {
+    fn restore_runtime(&mut self, _data: Value, _arena: &mut MemoryArena) -> Result<(), OsError> {
         Ok(())
     }
 
@@ -470,7 +475,6 @@ mod tests {
 
     struct Dummy {
         desc: ComponentDescriptor,
-        arena: MemoryArena,
         hits: u32,
     }
 
@@ -478,7 +482,6 @@ mod tests {
         fn new() -> Self {
             Dummy {
                 desc: ComponentDescriptor::new("dummy", ArenaLayout::small()),
-                arena: MemoryArena::new("dummy", ArenaLayout::small()),
                 hits: 0,
             }
         }
@@ -487,12 +490,6 @@ mod tests {
     impl Component for Dummy {
         fn descriptor(&self) -> &ComponentDescriptor {
             &self.desc
-        }
-        fn arena(&self) -> &MemoryArena {
-            &self.arena
-        }
-        fn arena_mut(&mut self) -> &mut MemoryArena {
-            &mut self.arena
         }
         fn call(
             &mut self,
@@ -513,11 +510,20 @@ mod tests {
         }
         fn reset(&mut self) {
             self.hits = 0;
-            self.arena.reset();
         }
     }
 
-    struct NullCtx(SimRng, CostModel);
+    struct NullCtx(SimRng, CostModel, MemoryArena);
+
+    impl NullCtx {
+        fn new() -> Self {
+            NullCtx(
+                SimRng::seed_from(1),
+                CostModel::default(),
+                MemoryArena::new("dummy", ArenaLayout::small()),
+            )
+        }
+    }
 
     impl CallContext for NullCtx {
         fn invoke(&mut self, target: &str, _f: &str, _a: &[Value]) -> Result<Value, OsError> {
@@ -532,6 +538,9 @@ mod tests {
         }
         fn costs(&self) -> &CostModel {
             &self.1
+        }
+        fn arena(&mut self) -> &mut MemoryArena {
+            &mut self.2
         }
         fn is_replay(&self) -> bool {
             false
@@ -607,10 +616,10 @@ mod tests {
     #[test]
     fn default_hooks_are_benign() {
         let mut c = Dummy::new();
-        let mut ctx = NullCtx(SimRng::seed_from(1), CostModel::default());
+        let mut ctx = NullCtx::new();
         assert!(c.init(&mut ctx).is_ok());
         assert_eq!(c.extract_runtime(), None);
-        assert!(c.restore_runtime(Value::Unit).is_ok());
+        assert!(c.restore_runtime(Value::Unit, ctx.arena()).is_ok());
         assert_eq!(
             c.session_event("ping", &[], &Value::Unit),
             SessionEvent::None
@@ -622,7 +631,7 @@ mod tests {
     #[test]
     fn call_and_reset_round_trip() {
         let mut c = Dummy::new();
-        let mut ctx = NullCtx(SimRng::seed_from(1), CostModel::default());
+        let mut ctx = NullCtx::new();
         assert_eq!(c.call(&mut ctx, "ping", &[]).unwrap(), Value::U64(1));
         assert_eq!(c.call(&mut ctx, "ping", &[]).unwrap(), Value::U64(2));
         c.reset();

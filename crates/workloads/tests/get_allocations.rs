@@ -7,48 +7,14 @@
 //! gathering write) and the client's receive. It lives in a test binary of
 //! its own so the counting allocator sees nothing else.
 
-use std::alloc::{GlobalAlloc, Layout, System as HostAllocator};
-use std::cell::Cell;
+#[path = "../../../tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 use vampos_apps::httpd::HTTP_PORT;
 use vampos_apps::{App, MiniHttpd};
 use vampos_core::{ComponentSet, Mode, System};
 use vampos_host::{ClientConnId, HostHandle};
 use vampos_sim::Nanos;
-
-thread_local! {
-    /// Allocations made by this thread. The test harness runs each test on
-    /// a thread of its own, so a test reads only its own count.
-    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
-}
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to the system
-// allocator, which upholds the `GlobalAlloc` contract; the only addition
-// is a bump of a const-initialised, destructor-free thread-local `Cell`,
-// which neither allocates nor unwinds.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: `layout` is the caller's, passed through.
-        unsafe { HostAllocator.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `alloc`/`realloc` above with this layout.
-        unsafe { HostAllocator.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.with(|n| n.set(n.get() + 1));
-        // SAFETY: as for `dealloc`; `new_size` is the caller's.
-        unsafe { HostAllocator.realloc(ptr, layout, new_size) }
-    }
-}
-
-#[global_allocator]
-static ALLOCATOR: Counting = Counting;
 
 const REQUEST: &[u8] = b"GET /index.html HTTP/1.1\r\nHost: vampos\r\n\r\n";
 
@@ -109,11 +75,12 @@ fn a_warm_get_through_minihttpd_stays_under_its_allocation_ceiling() {
         served.get();
     }
     const GETS: u64 = 256;
-    let before = ALLOCATIONS.with(Cell::get);
-    for _ in 0..GETS {
-        served.get();
-    }
-    let per_get = (ALLOCATIONS.with(Cell::get) - before) / GETS;
+    let allocations = counting_alloc::allocations(|| {
+        for _ in 0..GETS {
+            served.get();
+        }
+    });
+    let per_get = allocations / GETS;
     assert_eq!(served.app.served(), 512 + GETS);
     assert!(
         per_get <= ALLOCATIONS_PER_GET,

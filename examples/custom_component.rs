@@ -9,20 +9,24 @@
 //! 2. its canceling function (`revoke`) shrinks the log;
 //! 3. an injected fail-stop fault is recovered in-line.
 //!
+//! The component holds only its Rust state. Its memory belongs to the
+//! runtime, which builds the arena from the descriptor's name and layout,
+//! resets and checkpoints it on every reboot, and lends it to a running
+//! call through [`CallContext::arena`]; `reset` clears the Rust state alone.
+//!
 //! ```text
 //! cargo run --example custom_component
 //! ```
 
 use vampos::prelude::*;
 use vampos_core::InjectedFault;
-use vampos_mem::{ArenaLayout, MemoryArena};
+use vampos_mem::ArenaLayout;
 use vampos_ukernel::digest::DigestBuilder;
 use vampos_ukernel::{CallContext, Component, ComponentDescriptor, SessionEvent, Value};
 
 /// A stateful unikernel component managing authentication sessions.
 struct SessionRegistry {
     desc: ComponentDescriptor,
-    arena: MemoryArena,
     sessions: std::collections::BTreeMap<u64, String>,
     next_id: u64,
 }
@@ -34,7 +38,6 @@ impl SessionRegistry {
                 .stateful()
                 .checkpoint_init()
                 .logs(&["register", "revoke"]),
-            arena: MemoryArena::new("sessions", ArenaLayout::medium()),
             sessions: std::collections::BTreeMap::new(),
             next_id: 1,
         }
@@ -44,12 +47,6 @@ impl SessionRegistry {
 impl Component for SessionRegistry {
     fn descriptor(&self) -> &ComponentDescriptor {
         &self.desc
-    }
-    fn arena(&self) -> &MemoryArena {
-        &self.arena
-    }
-    fn arena_mut(&mut self) -> &mut MemoryArena {
-        &mut self.arena
     }
 
     fn call(
@@ -96,7 +93,6 @@ impl Component for SessionRegistry {
     fn reset(&mut self) {
         self.sessions.clear();
         self.next_id = 1;
-        self.arena.reset();
     }
 
     fn session_event(&self, func: &str, args: &[Value], ret: &Value) -> SessionEvent {
