@@ -198,10 +198,16 @@ impl System {
         // Runtime-data extraction (§V-B): data replay cannot rebuild.
         let extract = comp.extract_runtime();
 
-        // Checkpoint-based initialization (§V-E): restore the boot-phase
-        // memory image instead of running shutdown/boot routines.
-        comp.reset();
+        // Checkpoint-based initialization (§V-E): the component comes back
+        // as its boot image and its memory as the boot-phase checkpoint,
+        // instead of running shutdown/boot routines.
         let slot = &mut self.slots[idx];
+        slot.boot_image.copy_into(&mut comp);
+        if slot.desc.is_host_shared() {
+            // The guest's ring mirrors go with the discarded component; the
+            // host side keeps its own (§VIII).
+            self.host.with(|w| w.guest_reset_rings());
+        }
         let prior_rejuvenations = slot.arena.aging().rejuvenations();
         slot.arena.reset();
         let mut snapshot_bytes = 0usize;
@@ -398,7 +404,7 @@ impl System {
         });
         for slot in &mut self.slots {
             if let Some(comp) = slot.comp.as_mut() {
-                comp.reset();
+                slot.boot_image.copy_into(comp);
             }
             slot.arena.reset();
             slot.log.clear();
@@ -406,10 +412,14 @@ impl System {
             slot.condemned = false;
             slot.checkpoint_corrupt = false;
         }
-        // VIRTIO's reset cleared the guest ring mirrors; a *full* reboot
-        // resets the host side too (the hypervisor re-creates the device) —
-        // unlike a component-local VIRTIO reboot.
-        self.host.with(|w| w.host_device_reset());
+        // The guest's ring mirrors go with the components, and a *full*
+        // reboot resets the host side too (the hypervisor re-creates the
+        // device) — unlike a component-local VIRTIO reboot. Guest first:
+        // its reset counts the descriptors it loses.
+        self.host.with(|w| {
+            w.guest_reset_rings();
+            w.host_device_reset();
+        });
 
         self.clock.advance(self.costs.full_boot);
         self.failed = false;

@@ -49,14 +49,14 @@ impl System {
     /// (multi-version recovery) or an explicit update — and recovers the
     /// slot the way every component comes back ([`System::recover`]).
     ///
-    /// `boot()` is the only caller of `Component::init`, so the
-    /// replacement's boot image is a fresh arena built from its descriptor,
-    /// captured before the old version's runtime data is handed over: that
-    /// pristine arena becomes the slot's boot checkpoint, which the recovery
-    /// restores and replays the function log over, like any later reboot
-    /// will. Whatever can refuse the replacement (its name, the old
-    /// version's runtime data) does so before the slot is touched: a
-    /// refused update leaves the old version serving.
+    /// The replacement as passed in becomes the slot's boot image, and a
+    /// fresh arena built from its descriptor its boot checkpoint, both
+    /// captured before the old version's runtime data is handed over: the
+    /// recovery restores them and replays the function log over them, like
+    /// any later reboot will. Whatever can refuse the replacement (its
+    /// name, the old version's runtime data) does so before the slot is
+    /// touched, and the data comes from a copy of the old version: a
+    /// refused update leaves the old version serving, whole.
     pub(crate) fn swap_component(
         &mut self,
         tid: usize,
@@ -74,16 +74,18 @@ impl System {
         let desc = replacement.descriptor().clone();
         let mut arena = MemoryArena::new(new.as_str(), *desc.layout());
         let boot_snapshot = desc.uses_checkpoint_init().then(|| arena.snapshot());
+        let boot_image = replacement.clone_box();
         // The recovery extracts the runtime data again, from the
         // replacement, and hands it back after the replay.
-        replacement.reset();
-        if let Some(data) = slot.comp.as_ref().ok_or_else(busy)?.extract_runtime() {
+        let old = slot.comp.as_ref().ok_or_else(busy)?;
+        if let Some(data) = old.clone_box().extract_runtime() {
             replacement.restore_runtime(data, &mut arena)?;
         }
         let slot = &mut self.slots[tid];
         slot.desc = desc;
         slot.arena = arena;
         slot.boot_snapshot = boot_snapshot;
+        slot.boot_image = boot_image;
         slot.checkpoint_corrupt = false;
         slot.comp = Some(replacement);
         self.pending_recovery = detected;

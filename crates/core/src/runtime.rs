@@ -27,6 +27,9 @@ pub(crate) struct Slot {
     /// that mentions the component shares this allocation.
     pub(crate) name: Name,
     pub(crate) comp: Option<ComponentBox>,
+    /// The component as constructed (§V-E): every reboot copies it over
+    /// the live one, so no field of the old component's state survives.
+    pub(crate) boot_image: ComponentBox,
     pub(crate) desc: ComponentDescriptor,
     /// The component's memory (§V-D): built from the descriptor, and
     /// reset, snapshotted and restored here, never by the component.
@@ -265,9 +268,10 @@ impl SystemBuilder {
         self
     }
 
-    /// Boots the system: registers protection domains, instantiates and
-    /// initialises the components, mounts the root file system (when the
-    /// set includes 9PFS) and captures boot checkpoints.
+    /// Boots the system: registers protection domains, instantiates the
+    /// components and keeps each as its slot's boot image, mounts the root
+    /// file system (when the set includes 9PFS) and captures boot
+    /// checkpoints.
     ///
     /// # Errors
     ///
@@ -344,7 +348,8 @@ impl SystemBuilder {
             by_name.insert(desc.name().clone(), idx);
             slots.push(Slot {
                 name: desc.name().clone(),
-                comp: Some(comp),
+                comp: Some(comp.clone_box()),
+                boot_image: comp,
                 arena: MemoryArena::new(name, *desc.layout()),
                 desc,
                 log: FunctionLog::new(),
@@ -392,7 +397,8 @@ impl SystemBuilder {
             detector_suppressed: 0,
             reboot_interrupts: BTreeSet::new(),
         };
-        sys.boot()?;
+        sys.mount_and_checkpoint(true)?;
+        sys.booted_at = sys.clock.now();
         Ok(sys)
     }
 }
@@ -401,41 +407,6 @@ impl System {
     /// Starts building a system.
     pub fn builder() -> SystemBuilder {
         SystemBuilder::default()
-    }
-
-    fn boot(&mut self) -> Result<(), OsError> {
-        // Initialise components in dependency order (leaves first), then
-        // any user-defined extras in registration order.
-        let known = [
-            "virtio", "netdev", "9pfs", "lwip", "process", "sysinfo", "user", "timer", "vfs",
-        ];
-        let mut order: Vec<usize> = known
-            .iter()
-            .filter_map(|n| self.by_name.get(*n).copied())
-            .collect();
-        for (idx, slot) in self.slots.iter().enumerate() {
-            if !known.contains(&slot.name.as_str()) {
-                order.push(idx);
-            }
-        }
-        for idx in order {
-            let mut comp = self.slots[idx]
-                .comp
-                .take()
-                .expect("boot: component present");
-            let mut ctx = Ctx {
-                sys: self,
-                me: idx,
-                pending: None,
-                replay: None,
-            };
-            let res = comp.init(&mut ctx);
-            self.slots[idx].comp = Some(comp);
-            res?;
-        }
-        self.mount_and_checkpoint(true)?;
-        self.booted_at = self.clock.now();
-        Ok(())
     }
 
     /// The tail every boot ends with, first or full reboot: mount the root

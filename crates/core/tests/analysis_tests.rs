@@ -10,6 +10,7 @@ use vampos_ukernel::{CallContext, Component, ComponentDescriptor, OsError, Value
 
 /// A deliberately broken extra component: stateful, rebootable, logged —
 /// but without checkpoint-based init (VAMP-E201).
+#[derive(Clone)]
 struct NoCheckpoint {
     desc: ComponentDescriptor,
 }

@@ -2,9 +2,11 @@
 //!
 //! A rejuvenation sweep restores each component's boot checkpoint and
 //! replays its function log. Neither needs the heap: the arena's free lists
-//! keep their capacity across reset and restore, and replay serves the
-//! logged entry's downcalls from the entry itself. What is left is the
-//! values handed to the replayed component and the outcome records. This
+//! keep their capacity across reset and restore, replay serves the logged
+//! entry's downcalls from the entry itself, and copying a component's boot
+//! image over the live one reuses its box and allocates nothing for empty
+//! fields. What is left is the values handed to the replayed component and
+//! the outcome records. This
 //! binary counts every allocation of a warm sweep on an nginx and a redis
 //! system, and of one reboot of a component with an empty log, in a test
 //! binary of its own so the counting allocator sees nothing else.
@@ -19,14 +21,16 @@ use vampos_host::{ClientConnId, HostHandle};
 use vampos_oslib::OpenFlags;
 
 /// Allocations a warm `rejuvenate_all` may make on the nginx system below:
-/// what it measures. The parent commit, which rebuilt every arena's
-/// free-list B-trees on reset and restore, copied each replayed entry's
-/// downcalls and return value, gave every downtime window a `String` and
-/// every recovery a member `Vec`, measures 166.
-const NGINX_SWEEP: u64 = 62;
+/// what it measures. Rebuilding every arena's free-list B-trees on reset
+/// and restore, copying each replayed entry's downcalls and return value,
+/// giving every downtime window a `String` and every recovery a member
+/// `Vec` cost 166; encoding LWIP's runtime data as a `Value` list instead
+/// of moving it, 51.
+const NGINX_SWEEP: u64 = 49;
 
-/// The same on the redis system below. The parent commit measures 108.
-const REDIS_SWEEP: u64 = 34;
+/// The same on the redis system below: 108 with the costs above, 30 with
+/// the encoded runtime data.
+const REDIS_SWEEP: u64 = 28;
 
 /// One reboot of a component whose log is empty: the outcome's name. The
 /// parent commit measures 4.

@@ -7,7 +7,8 @@ use vampos_host::HostHandle;
 use vampos_mem::{ArenaLayout, MemoryArena};
 use vampos_oslib::vfs::OpenFlags;
 use vampos_ukernel::{
-    CallContext, Component, ComponentBox, ComponentDescriptor, OsError, SessionEvent, Value,
+    CallContext, Component, ComponentBox, ComponentDescriptor, OsError, RuntimeData, SessionEvent,
+    Value,
 };
 
 fn staged_host() -> HostHandle {
@@ -92,6 +93,7 @@ fn without_graceful_mode_the_system_fail_stops() {
 // ---------- multi-version components ----------
 
 /// A counter component whose v1 has a deterministic bug in `bump`.
+#[derive(Clone)]
 struct Counter {
     desc: ComponentDescriptor,
     count: u64,
@@ -140,9 +142,6 @@ impl Component for Counter {
                 func: other.into(),
             }),
         }
-    }
-    fn reset(&mut self) {
-        self.count = 0;
     }
     fn session_event(&self, _f: &str, _a: &[Value], _r: &Value) -> SessionEvent {
         SessionEvent::None
@@ -235,6 +234,7 @@ fn update_rejects_a_differently_named_component() {
 
 /// A counter that carries runtime data across reboots, and whose `picky`
 /// build refuses whatever an older version extracted.
+#[derive(Clone)]
 struct RuntimeCounter {
     inner: Counter,
     picky: bool,
@@ -252,16 +252,18 @@ impl Component for RuntimeCounter {
     ) -> Result<Value, OsError> {
         self.inner.call(ctx, func, args)
     }
-    fn reset(&mut self) {
-        self.inner.reset();
+    fn extract_runtime(&mut self) -> Option<RuntimeData> {
+        Some(Box::new(std::mem::take(&mut self.inner.count)))
     }
-    fn extract_runtime(&self) -> Option<Value> {
-        Some(Value::U64(0xC0FFEE))
-    }
-    fn restore_runtime(&mut self, _data: Value, _arena: &mut MemoryArena) -> Result<(), OsError> {
+    fn restore_runtime(
+        &mut self,
+        data: RuntimeData,
+        _arena: &mut MemoryArena,
+    ) -> Result<(), OsError> {
         if self.picky {
             return Err(OsError::Inval);
         }
+        self.inner.count = *data.downcast().map_err(|_| OsError::Inval)?;
         Ok(())
     }
 }
@@ -313,6 +315,54 @@ fn a_reboot_whose_runtime_restore_is_refused_keeps_the_component() {
     ));
     sys.full_reboot().unwrap();
     assert_eq!(sys.syscall("counter", "value", &[]), Ok(Value::U64(0)));
+}
+
+/// A component that overrides no hook: the calls it has served live in a
+/// field no log records, which only a reboot that discards the component
+/// clears.
+#[derive(Clone)]
+struct Tally {
+    desc: ComponentDescriptor,
+    calls: u64,
+}
+
+impl Component for Tally {
+    fn descriptor(&self) -> &ComponentDescriptor {
+        &self.desc
+    }
+    fn call(
+        &mut self,
+        _ctx: &mut dyn CallContext,
+        _func: &str,
+        _args: &[Value],
+    ) -> Result<Value, OsError> {
+        self.calls += 1;
+        Ok(Value::U64(self.calls))
+    }
+}
+
+#[test]
+fn a_reboot_discards_state_no_hook_clears() {
+    let mut sys = System::builder()
+        .mode(Mode::vampos_das())
+        .components(ComponentSet::echo())
+        .extra_component(Box::new(Tally {
+            desc: ComponentDescriptor::new("tally", ArenaLayout::small()),
+            calls: 0,
+        }))
+        .build()
+        .unwrap();
+    let tally = |sys: &mut System| sys.syscall("tally", "tally", &[]);
+    for i in 1..=3 {
+        assert_eq!(tally(&mut sys), Ok(Value::U64(i)));
+    }
+    sys.reboot_component("tally").unwrap();
+    assert_eq!(tally(&mut sys), Ok(Value::U64(1)));
+    for _ in 0..2 {
+        tally(&mut sys).unwrap();
+    }
+    sys.full_reboot().unwrap();
+    assert_eq!(tally(&mut sys), Ok(Value::U64(1)));
 }
 
 /// Runs `work` on two systems built alike: one then reboots `component`
@@ -454,6 +504,7 @@ fn aging_report_and_targeted_rejuvenation() {
 // ---------- dependency-aware scheduling model ----------
 
 /// A component that calls PROCESS without declaring the dependency.
+#[derive(Clone)]
 struct Undeclared {
     desc: ComponentDescriptor,
 }

@@ -10,11 +10,12 @@
 //! TCP connections … are given at runtime and updated via interactions with
 //! external communication partners." Replay rebuilds the socket *skeleton*
 //! (the logged `socket`/`bind`/`listen`/`setsockopt` calls of Table II);
-//! [`Lwip::extract_runtime`]/[`Lwip::restore_runtime`] carry the live
-//! connection state — sequence/ACK numbers, established tuples, buffered
-//! bytes — across the reboot. The external peer will RST any connection
-//! whose numbers come back wrong, which is exactly how the integration
-//! tests verify this mechanism.
+//! [`Lwip::extract_runtime`] moves the live connection state — sequence/ACK
+//! numbers, established tuples, buffered bytes — out of the discarded stack
+//! as one typed value, and [`Lwip::restore_runtime`] moves it into the
+//! rebooted one. The external peer will RST any connection whose numbers
+//! come back wrong, which is exactly how the integration tests verify this
+//! mechanism.
 //!
 //! LWIP is also hang-exempt (§V-A): it legitimately waits on external
 //! events, so the heart-beat hang detector must skip it.
@@ -25,7 +26,7 @@ use vampos_host::{take_front, Frame, TcpFlags};
 use vampos_mem::{AllocHandle, ArenaLayout, MemoryArena};
 use vampos_ukernel::digest::DigestBuilder;
 use vampos_ukernel::{
-    names, CallContext, Component, ComponentDescriptor, OsError, SessionEvent, Value,
+    names, CallContext, Component, ComponentDescriptor, OsError, RuntimeData, SessionEvent, Value,
 };
 
 use crate::funcs::{lwip as f, netdev as nd};
@@ -56,22 +57,9 @@ impl SockState {
             SockState::Reset => 6,
         }
     }
-
-    fn from_code(code: u64) -> Result<Self, OsError> {
-        Ok(match code {
-            0 => SockState::Created,
-            1 => SockState::Bound,
-            2 => SockState::Listening,
-            3 => SockState::SynRcvd,
-            4 => SockState::Established,
-            5 => SockState::Closed,
-            6 => SockState::Reset,
-            _ => return Err(OsError::Inval),
-        })
-    }
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Sock {
     state: SockState,
     local_port: u16,
@@ -108,8 +96,14 @@ impl Sock {
     }
 }
 
+/// LWIP's runtime data (§V-B): the TCP state no logged call recreates.
+struct LwipRuntime {
+    iss_next: u32,
+    socks: BTreeMap<u64, Sock>,
+}
+
 /// The LWIP component.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Lwip {
     desc: ComponentDescriptor,
     socks: BTreeMap<u64, Sock>,
@@ -626,62 +620,25 @@ impl Component for Lwip {
         }
     }
 
-    fn reset(&mut self) {
-        self.socks.clear();
-        self.listeners.clear();
-        self.conns.clear();
-        self.iss_next = 70_000;
-        self.resets_sent = 0;
+    fn extract_runtime(&mut self) -> Option<RuntimeData> {
+        Some(Box::new(LwipRuntime {
+            iss_next: self.iss_next,
+            socks: std::mem::take(&mut self.socks),
+        }))
     }
 
-    fn extract_runtime(&self) -> Option<Value> {
-        let socks: Vec<Value> = self
-            .socks
-            .iter()
-            .map(|(&id, s)| {
-                Value::List(vec![
-                    Value::U64(id),
-                    Value::U64(s.state.code()),
-                    Value::U64(s.local_port as u64),
-                    Value::U64(s.remote_port as u64),
-                    Value::U64(s.snd_nxt as u64),
-                    Value::U64(s.rcv_nxt as u64),
-                    Value::U64(s.snd_una as u64),
-                    Value::Bytes(s.recv_buf.iter().copied().collect()),
-                    Value::Bool(s.peer_closed),
-                    Value::Bool(s.nonblock),
-                    Value::U64(s.backlog as u64),
-                    Value::List(s.accept_q.iter().map(|&c| Value::U64(c)).collect()),
-                ])
-            })
-            .collect();
-        Some(Value::List(vec![
-            Value::U64(self.iss_next as u64),
-            Value::List(socks),
-        ]))
-    }
-
-    fn restore_runtime(&mut self, data: Value, arena: &mut MemoryArena) -> Result<(), OsError> {
-        let mismatch = |detail: &str| OsError::ReplayMismatch {
-            component: names::LWIP.to_owned(),
-            detail: detail.to_owned(),
-        };
-        let top = data.as_list()?;
-        self.iss_next = top
-            .first()
-            .ok_or_else(|| mismatch("missing iss"))?
-            .as_u64()? as u32;
-        let socks = top
-            .get(1)
-            .ok_or_else(|| mismatch("missing socks"))?
-            .as_list()?;
-        for rec in socks {
-            let v = rec.as_list()?;
-            if v.len() != 12 {
-                return Err(mismatch("bad socket record"));
-            }
-            let id = v[0].as_u64()?;
-            let state = SockState::from_code(v[1].as_u64()?)?;
+    fn restore_runtime(
+        &mut self,
+        data: RuntimeData,
+        arena: &mut MemoryArena,
+    ) -> Result<(), OsError> {
+        let LwipRuntime { iss_next, socks } =
+            *data.downcast().map_err(|_| OsError::ReplayMismatch {
+                component: names::LWIP.to_owned(),
+                detail: "foreign runtime data".to_owned(),
+            })?;
+        self.iss_next = iss_next;
+        for (id, sock) in socks {
             let entry = self.socks.entry(id).or_insert_with(|| {
                 // Accepted-connection sockets were not in the replayed log.
                 Sock::new(None)
@@ -689,30 +646,22 @@ impl Component for Lwip {
             if entry.alloc.is_none() {
                 entry.alloc = arena.alloc(512).ok();
             }
-            entry.state = state;
-            entry.local_port = v[2].as_u64()? as u16;
-            entry.remote_port = v[3].as_u64()? as u16;
-            entry.snd_nxt = v[4].as_u64()? as u32;
-            entry.rcv_nxt = v[5].as_u64()? as u32;
-            entry.snd_una = v[6].as_u64()? as u32;
-            entry.recv_buf = v[7].as_bytes()?.iter().copied().collect();
-            entry.peer_closed = v[8].as_bool()?;
-            entry.nonblock = v[9].as_bool()?;
-            entry.backlog = v[10].as_u64()? as usize;
-            entry.accept_q = v[11]
-                .as_list()?
-                .iter()
-                .map(Value::as_u64)
-                .collect::<Result<VecDeque<u64>, _>>()?;
-            match state {
+            match sock.state {
                 SockState::Listening => {
-                    self.listeners.insert(entry.local_port, id);
+                    self.listeners.insert(sock.local_port, id);
                 }
                 SockState::SynRcvd | SockState::Established => {
-                    self.conns.insert((entry.local_port, entry.remote_port), id);
+                    self.conns.insert((sock.local_port, sock.remote_port), id);
                 }
                 _ => {}
             }
+            // The replay rebuilt the options and the arena block; the rest
+            // is the connection's.
+            *entry = Sock {
+                opts: std::mem::take(&mut entry.opts),
+                alloc: entry.alloc.take(),
+                ..sock
+            };
         }
         Ok(())
     }
@@ -982,9 +931,9 @@ mod tests {
         let digest_before = lwip.state_digest();
         let extract = lwip.extract_runtime().expect("lwip extracts");
 
-        // Simulate the reboot: reset, replay the skeleton (socket/bind/
-        // listen with replay hints), then restore runtime data.
-        lwip.reset();
+        // Simulate the reboot: a fresh stack, replay the skeleton (socket/
+        // bind/listen with replay hints), then restore runtime data.
+        lwip = Lwip::new();
         ctx.set_replay(Some(Value::U64(listener)));
         lwip.call(&mut ctx, f::SOCKET, &[]).unwrap();
         ctx.set_replay(Some(Value::Unit));
@@ -993,6 +942,11 @@ mod tests {
         lwip.call(&mut ctx, f::LISTEN, &[Value::U64(listener), Value::U64(16)])
             .unwrap();
         ctx.clear_replay();
+        // Data of a foreign type is refused before anything is restored.
+        assert!(matches!(
+            lwip.restore_runtime(Box::new(0u64), ctx.arena()),
+            Err(OsError::ReplayMismatch { .. })
+        ));
         lwip.restore_runtime(extract, ctx.arena()).unwrap();
         lwip.finish_replay();
 
@@ -1032,17 +986,12 @@ mod tests {
         host.with(|w| w.network_mut().recv(client).unwrap());
 
         let mut extract = lwip.extract_runtime().unwrap();
-        // Corrupt the extract: zero every snd_nxt.
-        if let Value::List(top) = &mut extract {
-            if let Value::List(socks) = &mut top[1] {
-                for rec in socks {
-                    if let Value::List(v) = rec {
-                        v[4] = Value::U64(1); // bogus snd_nxt
-                    }
-                }
-            }
+        // Corrupt the extract: a bogus snd_nxt on every socket.
+        let runtime = extract.downcast_mut::<LwipRuntime>().unwrap();
+        for sock in runtime.socks.values_mut() {
+            sock.snd_nxt = 1;
         }
-        lwip.reset();
+        lwip = Lwip::new();
         lwip.restore_runtime(extract, ctx.arena()).unwrap();
         lwip.finish_replay();
 

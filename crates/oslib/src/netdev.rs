@@ -10,7 +10,7 @@ use vampos_ukernel::{names, CallContext, Component, ComponentDescriptor, OsError
 use crate::funcs::{netdev as f, virtio as vio};
 
 /// The NETDEV component.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NetDev {
     desc: ComponentDescriptor,
     tx_frames: u64,
@@ -89,11 +89,6 @@ impl Component for NetDev {
             }),
         }
     }
-
-    fn reset(&mut self) {
-        self.tx_frames = 0;
-        self.rx_frames = 0;
-    }
 }
 
 #[cfg(test)]
@@ -139,17 +134,6 @@ mod tests {
             Value::Frame(Some(_))
         ));
         assert_eq!(nd.rx_frames(), 1);
-    }
-
-    #[test]
-    fn reset_clears_counters() {
-        let mut nd = NetDev::new();
-        let mut ctx = StubCtx::new();
-        ctx.expect(Ok(Value::Unit));
-        nd.call(&mut ctx, f::TX, &[Value::Frame(Some(frame()))])
-            .unwrap();
-        nd.reset();
-        assert_eq!(nd.tx_frames(), 0);
     }
 
     #[test]

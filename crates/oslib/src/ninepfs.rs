@@ -28,7 +28,7 @@ const TMP_FID: u64 = 999_999;
 /// The root fid bound by `mount`.
 const ROOT_FID: u64 = 0;
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct FidEntry {
     path: String,
     open: bool,
@@ -38,7 +38,7 @@ struct FidEntry {
 }
 
 /// The 9PFS component.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct NinePFs {
     desc: ComponentDescriptor,
     attached: bool,
@@ -467,11 +467,6 @@ impl Component for NinePFs {
         }
     }
 
-    fn reset(&mut self) {
-        self.attached = false;
-        self.fids.clear();
-    }
-
     fn session_event(&self, func: &str, args: &[Value], ret: &Value) -> SessionEvent {
         match func {
             f::LOOKUP => ret
@@ -777,22 +772,6 @@ mod tests {
         assert_ne!(d0, d1);
         fs.call(&mut ctx, f::INACTIVE, &[Value::U64(fid)]).unwrap();
         assert_eq!(fs.state_digest(), d0);
-    }
-
-    #[test]
-    fn reset_returns_to_boot_state() {
-        let (mut fs, _, mut ctx) = mounted();
-        fs.call(
-            &mut ctx,
-            f::LOOKUP,
-            &[Value::from("/etc/motd"), Value::Bool(false)],
-        )
-        .unwrap();
-        fs.reset();
-        assert!(!fs.is_attached());
-        assert_eq!(fs.live_fids(), 0);
-        let fresh = NinePFs::new();
-        assert_eq!(fs.state_digest(), fresh.state_digest());
     }
 
     #[test]

@@ -22,7 +22,7 @@ fn unknown(component: &str, func: &str) -> OsError {
 /// A unikernel hosts exactly one process, so the answers are constants —
 /// which is precisely why the component is stateless and trivially
 /// rebootable.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Process {
     desc: ComponentDescriptor,
     calls: u64,
@@ -62,13 +62,10 @@ impl Component for Process {
             other => Err(unknown(vampos_ukernel::names::PROCESS, other)),
         }
     }
-    fn reset(&mut self) {
-        self.calls = 0;
-    }
 }
 
 /// SYSINFO: system-information functions (`uname()` and friends).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SysInfo {
     desc: ComponentDescriptor,
 }
@@ -113,7 +110,7 @@ impl Component for SysInfo {
 
 /// USER: user-information functions (`getuid()` and friends). A unikernel
 /// runs as a single implicit root user.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct User {
     desc: ComponentDescriptor,
 }
@@ -152,7 +149,7 @@ impl Component for User {
 }
 
 /// TIMER: time-related operations, backed by the virtual clock.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Timer {
     desc: ComponentDescriptor,
 }

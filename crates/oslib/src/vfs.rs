@@ -20,8 +20,8 @@ use vampos_host::take_front;
 use vampos_mem::{AllocHandle, ArenaLayout, MemoryArena};
 use vampos_ukernel::digest::DigestBuilder;
 use vampos_ukernel::{
-    names, CallContext, Component, ComponentDescriptor, OsError, SessionEvent, TouchSynthesis,
-    Value,
+    names, CallContext, Component, ComponentDescriptor, OsError, RuntimeData, SessionEvent,
+    TouchSynthesis, Value,
 };
 
 use crate::funcs::{lwip as lw, ninepfs as np, vfs as f};
@@ -119,7 +119,7 @@ enum FdKind {
     },
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct FdEntry {
     kind: FdKind,
     status_flags: u64,
@@ -132,8 +132,11 @@ struct Vnode {
     refs: u32,
 }
 
+/// VFS's runtime data (§V-B): the pipe buffers, by pipe id.
+struct VfsPipes(BTreeMap<u64, VecDeque<u8>>);
+
 /// The VFS component.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Vfs {
     desc: ComponentDescriptor,
     fds: BTreeMap<u64, FdEntry>,
@@ -815,40 +818,27 @@ impl Component for Vfs {
         }
     }
 
-    fn reset(&mut self) {
-        self.fds.clear();
-        self.vnodes.clear();
-        self.vnode_by_path.clear();
-        self.mounts.clear();
-        self.pipes.clear();
-        self.next_pipe = 1;
-        self.last_close_sessions.clear();
-        self.last_vget_new = false;
-    }
-
-    fn extract_runtime(&self) -> Option<Value> {
+    fn extract_runtime(&mut self) -> Option<RuntimeData> {
         // Pipe buffers are the only VFS state log replay cannot rebuild
         // (their contents came from writes whose payloads replay does not
         // re-deliver through a live pipe).
-        let pipes: Vec<Value> = self
-            .pipes
-            .iter()
-            .map(|(&id, buf)| {
-                Value::List(vec![
-                    Value::U64(id),
-                    Value::Bytes(buf.iter().copied().collect()),
-                ])
-            })
-            .collect();
-        Some(Value::List(pipes))
+        if self.pipes.is_empty() {
+            return None;
+        }
+        Some(Box::new(VfsPipes(std::mem::take(&mut self.pipes))))
     }
 
-    fn restore_runtime(&mut self, data: Value, _arena: &mut MemoryArena) -> Result<(), OsError> {
-        for rec in data.as_list()? {
-            let v = rec.as_list()?;
-            let id = v.first().ok_or(OsError::Inval)?.as_u64()?;
-            let bytes = v.get(1).ok_or(OsError::Inval)?.as_bytes()?;
-            self.pipes.insert(id, bytes.iter().copied().collect());
+    fn restore_runtime(
+        &mut self,
+        data: RuntimeData,
+        _arena: &mut MemoryArena,
+    ) -> Result<(), OsError> {
+        let VfsPipes(pipes) = *data.downcast().map_err(|_| OsError::ReplayMismatch {
+            component: names::VFS.to_owned(),
+            detail: "foreign runtime data".to_owned(),
+        })?;
+        for (id, buf) in pipes {
+            self.pipes.insert(id, buf);
             self.next_pipe = self.next_pipe.max(id + 1);
         }
         Ok(())
@@ -1235,6 +1225,11 @@ mod tests {
         .unwrap();
         let extract = vfs.extract_runtime().unwrap();
         let mut fresh = Vfs::new();
+        assert!(fresh.extract_runtime().is_none(), "no pipes, no data");
+        assert!(matches!(
+            fresh.restore_runtime(Box::new(()), ctx.arena()),
+            Err(OsError::ReplayMismatch { .. })
+        ));
         fresh.restore_runtime(extract, ctx.arena()).unwrap();
         assert_eq!(fresh.pipes.get(&1).unwrap().len(), 8);
     }

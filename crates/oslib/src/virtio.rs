@@ -15,7 +15,7 @@ use vampos_ukernel::{names, CallContext, Component, ComponentDescriptor, OsError
 use crate::funcs::virtio as f;
 
 /// The VIRTIO component. Holds the only guest-side handle to the host.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Virtio {
     desc: ComponentDescriptor,
     host: HostHandle,
@@ -108,14 +108,6 @@ impl Component for Virtio {
             }),
         }
     }
-
-    /// A naive guest-side reset: clears the guest's ring mirrors. After any
-    /// prior traffic this leaves the device desynchronised — which is why
-    /// the descriptor forbids rebooting this component in the first place.
-    fn reset(&mut self) {
-        self.transactions = 0;
-        self.host.with(|w| w.guest_reset_rings());
-    }
 }
 
 #[cfg(test)]
@@ -171,14 +163,16 @@ mod tests {
 
     #[test]
     fn reset_after_traffic_breaks_the_rings() {
-        let (mut v, _host, mut ctx) = setup();
+        let (mut v, host, mut ctx) = setup();
         v.call(
             &mut ctx,
             f::NINEP,
             &[Value::NinePReq(NinePRequest::Attach { fid: Fid(0) })],
         )
         .unwrap();
-        v.reset();
+        // A reboot of the component resets the guest's ring mirrors with
+        // it; after any prior traffic that desynchronises the device.
+        host.with(|w| w.guest_reset_rings());
         let err = v.call(
             &mut ctx,
             f::NINEP,

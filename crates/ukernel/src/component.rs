@@ -1,7 +1,9 @@
 //! The [`Component`] trait and its static metadata.
 
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt;
+use std::rc::Rc;
 
 use vampos_mem::{ArenaLayout, MemoryArena};
 use vampos_sim::{CostModel, Name, Nanos, SimRng};
@@ -51,10 +53,10 @@ pub struct ComponentDescriptor {
     checkpoint_init: bool,
     host_shared: bool,
     host_handshake: bool,
-    dependencies: Vec<ComponentName>,
+    dependencies: Rc<[ComponentName]>,
     /// Every function some declaration names: the one table the message
     /// hop consults, for both the logging decision and the shared name.
-    functions: BTreeMap<&'static str, FnInfo>,
+    functions: Rc<BTreeMap<&'static str, FnInfo>>,
     layout: ArenaLayout,
 }
 
@@ -70,8 +72,8 @@ impl ComponentDescriptor {
             checkpoint_init: false,
             host_shared: false,
             host_handshake: false,
-            dependencies: Vec::new(),
-            functions: BTreeMap::new(),
+            dependencies: Rc::default(),
+            functions: Rc::default(),
             layout,
         }
     }
@@ -166,11 +168,12 @@ impl ComponentDescriptor {
 
     /// Makes `funcs` the set of functions carrying one of the three flags.
     fn declare(mut self, funcs: &[&'static str], flag: fn(&mut FnInfo) -> &mut bool) -> Self {
-        for info in self.functions.values_mut() {
+        let functions = Rc::make_mut(&mut self.functions);
+        for info in functions.values_mut() {
             *flag(info) = false;
         }
         for &func in funcs {
-            let info = self.functions.entry(func).or_insert_with(|| FnInfo {
+            let info = functions.entry(func).or_insert_with(|| FnInfo {
                 name: Name::from(func),
                 logged: false,
                 exported: false,
@@ -178,8 +181,7 @@ impl ComponentDescriptor {
             });
             *flag(info) = true;
         }
-        self.functions
-            .retain(|_, f| f.logged || f.exported || f.replay_safe);
+        functions.retain(|_, f| f.logged || f.exported || f.replay_safe);
         self
     }
 
@@ -377,32 +379,55 @@ pub trait CallContext {
     fn trace_instant(&mut self, _name: &str, _detail: fmt::Arguments<'_>) {}
 }
 
+/// Data log replay cannot rebuild (§V-B), moved out of a discarded
+/// component into its successor. Its type belongs to the interface, so
+/// every version of a component (§VIII) shares it; a receiver that cannot
+/// downcast it refuses it.
+pub type RuntimeData = Box<dyn Any>;
+
+/// A component as its own boot image (§V-E): the runtime keeps the
+/// component as built and reboots it by copying that back, so a reboot
+/// discards every field of its state. Every `Clone` component has one.
+pub trait BootImage: Any {
+    /// A boxed copy of this component.
+    fn clone_box(&self) -> ComponentBox;
+
+    /// Overwrites `live` with a copy of this component, in place when
+    /// `live` holds the same type, so an image whose fields are empty
+    /// copies without allocating.
+    fn copy_into(&self, live: &mut ComponentBox);
+}
+
+impl<T: Component + Clone> BootImage for T {
+    fn clone_box(&self) -> ComponentBox {
+        Box::new(self.clone())
+    }
+
+    fn copy_into(&self, live: &mut ComponentBox) {
+        let any: &mut dyn Any = &mut **live;
+        match any.downcast_mut::<T>() {
+            Some(same) => same.clone_from(self),
+            None => *live = self.clone_box(),
+        }
+    }
+}
+
 /// A unikernel component.
 ///
 /// Implementations hold *real* state (fd tables, TCP control blocks, fid
 /// maps) as Rust data, mirror their dynamic footprint in the
 /// [`MemoryArena`] the runtime keeps for them ([`CallContext::arena`]), and
 /// expose their interface through [`Component::call`]. A component holds no
-/// memory of its own: the runtime builds the arena from the descriptor and
-/// resets, snapshots and restores it, so a reboot can discard the
-/// component's Rust state alone.
+/// memory of its own, and it is its own boot image ([`BootImage`]): the
+/// runtime builds the arena from the descriptor and checkpoints it, keeps a
+/// copy of the component as constructed, and reboots the component by
+/// restoring both.
 ///
 /// The default implementations of the optional hooks suit stateless
 /// components; stateful ones override the restoration-related hooks.
-pub trait Component {
+pub trait Component: BootImage {
     /// Static metadata.
     fn descriptor(&self) -> &ComponentDescriptor;
-
-    /// Boot-time initialization. May downcall into other components —
-    /// which is exactly why reboot uses [`Component::reset`] +
-    /// checkpoint restore instead (§V-E).
-    ///
-    /// # Errors
-    ///
-    /// Initialization failures abort the boot.
-    fn init(&mut self, _ctx: &mut dyn CallContext) -> Result<(), OsError> {
-        Ok(())
-    }
 
     /// Handles one interface call.
     ///
@@ -417,14 +442,10 @@ pub trait Component {
         args: &[Value],
     ) -> Result<Value, OsError>;
 
-    /// Resets in-memory state to just-after-boot **without any downcalls**
-    /// (invoked under checkpoint-based initialization). The runtime resets
-    /// the arena itself; a component with no Rust state keeps the no-op.
-    fn reset(&mut self) {}
-
-    /// Extracts runtime data that log replay cannot reconstruct (LWIP's TCP
-    /// sequence/ACK numbers, §V-B). `None` when the component has none.
-    fn extract_runtime(&self) -> Option<Value> {
+    /// Takes the runtime data that log replay cannot reconstruct (LWIP's TCP
+    /// sequence/ACK numbers, §V-B) out of a component about to be
+    /// discarded. `None` when the component has none.
+    fn extract_runtime(&mut self) -> Option<RuntimeData> {
         None
     }
 
@@ -433,8 +454,12 @@ pub trait Component {
     ///
     /// # Errors
     ///
-    /// [`OsError::ReplayMismatch`] when the data is malformed.
-    fn restore_runtime(&mut self, _data: Value, _arena: &mut MemoryArena) -> Result<(), OsError> {
+    /// [`OsError::ReplayMismatch`] when the data is of a foreign type.
+    fn restore_runtime(
+        &mut self,
+        _data: RuntimeData,
+        _arena: &mut MemoryArena,
+    ) -> Result<(), OsError> {
         Ok(())
     }
 
@@ -473,6 +498,7 @@ pub type ComponentBox = Box<dyn Component>;
 mod tests {
     use super::*;
 
+    #[derive(Clone)]
     struct Dummy {
         desc: ComponentDescriptor,
         hits: u32,
@@ -507,9 +533,6 @@ mod tests {
                     func: other.into(),
                 }),
             }
-        }
-        fn reset(&mut self) {
-            self.hits = 0;
         }
     }
 
@@ -617,9 +640,8 @@ mod tests {
     fn default_hooks_are_benign() {
         let mut c = Dummy::new();
         let mut ctx = NullCtx::new();
-        assert!(c.init(&mut ctx).is_ok());
-        assert_eq!(c.extract_runtime(), None);
-        assert!(c.restore_runtime(Value::Unit, ctx.arena()).is_ok());
+        assert!(c.extract_runtime().is_none());
+        assert!(c.restore_runtime(Box::new(()), ctx.arena()).is_ok());
         assert_eq!(
             c.session_event("ping", &[], &Value::Unit),
             SessionEvent::None
@@ -630,11 +652,15 @@ mod tests {
 
     #[test]
     fn call_and_reset_round_trip() {
-        let mut c = Dummy::new();
+        let image = Dummy::new();
+        let mut c = image.clone_box();
         let mut ctx = NullCtx::new();
         assert_eq!(c.call(&mut ctx, "ping", &[]).unwrap(), Value::U64(1));
         assert_eq!(c.call(&mut ctx, "ping", &[]).unwrap(), Value::U64(2));
-        c.reset();
+        // A reboot copies the boot image over the live component, in place.
+        let live: *const dyn Component = &*c;
+        image.copy_into(&mut c);
+        assert!(std::ptr::addr_eq(live, &*c));
         assert_eq!(c.call(&mut ctx, "ping", &[]).unwrap(), Value::U64(1));
         assert!(matches!(
             c.call(&mut ctx, "nope", &[]),

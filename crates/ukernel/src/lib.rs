@@ -14,9 +14,9 @@
 //! * [`OsError`] — the error surface: POSIX-ish errors plus the framework's
 //!   failure signals (panic, hang, protection fault, unavailable component),
 //! * [`Component`] — the trait every unikernel component implements,
-//!   including the hooks VampOS needs: reset for checkpoint-based
-//!   initialization, runtime-data extraction (§V-B), session tagging for
-//!   log shrinking (§V-F),
+//!   including the hooks VampOS needs: runtime-data extraction (§V-B),
+//!   session tagging for log shrinking (§V-F); every component is `Clone`,
+//!   its own [`BootImage`] for checkpoint-based initialization (§V-E),
 //! * [`ComponentDescriptor`] — static metadata: statefulness, dependencies
 //!   (for dependency-aware scheduling), the logged-function set (paper
 //!   Table II), rebootability (VIRTIO: no), hang-detector exemption (LWIP).
@@ -30,8 +30,8 @@ pub mod error;
 pub mod value;
 
 pub use component::{
-    CallContext, Component, ComponentBox, ComponentDescriptor, ComponentName, FnInfo, SessionEvent,
-    TouchSynthesis,
+    BootImage, CallContext, Component, ComponentBox, ComponentDescriptor, ComponentName, FnInfo,
+    RuntimeData, SessionEvent, TouchSynthesis,
 };
 pub use error::OsError;
 pub use value::Value;

@@ -9,10 +9,12 @@
 //! 2. its canceling function (`revoke`) shrinks the log;
 //! 3. an injected fail-stop fault is recovered in-line.
 //!
-//! The component holds only its Rust state. Its memory belongs to the
-//! runtime, which builds the arena from the descriptor's name and layout,
-//! resets and checkpoints it on every reboot, and lends it to a running
-//! call through [`CallContext::arena`]; `reset` clears the Rust state alone.
+//! The component holds only its Rust state, and it is `Clone`: the runtime
+//! keeps the component as constructed as its boot image and copies it over
+//! the live one on every reboot, so the component writes no reset logic.
+//! Its memory belongs to the runtime too, which builds the arena from the
+//! descriptor's name and layout, resets and checkpoints it on every reboot,
+//! and lends it to a running call through [`CallContext::arena`].
 //!
 //! ```text
 //! cargo run --example custom_component
@@ -25,6 +27,7 @@ use vampos_ukernel::digest::DigestBuilder;
 use vampos_ukernel::{CallContext, Component, ComponentDescriptor, SessionEvent, Value};
 
 /// A stateful unikernel component managing authentication sessions.
+#[derive(Clone)]
 struct SessionRegistry {
     desc: ComponentDescriptor,
     sessions: std::collections::BTreeMap<u64, String>,
@@ -88,11 +91,6 @@ impl Component for SessionRegistry {
                 func: other.into(),
             }),
         }
-    }
-
-    fn reset(&mut self) {
-        self.sessions.clear();
-        self.next_id = 1;
     }
 
     fn session_event(&self, func: &str, args: &[Value], ret: &Value) -> SessionEvent {
