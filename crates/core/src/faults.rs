@@ -7,6 +7,7 @@
 //! the system to fail-stop — exactly the §II-B policy.
 
 use vampos_sim::Nanos;
+use vampos_ukernel::FnId;
 
 /// What the injected fault does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,10 +112,29 @@ impl InjectedFault {
     }
 }
 
+/// What an armed fault's names resolve to when it is armed: the slot of
+/// its component and, when it is scoped to one, the number of its
+/// function. A fault whose names resolve to nothing never fires.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultTarget {
+    /// The component's slot.
+    pub slot: usize,
+    /// The function's number (`None` = any call).
+    pub func: Option<FnId>,
+}
+
+impl FaultTarget {
+    fn hit(target: &Option<FaultTarget>, slot: usize, func: FnId) -> bool {
+        target.is_some_and(|t| t.slot == slot && t.func.is_none_or(|f| f == func))
+    }
+}
+
 /// The set of armed faults.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
     faults: Vec<InjectedFault>,
+    /// Each fault's resolved target, in arm order.
+    targets: Vec<Option<FaultTarget>>,
     hang_threshold: Nanos,
 }
 
@@ -123,13 +143,20 @@ impl FaultPlan {
     pub fn new(hang_threshold: Nanos) -> Self {
         FaultPlan {
             faults: Vec::new(),
+            targets: Vec::new(),
             hang_threshold,
         }
     }
 
-    /// Arms a fault.
-    pub fn arm(&mut self, fault: InjectedFault) {
+    /// Arms a fault whose names resolved to `target`.
+    pub fn arm(&mut self, fault: InjectedFault, target: Option<FaultTarget>) {
         self.faults.push(fault);
+        self.targets.push(target);
+    }
+
+    /// Resolves every armed fault's names again (the system relinked).
+    pub fn relink(&mut self, resolve: impl FnMut(&InjectedFault) -> Option<FaultTarget>) {
+        self.targets = self.faults.iter().map(resolve).collect();
     }
 
     /// Number of armed faults still able to fire.
@@ -153,42 +180,56 @@ impl FaultPlan {
     /// Disarms everything.
     pub fn clear(&mut self) {
         self.faults.clear();
+        self.targets.clear();
     }
 
     /// Disarms every fault targeting `component` — used when a different
     /// version of the component is swapped in (its code, and therefore its
     /// deterministic bugs, are gone).
     pub fn clear_component(&mut self, component: &str) {
-        self.faults.retain(|f| f.component != component);
+        let mut at = 0;
+        while at < self.faults.len() {
+            if self.faults[at].component == component {
+                self.disarm(at);
+            } else {
+                at += 1;
+            }
+        }
     }
 
-    /// Evaluates the plan for a call to `component::func`: the effect of
-    /// the fault that fires, if any. At most one fault fires per call;
-    /// one-shot faults are consumed when they fire.
-    pub fn on_call(&mut self, component: &str, func: &str) -> Option<FaultKind> {
-        let mut action = None;
-        self.faults.retain_mut(|fault| {
-            if action.is_some() {
-                return true; // only one fault per call
-            }
-            if fault.component != component {
-                return true;
-            }
-            if let Some(f) = &fault.func {
-                if f != func {
-                    return true;
+    fn disarm(&mut self, at: usize) {
+        self.faults.remove(at);
+        self.targets.remove(at);
+    }
+
+    /// Evaluates the plan for a call of function `func` in slot `slot`:
+    /// the effect of the fault that fires, if any. Faults are consulted in
+    /// arm order, and a matching fault still counting down its delay
+    /// counts one call; at most one fault fires per call, and a one-shot
+    /// fault is consumed when it fires.
+    pub fn on_call(&mut self, slot: usize, func: FnId) -> Option<FaultKind> {
+        let at = self
+            .faults
+            .iter_mut()
+            .zip(&self.targets)
+            .position(|(fault, target)| {
+                if !FaultTarget::hit(target, slot, func) {
+                    return false;
                 }
-            }
-            if fault.after_calls > 0 {
-                fault.after_calls -= 1;
-                return true;
-            }
-            fault.fired += 1;
-            action = Some(fault.kind);
-            // Deterministic faults stay armed; one-shot faults are consumed.
-            fault.deterministic
-        });
-        action
+                if fault.after_calls > 0 {
+                    fault.after_calls -= 1;
+                    return false;
+                }
+                true
+            })?;
+        let fault = &mut self.faults[at];
+        fault.fired += 1;
+        let kind = fault.kind;
+        // Deterministic faults stay armed; one-shot faults are consumed.
+        if !fault.deterministic {
+            self.disarm(at);
+        }
+        Some(kind)
     }
 }
 
@@ -196,50 +237,79 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
+    /// Resolves names the way a linked system would, over a fixed table.
+    fn target(fault: &InjectedFault) -> Option<FaultTarget> {
+        const SLOTS: [&str; 3] = ["vfs", "9pfs", "lwip"];
+        let slot = SLOTS.iter().position(|&c| c == fault.component)?;
+        let func = fault.func.as_deref().map(func_id);
+        Some(FaultTarget { slot, func })
+    }
+
+    fn func_id(func: &str) -> FnId {
+        const FUNCS: [&str; 5] = ["open", "read", "write", "uk_9pfs_read", "socket"];
+        FnId(FUNCS.iter().position(|&f| f == func).expect("in the table") as u16)
+    }
+
+    fn arm(plan: &mut FaultPlan, fault: InjectedFault) {
+        let resolved = target(&fault);
+        plan.arm(fault, resolved);
+    }
+
+    fn call(plan: &mut FaultPlan, component: &str, func: &str) -> Option<FaultKind> {
+        let fault = InjectedFault::panic_next(component);
+        plan.on_call(target(&fault).expect("linked").slot, func_id(func))
+    }
+
     #[test]
     fn one_shot_panic_fires_once() {
         let mut plan = FaultPlan::new(Nanos::SECOND);
-        plan.arm(InjectedFault::panic_next("9pfs"));
-        assert_eq!(plan.on_call("vfs", "open"), None);
-        assert_eq!(plan.on_call("9pfs", "uk_9pfs_read"), Some(FaultKind::Panic));
-        assert_eq!(plan.on_call("9pfs", "uk_9pfs_read"), None);
+        arm(&mut plan, InjectedFault::panic_next("9pfs"));
+        assert_eq!(call(&mut plan, "vfs", "open"), None);
+        assert_eq!(
+            call(&mut plan, "9pfs", "uk_9pfs_read"),
+            Some(FaultKind::Panic)
+        );
+        assert_eq!(call(&mut plan, "9pfs", "uk_9pfs_read"), None);
         assert_eq!(plan.armed(), 0);
     }
 
     #[test]
     fn deterministic_panic_keeps_firing() {
         let mut plan = FaultPlan::new(Nanos::SECOND);
-        plan.arm(InjectedFault::panic_deterministic("vfs"));
-        assert_eq!(plan.on_call("vfs", "open"), Some(FaultKind::Panic));
-        assert_eq!(plan.on_call("vfs", "open"), Some(FaultKind::Panic));
+        arm(&mut plan, InjectedFault::panic_deterministic("vfs"));
+        assert_eq!(call(&mut plan, "vfs", "open"), Some(FaultKind::Panic));
+        assert_eq!(call(&mut plan, "vfs", "open"), Some(FaultKind::Panic));
         assert_eq!(plan.armed(), 1);
     }
 
     #[test]
     fn func_filter_and_delay() {
         let mut plan = FaultPlan::new(Nanos::SECOND);
-        plan.arm(InjectedFault::panic_next("vfs").on_func("write").after(2));
-        assert_eq!(plan.on_call("vfs", "read"), None);
-        assert_eq!(plan.on_call("vfs", "write"), None); // skip 1
-        assert_eq!(plan.on_call("vfs", "write"), None); // skip 2
-        assert_eq!(plan.on_call("vfs", "write"), Some(FaultKind::Panic));
+        arm(
+            &mut plan,
+            InjectedFault::panic_next("vfs").on_func("write").after(2),
+        );
+        assert_eq!(call(&mut plan, "vfs", "read"), None);
+        assert_eq!(call(&mut plan, "vfs", "write"), None); // skip 1
+        assert_eq!(call(&mut plan, "vfs", "write"), None); // skip 2
+        assert_eq!(call(&mut plan, "vfs", "write"), Some(FaultKind::Panic));
     }
 
     #[test]
     fn hang_carries_the_threshold() {
         let mut plan = FaultPlan::new(Nanos::from_millis(500));
-        plan.arm(InjectedFault::hang_next("vfs"));
-        assert_eq!(plan.on_call("vfs", "open"), Some(FaultKind::Hang));
+        arm(&mut plan, InjectedFault::hang_next("vfs"));
+        assert_eq!(call(&mut plan, "vfs", "open"), Some(FaultKind::Hang));
         assert_eq!(plan.hang_threshold(), Nanos::from_millis(500));
     }
 
     #[test]
     fn leak_fires_continuously() {
         let mut plan = FaultPlan::new(Nanos::SECOND);
-        plan.arm(InjectedFault::leak_per_op("vfs", 64));
+        arm(&mut plan, InjectedFault::leak_per_op("vfs", 64));
         for _ in 0..5 {
             assert_eq!(
-                plan.on_call("vfs", "write"),
+                call(&mut plan, "vfs", "write"),
                 Some(FaultKind::LeakPerOp { bytes: 64 })
             );
         }
@@ -249,12 +319,12 @@ mod tests {
     #[test]
     fn only_one_fault_fires_per_call() {
         let mut plan = FaultPlan::new(Nanos::SECOND);
-        plan.arm(InjectedFault::panic_next("vfs"));
-        plan.arm(InjectedFault::hang_next("vfs"));
-        assert_eq!(plan.on_call("vfs", "open"), Some(FaultKind::Panic));
+        arm(&mut plan, InjectedFault::panic_next("vfs"));
+        arm(&mut plan, InjectedFault::hang_next("vfs"));
+        assert_eq!(call(&mut plan, "vfs", "open"), Some(FaultKind::Panic));
         // The hang is still armed for the next call.
         assert_eq!(plan.armed(), 1);
-        assert!(plan.on_call("vfs", "open") == Some(FaultKind::Hang));
+        assert!(call(&mut plan, "vfs", "open") == Some(FaultKind::Hang));
     }
 
     #[test]
@@ -262,22 +332,22 @@ mod tests {
         // Two faults scoped to the same component *and* function: the one
         // armed first wins the call; the second fires on the next call.
         let mut plan = FaultPlan::new(Nanos::SECOND);
-        plan.arm(InjectedFault::hang_next("vfs").on_func("write"));
-        plan.arm(InjectedFault::panic_next("vfs").on_func("write"));
-        assert!(plan.on_call("vfs", "write") == Some(FaultKind::Hang));
-        assert_eq!(plan.on_call("vfs", "write"), Some(FaultKind::Panic));
+        arm(&mut plan, InjectedFault::hang_next("vfs").on_func("write"));
+        arm(&mut plan, InjectedFault::panic_next("vfs").on_func("write"));
+        assert!(call(&mut plan, "vfs", "write") == Some(FaultKind::Hang));
+        assert_eq!(call(&mut plan, "vfs", "write"), Some(FaultKind::Panic));
         assert_eq!(plan.armed(), 0);
     }
 
     #[test]
     fn wildcard_armed_first_beats_func_scoped_armed_second() {
         let mut plan = FaultPlan::new(Nanos::SECOND);
-        plan.arm(InjectedFault::panic_next("vfs")); // any function
-        plan.arm(InjectedFault::hang_next("vfs").on_func("write"));
+        arm(&mut plan, InjectedFault::panic_next("vfs")); // any function
+        arm(&mut plan, InjectedFault::hang_next("vfs").on_func("write"));
         // The wildcard was armed first, so it consumes the call even though
         // the second fault names the function explicitly.
-        assert_eq!(plan.on_call("vfs", "write"), Some(FaultKind::Panic));
-        assert!(plan.on_call("vfs", "write") == Some(FaultKind::Hang));
+        assert_eq!(call(&mut plan, "vfs", "write"), Some(FaultKind::Panic));
+        assert!(call(&mut plan, "vfs", "write") == Some(FaultKind::Hang));
     }
 
     #[test]
@@ -286,14 +356,14 @@ mod tests {
         // countdown on the call (the plan walks faults in arm order and
         // decrements matching delays until one fault fires).
         let mut plan = FaultPlan::new(Nanos::SECOND);
-        plan.arm(InjectedFault::panic_next("vfs").after(2));
-        plan.arm(InjectedFault::hang_next("vfs"));
+        arm(&mut plan, InjectedFault::panic_next("vfs").after(2));
+        arm(&mut plan, InjectedFault::hang_next("vfs"));
         // Call 1: the delayed panic decrements (2→1), then the hang fires.
-        assert!(plan.on_call("vfs", "open") == Some(FaultKind::Hang));
+        assert!(call(&mut plan, "vfs", "open") == Some(FaultKind::Hang));
         // Call 2: only the panic remains; it decrements (1→0), nothing fires.
-        assert_eq!(plan.on_call("vfs", "open"), None);
+        assert_eq!(call(&mut plan, "vfs", "open"), None);
         // Call 3: the panic's countdown is exhausted — it fires.
-        assert_eq!(plan.on_call("vfs", "open"), Some(FaultKind::Panic));
+        assert_eq!(call(&mut plan, "vfs", "open"), Some(FaultKind::Panic));
         assert_eq!(plan.armed(), 0);
     }
 
@@ -304,37 +374,52 @@ mod tests {
         // fault is evaluated-to-fire per call, and evaluation stops
         // decrementing once an action is chosen.
         let mut plan = FaultPlan::new(Nanos::SECOND);
-        plan.arm(InjectedFault::panic_next("vfs"));
-        plan.arm(InjectedFault::hang_next("vfs").after(1));
+        arm(&mut plan, InjectedFault::panic_next("vfs"));
+        arm(&mut plan, InjectedFault::hang_next("vfs").after(1));
         // Call 1: the panic fires; the hang's countdown must stay at 1.
-        assert_eq!(plan.on_call("vfs", "open"), Some(FaultKind::Panic));
+        assert_eq!(call(&mut plan, "vfs", "open"), Some(FaultKind::Panic));
         assert_eq!(plan.faults()[0].after_calls, 1, "countdown must be frozen");
         // Call 2: the hang decrements (1→0), nothing fires.
-        assert_eq!(plan.on_call("vfs", "open"), None);
+        assert_eq!(call(&mut plan, "vfs", "open"), None);
         // Call 3: the hang fires.
-        assert!(plan.on_call("vfs", "open") == Some(FaultKind::Hang));
+        assert!(call(&mut plan, "vfs", "open") == Some(FaultKind::Hang));
     }
 
     #[test]
     fn countdowns_only_decrement_on_matching_calls() {
         let mut plan = FaultPlan::new(Nanos::SECOND);
-        plan.arm(InjectedFault::panic_next("vfs").on_func("write").after(1));
+        arm(
+            &mut plan,
+            InjectedFault::panic_next("vfs").on_func("write").after(1),
+        );
         // Non-matching component and non-matching function leave the
         // countdown untouched.
-        assert_eq!(plan.on_call("9pfs", "write"), None);
-        assert_eq!(plan.on_call("vfs", "read"), None);
+        assert_eq!(call(&mut plan, "9pfs", "write"), None);
+        assert_eq!(call(&mut plan, "vfs", "read"), None);
         assert_eq!(plan.faults()[0].after_calls, 1);
-        assert_eq!(plan.on_call("vfs", "write"), None); // 1→0
-        assert_eq!(plan.on_call("vfs", "write"), Some(FaultKind::Panic));
+        assert_eq!(call(&mut plan, "vfs", "write"), None); // 1→0
+        assert_eq!(call(&mut plan, "vfs", "write"), Some(FaultKind::Panic));
+    }
+
+    #[test]
+    fn faults_on_unresolved_names_never_fire() {
+        let mut plan = FaultPlan::new(Nanos::SECOND);
+        plan.arm(InjectedFault::panic_next("nope"), None);
+        arm(&mut plan, InjectedFault::hang_next("vfs").on_func("read"));
+        assert_eq!(call(&mut plan, "vfs", "open"), None);
+        // The system relinked: the read-scoped hang now resolves nowhere.
+        plan.relink(|f| target(f).filter(|t| t.func.is_none()));
+        assert_eq!(call(&mut plan, "vfs", "read"), None);
+        assert_eq!(plan.armed(), 2);
     }
 
     #[test]
     fn clear_component_leaves_other_components_armed() {
         let mut plan = FaultPlan::new(Nanos::SECOND);
-        plan.arm(InjectedFault::panic_next("vfs"));
-        plan.arm(InjectedFault::leak_per_op("vfs", 32));
-        plan.arm(InjectedFault::hang_next("9pfs").after(1));
-        plan.arm(InjectedFault::panic_next("lwip"));
+        arm(&mut plan, InjectedFault::panic_next("vfs"));
+        arm(&mut plan, InjectedFault::leak_per_op("vfs", 32));
+        arm(&mut plan, InjectedFault::hang_next("9pfs").after(1));
+        arm(&mut plan, InjectedFault::panic_next("lwip"));
         assert_eq!(plan.armed(), 4);
 
         plan.clear_component("vfs");
@@ -343,11 +428,11 @@ mod tests {
         assert_eq!(plan.faults()[0].component, "9pfs");
         assert_eq!(plan.faults()[0].after_calls, 1);
         // Cleared component: calls pass clean.
-        assert_eq!(plan.on_call("vfs", "open"), None);
+        assert_eq!(call(&mut plan, "vfs", "open"), None);
         // Other components' faults still fire exactly as armed.
-        assert_eq!(plan.on_call("9pfs", "read"), None); // 1→0
-        assert!(plan.on_call("9pfs", "read") == Some(FaultKind::Hang));
-        assert_eq!(plan.on_call("lwip", "socket"), Some(FaultKind::Panic));
+        assert_eq!(call(&mut plan, "9pfs", "read"), None); // 1→0
+        assert!(call(&mut plan, "9pfs", "read") == Some(FaultKind::Hang));
+        assert_eq!(call(&mut plan, "lwip", "socket"), Some(FaultKind::Panic));
         assert_eq!(plan.armed(), 0);
     }
 }

@@ -1,15 +1,79 @@
 //! [`Os`]: the typed POSIX-ish syscall facade applications use.
 //!
-//! Each method marshals its arguments and issues one syscall through the
-//! runtime's invoke path, so all of VampOS's machinery (message passing,
-//! scheduling, logging) applies uniformly whether a call comes from an
-//! application or from a test.
+//! Each method marshals its arguments and issues one syscall through one of
+//! the facade's call sites, which the system binds when it links, so all
+//! of VampOS's machinery (message passing, scheduling, logging) applies
+//! uniformly whether a call comes from an application or from a test.
 
-use vampos_oslib::funcs::{util as uf, vfs as vf};
+use vampos_oslib::funcs::{process, sysinfo, timer, user, vfs as vf};
 use vampos_oslib::vfs::{OpenFlags, SEEK_CUR, SEEK_END, SEEK_SET};
-use vampos_ukernel::{names, OsError, Value};
+use vampos_ukernel::{names, CallSite, OsError, Value};
 
 use crate::runtime::System;
+
+const OPEN: CallSite = CallSite::new(0, names::VFS, vf::OPEN);
+const CREATE: CallSite = CallSite::new(1, names::VFS, vf::CREATE);
+const READ: CallSite = CallSite::new(2, names::VFS, vf::READ);
+const PREAD: CallSite = CallSite::new(3, names::VFS, vf::PREAD);
+const WRITE: CallSite = CallSite::new(4, names::VFS, vf::WRITE);
+const PWRITE: CallSite = CallSite::new(5, names::VFS, vf::PWRITE);
+const WRITEV: CallSite = CallSite::new(6, names::VFS, vf::WRITEV);
+const LSEEK: CallSite = CallSite::new(7, names::VFS, vf::LSEEK);
+const CLOSE: CallSite = CallSite::new(8, names::VFS, vf::CLOSE);
+const FSYNC: CallSite = CallSite::new(9, names::VFS, vf::FSYNC);
+const PIPE: CallSite = CallSite::new(10, names::VFS, vf::PIPE);
+const FCNTL: CallSite = CallSite::new(11, names::VFS, vf::FCNTL);
+const IOCTL: CallSite = CallSite::new(12, names::VFS, vf::IOCTL);
+const STAT: CallSite = CallSite::new(13, names::VFS, vf::STAT);
+const FSTAT: CallSite = CallSite::new(14, names::VFS, vf::FSTAT);
+const UNLINK: CallSite = CallSite::new(15, names::VFS, vf::UNLINK);
+const VGET: CallSite = CallSite::new(16, names::VFS, vf::VGET);
+const ALLOC_SOCKET: CallSite = CallSite::new(17, names::VFS, vf::ALLOC_SOCKET);
+const BIND: CallSite = CallSite::new(18, names::VFS, vf::BIND);
+const LISTEN: CallSite = CallSite::new(19, names::VFS, vf::LISTEN);
+const SHUTDOWN: CallSite = CallSite::new(20, names::VFS, vf::SHUTDOWN);
+const SETSOCKOPT: CallSite = CallSite::new(21, names::VFS, vf::SETSOCKOPT);
+const GETSOCKOPT: CallSite = CallSite::new(22, names::VFS, vf::GETSOCKOPT);
+const POLL_READY: CallSite = CallSite::new(23, names::VFS, vf::POLL_READY);
+const GETPID: CallSite = CallSite::new(24, names::PROCESS, process::GETPID);
+const UNAME: CallSite = CallSite::new(25, names::SYSINFO, sysinfo::UNAME);
+const GETUID: CallSite = CallSite::new(26, names::USER, user::GETUID);
+const CLOCK_GETTIME: CallSite = CallSite::new(27, names::TIMER, timer::CLOCK_GETTIME);
+const NANOSLEEP: CallSite = CallSite::new(28, names::TIMER, timer::NANOSLEEP);
+
+/// The facade's call sites, in index order: the system binds them once,
+/// when it links, like a component's.
+pub(crate) const SITES: &[CallSite] = &[
+    OPEN,
+    CREATE,
+    READ,
+    PREAD,
+    WRITE,
+    PWRITE,
+    WRITEV,
+    LSEEK,
+    CLOSE,
+    FSYNC,
+    PIPE,
+    FCNTL,
+    IOCTL,
+    STAT,
+    FSTAT,
+    UNLINK,
+    VGET,
+    ALLOC_SOCKET,
+    BIND,
+    LISTEN,
+    SHUTDOWN,
+    SETSOCKOPT,
+    GETSOCKOPT,
+    POLL_READY,
+    GETPID,
+    UNAME,
+    GETUID,
+    CLOCK_GETTIME,
+    NANOSLEEP,
+];
 
 /// Seek origin for [`Os::lseek`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -55,11 +119,7 @@ impl<'a> Os<'a> {
     /// `NotFound` without `CREAT`, plus transport errors.
     pub fn open(&mut self, path: &str, flags: OpenFlags) -> Result<u64, OsError> {
         self.sys
-            .syscall(
-                names::VFS,
-                vf::OPEN,
-                &[Value::from(path), Value::U64(flags.bits() as u64)],
-            )?
+            .os_call(OPEN, &[Value::from(path), Value::U64(flags.bits() as u64)])?
             .as_u64()
     }
 
@@ -69,9 +129,7 @@ impl<'a> Os<'a> {
     ///
     /// Transport errors.
     pub fn create(&mut self, path: &str) -> Result<u64, OsError> {
-        self.sys
-            .syscall(names::VFS, vf::CREATE, &[Value::from(path)])?
-            .as_u64()
+        self.sys.os_call(CREATE, &[Value::from(path)])?.as_u64()
     }
 
     /// Reads up to `max` bytes at the fd's offset.
@@ -81,7 +139,7 @@ impl<'a> Os<'a> {
     /// `BadFd`, `WouldBlock` (sockets/pipes with no data), transport errors.
     pub fn read(&mut self, fd: u64, max: u64) -> Result<Vec<u8>, OsError> {
         self.sys
-            .syscall(names::VFS, vf::READ, &[Value::U64(fd), Value::U64(max)])?
+            .os_call(READ, &[Value::U64(fd), Value::U64(max)])?
             .into_bytes()
     }
 
@@ -92,9 +150,8 @@ impl<'a> Os<'a> {
     /// As [`Os::read`].
     pub fn pread(&mut self, fd: u64, max: u64, offset: u64) -> Result<Vec<u8>, OsError> {
         self.sys
-            .syscall(
-                names::VFS,
-                vf::PREAD,
+            .os_call(
+                PREAD,
                 &[Value::U64(fd), Value::U64(max), Value::U64(offset)],
             )?
             .into_bytes()
@@ -107,7 +164,7 @@ impl<'a> Os<'a> {
     /// `BadFd`, connection errors for sockets, transport errors.
     pub fn write(&mut self, fd: u64, data: &[u8]) -> Result<u64, OsError> {
         self.sys
-            .syscall(names::VFS, vf::WRITE, &[Value::U64(fd), Value::from(data)])?
+            .os_call(WRITE, &[Value::U64(fd), Value::from(data)])?
             .as_u64()
     }
 
@@ -118,9 +175,8 @@ impl<'a> Os<'a> {
     /// As [`Os::write`].
     pub fn pwrite(&mut self, fd: u64, data: &[u8], offset: u64) -> Result<u64, OsError> {
         self.sys
-            .syscall(
-                names::VFS,
-                vf::PWRITE,
+            .os_call(
+                PWRITE,
                 &[Value::U64(fd), Value::from(data), Value::U64(offset)],
             )?
             .as_u64()
@@ -134,7 +190,7 @@ impl<'a> Os<'a> {
     pub fn writev(&mut self, fd: u64, chunks: &[&[u8]]) -> Result<u64, OsError> {
         let iov: Vec<Value> = chunks.iter().map(|c| Value::from(*c)).collect();
         self.sys
-            .syscall(names::VFS, vf::WRITEV, &[Value::U64(fd), Value::List(iov)])?
+            .os_call(WRITEV, &[Value::U64(fd), Value::List(iov)])?
             .as_u64()
     }
 
@@ -145,9 +201,8 @@ impl<'a> Os<'a> {
     /// `BadFd` / `Inval` for non-files.
     pub fn lseek(&mut self, fd: u64, offset: i64, whence: Whence) -> Result<u64, OsError> {
         self.sys
-            .syscall(
-                names::VFS,
-                vf::LSEEK,
+            .os_call(
+                LSEEK,
                 &[
                     Value::U64(fd),
                     Value::I64(offset),
@@ -163,7 +218,7 @@ impl<'a> Os<'a> {
     ///
     /// `BadFd`.
     pub fn close(&mut self, fd: u64) -> Result<(), OsError> {
-        self.sys.syscall(names::VFS, vf::CLOSE, &[Value::U64(fd)])?;
+        self.sys.os_call(CLOSE, &[Value::U64(fd)])?;
         Ok(())
     }
 
@@ -173,7 +228,7 @@ impl<'a> Os<'a> {
     ///
     /// `BadFd` / `Inval` for non-files.
     pub fn fsync(&mut self, fd: u64) -> Result<(), OsError> {
-        self.sys.syscall(names::VFS, vf::FSYNC, &[Value::U64(fd)])?;
+        self.sys.os_call(FSYNC, &[Value::U64(fd)])?;
         Ok(())
     }
 
@@ -183,7 +238,7 @@ impl<'a> Os<'a> {
     ///
     /// Transport errors.
     pub fn pipe(&mut self) -> Result<(u64, u64), OsError> {
-        let v = self.sys.syscall(names::VFS, vf::PIPE, &[])?;
+        let v = self.sys.os_call(PIPE, &[])?;
         let list = v.as_list()?;
         match list {
             [r, w] => Ok((r.as_u64()?, w.as_u64()?)),
@@ -198,11 +253,7 @@ impl<'a> Os<'a> {
     /// `BadFd` / `Inval` for unknown commands.
     pub fn fcntl(&mut self, fd: u64, cmd: u64, arg: u64) -> Result<u64, OsError> {
         self.sys
-            .syscall(
-                names::VFS,
-                vf::FCNTL,
-                &[Value::U64(fd), Value::U64(cmd), Value::U64(arg)],
-            )?
+            .os_call(FCNTL, &[Value::U64(fd), Value::U64(cmd), Value::U64(arg)])?
             .as_u64()
     }
 
@@ -213,11 +264,7 @@ impl<'a> Os<'a> {
     /// `Inval` for non-sockets.
     pub fn ioctl(&mut self, fd: u64, cmd: u64, arg: u64) -> Result<u64, OsError> {
         self.sys
-            .syscall(
-                names::VFS,
-                vf::IOCTL,
-                &[Value::U64(fd), Value::U64(cmd), Value::U64(arg)],
-            )?
+            .os_call(IOCTL, &[Value::U64(fd), Value::U64(cmd), Value::U64(arg)])?
             .as_u64()
     }
 
@@ -227,9 +274,7 @@ impl<'a> Os<'a> {
     ///
     /// `NotFound`.
     pub fn stat(&mut self, path: &str) -> Result<u64, OsError> {
-        let v = self
-            .sys
-            .syscall(names::VFS, vf::STAT, &[Value::from(path)])?;
+        let v = self.sys.os_call(STAT, &[Value::from(path)])?;
         v.as_list()?.first().ok_or(OsError::Inval)?.as_u64()
     }
 
@@ -239,7 +284,7 @@ impl<'a> Os<'a> {
     ///
     /// `BadFd`.
     pub fn fstat(&mut self, fd: u64) -> Result<u64, OsError> {
-        let v = self.sys.syscall(names::VFS, vf::FSTAT, &[Value::U64(fd)])?;
+        let v = self.sys.os_call(FSTAT, &[Value::U64(fd)])?;
         v.as_list()?.first().ok_or(OsError::Inval)?.as_u64()
     }
 
@@ -249,8 +294,7 @@ impl<'a> Os<'a> {
     ///
     /// `NotFound`.
     pub fn unlink(&mut self, path: &str) -> Result<(), OsError> {
-        self.sys
-            .syscall(names::VFS, vf::UNLINK, &[Value::from(path)])?;
+        self.sys.os_call(UNLINK, &[Value::from(path)])?;
         Ok(())
     }
 
@@ -260,9 +304,7 @@ impl<'a> Os<'a> {
     ///
     /// Transport errors.
     pub fn vget(&mut self, path: &str) -> Result<u64, OsError> {
-        self.sys
-            .syscall(names::VFS, vf::VGET, &[Value::from(path)])?
-            .as_u64()
+        self.sys.os_call(VGET, &[Value::from(path)])?.as_u64()
     }
 
     // ---- sockets ----
@@ -273,9 +315,7 @@ impl<'a> Os<'a> {
     ///
     /// Transport errors.
     pub fn socket(&mut self) -> Result<u64, OsError> {
-        self.sys
-            .syscall(names::VFS, vf::ALLOC_SOCKET, &[])?
-            .as_u64()
+        self.sys.os_call(ALLOC_SOCKET, &[])?.as_u64()
     }
 
     /// Binds a socket to a local port.
@@ -284,11 +324,8 @@ impl<'a> Os<'a> {
     ///
     /// `AddrInUse`, `BadFd`.
     pub fn bind(&mut self, fd: u64, port: u16) -> Result<(), OsError> {
-        self.sys.syscall(
-            names::VFS,
-            vf::BIND,
-            &[Value::U64(fd), Value::U64(port as u64)],
-        )?;
+        self.sys
+            .os_call(BIND, &[Value::U64(fd), Value::U64(port as u64)])?;
         Ok(())
     }
 
@@ -298,11 +335,8 @@ impl<'a> Os<'a> {
     ///
     /// `Inval` unless the socket is bound.
     pub fn listen(&mut self, fd: u64, backlog: u64) -> Result<(), OsError> {
-        self.sys.syscall(
-            names::VFS,
-            vf::LISTEN,
-            &[Value::U64(fd), Value::U64(backlog)],
-        )?;
+        self.sys
+            .os_call(LISTEN, &[Value::U64(fd), Value::U64(backlog)])?;
         Ok(())
     }
 
@@ -313,7 +347,7 @@ impl<'a> Os<'a> {
     /// `WouldBlock` when no connection is pending.
     pub fn accept(&mut self, listen_fd: u64) -> Result<u64, OsError> {
         self.sys
-            .syscall(names::VFS, vf::ALLOC_SOCKET, &[Value::U64(listen_fd)])?
+            .os_call(ALLOC_SOCKET, &[Value::U64(listen_fd)])?
             .as_u64()
     }
 
@@ -342,7 +376,7 @@ impl<'a> Os<'a> {
     /// `NotConnected`.
     pub fn shutdown(&mut self, fd: u64, how: u64) -> Result<(), OsError> {
         self.sys
-            .syscall(names::VFS, vf::SHUTDOWN, &[Value::U64(fd), Value::U64(how)])?;
+            .os_call(SHUTDOWN, &[Value::U64(fd), Value::U64(how)])?;
         Ok(())
     }
 
@@ -352,9 +386,8 @@ impl<'a> Os<'a> {
     ///
     /// `BadFd`.
     pub fn setsockopt(&mut self, fd: u64, opt: u64, val: u64) -> Result<(), OsError> {
-        self.sys.syscall(
-            names::VFS,
-            vf::SETSOCKOPT,
+        self.sys.os_call(
+            SETSOCKOPT,
             &[Value::U64(fd), Value::U64(opt), Value::U64(val)],
         )?;
         Ok(())
@@ -367,11 +400,7 @@ impl<'a> Os<'a> {
     /// `BadFd`.
     pub fn getsockopt(&mut self, fd: u64, opt: u64) -> Result<u64, OsError> {
         self.sys
-            .syscall(
-                names::VFS,
-                vf::GETSOCKOPT,
-                &[Value::U64(fd), Value::U64(opt)],
-            )?
+            .os_call(GETSOCKOPT, &[Value::U64(fd), Value::U64(opt)])?
             .as_u64()
     }
 
@@ -384,9 +413,7 @@ impl<'a> Os<'a> {
     /// Transport errors.
     pub fn poll_ready(&mut self, fds: &[u64]) -> Result<Vec<u64>, OsError> {
         let query: Vec<Value> = fds.iter().map(|&fd| Value::U64(fd)).collect();
-        let v = self
-            .sys
-            .syscall(names::VFS, vf::POLL_READY, &[Value::List(query)])?;
+        let v = self.sys.os_call(POLL_READY, &[Value::List(query)])?;
         v.as_list()?.iter().map(Value::as_u64).collect()
     }
 
@@ -398,7 +425,7 @@ impl<'a> Os<'a> {
     ///
     /// Transport errors only.
     pub fn getpid(&mut self) -> Result<u64, OsError> {
-        self.sys.syscall(names::PROCESS, uf::GETPID, &[])?.as_u64()
+        self.sys.os_call(GETPID, &[])?.as_u64()
     }
 
     /// Kernel identity string.
@@ -407,11 +434,7 @@ impl<'a> Os<'a> {
     ///
     /// Transport errors only.
     pub fn uname(&mut self) -> Result<String, OsError> {
-        Ok(self
-            .sys
-            .syscall(names::SYSINFO, uf::UNAME, &[])?
-            .as_str()?
-            .to_owned())
+        Ok(self.sys.os_call(UNAME, &[])?.as_str()?.to_owned())
     }
 
     /// User id (always 0).
@@ -420,7 +443,7 @@ impl<'a> Os<'a> {
     ///
     /// Transport errors only.
     pub fn getuid(&mut self) -> Result<u64, OsError> {
-        self.sys.syscall(names::USER, uf::GETUID, &[])?.as_u64()
+        self.sys.os_call(GETUID, &[])?.as_u64()
     }
 
     /// Current virtual time in nanoseconds.
@@ -429,9 +452,7 @@ impl<'a> Os<'a> {
     ///
     /// Transport errors only.
     pub fn clock_gettime(&mut self) -> Result<u64, OsError> {
-        self.sys
-            .syscall(names::TIMER, uf::CLOCK_GETTIME, &[])?
-            .as_u64()
+        self.sys.os_call(CLOCK_GETTIME, &[])?.as_u64()
     }
 
     /// Sleeps for `ns` virtual nanoseconds.
@@ -440,8 +461,7 @@ impl<'a> Os<'a> {
     ///
     /// Transport errors only.
     pub fn nanosleep(&mut self, ns: u64) -> Result<(), OsError> {
-        self.sys
-            .syscall(names::TIMER, uf::NANOSLEEP, &[Value::U64(ns)])?;
+        self.sys.os_call(NANOSLEEP, &[Value::U64(ns)])?;
         Ok(())
     }
 }

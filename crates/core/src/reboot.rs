@@ -9,7 +9,7 @@ use vampos_sim::{Name, Nanos};
 use vampos_telemetry::RecoveryPhase;
 use vampos_ukernel::{OsError, Value};
 
-use crate::runtime::{Ctx, PendingRecovery, ReplayState, System};
+use crate::runtime::{Bound, Ctx, PendingRecovery, ReplayState, System};
 use crate::stats::DowntimeWindow;
 
 /// The result of a component-level reboot.
@@ -274,7 +274,15 @@ impl System {
                         component: name.clone(),
                     }),
                 };
-                let result = comp.call(&mut ctx, &entry.func, &entry.args);
+                // The entry shares the descriptor's name, so this finds
+                // the function by pointer.
+                let result = match ctx.sys.slots[idx].desc.fn_id_of(&entry.func) {
+                    Some(func) => comp.call(&mut ctx, func, &entry.args),
+                    None => Err(OsError::UnknownFunc {
+                        component: name.to_string(),
+                        func: entry.func.to_string(),
+                    }),
+                };
                 match result {
                     Ok(ret) if ret == entry.ret => {}
                     Ok(ret) => {
@@ -450,12 +458,12 @@ impl System {
     /// treated as deterministic and the system fail-stops (§II-B).
     pub(crate) fn handle_failure(
         &mut self,
-        tid: usize,
         err: OsError,
         caller: Option<usize>,
-        func: &str,
+        callee: &Bound,
         args: &[Value],
     ) -> Result<Value, OsError> {
+        let tid = callee.slot;
         let target = self.slots[tid].name.clone();
         if self.detector_suppressed > 0 {
             // False-negative window (chaos fault injection): the detector
@@ -516,9 +524,11 @@ impl System {
             }
         }
 
-        // Re-execute the in-flight message.
+        // Re-execute the in-flight message, bound again: a swap may have
+        // renumbered the function.
+        let retry = self.rebind(caller, callee);
         self.retry_depth += 1;
-        let result = self.invoke_from(caller, &target, func, args);
+        let result = self.invoke_bound(caller, &retry, args);
         self.retry_depth -= 1;
         match result {
             Ok(v) => {

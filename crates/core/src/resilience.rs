@@ -46,8 +46,9 @@ pub struct AgingEntry {
 
 impl System {
     /// Installs `replacement` behind slot `tid` — a registered alternate
-    /// (multi-version recovery) or an explicit update — and recovers the
-    /// slot the way every component comes back ([`System::recover`]).
+    /// (multi-version recovery) or an explicit update —, relinks the
+    /// system, and recovers the slot the way every component comes back
+    /// ([`System::recover`]).
     ///
     /// The replacement as passed in becomes the slot's boot image, and a
     /// fresh arena built from its descriptor its boot checkpoint, both
@@ -88,6 +89,9 @@ impl System {
         slot.boot_image = boot_image;
         slot.checkpoint_corrupt = false;
         slot.comp = Some(replacement);
+        // The new descriptor may number its functions, declare its calls
+        // and log differently: link the system again.
+        self.link();
         self.pending_recovery = detected;
         self.recover(tid, "update")
     }

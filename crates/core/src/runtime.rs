@@ -10,10 +10,12 @@ use vampos_mem::{MemoryArena, Snapshot};
 use vampos_mpk::{AccessKind, DomainId, KeyRegistry, Pkru};
 use vampos_sim::{CostModel, Name, Nanos, SimClock, SimRng};
 use vampos_telemetry::{Collector, TelemetrySink};
-use vampos_ukernel::{names, CallContext, ComponentBox, ComponentDescriptor, OsError, Value};
+use vampos_ukernel::{
+    names, CallContext, CallSite, ComponentBox, ComponentDescriptor, FnId, OsError, Value,
+};
 
 use crate::config::{ComponentSet, Mode, SchedulerKind};
-use crate::faults::{FaultKind, FaultPlan};
+use crate::faults::{FaultKind, FaultPlan, FaultTarget, InjectedFault};
 use crate::funclog::{DownRec, FunctionLog, LogEntry};
 use crate::os::Os;
 use crate::stats::{ComponentCounters, SystemStats};
@@ -31,6 +33,8 @@ pub(crate) struct Slot {
     /// the live one, so no field of the old component's state survives.
     pub(crate) boot_image: ComponentBox,
     pub(crate) desc: ComponentDescriptor,
+    /// The descriptor's call sites, bound in index order.
+    pub(crate) sites: Vec<Binding>,
     /// The component's memory (§V-D): built from the descriptor, and
     /// reset, snapshotted and restored here, never by the component.
     pub(crate) arena: MemoryArena,
@@ -94,12 +98,10 @@ pub struct System {
     pub(crate) set: ComponentSet,
     pub(crate) host: HostHandle,
     pub(crate) slots: Vec<Slot>,
-    pub(crate) by_name: BTreeMap<Name, usize>,
     /// The application's name as a caller (`names::APP`).
     pub(crate) app: Name,
-    /// Names of invoked functions no descriptor declares, interned on
-    /// first use so that they too are shared from the second hop on.
-    pub(crate) undeclared: BTreeSet<Name>,
+    /// The [`Os`] facade's call sites, bound in index order.
+    pub(crate) os_sites: Vec<Binding>,
     pub(crate) mpk: KeyRegistry,
     pub(crate) auto_recover: bool,
     pub(crate) graceful: bool,
@@ -297,7 +299,6 @@ impl SystemBuilder {
             .map(|c| c.merges.clone())
             .unwrap_or_default();
 
-        let mut by_name = BTreeMap::new();
         let mut boot_components: Vec<ComponentBox> = Vec::new();
         for &name in self.set.components() {
             boot_components.push(crate::analysis::instantiate(name, &host)?);
@@ -330,11 +331,7 @@ impl SystemBuilder {
             let group_leader = merges
                 .iter()
                 .find(|g| g.iter().any(|m| m == name))
-                .and_then(|g| {
-                    g.iter()
-                        .filter_map(|m| by_name.get(m.as_str()).copied())
-                        .min()
-                });
+                .and_then(|g| g.iter().filter_map(|m| slot_of(&slots, m)).min());
             let (domain, group) = match group_leader {
                 Some(leader) => {
                     let leader_slot: &Slot = &slots[leader];
@@ -345,13 +342,13 @@ impl SystemBuilder {
                     idx,
                 ),
             };
-            by_name.insert(desc.name().clone(), idx);
             slots.push(Slot {
                 name: desc.name().clone(),
                 comp: Some(comp.clone_box()),
                 boot_image: comp,
                 arena: MemoryArena::new(name, *desc.layout()),
                 desc,
+                sites: Vec::new(),
                 log: FunctionLog::new(),
                 up: true,
                 domain,
@@ -376,9 +373,8 @@ impl SystemBuilder {
             set: self.set,
             host,
             slots,
-            by_name,
             app: Name::from(names::APP),
-            undeclared: BTreeSet::new(),
+            os_sites: Vec::new(),
             mpk,
             auto_recover: self.auto_recover,
             graceful: self.graceful,
@@ -397,6 +393,7 @@ impl SystemBuilder {
             detector_suppressed: 0,
             reboot_interrupts: BTreeSet::new(),
         };
+        sys.link();
         sys.mount_and_checkpoint(true)?;
         sys.booted_at = sys.clock.now();
         Ok(sys)
@@ -416,7 +413,7 @@ impl System {
     /// `charge_capture: false` because `CostModel::full_boot` is the whole
     /// VM's measured boot time, captures included.
     pub(crate) fn mount_and_checkpoint(&mut self, charge_capture: bool) -> Result<(), OsError> {
-        if self.by_name.contains_key("9pfs") {
+        if self.slot("9pfs").is_some() {
             self.syscall(
                 names::VFS,
                 vampos_oslib::funcs::vfs::MOUNT,
@@ -500,15 +497,17 @@ impl System {
         Os::new(self)
     }
 
-    /// Arms an injected fault.
-    pub fn inject_fault(&mut self, fault: crate::faults::InjectedFault) {
-        self.faults.arm(fault);
+    /// Arms an injected fault, resolving its names once: a fault on a
+    /// component or function the system does not link never fires.
+    pub fn inject_fault(&mut self, fault: InjectedFault) {
+        let target = fault_target(&self.slots, &fault);
+        self.faults.arm(fault, target);
     }
 
     /// The faults still armed on the system, in arm order. A liveness
     /// oracle can check that every armed fault either fired
     /// ([`InjectedFault::fired`] > 0) or was consumed (absent here).
-    pub fn armed_faults(&self) -> &[crate::faults::InjectedFault] {
+    pub fn armed_faults(&self) -> &[InjectedFault] {
         self.faults.faults()
     }
 
@@ -531,7 +530,7 @@ impl System {
     /// checkpoint-restore phase. A full reboot recaptures the checkpoint
     /// and clears the flag. Unknown names are ignored.
     pub fn corrupt_boot_checkpoint(&mut self, component: &str) {
-        if let Some(&idx) = self.by_name.get(component) {
+        if let Some(idx) = self.slot(component) {
             self.slots[idx].checkpoint_corrupt = true;
         }
     }
@@ -541,8 +540,8 @@ impl System {
     /// diverges from the logged return value. Returns whether an entry was
     /// corrupted (false for unknown names or empty logs).
     pub fn corrupt_replay_log(&mut self, component: &str) -> bool {
-        match self.by_name.get(component) {
-            Some(&idx) => self.slots[idx].log.corrupt_newest_ret(),
+        match self.slot(component) {
+            Some(idx) => self.slots[idx].log.corrupt_newest_ret(),
             None => false,
         }
     }
@@ -557,9 +556,14 @@ impl System {
     }
 
     /// The slot `name` is linked into.
+    fn slot(&self, name: &str) -> Option<usize> {
+        slot_of(&self.slots, name)
+    }
+
+    /// [`System::slot`], or the error naming an unknown component.
     pub(crate) fn index_of(&self, name: &str) -> Result<usize, OsError> {
-        let idx = self.by_name.get(name).copied();
-        idx.ok_or_else(|| OsError::UnknownComponent(name.to_owned()))
+        self.slot(name)
+            .ok_or_else(|| OsError::UnknownComponent(name.to_owned()))
     }
 
     /// [`System::index_of`], for a component that can be rebooted alone.
@@ -576,43 +580,38 @@ impl System {
     /// Whether `component` can be rebooted alone (`None` for unknown
     /// names). Host-shared components such as VIRTIO cannot (§VIII).
     pub fn is_rebootable(&self, component: &str) -> Option<bool> {
-        self.by_name
-            .get(component)
-            .map(|&i| self.slots[i].desc.is_rebootable())
+        self.slot(component)
+            .map(|i| self.slots[i].desc.is_rebootable())
     }
 
     /// Whether the hang detector ignores `component` (`None` for unknown
     /// names). Event-waiting components such as LWIP are exempt (§V-A).
     pub fn is_hang_exempt(&self, component: &str) -> Option<bool> {
-        self.by_name
-            .get(component)
-            .map(|&i| self.slots[i].desc.is_hang_exempt())
+        self.slot(component)
+            .map(|i| self.slots[i].desc.is_hang_exempt())
     }
 
     /// Current live log entries of a component.
     pub fn log_len(&self, component: &str) -> usize {
-        self.by_name
-            .get(component)
-            .map(|&i| self.slots[i].log.len())
+        self.slot(component)
+            .map(|i| self.slots[i].log.len())
             .unwrap_or(0)
     }
 
     /// Current log records (entries + recorded downcall returns) of a
     /// component — the unit Table III counts.
     pub fn log_records(&self, component: &str) -> usize {
-        self.by_name
-            .get(component)
-            .map(|&i| self.slots[i].log.record_count())
+        self.slot(component)
+            .map(|i| self.slots[i].log.record_count())
             .unwrap_or(0)
     }
 
     /// A component's live log entries in replay order (none for unknown
     /// names).
     pub fn log_entries(&self, component: &str) -> impl Iterator<Item = &LogEntry> + '_ {
-        self.by_name
-            .get(component)
+        self.slot(component)
             .into_iter()
-            .flat_map(|&i| self.slots[i].log.iter())
+            .flat_map(|i| self.slots[i].log.iter())
     }
 
     /// Total log records across all components.
@@ -645,28 +644,27 @@ impl System {
     /// written, where [`MemoryReport::arenas`] counts logical sizes. `None`
     /// for unknown names.
     pub fn arena_resident_bytes(&self, component: &str) -> Option<usize> {
-        let &idx = self.by_name.get(component)?;
+        let idx = self.slot(component)?;
         Some(self.slots[idx].arena.resident_bytes())
     }
 
     /// A component's current state digest (testing / corruption checks).
     pub fn state_digest(&self, component: &str) -> Option<u64> {
-        let &idx = self.by_name.get(component)?;
+        let idx = self.slot(component)?;
         self.slots[idx].comp.as_ref().map(|c| c.state_digest())
     }
 
     /// Per-component reboot count.
     pub fn reboot_count(&self, component: &str) -> u64 {
-        self.by_name
-            .get(component)
-            .map(|&i| self.slots[i].reboots)
+        self.slot(component)
+            .map(|i| self.slots[i].reboots)
             .unwrap_or(0)
     }
 
     /// A component's exact call and recovery counts (`None` for unknown
     /// names). Kept whether or not a telemetry sink is attached.
     pub fn component_counters(&self, component: &str) -> Option<ComponentCounters> {
-        let &idx = self.by_name.get(component)?;
+        let idx = self.slot(component)?;
         Some(self.slots[idx].counters)
     }
 
@@ -675,22 +673,103 @@ impl System {
         self.slots.iter().map(|s| s.name.to_string()).collect()
     }
 
-    /// Issues a syscall from the application layer, recording its timing.
+    /// Issues a syscall from the application layer by name: the front
+    /// door for callers that hold no call site. It binds the call the way
+    /// the linker binds a declared site, then takes the same hop.
     ///
     /// # Errors
     ///
-    /// Propagates component errors; after a fail-stop every call returns
-    /// [`OsError::FailStop`].
+    /// [`OsError::UnknownComponent`] / [`OsError::UnknownFunc`] when the
+    /// names resolve to nothing (no time is charged); component errors;
+    /// after a fail-stop every call returns [`OsError::FailStop`].
     pub fn syscall(&mut self, target: &str, func: &str, args: &[Value]) -> Result<Value, OsError> {
+        let binding = self.bind(None, target, func);
+        self.syscall_bound(&binding, func, args)
+    }
+
+    /// Issues the [`Os`] facade's call `site`, bound when the system was
+    /// linked.
+    pub(crate) fn os_call(&mut self, site: CallSite, args: &[Value]) -> Result<Value, OsError> {
+        let binding = self.os_sites[site.index()].clone();
+        self.syscall_bound(&binding, site.func(), args)
+    }
+
+    fn syscall_bound(
+        &mut self,
+        binding: &Binding,
+        func: &str,
+        args: &[Value],
+    ) -> Result<Value, OsError> {
         let start = self.clock.now();
         self.emit(|c| c.syscall_begin(func, start));
-        let result = self.invoke_from(None, target, func, args);
-        let took = self.clock.now().saturating_sub(start);
-        self.stats.record_syscall(func, took);
+        let result = self.invoke_bound(None, binding, args);
         let end = self.clock.now();
         let ok = result.is_ok();
         self.emit(|c| c.syscall_end(end, ok));
         result
+    }
+
+    /// What a call of slot `slot`'s function `func` from `caller` reads on
+    /// every hop.
+    fn bound(&self, caller: Option<usize>, slot: usize, func: FnId) -> Bound {
+        let target = &self.slots[slot];
+        let info = target
+            .desc
+            .function_at(func)
+            .expect("numbered by the descriptor");
+        Bound {
+            slot,
+            func,
+            name: info.name.clone(),
+            logged: info.logged && self.mode.is_vampos(),
+            // The app's messages wake the scheduler directly.
+            predicted: caller
+                .is_none_or(|c| self.slots[c].desc.dependencies().contains(&target.name)),
+        }
+    }
+
+    /// Binds `callee`'s call from `caller` again, to the function of that
+    /// name in the slot's current descriptor.
+    pub(crate) fn rebind(&self, caller: Option<usize>, callee: &Bound) -> Binding {
+        let desc = &self.slots[callee.slot].desc;
+        let func = desc
+            .fn_id_of(&callee.name)
+            .ok_or_else(|| OsError::UnknownFunc {
+                component: self.slots[callee.slot].name.to_string(),
+                func: callee.name.to_string(),
+            })?;
+        Ok(self.bound(caller, callee.slot, func))
+    }
+
+    /// Binds a call of `target`'s `func` from `caller` by name.
+    fn bind(&self, caller: Option<usize>, target: &str, func: &str) -> Binding {
+        let slot = self.index_of(target)?;
+        let func_id = self.slots[slot].desc.fn_id(func);
+        let func_id = func_id.ok_or_else(|| OsError::UnknownFunc {
+            component: target.to_owned(),
+            func: func.to_owned(),
+        })?;
+        Ok(self.bound(caller, slot, func_id))
+    }
+
+    /// Links the system (Unikraft links its components at build time):
+    /// binds every call site, each component's and the [`Os`] facade's,
+    /// to the slot and function it reaches, and resolves every armed
+    /// fault's names. Runs at build, and again after a swap installs a
+    /// descriptor.
+    pub(crate) fn link(&mut self) {
+        for idx in 0..self.slots.len() {
+            let sites = self.slots[idx].desc.call_sites();
+            let sites = sites
+                .iter()
+                .map(|s| self.bind(Some(idx), s.target(), s.func()))
+                .collect();
+            self.slots[idx].sites = sites;
+        }
+        let os = crate::os::SITES.iter();
+        self.os_sites = os.map(|s| self.bind(None, s.target(), s.func())).collect();
+        let slots = &self.slots;
+        self.faults.relink(|fault| fault_target(slots, fault));
     }
 
     /// Simulates an out-of-interface wild write: the faulty component
@@ -773,13 +852,13 @@ impl System {
         self.slots.iter().filter(|s| s.up).count() + 2
     }
 
-    fn charge_request_hop(
-        &mut self,
-        caller: Option<usize>,
-        target: usize,
-        bytes: usize,
-        logged: bool,
-    ) {
+    fn charge_request_hop(&mut self, caller: Option<usize>, callee: &Bound, bytes: usize) {
+        let Bound {
+            slot: target,
+            logged,
+            predicted,
+            ..
+        } = *callee;
         match &self.mode {
             Mode::Unikraft => {
                 self.clock.advance(self.costs.direct_call);
@@ -802,16 +881,9 @@ impl System {
                     SchedulerKind::DependencyAware => {
                         // The scheduler dispatches using the statically
                         // declared component correlations (§V-C). A hop to
-                        // an undeclared target is a mispredict: the
-                        // scheduler falls back to scanning the ring.
-                        let predicted = match caller {
-                            None => true, // the app's messages wake the scheduler directly
-                            Some(c) => self.slots[c]
-                                .desc
-                                .dependencies()
-                                .iter()
-                                .any(|d| *d == self.slots[target].name),
-                        };
+                        // a target outside the caller's dependencies is a
+                        // mispredict: the scheduler falls back to scanning
+                        // the ring.
                         let mut w = if predicted {
                             self.costs.das_wait()
                         } else {
@@ -860,20 +932,24 @@ impl System {
         }
     }
 
-    /// The checks and lookups a call makes before any cost is charged:
-    /// the target's slot, and the function's shared name and logging
-    /// decision from the one descriptor table that holds both.
-    fn resolve(&mut self, target: &str, func: &str) -> Result<Callee, OsError> {
+    /// The checks a call makes before any cost is charged: the system is
+    /// up, the site reaches a slot, and the slot can take the call.
+    pub(crate) fn invoke_bound(
+        &mut self,
+        caller: Option<usize>,
+        binding: &Binding,
+        args: &[Value],
+    ) -> Result<Value, OsError> {
         if self.failed {
             return Err(OsError::FailStop {
                 reason: "system previously fail-stopped".to_owned(),
             });
         }
-        let tid = self.index_of(target)?;
-        let slot = &self.slots[tid];
+        let callee = binding.as_ref().map_err(OsError::clone)?;
+        let slot = &self.slots[callee.slot];
         if !slot.up {
             return Err(OsError::ComponentUnavailable {
-                component: target.to_owned(),
+                component: slot.name.to_string(),
             });
         }
         if slot.comp.is_none() {
@@ -881,54 +957,34 @@ impl System {
             // our simulation cannot re-enter it; VampOS would attach a fresh
             // thread (§V-A). The component DAG keeps this from happening on
             // legitimate paths.
-            return Err(OsError::Io(format!("re-entrant call into {target}")));
+            return Err(OsError::Io(format!("re-entrant call into {}", slot.name)));
         }
-        let (func, logged) = match slot.desc.function(func) {
-            Some(info) => (info.name.clone(), info.logged && self.mode.is_vampos()),
-            None => match self.undeclared.get(func) {
-                Some(name) => (name.clone(), false),
-                None => {
-                    let name = Name::from(func);
-                    self.undeclared.insert(name.clone());
-                    (name, false)
-                }
-            },
-        };
-        Ok(Callee { tid, func, logged })
-    }
-
-    pub(crate) fn invoke_from(
-        &mut self,
-        caller: Option<usize>,
-        target: &str,
-        func: &str,
-        args: &[Value],
-    ) -> Result<Value, OsError> {
-        let callee = self.resolve(target, func)?;
-        self.invoke_resolved(caller, &callee, args)
+        self.invoke_resolved(caller, callee, args)
     }
 
     fn invoke_resolved(
         &mut self,
         caller: Option<usize>,
-        callee: &Callee,
+        callee: &Bound,
         args: &[Value],
     ) -> Result<Value, OsError> {
-        let Callee {
-            tid,
-            ref func,
+        let Bound {
+            slot: tid,
+            func: id,
+            name: ref func,
             logged,
+            ..
         } = *callee;
 
         // Fault injection fires at message-pull time.
-        match self.faults.on_call(&self.slots[tid].name, func) {
+        match self.faults.on_call(tid, id) {
             None => {}
             Some(FaultKind::Panic) => {
                 let err = OsError::Panic {
                     component: self.slots[tid].name.to_string(),
                     reason: "injected fail-stop fault".to_owned(),
                 };
-                return self.handle_failure(tid, err, caller, func, args);
+                return self.handle_failure(err, caller, callee, args);
             }
             Some(FaultKind::Hang) => {
                 self.clock.advance(self.faults.hang_threshold());
@@ -941,7 +997,7 @@ impl System {
                 let err = OsError::Hang {
                     component: self.slots[tid].name.to_string(),
                 };
-                return self.handle_failure(tid, err, caller, func, args);
+                return self.handle_failure(err, caller, callee, args);
             }
             Some(FaultKind::LeakPerOp { bytes }) => {
                 let _ = self.slots[tid].arena.leak(bytes);
@@ -955,20 +1011,23 @@ impl System {
 
         let args_bytes: usize = args.iter().map(Value::byte_len).sum();
         let hop_start = self.clock.now();
-        self.charge_request_hop(caller, tid, args_bytes, logged);
+        self.charge_request_hop(caller, callee, args_bytes);
         self.slots[tid].counters.hops += 1;
         let caller_name = caller.map_or(&self.app, |c| &self.slots[c].name);
         let target = &self.slots[tid].name;
         self.emit(|c| c.call_begin(caller_name, target, func, hop_start));
 
-        let mut comp = self.slots[tid].comp.take().expect("checked by resolve");
+        let mut comp = self.slots[tid]
+            .comp
+            .take()
+            .expect("checked by invoke_bound");
         let mut ctx = Ctx {
             sys: self,
             me: tid,
             pending: logged.then(Vec::new),
             replay: None,
         };
-        let result = comp.call(&mut ctx, func, args);
+        let result = comp.call(&mut ctx, id, args);
         let downcalls = ctx.pending.take().unwrap_or_default();
         self.slots[tid].comp = Some(comp);
 
@@ -977,7 +1036,7 @@ impl System {
                 let ret_bytes = ret.byte_len();
                 self.charge_reply_hop(caller, tid, ret_bytes);
                 if logged {
-                    self.append_log(tid, caller, func, args, &ret, downcalls);
+                    self.append_log(caller, callee, args, &ret, downcalls);
                 }
                 Ok(ret)
             }
@@ -991,7 +1050,7 @@ impl System {
                     },
                     other => other,
                 };
-                self.handle_failure(tid, err, caller, func, args)
+                self.handle_failure(err, caller, callee, args)
             }
             Err(err) => {
                 self.charge_reply_hop(caller, tid, 8);
@@ -1006,13 +1065,13 @@ impl System {
 
     fn append_log(
         &mut self,
-        tid: usize,
         caller: Option<usize>,
-        func: &Name,
+        callee: &Bound,
         args: &[Value],
         ret: &Value,
         downcalls: Vec<DownRec>,
     ) {
+        let tid = callee.slot;
         let cfg = self
             .mode
             .vamp_config()
@@ -1024,10 +1083,10 @@ impl System {
             .comp
             .as_ref()
             .expect("component present")
-            .session_event(func, args, ret);
+            .session_event(callee.func, args, ret);
         let outcome = slot.log.append(
             caller_name,
-            func,
+            &callee.name,
             args,
             ret,
             downcalls,
@@ -1098,12 +1157,39 @@ impl MemoryReport {
     }
 }
 
-/// A call's target and function, resolved once per hop.
-struct Callee {
-    tid: usize,
-    func: Name,
+/// A call site bound to what it reaches: the target's slot and function,
+/// and everything a hop reads about them.
+#[derive(Debug, Clone)]
+pub(crate) struct Bound {
+    pub(crate) slot: usize,
+    pub(crate) func: FnId,
+    /// The function's name, shared with the target's descriptor.
+    pub(crate) name: Name,
     /// The call is appended to the target's function log.
-    logged: bool,
+    pub(crate) logged: bool,
+    /// The caller declares the target a dependency, so the
+    /// dependency-aware scheduler predicts the hop (§V-C).
+    pub(crate) predicted: bool,
+}
+
+/// A call site's binding: what it reaches, or the error a call of it
+/// returns.
+pub(crate) type Binding = Result<Bound, OsError>;
+
+/// The slot `name` is linked into among `slots`. A scan: equality
+/// rejects most of a few dozen names on their length alone.
+fn slot_of(slots: &[Slot], name: &str) -> Option<usize> {
+    slots.iter().position(|s| s.name == name)
+}
+
+/// What `fault`'s names resolve to among `slots`.
+fn fault_target(slots: &[Slot], fault: &InjectedFault) -> Option<FaultTarget> {
+    let slot = slot_of(slots, &fault.component)?;
+    let func = match &fault.func {
+        Some(func) => Some(slots[slot].desc.fn_id(func)?),
+        None => None,
+    };
+    Some(FaultTarget { slot, func })
 }
 
 /// The live call context handed to an executing component.
@@ -1128,10 +1214,14 @@ pub(crate) struct ReplayState {
 }
 
 impl CallContext for Ctx<'_> {
-    fn invoke(&mut self, target: &str, func: &str, args: &[Value]) -> Result<Value, OsError> {
+    fn invoke(&mut self, site: CallSite, args: &[Value]) -> Result<Value, OsError> {
+        let me = &self.sys.slots[self.me];
+        debug_assert_eq!(me.desc.call_sites().get(site.index()), Some(&site));
+        let binding = &me.sites[site.index()];
         if let Some(replay) = &mut self.replay {
             // Encapsulated restoration: answer from the return-value log
             // instead of invoking the (running) component — §V-B.
+            let (target, func) = (site.target(), site.func());
             let Some(rec) = replay.entry.downcalls.get(replay.next) else {
                 return Err(OsError::ReplayMismatch {
                     component: replay.component.to_string(),
@@ -1139,7 +1229,15 @@ impl CallContext for Ctx<'_> {
                 });
             };
             replay.next += 1;
-            if rec.target != target || rec.func != func {
+            // A bound site and its records share their names, which
+            // compare by pointer.
+            let same = match binding {
+                Ok(callee) => {
+                    rec.target == self.sys.slots[callee.slot].name && rec.func == callee.name
+                }
+                Err(_) => rec.target == *target && rec.func == *func,
+            };
+            if !same {
                 return Err(OsError::ReplayMismatch {
                     component: replay.component.to_string(),
                     detail: format!(
@@ -1151,17 +1249,14 @@ impl CallContext for Ctx<'_> {
             self.sys.clock.advance(self.sys.costs.direct_call);
             return rec.ret.clone();
         }
-        let callee = self.sys.resolve(target, func);
-        let result = match &callee {
-            Ok(callee) => self.sys.invoke_resolved(Some(self.me), callee, args),
-            Err(e) => Err(e.clone()),
-        };
+        let binding = binding.clone();
+        let result = self.sys.invoke_bound(Some(self.me), &binding, args);
         if let Some(pending) = &mut self.pending {
-            // A call that resolved is recorded under the names the slot and
-            // descriptor tables already share.
-            let (target, func) = match callee {
-                Ok(callee) => (self.sys.slots[callee.tid].name.clone(), callee.func),
-                Err(_) => (Name::from(target), Name::from(func)),
+            // The record shares the names the slot and descriptor tables
+            // hold.
+            let (target, func) = match binding {
+                Ok(callee) => (self.sys.slots[callee.slot].name.clone(), callee.name),
+                Err(_) => (Name::from(site.target()), Name::from(site.func())),
             };
             pending.push(DownRec {
                 target,

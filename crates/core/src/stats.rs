@@ -1,8 +1,6 @@
 //! Runtime statistics: everything the evaluation harness reads.
 
-use std::collections::BTreeMap;
-
-use vampos_sim::{Name, Nanos, Summary};
+use vampos_sim::{Name, Nanos};
 
 /// One downtime window recorded by the reboot engine.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -37,9 +35,6 @@ pub struct ComponentCounters {
 /// Counters and timings collected by a running [`System`](crate::System).
 #[derive(Debug, Clone, Default)]
 pub struct SystemStats {
-    /// Per-syscall execution-time summaries (recorded by the harness via
-    /// [`SystemStats::record_syscall`]).
-    pub syscall_times: BTreeMap<String, Summary>,
     /// Message hops performed (push + pull pairs).
     pub msg_hops: u64,
     /// Context switches charged by the scheduler.
@@ -80,20 +75,6 @@ pub struct SystemStats {
 }
 
 impl SystemStats {
-    /// Records one syscall timing sample.
-    pub fn record_syscall(&mut self, name: &str, took: Nanos) {
-        // Look up before inserting: `entry` would need an owned key, a
-        // `String` allocated and freed on every hit.
-        match self.syscall_times.get_mut(name) {
-            Some(summary) => summary.record_nanos(took),
-            None => self
-                .syscall_times
-                .entry(name.to_owned())
-                .or_default()
-                .record_nanos(took),
-        }
-    }
-
     /// Total downtime across all windows.
     pub fn total_downtime(&self) -> Nanos {
         self.downtime.iter().map(DowntimeWindow::duration).sum()
@@ -108,17 +89,6 @@ impl SystemStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn syscall_summaries_accumulate() {
-        let mut s = SystemStats::default();
-        s.record_syscall("open", Nanos::from_micros(10));
-        s.record_syscall("open", Nanos::from_micros(20));
-        s.record_syscall("read", Nanos::from_micros(1));
-        assert_eq!(s.syscall_times["open"].count(), 2);
-        assert_eq!(s.syscall_times["open"].mean(), 15.0);
-        assert_eq!(s.syscall_times.len(), 2);
-    }
 
     #[test]
     fn downtime_sums_windows() {

@@ -6,7 +6,7 @@
 use vampos_analyze::{analyze, codes};
 use vampos_core::{analysis, ComponentSet, Mode, System};
 use vampos_mem::ArenaLayout;
-use vampos_ukernel::{CallContext, Component, ComponentDescriptor, OsError, Value};
+use vampos_ukernel::{CallContext, Component, ComponentDescriptor, FnId, OsError, Value};
 
 /// A deliberately broken extra component: stateful, rebootable, logged —
 /// but without checkpoint-based init (VAMP-E201).
@@ -32,7 +32,7 @@ impl Component for NoCheckpoint {
     fn call(
         &mut self,
         _ctx: &mut dyn CallContext,
-        _func: &str,
+        _func: FnId,
         _args: &[Value],
     ) -> Result<Value, OsError> {
         Ok(Value::Unit)

@@ -7,8 +7,8 @@ use vampos_host::HostHandle;
 use vampos_mem::{ArenaLayout, MemoryArena};
 use vampos_oslib::vfs::OpenFlags;
 use vampos_ukernel::{
-    CallContext, Component, ComponentBox, ComponentDescriptor, OsError, RuntimeData, SessionEvent,
-    Value,
+    CallContext, CallSite, Component, ComponentBox, ComponentDescriptor, FnId, OsError,
+    RuntimeData, SessionEvent, Value,
 };
 
 fn staged_host() -> HostHandle {
@@ -92,6 +92,13 @@ fn without_graceful_mode_the_system_fail_stops() {
 
 // ---------- multi-version components ----------
 
+mod counter {
+    vampos_ukernel::interface! {
+        BUMP = "bump";
+        VALUE = "value";
+    }
+}
+
 /// A counter component whose v1 has a deterministic bug in `bump`.
 #[derive(Clone)]
 struct Counter {
@@ -106,7 +113,8 @@ impl Counter {
             desc: ComponentDescriptor::new("counter", ArenaLayout::small())
                 .stateful()
                 .checkpoint_init()
-                .logs(&["bump"]),
+                .functions(counter::FUNCTIONS)
+                .logs(&[counter::BUMP]),
             count: 0,
             buggy,
         }
@@ -120,11 +128,11 @@ impl Component for Counter {
     fn call(
         &mut self,
         _ctx: &mut dyn CallContext,
-        func: &str,
+        func: FnId,
         _args: &[Value],
     ) -> Result<Value, OsError> {
         match func {
-            "bump" => {
+            counter::id::BUMP => {
                 // v1's deterministic bug: the fifth increment crashes —
                 // every time, including after a reboot-and-replay.
                 if self.buggy && self.count == 4 {
@@ -136,14 +144,11 @@ impl Component for Counter {
                 self.count += 1;
                 Ok(Value::U64(self.count))
             }
-            "value" => Ok(Value::U64(self.count)),
-            other => Err(OsError::UnknownFunc {
-                component: "counter".into(),
-                func: other.into(),
-            }),
+            counter::id::VALUE => Ok(Value::U64(self.count)),
+            _ => unreachable!("counter declares no function {func:?}"),
         }
     }
-    fn session_event(&self, _f: &str, _a: &[Value], _r: &Value) -> SessionEvent {
+    fn session_event(&self, _f: FnId, _a: &[Value], _r: &Value) -> SessionEvent {
         SessionEvent::None
     }
     fn state_digest(&self) -> u64 {
@@ -247,7 +252,7 @@ impl Component for RuntimeCounter {
     fn call(
         &mut self,
         ctx: &mut dyn CallContext,
-        func: &str,
+        func: FnId,
         args: &[Value],
     ) -> Result<Value, OsError> {
         self.inner.call(ctx, func, args)
@@ -333,7 +338,7 @@ impl Component for Tally {
     fn call(
         &mut self,
         _ctx: &mut dyn CallContext,
-        _func: &str,
+        _func: FnId,
         _args: &[Value],
     ) -> Result<Value, OsError> {
         self.calls += 1;
@@ -347,7 +352,7 @@ fn a_reboot_discards_state_no_hook_clears() {
         .mode(Mode::vampos_das())
         .components(ComponentSet::echo())
         .extra_component(Box::new(Tally {
-            desc: ComponentDescriptor::new("tally", ArenaLayout::small()),
+            desc: ComponentDescriptor::new("tally", ArenaLayout::small()).functions(&["tally"]),
             calls: 0,
         }))
         .build()
@@ -503,6 +508,9 @@ fn aging_report_and_targeted_rejuvenation() {
 
 // ---------- dependency-aware scheduling model ----------
 
+const GETPID: CallSite = CallSite::new(0, "process", "getpid");
+const GETPPID: CallSite = CallSite::new(1, "process", "getppid");
+
 /// A component that calls PROCESS without declaring the dependency.
 #[derive(Clone)]
 struct Undeclared {
@@ -511,7 +519,9 @@ struct Undeclared {
 
 impl Undeclared {
     fn new(declare: bool) -> Self {
-        let mut desc = ComponentDescriptor::new("chatty", ArenaLayout::small());
+        let mut desc = ComponentDescriptor::new("chatty", ArenaLayout::small())
+            .functions(&["relay"])
+            .calls(&[GETPID]);
         if declare {
             desc = desc.depends_on(&["process"]);
         }
@@ -526,16 +536,10 @@ impl Component for Undeclared {
     fn call(
         &mut self,
         ctx: &mut dyn CallContext,
-        func: &str,
+        _func: FnId,
         _args: &[Value],
     ) -> Result<Value, OsError> {
-        match func {
-            "relay" => ctx.invoke("process", "getpid", &[]),
-            other => Err(OsError::UnknownFunc {
-                component: "chatty".into(),
-                func: other.into(),
-            }),
-        }
+        ctx.invoke(GETPID, &[])
     }
 }
 
@@ -586,4 +590,136 @@ fn built_in_call_graph_is_fully_declared() {
     sys.os().write(fd, b"x").unwrap();
     sys.os().close(fd).unwrap();
     assert_eq!(sys.stats().das_mispredicts, 0);
+}
+
+// ---------- linking ----------
+
+#[test]
+fn a_call_of_an_undeclared_function_fails_at_resolution_and_costs_nothing() {
+    let mut sys = System::builder()
+        .mode(Mode::vampos_das())
+        .components(ComponentSet::echo())
+        .extra_component(Box::new(Counter::new(false)))
+        .build()
+        .unwrap();
+    sys.syscall("counter", "bump", &[]).unwrap();
+    let (t0, stats) = (sys.clock().now(), sys.stats().clone());
+    let hops = sys.component_counters("counter").unwrap().hops;
+    assert_eq!(
+        sys.syscall("counter", "reset", &[]),
+        Err(OsError::UnknownFunc {
+            component: "counter".into(),
+            func: "reset".into(),
+        })
+    );
+    assert_eq!(
+        sys.syscall("nope", "bump", &[]),
+        Err(OsError::UnknownComponent("nope".into()))
+    );
+    // Neither call reached a slot: no time, hop or message was charged.
+    assert_eq!(sys.clock().now(), t0);
+    assert_eq!(sys.component_counters("counter").unwrap().hops, hops);
+    assert_eq!(sys.stats().msg_hops, stats.msg_hops);
+    assert_eq!(sys.syscall("counter", "value", &[]), Ok(Value::U64(1)));
+}
+
+/// How a [`Diverging`] component's replay departs from its logged run.
+#[derive(Clone, Copy, Debug)]
+enum Divergence {
+    /// It replays the downcalls it made.
+    None,
+    /// It makes one more downcall than it logged.
+    Extra,
+    /// It calls another function than the one it logged.
+    Other,
+}
+
+/// A stateful component whose `step` calls `getpid` once, and whose replay
+/// of `step` makes the downcalls its [`Divergence`] says.
+#[derive(Clone)]
+struct Diverging {
+    desc: ComponentDescriptor,
+    divergence: Divergence,
+}
+
+impl Diverging {
+    fn new(divergence: Divergence) -> Self {
+        Diverging {
+            desc: ComponentDescriptor::new("diverging", ArenaLayout::small())
+                .stateful()
+                .checkpoint_init()
+                .functions(&["step"])
+                .depends_on(&["process"])
+                .calls(&[GETPID, GETPPID])
+                .logs(&["step"]),
+            divergence,
+        }
+    }
+}
+
+impl Component for Diverging {
+    fn descriptor(&self) -> &ComponentDescriptor {
+        &self.desc
+    }
+    fn call(
+        &mut self,
+        ctx: &mut dyn CallContext,
+        _func: FnId,
+        _args: &[Value],
+    ) -> Result<Value, OsError> {
+        let divergence = if ctx.is_replay() {
+            self.divergence
+        } else {
+            Divergence::None
+        };
+        match divergence {
+            Divergence::None => ctx.invoke(GETPID, &[]),
+            Divergence::Extra => {
+                ctx.invoke(GETPID, &[])?;
+                ctx.invoke(GETPID, &[])
+            }
+            Divergence::Other => ctx.invoke(GETPPID, &[]),
+        }
+    }
+}
+
+#[test]
+fn a_replay_that_departs_from_its_logged_downcalls_is_refused() {
+    let stepped = |divergence| {
+        let mut sys = System::builder()
+            .mode(Mode::vampos_das())
+            .components(ComponentSet::echo())
+            .extra_component(Box::new(Diverging::new(divergence)))
+            .build()
+            .unwrap();
+        assert_eq!(sys.syscall("diverging", "step", &[]), Ok(Value::U64(1)));
+        assert_eq!(
+            sys.log_entries("diverging").next().unwrap().downcalls.len(),
+            1
+        );
+        sys
+    };
+    let mut faithful = stepped(Divergence::None);
+    assert_eq!(faithful.reboot_component("diverging").unwrap().replayed, 1);
+
+    for (divergence, expected) in [
+        (
+            Divergence::Extra,
+            "unrecorded downcall process.getpid during replay",
+        ),
+        (
+            Divergence::Other,
+            "replay expected process.getpid, component called process.getppid",
+        ),
+    ] {
+        let mut sys = stepped(divergence);
+        match sys.reboot_component("diverging") {
+            Err(OsError::ReplayMismatch { component, detail }) => {
+                assert_eq!(component, "diverging");
+                assert!(detail.contains(expected), "{divergence:?}: {detail}");
+            }
+            other => panic!("{divergence:?}: expected a replay mismatch, got {other:?}"),
+        }
+        assert!(sys.has_failed(), "{divergence:?}");
+    }
 }

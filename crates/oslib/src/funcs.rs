@@ -1,180 +1,214 @@
-//! Interface-function name constants.
+//! The components' interfaces (the functions Table II lists), one module
+//! per component, each declared with [`vampos_ukernel::interface!`].
 //!
-//! Components dispatch on function-name strings (the marshalled form of the
-//! interfaces Table II lists); these constants keep callers and callees in
-//! sync. Grouped per component.
+//! A module's name constants are the symbols callers link against: a call
+//! site names its target function by one, and the runtime resolves it to
+//! the callee's slot and [`FnId`](vampos_ukernel::FnId) once, when it links
+//! the system. The module's `id` constants are the same functions as those
+//! numbers, which the component dispatches on; `FUNCTIONS` is its
+//! descriptor's function table.
 
 /// VFS interface functions.
 pub mod vfs {
-    /// `create(path)` — create + open a file.
-    pub const CREATE: &str = "create";
-    /// `open(path, flags)`.
-    pub const OPEN: &str = "open";
-    /// `read(fd, max)`.
-    pub const READ: &str = "read";
-    /// `pread(fd, max, offset)`.
-    pub const PREAD: &str = "pread";
-    /// `write(fd, bytes)`.
-    pub const WRITE: &str = "write";
-    /// `pwrite(fd, bytes, offset)`.
-    pub const PWRITE: &str = "pwrite";
-    /// `writev(fd, [bytes...])`.
-    pub const WRITEV: &str = "writev";
-    /// `lseek(fd, offset, whence)`.
-    pub const LSEEK: &str = "lseek";
-    /// `close(fd)`.
-    pub const CLOSE: &str = "close";
-    /// `mount(fstype, path)`.
-    pub const MOUNT: &str = "mount";
-    /// `fcntl(fd, cmd, arg)`.
-    pub const FCNTL: &str = "fcntl";
-    /// `ioctl(fd, cmd, arg)`.
-    pub const IOCTL: &str = "ioctl";
-    /// `pipe()` — returns a read/write fd pair.
-    pub const PIPE: &str = "pipe";
-    /// `fsync(fd)`.
-    pub const FSYNC: &str = "fsync";
-    /// `vfscore_vget(path)` — pin a vnode.
-    pub const VGET: &str = "vfscore_vget";
-    /// `vfs_alloc_socket([listen_fd])` — socket create / accept.
-    pub const ALLOC_SOCKET: &str = "vfs_alloc_socket";
-    /// `fstat(fd)` — state-unchanged, never logged.
-    pub const FSTAT: &str = "fstat";
-    /// `stat(path)` — state-unchanged, never logged.
-    pub const STAT: &str = "stat";
-    /// `unlink(path)`.
-    pub const UNLINK: &str = "unlink";
-    /// `bind(fd, port)` — socket passthrough to LWIP.
-    pub const BIND: &str = "bind";
-    /// `listen(fd, backlog)` — socket passthrough.
-    pub const LISTEN: &str = "listen";
-    /// `connect(fd, port)` — socket passthrough.
-    pub const CONNECT: &str = "connect";
-    /// `shutdown(fd, how)` — socket passthrough.
-    pub const SHUTDOWN: &str = "shutdown";
-    /// `getsockopt(fd, opt)` — socket passthrough.
-    pub const GETSOCKOPT: &str = "getsockopt";
-    /// `setsockopt(fd, opt, val)` — socket passthrough.
-    pub const SETSOCKOPT: &str = "setsockopt";
-    /// `vfs_set_offset(fd, offset)` — synthetic entry emitted by log
-    /// compaction; replays an fd's offset without the read/write history.
-    pub const SET_OFFSET: &str = "vfs_set_offset";
-    /// `poll_ready([fds])` — readiness query (epoll-style); state-unchanged,
-    /// never logged.
-    pub const POLL_READY: &str = "poll_ready";
+    vampos_ukernel::interface! {
+        /// `create(path)` — create + open a file.
+        CREATE = "create";
+        /// `open(path, flags)`.
+        OPEN = "open";
+        /// `read(fd, max)`.
+        READ = "read";
+        /// `pread(fd, max, offset)`.
+        PREAD = "pread";
+        /// `write(fd, bytes)`.
+        WRITE = "write";
+        /// `pwrite(fd, bytes, offset)`.
+        PWRITE = "pwrite";
+        /// `writev(fd, [bytes...])`.
+        WRITEV = "writev";
+        /// `lseek(fd, offset, whence)`.
+        LSEEK = "lseek";
+        /// `close(fd)`.
+        CLOSE = "close";
+        /// `mount(fstype, path)`.
+        MOUNT = "mount";
+        /// `fcntl(fd, cmd, arg)`.
+        FCNTL = "fcntl";
+        /// `ioctl(fd, cmd, arg)`.
+        IOCTL = "ioctl";
+        /// `pipe()` — returns a read/write fd pair.
+        PIPE = "pipe";
+        /// `fsync(fd)`.
+        FSYNC = "fsync";
+        /// `vfscore_vget(path)` — pin a vnode.
+        VGET = "vfscore_vget";
+        /// `vfs_alloc_socket([listen_fd])` — socket create / accept.
+        ALLOC_SOCKET = "vfs_alloc_socket";
+        /// `fstat(fd)` — state-unchanged, never logged.
+        FSTAT = "fstat";
+        /// `stat(path)` — state-unchanged, never logged.
+        STAT = "stat";
+        /// `unlink(path)`.
+        UNLINK = "unlink";
+        /// `bind(fd, port)` — socket passthrough to LWIP.
+        BIND = "bind";
+        /// `listen(fd, backlog)` — socket passthrough.
+        LISTEN = "listen";
+        /// `connect(fd, port)` — socket passthrough.
+        CONNECT = "connect";
+        /// `shutdown(fd, how)` — socket passthrough.
+        SHUTDOWN = "shutdown";
+        /// `getsockopt(fd, opt)` — socket passthrough.
+        GETSOCKOPT = "getsockopt";
+        /// `setsockopt(fd, opt, val)` — socket passthrough.
+        SETSOCKOPT = "setsockopt";
+        /// `vfs_set_offset(fd, offset)` — synthetic entry emitted by log
+        /// compaction; replays an fd's offset without the read/write history.
+        SET_OFFSET = "vfs_set_offset";
+        /// `poll_ready([fds])` — readiness query (epoll-style); state-unchanged,
+        /// never logged.
+        POLL_READY = "poll_ready";
+    }
 }
 
 /// 9PFS interface functions.
 pub mod ninepfs {
-    /// `mount(path)` — attach to the host share.
-    pub const MOUNT: &str = "uk_9pfs_mount";
-    /// `unmount()`.
-    pub const UNMOUNT: &str = "uk_9pfs_unmount";
-    /// `lookup(path, create)` — resolve (or create) a path to a fid.
-    pub const LOOKUP: &str = "uk_9pfs_lookup";
-    /// `open(fid, truncate)`.
-    pub const OPEN: &str = "uk_9pfs_open";
-    /// `close(fid)` — clunk the host fid.
-    pub const CLOSE: &str = "uk_9pfs_close";
-    /// `inactive(fid)` — drop the guest-side fid entry.
-    pub const INACTIVE: &str = "uk_9pfs_inactive";
-    /// `mkdir(path)`.
-    pub const MKDIR: &str = "uk_9pfs_mkdir";
-    /// `read(fid, offset, max)` — unlogged (offsets live in VFS).
-    pub const READ: &str = "uk_9pfs_read";
-    /// `write(fid, offset, bytes)` — unlogged.
-    pub const WRITE: &str = "uk_9pfs_write";
-    /// `fsync(fid)` — unlogged.
-    pub const FSYNC: &str = "uk_9pfs_fsync";
-    /// `stat_fid(fid)` — unlogged.
-    pub const STAT_FID: &str = "uk_9pfs_stat_fid";
-    /// `stat_path(path)` — unlogged.
-    pub const STAT_PATH: &str = "uk_9pfs_stat_path";
-    /// `remove_path(path)` — unlogged (host state, not component state).
-    pub const REMOVE_PATH: &str = "uk_9pfs_remove_path";
+    vampos_ukernel::interface! {
+        /// `mount(path)` — attach to the host share.
+        MOUNT = "uk_9pfs_mount";
+        /// `unmount()`.
+        UNMOUNT = "uk_9pfs_unmount";
+        /// `lookup(path, create)` — resolve (or create) a path to a fid.
+        LOOKUP = "uk_9pfs_lookup";
+        /// `open(fid, truncate)`.
+        OPEN = "uk_9pfs_open";
+        /// `close(fid)` — clunk the host fid.
+        CLOSE = "uk_9pfs_close";
+        /// `inactive(fid)` — drop the guest-side fid entry.
+        INACTIVE = "uk_9pfs_inactive";
+        /// `mkdir(path)`.
+        MKDIR = "uk_9pfs_mkdir";
+        /// `read(fid, offset, max)` — unlogged (offsets live in VFS).
+        READ = "uk_9pfs_read";
+        /// `write(fid, offset, bytes)` — unlogged.
+        WRITE = "uk_9pfs_write";
+        /// `fsync(fid)` — unlogged.
+        FSYNC = "uk_9pfs_fsync";
+        /// `stat_fid(fid)` — unlogged.
+        STAT_FID = "uk_9pfs_stat_fid";
+        /// `stat_path(path)` — unlogged.
+        STAT_PATH = "uk_9pfs_stat_path";
+        /// `remove_path(path)` — unlogged (host state, not component state).
+        REMOVE_PATH = "uk_9pfs_remove_path";
+    }
 }
 
 /// LWIP interface functions.
 pub mod lwip {
-    /// `socket()`.
-    pub const SOCKET: &str = "socket";
-    /// `bind(sock, port)`.
-    pub const BIND: &str = "bind";
-    /// `listen(sock, backlog)`.
-    pub const LISTEN: &str = "listen";
-    /// `connect(sock, port)`.
-    pub const CONNECT: &str = "connect";
-    /// `getsockopt(sock, opt)`.
-    pub const GETSOCKOPT: &str = "getsockopt";
-    /// `setsockopt(sock, opt, val)`.
-    pub const SETSOCKOPT: &str = "setsockopt";
-    /// `shutdown(sock, how)`.
-    pub const SHUTDOWN: &str = "shutdown";
-    /// `sock_net_close(sock)`.
-    pub const CLOSE: &str = "sock_net_close";
-    /// `sock_net_ioctl(sock, cmd, arg)`.
-    pub const IOCTL: &str = "sock_net_ioctl";
-    /// `accept(sock)` — unlogged; accepted connections are restored from
-    /// LWIP's runtime-data extraction instead.
-    pub const ACCEPT: &str = "accept";
-    /// `recv(sock, max)` — unlogged.
-    pub const RECV: &str = "recv";
-    /// `send(sock, bytes)` — unlogged.
-    pub const SEND: &str = "send";
-    /// `poll()` — pump frames from NETDEV; unlogged.
-    pub const POLL: &str = "poll";
-    /// `ready([socks])` — readiness query over sockets; unlogged.
-    pub const READY: &str = "ready";
+    vampos_ukernel::interface! {
+        /// `socket()`.
+        SOCKET = "socket";
+        /// `bind(sock, port)`.
+        BIND = "bind";
+        /// `listen(sock, backlog)`.
+        LISTEN = "listen";
+        /// `connect(sock, port)`.
+        CONNECT = "connect";
+        /// `getsockopt(sock, opt)`.
+        GETSOCKOPT = "getsockopt";
+        /// `setsockopt(sock, opt, val)`.
+        SETSOCKOPT = "setsockopt";
+        /// `shutdown(sock, how)`.
+        SHUTDOWN = "shutdown";
+        /// `sock_net_close(sock)`.
+        CLOSE = "sock_net_close";
+        /// `sock_net_ioctl(sock, cmd, arg)`.
+        IOCTL = "sock_net_ioctl";
+        /// `accept(sock)` — unlogged; accepted connections are restored from
+        /// LWIP's runtime-data extraction instead.
+        ACCEPT = "accept";
+        /// `recv(sock, max)` — unlogged.
+        RECV = "recv";
+        /// `send(sock, bytes)` — unlogged.
+        SEND = "send";
+        /// `poll()` — pump frames from NETDEV; unlogged.
+        POLL = "poll";
+        /// `ready([socks])` — readiness query over sockets; unlogged.
+        READY = "ready";
+    }
 }
 
 /// NETDEV interface functions.
 pub mod netdev {
-    /// `tx(frame)`.
-    pub const TX: &str = "tx";
-    /// `rx()` — poll one frame.
-    pub const RX: &str = "rx";
-    /// `rx_batch()` — poll all pending frames at once (drivers batch).
-    pub const RX_BATCH: &str = "rx_batch";
+    vampos_ukernel::interface! {
+        /// `tx(frame)`.
+        TX = "tx";
+        /// `rx()` — poll one frame.
+        RX = "rx";
+        /// `rx_batch()` — poll all pending frames at once (drivers batch).
+        RX_BATCH = "rx_batch";
+    }
 }
 
 /// VIRTIO interface functions.
 pub mod virtio {
-    /// `ninep(request)` — one 9P transaction.
-    pub const NINEP: &str = "ninep";
-    /// `net_tx(frame)`.
-    pub const NET_TX: &str = "net_tx";
-    /// `net_rx()`.
-    pub const NET_RX: &str = "net_rx";
-    /// `net_rx_batch()` — drain every pending RX frame in one transaction.
-    pub const NET_RX_BATCH: &str = "net_rx_batch";
+    vampos_ukernel::interface! {
+        /// `ninep(request)` — one 9P transaction.
+        NINEP = "ninep";
+        /// `net_tx(frame)`.
+        NET_TX = "net_tx";
+        /// `net_rx()`.
+        NET_RX = "net_rx";
+        /// `net_rx_batch()` — drain every pending RX frame in one transaction.
+        NET_RX_BATCH = "net_rx_batch";
+    }
 }
 
-/// Utility-component functions.
-pub mod util {
-    /// `getpid()`.
-    pub const GETPID: &str = "getpid";
-    /// `getppid()`.
-    pub const GETPPID: &str = "getppid";
-    /// `gettid()`.
-    pub const GETTID: &str = "gettid";
-    /// `uname()`.
-    pub const UNAME: &str = "uname";
-    /// `sysinfo()`.
-    pub const SYSINFO: &str = "sysinfo";
-    /// `gethostname()`.
-    pub const GETHOSTNAME: &str = "gethostname";
-    /// `getuid()`.
-    pub const GETUID: &str = "getuid";
-    /// `geteuid()`.
-    pub const GETEUID: &str = "geteuid";
-    /// `getgid()`.
-    pub const GETGID: &str = "getgid";
-    /// `getegid()`.
-    pub const GETEGID: &str = "getegid";
-    /// `clock_gettime()`.
-    pub const CLOCK_GETTIME: &str = "clock_gettime";
-    /// `time()`.
-    pub const TIME: &str = "time";
-    /// `nanosleep(ns)`.
-    pub const NANOSLEEP: &str = "nanosleep";
+/// PROCESS interface functions.
+pub mod process {
+    vampos_ukernel::interface! {
+        /// `getpid()`.
+        GETPID = "getpid";
+        /// `getppid()`.
+        GETPPID = "getppid";
+        /// `gettid()`.
+        GETTID = "gettid";
+    }
+}
+
+/// SYSINFO interface functions.
+pub mod sysinfo {
+    vampos_ukernel::interface! {
+        /// `uname()`.
+        UNAME = "uname";
+        /// `sysinfo()`.
+        SYSINFO = "sysinfo";
+        /// `gethostname()`.
+        GETHOSTNAME = "gethostname";
+    }
+}
+
+/// USER interface functions.
+pub mod user {
+    vampos_ukernel::interface! {
+        /// `getuid()`.
+        GETUID = "getuid";
+        /// `geteuid()`.
+        GETEUID = "geteuid";
+        /// `getgid()`.
+        GETGID = "getgid";
+        /// `getegid()`.
+        GETEGID = "getegid";
+    }
+}
+
+/// TIMER interface functions.
+pub mod timer {
+    vampos_ukernel::interface! {
+        /// `clock_gettime()`.
+        CLOCK_GETTIME = "clock_gettime";
+        /// `time()`.
+        TIME = "time";
+        /// `nanosleep(ns)`.
+        NANOSLEEP = "nanosleep";
+    }
 }

@@ -42,3 +42,42 @@ pub use ninepfs::NinePFs;
 pub use util::{Process, SysInfo, Timer, User};
 pub use vfs::{OpenFlags, Vfs};
 pub use virtio::Virtio;
+
+#[cfg(test)]
+mod tests {
+    use vampos_host::HostHandle;
+    use vampos_ukernel::{Component, FnId, OsError};
+
+    use super::*;
+    use crate::testutil::StubCtx;
+
+    /// The runtime dispatches every function a descriptor declares, so no
+    /// declared function may reach a component's `unreachable!` arm.
+    #[test]
+    fn every_declared_function_is_implemented() {
+        let components: [Box<dyn Component>; 9] = [
+            Box::new(Vfs::new()),
+            Box::new(NinePFs::new()),
+            Box::new(Lwip::new()),
+            Box::new(NetDev::new()),
+            Box::new(Virtio::new(HostHandle::new())),
+            Box::new(Process::new()),
+            Box::new(SysInfo::new()),
+            Box::new(User::new()),
+            Box::new(Timer::new()),
+        ];
+        for mut comp in components {
+            let desc = comp.descriptor().clone();
+            let mut id = 0;
+            while let Some(info) = desc.function_at(FnId(id)) {
+                let mut ctx = StubCtx::new();
+                ctx.auto(|_, _, _| Err(OsError::Inval));
+                // Any result will do; reaching no arm would panic.
+                let _ = comp.call(&mut ctx, FnId(id), &[]);
+                assert!(desc.is_exported(&info.name), "{}", info.name);
+                id += 1;
+            }
+            assert!(id > 0, "{} declares no function", desc.name());
+        }
+    }
+}

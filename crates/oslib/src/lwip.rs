@@ -26,10 +26,15 @@ use vampos_host::{take_front, Frame, TcpFlags};
 use vampos_mem::{AllocHandle, ArenaLayout, MemoryArena};
 use vampos_ukernel::digest::DigestBuilder;
 use vampos_ukernel::{
-    names, CallContext, Component, ComponentDescriptor, OsError, RuntimeData, SessionEvent, Value,
+    names, CallContext, CallSite, Component, ComponentDescriptor, FnId, OsError, RuntimeData,
+    SessionEvent, Value,
 };
 
-use crate::funcs::{lwip as f, netdev as nd};
+use crate::funcs::lwip::{self as f, id};
+use crate::funcs::netdev as nd;
+
+const ND_TX: CallSite = CallSite::new(0, names::NETDEV, nd::TX);
+const ND_RX_BATCH: CallSite = CallSite::new(1, names::NETDEV, nd::RX_BATCH);
 
 /// `ioctl` command: set/clear non-blocking mode.
 pub const FIONBIO: u64 = 1;
@@ -127,7 +132,9 @@ impl Lwip {
                 .stateful()
                 .checkpoint_init()
                 .hang_exempt()
+                .functions(f::FUNCTIONS)
                 .depends_on(&[names::NETDEV])
+                .calls(&[ND_TX, ND_RX_BATCH])
                 .logs(&[
                     f::SOCKET,
                     f::BIND,
@@ -214,7 +221,7 @@ impl Lwip {
     }
 
     fn tx(&self, ctx: &mut dyn CallContext, frame: Frame) -> Result<(), OsError> {
-        ctx.invoke(names::NETDEV, nd::TX, &[Value::Frame(Some(frame))])?;
+        ctx.invoke(ND_TX, &[Value::Frame(Some(frame))])?;
         Ok(())
     }
 
@@ -237,7 +244,7 @@ impl Lwip {
     /// frame may elicit an immediate reply from the peer).
     fn pump(&mut self, ctx: &mut dyn CallContext) -> Result<(), OsError> {
         loop {
-            let frames = ctx.invoke(names::NETDEV, nd::RX_BATCH, &[])?.into_list()?;
+            let frames = ctx.invoke(ND_RX_BATCH, &[])?.into_list()?;
             if frames.is_empty() {
                 return Ok(());
             }
@@ -399,17 +406,17 @@ impl Component for Lwip {
     fn call(
         &mut self,
         ctx: &mut dyn CallContext,
-        func: &str,
+        func: FnId,
         args: &[Value],
     ) -> Result<Value, OsError> {
         match func {
-            f::SOCKET => {
+            id::SOCKET => {
                 let id = self.alloc_sock(ctx)?;
                 let alloc = ctx.arena().alloc(512).ok();
                 self.socks.insert(id, Sock::new(alloc));
                 Ok(Value::U64(id))
             }
-            f::BIND => {
+            id::BIND => {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let port = args.get(1).ok_or(OsError::Inval)?.as_u64()? as u16;
                 if self.listeners.contains_key(&port) {
@@ -423,7 +430,7 @@ impl Component for Lwip {
                 sock.state = SockState::Bound;
                 Ok(Value::Unit)
             }
-            f::LISTEN => {
+            id::LISTEN => {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let backlog = args.get(1).map(Value::as_u64).transpose()?.unwrap_or(16) as usize;
                 let sock = self.sock_mut(id)?;
@@ -436,7 +443,7 @@ impl Component for Lwip {
                 self.listeners.insert(port, id);
                 Ok(Value::Unit)
             }
-            f::CONNECT => {
+            id::CONNECT => {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 self.sock_mut(id)?;
                 // The simulated external network hosts clients, not servers;
@@ -444,20 +451,20 @@ impl Component for Lwip {
                 // apps are all servers).
                 Err(OsError::ConnRefused)
             }
-            f::SETSOCKOPT => {
+            id::SETSOCKOPT => {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let opt = args.get(1).ok_or(OsError::Inval)?.as_u64()?;
                 let val = args.get(2).ok_or(OsError::Inval)?.as_u64()?;
                 self.sock_mut(id)?.opts.insert(opt, val);
                 Ok(Value::Unit)
             }
-            f::GETSOCKOPT => {
+            id::GETSOCKOPT => {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let opt = args.get(1).ok_or(OsError::Inval)?.as_u64()?;
                 let sock = self.socks.get(&id).ok_or(OsError::BadFd)?;
                 Ok(Value::U64(sock.opts.get(&opt).copied().unwrap_or(0)))
             }
-            f::IOCTL => {
+            id::IOCTL => {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let cmd = args.get(1).ok_or(OsError::Inval)?.as_u64()?;
                 let arg = args.get(2).map(Value::as_u64).transpose()?.unwrap_or(0);
@@ -470,7 +477,7 @@ impl Component for Lwip {
                     _ => Err(OsError::Inval),
                 }
             }
-            f::SHUTDOWN => {
+            id::SHUTDOWN => {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let sock = self.sock_mut(id)?;
                 if sock.state != SockState::Established {
@@ -489,7 +496,7 @@ impl Component for Lwip {
                 self.tx(ctx, fin)?;
                 Ok(Value::Unit)
             }
-            f::CLOSE => {
+            id::CLOSE => {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let sock = self.socks.get_mut(&id).ok_or(OsError::BadFd)?;
                 if sock.state == SockState::Established {
@@ -514,7 +521,7 @@ impl Component for Lwip {
                 }
                 Ok(Value::Unit)
             }
-            f::ACCEPT => {
+            id::ACCEPT => {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 // Pump only when nothing is queued (a preceding readiness
                 // query has usually drained the wire already).
@@ -531,7 +538,7 @@ impl Component for Lwip {
                     None => Err(OsError::WouldBlock),
                 }
             }
-            f::RECV => {
+            id::RECV => {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let max = args
                     .get(1)
@@ -560,7 +567,7 @@ impl Component for Lwip {
                 let n = (max as usize).min(sock.recv_buf.len());
                 Ok(Value::Bytes(take_front(&mut sock.recv_buf, n)))
             }
-            f::SEND => {
+            id::SEND => {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let bytes = args.get(1).ok_or(OsError::Inval)?.as_bytes()?;
                 // Transmit needs no inbound frames; peer ACKs are harvested
@@ -583,13 +590,13 @@ impl Component for Lwip {
                 self.tx(ctx, frame)?;
                 Ok(Value::U64(bytes.len() as u64))
             }
-            f::POLL => {
+            id::POLL => {
                 if !ctx.is_replay() {
                     self.pump(ctx)?;
                 }
                 Ok(Value::Unit)
             }
-            f::READY => {
+            id::READY => {
                 // epoll-style readiness: pump once, then report which of
                 // the queried sockets have pending work.
                 if !ctx.is_replay() {
@@ -613,10 +620,7 @@ impl Component for Lwip {
                 }
                 Ok(Value::List(ready))
             }
-            other => Err(OsError::UnknownFunc {
-                component: names::LWIP.to_owned(),
-                func: other.to_owned(),
-            }),
+            _ => unreachable!("lwip declares no function {func:?}"),
         }
     }
 
@@ -666,24 +670,24 @@ impl Component for Lwip {
         Ok(())
     }
 
-    fn session_event(&self, func: &str, args: &[Value], ret: &Value) -> SessionEvent {
+    fn session_event(&self, func: FnId, args: &[Value], ret: &Value) -> SessionEvent {
         match func {
-            f::SOCKET => ret
+            id::SOCKET => ret
                 .as_u64()
                 .map(|s| SessionEvent::Open(vec![s]))
                 .unwrap_or(SessionEvent::None),
-            f::BIND
-            | f::LISTEN
-            | f::CONNECT
-            | f::GETSOCKOPT
-            | f::SETSOCKOPT
-            | f::SHUTDOWN
-            | f::IOCTL => args
+            id::BIND
+            | id::LISTEN
+            | id::CONNECT
+            | id::GETSOCKOPT
+            | id::SETSOCKOPT
+            | id::SHUTDOWN
+            | id::IOCTL => args
                 .first()
                 .and_then(|a| a.as_u64().ok())
                 .map(SessionEvent::Touch)
                 .unwrap_or(SessionEvent::None),
-            f::CLOSE => args
+            id::CLOSE => args
                 .first()
                 .and_then(|a| a.as_u64().ok())
                 .map(|id| SessionEvent::Close(vec![id]))
@@ -752,17 +756,17 @@ mod tests {
         let mut lwip = Lwip::new();
         let mut ctx = live_ctx(&host);
         let sock = lwip
-            .call(&mut ctx, f::SOCKET, &[])
+            .call(&mut ctx, id::SOCKET, &[])
             .unwrap()
             .as_u64()
             .unwrap();
         lwip.call(
             &mut ctx,
-            f::BIND,
+            id::BIND,
             &[Value::U64(sock), Value::U64(port as u64)],
         )
         .unwrap();
-        lwip.call(&mut ctx, f::LISTEN, &[Value::U64(sock), Value::U64(16)])
+        lwip.call(&mut ctx, id::LISTEN, &[Value::U64(sock), Value::U64(16)])
             .unwrap();
         (lwip, host, ctx, sock)
     }
@@ -774,7 +778,7 @@ mod tests {
 
         // accept completes the handshake and returns the connection socket.
         let conn = lwip
-            .call(&mut ctx, f::ACCEPT, &[Value::U64(listener)])
+            .call(&mut ctx, id::ACCEPT, &[Value::U64(listener)])
             .unwrap()
             .as_u64()
             .unwrap();
@@ -786,14 +790,14 @@ mod tests {
         // client → guest data
         host.with(|w| w.network_mut().send(client, b"GET /").unwrap());
         let got = lwip
-            .call(&mut ctx, f::RECV, &[Value::U64(conn), Value::U64(64)])
+            .call(&mut ctx, id::RECV, &[Value::U64(conn), Value::U64(64)])
             .unwrap();
         assert_eq!(got.as_bytes().unwrap(), b"GET /");
 
         // guest → client data
         lwip.call(
             &mut ctx,
-            f::SEND,
+            id::SEND,
             &[Value::U64(conn), Value::from(b"200 OK".as_slice())],
         )
         .unwrap();
@@ -807,7 +811,7 @@ mod tests {
     fn accept_without_pending_connection_would_block() {
         let (mut lwip, _host, mut ctx, listener) = listening(80);
         assert_eq!(
-            lwip.call(&mut ctx, f::ACCEPT, &[Value::U64(listener)]),
+            lwip.call(&mut ctx, id::ACCEPT, &[Value::U64(listener)]),
             Err(OsError::WouldBlock)
         );
     }
@@ -817,18 +821,18 @@ mod tests {
         let (mut lwip, host, mut ctx, listener) = listening(80);
         let client = host.with(|w| w.network_mut().connect(80));
         let conn = lwip
-            .call(&mut ctx, f::ACCEPT, &[Value::U64(listener)])
+            .call(&mut ctx, id::ACCEPT, &[Value::U64(listener)])
             .unwrap()
             .as_u64()
             .unwrap();
         assert_eq!(
-            lwip.call(&mut ctx, f::RECV, &[Value::U64(conn), Value::U64(8)]),
+            lwip.call(&mut ctx, id::RECV, &[Value::U64(conn), Value::U64(8)]),
             Err(OsError::WouldBlock)
         );
         host.with(|w| w.network_mut().close(client).unwrap());
         // FIN arrives → EOF.
         assert_eq!(
-            lwip.call(&mut ctx, f::RECV, &[Value::U64(conn), Value::U64(8)])
+            lwip.call(&mut ctx, id::RECV, &[Value::U64(conn), Value::U64(8)])
                 .unwrap(),
             Value::Bytes(Vec::new())
         );
@@ -839,11 +843,11 @@ mod tests {
         let (mut lwip, host, mut ctx, listener) = listening(80);
         let client = host.with(|w| w.network_mut().connect(80));
         let conn = lwip
-            .call(&mut ctx, f::ACCEPT, &[Value::U64(listener)])
+            .call(&mut ctx, id::ACCEPT, &[Value::U64(listener)])
             .unwrap()
             .as_u64()
             .unwrap();
-        lwip.call(&mut ctx, f::CLOSE, &[Value::U64(conn)]).unwrap();
+        lwip.call(&mut ctx, id::CLOSE, &[Value::U64(conn)]).unwrap();
         // Client saw an orderly close.
         host.with(|w| {
             // Pump any queued frames into the peer: frames were delivered
@@ -860,12 +864,12 @@ mod tests {
     fn bind_conflicts_are_rejected() {
         let (mut lwip, _host, mut ctx, _l) = listening(80);
         let s2 = lwip
-            .call(&mut ctx, f::SOCKET, &[])
+            .call(&mut ctx, id::SOCKET, &[])
             .unwrap()
             .as_u64()
             .unwrap();
         assert_eq!(
-            lwip.call(&mut ctx, f::BIND, &[Value::U64(s2), Value::U64(80)]),
+            lwip.call(&mut ctx, id::BIND, &[Value::U64(s2), Value::U64(80)]),
             Err(OsError::AddrInUse)
         );
     }
@@ -876,13 +880,13 @@ mod tests {
         let mut lwip = Lwip::new();
         let mut ctx = live_ctx(&host);
         let sock = lwip
-            .call(&mut ctx, f::SOCKET, &[])
+            .call(&mut ctx, id::SOCKET, &[])
             .unwrap()
             .as_u64()
             .unwrap();
-        lwip.call(&mut ctx, f::BIND, &[Value::U64(sock), Value::U64(80)])
+        lwip.call(&mut ctx, id::BIND, &[Value::U64(sock), Value::U64(80)])
             .unwrap();
-        lwip.call(&mut ctx, f::LISTEN, &[Value::U64(sock), Value::U64(2)])
+        lwip.call(&mut ctx, id::LISTEN, &[Value::U64(sock), Value::U64(2)])
             .unwrap();
         for _ in 0..4 {
             host.with(|w| {
@@ -890,7 +894,7 @@ mod tests {
             });
         }
         // Pump: only 2 make it, the rest get RST.
-        lwip.call(&mut ctx, f::POLL, &[]).unwrap();
+        lwip.call(&mut ctx, id::POLL, &[]).unwrap();
         assert!(lwip.resets_sent() >= 2, "resets = {}", lwip.resets_sent());
     }
 
@@ -899,18 +903,18 @@ mod tests {
         let (mut lwip, _h, mut ctx, sock) = listening(80);
         lwip.call(
             &mut ctx,
-            f::SETSOCKOPT,
+            id::SETSOCKOPT,
             &[Value::U64(sock), Value::U64(7), Value::U64(99)],
         )
         .unwrap();
         assert_eq!(
-            lwip.call(&mut ctx, f::GETSOCKOPT, &[Value::U64(sock), Value::U64(7)])
+            lwip.call(&mut ctx, id::GETSOCKOPT, &[Value::U64(sock), Value::U64(7)])
                 .unwrap(),
             Value::U64(99)
         );
         lwip.call(
             &mut ctx,
-            f::IOCTL,
+            id::IOCTL,
             &[Value::U64(sock), Value::U64(FIONBIO), Value::U64(1)],
         )
         .unwrap();
@@ -921,12 +925,12 @@ mod tests {
         let (mut lwip, host, mut ctx, listener) = listening(80);
         let client = host.with(|w| w.network_mut().connect(80));
         let conn = lwip
-            .call(&mut ctx, f::ACCEPT, &[Value::U64(listener)])
+            .call(&mut ctx, id::ACCEPT, &[Value::U64(listener)])
             .unwrap()
             .as_u64()
             .unwrap();
         host.with(|w| w.network_mut().send(client, b"hello").unwrap());
-        lwip.call(&mut ctx, f::POLL, &[]).unwrap(); // buffer the data
+        lwip.call(&mut ctx, id::POLL, &[]).unwrap(); // buffer the data
 
         let digest_before = lwip.state_digest();
         let extract = lwip.extract_runtime().expect("lwip extracts");
@@ -935,12 +939,16 @@ mod tests {
         // bind/listen with replay hints), then restore runtime data.
         lwip = Lwip::new();
         ctx.set_replay(Some(Value::U64(listener)));
-        lwip.call(&mut ctx, f::SOCKET, &[]).unwrap();
+        lwip.call(&mut ctx, id::SOCKET, &[]).unwrap();
         ctx.set_replay(Some(Value::Unit));
-        lwip.call(&mut ctx, f::BIND, &[Value::U64(listener), Value::U64(80)])
+        lwip.call(&mut ctx, id::BIND, &[Value::U64(listener), Value::U64(80)])
             .unwrap();
-        lwip.call(&mut ctx, f::LISTEN, &[Value::U64(listener), Value::U64(16)])
-            .unwrap();
+        lwip.call(
+            &mut ctx,
+            id::LISTEN,
+            &[Value::U64(listener), Value::U64(16)],
+        )
+        .unwrap();
         ctx.clear_replay();
         // Data of a foreign type is refused before anything is restored.
         assert!(matches!(
@@ -955,12 +963,12 @@ mod tests {
         // The restored connection still works against the live peer — the
         // sequence numbers line up.
         let got = lwip
-            .call(&mut ctx, f::RECV, &[Value::U64(conn), Value::U64(64)])
+            .call(&mut ctx, id::RECV, &[Value::U64(conn), Value::U64(64)])
             .unwrap();
         assert_eq!(got.as_bytes().unwrap(), b"hello");
         lwip.call(
             &mut ctx,
-            f::SEND,
+            id::SEND,
             &[Value::U64(conn), Value::from(b"world".as_slice())],
         )
         .unwrap();
@@ -979,7 +987,7 @@ mod tests {
         let (mut lwip, host, mut ctx, listener) = listening(80);
         let client = host.with(|w| w.network_mut().connect(80));
         let conn = lwip
-            .call(&mut ctx, f::ACCEPT, &[Value::U64(listener)])
+            .call(&mut ctx, id::ACCEPT, &[Value::U64(listener)])
             .unwrap()
             .as_u64()
             .unwrap();
@@ -999,7 +1007,7 @@ mod tests {
         // expected sequence → RST.
         let _ = lwip.call(
             &mut ctx,
-            f::SEND,
+            id::SEND,
             &[Value::U64(conn), Value::from(b"x".as_slice())],
         );
         assert!(host.with(|w| w.network().seq_errors()) > 0);
@@ -1009,15 +1017,15 @@ mod tests {
     fn session_events_classify_socket_lifecycle() {
         let lwip = Lwip::new();
         assert_eq!(
-            lwip.session_event(f::SOCKET, &[], &Value::U64(5)),
+            lwip.session_event(id::SOCKET, &[], &Value::U64(5)),
             SessionEvent::Open(vec![5])
         );
         assert_eq!(
-            lwip.session_event(f::BIND, &[Value::U64(5), Value::U64(80)], &Value::Unit),
+            lwip.session_event(id::BIND, &[Value::U64(5), Value::U64(80)], &Value::Unit),
             SessionEvent::Touch(5)
         );
         assert_eq!(
-            lwip.session_event(f::CLOSE, &[Value::U64(5)], &Value::Unit),
+            lwip.session_event(id::CLOSE, &[Value::U64(5)], &Value::Unit),
             SessionEvent::Close(vec![5])
         );
     }
@@ -1029,7 +1037,7 @@ mod tests {
         let ready = lwip
             .call(
                 &mut ctx,
-                f::READY,
+                id::READY,
                 &[Value::List(vec![Value::U64(listener)])],
             )
             .unwrap();
@@ -1040,31 +1048,31 @@ mod tests {
         let ready = lwip
             .call(
                 &mut ctx,
-                f::READY,
+                id::READY,
                 &[Value::List(vec![Value::U64(listener)])],
             )
             .unwrap();
         assert_eq!(ready, Value::List(vec![Value::U64(listener)]));
 
         let conn = lwip
-            .call(&mut ctx, f::ACCEPT, &[Value::U64(listener)])
+            .call(&mut ctx, id::ACCEPT, &[Value::U64(listener)])
             .unwrap()
             .as_u64()
             .unwrap();
         // Established but idle: not ready.
         let ready = lwip
-            .call(&mut ctx, f::READY, &[Value::List(vec![Value::U64(conn)])])
+            .call(&mut ctx, id::READY, &[Value::List(vec![Value::U64(conn)])])
             .unwrap();
         assert_eq!(ready, Value::List(vec![]));
         // Buffered data (or a peer close) makes it ready.
         host.with(|w| w.network_mut().send(client, b"hi").unwrap());
         let ready = lwip
-            .call(&mut ctx, f::READY, &[Value::List(vec![Value::U64(conn)])])
+            .call(&mut ctx, id::READY, &[Value::List(vec![Value::U64(conn)])])
             .unwrap();
         assert_eq!(ready, Value::List(vec![Value::U64(conn)]));
         // Unknown sockets are silently skipped.
         let ready = lwip
-            .call(&mut ctx, f::READY, &[Value::List(vec![Value::U64(999)])])
+            .call(&mut ctx, id::READY, &[Value::List(vec![Value::U64(999)])])
             .unwrap();
         assert_eq!(ready, Value::List(vec![]));
     }
@@ -1074,13 +1082,13 @@ mod tests {
         let (mut lwip, host, mut ctx, listener) = listening(80);
         let client = host.with(|w| w.network_mut().connect(80));
         let conn = lwip
-            .call(&mut ctx, f::ACCEPT, &[Value::U64(listener)])
+            .call(&mut ctx, id::ACCEPT, &[Value::U64(listener)])
             .unwrap()
             .as_u64()
             .unwrap();
         host.with(|w| w.network_mut().close(client).unwrap());
         let ready = lwip
-            .call(&mut ctx, f::READY, &[Value::List(vec![Value::U64(conn)])])
+            .call(&mut ctx, id::READY, &[Value::List(vec![Value::U64(conn)])])
             .unwrap();
         assert_eq!(
             ready,
@@ -1093,12 +1101,12 @@ mod tests {
     fn connect_is_refused_by_the_simulated_network() {
         let (mut lwip, _h, mut ctx, _l) = listening(80);
         let s = lwip
-            .call(&mut ctx, f::SOCKET, &[])
+            .call(&mut ctx, id::SOCKET, &[])
             .unwrap()
             .as_u64()
             .unwrap();
         assert_eq!(
-            lwip.call(&mut ctx, f::CONNECT, &[Value::U64(s), Value::U64(9)]),
+            lwip.call(&mut ctx, id::CONNECT, &[Value::U64(s), Value::U64(9)]),
             Err(OsError::ConnRefused)
         );
     }

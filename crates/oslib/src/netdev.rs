@@ -5,9 +5,16 @@
 //! a bare restart (no logging, no restoration — §VI).
 
 use vampos_mem::ArenaLayout;
-use vampos_ukernel::{names, CallContext, Component, ComponentDescriptor, OsError, Value};
+use vampos_ukernel::{
+    names, CallContext, CallSite, Component, ComponentDescriptor, FnId, OsError, Value,
+};
 
-use crate::funcs::{netdev as f, virtio as vio};
+use crate::funcs::netdev::{self as f, id};
+use crate::funcs::virtio as vio;
+
+const VIO_NET_TX: CallSite = CallSite::new(0, names::VIRTIO, vio::NET_TX);
+const VIO_NET_RX: CallSite = CallSite::new(1, names::VIRTIO, vio::NET_RX);
+const VIO_NET_RX_BATCH: CallSite = CallSite::new(2, names::VIRTIO, vio::NET_RX_BATCH);
 
 /// The NETDEV component.
 #[derive(Debug, Clone)]
@@ -28,8 +35,10 @@ impl NetDev {
     pub fn new() -> Self {
         NetDev {
             desc: ComponentDescriptor::new(names::NETDEV, ArenaLayout::medium())
+                .functions(f::FUNCTIONS)
                 .depends_on(&[names::VIRTIO])
-                .exports(&[f::TX, f::RX, f::RX_BATCH]),
+                .calls(&[VIO_NET_TX, VIO_NET_RX, VIO_NET_RX_BATCH])
+                .exports(f::FUNCTIONS),
             tx_frames: 0,
             rx_frames: 0,
         }
@@ -54,11 +63,11 @@ impl Component for NetDev {
     fn call(
         &mut self,
         ctx: &mut dyn CallContext,
-        func: &str,
+        func: FnId,
         args: &[Value],
     ) -> Result<Value, OsError> {
         match func {
-            f::TX => {
+            id::TX => {
                 match args.first() {
                     Some(Value::Frame(Some(_))) => {}
                     Some(other) => return Err(OsError::bad_value("frame", other)),
@@ -66,27 +75,24 @@ impl Component for NetDev {
                 }
                 self.tx_frames += 1;
                 // The frame argument is forwarded as is.
-                ctx.invoke(names::VIRTIO, vio::NET_TX, &args[..1])?;
+                ctx.invoke(VIO_NET_TX, &args[..1])?;
                 Ok(Value::Unit)
             }
-            f::RX => {
-                let v = ctx.invoke(names::VIRTIO, vio::NET_RX, &[])?;
+            id::RX => {
+                let v = ctx.invoke(VIO_NET_RX, &[])?;
                 if matches!(v, Value::Frame(Some(_))) {
                     self.rx_frames += 1;
                 }
                 Ok(v)
             }
-            f::RX_BATCH => {
-                let v = ctx.invoke(names::VIRTIO, vio::NET_RX_BATCH, &[])?;
+            id::RX_BATCH => {
+                let v = ctx.invoke(VIO_NET_RX_BATCH, &[])?;
                 if let Value::List(frames) = &v {
                     self.rx_frames += frames.len() as u64;
                 }
                 Ok(v)
             }
-            other => Err(OsError::UnknownFunc {
-                component: names::NETDEV.to_owned(),
-                func: other.to_owned(),
-            }),
+            _ => unreachable!("netdev declares no function {func:?}"),
         }
     }
 }
@@ -113,7 +119,7 @@ mod tests {
         let mut nd = NetDev::new();
         let mut ctx = StubCtx::new();
         ctx.expect(Ok(Value::Unit));
-        nd.call(&mut ctx, f::TX, &[Value::Frame(Some(frame()))])
+        nd.call(&mut ctx, id::TX, &[Value::Frame(Some(frame()))])
             .unwrap();
         assert_eq!(nd.tx_frames(), 1);
         let (target, func, _) = &ctx.calls()[0];
@@ -127,10 +133,10 @@ mod tests {
         let mut ctx = StubCtx::new();
         ctx.expect(Ok(Value::Frame(None)));
         ctx.expect(Ok(Value::Frame(Some(frame()))));
-        assert_eq!(nd.call(&mut ctx, f::RX, &[]).unwrap(), Value::Frame(None));
+        assert_eq!(nd.call(&mut ctx, id::RX, &[]).unwrap(), Value::Frame(None));
         assert_eq!(nd.rx_frames(), 0);
         assert!(matches!(
-            nd.call(&mut ctx, f::RX, &[]).unwrap(),
+            nd.call(&mut ctx, id::RX, &[]).unwrap(),
             Value::Frame(Some(_))
         ));
         assert_eq!(nd.rx_frames(), 1);
@@ -148,7 +154,7 @@ mod tests {
         let mut nd = NetDev::new();
         let mut ctx = StubCtx::new();
         assert!(matches!(
-            nd.call(&mut ctx, f::TX, &[Value::Frame(None)]),
+            nd.call(&mut ctx, id::TX, &[Value::Frame(None)]),
             Err(OsError::BadValue { .. })
         ));
     }

@@ -18,10 +18,14 @@ use vampos_host::{Fid, NinePError, NinePRequest, NinePResponse};
 use vampos_mem::{AllocHandle, ArenaLayout};
 use vampos_ukernel::digest::DigestBuilder;
 use vampos_ukernel::{
-    names, CallContext, Component, ComponentDescriptor, OsError, SessionEvent, Value,
+    names, CallContext, CallSite, Component, ComponentDescriptor, FnId, OsError, SessionEvent,
+    Value,
 };
 
-use crate::funcs::{ninepfs as f, virtio as vio};
+use crate::funcs::ninepfs::{self as f, id};
+use crate::funcs::virtio as vio;
+
+const VIO_NINEP: CallSite = CallSite::new(0, names::VIRTIO, vio::NINEP);
 
 /// Transient fid used for walk-and-clunk operations; never left live.
 const TMP_FID: u64 = 999_999;
@@ -60,7 +64,9 @@ impl NinePFs {
             desc: ComponentDescriptor::new(names::NINEPFS, ArenaLayout::heap_only(1 << 20))
                 .stateful()
                 .checkpoint_init()
+                .functions(f::FUNCTIONS)
                 .depends_on(&[names::VIRTIO])
+                .calls(&[VIO_NINEP])
                 .logs(&[
                     f::MOUNT,
                     f::UNMOUNT,
@@ -116,7 +122,7 @@ impl NinePFs {
         req: NinePRequest,
     ) -> Result<NinePResponse, OsError> {
         ctx.trace_instant("9p_rpc", format_args!("{}", req.kind_name()));
-        match ctx.invoke(names::VIRTIO, vio::NINEP, &[Value::NinePReq(req)])? {
+        match ctx.invoke(VIO_NINEP, &[Value::NinePReq(req)])? {
             Value::NinePResp(resp) => Ok(resp),
             other => Err(OsError::bad_value("9p-response", &other)),
         }
@@ -258,11 +264,11 @@ impl Component for NinePFs {
     fn call(
         &mut self,
         ctx: &mut dyn CallContext,
-        func: &str,
+        func: FnId,
         args: &[Value],
     ) -> Result<Value, OsError> {
         match func {
-            f::MOUNT => {
+            id::MOUNT => {
                 Self::expect_qid(self.transact(
                     ctx,
                     NinePRequest::Attach {
@@ -272,7 +278,7 @@ impl Component for NinePFs {
                 self.attached = true;
                 Ok(Value::Unit)
             }
-            f::UNMOUNT => {
+            id::UNMOUNT => {
                 let _ = self.transact(
                     ctx,
                     NinePRequest::Clunk {
@@ -282,7 +288,7 @@ impl Component for NinePFs {
                 self.attached = false;
                 Ok(Value::Unit)
             }
-            f::LOOKUP => {
+            id::LOOKUP => {
                 let path = args.first().ok_or(OsError::Inval)?.as_str()?.to_owned();
                 let create = args
                     .get(1)
@@ -291,7 +297,7 @@ impl Component for NinePFs {
                     .unwrap_or(false);
                 self.lookup(ctx, &path, create).map(Value::U64)
             }
-            f::OPEN => {
+            id::OPEN => {
                 let fid = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let truncate = args
                     .get(1)
@@ -309,7 +315,7 @@ impl Component for NinePFs {
                 self.fids.get_mut(&fid).expect("checked").open = true;
                 Ok(Value::Unit)
             }
-            f::CLOSE => {
+            id::CLOSE => {
                 let fid = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let entry = self.fids.get_mut(&fid).ok_or(OsError::BadFd)?;
                 if !entry.host_released {
@@ -324,7 +330,7 @@ impl Component for NinePFs {
                 }
                 Ok(Value::Unit)
             }
-            f::INACTIVE => {
+            id::INACTIVE => {
                 let fid = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let entry = self.fids.remove(&fid).ok_or(OsError::BadFd)?;
                 if !entry.host_released {
@@ -340,7 +346,7 @@ impl Component for NinePFs {
                 }
                 Ok(Value::Unit)
             }
-            f::MKDIR => {
+            id::MKDIR => {
                 let path = args.first().ok_or(OsError::Inval)?.as_str()?.to_owned();
                 let mut parts = Self::split_path(&path);
                 let name = parts.pop().ok_or(OsError::Inval)?;
@@ -356,7 +362,7 @@ impl Component for NinePFs {
                 Self::expect_qid(resp?)?;
                 Ok(Value::Unit)
             }
-            f::READ => {
+            id::READ => {
                 let fid = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let offset = args.get(1).ok_or(OsError::Inval)?.as_u64()?;
                 let max = args.get(2).ok_or(OsError::Inval)?.as_u64()?;
@@ -376,7 +382,7 @@ impl Component for NinePFs {
                     other => Err(OsError::Io(format!("unexpected 9p response: {other:?}"))),
                 }
             }
-            f::WRITE => {
+            id::WRITE => {
                 let fid = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let offset = args.get(1).ok_or(OsError::Inval)?.as_u64()?;
                 let data = args.get(2).ok_or(OsError::Inval)?.as_bytes()?.to_vec();
@@ -396,7 +402,7 @@ impl Component for NinePFs {
                     other => Err(OsError::Io(format!("unexpected 9p response: {other:?}"))),
                 }
             }
-            f::FSYNC => {
+            id::FSYNC => {
                 let fid = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 if !self.entry(fid)?.open {
                     return Err(OsError::BadFd);
@@ -413,7 +419,7 @@ impl Component for NinePFs {
                     other => Err(OsError::Io(format!("unexpected 9p response: {other:?}"))),
                 }
             }
-            f::STAT_FID => {
+            id::STAT_FID => {
                 let fid = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 self.entry(fid)?;
                 match self.transact(
@@ -427,7 +433,7 @@ impl Component for NinePFs {
                     other => Err(OsError::Io(format!("unexpected 9p response: {other:?}"))),
                 }
             }
-            f::STAT_PATH => {
+            id::STAT_PATH => {
                 let path = args.first().ok_or(OsError::Inval)?.as_str()?.to_owned();
                 self.walk_tmp(ctx, Self::split_path(&path))?;
                 let resp = self.transact(
@@ -443,7 +449,7 @@ impl Component for NinePFs {
                     other => Err(OsError::Io(format!("unexpected 9p response: {other:?}"))),
                 }
             }
-            f::REMOVE_PATH => {
+            id::REMOVE_PATH => {
                 let path = args.first().ok_or(OsError::Inval)?.as_str()?.to_owned();
                 self.walk_tmp(ctx, Self::split_path(&path))?;
                 match self.transact(
@@ -460,25 +466,22 @@ impl Component for NinePFs {
                     other => Err(OsError::Io(format!("unexpected 9p response: {other:?}"))),
                 }
             }
-            other => Err(OsError::UnknownFunc {
-                component: names::NINEPFS.to_owned(),
-                func: other.to_owned(),
-            }),
+            _ => unreachable!("9pfs declares no function {func:?}"),
         }
     }
 
-    fn session_event(&self, func: &str, args: &[Value], ret: &Value) -> SessionEvent {
+    fn session_event(&self, func: FnId, args: &[Value], ret: &Value) -> SessionEvent {
         match func {
-            f::LOOKUP => ret
+            id::LOOKUP => ret
                 .as_u64()
                 .map(|s| SessionEvent::Open(vec![s]))
                 .unwrap_or(SessionEvent::None),
-            f::OPEN | f::CLOSE => args
+            id::OPEN | id::CLOSE => args
                 .first()
                 .and_then(|a| a.as_u64().ok())
                 .map(SessionEvent::Touch)
                 .unwrap_or(SessionEvent::None),
-            f::INACTIVE => args
+            id::INACTIVE => args
                 .first()
                 .and_then(|a| a.as_u64().ok())
                 .map(|fid| SessionEvent::Close(vec![fid]))
@@ -523,7 +526,7 @@ mod tests {
         host.with(|w| w.ninep_mut().put_file("/etc/motd", b"hello"));
         let mut fs = NinePFs::new();
         let mut ctx = live_ctx(&host);
-        fs.call(&mut ctx, f::MOUNT, &[Value::from("/")]).unwrap();
+        fs.call(&mut ctx, id::MOUNT, &[Value::from("/")]).unwrap();
         (fs, host, ctx)
     }
 
@@ -539,18 +542,18 @@ mod tests {
         let fid = fs
             .call(
                 &mut ctx,
-                f::LOOKUP,
+                id::LOOKUP,
                 &[Value::from("/etc/motd"), Value::Bool(false)],
             )
             .unwrap()
             .as_u64()
             .unwrap();
-        fs.call(&mut ctx, f::OPEN, &[Value::U64(fid), Value::Bool(false)])
+        fs.call(&mut ctx, id::OPEN, &[Value::U64(fid), Value::Bool(false)])
             .unwrap();
         let data = fs
             .call(
                 &mut ctx,
-                f::READ,
+                id::READ,
                 &[Value::U64(fid), Value::U64(0), Value::U64(64)],
             )
             .unwrap();
@@ -563,7 +566,7 @@ mod tests {
         assert_eq!(
             fs.call(
                 &mut ctx,
-                f::LOOKUP,
+                id::LOOKUP,
                 &[Value::from("/nope"), Value::Bool(false)]
             ),
             Err(OsError::NotFound)
@@ -577,7 +580,7 @@ mod tests {
         let fid = fs
             .call(
                 &mut ctx,
-                f::LOOKUP,
+                id::LOOKUP,
                 &[Value::from("/new.txt"), Value::Bool(true)],
             )
             .unwrap()
@@ -585,7 +588,7 @@ mod tests {
             .unwrap();
         fs.call(
             &mut ctx,
-            f::WRITE,
+            id::WRITE,
             &[Value::U64(fid), Value::U64(0), Value::from(b"x".as_slice())],
         )
         .unwrap();
@@ -601,7 +604,7 @@ mod tests {
         let fid = fs
             .call(
                 &mut ctx,
-                f::LOOKUP,
+                id::LOOKUP,
                 &[Value::from("/etc/motd"), Value::Bool(false)],
             )
             .unwrap()
@@ -610,7 +613,7 @@ mod tests {
         assert_eq!(
             fs.call(
                 &mut ctx,
-                f::READ,
+                id::READ,
                 &[Value::U64(fid), Value::U64(0), Value::U64(4)]
             ),
             Err(OsError::BadFd)
@@ -623,16 +626,16 @@ mod tests {
         let fid = fs
             .call(
                 &mut ctx,
-                f::LOOKUP,
+                id::LOOKUP,
                 &[Value::from("/etc/motd"), Value::Bool(false)],
             )
             .unwrap()
             .as_u64()
             .unwrap();
-        fs.call(&mut ctx, f::OPEN, &[Value::U64(fid), Value::Bool(false)])
+        fs.call(&mut ctx, id::OPEN, &[Value::U64(fid), Value::Bool(false)])
             .unwrap();
-        fs.call(&mut ctx, f::CLOSE, &[Value::U64(fid)]).unwrap();
-        fs.call(&mut ctx, f::INACTIVE, &[Value::U64(fid)]).unwrap();
+        fs.call(&mut ctx, id::CLOSE, &[Value::U64(fid)]).unwrap();
+        fs.call(&mut ctx, id::INACTIVE, &[Value::U64(fid)]).unwrap();
         assert_eq!(fs.live_fids(), 0);
         // Host: only the root fid remains.
         assert_eq!(host.with(|w| w.ninep().fid_count()), 1);
@@ -644,24 +647,25 @@ mod tests {
         let fid = fs
             .call(
                 &mut ctx,
-                f::LOOKUP,
+                id::LOOKUP,
                 &[Value::from("/etc/motd"), Value::Bool(false)],
             )
             .unwrap()
             .as_u64()
             .unwrap();
-        fs.call(&mut ctx, f::INACTIVE, &[Value::U64(fid)]).unwrap();
+        fs.call(&mut ctx, id::INACTIVE, &[Value::U64(fid)]).unwrap();
         assert_eq!(host.with(|w| w.ninep().fid_count()), 1);
     }
 
     #[test]
     fn mkdir_and_stat_path() {
         let (mut fs, _, mut ctx) = mounted();
-        fs.call(&mut ctx, f::MKDIR, &[Value::from("/www")]).unwrap();
+        fs.call(&mut ctx, id::MKDIR, &[Value::from("/www")])
+            .unwrap();
         let fid = fs
             .call(
                 &mut ctx,
-                f::LOOKUP,
+                id::LOOKUP,
                 &[Value::from("/www/i.html"), Value::Bool(true)],
             )
             .unwrap()
@@ -669,7 +673,7 @@ mod tests {
             .unwrap();
         fs.call(
             &mut ctx,
-            f::WRITE,
+            id::WRITE,
             &[
                 Value::U64(fid),
                 Value::U64(0),
@@ -678,7 +682,7 @@ mod tests {
         )
         .unwrap();
         let st = fs
-            .call(&mut ctx, f::STAT_PATH, &[Value::from("/www/i.html")])
+            .call(&mut ctx, id::STAT_PATH, &[Value::from("/www/i.html")])
             .unwrap();
         assert_eq!(st.as_list().unwrap()[0].as_u64().unwrap(), 3);
     }
@@ -689,16 +693,16 @@ mod tests {
         let fid = fs
             .call(
                 &mut ctx,
-                f::LOOKUP,
+                id::LOOKUP,
                 &[Value::from("/etc/motd"), Value::Bool(false)],
             )
             .unwrap()
             .as_u64()
             .unwrap();
-        fs.call(&mut ctx, f::OPEN, &[Value::U64(fid), Value::Bool(false)])
+        fs.call(&mut ctx, id::OPEN, &[Value::U64(fid), Value::Bool(false)])
             .unwrap();
         let before = ctx.clock().now();
-        fs.call(&mut ctx, f::FSYNC, &[Value::U64(fid)]).unwrap();
+        fs.call(&mut ctx, id::FSYNC, &[Value::U64(fid)]).unwrap();
         assert!(ctx.clock().now() - before >= ctx.costs().fsync);
     }
 
@@ -708,14 +712,14 @@ mod tests {
         host.with(|w| w.ninep_mut().put_file("/a", b"1"));
         let mut fs = NinePFs::new();
         let mut ctx = live_ctx(&host);
-        fs.call(&mut ctx, f::MOUNT, &[Value::from("/")]).unwrap();
+        fs.call(&mut ctx, id::MOUNT, &[Value::from("/")]).unwrap();
 
         // Replay a lookup that originally returned fid 7.
         ctx.set_replay(Some(Value::U64(7)));
         let fid = fs
             .call(
                 &mut ctx,
-                f::LOOKUP,
+                id::LOOKUP,
                 &[Value::from("/a"), Value::Bool(false)],
             )
             .unwrap();
@@ -727,7 +731,7 @@ mod tests {
         let fid2 = fs
             .call(
                 &mut ctx,
-                f::LOOKUP,
+                id::LOOKUP,
                 &[Value::from("/a"), Value::Bool(false)],
             )
             .unwrap();
@@ -738,19 +742,19 @@ mod tests {
     fn session_events_classify_fid_lifecycle() {
         let fs = NinePFs::new();
         assert_eq!(
-            fs.session_event(f::LOOKUP, &[Value::from("/a")], &Value::U64(3)),
+            fs.session_event(id::LOOKUP, &[Value::from("/a")], &Value::U64(3)),
             SessionEvent::Open(vec![3])
         );
         assert_eq!(
-            fs.session_event(f::OPEN, &[Value::U64(3)], &Value::Unit),
+            fs.session_event(id::OPEN, &[Value::U64(3)], &Value::Unit),
             SessionEvent::Touch(3)
         );
         assert_eq!(
-            fs.session_event(f::INACTIVE, &[Value::U64(3)], &Value::Unit),
+            fs.session_event(id::INACTIVE, &[Value::U64(3)], &Value::Unit),
             SessionEvent::Close(vec![3])
         );
         assert_eq!(
-            fs.session_event(f::MOUNT, &[], &Value::Unit),
+            fs.session_event(id::MOUNT, &[], &Value::Unit),
             SessionEvent::None
         );
     }
@@ -762,7 +766,7 @@ mod tests {
         let fid = fs
             .call(
                 &mut ctx,
-                f::LOOKUP,
+                id::LOOKUP,
                 &[Value::from("/etc/motd"), Value::Bool(false)],
             )
             .unwrap()
@@ -770,7 +774,7 @@ mod tests {
             .unwrap();
         let d1 = fs.state_digest();
         assert_ne!(d0, d1);
-        fs.call(&mut ctx, f::INACTIVE, &[Value::U64(fid)]).unwrap();
+        fs.call(&mut ctx, id::INACTIVE, &[Value::U64(fid)]).unwrap();
         assert_eq!(fs.state_digest(), d0);
     }
 

@@ -10,7 +10,7 @@ use std::collections::VecDeque;
 
 use vampos_mem::{ArenaLayout, MemoryArena};
 use vampos_sim::{CostModel, Nanos, SimClock, SimRng};
-use vampos_ukernel::{CallContext, OsError, Value};
+use vampos_ukernel::{CallContext, CallSite, OsError, Value};
 
 /// One recorded downcall: `(target, func, args)`.
 pub type RecordedCall = (String, String, Vec<Value>);
@@ -112,7 +112,8 @@ impl StubCtx {
 }
 
 impl CallContext for StubCtx {
-    fn invoke(&mut self, target: &str, func: &str, args: &[Value]) -> Result<Value, OsError> {
+    fn invoke(&mut self, site: CallSite, args: &[Value]) -> Result<Value, OsError> {
+        let (target, func) = (site.target(), site.func());
         self.calls
             .push((target.to_owned(), func.to_owned(), args.to_vec()));
         if let Some(auto) = &self.auto_reply {

@@ -6,16 +6,9 @@
 //! reboot.
 
 use vampos_mem::ArenaLayout;
-use vampos_ukernel::{CallContext, Component, ComponentDescriptor, OsError, Value};
+use vampos_ukernel::{CallContext, Component, ComponentDescriptor, FnId, OsError, Value};
 
-use crate::funcs::util as f;
-
-fn unknown(component: &str, func: &str) -> OsError {
-    OsError::UnknownFunc {
-        component: component.to_owned(),
-        func: func.to_owned(),
-    }
-}
+use crate::funcs::{process, sysinfo, timer, user};
 
 /// PROCESS: process-related functions (`getpid()` and friends).
 ///
@@ -39,7 +32,8 @@ impl Process {
     pub fn new() -> Self {
         Process {
             desc: ComponentDescriptor::new(vampos_ukernel::names::PROCESS, ArenaLayout::small())
-                .exports(&[f::GETPID, f::GETPPID, f::GETTID]),
+                .functions(process::FUNCTIONS)
+                .exports(process::FUNCTIONS),
             calls: 0,
         }
     }
@@ -52,14 +46,14 @@ impl Component for Process {
     fn call(
         &mut self,
         _ctx: &mut dyn CallContext,
-        func: &str,
+        func: FnId,
         _args: &[Value],
     ) -> Result<Value, OsError> {
         self.calls += 1;
         match func {
-            f::GETPID | f::GETTID => Ok(Value::U64(1)),
-            f::GETPPID => Ok(Value::U64(0)),
-            other => Err(unknown(vampos_ukernel::names::PROCESS, other)),
+            process::id::GETPID | process::id::GETTID => Ok(Value::U64(1)),
+            process::id::GETPPID => Ok(Value::U64(0)),
+            _ => unreachable!("process declares no function {func:?}"),
         }
     }
 }
@@ -81,7 +75,8 @@ impl SysInfo {
     pub fn new() -> Self {
         SysInfo {
             desc: ComponentDescriptor::new(vampos_ukernel::names::SYSINFO, ArenaLayout::small())
-                .exports(&[f::UNAME, f::SYSINFO, f::GETHOSTNAME]),
+                .functions(sysinfo::FUNCTIONS)
+                .exports(sysinfo::FUNCTIONS),
         }
     }
 }
@@ -93,17 +88,17 @@ impl Component for SysInfo {
     fn call(
         &mut self,
         _ctx: &mut dyn CallContext,
-        func: &str,
+        func: FnId,
         _args: &[Value],
     ) -> Result<Value, OsError> {
         match func {
-            f::UNAME => Ok(Value::from("VampOS-RS 0.1.0 x86_64")),
-            f::GETHOSTNAME => Ok(Value::from("vampos")),
-            f::SYSINFO => Ok(Value::List(vec![
+            sysinfo::id::UNAME => Ok(Value::from("VampOS-RS 0.1.0 x86_64")),
+            sysinfo::id::GETHOSTNAME => Ok(Value::from("vampos")),
+            sysinfo::id::SYSINFO => Ok(Value::List(vec![
                 Value::U64(88 << 20), // total memory (the 88 MB cap of §VI)
                 Value::U64(1),        // cpus
             ])),
-            other => Err(unknown(vampos_ukernel::names::SYSINFO, other)),
+            _ => unreachable!("sysinfo declares no function {func:?}"),
         }
     }
 }
@@ -126,7 +121,8 @@ impl User {
     pub fn new() -> Self {
         User {
             desc: ComponentDescriptor::new(vampos_ukernel::names::USER, ArenaLayout::small())
-                .exports(&[f::GETUID, f::GETEUID, f::GETGID, f::GETEGID]),
+                .functions(user::FUNCTIONS)
+                .exports(user::FUNCTIONS),
         }
     }
 }
@@ -138,12 +134,14 @@ impl Component for User {
     fn call(
         &mut self,
         _ctx: &mut dyn CallContext,
-        func: &str,
+        func: FnId,
         _args: &[Value],
     ) -> Result<Value, OsError> {
         match func {
-            f::GETUID | f::GETEUID | f::GETGID | f::GETEGID => Ok(Value::U64(0)),
-            other => Err(unknown(vampos_ukernel::names::USER, other)),
+            user::id::GETUID | user::id::GETEUID | user::id::GETGID | user::id::GETEGID => {
+                Ok(Value::U64(0))
+            }
+            _ => unreachable!("user declares no function {func:?}"),
         }
     }
 }
@@ -165,7 +163,8 @@ impl Timer {
     pub fn new() -> Self {
         Timer {
             desc: ComponentDescriptor::new(vampos_ukernel::names::TIMER, ArenaLayout::small())
-                .exports(&[f::CLOCK_GETTIME, f::TIME, f::NANOSLEEP]),
+                .functions(timer::FUNCTIONS)
+                .exports(timer::FUNCTIONS),
         }
     }
 }
@@ -177,18 +176,18 @@ impl Component for Timer {
     fn call(
         &mut self,
         ctx: &mut dyn CallContext,
-        func: &str,
+        func: FnId,
         args: &[Value],
     ) -> Result<Value, OsError> {
         match func {
-            f::CLOCK_GETTIME => Ok(Value::U64(ctx.now().as_nanos())),
-            f::TIME => Ok(Value::U64(ctx.now().as_nanos() / 1_000_000_000)),
-            f::NANOSLEEP => {
+            timer::id::CLOCK_GETTIME => Ok(Value::U64(ctx.now().as_nanos())),
+            timer::id::TIME => Ok(Value::U64(ctx.now().as_nanos() / 1_000_000_000)),
+            timer::id::NANOSLEEP => {
                 let ns = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 ctx.charge(vampos_sim::Nanos::from_nanos(ns));
                 Ok(Value::Unit)
             }
-            other => Err(unknown(vampos_ukernel::names::TIMER, other)),
+            _ => unreachable!("timer declares no function {func:?}"),
         }
     }
 }
@@ -203,10 +202,12 @@ mod tests {
     fn process_returns_constant_ids() {
         let mut c = Process::new();
         let mut ctx = StubCtx::new();
-        assert_eq!(c.call(&mut ctx, f::GETPID, &[]).unwrap(), Value::U64(1));
-        assert_eq!(c.call(&mut ctx, f::GETPPID, &[]).unwrap(), Value::U64(0));
-        assert_eq!(c.call(&mut ctx, f::GETTID, &[]).unwrap(), Value::U64(1));
-        assert!(c.call(&mut ctx, "fork", &[]).is_err());
+        let id = |func| c.descriptor().fn_id(func).unwrap();
+        let (getpid, getppid, gettid) = (id("getpid"), id("getppid"), id("gettid"));
+        assert_eq!(c.call(&mut ctx, getpid, &[]).unwrap(), Value::U64(1));
+        assert_eq!(c.call(&mut ctx, getppid, &[]).unwrap(), Value::U64(0));
+        assert_eq!(c.call(&mut ctx, gettid, &[]).unwrap(), Value::U64(1));
+        assert!(c.descriptor().fn_id("fork").is_none());
     }
 
     #[test]
@@ -221,9 +222,9 @@ mod tests {
     fn sysinfo_reports_identity() {
         let mut c = SysInfo::new();
         let mut ctx = StubCtx::new();
-        let uname = c.call(&mut ctx, f::UNAME, &[]).unwrap();
+        let uname = c.call(&mut ctx, sysinfo::id::UNAME, &[]).unwrap();
         assert!(uname.as_str().unwrap().contains("VampOS"));
-        let info = c.call(&mut ctx, f::SYSINFO, &[]).unwrap();
+        let info = c.call(&mut ctx, sysinfo::id::SYSINFO, &[]).unwrap();
         assert_eq!(info.as_list().unwrap().len(), 2);
     }
 
@@ -231,7 +232,12 @@ mod tests {
     fn user_is_root() {
         let mut c = User::new();
         let mut ctx = StubCtx::new();
-        for func in [f::GETUID, f::GETEUID, f::GETGID, f::GETEGID] {
+        for func in [
+            user::id::GETUID,
+            user::id::GETEUID,
+            user::id::GETGID,
+            user::id::GETEGID,
+        ] {
             assert_eq!(c.call(&mut ctx, func, &[]).unwrap(), Value::U64(0));
         }
     }
@@ -242,21 +248,24 @@ mod tests {
         let mut ctx = StubCtx::new();
         ctx.charge(Nanos::from_secs(2));
         assert_eq!(
-            c.call(&mut ctx, f::CLOCK_GETTIME, &[]).unwrap(),
+            c.call(&mut ctx, timer::id::CLOCK_GETTIME, &[]).unwrap(),
             Value::U64(2_000_000_000)
         );
-        assert_eq!(c.call(&mut ctx, f::TIME, &[]).unwrap(), Value::U64(2));
+        assert_eq!(
+            c.call(&mut ctx, timer::id::TIME, &[]).unwrap(),
+            Value::U64(2)
+        );
     }
 
     #[test]
     fn nanosleep_advances_virtual_time() {
         let mut c = Timer::new();
         let mut ctx = StubCtx::new();
-        c.call(&mut ctx, f::NANOSLEEP, &[Value::U64(5_000)])
+        c.call(&mut ctx, timer::id::NANOSLEEP, &[Value::U64(5_000)])
             .unwrap();
         assert_eq!(ctx.clock().now(), Nanos::from_nanos(5_000));
         assert!(matches!(
-            c.call(&mut ctx, f::NANOSLEEP, &[]),
+            c.call(&mut ctx, timer::id::NANOSLEEP, &[]),
             Err(OsError::Inval)
         ));
     }

@@ -20,11 +20,37 @@ use vampos_host::take_front;
 use vampos_mem::{AllocHandle, ArenaLayout, MemoryArena};
 use vampos_ukernel::digest::DigestBuilder;
 use vampos_ukernel::{
-    names, CallContext, Component, ComponentDescriptor, OsError, RuntimeData, SessionEvent,
-    TouchSynthesis, Value,
+    names, CallContext, CallSite, Component, ComponentDescriptor, FnId, OsError, RuntimeData,
+    SessionEvent, TouchSynthesis, Value,
 };
 
-use crate::funcs::{lwip as lw, ninepfs as np, vfs as f};
+use crate::funcs::vfs::{self as f, id};
+use crate::funcs::{lwip as lw, ninepfs as np};
+
+const NP_MOUNT: CallSite = CallSite::new(0, names::NINEPFS, np::MOUNT);
+const NP_LOOKUP: CallSite = CallSite::new(1, names::NINEPFS, np::LOOKUP);
+const NP_OPEN: CallSite = CallSite::new(2, names::NINEPFS, np::OPEN);
+const NP_CLOSE: CallSite = CallSite::new(3, names::NINEPFS, np::CLOSE);
+const NP_INACTIVE: CallSite = CallSite::new(4, names::NINEPFS, np::INACTIVE);
+const NP_READ: CallSite = CallSite::new(5, names::NINEPFS, np::READ);
+const NP_WRITE: CallSite = CallSite::new(6, names::NINEPFS, np::WRITE);
+const NP_FSYNC: CallSite = CallSite::new(7, names::NINEPFS, np::FSYNC);
+const NP_STAT_FID: CallSite = CallSite::new(8, names::NINEPFS, np::STAT_FID);
+const NP_STAT_PATH: CallSite = CallSite::new(9, names::NINEPFS, np::STAT_PATH);
+const NP_REMOVE_PATH: CallSite = CallSite::new(10, names::NINEPFS, np::REMOVE_PATH);
+const LW_SOCKET: CallSite = CallSite::new(11, names::LWIP, lw::SOCKET);
+const LW_ACCEPT: CallSite = CallSite::new(12, names::LWIP, lw::ACCEPT);
+const LW_SEND: CallSite = CallSite::new(13, names::LWIP, lw::SEND);
+const LW_RECV: CallSite = CallSite::new(14, names::LWIP, lw::RECV);
+const LW_CLOSE: CallSite = CallSite::new(15, names::LWIP, lw::CLOSE);
+const LW_IOCTL: CallSite = CallSite::new(16, names::LWIP, lw::IOCTL);
+const LW_READY: CallSite = CallSite::new(17, names::LWIP, lw::READY);
+const LW_BIND: CallSite = CallSite::new(18, names::LWIP, lw::BIND);
+const LW_LISTEN: CallSite = CallSite::new(19, names::LWIP, lw::LISTEN);
+const LW_CONNECT: CallSite = CallSite::new(20, names::LWIP, lw::CONNECT);
+const LW_SHUTDOWN: CallSite = CallSite::new(21, names::LWIP, lw::SHUTDOWN);
+const LW_GETSOCKOPT: CallSite = CallSite::new(22, names::LWIP, lw::GETSOCKOPT);
+const LW_SETSOCKOPT: CallSite = CallSite::new(23, names::LWIP, lw::SETSOCKOPT);
 
 /// Session-key namespace bit for vnode sessions (fd sessions use the raw fd).
 pub const VNODE_SESSION_NS: u64 = 1 << 32;
@@ -166,7 +192,34 @@ impl Vfs {
             desc: ComponentDescriptor::new(names::VFS, ArenaLayout::large())
                 .stateful()
                 .checkpoint_init()
+                .functions(f::FUNCTIONS)
                 .depends_on(&[names::NINEPFS, names::LWIP])
+                .calls(&[
+                    NP_MOUNT,
+                    NP_LOOKUP,
+                    NP_OPEN,
+                    NP_CLOSE,
+                    NP_INACTIVE,
+                    NP_READ,
+                    NP_WRITE,
+                    NP_FSYNC,
+                    NP_STAT_FID,
+                    NP_STAT_PATH,
+                    NP_REMOVE_PATH,
+                    LW_SOCKET,
+                    LW_ACCEPT,
+                    LW_SEND,
+                    LW_RECV,
+                    LW_CLOSE,
+                    LW_IOCTL,
+                    LW_READY,
+                    LW_BIND,
+                    LW_LISTEN,
+                    LW_CONNECT,
+                    LW_SHUTDOWN,
+                    LW_GETSOCKOPT,
+                    LW_SETSOCKOPT,
+                ])
                 .logs(&[
                     f::CREATE,
                     f::OPEN,
@@ -341,8 +394,7 @@ impl Vfs {
         }
         let fid = ctx
             .invoke(
-                names::NINEPFS,
-                np::LOOKUP,
+                NP_LOOKUP,
                 &[
                     Value::from(path),
                     Value::Bool(flags.contains(OpenFlags::CREAT)),
@@ -350,8 +402,7 @@ impl Vfs {
             )?
             .as_u64()?;
         ctx.invoke(
-            names::NINEPFS,
-            np::OPEN,
+            NP_OPEN,
             &[
                 Value::U64(fid),
                 Value::Bool(flags.contains(OpenFlags::TRUNC)),
@@ -359,7 +410,7 @@ impl Vfs {
         )?;
         let append = flags.contains(OpenFlags::APPEND);
         let offset = if append {
-            let st = ctx.invoke(names::NINEPFS, np::STAT_FID, &[Value::U64(fid)])?;
+            let st = ctx.invoke(NP_STAT_FID, &[Value::U64(fid)])?;
             st.as_list()?.first().ok_or(OsError::Inval)?.as_u64()?
         } else {
             0
@@ -401,9 +452,7 @@ impl Vfs {
             } => (*fid, *offset, *append),
             FdKind::Socket { sock } => {
                 let sock = *sock;
-                let n = ctx
-                    .invoke(names::LWIP, lw::SEND, &[Value::U64(sock), data])?
-                    .as_u64()?;
+                let n = ctx.invoke(LW_SEND, &[Value::U64(sock), data])?.as_u64()?;
                 return Ok(n);
             }
             FdKind::PipeWrite { pipe } => {
@@ -420,17 +469,13 @@ impl Vfs {
         let write_at = match at {
             Some(off) => off,
             None if append => {
-                let st = ctx.invoke(names::NINEPFS, np::STAT_FID, &[Value::U64(fid)])?;
+                let st = ctx.invoke(NP_STAT_FID, &[Value::U64(fid)])?;
                 st.as_list()?.first().ok_or(OsError::Inval)?.as_u64()?
             }
             None => offset,
         };
         let n = ctx
-            .invoke(
-                names::NINEPFS,
-                np::WRITE,
-                &[Value::U64(fid), Value::U64(write_at), data],
-            )?
+            .invoke(NP_WRITE, &[Value::U64(fid), Value::U64(write_at), data])?
             .as_u64()?;
         if at.is_none() {
             if let FdKind::File { offset, .. } = &mut self.fds.get_mut(&fd).expect("live").kind {
@@ -453,7 +498,7 @@ impl Vfs {
             FdKind::File { fid, offset, .. } => (*fid, *offset),
             FdKind::Socket { sock } => {
                 let sock = *sock;
-                let v = ctx.invoke(names::LWIP, lw::RECV, &[Value::U64(sock), Value::U64(max)])?;
+                let v = ctx.invoke(LW_RECV, &[Value::U64(sock), Value::U64(max)])?;
                 v.as_bytes()?;
                 return Ok(v);
             }
@@ -470,8 +515,7 @@ impl Vfs {
         };
         let read_at = at.unwrap_or(offset);
         let v = ctx.invoke(
-            names::NINEPFS,
-            np::READ,
+            NP_READ,
             &[Value::U64(fid), Value::U64(read_at), Value::U64(max)],
         )?;
         let len = v.as_bytes()?.len();
@@ -499,26 +543,26 @@ impl Component for Vfs {
     fn call(
         &mut self,
         ctx: &mut dyn CallContext,
-        func: &str,
+        func: FnId,
         args: &[Value],
     ) -> Result<Value, OsError> {
         match func {
-            f::MOUNT => {
+            id::MOUNT => {
                 let fstype = args.first().ok_or(OsError::Inval)?.as_str()?.to_owned();
                 let path = args.get(1).ok_or(OsError::Inval)?.as_str()?.to_owned();
                 if fstype == "9pfs" {
-                    ctx.invoke(names::NINEPFS, np::MOUNT, &[Value::from(path.as_str())])?;
+                    ctx.invoke(NP_MOUNT, &[Value::from(path.as_str())])?;
                 }
                 self.mounts.push((fstype, path));
                 Ok(Value::Unit)
             }
-            f::OPEN => {
+            id::OPEN => {
                 let path = args.first().ok_or(OsError::Inval)?.as_str()?.to_owned();
                 let flags =
                     OpenFlags::from_bits(args.get(1).ok_or(OsError::Inval)?.as_u64()? as u32);
                 self.open_impl(ctx, &path, flags)
             }
-            f::CREATE => {
+            id::CREATE => {
                 let path = args.first().ok_or(OsError::Inval)?.as_str()?.to_owned();
                 self.open_impl(
                     ctx,
@@ -526,7 +570,7 @@ impl Component for Vfs {
                     OpenFlags::RDWR | OpenFlags::CREAT | OpenFlags::TRUNC,
                 )
             }
-            f::READ => {
+            id::READ => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let max = args
                     .get(1)
@@ -535,25 +579,25 @@ impl Component for Vfs {
                     .unwrap_or(u64::MAX);
                 self.file_read(ctx, fd, max, None)
             }
-            f::PREAD => {
+            id::PREAD => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let max = args.get(1).ok_or(OsError::Inval)?.as_u64()?;
                 let off = args.get(2).ok_or(OsError::Inval)?.as_u64()?;
                 self.file_read(ctx, fd, max, Some(off))
             }
-            f::WRITE => {
+            id::WRITE => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let data = bytes_arg(args, 1)?;
                 self.file_write(ctx, fd, data.clone(), None).map(Value::U64)
             }
-            f::PWRITE => {
+            id::PWRITE => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let data = bytes_arg(args, 1)?;
                 let off = args.get(2).ok_or(OsError::Inval)?.as_u64()?;
                 self.file_write(ctx, fd, data.clone(), Some(off))
                     .map(Value::U64)
             }
-            f::WRITEV => {
+            id::WRITEV => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let iov = args.get(1).ok_or(OsError::Inval)?.as_list()?;
                 let len = iov
@@ -567,7 +611,7 @@ impl Component for Vfs {
                 self.file_write(ctx, fd, Value::Bytes(flat), None)
                     .map(Value::U64)
             }
-            f::LSEEK => {
+            id::LSEEK => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let delta = args.get(1).ok_or(OsError::Inval)?.as_i64()?;
                 let whence = args.get(2).ok_or(OsError::Inval)?.as_u64()?;
@@ -579,7 +623,7 @@ impl Component for Vfs {
                     SEEK_SET => 0,
                     SEEK_CUR => cur,
                     SEEK_END => {
-                        let st = ctx.invoke(names::NINEPFS, np::STAT_FID, &[Value::U64(fid)])?;
+                        let st = ctx.invoke(NP_STAT_FID, &[Value::U64(fid)])?;
                         st.as_list()?.first().ok_or(OsError::Inval)?.as_u64()?
                     }
                     _ => return Err(OsError::Inval),
@@ -591,7 +635,7 @@ impl Component for Vfs {
                 }
                 Ok(Value::U64(next))
             }
-            f::SET_OFFSET => {
+            id::SET_OFFSET => {
                 // Synthetic entry emitted by log compaction.
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let off = args.get(1).ok_or(OsError::Inval)?.as_u64()?;
@@ -602,20 +646,20 @@ impl Component for Vfs {
                 }
                 Ok(Value::Unit)
             }
-            f::CLOSE => {
+            id::CLOSE => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let entry = self.fds.remove(&fd).ok_or(OsError::BadFd)?;
                 let mut sessions = vec![fd];
                 match &entry.kind {
                     FdKind::File { fid, vnode, .. } => {
-                        ctx.invoke(names::NINEPFS, np::CLOSE, &[Value::U64(*fid)])?;
-                        ctx.invoke(names::NINEPFS, np::INACTIVE, &[Value::U64(*fid)])?;
+                        ctx.invoke(NP_CLOSE, &[Value::U64(*fid)])?;
+                        ctx.invoke(NP_INACTIVE, &[Value::U64(*fid)])?;
                         if self.vnode_unref(*vnode) {
                             sessions.push(VNODE_SESSION_NS | *vnode);
                         }
                     }
                     FdKind::Socket { sock } => {
-                        ctx.invoke(names::LWIP, lw::CLOSE, &[Value::U64(*sock)])?;
+                        ctx.invoke(LW_CLOSE, &[Value::U64(*sock)])?;
                     }
                     FdKind::PipeRead { pipe } | FdKind::PipeWrite { pipe } => {
                         let other_end_live = self.fds.values().any(|e| {
@@ -636,7 +680,7 @@ impl Component for Vfs {
                 self.last_close_sessions = sessions;
                 Ok(Value::Unit)
             }
-            f::FCNTL => {
+            id::FCNTL => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let cmd = args.get(1).ok_or(OsError::Inval)?.as_u64()?;
                 let arg = args.get(2).map(Value::as_u64).transpose()?.unwrap_or(0);
@@ -650,7 +694,7 @@ impl Component for Vfs {
                     _ => Err(OsError::Inval),
                 }
             }
-            f::IOCTL => {
+            id::IOCTL => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let cmd = args.get(1).ok_or(OsError::Inval)?.as_u64()?;
                 let arg = args.get(2).map(Value::as_u64).transpose()?.unwrap_or(0);
@@ -658,15 +702,14 @@ impl Component for Vfs {
                     FdKind::Socket { sock } => {
                         let sock = *sock;
                         ctx.invoke(
-                            names::LWIP,
-                            lw::IOCTL,
+                            LW_IOCTL,
                             &[Value::U64(sock), Value::U64(cmd), Value::U64(arg)],
                         )
                     }
                     _ => Err(OsError::Inval),
                 }
             }
-            f::PIPE => {
+            id::PIPE => {
                 let pipe = self.next_pipe;
                 self.next_pipe += 1;
                 self.pipes.insert(pipe, VecDeque::new());
@@ -697,31 +740,31 @@ impl Component for Vfs {
                 );
                 Ok(Value::List(vec![Value::U64(rfd), Value::U64(wfd)]))
             }
-            f::FSYNC => {
+            id::FSYNC => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 match &self.entry(fd)?.kind {
                     FdKind::File { fid, .. } => {
                         let fid = *fid;
-                        ctx.invoke(names::NINEPFS, np::FSYNC, &[Value::U64(fid)])?;
+                        ctx.invoke(NP_FSYNC, &[Value::U64(fid)])?;
                         Ok(Value::Unit)
                     }
                     _ => Err(OsError::Inval),
                 }
             }
-            f::VGET => {
+            id::VGET => {
                 let path = args.first().ok_or(OsError::Inval)?.as_str()?.to_owned();
                 Ok(Value::U64(self.vget_internal(&path)))
             }
-            f::ALLOC_SOCKET => {
+            id::ALLOC_SOCKET => {
                 let sock = match args.first() {
-                    None => ctx.invoke(names::LWIP, lw::SOCKET, &[])?.as_u64()?,
+                    None => ctx.invoke(LW_SOCKET, &[])?.as_u64()?,
                     Some(listen_fd_v) => {
                         let listen_fd = listen_fd_v.as_u64()?;
                         let listen_sock = match &self.entry(listen_fd)?.kind {
                             FdKind::Socket { sock } => *sock,
                             _ => return Err(OsError::Inval),
                         };
-                        ctx.invoke(names::LWIP, lw::ACCEPT, &[Value::U64(listen_sock)])?
+                        ctx.invoke(LW_ACCEPT, &[Value::U64(listen_sock)])?
                             .as_u64()?
                     }
                 };
@@ -736,7 +779,12 @@ impl Component for Vfs {
                 );
                 Ok(Value::U64(fd))
             }
-            f::BIND | f::LISTEN | f::CONNECT | f::SHUTDOWN | f::GETSOCKOPT | f::SETSOCKOPT => {
+            id::BIND
+            | id::LISTEN
+            | id::CONNECT
+            | id::SHUTDOWN
+            | id::GETSOCKOPT
+            | id::SETSOCKOPT => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let sock = match &self.entry(fd)?.kind {
                     FdKind::Socket { sock } => *sock,
@@ -744,17 +792,17 @@ impl Component for Vfs {
                 };
                 let mut fwd = vec![Value::U64(sock)];
                 fwd.extend_from_slice(&args[1..]);
-                let target_func = match func {
-                    f::BIND => lw::BIND,
-                    f::LISTEN => lw::LISTEN,
-                    f::CONNECT => lw::CONNECT,
-                    f::SHUTDOWN => lw::SHUTDOWN,
-                    f::GETSOCKOPT => lw::GETSOCKOPT,
-                    _ => lw::SETSOCKOPT,
+                let site = match func {
+                    id::BIND => LW_BIND,
+                    id::LISTEN => LW_LISTEN,
+                    id::CONNECT => LW_CONNECT,
+                    id::SHUTDOWN => LW_SHUTDOWN,
+                    id::GETSOCKOPT => LW_GETSOCKOPT,
+                    _ => LW_SETSOCKOPT,
                 };
-                ctx.invoke(names::LWIP, target_func, &fwd)
+                ctx.invoke(site, &fwd)
             }
-            f::POLL_READY => {
+            id::POLL_READY => {
                 let queried = args.first().ok_or(OsError::Inval)?.as_list()?;
                 // Partition: sockets go to LWIP in one readiness query;
                 // files are always ready; pipes are ready when non-empty.
@@ -779,7 +827,7 @@ impl Component for Vfs {
                 }
                 if !sock_fds.is_empty() {
                     let query: Vec<Value> = sock_fds.iter().map(|&(_, s)| Value::U64(s)).collect();
-                    let ready_socks = ctx.invoke(names::LWIP, lw::READY, &[Value::List(query)])?;
+                    let ready_socks = ctx.invoke(LW_READY, &[Value::List(query)])?;
                     for rs in ready_socks.as_list()? {
                         let sock = rs.as_u64()?;
                         if let Some(&(fd, _)) = sock_fds.iter().find(|&&(_, s)| s == sock) {
@@ -789,32 +837,25 @@ impl Component for Vfs {
                 }
                 Ok(Value::List(ready))
             }
-            f::FSTAT => {
+            id::FSTAT => {
                 let fd = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 match &self.entry(fd)?.kind {
                     FdKind::File { fid, .. } => {
                         let fid = *fid;
-                        ctx.invoke(names::NINEPFS, np::STAT_FID, &[Value::U64(fid)])
+                        ctx.invoke(NP_STAT_FID, &[Value::U64(fid)])
                     }
                     _ => Ok(Value::List(vec![Value::U64(0)])),
                 }
             }
-            f::STAT => {
+            id::STAT => {
                 let path = args.first().ok_or(OsError::Inval)?.as_str()?.to_owned();
-                ctx.invoke(names::NINEPFS, np::STAT_PATH, &[Value::from(path.as_str())])
+                ctx.invoke(NP_STAT_PATH, &[Value::from(path.as_str())])
             }
-            f::UNLINK => {
+            id::UNLINK => {
                 let path = args.first().ok_or(OsError::Inval)?.as_str()?.to_owned();
-                ctx.invoke(
-                    names::NINEPFS,
-                    np::REMOVE_PATH,
-                    &[Value::from(path.as_str())],
-                )
+                ctx.invoke(NP_REMOVE_PATH, &[Value::from(path.as_str())])
             }
-            other => Err(OsError::UnknownFunc {
-                component: names::VFS.to_owned(),
-                func: other.to_owned(),
-            }),
+            _ => unreachable!("vfs declares no function {func:?}"),
         }
     }
 
@@ -844,34 +885,34 @@ impl Component for Vfs {
         Ok(())
     }
 
-    fn session_event(&self, func: &str, args: &[Value], ret: &Value) -> SessionEvent {
+    fn session_event(&self, func: FnId, args: &[Value], ret: &Value) -> SessionEvent {
         match func {
-            f::OPEN | f::CREATE | f::ALLOC_SOCKET => ret
+            id::OPEN | id::CREATE | id::ALLOC_SOCKET => ret
                 .as_u64()
                 .map(|s| SessionEvent::Open(vec![s]))
                 .unwrap_or(SessionEvent::None),
-            f::PIPE => match ret.as_list() {
+            id::PIPE => match ret.as_list() {
                 Ok([r, w]) => match (r.as_u64(), w.as_u64()) {
                     (Ok(r), Ok(w)) => SessionEvent::Open(vec![r, w]),
                     _ => SessionEvent::None,
                 },
                 _ => SessionEvent::None,
             },
-            f::READ
-            | f::PREAD
-            | f::WRITE
-            | f::PWRITE
-            | f::WRITEV
-            | f::LSEEK
-            | f::FCNTL
-            | f::IOCTL
-            | f::FSYNC => args
+            id::READ
+            | id::PREAD
+            | id::WRITE
+            | id::PWRITE
+            | id::WRITEV
+            | id::LSEEK
+            | id::FCNTL
+            | id::IOCTL
+            | id::FSYNC => args
                 .first()
                 .and_then(|a| a.as_u64().ok())
                 .map(SessionEvent::Touch)
                 .unwrap_or(SessionEvent::None),
-            f::CLOSE => SessionEvent::Close(self.last_close_sessions.clone()),
-            f::VGET => {
+            id::CLOSE => SessionEvent::Close(self.last_close_sessions.clone()),
+            id::VGET => {
                 let vnode = match ret.as_u64() {
                     Ok(v) => v,
                     Err(_) => return SessionEvent::None,
@@ -892,7 +933,14 @@ impl Component for Vfs {
         }
         match self.fds.get(&session).map(|e| &e.kind) {
             Some(FdKind::File { offset, .. }) => TouchSynthesis::Replace {
-                func: f::SET_OFFSET.into(),
+                // The descriptor's name: the replay finds the function by
+                // pointer.
+                func: self
+                    .desc
+                    .function_at(id::SET_OFFSET)
+                    .expect("declared")
+                    .name
+                    .clone(),
                 args: vec![Value::U64(session), Value::U64(*offset)],
                 ret: Value::Unit,
             },
@@ -980,8 +1028,12 @@ mod tests {
     fn mounted() -> (Vfs, StubCtx) {
         let mut vfs = Vfs::new();
         let mut ctx = fs_ctx();
-        vfs.call(&mut ctx, f::MOUNT, &[Value::from("9pfs"), Value::from("/")])
-            .unwrap();
+        vfs.call(
+            &mut ctx,
+            id::MOUNT,
+            &[Value::from("9pfs"), Value::from("/")],
+        )
+        .unwrap();
         (vfs, ctx)
     }
 
@@ -991,7 +1043,7 @@ mod tests {
         let fd = vfs
             .call(
                 &mut ctx,
-                f::OPEN,
+                id::OPEN,
                 &[Value::from("/a"), Value::U64(OpenFlags::RDWR.bits() as u64)],
             )
             .unwrap()
@@ -1008,7 +1060,7 @@ mod tests {
         let mut vfs = Vfs::new();
         let mut ctx = fs_ctx();
         assert!(matches!(
-            vfs.call(&mut ctx, f::OPEN, &[Value::from("/a"), Value::U64(0)]),
+            vfs.call(&mut ctx, id::OPEN, &[Value::from("/a"), Value::U64(0)]),
             Err(OsError::Io(_))
         ));
     }
@@ -1017,13 +1069,13 @@ mod tests {
     fn sequential_reads_advance_the_offset() {
         let (mut vfs, mut ctx) = mounted();
         let fd = vfs
-            .call(&mut ctx, f::OPEN, &[Value::from("/a"), Value::U64(0)])
+            .call(&mut ctx, id::OPEN, &[Value::from("/a"), Value::U64(0)])
             .unwrap()
             .as_u64()
             .unwrap();
-        vfs.call(&mut ctx, f::READ, &[Value::U64(fd), Value::U64(4)])
+        vfs.call(&mut ctx, id::READ, &[Value::U64(fd), Value::U64(4)])
             .unwrap();
-        vfs.call(&mut ctx, f::READ, &[Value::U64(fd), Value::U64(4)])
+        vfs.call(&mut ctx, id::READ, &[Value::U64(fd), Value::U64(4)])
             .unwrap();
         assert_eq!(vfs.offset_of(fd), Some(8));
     }
@@ -1032,19 +1084,19 @@ mod tests {
     fn pread_pwrite_leave_offset_alone() {
         let (mut vfs, mut ctx) = mounted();
         let fd = vfs
-            .call(&mut ctx, f::OPEN, &[Value::from("/a"), Value::U64(0)])
+            .call(&mut ctx, id::OPEN, &[Value::from("/a"), Value::U64(0)])
             .unwrap()
             .as_u64()
             .unwrap();
         vfs.call(
             &mut ctx,
-            f::PREAD,
+            id::PREAD,
             &[Value::U64(fd), Value::U64(4), Value::U64(10)],
         )
         .unwrap();
         vfs.call(
             &mut ctx,
-            f::PWRITE,
+            id::PWRITE,
             &[
                 Value::U64(fd),
                 Value::from(b"zz".as_slice()),
@@ -1059,14 +1111,14 @@ mod tests {
     fn lseek_all_whences() {
         let (mut vfs, mut ctx) = mounted();
         let fd = vfs
-            .call(&mut ctx, f::OPEN, &[Value::from("/a"), Value::U64(0)])
+            .call(&mut ctx, id::OPEN, &[Value::from("/a"), Value::U64(0)])
             .unwrap()
             .as_u64()
             .unwrap();
         let at = vfs
             .call(
                 &mut ctx,
-                f::LSEEK,
+                id::LSEEK,
                 &[Value::U64(fd), Value::I64(5), Value::U64(SEEK_SET)],
             )
             .unwrap();
@@ -1074,7 +1126,7 @@ mod tests {
         let at = vfs
             .call(
                 &mut ctx,
-                f::LSEEK,
+                id::LSEEK,
                 &[Value::U64(fd), Value::I64(3), Value::U64(SEEK_CUR)],
             )
             .unwrap();
@@ -1083,7 +1135,7 @@ mod tests {
         let at = vfs
             .call(
                 &mut ctx,
-                f::LSEEK,
+                id::LSEEK,
                 &[Value::U64(fd), Value::I64(-4), Value::U64(SEEK_END)],
             )
             .unwrap();
@@ -1096,7 +1148,7 @@ mod tests {
         let fd = vfs
             .call(
                 &mut ctx,
-                f::OPEN,
+                id::OPEN,
                 &[
                     Value::from("/log"),
                     Value::U64((OpenFlags::WRONLY | OpenFlags::APPEND).bits() as u64),
@@ -1109,7 +1161,7 @@ mod tests {
         assert_eq!(vfs.offset_of(fd), Some(40));
         vfs.call(
             &mut ctx,
-            f::WRITE,
+            id::WRITE,
             &[Value::U64(fd), Value::from(b"abc".as_slice())],
         )
         .unwrap();
@@ -1120,14 +1172,14 @@ mod tests {
     fn writev_concatenates() {
         let (mut vfs, mut ctx) = mounted();
         let fd = vfs
-            .call(&mut ctx, f::OPEN, &[Value::from("/a"), Value::U64(0)])
+            .call(&mut ctx, id::OPEN, &[Value::from("/a"), Value::U64(0)])
             .unwrap()
             .as_u64()
             .unwrap();
         let n = vfs
             .call(
                 &mut ctx,
-                f::WRITEV,
+                id::WRITEV,
                 &[
                     Value::U64(fd),
                     Value::List(vec![
@@ -1145,12 +1197,12 @@ mod tests {
     fn close_retires_fd_and_vnode_sessions() {
         let (mut vfs, mut ctx) = mounted();
         let fd = vfs
-            .call(&mut ctx, f::OPEN, &[Value::from("/a"), Value::U64(0)])
+            .call(&mut ctx, id::OPEN, &[Value::from("/a"), Value::U64(0)])
             .unwrap()
             .as_u64()
             .unwrap();
-        vfs.call(&mut ctx, f::CLOSE, &[Value::U64(fd)]).unwrap();
-        let ev = vfs.session_event(f::CLOSE, &[Value::U64(fd)], &Value::Unit);
+        vfs.call(&mut ctx, id::CLOSE, &[Value::U64(fd)]).unwrap();
+        let ev = vfs.session_event(id::CLOSE, &[Value::U64(fd)], &Value::Unit);
         match ev {
             SessionEvent::Close(sessions) => {
                 assert!(sessions.contains(&fd));
@@ -1166,48 +1218,48 @@ mod tests {
     fn two_opens_share_a_vnode_until_both_close() {
         let (mut vfs, mut ctx) = mounted();
         let a = vfs
-            .call(&mut ctx, f::OPEN, &[Value::from("/a"), Value::U64(0)])
+            .call(&mut ctx, id::OPEN, &[Value::from("/a"), Value::U64(0)])
             .unwrap()
             .as_u64()
             .unwrap();
         let b = vfs
-            .call(&mut ctx, f::OPEN, &[Value::from("/a"), Value::U64(0)])
+            .call(&mut ctx, id::OPEN, &[Value::from("/a"), Value::U64(0)])
             .unwrap()
             .as_u64()
             .unwrap();
         assert_eq!(vfs.vnode_count(), 1);
-        vfs.call(&mut ctx, f::CLOSE, &[Value::U64(a)]).unwrap();
+        vfs.call(&mut ctx, id::CLOSE, &[Value::U64(a)]).unwrap();
         assert_eq!(vfs.vnode_count(), 1);
-        vfs.call(&mut ctx, f::CLOSE, &[Value::U64(b)]).unwrap();
+        vfs.call(&mut ctx, id::CLOSE, &[Value::U64(b)]).unwrap();
         assert_eq!(vfs.vnode_count(), 0);
     }
 
     #[test]
     fn pipes_buffer_and_deliver() {
         let (mut vfs, mut ctx) = mounted();
-        let fds = vfs.call(&mut ctx, f::PIPE, &[]).unwrap();
+        let fds = vfs.call(&mut ctx, id::PIPE, &[]).unwrap();
         let (r, w) = match fds.as_list().unwrap() {
             [r, w] => (r.as_u64().unwrap(), w.as_u64().unwrap()),
             _ => panic!("pipe should return two fds"),
         };
         vfs.call(
             &mut ctx,
-            f::WRITE,
+            id::WRITE,
             &[Value::U64(w), Value::from(b"ping".as_slice())],
         )
         .unwrap();
         let got = vfs
-            .call(&mut ctx, f::READ, &[Value::U64(r), Value::U64(64)])
+            .call(&mut ctx, id::READ, &[Value::U64(r), Value::U64(64)])
             .unwrap();
         assert_eq!(got.as_bytes().unwrap(), b"ping");
         // Empty pipe: would block.
         assert_eq!(
-            vfs.call(&mut ctx, f::READ, &[Value::U64(r), Value::U64(4)]),
+            vfs.call(&mut ctx, id::READ, &[Value::U64(r), Value::U64(4)]),
             Err(OsError::WouldBlock)
         );
         // Reading the write end / writing the read end is an error.
         assert_eq!(
-            vfs.call(&mut ctx, f::READ, &[Value::U64(w), Value::U64(4)]),
+            vfs.call(&mut ctx, id::READ, &[Value::U64(w), Value::U64(4)]),
             Err(OsError::BadFd)
         );
     }
@@ -1215,11 +1267,11 @@ mod tests {
     #[test]
     fn pipe_buffers_survive_via_runtime_extract() {
         let (mut vfs, mut ctx) = mounted();
-        let fds = vfs.call(&mut ctx, f::PIPE, &[]).unwrap();
+        let fds = vfs.call(&mut ctx, id::PIPE, &[]).unwrap();
         let w = fds.as_list().unwrap()[1].as_u64().unwrap();
         vfs.call(
             &mut ctx,
-            f::WRITE,
+            id::WRITE,
             &[Value::U64(w), Value::from(b"inflight".as_slice())],
         )
         .unwrap();
@@ -1238,28 +1290,28 @@ mod tests {
     fn sockets_flow_through_lwip() {
         let (mut vfs, mut ctx) = mounted();
         let fd = vfs
-            .call(&mut ctx, f::ALLOC_SOCKET, &[])
+            .call(&mut ctx, id::ALLOC_SOCKET, &[])
             .unwrap()
             .as_u64()
             .unwrap();
-        vfs.call(&mut ctx, f::BIND, &[Value::U64(fd), Value::U64(80)])
+        vfs.call(&mut ctx, id::BIND, &[Value::U64(fd), Value::U64(80)])
             .unwrap();
-        vfs.call(&mut ctx, f::LISTEN, &[Value::U64(fd), Value::U64(8)])
+        vfs.call(&mut ctx, id::LISTEN, &[Value::U64(fd), Value::U64(8)])
             .unwrap();
         let conn_fd = vfs
-            .call(&mut ctx, f::ALLOC_SOCKET, &[Value::U64(fd)])
+            .call(&mut ctx, id::ALLOC_SOCKET, &[Value::U64(fd)])
             .unwrap()
             .as_u64()
             .unwrap();
         assert_ne!(conn_fd, fd);
         let got = vfs
-            .call(&mut ctx, f::READ, &[Value::U64(conn_fd), Value::U64(64)])
+            .call(&mut ctx, id::READ, &[Value::U64(conn_fd), Value::U64(64)])
             .unwrap();
         assert_eq!(got.as_bytes().unwrap(), b"net");
         let n = vfs
             .call(
                 &mut ctx,
-                f::WRITE,
+                id::WRITE,
                 &[Value::U64(conn_fd), Value::from(b"pong".as_slice())],
             )
             .unwrap();
@@ -1270,18 +1322,18 @@ mod tests {
     fn fcntl_round_trips_status_flags() {
         let (mut vfs, mut ctx) = mounted();
         let fd = vfs
-            .call(&mut ctx, f::OPEN, &[Value::from("/a"), Value::U64(2)])
+            .call(&mut ctx, id::OPEN, &[Value::from("/a"), Value::U64(2)])
             .unwrap()
             .as_u64()
             .unwrap();
         vfs.call(
             &mut ctx,
-            f::FCNTL,
+            id::FCNTL,
             &[Value::U64(fd), Value::U64(F_SETFL), Value::U64(0x800)],
         )
         .unwrap();
         assert_eq!(
-            vfs.call(&mut ctx, f::FCNTL, &[Value::U64(fd), Value::U64(F_GETFL)])
+            vfs.call(&mut ctx, id::FCNTL, &[Value::U64(fd), Value::U64(F_GETFL)])
                 .unwrap(),
             Value::U64(0x800)
         );
@@ -1294,14 +1346,14 @@ mod tests {
         // leaving fd 3 live. After shrinking only the second open remains.
         ctx.set_replay(Some(Value::U64(3)));
         let fd = vfs
-            .call(&mut ctx, f::OPEN, &[Value::from("/b"), Value::U64(0)])
+            .call(&mut ctx, id::OPEN, &[Value::from("/b"), Value::U64(0)])
             .unwrap();
         assert_eq!(fd, Value::U64(3));
         ctx.clear_replay();
         vfs.finish_replay();
         // New allocations continue above.
         let fd2 = vfs
-            .call(&mut ctx, f::OPEN, &[Value::from("/c"), Value::U64(0)])
+            .call(&mut ctx, id::OPEN, &[Value::from("/c"), Value::U64(0)])
             .unwrap();
         assert_eq!(fd2, Value::U64(4));
     }
@@ -1310,11 +1362,11 @@ mod tests {
     fn synthesize_touch_summarises_file_sessions() {
         let (mut vfs, mut ctx) = mounted();
         let fd = vfs
-            .call(&mut ctx, f::OPEN, &[Value::from("/a"), Value::U64(0)])
+            .call(&mut ctx, id::OPEN, &[Value::from("/a"), Value::U64(0)])
             .unwrap()
             .as_u64()
             .unwrap();
-        vfs.call(&mut ctx, f::READ, &[Value::U64(fd), Value::U64(4)])
+        vfs.call(&mut ctx, id::READ, &[Value::U64(fd), Value::U64(4)])
             .unwrap();
         match vfs.synthesize_touch(fd) {
             TouchSynthesis::Replace { func, args, .. } => {
@@ -1325,7 +1377,7 @@ mod tests {
         }
         // Socket sessions drop their touches.
         let sfd = vfs
-            .call(&mut ctx, f::ALLOC_SOCKET, &[])
+            .call(&mut ctx, id::ALLOC_SOCKET, &[])
             .unwrap()
             .as_u64()
             .unwrap();
@@ -1338,12 +1390,16 @@ mod tests {
     fn set_offset_applies_synthetic_state() {
         let (mut vfs, mut ctx) = mounted();
         let fd = vfs
-            .call(&mut ctx, f::OPEN, &[Value::from("/a"), Value::U64(0)])
+            .call(&mut ctx, id::OPEN, &[Value::from("/a"), Value::U64(0)])
             .unwrap()
             .as_u64()
             .unwrap();
-        vfs.call(&mut ctx, f::SET_OFFSET, &[Value::U64(fd), Value::U64(1234)])
-            .unwrap();
+        vfs.call(
+            &mut ctx,
+            id::SET_OFFSET,
+            &[Value::U64(fd), Value::U64(1234)],
+        )
+        .unwrap();
         assert_eq!(vfs.offset_of(fd), Some(1234));
     }
 
@@ -1352,27 +1408,27 @@ mod tests {
         let (mut vfs, mut ctx) = mounted();
         let d0 = vfs.state_digest();
         let fd = vfs
-            .call(&mut ctx, f::OPEN, &[Value::from("/a"), Value::U64(0)])
+            .call(&mut ctx, id::OPEN, &[Value::from("/a"), Value::U64(0)])
             .unwrap()
             .as_u64()
             .unwrap();
         assert_ne!(vfs.state_digest(), d0);
-        vfs.call(&mut ctx, f::CLOSE, &[Value::U64(fd)]).unwrap();
+        vfs.call(&mut ctx, id::CLOSE, &[Value::U64(fd)]).unwrap();
         assert_eq!(vfs.state_digest(), d0);
     }
 
     #[test]
     fn vget_sessions_distinguish_new_from_reused() {
         let (mut vfs, mut ctx) = mounted();
-        let v = vfs.call(&mut ctx, f::VGET, &[Value::from("/a")]).unwrap();
+        let v = vfs.call(&mut ctx, id::VGET, &[Value::from("/a")]).unwrap();
         assert_eq!(
-            vfs.session_event(f::VGET, &[Value::from("/a")], &v),
+            vfs.session_event(id::VGET, &[Value::from("/a")], &v),
             SessionEvent::Open(vec![VNODE_SESSION_NS | v.as_u64().unwrap()])
         );
-        let v2 = vfs.call(&mut ctx, f::VGET, &[Value::from("/a")]).unwrap();
+        let v2 = vfs.call(&mut ctx, id::VGET, &[Value::from("/a")]).unwrap();
         assert_eq!(v, v2);
         assert_eq!(
-            vfs.session_event(f::VGET, &[Value::from("/a")], &v2),
+            vfs.session_event(id::VGET, &[Value::from("/a")], &v2),
             SessionEvent::Touch(VNODE_SESSION_NS | v2.as_u64().unwrap())
         );
     }
@@ -1381,11 +1437,11 @@ mod tests {
     fn poll_ready_partitions_fd_kinds() {
         let (mut vfs, mut ctx) = mounted();
         let file_fd = vfs
-            .call(&mut ctx, f::OPEN, &[Value::from("/a"), Value::U64(0)])
+            .call(&mut ctx, id::OPEN, &[Value::from("/a"), Value::U64(0)])
             .unwrap()
             .as_u64()
             .unwrap();
-        let pipe_fds = vfs.call(&mut ctx, f::PIPE, &[]).unwrap();
+        let pipe_fds = vfs.call(&mut ctx, id::PIPE, &[]).unwrap();
         let (r, w) = match pipe_fds.as_list().unwrap() {
             [r, w] => (r.as_u64().unwrap(), w.as_u64().unwrap()),
             _ => unreachable!(),
@@ -1396,7 +1452,7 @@ mod tests {
         let ready = vfs
             .call(
                 &mut ctx,
-                f::POLL_READY,
+                id::POLL_READY,
                 &[Value::List(vec![
                     Value::U64(file_fd),
                     Value::U64(r),
@@ -1413,12 +1469,16 @@ mod tests {
         // After a write, the pipe read end is ready.
         vfs.call(
             &mut ctx,
-            f::WRITE,
+            id::WRITE,
             &[Value::U64(w), Value::from(b"x".as_slice())],
         )
         .unwrap();
         let ready = vfs
-            .call(&mut ctx, f::POLL_READY, &[Value::List(vec![Value::U64(r)])])
+            .call(
+                &mut ctx,
+                id::POLL_READY,
+                &[Value::List(vec![Value::U64(r)])],
+            )
             .unwrap();
         assert_eq!(ready, Value::List(vec![Value::U64(r)]));
     }
@@ -1427,7 +1487,7 @@ mod tests {
     fn poll_ready_maps_socket_readiness_back_to_fds() {
         let (mut vfs, mut ctx) = mounted();
         let sfd = vfs
-            .call(&mut ctx, f::ALLOC_SOCKET, &[])
+            .call(&mut ctx, id::ALLOC_SOCKET, &[])
             .unwrap()
             .as_u64()
             .unwrap();
@@ -1444,7 +1504,7 @@ mod tests {
         let ready = vfs
             .call(
                 &mut ctx2,
-                f::POLL_READY,
+                id::POLL_READY,
                 &[Value::List(vec![Value::U64(sfd)])],
             )
             .unwrap();
@@ -1453,10 +1513,10 @@ mod tests {
 
     #[test]
     fn unknown_function_is_rejected() {
-        let (mut vfs, mut ctx) = mounted();
-        assert!(matches!(
-            vfs.call(&mut ctx, "chmod", &[]),
-            Err(OsError::UnknownFunc { .. })
-        ));
+        let vfs = Vfs::new();
+        for (i, &func) in f::FUNCTIONS.iter().enumerate() {
+            assert_eq!(vfs.descriptor().fn_id(func), Some(FnId(i as u16)));
+        }
+        assert!(vfs.descriptor().fn_id("chmod").is_none());
     }
 }

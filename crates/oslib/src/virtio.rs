@@ -10,9 +10,9 @@
 
 use vampos_host::HostHandle;
 use vampos_mem::ArenaLayout;
-use vampos_ukernel::{names, CallContext, Component, ComponentDescriptor, OsError, Value};
+use vampos_ukernel::{names, CallContext, Component, ComponentDescriptor, FnId, OsError, Value};
 
-use crate::funcs::virtio as f;
+use crate::funcs::virtio::{self as f, id};
 
 /// The VIRTIO component. Holds the only guest-side handle to the host.
 #[derive(Debug, Clone)]
@@ -29,7 +29,8 @@ impl Virtio {
             desc: ComponentDescriptor::new(names::VIRTIO, ArenaLayout::medium())
                 .host_shared()
                 .unrebootable()
-                .exports(&[f::NINEP, f::NET_TX, f::NET_RX, f::NET_RX_BATCH]),
+                .functions(f::FUNCTIONS)
+                .exports(f::FUNCTIONS),
             host,
             transactions: 0,
         }
@@ -53,12 +54,12 @@ impl Component for Virtio {
     fn call(
         &mut self,
         ctx: &mut dyn CallContext,
-        func: &str,
+        func: FnId,
         args: &[Value],
     ) -> Result<Value, OsError> {
         self.transactions += 1;
         match func {
-            f::NINEP => {
+            id::NINEP => {
                 let (req, payload) = match args.first() {
                     Some(v @ Value::NinePReq(req)) => (req, v.byte_len()),
                     Some(other) => return Err(OsError::bad_value("9p-request", other)),
@@ -72,7 +73,7 @@ impl Component for Virtio {
                     .map_err(ring_error)?;
                 Ok(Value::NinePResp(resp))
             }
-            f::NET_TX => {
+            id::NET_TX => {
                 let frame = match args.first() {
                     Some(Value::Frame(Some(frame))) => frame.clone(),
                     Some(other) => return Err(OsError::bad_value("frame", other)),
@@ -85,13 +86,13 @@ impl Component for Virtio {
                 self.host.with(|w| w.net_send(frame)).map_err(ring_error)?;
                 Ok(Value::Unit)
             }
-            f::NET_RX => {
+            id::NET_RX => {
                 ctx.charge(ctx.costs().virtio_kick);
                 ctx.trace_instant("virtio_kick", format_args!("net-rx"));
                 let frame = self.host.with(|w| w.net_recv()).map_err(ring_error)?;
                 Ok(Value::Frame(frame))
             }
-            f::NET_RX_BATCH => {
+            id::NET_RX_BATCH => {
                 // Real virtio drivers harvest the whole used ring per kick.
                 ctx.charge(ctx.costs().virtio_kick);
                 ctx.trace_instant("virtio_kick", format_args!("net-rx-batch"));
@@ -102,10 +103,7 @@ impl Component for Virtio {
                 }
                 Ok(Value::List(frames))
             }
-            other => Err(OsError::UnknownFunc {
-                component: names::VIRTIO.to_owned(),
-                func: other.to_owned(),
-            }),
+            _ => unreachable!("virtio declares no function {func:?}"),
         }
     }
 }
@@ -134,7 +132,7 @@ mod tests {
         let resp = v
             .call(
                 &mut ctx,
-                f::NINEP,
+                id::NINEP,
                 &[Value::NinePReq(NinePRequest::Attach { fid: Fid(0) })],
             )
             .unwrap();
@@ -151,13 +149,13 @@ mod tests {
     fn net_rx_polls_the_host_network() {
         let (mut v, host, mut ctx) = setup();
         assert_eq!(
-            v.call(&mut ctx, f::NET_RX, &[]).unwrap(),
+            v.call(&mut ctx, id::NET_RX, &[]).unwrap(),
             Value::Frame(None)
         );
         host.with(|w| {
             w.network_mut().connect(80);
         });
-        let got = v.call(&mut ctx, f::NET_RX, &[]).unwrap();
+        let got = v.call(&mut ctx, id::NET_RX, &[]).unwrap();
         assert!(matches!(got, Value::Frame(Some(_))));
     }
 
@@ -166,7 +164,7 @@ mod tests {
         let (mut v, host, mut ctx) = setup();
         v.call(
             &mut ctx,
-            f::NINEP,
+            id::NINEP,
             &[Value::NinePReq(NinePRequest::Attach { fid: Fid(0) })],
         )
         .unwrap();
@@ -175,7 +173,7 @@ mod tests {
         host.with(|w| w.guest_reset_rings());
         let err = v.call(
             &mut ctx,
-            f::NINEP,
+            id::NINEP,
             &[Value::NinePReq(NinePRequest::Attach { fid: Fid(1) })],
         );
         assert!(matches!(err, Err(OsError::Io(msg)) if msg.contains("desynchronized")));
@@ -185,16 +183,13 @@ mod tests {
     fn bad_arguments_are_rejected() {
         let (mut v, _, mut ctx) = setup();
         assert!(matches!(
-            v.call(&mut ctx, f::NINEP, &[Value::U64(1)]),
+            v.call(&mut ctx, id::NINEP, &[Value::U64(1)]),
             Err(OsError::BadValue { .. })
         ));
         assert!(matches!(
-            v.call(&mut ctx, f::NET_TX, &[]),
+            v.call(&mut ctx, id::NET_TX, &[]),
             Err(OsError::Inval)
         ));
-        assert!(matches!(
-            v.call(&mut ctx, "nope", &[]),
-            Err(OsError::UnknownFunc { .. })
-        ));
+        assert!(v.descriptor().fn_id("nope").is_none());
     }
 }

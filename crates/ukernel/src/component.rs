@@ -1,7 +1,6 @@
 //! The [`Component`] trait and its static metadata.
 
 use std::any::Any;
-use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 
@@ -14,6 +13,94 @@ use crate::value::Value;
 /// A component's name (also its protection-domain name).
 pub type ComponentName = Name;
 
+/// A function's number: its index in its descriptor's function table
+/// ([`ComponentDescriptor::functions`]). The runtime resolves every call to
+/// one when it links the call site, and a component dispatches on it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FnId(pub u16);
+
+impl FnId {
+    /// The index into the function table.
+    pub fn index(self) -> usize {
+        usize::from(self.0)
+    }
+}
+
+/// One outbound call a component makes: its index in the caller's call
+/// table ([`ComponentDescriptor::calls`]) and the component and function it
+/// names. The runtime binds each declared site once, when it links the
+/// system, to the slot and [`FnId`] it reaches; [`CallContext::invoke`]
+/// takes the site and reads the binding by index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CallSite {
+    index: u16,
+    target: &'static str,
+    func: &'static str,
+}
+
+impl CallSite {
+    /// The call site `index` of a call table, naming `target`'s `func`.
+    pub const fn new(index: u16, target: &'static str, func: &'static str) -> Self {
+        CallSite {
+            index,
+            target,
+            func,
+        }
+    }
+
+    /// The index into the caller's call table.
+    pub fn index(self) -> usize {
+        usize::from(self.index)
+    }
+
+    /// The component the site calls.
+    pub fn target(self) -> &'static str {
+        self.target
+    }
+
+    /// The function the site calls.
+    pub fn func(self) -> &'static str {
+        self.func
+    }
+}
+
+/// Declares a component interface in the module it is expanded in: one
+/// `&str` constant per function name, `FUNCTIONS` listing them in
+/// declaration order (a descriptor's [`ComponentDescriptor::functions`]),
+/// and a nested `id` module with the same constants as [`FnId`]s, numbered
+/// in that order, for the component to dispatch on.
+///
+/// ```
+/// mod echo {
+///     vampos_ukernel::interface! {
+///         /// `ping()`.
+///         PING = "ping";
+///         /// `echo(bytes)`.
+///         ECHO = "echo";
+///     }
+/// }
+/// assert_eq!(echo::FUNCTIONS, ["ping", "echo"]);
+/// assert_eq!(echo::id::ECHO, vampos_ukernel::FnId(1));
+/// ```
+#[macro_export]
+macro_rules! interface {
+    ($($(#[$doc:meta])* $func:ident = $name:literal;)*) => {
+        $($(#[$doc])* pub const $func: &str = $name;)*
+        /// Every function's name, in `FnId` order.
+        pub const FUNCTIONS: &[&str] = &[$($func),*];
+        /// The functions' `FnId`s: each name's index in `FUNCTIONS`.
+        pub mod id {
+            $crate::interface!(@ids 0; $($(#[$doc])* $func)*);
+        }
+    };
+    (@ids $n:expr;) => {};
+    (@ids $n:expr; $(#[$doc:meta])* $func:ident $($rest:tt)*) => {
+        $(#[$doc])*
+        pub const $func: $crate::FnId = $crate::FnId($n);
+        $crate::interface!(@ids $n + 1; $($rest)*);
+    };
+}
+
 /// What a descriptor declares about one interface function.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnInfo {
@@ -25,6 +112,29 @@ pub struct FnInfo {
     pub exported: bool,
     /// Restorable without a log entry.
     pub replay_safe: bool,
+}
+
+/// A descriptor's functions, in [`FnId`] order.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+struct FnTable(Vec<(&'static str, FnInfo)>);
+
+impl FnTable {
+    fn id(&self, func: &str) -> Option<FnId> {
+        let at = self.0.iter().position(|&(f, _)| f == func)?;
+        Some(FnId(at as u16))
+    }
+
+    /// Numbers `func` next.
+    fn add(&mut self, func: &'static str) -> FnId {
+        let info = FnInfo {
+            name: Name::from(func),
+            logged: false,
+            exported: false,
+            replay_safe: false,
+        };
+        self.0.push((func, info));
+        FnId(self.0.len() as u16 - 1)
+    }
 }
 
 /// Static metadata describing a component to the VampOS runtime.
@@ -54,9 +164,12 @@ pub struct ComponentDescriptor {
     host_shared: bool,
     host_handshake: bool,
     dependencies: Rc<[ComponentName]>,
-    /// Every function some declaration names: the one table the message
-    /// hop consults, for both the logging decision and the shared name.
-    functions: Rc<BTreeMap<&'static str, FnInfo>>,
+    /// Every function some declaration names: the one table call sites
+    /// are bound against, for both the logging decision and the shared
+    /// name.
+    functions: Rc<FnTable>,
+    /// The outbound call sites, in [`CallSite`] index order.
+    calls: &'static [CallSite],
     layout: ArenaLayout,
 }
 
@@ -74,6 +187,7 @@ impl ComponentDescriptor {
             host_handshake: false,
             dependencies: Rc::default(),
             functions: Rc::default(),
+            calls: &[],
             layout,
         }
     }
@@ -138,6 +252,38 @@ impl ComponentDescriptor {
         self
     }
 
+    /// Declares the component's functions in [`FnId`] order: `funcs[i]` is
+    /// `FnId(i)`. Declare them before any flag: a flag declaration numbers
+    /// a function it introduces after the ones already declared.
+    ///
+    /// # Panics
+    ///
+    /// When another declaration already numbered the functions otherwise.
+    #[must_use]
+    pub fn functions(mut self, funcs: &[&'static str]) -> Self {
+        let functions = Rc::make_mut(&mut self.functions);
+        for (i, &func) in funcs.iter().enumerate() {
+            let id = functions.id(func).unwrap_or_else(|| functions.add(func));
+            assert_eq!(id.index(), i, "{func} is numbered {}, not {i}", id.0);
+        }
+        self
+    }
+
+    /// Declares the component's outbound calls, in [`CallSite`] index
+    /// order. The runtime binds each once, when it links the system.
+    ///
+    /// # Panics
+    ///
+    /// When a site's index is not its position in `sites`.
+    #[must_use]
+    pub fn calls(mut self, sites: &'static [CallSite]) -> Self {
+        for (i, site) in sites.iter().enumerate() {
+            assert_eq!(site.index(), i, "call site {site:?} is not numbered {i}");
+        }
+        self.calls = sites;
+        self
+    }
+
     /// Declares the logged-function set (paper Table II). Calls to functions
     /// outside this set are not logged — they do not change component state
     /// that restoration needs.
@@ -167,21 +313,16 @@ impl ComponentDescriptor {
     }
 
     /// Makes `funcs` the set of functions carrying one of the three flags.
+    /// A function keeps its number once declared, flagged or not.
     fn declare(mut self, funcs: &[&'static str], flag: fn(&mut FnInfo) -> &mut bool) -> Self {
         let functions = Rc::make_mut(&mut self.functions);
-        for info in functions.values_mut() {
+        for (_, info) in &mut functions.0 {
             *flag(info) = false;
         }
         for &func in funcs {
-            let info = functions.entry(func).or_insert_with(|| FnInfo {
-                name: Name::from(func),
-                logged: false,
-                exported: false,
-                replay_safe: false,
-            });
-            *flag(info) = true;
+            let id = functions.id(func).unwrap_or_else(|| functions.add(func));
+            *flag(&mut functions.0[id.index()].1) = true;
         }
-        functions.retain(|_, f| f.logged || f.exported || f.replay_safe);
         self
     }
 
@@ -225,20 +366,50 @@ impl ComponentDescriptor {
         &self.dependencies
     }
 
+    /// The outbound call sites, in index order.
+    pub fn call_sites(&self) -> &'static [CallSite] {
+        self.calls
+    }
+
+    /// The number of `func`; `None` when no declaration names it.
+    pub fn fn_id(&self, func: &str) -> Option<FnId> {
+        self.functions.id(func)
+    }
+
+    /// The number of the function a record names by its shared [`Name`]:
+    /// found by pointer when the record shares this descriptor's name, and
+    /// only otherwise by text.
+    pub fn fn_id_of(&self, func: &Name) -> Option<FnId> {
+        let infos = &self.functions.0;
+        let shared = infos.iter().position(|(_, f)| Name::ptr_eq(&f.name, func));
+        shared.map_or_else(|| self.fn_id(func), |at| Some(FnId(at as u16)))
+    }
+
+    /// What the descriptor declares about function `id`.
+    pub fn function_at(&self, id: FnId) -> Option<&FnInfo> {
+        self.functions.0.get(id.index()).map(|(_, info)| info)
+    }
+
     /// What the descriptor declares about `func`; `None` when no
     /// declaration names it.
     pub fn function(&self, func: &str) -> Option<&FnInfo> {
-        self.functions.get(func)
+        self.function_at(self.fn_id(func)?)
     }
 
+    /// The functions carrying `flag`, in name order.
     fn functions_where(
         &self,
         flag: fn(&FnInfo) -> bool,
     ) -> impl Iterator<Item = &'static str> + '_ {
-        self.functions
+        let mut funcs: Vec<&'static str> = self
+            .functions
+            .0
             .iter()
-            .filter(move |(_, info)| flag(info))
-            .map(|(&func, _)| func)
+            .filter(|(_, info)| flag(info))
+            .map(|&(func, _)| func)
+            .collect();
+        funcs.sort_unstable();
+        funcs.into_iter()
     }
 
     /// Whether calls to `func` are logged for restoration.
@@ -254,7 +425,7 @@ impl ComponentDescriptor {
     /// Whether the component declares its interface (a non-empty
     /// [`ComponentDescriptor::exports`] set).
     pub fn declares_interface(&self) -> bool {
-        self.exported_functions().next().is_some()
+        self.functions.0.iter().any(|(_, f)| f.exported)
     }
 
     /// Whether `func` is part of the declared interface.
@@ -332,13 +503,14 @@ pub enum TouchSynthesis {
 /// passing, scheduling, logging — and, during encapsulated restoration, the
 /// substitution of logged return values for live downcalls.
 pub trait CallContext {
-    /// Invokes `func` on the component named `target`.
+    /// Makes the call `site`, one of the caller's declared
+    /// [`ComponentDescriptor::calls`].
     ///
     /// # Errors
     ///
     /// Propagates the callee's error, or a framework error (unknown
     /// component/function, unavailable component, protection fault).
-    fn invoke(&mut self, target: &str, func: &str, args: &[Value]) -> Result<Value, OsError>;
+    fn invoke(&mut self, site: CallSite, args: &[Value]) -> Result<Value, OsError>;
 
     /// The current virtual time.
     fn now(&self) -> Nanos;
@@ -429,7 +601,9 @@ pub trait Component: BootImage {
     /// Static metadata.
     fn descriptor(&self) -> &ComponentDescriptor;
 
-    /// Handles one interface call.
+    /// Handles one call of function `func`, numbered in the descriptor's
+    /// function table. The runtime dispatches only functions the
+    /// descriptor declares.
     ///
     /// # Errors
     ///
@@ -438,7 +612,7 @@ pub trait Component: BootImage {
     fn call(
         &mut self,
         ctx: &mut dyn CallContext,
-        func: &str,
+        func: FnId,
         args: &[Value],
     ) -> Result<Value, OsError>;
 
@@ -464,7 +638,7 @@ pub trait Component: BootImage {
     }
 
     /// Classifies a logged call for session-aware shrinking.
-    fn session_event(&self, _func: &str, _args: &[Value], _ret: &Value) -> SessionEvent {
+    fn session_event(&self, _func: FnId, _args: &[Value], _ret: &Value) -> SessionEvent {
         SessionEvent::None
     }
 
@@ -498,6 +672,13 @@ pub type ComponentBox = Box<dyn Component>;
 mod tests {
     use super::*;
 
+    mod dummy {
+        crate::interface! {
+            PING = "ping";
+            RESET = "reset";
+        }
+    }
+
     #[derive(Clone)]
     struct Dummy {
         desc: ComponentDescriptor,
@@ -507,7 +688,8 @@ mod tests {
     impl Dummy {
         fn new() -> Self {
             Dummy {
-                desc: ComponentDescriptor::new("dummy", ArenaLayout::small()),
+                desc: ComponentDescriptor::new("dummy", ArenaLayout::small())
+                    .functions(dummy::FUNCTIONS),
                 hits: 0,
             }
         }
@@ -520,19 +702,15 @@ mod tests {
         fn call(
             &mut self,
             _ctx: &mut dyn CallContext,
-            func: &str,
+            func: FnId,
             _args: &[Value],
         ) -> Result<Value, OsError> {
             match func {
-                "ping" => {
-                    self.hits += 1;
-                    Ok(Value::U64(self.hits as u64))
-                }
-                other => Err(OsError::UnknownFunc {
-                    component: "dummy".into(),
-                    func: other.into(),
-                }),
+                dummy::id::PING => self.hits += 1,
+                dummy::id::RESET => self.hits = 0,
+                _ => unreachable!("dummy declares no function {func:?}"),
             }
+            Ok(Value::U64(self.hits as u64))
         }
     }
 
@@ -549,8 +727,8 @@ mod tests {
     }
 
     impl CallContext for NullCtx {
-        fn invoke(&mut self, target: &str, _f: &str, _a: &[Value]) -> Result<Value, OsError> {
-            Err(OsError::UnknownComponent(target.into()))
+        fn invoke(&mut self, site: CallSite, _a: &[Value]) -> Result<Value, OsError> {
+            Err(OsError::UnknownComponent(site.target().into()))
         }
         fn now(&self) -> Nanos {
             Nanos::ZERO
@@ -625,9 +803,18 @@ mod tests {
         assert_eq!(open.name, "open");
         assert!(open.logged && open.exported && !open.replay_safe);
         assert!(d.function("nope").is_none());
-        // Each declaration replaces the set it declares, and no other.
+        // Functions are numbered in first-declaration order.
+        assert_eq!(d.fn_id("close"), Some(FnId(1)));
+        assert_eq!(d.fn_id_of(&Name::from("fstat")), Some(FnId(2)));
+        assert_eq!(
+            d.function_at(FnId(2)).map(|f| &f.name),
+            Some(&d.function("fstat").unwrap().name)
+        );
+        // Each declaration replaces the set it declares, and no other; a
+        // function keeps its number.
         let d = d.logs(&["close"]);
         assert!(!d.is_logged("open") && d.is_exported("open"));
+        assert_eq!(d.fn_id("close"), Some(FnId(1)));
         assert!(d
             .exports(&[])
             .function("fstat")
@@ -643,7 +830,7 @@ mod tests {
         assert!(c.extract_runtime().is_none());
         assert!(c.restore_runtime(Box::new(()), ctx.arena()).is_ok());
         assert_eq!(
-            c.session_event("ping", &[], &Value::Unit),
+            c.session_event(dummy::id::PING, &[], &Value::Unit),
             SessionEvent::None
         );
         assert_eq!(c.synthesize_touch(0), TouchSynthesis::Keep);
@@ -655,17 +842,42 @@ mod tests {
         let image = Dummy::new();
         let mut c = image.clone_box();
         let mut ctx = NullCtx::new();
-        assert_eq!(c.call(&mut ctx, "ping", &[]).unwrap(), Value::U64(1));
-        assert_eq!(c.call(&mut ctx, "ping", &[]).unwrap(), Value::U64(2));
+        let ping = c.descriptor().fn_id("ping").unwrap();
+        assert_eq!(ping, dummy::id::PING);
+        assert_eq!(c.call(&mut ctx, ping, &[]).unwrap(), Value::U64(1));
+        assert_eq!(c.call(&mut ctx, ping, &[]).unwrap(), Value::U64(2));
         // A reboot copies the boot image over the live component, in place.
         let live: *const dyn Component = &*c;
         image.copy_into(&mut c);
         assert!(std::ptr::addr_eq(live, &*c));
-        assert_eq!(c.call(&mut ctx, "ping", &[]).unwrap(), Value::U64(1));
-        assert!(matches!(
-            c.call(&mut ctx, "nope", &[]),
-            Err(OsError::UnknownFunc { .. })
-        ));
+        assert_eq!(c.call(&mut ctx, ping, &[]).unwrap(), Value::U64(1));
+        assert_eq!(
+            c.call(&mut ctx, dummy::id::RESET, &[]).unwrap(),
+            Value::U64(0)
+        );
+    }
+
+    #[test]
+    fn functions_and_call_sites_are_numbered_in_order() {
+        const A: CallSite = CallSite::new(0, "vfs", "open");
+        const B: CallSite = CallSite::new(1, "vfs", "close");
+        let d = ComponentDescriptor::new("x", ArenaLayout::small())
+            .functions(&["a", "b"])
+            .logs(&["b", "c"])
+            .calls(&[A, B]);
+        assert_eq!(d.fn_id("c"), Some(FnId(2)));
+        assert!(d.function("a").is_some_and(|f| !f.logged));
+        assert_eq!(d.call_sites(), [A, B]);
+        let misnumbered = std::panic::catch_unwind(|| {
+            ComponentDescriptor::new("x", ArenaLayout::small()).calls(&[B])
+        });
+        assert!(misnumbered.is_err());
+        let renumbered = std::panic::catch_unwind(|| {
+            ComponentDescriptor::new("x", ArenaLayout::small())
+                .logs(&["b"])
+                .functions(&["a", "b"])
+        });
+        assert!(renumbered.is_err());
     }
 
     #[test]

@@ -18,8 +18,11 @@
 //!   session tagging for log shrinking (§V-F); every component is `Clone`,
 //!   its own [`BootImage`] for checkpoint-based initialization (§V-E),
 //! * [`ComponentDescriptor`] — static metadata: statefulness, dependencies
-//!   (for dependency-aware scheduling), the logged-function set (paper
-//!   Table II), rebootability (VIRTIO: no), hang-detector exemption (LWIP).
+//!   (for dependency-aware scheduling), the numbered function table a
+//!   component dispatches on ([`FnId`], declared with [`interface!`]), the
+//!   outbound [`CallSite`]s the runtime links once, the logged-function set
+//!   (paper Table II), rebootability (VIRTIO: no), hang-detector exemption
+//!   (LWIP).
 //!
 //! The runtime that wires components together by message passing lives in
 //! `vampos-core`; applications call through it.
@@ -30,8 +33,8 @@ pub mod error;
 pub mod value;
 
 pub use component::{
-    BootImage, CallContext, Component, ComponentBox, ComponentDescriptor, ComponentName, FnInfo,
-    RuntimeData, SessionEvent, TouchSynthesis,
+    BootImage, CallContext, CallSite, Component, ComponentBox, ComponentDescriptor, ComponentName,
+    FnId, FnInfo, RuntimeData, SessionEvent, TouchSynthesis,
 };
 pub use error::OsError;
 pub use value::Value;

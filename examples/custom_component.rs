@@ -9,6 +9,19 @@
 //! 2. its canceling function (`revoke`) shrinks the log;
 //! 3. an injected fail-stop fault is recovered in-line.
 //!
+//! The component declares its interface with [`vampos_ukernel::interface!`]:
+//! one name constant per function (what callers and
+//! [`System::syscall`] name), `FUNCTIONS` (the descriptor's function table,
+//! declared with `.functions(..)` before any flag) and the `id` module,
+//! which numbers the same functions as [`FnId`]s in that order. The runtime
+//! resolves a call's names to a function number once — for a component's
+//! declared [`CallSite`](vampos_ukernel::CallSite)s and the `Os` facade,
+//! when the system links; for [`System::syscall`], per call — and
+//! [`Component::call`] dispatches on the number, so no hop compares a
+//! name. A component that calls others declares each call as a `CallSite`
+//! in `.calls(..)` and passes the site to [`CallContext::invoke`]; this one
+//! calls nothing.
+//!
 //! The component holds only its Rust state, and it is `Clone`: the runtime
 //! keeps the component as constructed as its boot image and copies it over
 //! the live one on every reboot, so the component writes no reset logic.
@@ -24,7 +37,19 @@ use vampos::prelude::*;
 use vampos_core::InjectedFault;
 use vampos_mem::ArenaLayout;
 use vampos_ukernel::digest::DigestBuilder;
-use vampos_ukernel::{CallContext, Component, ComponentDescriptor, SessionEvent, Value};
+use vampos_ukernel::{CallContext, Component, ComponentDescriptor, FnId, SessionEvent, Value};
+
+/// The component's interface.
+mod api {
+    vampos_ukernel::interface! {
+        /// `register(user)` — opens a session; returns its id.
+        REGISTER = "register";
+        /// `whois(id)` — the session's user; read-only.
+        WHOIS = "whois";
+        /// `revoke(id)` — closes a session (a canceling function).
+        REVOKE = "revoke";
+    }
+}
 
 /// A stateful unikernel component managing authentication sessions.
 #[derive(Clone)]
@@ -40,7 +65,8 @@ impl SessionRegistry {
             desc: ComponentDescriptor::new("sessions", ArenaLayout::medium())
                 .stateful()
                 .checkpoint_init()
-                .logs(&["register", "revoke"]),
+                .functions(api::FUNCTIONS)
+                .logs(&[api::REGISTER, api::REVOKE]),
             sessions: std::collections::BTreeMap::new(),
             next_id: 1,
         }
@@ -55,11 +81,11 @@ impl Component for SessionRegistry {
     fn call(
         &mut self,
         ctx: &mut dyn CallContext,
-        func: &str,
+        func: FnId,
         args: &[Value],
     ) -> Result<Value, OsError> {
         match func {
-            "register" => {
+            api::id::REGISTER => {
                 let user = args.first().ok_or(OsError::Inval)?.as_str()?.to_owned();
                 // Replay-hint-guided allocation: a replayed `register` hands
                 // back exactly the id the application already holds.
@@ -74,32 +100,31 @@ impl Component for SessionRegistry {
                 self.sessions.insert(id, user);
                 Ok(Value::U64(id))
             }
-            "whois" => {
+            api::id::WHOIS => {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 self.sessions
                     .get(&id)
                     .map(|u| Value::from(u.as_str()))
                     .ok_or(OsError::NotFound)
             }
-            "revoke" => {
+            api::id::REVOKE => {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 self.sessions.remove(&id).ok_or(OsError::NotFound)?;
                 Ok(Value::Unit)
             }
-            other => Err(OsError::UnknownFunc {
-                component: "sessions".into(),
-                func: other.into(),
-            }),
+            // The runtime dispatches declared functions only: a call of
+            // an undeclared one fails before it reaches the component.
+            _ => unreachable!("sessions declares no function {func:?}"),
         }
     }
 
-    fn session_event(&self, func: &str, args: &[Value], ret: &Value) -> SessionEvent {
+    fn session_event(&self, func: FnId, args: &[Value], ret: &Value) -> SessionEvent {
         match func {
-            "register" => ret
+            api::id::REGISTER => ret
                 .as_u64()
                 .map(|id| SessionEvent::Open(vec![id]))
                 .unwrap_or(SessionEvent::None),
-            "revoke" => args
+            api::id::REVOKE => args
                 .first()
                 .and_then(|a| a.as_u64().ok())
                 .map(|id| SessionEvent::Close(vec![id]))
@@ -131,18 +156,18 @@ fn main() -> Result<(), OsError> {
 
     // Register a few sessions through the message-passing layer.
     let alice = sys
-        .syscall("sessions", "register", &[Value::from("alice")])?
+        .syscall("sessions", api::REGISTER, &[Value::from("alice")])?
         .as_u64()?;
     let bob = sys
-        .syscall("sessions", "register", &[Value::from("bob")])?
+        .syscall("sessions", api::REGISTER, &[Value::from("bob")])?
         .as_u64()?;
     let carol = sys
-        .syscall("sessions", "register", &[Value::from("carol")])?
+        .syscall("sessions", api::REGISTER, &[Value::from("carol")])?
         .as_u64()?;
     println!("registered alice={alice} bob={bob} carol={carol}");
 
     // Revoking a session is a canceling function: the log shrinks.
-    sys.syscall("sessions", "revoke", &[Value::U64(bob)])?;
+    sys.syscall("sessions", api::REVOKE, &[Value::U64(bob)])?;
     println!(
         "after revoking bob, log holds {} entries",
         sys.log_len("sessions")
@@ -157,7 +182,7 @@ fn main() -> Result<(), OsError> {
         outcome.downtime, outcome.replayed
     );
     assert_eq!(
-        sys.syscall("sessions", "whois", &[Value::U64(carol)])?
+        sys.syscall("sessions", api::WHOIS, &[Value::U64(carol)])?
             .as_str()?,
         "carol"
     );
@@ -165,7 +190,7 @@ fn main() -> Result<(), OsError> {
     // Inject a fail-stop fault: the runtime detects, reboots, restores and
     // re-executes the in-flight call — the caller never sees the failure.
     sys.inject_fault(InjectedFault::panic_next("sessions"));
-    let who = sys.syscall("sessions", "whois", &[Value::U64(alice)])?;
+    let who = sys.syscall("sessions", api::WHOIS, &[Value::U64(alice)])?;
     println!(
         "survived an injected panic mid-call: whois(alice) = {who} \
          (reboots: {})",
