@@ -68,7 +68,7 @@ fn measure(sys: &mut System, component: &str, trials: usize) -> Fig6Row {
     }
     let last = last.expect("at least one trial");
     Fig6Row {
-        component: last.component,
+        component: last.component.to_string(),
         mean_ms: times.mean(),
         sd_ms: times.std_dev(),
         replayed: last.replayed,

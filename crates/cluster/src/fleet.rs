@@ -139,6 +139,8 @@ struct Run<'a> {
     one_way: Nanos,
     /// Per-instance `(component_reboots, full_reboots)` before the run.
     baseline: Vec<(u64, u64)>,
+    /// Requests each instance served (or failed) during the run.
+    reports: Vec<LoadReport>,
     clients: Vec<FleetClient>,
     balancer: Balancer,
     counters: Counters,
@@ -165,10 +167,16 @@ struct JourneyHop {
 }
 
 /// Records an attempt on `inst` that died before service (reset
-/// connection, failed connect or poll): a failed transaction and, under
-/// forensics, a zero-length hop with a zero decomposition.
-fn note_dead_attempt(inst: &mut Instance, due: Nanos, hops: Option<&mut Vec<JourneyHop>>) {
-    inst.report.records.push(RequestRecord {
+/// connection, failed connect or poll): a failed transaction in its
+/// `report` and, under forensics, a zero-length hop with a zero
+/// decomposition.
+fn note_dead_attempt(
+    inst: &Instance,
+    report: &mut LoadReport,
+    due: Nanos,
+    hops: Option<&mut Vec<JourneyHop>>,
+) {
+    report.records.push(RequestRecord {
         start: due,
         end: due,
         ok: false,
@@ -335,16 +343,18 @@ impl Fleet {
             .min(PRESIZE_CEILING);
         let per_instance_cap = expected / self.instances.len() + 16;
         for inst in &mut self.instances {
-            inst.report = LoadReport::with_capacity(per_instance_cap);
             // Downtime from boot or a previous run is history, not a
             // reason to drain now.
-            inst.occ.ack_downtime(&inst.sys);
+            inst.ack_downtime();
         }
         Run {
             load,
             started: self.clock.now(),
             one_way: self.instances[0].sys.costs().net_rtt(0, load.remote) / 2,
             baseline,
+            reports: (0..self.instances.len())
+                .map(|_| LoadReport::with_capacity(per_instance_cap))
+                .collect(),
             clients: (0..n_clients)
                 .map(|_| FleetClient {
                     conn: None,
@@ -360,16 +370,14 @@ impl Fleet {
     }
 
     fn finish_run(&mut self, run: Run) -> FleetRunReport {
-        let mut per_instance = Vec::with_capacity(self.instances.len());
         let mut component_reboots = 0;
         let mut full_reboots = 0;
-        for (inst, (comp0, full0)) in self.instances.iter_mut().zip(&run.baseline) {
-            per_instance.push(std::mem::take(&mut inst.report));
+        for (inst, (comp0, full0)) in self.instances.iter().zip(&run.baseline) {
             component_reboots += inst.sys.stats().component_reboots - comp0;
             full_reboots += inst.sys.stats().full_reboots - full0;
         }
         let mut report = FleetRunReport {
-            per_instance,
+            per_instance: run.reports,
             retried: run.counters.retried,
             redirects: run.counters.redirects,
             issued: run.counters.issued,
@@ -543,12 +551,11 @@ impl Fleet {
         Ok(self.finish_run(run))
     }
 
-    /// Performs one rung's recovery action against `instance` and records
-    /// the per-rung telemetry span (`rung:<rung>:<reason>` on the fleet
-    /// track). Rung actions never propagate errors: a recovery attempt
-    /// that itself fails is exactly what the next rung is for — and
-    /// because [`crate::Occupancy::maintain`] books nothing for it, the
-    /// instance stays exposed and follow-up traffic drives that next rung.
+    /// Performs one rung's recovery action against `instance`
+    /// ([`Rung::act`]) and records the per-rung telemetry span
+    /// (`rung:<rung>:<reason>` on the fleet track). Rung actions never
+    /// propagate errors: a recovery attempt that itself fails is exactly
+    /// what the next rung is for.
     fn fire_rung(&mut self, instance: usize, rung: Rung, at: Nanos, reason: &str) {
         let label = Name::from(self.instances[instance].label());
         if let Some(sink) = &self.fleet_sink {
@@ -563,25 +570,7 @@ impl Fleet {
                 hub.recovery_begin(&label, &kind, at);
             });
         }
-        let inst = &mut self.instances[instance];
-        let _ = match rung {
-            // Component-level recovery: rejuvenate every rebootable
-            // component and re-establish the 9P session.
-            Rung::Component => {
-                let recovered = inst.rejuvenate(at);
-                let host = inst.sys.host();
-                host.with(|w| w.ninep_mut().clear_session_glitch());
-                recovered
-            }
-            Rung::Instance => inst.full_reboot(at),
-            // Permanent failover: the drain is never resumed, so the
-            // recovery-aware balancer routes every future request to the
-            // survivors.
-            Rung::Fleet => {
-                inst.set_draining(true);
-                Ok(())
-            }
-        };
+        let _ = rung.act(&mut self.instances[instance], at);
         if let Some(sink) = &self.fleet_sink {
             let end = self.clock.now().max(at);
             sink.with(|hub| {
@@ -699,6 +688,7 @@ impl Fleet {
         let Run {
             load,
             one_way,
+            reports,
             clients,
             balancer,
             counters,
@@ -721,7 +711,8 @@ impl Fleet {
             // through the balancer.
             if let Some((i, conn)) = c.conn {
                 if self.instances[i].conn_dead(conn) {
-                    note_dead_attempt(&mut self.instances[i], due, forensics.then_some(&mut hops));
+                    let hops = forensics.then_some(&mut hops);
+                    note_dead_attempt(&self.instances[i], &mut reports[i], due, hops);
                     c.conn = None;
                     if attempts == 0 {
                         attempts += 1;
@@ -749,14 +740,14 @@ impl Fleet {
             if c.home.is_none() {
                 c.home = Some(target);
             }
-            let inst = &mut self.instances[target];
+            let (inst, report) = (&mut self.instances[target], &mut reports[target]);
             let t0 = inst.sys.clock().now();
             let conn = match c.conn {
                 Some((_, conn)) => conn,
                 None => match inst.connect() {
                     Ok(conn) => {
                         if c.ever_connected {
-                            inst.report.reconnects += 1;
+                            report.reconnects += 1;
                         }
                         c.ever_connected = true;
                         c.conn = Some((target, conn));
@@ -764,7 +755,7 @@ impl Fleet {
                     }
                     Err(err) if ladder.is_none() => return Err(err),
                     Err(err) => {
-                        note_dead_attempt(inst, due, forensics.then_some(&mut hops));
+                        note_dead_attempt(inst, report, due, forensics.then_some(&mut hops));
                         failure = Some((target, format!("connect failed: {err}")));
                         break FrontOutcome::failed(due, target);
                     }
@@ -781,31 +772,28 @@ impl Fleet {
                 Ok(response) => response,
                 Err(err) if ladder.is_none() => return Err(err),
                 Err(err) => {
-                    inst.occ.observe_detector(&inst.sys, due);
-                    note_dead_attempt(inst, due, forensics.then_some(&mut hops));
+                    inst.observe_detector(due);
+                    note_dead_attempt(inst, report, due, forensics.then_some(&mut hops));
                     c.conn = None;
                     failure = Some((target, format!("poll failed: {err}")));
                     break FrontOutcome::failed(due, target);
                 }
             };
             let served = response.starts_with(b"HTTP/1.1 200") && !inst.conn_dead(conn);
-            inst.occ.observe_detector(&inst.sys, due);
 
             // Book the request against the instance's FIFO service queue:
             // whatever the exchange cost beyond the two flights is server
             // occupancy.
-            let delta = inst.sys.clock().now().saturating_sub(t0);
-            let service = delta.saturating_sub(one_way + one_way);
-            let booked = inst.occ.book(due, one_way, service);
+            let booked = inst.book_work(t0, due, one_way, one_way + one_way);
             let ok = served && booked.end.saturating_sub(due) <= CLIENT_TIMEOUT;
             if served {
-                inst.note_service(due, booked.busy_from + service, booked.end);
+                inst.note_service(due, &booked);
                 note_serve_span(
-                    inst.telemetry(),
+                    inst.sys.telemetry(),
                     journey,
                     booked.busy_from,
                     booked.arrival,
-                    service,
+                    booked.service(),
                 );
                 if !load.keepalive {
                     inst.close(conn);
@@ -829,7 +817,7 @@ impl Fleet {
                 c.conn = None;
                 failure = Some((target, "request not served".to_owned()));
             }
-            inst.report.records.push(RequestRecord {
+            report.records.push(RequestRecord {
                 start: due,
                 end: booked.end,
                 ok,
@@ -935,20 +923,9 @@ impl Fleet {
     pub fn probe(&mut self, path: &str) -> Result<Vec<bool>, OsError> {
         let one_way = self.instances[0].sys.costs().net_rtt(0, false) / 2;
         let request = format!("GET {path} HTTP/1.1\r\nHost: vampos\r\n\r\n");
-        let mut alive = Vec::with_capacity(self.instances.len());
-        for inst in &mut self.instances {
-            let conn = inst.connect()?;
-            let response = exchange(
-                &mut inst.sys,
-                &mut inst.app,
-                conn,
-                request.as_bytes(),
-                one_way,
-            )?;
-            inst.close(conn);
-            alive.push(response.starts_with(b"HTTP/1.1 200"));
-        }
-        Ok(alive)
+        let probe =
+            |inst: &mut Instance| Ok(inst.probe(&request, one_way)?.starts_with(b"HTTP/1.1 200"));
+        self.instances.iter_mut().map(probe).collect()
     }
 
     /// Multi-process Chrome trace: one Perfetto process (pid `id + 1`,
@@ -962,7 +939,8 @@ impl Fleet {
         let mut hubs: Vec<(u64, &str, Ref<'_, TelemetryHub>)> = self
             .instances
             .iter()
-            .map(|inst| Some((inst.id() as u64 + 1, inst.label(), inst.telemetry()?.hub())))
+            .zip(1..)
+            .map(|(inst, pid)| Some((pid, inst.label(), inst.sys.telemetry()?.hub())))
             .collect::<Option<_>>()?;
         if let Some(sink) = &self.fleet_sink {
             hubs.push((self.instances.len() as u64 + 1, "fleet", sink.hub()));
@@ -989,6 +967,7 @@ impl Fleet {
     pub fn instance_trace(&self, id: usize) -> Option<String> {
         self.instances
             .get(id)?
+            .sys
             .telemetry()
             .map(|sink| sink.with(|hub| hub.chrome_trace_json()))
     }
@@ -1001,7 +980,8 @@ impl Fleet {
             .instances
             .iter()
             .map(|inst| {
-                inst.telemetry()
+                inst.sys
+                    .telemetry()
                     .map(|sink| (inst.label().to_owned(), sink.hub().export_spans()))
             })
             .collect::<Option<Vec<_>>>()?;
@@ -1017,7 +997,7 @@ impl Fleet {
     pub fn merged_metrics(&self) -> Option<MetricsRegistry> {
         let mut merged = MetricsRegistry::default();
         for inst in &self.instances {
-            let sink = inst.telemetry()?;
+            let sink = inst.sys.telemetry()?;
             sink.with(|hub| merged.merge(hub.metrics()));
         }
         if let Some(sink) = &self.fleet_sink {

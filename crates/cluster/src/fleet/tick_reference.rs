@@ -380,7 +380,7 @@ fn the_record_presize_is_a_clamped_hint() {
         requests_per_client: 65_536,
         ..FleetLoad::default()
     };
-    let _run = fleet.start_run(&load, Policy::RoundRobin);
-    let presized = fleet.instances[0].report.records.capacity();
+    let run = fleet.start_run(&load, Policy::RoundRobin);
+    let presized = run.reports[0].records.capacity();
     assert!(presized <= super::PRESIZE_CEILING + 16, "{presized}");
 }

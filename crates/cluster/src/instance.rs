@@ -1,19 +1,28 @@
-//! One fleet member: a booted unikernel (system + MiniHttpd) plus the
-//! balancer-visible bookkeeping the routing policies consult — and the
-//! [`Occupancy`] model every served tier (front instances here, the mesh's
-//! backend replicas) books its requests and maintenance windows against.
+//! One replica: a booted unikernel and the application it runs, plus the
+//! balancer-visible bookkeeping every served tier books against — the
+//! front tier's [`Instance`]s here and the mesh's backend replicas alike.
+//!
+//! # Occupancy model
+//!
+//! A replica is a FIFO server in request (arrival-grid) time. A request
+//! due at `due` arrives one wire flight later; the server works on it from
+//! `max(arrival, next_free)` for the measured service time and the
+//! response lands one flight after that. The wire time pipelines, the
+//! server occupancy does not. Maintenance books its window the same way,
+//! and additionally extends the recovery window the recovery-aware policy
+//! drains around and the stall attribution is measured against.
 
 use std::collections::VecDeque;
 use std::rc::Rc;
 
 use vampos_apps::httpd::HTTP_PORT;
 use vampos_apps::{App, MiniHttpd};
-use vampos_core::System;
+use vampos_core::{System, SystemBuilder};
 use vampos_host::{ClientConnId, HostHandle};
 use vampos_sim::{derive_seed, Nanos, SimClock};
 use vampos_telemetry::TelemetrySink;
 use vampos_ukernel::OsError;
-use vampos_workloads::{self as wire, LoadReport};
+use vampos_workloads as wire;
 
 use crate::fleet::FleetConfig;
 
@@ -31,7 +40,7 @@ pub struct HopCost {
     pub service_ns: u64,
 }
 
-/// A request booked against an [`Occupancy`]: when the server picks it up,
+/// A request booked against a [`Replica`]: when the server picks it up,
 /// when the client sees the response, and how the latency decomposes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Booking {
@@ -45,31 +54,89 @@ pub struct Booking {
     pub cost: HopCost,
 }
 
-/// The FIFO-occupancy model of one server, in request (arrival-grid) time.
-///
-/// A request due at `due` arrives one wire flight later; the server works
-/// on it from `max(arrival, next_free)` for the measured service time and
-/// the response lands one flight after that. The wire time pipelines, the
-/// server occupancy does not. Maintenance books its window the same way,
-/// and additionally extends the recovery window the recovery-aware policy
-/// drains around and the stall attribution is measured against.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Occupancy {
-    /// Earliest time the server can start the next request (FIFO service).
-    next_free: Nanos,
-    /// End of the latest known recovery window (maintenance plan and
-    /// failure-detector fed).
-    recovery_until: Nanos,
-    /// Downtime windows already accounted for (scheduled maintenance books
-    /// its window in request time via [`Occupancy::note_maintenance`]; only
-    /// windows beyond this count are unscheduled fault recoveries).
-    seen_downtime: usize,
+impl Booking {
+    /// The server time the request costs.
+    pub fn service(&self) -> Nanos {
+        Nanos::from_nanos(self.cost.service_ns)
+    }
 }
 
-impl Occupancy {
-    /// Earliest time the server can start another request.
-    pub fn next_free(&self) -> Nanos {
-        self.next_free
+/// One replica of a served tier: a unikernel running `A`, booked as a FIFO
+/// server (see the module docs) and recovered in place or as a whole VM.
+///
+/// Each replica owns its own host world and system; only the virtual clock
+/// is shared with its siblings. Fields drop in declaration order, and this
+/// order is deliberate: the application's memory is tens of thousands of
+/// small blocks, and glibc merges freed small blocks only when a large
+/// block is freed or requested. Dropped before the system, whose teardown
+/// frees large blocks, they are merged during teardown; dropped last, the
+/// merge falls to the next boot's first large allocation.
+pub struct Replica<A> {
+    label: Rc<str>,
+    /// The application running on it.
+    pub app: A,
+    /// The simulated unikernel.
+    pub sys: System,
+    /// Earliest time the server can start the next request (FIFO service).
+    next_free: Nanos,
+    /// End of the latest known recovery window (maintenance and
+    /// failure-detector fed); the recovery-aware policy drains until then.
+    recovery_until: Nanos,
+    /// Downtime windows already accounted for: maintenance books its own
+    /// window in request time, so only windows beyond this count are
+    /// unscheduled fault recoveries.
+    seen_downtime: usize,
+    /// Administratively drained (rolling-rejuvenation lead window, or
+    /// condemned by the ladder's fleet rung).
+    draining: bool,
+    /// Completion times of in-flight requests, nondecreasing; pruned on
+    /// every query and every booking, so it holds at most the requests
+    /// still in flight at the latest dispatch.
+    completions: VecDeque<Nanos>,
+}
+
+/// A front-tier fleet member: a replica serving HTTP.
+pub type Instance = Replica<MiniHttpd>;
+
+impl<A: App> Replica<A> {
+    /// Builds the system `builder` describes and boots `app` on it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates boot failures.
+    pub fn start(label: String, builder: SystemBuilder, mut app: A) -> Result<Self, OsError> {
+        let mut sys = builder.build()?;
+        app.boot(&mut sys)?;
+        Ok(Replica {
+            label: label.into(),
+            app,
+            sys,
+            next_free: Nanos::ZERO,
+            recovery_until: Nanos::ZERO,
+            seen_downtime: 0,
+            draining: false,
+            completions: VecDeque::new(),
+        })
+    }
+
+    /// Display label (`instance-NN`, `kv-0`), also the Perfetto process
+    /// name.
+    pub fn label(&self) -> &str {
+        &self.label
+    }
+
+    /// The label as telemetry shares it: a journey hop's `instance`.
+    pub(crate) fn shared_label(&self) -> &Rc<str> {
+        &self.label
+    }
+
+    /// Whether the maintenance plan currently drains this replica.
+    pub fn is_draining(&self) -> bool {
+        self.draining
+    }
+
+    pub(crate) fn set_draining(&mut self, draining: bool) {
+        self.draining = draining;
     }
 
     /// End of the latest known recovery window.
@@ -77,8 +144,18 @@ impl Occupancy {
         self.recovery_until
     }
 
+    /// Requests dispatched to this replica that complete after `at`.
+    /// Dispatch times only move forward, so the requests completed by `at`
+    /// are forgotten.
+    pub fn outstanding(&mut self, at: Nanos) -> usize {
+        while self.completions.front().is_some_and(|&end| end <= at) {
+            self.completions.pop_front();
+        }
+        self.completions.len()
+    }
+
     /// Books a request due at `due` that cost the server `service`. Pure:
-    /// the caller commits a *served* request with [`Occupancy::occupy`].
+    /// the caller commits a *served* request with [`Replica::occupy`].
     pub fn book(&self, due: Nanos, one_way: Nanos, service: Nanos) -> Booking {
         let arrival = due + one_way;
         let busy_from = arrival.max(self.next_free);
@@ -98,31 +175,45 @@ impl Occupancy {
         }
     }
 
-    /// Marks the server occupied until `busy_until`.
-    pub fn occupy(&mut self, busy_until: Nanos) {
-        self.next_free = busy_until;
+    /// Books the work done since the execution clock read `t0` for a
+    /// request due at `due`: observes the failure detector, then charges
+    /// the server whatever the work cost beyond the `flights` the clock
+    /// advanced on the wire. Like [`Replica::book`], it commits nothing.
+    pub fn book_work(&mut self, t0: Nanos, due: Nanos, one_way: Nanos, flights: Nanos) -> Booking {
+        self.observe_detector(due);
+        let now = self.sys.clock().now();
+        let elapsed = now.checked_sub(t0).expect("the clock never runs backwards");
+        // Both tiers send only on a live connection (a kept one passed
+        // `conn_dead`, a fresh one was just accepted), so the clock
+        // advanced by both flights.
+        let service = elapsed
+            .checked_sub(flights)
+            .expect("a request on a live connection advances the clock by its flights");
+        self.book(due, one_way, service)
     }
 
-    /// Books `dur` of maintenance scheduled at `at`: the server is busy
-    /// (and inside a recovery window) from `max(at, next_free)` for `dur`.
-    /// Using the *scheduled* start means simultaneous plans on different
-    /// instances produce overlapping windows even though the shared clock
-    /// serializes the actual reboot work.
-    pub fn note_maintenance(&mut self, at: Nanos, dur: Nanos) {
-        let busy_from = self.next_free.max(at);
-        self.next_free = busy_from + dur;
-        self.recovery_until = self.recovery_until.max(self.next_free);
+    /// Marks the server occupied until `booked`'s service ends.
+    pub fn occupy(&mut self, booked: &Booking) {
+        self.next_free = booked.busy_from + booked.service();
     }
 
-    /// Refreshes the recovery window from `sys`'s failure detector:
-    /// downtime the system recorded that no maintenance op accounted for
-    /// is an unscheduled fault recovery, and the recovery-aware policy
-    /// drains around it too. The detector records windows on the shared
-    /// execution clock, which runs far ahead of request (arrival-grid)
-    /// time — only each window's *duration* carries over: the server
-    /// drains for that long past the observing request at `at`.
-    pub fn observe_detector(&mut self, sys: &System, at: Nanos) {
-        let windows = &sys.stats().downtime;
+    /// Commits a served request dispatched at `due`: the server is
+    /// occupied and the request is in flight until `booked` completes.
+    pub(crate) fn note_service(&mut self, due: Nanos, booked: &Booking) {
+        self.occupy(booked);
+        self.outstanding(due);
+        self.completions.push_back(booked.end);
+    }
+
+    /// Refreshes the recovery window from the failure detector: downtime
+    /// the system recorded that no maintenance accounted for is an
+    /// unscheduled fault recovery, and the recovery-aware policy drains
+    /// around it too. The detector records windows on the shared execution
+    /// clock, which runs far ahead of request (arrival-grid) time — only
+    /// each window's *duration* carries over: the server drains for that
+    /// long past the observing request at `at`.
+    pub fn observe_detector(&mut self, at: Nanos) {
+        let windows = &self.sys.stats().downtime;
         let mut unscheduled = Nanos::ZERO;
         for window in windows.iter().skip(self.seen_downtime) {
             unscheduled += window.end.saturating_sub(window.start);
@@ -133,68 +224,71 @@ impl Occupancy {
         self.seen_downtime = windows.len();
     }
 
-    /// Marks every downtime window `sys` recorded so far as accounted for
-    /// — boot-time history, or a scheduled maintenance op whose window
-    /// [`Occupancy::note_maintenance`] already books in request time.
-    pub fn ack_downtime(&mut self, sys: &System) {
-        self.seen_downtime = sys.stats().downtime.len();
+    /// Marks every downtime window the system recorded so far as accounted
+    /// for — boot-time history, or maintenance whose window
+    /// [`Replica::maintain`] already booked in request time.
+    pub fn ack_downtime(&mut self) {
+        self.seen_downtime = self.sys.stats().downtime.len();
     }
 
     /// Runs one maintenance `action` scheduled at grid time `at` and, when
-    /// it succeeds, books the execution-clock time it took as a
-    /// maintenance window and acks the downtime it recorded. A failed
-    /// action books nothing: the server stays exposed, so follow-up
-    /// traffic keeps failing instead of draining around a recovery that
-    /// never happened.
+    /// it succeeds, books the execution-clock time it took as a window:
+    /// the server is busy (and inside a recovery window) from
+    /// `max(at, next_free)` for that long, and the downtime it recorded is
+    /// acked. Using the *scheduled* start means simultaneous plans on
+    /// different replicas produce overlapping windows even though the
+    /// shared clock serializes the actual work. A failed action books
+    /// nothing: the server stays exposed, so follow-up traffic keeps
+    /// failing instead of draining around a recovery that never happened.
     ///
     /// # Errors
     ///
     /// Propagates the action's failure.
     pub fn maintain(
         &mut self,
-        sys: &mut System,
         at: Nanos,
-        action: impl FnOnce(&mut System) -> Result<(), OsError>,
+        action: impl FnOnce(&mut System, &mut A) -> Result<(), OsError>,
     ) -> Result<(), OsError> {
-        let t0 = sys.clock().now();
-        action(sys)?;
-        let dur = sys.clock().now().saturating_sub(t0);
-        self.note_maintenance(at, dur);
-        self.ack_downtime(sys);
+        let t0 = self.sys.clock().now();
+        action(&mut self.sys, &mut self.app)?;
+        let dur = self.sys.clock().now().saturating_sub(t0);
+        self.next_free = self.next_free.max(at) + dur;
+        self.recovery_until = self.recovery_until.max(self.next_free);
+        self.ack_downtime();
         Ok(())
+    }
+
+    /// Rejuvenates every rebootable component at grid time `at` and books
+    /// the window: a plan op, or the ladder's component rung.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the first failed reboot; nothing is booked for it.
+    pub fn rejuvenate(&mut self, at: Nanos) -> Result<(), OsError> {
+        self.maintain(at, |sys, _| sys.rejuvenate_all().map(drop))
+    }
+
+    /// Restarts the whole VM at grid time `at` ([`App::full_reboot`]) and
+    /// books the window: a plan op, or the ladder's instance rung.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failed restart; nothing is booked for it.
+    pub fn full_reboot(&mut self, at: Nanos) -> Result<(), OsError> {
+        self.maintain(at, |sys, app| app.full_reboot(sys))
+    }
+
+    /// Closes a client connection (proactive migration, a finished probe).
+    pub fn close(&self, conn: ClientConnId) {
+        let _ = self.sys.host().with(|w| w.network_mut().close(conn));
     }
 }
 
-/// A single unikernel instance inside a [`crate::Fleet`].
-///
-/// Each instance owns its own host world, system, and HTTP server; only the
-/// virtual clock is shared with its siblings. The per-instance seed is
-/// [`derive_seed`]`(fleet_seed, id)`, so instance 0 of a fleet is
-/// byte-for-byte the system a bare single-machine run with that derived
-/// seed would build.
-pub struct Instance {
-    id: usize,
-    label: Rc<str>,
-    /// The simulated unikernel.
-    pub sys: System,
-    /// The HTTP server running on it.
-    pub app: MiniHttpd,
-    /// Requests this instance served (or failed) during the current run.
-    pub report: LoadReport,
-    sink: Option<TelemetrySink>,
-    /// Service queue and recovery window; the recovery-aware policy drains
-    /// until the window closes.
-    pub(crate) occ: Occupancy,
-    /// Administratively drained (rolling-rejuvenation lead window).
-    draining: bool,
-    /// Completion times of in-flight requests, nondecreasing; pruned on
-    /// every query and every booking, so it holds at most the requests
-    /// still in flight at the latest dispatch.
-    completions: VecDeque<Nanos>,
-}
-
 impl Instance {
-    /// Boots instance `id` of a fleet on the shared `clock`.
+    /// Boots instance `id` of a fleet on the shared `clock`. The seed is
+    /// [`derive_seed`]`(fleet_seed, id)`, so instance 0 of a fleet is
+    /// byte-for-byte the system a bare single-machine run with that derived
+    /// seed would build.
     ///
     /// # Errors
     ///
@@ -206,104 +300,16 @@ impl Instance {
                 w.ninep_mut().put_file(path, bytes);
             }
         });
-        let sink = cfg.telemetry.then(TelemetrySink::new);
         let mut builder = System::builder()
             .mode(cfg.mode.clone())
             .components(cfg.set.clone())
             .host(host)
             .seed(derive_seed(cfg.seed, id as u64))
             .clock(clock);
-        if let Some(sink) = &sink {
-            builder = builder.telemetry(sink.clone());
+        if cfg.telemetry {
+            builder = builder.telemetry(TelemetrySink::new());
         }
-        let mut sys = builder.build()?;
-        let mut app = MiniHttpd::default();
-        app.boot(&mut sys)?;
-        Ok(Instance {
-            id,
-            label: Rc::from(format!("instance-{id:02}")),
-            sys,
-            app,
-            report: LoadReport::default(),
-            sink,
-            occ: Occupancy::default(),
-            draining: false,
-            completions: VecDeque::new(),
-        })
-    }
-
-    /// Fleet-local instance id.
-    pub fn id(&self) -> usize {
-        self.id
-    }
-
-    /// Display label (`instance-NN`), also the Perfetto process name.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// The label as telemetry shares it: a journey hop's `instance`.
-    pub(crate) fn shared_label(&self) -> &Rc<str> {
-        &self.label
-    }
-
-    /// The telemetry sink attached at boot, when the fleet enabled tracing.
-    pub fn telemetry(&self) -> Option<&TelemetrySink> {
-        self.sink.as_ref()
-    }
-
-    /// Whether the maintenance plan currently drains this instance.
-    pub fn is_draining(&self) -> bool {
-        self.draining
-    }
-
-    /// End of the latest known recovery window.
-    pub fn recovery_until(&self) -> Nanos {
-        self.occ.recovery_until()
-    }
-
-    /// Requests dispatched to this instance that complete after `at`.
-    /// Dispatch times only move forward, so the requests completed by `at`
-    /// are forgotten.
-    pub fn outstanding(&mut self, at: Nanos) -> usize {
-        while self.completions.front().is_some_and(|&end| end <= at) {
-            self.completions.pop_front();
-        }
-        self.completions.len()
-    }
-
-    /// Rejuvenates every rebootable component at grid time `at` and books
-    /// the window: a plan op, or the ladder's component rung.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the first failed reboot; nothing is booked for it.
-    pub fn rejuvenate(&mut self, at: Nanos) -> Result<(), OsError> {
-        self.occ
-            .maintain(&mut self.sys, at, |sys| sys.rejuvenate_all().map(drop))
-    }
-
-    /// Restarts the whole VM at grid time `at` ([`App::full_reboot`]) and
-    /// books the window: a plan op, or the ladder's instance rung.
-    ///
-    /// # Errors
-    ///
-    /// Propagates a failed restart; nothing is booked for it.
-    pub fn full_reboot(&mut self, at: Nanos) -> Result<(), OsError> {
-        self.occ
-            .maintain(&mut self.sys, at, |sys| self.app.full_reboot(sys))
-    }
-
-    pub(crate) fn set_draining(&mut self, draining: bool) {
-        self.draining = draining;
-    }
-
-    /// Books a served request dispatched at `due`: the server was occupied
-    /// until `busy_until` and the client sees completion at `end`.
-    pub(crate) fn note_service(&mut self, due: Nanos, busy_until: Nanos, end: Nanos) {
-        self.occ.occupy(busy_until);
-        self.outstanding(due);
-        self.completions.push_back(end);
+        Replica::start(format!("instance-{id:02}"), builder, MiniHttpd::default())
     }
 
     /// Opens a client connection and completes the handshake.
@@ -320,9 +326,23 @@ impl Instance {
         wire::conn_dead(&self.sys, conn)
     }
 
-    /// Closes a client connection (proactive migration).
-    pub(crate) fn close(&self, conn: ClientConnId) {
-        let _ = self.sys.host().with(|w| w.network_mut().close(conn));
+    /// Sends `request` over a fresh connection and closes it again:
+    /// the response bytes (empty when the server reset the connection).
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failed connect or poll.
+    pub fn probe(&mut self, request: &str, one_way: Nanos) -> Result<Vec<u8>, OsError> {
+        let conn = self.connect()?;
+        let response = wire::exchange(
+            &mut self.sys,
+            &mut self.app,
+            conn,
+            request.as_bytes(),
+            one_way,
+        );
+        self.close(conn);
+        response
     }
 }
 
@@ -355,7 +375,7 @@ mod tests {
         // boot alone takes longer than the whole observation point.
         let at = Nanos::from_millis(2);
         assert!(window.end > at, "precondition: clock domains diverged");
-        inst.occ.observe_detector(&inst.sys, at);
+        inst.observe_detector(at);
 
         assert_eq!(
             inst.recovery_until(),
@@ -374,7 +394,7 @@ mod tests {
         let mut inst = booted();
 
         // A plan op performs the reboot through `maintain`, which books
-        // its window in request time itself (`note_maintenance`), then
+        // its window in request time itself (`maintain`), then
         // acks the detector record so `observe_detector` won't
         // double-book it.
         let at = Nanos::from_millis(3);
@@ -386,7 +406,7 @@ mod tests {
 
         // Later requests re-consult the detector; the acked windows must
         // not extend the recovery window a second time.
-        inst.occ.observe_detector(&inst.sys, Nanos::from_millis(4));
+        inst.observe_detector(Nanos::from_millis(4));
         assert_eq!(
             inst.recovery_until(),
             booked,
@@ -435,12 +455,12 @@ mod tests {
         let mut inst = booted();
         inst.sys.reboot_component("vfs").expect("reboot");
         let at = Nanos::from_millis(2);
-        inst.occ.observe_detector(&inst.sys, at);
+        inst.observe_detector(at);
         let first = inst.recovery_until();
 
         // The same windows observed again (by a later request) are already
         // counted; only *new* downtime may extend the drain.
-        inst.occ.observe_detector(&inst.sys, Nanos::from_millis(30));
+        inst.observe_detector(Nanos::from_millis(30));
         assert_eq!(inst.recovery_until(), first);
     }
 }

@@ -14,11 +14,16 @@
 //! poisoned checkpoints); fleet failover condemns the instance and lets
 //! the balancer route around it permanently.
 //!
-//! The ladder itself only *decides*; [`Fleet`](crate::Fleet) performs the
-//! rung actions and reports request outcomes back via
+//! The ladder itself only *decides*; [`Rung::act`] performs a rung's
+//! action on any [`Replica`], and [`Fleet`](crate::Fleet) fires the rungs
+//! and reports request outcomes back via
 //! [`EscalationLadder::note_success`] / [`EscalationLadder::note_failure`].
 
+use vampos_apps::App;
 use vampos_sim::Nanos;
+use vampos_ukernel::OsError;
+
+use crate::instance::Replica;
 
 /// One rung of the escalation ladder, cheapest first.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -50,6 +55,32 @@ impl Rung {
             Rung::Component => Some(Rung::Instance),
             Rung::Instance => Some(Rung::Fleet),
             Rung::Fleet => None,
+        }
+    }
+
+    /// Performs this rung's recovery action on `replica` at grid time
+    /// `at`. A failed action books nothing ([`Replica::maintain`]), so the
+    /// replica stays exposed and follow-up traffic drives the next rung.
+    ///
+    /// # Errors
+    ///
+    /// Propagates a failed rejuvenation or restart.
+    pub fn act<A: App>(self, replica: &mut Replica<A>, at: Nanos) -> Result<(), OsError> {
+        match self {
+            Rung::Component => {
+                let recovered = replica.rejuvenate(at);
+                let host = replica.sys.host();
+                host.with(|w| w.ninep_mut().clear_session_glitch());
+                recovered
+            }
+            Rung::Instance => replica.full_reboot(at),
+            // Permanent failover: the drain is never resumed, so the
+            // recovery-aware balancer routes every future request to the
+            // survivors.
+            Rung::Fleet => {
+                replica.set_draining(true);
+                Ok(())
+            }
         }
     }
 }

@@ -15,6 +15,9 @@
 //!   off a single event heap — plan operations, arrivals, completions and
 //!   recovery windows pop in `(time, class, actor, sequence)` order — so
 //!   simulation cost scales with work performed, not virtual time × N.
+//! * [`Replica`] — one served unikernel and its FIFO occupancy, recovered
+//!   in place or as a whole VM: a fleet [`Instance`] here, a backend
+//!   replica in the mesh.
 //! * [`ArrivalShape`] — how clients time requests: the open-loop reference
 //!   grid, closed-loop clients with think time, and diurnal/bursty drifts.
 //! * [`Balancer`] / [`Policy`] — pluggable routing: round-robin,
@@ -71,7 +74,7 @@ pub mod single;
 pub use balancer::{Balancer, Policy};
 pub use engine::{ArrivalShape, Event, EventClass, EventHeap};
 pub use fleet::{Fleet, FleetConfig, FleetLoad, FrontOutcome};
-pub use instance::{Booking, HopCost, Instance, Occupancy};
+pub use instance::{Booking, HopCost, Instance, Replica};
 pub use ladder::{EscalationLadder, Rung, RungEvent};
 pub use oracle::{check_equivalence, check_liveness, FleetViolation};
 pub use plan::{

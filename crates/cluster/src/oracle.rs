@@ -100,13 +100,10 @@ pub fn check_liveness(
     report: &FleetRunReport,
 ) -> Result<Vec<FleetViolation>, OsError> {
     let mut violations = Vec::new();
-    for inst in fleet.instances() {
+    for (instance, inst) in fleet.instances().iter().enumerate() {
         let count = inst.sys.armed_faults().len();
         if count > 0 {
-            violations.push(FleetViolation::ArmedFaultLeft {
-                instance: inst.id(),
-                count,
-            });
+            violations.push(FleetViolation::ArmedFaultLeft { instance, count });
         }
     }
     let expected = load.clients.max(1) * load.requests_per_client + report.retried as usize;
@@ -129,17 +126,17 @@ pub fn check_liveness(
 /// (recovered in place, no connections lost).
 pub fn check_equivalence(faulted: &Fleet, twin: &Fleet) -> Vec<FleetViolation> {
     let mut violations = Vec::new();
-    for (a, b) in faulted.instances().iter().zip(twin.instances()) {
+    for (instance, (a, b)) in faulted.instances().iter().zip(twin.instances()).enumerate() {
         for name in a.sys.component_names() {
             if a.sys.state_digest(&name) != b.sys.state_digest(&name) {
                 violations.push(FleetViolation::DigestMismatch {
-                    instance: a.id(),
+                    instance,
                     component: name,
                 });
             }
         }
         if vampos_apps::App::state_digest(&a.app) != vampos_apps::App::state_digest(&b.app) {
-            violations.push(FleetViolation::AppDivergence { instance: a.id() });
+            violations.push(FleetViolation::AppDivergence { instance });
         }
     }
     violations

@@ -31,7 +31,6 @@ use vampos_core::InjectedFault;
 use vampos_host::{NinePGlitch, RingGlitch};
 use vampos_sim::{Nanos, SimRng};
 use vampos_ukernel::OsError;
-use vampos_workloads::exchange;
 
 use crate::balancer::Policy;
 use crate::fleet::{http_body, Fleet, FleetConfig, FleetLoad};
@@ -421,18 +420,7 @@ impl RecursiveCampaignSpec {
 /// crashed campaign — a dead instance is exactly what the convergence
 /// oracle wants to see.
 fn probe_instance(inst: &mut Instance, one_way: Nanos, request: &str) -> (bool, Vec<u8>) {
-    let Ok(conn) = inst.connect() else {
-        return (false, Vec::new());
-    };
-    let response = exchange(
-        &mut inst.sys,
-        &mut inst.app,
-        conn,
-        request.as_bytes(),
-        one_way,
-    )
-    .unwrap_or_default();
-    inst.close(conn);
+    let response = inst.probe(request, one_way).unwrap_or_default();
     (
         response.starts_with(b"HTTP/1.1 200"),
         http_body(&response).to_vec(),

@@ -15,8 +15,9 @@ use crate::stats::DowntimeWindow;
 /// The result of a component-level reboot.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RebootOutcome {
-    /// The rebooted component (composite reboots join names with `+`).
-    pub component: String,
+    /// The rebooted component (composite reboots join names with `+`),
+    /// shared with its slot.
+    pub component: Name,
     /// Virtual time the reboot occupied.
     pub downtime: Nanos,
     /// Log entries replayed during encapsulated restoration.
@@ -165,7 +166,7 @@ impl System {
         });
         self.emit(|c| c.recovery_end(&label, end, replayed_total, snapshot_total));
         Ok(RebootOutcome {
-            component: label.to_string(),
+            component: label,
             downtime: end.saturating_sub(start),
             replayed: replayed_total,
             snapshot_bytes: snapshot_total,

@@ -25,16 +25,17 @@ use vampos_oslib::OpenFlags;
 /// and restore, copying each replayed entry's downcalls and return value,
 /// giving every downtime window a `String` and every recovery a member
 /// `Vec` cost 166; encoding LWIP's runtime data as a `Value` list instead
-/// of moving it, 51.
-const NGINX_SWEEP: u64 = 49;
+/// of moving it, 51; a `String` copy of each outcome's component name, 49.
+const NGINX_SWEEP: u64 = 41;
 
 /// The same on the redis system below: 108 with the costs above, 30 with
-/// the encoded runtime data.
-const REDIS_SWEEP: u64 = 28;
+/// the encoded runtime data, 28 with the copied names.
+const REDIS_SWEEP: u64 = 20;
 
-/// One reboot of a component whose log is empty: the outcome's name. The
-/// parent commit measures 4.
-const EMPTY_LOG_REBOOT: u64 = 1;
+/// One reboot of a component whose log is empty: nothing, now that the
+/// outcome shares its slot's name instead of copying it (1 before, 4
+/// before that).
+const EMPTY_LOG_REBOOT: u64 = 0;
 
 const PORT: u16 = 80;
 const REQUESTS: usize = 100;
@@ -162,8 +163,8 @@ fn an_empty_log_reboot_stays_under_its_allocation_ceiling() {
     let reboot = allocations(|| {
         served.sys.reboot_component("user").unwrap();
     });
-    assert!(
-        reboot <= EMPTY_LOG_REBOOT,
+    assert_eq!(
+        reboot, EMPTY_LOG_REBOOT,
         "{reboot} allocations per reboot, ceiling {EMPTY_LOG_REBOOT}"
     );
 }

@@ -1,13 +1,8 @@
-//! One backend service replica: a booted unikernel running MiniKv or
-//! MiniSql, booked against the same [`Occupancy`] model the front-tier
-//! [`vampos_cluster::Instance`] uses, plus the idempotency table that
-//! makes retried writes safe.
-//!
-//! # Occupancy model
-//!
-//! Requests and maintenance (rejuvenation, full reboot, spurious detector
-//! reboots) book against the replica's [`Occupancy`], so a mesh hop and a
-//! front hop decompose the same way into wire/queue/stall/service.
+//! One backend service replica: a [`vampos_cluster::Replica`] running
+//! MiniKv or MiniSql, plus the idempotency table that makes retried writes
+//! safe. Requests and maintenance book as on a front-tier instance, so a
+//! mesh hop and a front hop decompose the same way into
+//! wire/queue/stall/service.
 //!
 //! # Idempotency keys
 //!
@@ -23,30 +18,104 @@
 use std::collections::BTreeMap;
 
 use vampos_apps::{kv::KV_PORT, App, MiniKv, MiniSql, QueryResult};
-use vampos_cluster::{exchange, HopCost, Occupancy};
+use vampos_cluster::{HopCost, Replica};
 use vampos_core::{ComponentSet, System};
 use vampos_host::HostHandle;
 use vampos_sim::{derive_seed, Nanos, SimClock};
 use vampos_ukernel::OsError;
+use vampos_workloads as wire;
 
-use crate::mesh::BackendOpKind;
 use crate::topology::{ServiceKind, ServiceSpec, StageOp, AUTH_KEYS, AUTH_VALUE_LEN};
 
 /// Seed-space offset for backend instances, keeping them clear of the
 /// front fleet's `derive_seed(seed, instance)` ids.
 const BACKEND_SEED_BASE: u64 = 0x4000;
 
-/// The application a replica runs.
-enum BackendApp {
+/// One backend service replica.
+pub type BackendInstance = Replica<BackendApp>;
+
+/// The application a backend replica runs: a kv or sql store, plus the
+/// idempotency table in front of it.
+pub struct BackendApp {
+    /// Idempotency table: journey id → the response its write produced.
+    applied: BTreeMap<u64, Vec<u8>>,
+    store: Store,
+    /// The kv store persists through an AOF.
+    aof: bool,
+}
+
+enum Store {
     Kv(MiniKv),
     Sql(MiniSql),
 }
 
 impl BackendApp {
-    fn as_app(&mut self) -> &mut dyn App {
-        match self {
-            BackendApp::Kv(kv) => kv,
-            BackendApp::Sql(sql) => sql,
+    /// A store of `kind` with an empty idempotency table, not yet booted.
+    pub fn new(kind: ServiceKind, aof: bool) -> BackendApp {
+        let store = match kind {
+            ServiceKind::Kv => Store::Kv(MiniKv::new(aof)),
+            ServiceKind::Sql => Store::Sql(MiniSql::new()),
+        };
+        BackendApp {
+            applied: BTreeMap::new(),
+            store,
+            aof,
+        }
+    }
+
+    fn store(&mut self) -> &mut dyn App {
+        match &mut self.store {
+            Store::Kv(kv) => kv,
+            Store::Sql(sql) => sql,
+        }
+    }
+
+    /// Whether the store holds the write `op` made for `journey` (oracle
+    /// probe): the kv key, or at least one sql row. `false` for an op
+    /// that writes nothing to this store.
+    pub fn holds(&mut self, sys: &mut System, op: StageOp, journey: u64) -> bool {
+        match (&mut self.store, op) {
+            (Store::Kv(kv), StageOp::KvPut) => kv.get_local(&format!("j:{journey}")).is_some(),
+            (Store::Sql(sql), StageOp::SqlInsert) => {
+                let stmt = sql_statement(StageOp::SqlCount, journey);
+                matches!(sql.execute(sys, &stmt), Ok(QueryResult::Count(n)) if n >= 1)
+            }
+            _ => false,
+        }
+    }
+}
+
+impl App for BackendApp {
+    fn name(&self) -> &'static str {
+        match &self.store {
+            Store::Kv(kv) => kv.name(),
+            Store::Sql(sql) => sql.name(),
+        }
+    }
+
+    fn boot(&mut self, sys: &mut System) -> Result<(), OsError> {
+        self.store().boot(sys)
+    }
+
+    fn crash(&mut self) {
+        // The table and the store's memory die with the VM; the kv store
+        // replays its AOF, the sql store reloads its database file.
+        let kind = match self.store {
+            Store::Kv(_) => ServiceKind::Kv,
+            Store::Sql(_) => ServiceKind::Sql,
+        };
+        *self = BackendApp::new(kind, self.aof);
+    }
+
+    fn poll(&mut self, sys: &mut System) -> Result<usize, OsError> {
+        self.store().poll(sys)
+    }
+
+    /// The store's digest; the idempotency table is a cache of it.
+    fn state_digest(&self) -> u64 {
+        match &self.store {
+            Store::Kv(kv) => kv.state_digest(),
+            Store::Sql(sql) => sql.state_digest(),
         }
     }
 }
@@ -64,206 +133,101 @@ pub struct HopServe {
     pub cached: bool,
 }
 
-/// One backend service replica.
+/// Boots replica `replica` of service `svc_idx` on the shared clock. Boot
+/// work (and warm-up) predates the run: the replica starts idle with no
+/// downtime to drain around.
 ///
-/// Fields drop in declaration order, and this order is deliberate. The
-/// idempotency table and the application's store are tens of thousands of
-/// small blocks, and glibc merges freed small blocks only when a large
-/// block is freed or requested. Dropped before the system, whose teardown
-/// frees large blocks, they are merged during teardown; dropped last, the
-/// merge falls to the next boot's first large allocation.
-pub struct BackendInstance {
-    label: String,
-    /// Idempotency table: journey id → the response its write produced.
-    applied: BTreeMap<u64, Vec<u8>>,
-    app: BackendApp,
-    /// The simulated unikernel.
-    pub sys: System,
-    occ: Occupancy,
+/// # Errors
+///
+/// Propagates boot failures.
+pub fn boot(
+    spec: &ServiceSpec,
+    svc_idx: usize,
+    replica: usize,
+    seed: u64,
+    clock: SimClock,
+) -> Result<BackendInstance, OsError> {
+    let set = match spec.kind {
+        ServiceKind::Kv => ComponentSet::redis(),
+        ServiceKind::Sql => ComponentSet::sqlite(),
+    };
+    let builder = System::builder()
+        .components(set)
+        .host(HostHandle::new())
+        .seed(derive_seed(
+            seed,
+            BACKEND_SEED_BASE + (svc_idx as u64) * 0x100 + replica as u64,
+        ))
+        .clock(clock);
+    let label = format!("{}-{}", spec.name, replica);
+    let mut inst = Replica::start(label, builder, BackendApp::new(spec.kind, spec.aof))?;
+    match &mut inst.app.store {
+        Store::Kv(kv) if spec.warm => kv.warm_up(&mut inst.sys, AUTH_KEYS, AUTH_VALUE_LEN)?,
+        Store::Kv(_) => {}
+        Store::Sql(sql) => {
+            sql.execute(&mut inst.sys, "CREATE TABLE events (id, tag)")?;
+        }
+    }
+    inst.ack_downtime();
+    Ok(inst)
 }
 
-impl BackendInstance {
-    /// Boots replica `replica` of service `svc_idx` on the shared clock.
-    ///
-    /// # Errors
-    ///
-    /// Propagates boot failures.
-    pub fn boot(
-        spec: &ServiceSpec,
-        svc_idx: usize,
-        replica: usize,
-        seed: u64,
-        clock: SimClock,
-    ) -> Result<BackendInstance, OsError> {
-        let host = HostHandle::new();
-        let set = match spec.kind {
-            ServiceKind::Kv => ComponentSet::redis(),
-            ServiceKind::Sql => ComponentSet::sqlite(),
-        };
-        let mut sys = System::builder()
-            .components(set)
-            .host(host)
-            .seed(derive_seed(
-                seed,
-                BACKEND_SEED_BASE + (svc_idx as u64) * 0x100 + replica as u64,
-            ))
-            .clock(clock)
-            .build()?;
-        let app = match spec.kind {
-            ServiceKind::Kv => {
-                let mut kv = MiniKv::new(spec.aof);
-                kv.boot(&mut sys)?;
-                if spec.warm {
-                    kv.warm_up(&mut sys, AUTH_KEYS, AUTH_VALUE_LEN)?;
-                }
-                BackendApp::Kv(kv)
-            }
-            ServiceKind::Sql => {
-                let mut sql = MiniSql::new();
-                sql.boot(&mut sys)?;
-                sql.execute(&mut sys, "CREATE TABLE events (id, tag)")?;
-                BackendApp::Sql(sql)
-            }
-        };
-        // Boot work (and warm-up) predates the run; the replica starts
-        // idle with no downtime to drain around.
-        let mut occ = Occupancy::default();
-        occ.ack_downtime(&sys);
-        Ok(BackendInstance {
-            label: format!("{}-{}", spec.name, replica),
-            sys,
-            app,
-            occ,
-            applied: BTreeMap::new(),
-        })
-    }
-
-    /// Display label (`kv-0`), also the span label.
-    pub fn label(&self) -> &str {
-        &self.label
-    }
-
-    /// End of the latest known recovery window.
-    pub fn recovery_until(&self) -> Nanos {
-        self.occ.recovery_until()
-    }
-
-    /// Whether the kv store currently holds `key` (oracle probe).
-    pub fn kv_has(&self, key: &str) -> bool {
-        match &self.app {
-            BackendApp::Kv(kv) => kv.get_local(key).is_some(),
-            BackendApp::Sql(_) => false,
+/// Executes one attempt of `op` for `journey` on `inst`, due at `due`, and
+/// books it against the FIFO. Write ops consult the idempotency table
+/// first: a duplicate replays the recorded response with zero service
+/// time.
+///
+/// # Errors
+///
+/// Propagates unrecovered system failures (fail-stop).
+pub fn serve(
+    inst: &mut BackendInstance,
+    journey: u64,
+    op: StageOp,
+    due: Nanos,
+    one_way: Nanos,
+) -> Result<HopServe, OsError> {
+    if op.is_write() {
+        if let Some(response) = inst.app.applied.get(&journey).cloned() {
+            let booked = inst.book(due, one_way, Nanos::ZERO);
+            inst.occupy(&booked);
+            return Ok(HopServe {
+                end: booked.end,
+                response,
+                cost: booked.cost,
+                cached: true,
+            });
         }
     }
-
-    /// The application's logical-state digest (oracle probe).
-    pub fn app_digest(&self) -> u64 {
-        match &self.app {
-            BackendApp::Kv(kv) => kv.state_digest(),
-            BackendApp::Sql(sql) => sql.state_digest(),
+    let t0 = inst.sys.clock().now();
+    // The kv path advances the shared clock by the two flights; the
+    // embedded sql path does not, so its wire time is charged in the
+    // booking only.
+    let (response, flights) = match &mut inst.app.store {
+        Store::Sql(sql) => {
+            let stmt = sql_statement(op, journey);
+            (encode_sql(&sql.execute(&mut inst.sys, &stmt)?), Nanos::ZERO)
         }
-    }
-
-    /// Rows in `events` whose `id` column equals `id` (oracle probe);
-    /// `None` for kv replicas.
-    pub fn sql_rows_with_id(&mut self, id: u64) -> Option<usize> {
-        let stmt = format!("SELECT COUNT(*) FROM events WHERE id={id}");
-        match &mut self.app {
-            BackendApp::Sql(sql) => match sql.execute(&mut self.sys, &stmt) {
-                Ok(QueryResult::Count(n)) => Some(n),
-                _ => Some(0),
-            },
-            BackendApp::Kv(_) => None,
+        Store::Kv(_) => {
+            let cmd = kv_command(op, journey);
+            let conn = wire::connect(&mut inst.sys, &mut inst.app, KV_PORT)?;
+            let response =
+                wire::exchange(&mut inst.sys, &mut inst.app, conn, cmd.as_bytes(), one_way)?;
+            inst.close(conn);
+            (response, one_way + one_way)
         }
+    };
+    let booked = inst.book_work(t0, due, one_way, flights);
+    if op.is_write() {
+        inst.app.applied.insert(journey, response.clone());
     }
-
-    /// Executes one attempt of `op` for `journey`, due at `due`, and books
-    /// it against the FIFO. Write ops consult the idempotency table first:
-    /// a duplicate replays the recorded response with zero service time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates unrecovered system failures (fail-stop).
-    pub fn serve(
-        &mut self,
-        journey: u64,
-        op: StageOp,
-        due: Nanos,
-        one_way: Nanos,
-    ) -> Result<HopServe, OsError> {
-        if op.is_write() {
-            if let Some(response) = self.applied.get(&journey).cloned() {
-                return Ok(self.book(due, one_way, Nanos::ZERO, response, true));
-            }
-        }
-        let t0 = self.sys.clock().now();
-        // The kv path advances the shared clock by the two flights; the
-        // embedded sql path does not, so its wire time is charged in the
-        // booking only.
-        let (response, flights) = match &mut self.app {
-            BackendApp::Kv(kv) => {
-                let cmd = kv_command(op, journey);
-                let conn = self.sys.host().with(|w| w.network_mut().connect(KV_PORT));
-                kv.poll(&mut self.sys)?;
-                let response = exchange(&mut self.sys, kv, conn, cmd.as_bytes(), one_way)?;
-                let _ = self.sys.host().with(|w| w.network_mut().close(conn));
-                (response, one_way + one_way)
-            }
-            BackendApp::Sql(sql) => {
-                let stmt = sql_statement(op, journey);
-                (encode_sql(&sql.execute(&mut self.sys, &stmt)?), Nanos::ZERO)
-            }
-        };
-        self.occ.observe_detector(&self.sys, due);
-
-        let delta = self.sys.clock().now().saturating_sub(t0);
-        let service = delta.saturating_sub(flights);
-        if op.is_write() {
-            self.applied.insert(journey, response.clone());
-        }
-        Ok(self.book(due, one_way, service, response, false))
-    }
-
-    /// Books a served attempt against the FIFO.
-    fn book(
-        &mut self,
-        due: Nanos,
-        one_way: Nanos,
-        service: Nanos,
-        response: Vec<u8>,
-        cached: bool,
-    ) -> HopServe {
-        let booked = self.occ.book(due, one_way, service);
-        self.occ.occupy(booked.busy_from + service);
-        HopServe {
-            end: booked.end,
-            response,
-            cost: booked.cost,
-            cached,
-        }
-    }
-
-    /// Performs one maintenance op at grid time `at` and books its window.
-    /// Component-level ops (rejuvenation, a spurious detector firing — the
-    /// needless reboot the pipeline must ride out) preserve app memory; a
-    /// full reboot crashes and re-boots the app (kv replays its AOF, sql
-    /// reloads its database file) and loses the idempotency table with it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates unrecovered reboot failures.
-    pub fn maintain(&mut self, kind: &BackendOpKind, at: Nanos) -> Result<(), OsError> {
-        self.occ.maintain(&mut self.sys, at, |sys| match kind {
-            BackendOpKind::Rejuvenate => sys.rejuvenate_all().map(drop),
-            BackendOpKind::FullReboot => {
-                self.applied.clear();
-                self.app.as_app().full_reboot(sys)
-            }
-            BackendOpKind::SpuriousReboot { component } => {
-                sys.spurious_detection(component).map(drop)
-            }
-        })
-    }
+    inst.occupy(&booked);
+    Ok(HopServe {
+        end: booked.end,
+        response,
+        cost: booked.cost,
+        cached: false,
+    })
 }
 
 /// The kv wire command for `op` on journey `journey`.
@@ -316,37 +280,36 @@ pub fn expected_response(op: StageOp, journey: u64) -> Vec<u8> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mesh::BackendOpKind;
     use crate::topology::MeshTopology;
 
     fn booted(svc: usize) -> BackendInstance {
         let t = MeshTopology::standard(1, true);
-        BackendInstance::boot(&t.services[svc], svc, 0, 42, SimClock::default()).expect("boot")
+        boot(&t.services[svc], svc, 0, 42, SimClock::default()).expect("boot")
     }
 
     const OW: Nanos = Nanos::from_micros(25);
 
+    fn ms(n: u64) -> Nanos {
+        Nanos::from_millis(n)
+    }
+
     #[test]
     fn a_put_then_get_reads_the_journeys_own_write() {
         let mut kv = booted(1);
-        let put = kv
-            .serve(7, StageOp::KvPut, Nanos::from_millis(1), OW)
-            .expect("put");
+        let put = serve(&mut kv, 7, StageOp::KvPut, ms(1), OW).expect("put");
         assert_eq!(put.response, b"+OK\n");
         assert!(!put.cached);
-        let get = kv.serve(7, StageOp::KvGet, put.end, OW).expect("get");
+        let get = serve(&mut kv, 7, StageOp::KvGet, put.end, OW).expect("get");
         assert_eq!(get.response, b"$v:7\n");
-        assert!(kv.kv_has("j:7"));
+        assert!(kv.app.holds(&mut kv.sys, StageOp::KvPut, 7));
     }
 
     #[test]
     fn a_retried_write_replays_from_the_idempotency_table() {
         let mut kv = booted(1);
-        let first = kv
-            .serve(3, StageOp::KvPut, Nanos::from_millis(1), OW)
-            .expect("put");
-        let retry = kv
-            .serve(3, StageOp::KvPut, Nanos::from_millis(2), OW)
-            .expect("retry");
+        let first = serve(&mut kv, 3, StageOp::KvPut, ms(1), OW).expect("put");
+        let retry = serve(&mut kv, 3, StageOp::KvPut, ms(2), OW).expect("retry");
         assert!(retry.cached);
         assert_eq!(retry.response, first.response);
         assert_eq!(retry.cost.service_ns, 0, "a duplicate costs no server work");
@@ -355,50 +318,49 @@ mod tests {
     #[test]
     fn warmed_auth_reads_match_the_expected_response() {
         let mut auth = booted(0);
-        let got = auth
-            .serve(9, StageOp::AuthCheck, Nanos::from_millis(1), OW)
-            .expect("check");
+        let got = serve(&mut auth, 9, StageOp::AuthCheck, ms(1), OW).expect("check");
         assert_eq!(got.response, expected_response(StageOp::AuthCheck, 9));
     }
 
     #[test]
     fn sql_inserts_apply_and_survive_a_full_reboot() {
         let mut sql = booted(2);
-        let ins = sql
-            .serve(5, StageOp::SqlInsert, Nanos::from_millis(1), OW)
-            .expect("insert");
+        let ins = serve(&mut sql, 5, StageOp::SqlInsert, ms(1), OW).expect("insert");
         assert_eq!(ins.response, expected_response(StageOp::SqlInsert, 5));
-        sql.maintain(&BackendOpKind::FullReboot, Nanos::from_millis(2))
+        BackendOpKind::FullReboot
+            .apply(&mut sql, ms(2))
             .expect("reboot");
-        assert_eq!(sql.sql_rows_with_id(5), Some(1), "row lost across reboot");
+        let Store::Sql(db) = &mut sql.app.store else {
+            panic!("not a sql replica");
+        };
+        let count = db.execute(&mut sql.sys, &sql_statement(StageOp::SqlCount, 5));
+        assert_eq!(count, Ok(QueryResult::Count(1)), "row lost across reboot");
     }
 
     #[test]
     fn aof_kv_state_survives_a_full_reboot_but_the_table_does_not() {
         let mut kv = booted(1);
-        kv.serve(11, StageOp::KvPut, Nanos::from_millis(1), OW)
-            .expect("put");
-        kv.maintain(&BackendOpKind::FullReboot, Nanos::from_millis(2))
+        serve(&mut kv, 11, StageOp::KvPut, ms(1), OW).expect("put");
+        BackendOpKind::FullReboot
+            .apply(&mut kv, ms(2))
             .expect("reboot");
-        assert!(kv.kv_has("j:11"), "AOF replay lost the key");
+        let kept = kv.app.holds(&mut kv.sys, StageOp::KvPut, 11);
+        assert!(kept, "AOF replay lost the key");
         // The idempotency table died with app memory: the retry re-applies
         // (value-idempotent) rather than replaying.
-        let retry = kv
-            .serve(11, StageOp::KvPut, Nanos::from_millis(60), OW)
-            .expect("retry");
+        let retry = serve(&mut kv, 11, StageOp::KvPut, ms(60), OW).expect("retry");
         assert!(!retry.cached);
     }
 
     #[test]
     fn maintenance_windows_queue_subsequent_requests() {
         let mut kv = booted(1);
-        kv.maintain(&BackendOpKind::Rejuvenate, Nanos::from_millis(1))
+        BackendOpKind::Rejuvenate
+            .apply(&mut kv, ms(1))
             .expect("rejuvenate");
         let window = kv.recovery_until();
-        assert!(window > Nanos::from_millis(1));
-        let got = kv
-            .serve(2, StageOp::KvPut, Nanos::from_millis(1), OW)
-            .expect("put");
+        assert!(window > ms(1));
+        let got = serve(&mut kv, 2, StageOp::KvPut, ms(1), OW).expect("put");
         assert!(got.end >= window, "request jumped the recovery window");
         assert!(got.cost.stall_ns > 0, "stall attribution missing");
     }

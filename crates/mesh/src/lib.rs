@@ -27,7 +27,7 @@ pub mod policy;
 pub mod report;
 pub mod topology;
 
-pub use backend::{BackendInstance, HopServe};
+pub use backend::{BackendApp, BackendInstance, HopServe};
 pub use campaign::{
     generate_mesh_spec, run_mesh_campaign, run_mesh_campaign_traced, MeshCampaignReport,
     MeshChaosSpec, MeshFaultClass, MeshViolation, FRONT_INSTANCES,

@@ -35,7 +35,7 @@ use vampos_telemetry::{AttrValue, Collector, SpanKind, TelemetrySink};
 use vampos_ukernel::digest::DigestBuilder;
 use vampos_ukernel::OsError;
 
-use crate::backend::{expected_response, BackendInstance, HopServe};
+use crate::backend::{self, expected_response, BackendInstance, HopServe};
 use crate::report::{JourneyOutcome, MeshRunReport, StageRecord, StageReport};
 use crate::topology::{MeshTopology, Routing, StageOp, SVC_KV};
 
@@ -92,6 +92,26 @@ impl BackendOpKind {
             BackendOpKind::Rejuvenate => "rejuvenate",
             BackendOpKind::FullReboot => "full_reboot",
             BackendOpKind::SpuriousReboot { .. } => "spurious_reboot",
+        }
+    }
+
+    /// Performs the op on `replica` at grid time `at` and books its
+    /// window. Component-level ops (rejuvenation, a spurious detector
+    /// firing — the needless reboot the pipeline must ride out) preserve
+    /// app memory; a full reboot crashes and re-boots the app (kv replays
+    /// its AOF, sql reloads its database file) and loses the idempotency
+    /// table with it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates unrecovered reboot failures.
+    pub fn apply(&self, replica: &mut BackendInstance, at: Nanos) -> Result<(), OsError> {
+        match self {
+            BackendOpKind::Rejuvenate => replica.rejuvenate(at),
+            BackendOpKind::FullReboot => replica.full_reboot(at),
+            BackendOpKind::SpuriousReboot { component } => {
+                replica.maintain(at, |sys, _| sys.spurious_detection(component).map(drop))
+            }
         }
     }
 }
@@ -256,13 +276,7 @@ impl Mesh {
         for (svc_idx, spec) in cfg.topology.services.iter().enumerate() {
             let mut replicas = Vec::with_capacity(spec.replicas.max(1));
             for replica in 0..spec.replicas.max(1) {
-                replicas.push(BackendInstance::boot(
-                    spec,
-                    svc_idx,
-                    replica,
-                    seed,
-                    clock.clone(),
-                )?);
+                replicas.push(backend::boot(spec, svc_idx, replica, seed, clock.clone())?);
             }
             backends.push(replicas);
         }
@@ -317,14 +331,8 @@ impl Mesh {
             );
             let replicas = &mut self.backends[stage.service];
             let pinned = journey as usize % replicas.len();
-            let present = match stage.op {
-                StageOp::KvPut => replicas[pinned].kv_has(&format!("j:{journey}")),
-                StageOp::SqlInsert => replicas[pinned]
-                    .sql_rows_with_id(journey)
-                    .is_some_and(|n| n >= 1),
-                _ => true,
-            };
-            out.push((label, present));
+            let inst = &mut replicas[pinned];
+            out.push((label, inst.app.holds(&mut inst.sys, stage.op, journey)));
         }
         out
     }
@@ -615,7 +623,8 @@ impl Pipeline<'_> {
                 cached: false,
             });
         }
-        self.backends[service][replica].serve(journey, op, att_due, one_way)
+        let inst = &mut self.backends[service][replica];
+        backend::serve(inst, journey, op, att_due, one_way)
     }
 
     /// Fires every backend op scheduled at or before `until` (grid time),
@@ -629,7 +638,7 @@ impl Pipeline<'_> {
             self.cursor += 1;
             self.clock.advance_to(at);
             let inst = &mut self.backends[op.service][op.replica];
-            inst.maintain(&op.kind, at)?;
+            op.kind.apply(inst, at)?;
             if let Some(sink) = &self.sink {
                 let name = op.kind.name();
                 sink.with(|hub| {

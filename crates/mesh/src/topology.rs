@@ -4,8 +4,9 @@
 //! A topology is pure data — which backend services exist (name, kind,
 //! replica count, durability), and the ordered stages the router drives
 //! after the front tier serves the ingress request. The [`crate::Mesh`]
-//! boots one [`crate::backend::BackendInstance`] per replica and the run
-//! loop walks [`MeshTopology::stages`] in order for every served journey.
+//! boots one [`vampos_cluster::Replica`] ([`crate::BackendInstance`]) per
+//! replica and the run loop walks [`MeshTopology::stages`] in order for
+//! every served journey.
 
 use crate::policy::HopPolicy;
 

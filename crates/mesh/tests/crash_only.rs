@@ -1,8 +1,9 @@
 //! The crash-only oracle at the backend tier: an idle kv or sql replica
-//! taken through a maintenance op is the replica [`BackendInstance::boot`]
-//! builds, system and application alike.
+//! taken through a maintenance op is the replica [`backend::boot`] builds,
+//! system and application alike.
 
-use vampos_mesh::{BackendInstance, BackendOpKind, MeshTopology};
+use vampos_apps::App;
+use vampos_mesh::{backend, BackendInstance, BackendOpKind, MeshTopology};
 use vampos_sim::{Nanos, SimClock};
 
 type Image = (Vec<(String, Option<u64>, Option<usize>)>, u64);
@@ -19,7 +20,7 @@ fn image(inst: &BackendInstance) -> Image {
         (name, digest, resident)
     };
     let components = inst.sys.component_names().into_iter().map(entry);
-    (components.collect(), inst.app_digest())
+    (components.collect(), inst.app.state_digest())
 }
 
 #[test]
@@ -28,15 +29,22 @@ fn a_replica_maintained_from_idle_is_a_freshly_booted_one() {
     // `kv` persists through an AOF, `sql` through its database file.
     for svc in [1, 2] {
         let spec = &topology.services[svc];
-        let booted = || BackendInstance::boot(spec, svc, 0, 42, SimClock::default()).expect("boot");
+        let booted = || backend::boot(spec, svc, 0, 42, SimClock::default()).expect("boot");
         let fresh = image(&booted());
-        let ops = [BackendOpKind::Rejuvenate, BackendOpKind::FullReboot];
+        // `vfs` is in every backend set; `lwip` is not in sql's.
+        let ops = [
+            BackendOpKind::Rejuvenate,
+            BackendOpKind::FullReboot,
+            BackendOpKind::SpuriousReboot {
+                component: "vfs".to_owned(),
+            },
+        ];
         for first in &ops {
             let mut inst = booted();
-            inst.maintain(first, Nanos::from_millis(1)).expect("op");
+            first.apply(&mut inst, Nanos::from_millis(1)).expect("op");
             assert_eq!(image(&inst), fresh, "{}: {first:?}", spec.name);
             for second in &ops {
-                inst.maintain(second, Nanos::from_millis(60)).expect("op");
+                second.apply(&mut inst, Nanos::from_millis(60)).expect("op");
                 let label = format!("{}: {first:?}, then {second:?}", spec.name);
                 assert_eq!(image(&inst), fresh, "{label}");
             }
