@@ -35,7 +35,7 @@ pub struct RunResult {
     pub reconnects: u64,
     /// The application's logical state digest after the run quiesced.
     pub app_digest: u64,
-    /// Per-component logical state digests.
+    /// Per-component state digests (every field; `BootImage::state_digest`).
     pub component_digests: BTreeMap<String, u64>,
     /// Components that went through a reboot (composite labels split).
     pub rebooted_components: BTreeSet<String>,

@@ -10,7 +10,7 @@ use vampos_ukernel::{CallContext, Component, ComponentDescriptor, FnId, OsError,
 
 /// A deliberately broken extra component: stateful, rebootable, logged —
 /// but without checkpoint-based init (VAMP-E201).
-#[derive(Clone)]
+#[derive(Clone, Hash)]
 struct NoCheckpoint {
     desc: ComponentDescriptor,
 }

@@ -100,7 +100,7 @@ mod counter {
 }
 
 /// A counter component whose v1 has a deterministic bug in `bump`.
-#[derive(Clone)]
+#[derive(Clone, Hash)]
 struct Counter {
     desc: ComponentDescriptor,
     count: u64,
@@ -150,9 +150,6 @@ impl Component for Counter {
     }
     fn session_event(&self, _f: FnId, _a: &[Value], _r: &Value) -> SessionEvent {
         SessionEvent::None
-    }
-    fn state_digest(&self) -> u64 {
-        self.count
     }
 }
 
@@ -239,7 +236,7 @@ fn update_rejects_a_differently_named_component() {
 
 /// A counter that carries runtime data across reboots, and whose `picky`
 /// build refuses whatever an older version extracted.
-#[derive(Clone)]
+#[derive(Clone, Hash)]
 struct RuntimeCounter {
     inner: Counter,
     picky: bool,
@@ -325,7 +322,7 @@ fn a_reboot_whose_runtime_restore_is_refused_keeps_the_component() {
 /// A component that overrides no hook: the calls it has served live in a
 /// field no log records, which only a reboot that discards the component
 /// clears.
-#[derive(Clone)]
+#[derive(Clone, Hash)]
 struct Tally {
     desc: ComponentDescriptor,
     calls: u64,
@@ -512,7 +509,7 @@ const GETPID: CallSite = CallSite::new(0, "process", "getpid");
 const GETPPID: CallSite = CallSite::new(1, "process", "getppid");
 
 /// A component that calls PROCESS without declaring the dependency.
-#[derive(Clone)]
+#[derive(Clone, Hash)]
 struct Undeclared {
     desc: ComponentDescriptor,
 }
@@ -624,7 +621,7 @@ fn a_call_of_an_undeclared_function_fails_at_resolution_and_costs_nothing() {
 }
 
 /// How a [`Diverging`] component's replay departs from its logged run.
-#[derive(Clone, Copy, Debug)]
+#[derive(Clone, Copy, Debug, Hash)]
 enum Divergence {
     /// It replays the downcalls it made.
     None,
@@ -636,7 +633,7 @@ enum Divergence {
 
 /// A stateful component whose `step` calls `getpid` once, and whose replay
 /// of `step` makes the downcalls its [`Divergence`] says.
-#[derive(Clone)]
+#[derive(Clone, Hash)]
 struct Diverging {
     desc: ComponentDescriptor,
     divergence: Divergence,

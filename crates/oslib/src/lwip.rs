@@ -24,7 +24,6 @@ use std::collections::{BTreeMap, VecDeque};
 
 use vampos_host::{take_front, Frame, TcpFlags};
 use vampos_mem::{AllocHandle, ArenaLayout, MemoryArena};
-use vampos_ukernel::digest::DigestBuilder;
 use vampos_ukernel::{
     names, CallContext, CallSite, Component, ComponentDescriptor, FnId, OsError, RuntimeData,
     SessionEvent, Value,
@@ -39,7 +38,7 @@ const ND_RX_BATCH: CallSite = CallSite::new(1, names::NETDEV, nd::RX_BATCH);
 /// `ioctl` command: set/clear non-blocking mode.
 pub const FIONBIO: u64 = 1;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum SockState {
     Created,
     Bound,
@@ -50,21 +49,7 @@ enum SockState {
     Reset,
 }
 
-impl SockState {
-    fn code(self) -> u64 {
-        match self {
-            SockState::Created => 0,
-            SockState::Bound => 1,
-            SockState::Listening => 2,
-            SockState::SynRcvd => 3,
-            SockState::Established => 4,
-            SockState::Closed => 5,
-            SockState::Reset => 6,
-        }
-    }
-}
-
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct Sock {
     state: SockState,
     local_port: u16,
@@ -108,14 +93,13 @@ struct LwipRuntime {
 }
 
 /// The LWIP component.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Lwip {
     desc: ComponentDescriptor,
     socks: BTreeMap<u64, Sock>,
     listeners: BTreeMap<u16, u64>,
     conns: BTreeMap<(u16, u16), u64>,
     iss_next: u32,
-    resets_sent: u64,
 }
 
 impl Default for Lwip {
@@ -170,7 +154,6 @@ impl Lwip {
             listeners: BTreeMap::new(),
             conns: BTreeMap::new(),
             iss_next: 70_000,
-            resets_sent: 0,
         }
     }
 
@@ -185,11 +168,6 @@ impl Lwip {
             .values()
             .filter(|s| s.state == SockState::Established)
             .count()
-    }
-
-    /// RSTs this stack has sent (sequence violations and strays).
-    pub fn resets_sent(&self) -> u64 {
-        self.resets_sent
     }
 
     fn alloc_sock(&mut self, ctx: &dyn CallContext) -> Result<u64, OsError> {
@@ -225,8 +203,7 @@ impl Lwip {
         Ok(())
     }
 
-    fn send_rst(&mut self, ctx: &mut dyn CallContext, to: &Frame) -> Result<(), OsError> {
-        self.resets_sent += 1;
+    fn send_rst(&self, ctx: &mut dyn CallContext, to: &Frame) -> Result<(), OsError> {
         let rst = Frame {
             src_port: to.dst_port,
             dst_port: to.src_port,
@@ -695,25 +672,6 @@ impl Component for Lwip {
             _ => SessionEvent::None,
         }
     }
-
-    fn state_digest(&self) -> u64 {
-        let mut d = DigestBuilder::new().u64(self.iss_next as u64);
-        for (id, s) in &self.socks {
-            d = d
-                .u64(*id)
-                .u64(s.state.code())
-                .u64(s.local_port as u64)
-                .u64(s.remote_port as u64)
-                .u64(s.snd_nxt as u64)
-                .u64(s.rcv_nxt as u64)
-                .bytes(&s.recv_buf.iter().copied().collect::<Vec<u8>>())
-                .bool(s.peer_closed);
-        }
-        for (port, id) in &self.listeners {
-            d = d.u64(*port as u64).u64(*id);
-        }
-        d.finish()
-    }
 }
 
 #[cfg(test)]
@@ -721,6 +679,7 @@ mod tests {
     use super::*;
     use crate::testutil::StubCtx;
     use vampos_host::HostHandle;
+    use vampos_ukernel::BootImage;
 
     /// A ctx whose NETDEV downcalls run against a real host network,
     /// bypassing NETDEV/VIRTIO (they have their own tests).
@@ -895,12 +854,14 @@ mod tests {
         }
         // Pump: only 2 make it, the rest get RST.
         lwip.call(&mut ctx, id::POLL, &[]).unwrap();
-        assert!(lwip.resets_sent() >= 2, "resets = {}", lwip.resets_sent());
+        let resets = host.with(|w| w.network().resets_seen());
+        assert!(resets >= 2, "resets = {resets}");
     }
 
     #[test]
     fn options_and_ioctl_round_trip() {
         let (mut lwip, _h, mut ctx, sock) = listening(80);
+        let bare = lwip.state_digest();
         lwip.call(
             &mut ctx,
             id::SETSOCKOPT,
@@ -912,12 +873,17 @@ mod tests {
                 .unwrap(),
             Value::U64(99)
         );
+        // A socket option is state a reboot must restore, so the digest
+        // sees it; and so is non-blocking mode.
+        let with_opt = lwip.state_digest();
+        assert_ne!(with_opt, bare);
         lwip.call(
             &mut ctx,
             id::IOCTL,
             &[Value::U64(sock), Value::U64(FIONBIO), Value::U64(1)],
         )
         .unwrap();
+        assert_ne!(lwip.state_digest(), with_opt);
     }
 
     #[test]

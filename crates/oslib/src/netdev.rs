@@ -1,8 +1,8 @@
 //! NETDEV: low-level packet operations (paper Table I).
 //!
 //! A thin, stateless shim between LWIP and the VIRTIO network queues: it
-//! owns the frame counters and would own NIC configuration; rebooting it is
-//! a bare restart (no logging, no restoration — §VI).
+//! would own NIC configuration; rebooting it is a bare restart (no logging,
+//! no restoration — §VI).
 
 use vampos_mem::ArenaLayout;
 use vampos_ukernel::{
@@ -17,11 +17,9 @@ const VIO_NET_RX: CallSite = CallSite::new(1, names::VIRTIO, vio::NET_RX);
 const VIO_NET_RX_BATCH: CallSite = CallSite::new(2, names::VIRTIO, vio::NET_RX_BATCH);
 
 /// The NETDEV component.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct NetDev {
     desc: ComponentDescriptor,
-    tx_frames: u64,
-    rx_frames: u64,
 }
 
 impl Default for NetDev {
@@ -39,19 +37,7 @@ impl NetDev {
                 .depends_on(&[names::VIRTIO])
                 .calls(&[VIO_NET_TX, VIO_NET_RX, VIO_NET_RX_BATCH])
                 .exports(f::FUNCTIONS),
-            tx_frames: 0,
-            rx_frames: 0,
         }
-    }
-
-    /// Frames transmitted since boot/reboot.
-    pub fn tx_frames(&self) -> u64 {
-        self.tx_frames
-    }
-
-    /// Frames received since boot/reboot.
-    pub fn rx_frames(&self) -> u64 {
-        self.rx_frames
     }
 }
 
@@ -73,25 +59,12 @@ impl Component for NetDev {
                     Some(other) => return Err(OsError::bad_value("frame", other)),
                     None => return Err(OsError::Inval),
                 }
-                self.tx_frames += 1;
                 // The frame argument is forwarded as is.
                 ctx.invoke(VIO_NET_TX, &args[..1])?;
                 Ok(Value::Unit)
             }
-            id::RX => {
-                let v = ctx.invoke(VIO_NET_RX, &[])?;
-                if matches!(v, Value::Frame(Some(_))) {
-                    self.rx_frames += 1;
-                }
-                Ok(v)
-            }
-            id::RX_BATCH => {
-                let v = ctx.invoke(VIO_NET_RX_BATCH, &[])?;
-                if let Value::List(frames) = &v {
-                    self.rx_frames += frames.len() as u64;
-                }
-                Ok(v)
-            }
+            id::RX => ctx.invoke(VIO_NET_RX, &[]),
+            id::RX_BATCH => ctx.invoke(VIO_NET_RX_BATCH, &[]),
             _ => unreachable!("netdev declares no function {func:?}"),
         }
     }
@@ -121,25 +94,32 @@ mod tests {
         ctx.expect(Ok(Value::Unit));
         nd.call(&mut ctx, id::TX, &[Value::Frame(Some(frame()))])
             .unwrap();
-        assert_eq!(nd.tx_frames(), 1);
-        let (target, func, _) = &ctx.calls()[0];
+        let [(target, func, args)] = ctx.calls() else {
+            panic!("one downcall expected, got {:?}", ctx.calls());
+        };
         assert_eq!(target, names::VIRTIO);
         assert_eq!(func, vio::NET_TX);
+        assert_eq!(args, &[Value::Frame(Some(frame()))]);
     }
 
     #[test]
-    fn rx_counts_only_delivered_frames() {
+    fn rx_passes_virtio_replies_through() {
         let mut nd = NetDev::new();
         let mut ctx = StubCtx::new();
         ctx.expect(Ok(Value::Frame(None)));
         ctx.expect(Ok(Value::Frame(Some(frame()))));
+        ctx.expect(Ok(Value::List(vec![Value::Frame(Some(frame()))])));
         assert_eq!(nd.call(&mut ctx, id::RX, &[]).unwrap(), Value::Frame(None));
-        assert_eq!(nd.rx_frames(), 0);
-        assert!(matches!(
+        assert_eq!(
             nd.call(&mut ctx, id::RX, &[]).unwrap(),
-            Value::Frame(Some(_))
-        ));
-        assert_eq!(nd.rx_frames(), 1);
+            Value::Frame(Some(frame()))
+        );
+        assert_eq!(
+            nd.call(&mut ctx, id::RX_BATCH, &[]).unwrap(),
+            Value::List(vec![Value::Frame(Some(frame()))])
+        );
+        let funcs: Vec<&str> = ctx.calls().iter().map(|(_, f, _)| f.as_str()).collect();
+        assert_eq!(funcs, [vio::NET_RX, vio::NET_RX, vio::NET_RX_BATCH]);
     }
 
     #[test]

@@ -16,7 +16,6 @@ use std::collections::BTreeMap;
 
 use vampos_host::{Fid, NinePError, NinePRequest, NinePResponse};
 use vampos_mem::{AllocHandle, ArenaLayout};
-use vampos_ukernel::digest::DigestBuilder;
 use vampos_ukernel::{
     names, CallContext, CallSite, Component, ComponentDescriptor, FnId, OsError, SessionEvent,
     Value,
@@ -32,7 +31,7 @@ const TMP_FID: u64 = 999_999;
 /// The root fid bound by `mount`.
 const ROOT_FID: u64 = 0;
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct FidEntry {
     path: String,
     open: bool,
@@ -42,7 +41,7 @@ struct FidEntry {
 }
 
 /// The 9PFS component.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct NinePFs {
     desc: ComponentDescriptor,
     attached: bool,
@@ -489,14 +488,6 @@ impl Component for NinePFs {
             _ => SessionEvent::None,
         }
     }
-
-    fn state_digest(&self) -> u64 {
-        let mut d = DigestBuilder::new().bool(self.attached);
-        for (fid, e) in &self.fids {
-            d = d.u64(*fid).str(&e.path).bool(e.open).bool(e.host_released);
-        }
-        d.finish()
-    }
 }
 
 #[cfg(test)]
@@ -504,6 +495,7 @@ mod tests {
     use super::*;
     use crate::testutil::StubCtx;
     use vampos_host::{HostHandle, Qid};
+    use vampos_ukernel::BootImage;
 
     /// A ctx whose downcalls run against a real host world (bypassing the
     /// VIRTIO component, which has its own tests).

@@ -15,10 +15,9 @@ use crate::funcs::{process, sysinfo, timer, user};
 /// A unikernel hosts exactly one process, so the answers are constants —
 /// which is precisely why the component is stateless and trivially
 /// rebootable.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Process {
     desc: ComponentDescriptor,
-    calls: u64,
 }
 
 impl Default for Process {
@@ -34,7 +33,6 @@ impl Process {
             desc: ComponentDescriptor::new(vampos_ukernel::names::PROCESS, ArenaLayout::small())
                 .functions(process::FUNCTIONS)
                 .exports(process::FUNCTIONS),
-            calls: 0,
         }
     }
 }
@@ -49,7 +47,6 @@ impl Component for Process {
         func: FnId,
         _args: &[Value],
     ) -> Result<Value, OsError> {
-        self.calls += 1;
         match func {
             process::id::GETPID | process::id::GETTID => Ok(Value::U64(1)),
             process::id::GETPPID => Ok(Value::U64(0)),
@@ -59,7 +56,7 @@ impl Component for Process {
 }
 
 /// SYSINFO: system-information functions (`uname()` and friends).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct SysInfo {
     desc: ComponentDescriptor,
 }
@@ -105,7 +102,7 @@ impl Component for SysInfo {
 
 /// USER: user-information functions (`getuid()` and friends). A unikernel
 /// runs as a single implicit root user.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct User {
     desc: ComponentDescriptor,
 }
@@ -147,7 +144,7 @@ impl Component for User {
 }
 
 /// TIMER: time-related operations, backed by the virtual clock.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 pub struct Timer {
     desc: ComponentDescriptor,
 }

@@ -14,11 +14,11 @@
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::ops::BitOr;
 
 use vampos_host::take_front;
 use vampos_mem::{AllocHandle, ArenaLayout, MemoryArena};
-use vampos_ukernel::digest::DigestBuilder;
 use vampos_ukernel::{
     names, CallContext, CallSite, Component, ComponentDescriptor, FnId, OsError, RuntimeData,
     SessionEvent, TouchSynthesis, Value,
@@ -125,7 +125,7 @@ pub const SEEK_CUR: u64 = 1;
 /// `lseek` whence: relative to end-of-file.
 pub const SEEK_END: u64 = 2;
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 enum FdKind {
     File {
         path: String,
@@ -145,14 +145,14 @@ enum FdKind {
     },
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Hash)]
 struct FdEntry {
     kind: FdKind,
     status_flags: u64,
     alloc: Option<AllocHandle>,
 }
 
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Hash)]
 struct Vnode {
     path: String,
     refs: u32,
@@ -175,6 +175,27 @@ pub struct Vfs {
     last_close_sessions: Vec<u64>,
     /// Whether the most recent `vfscore_vget` created a fresh vnode.
     last_vget_new: bool,
+}
+
+/// The digest leaves out three fields. `next_pipe` is a high-water mark
+/// that a shrunk log's replay lowers (`restore_runtime` raises it past the
+/// live pipes only). `last_close_sessions` and `last_vget_new` carry one
+/// call's outcome to `session_event`, and no later call reads them.
+impl Hash for Vfs {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let Vfs {
+            desc,
+            fds,
+            vnodes,
+            vnode_by_path,
+            mounts,
+            pipes,
+            next_pipe: _,
+            last_close_sessions: _,
+            last_vget_new: _,
+        } = self;
+        (desc, fds, vnodes, vnode_by_path, mounts, pipes).hash(state);
+    }
 }
 
 impl Default for Vfs {
@@ -949,55 +970,13 @@ impl Component for Vfs {
             None => TouchSynthesis::Keep,
         }
     }
-
-    fn state_digest(&self) -> u64 {
-        let mut d = DigestBuilder::new();
-        for (fd, e) in &self.fds {
-            d = d.u64(*fd).u64(e.status_flags);
-            match &e.kind {
-                FdKind::File {
-                    path,
-                    fid,
-                    offset,
-                    append,
-                    vnode,
-                } => {
-                    d = d
-                        .str("file")
-                        .str(path)
-                        .u64(*fid)
-                        .u64(*offset)
-                        .bool(*append)
-                        .u64(*vnode);
-                }
-                FdKind::Socket { sock } => {
-                    d = d.str("sock").u64(*sock);
-                }
-                FdKind::PipeRead { pipe } => {
-                    d = d.str("pr").u64(*pipe);
-                }
-                FdKind::PipeWrite { pipe } => {
-                    d = d.str("pw").u64(*pipe);
-                }
-            }
-        }
-        for (v, n) in &self.vnodes {
-            d = d.u64(*v).str(&n.path).u64(n.refs as u64);
-        }
-        for (fstype, path) in &self.mounts {
-            d = d.str(fstype).str(path);
-        }
-        for (id, buf) in &self.pipes {
-            d = d.u64(*id).bytes(&buf.iter().copied().collect::<Vec<u8>>());
-        }
-        d.finish()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::StubCtx;
+    use vampos_ukernel::BootImage;
 
     /// A ctx that emulates the 9PFS/LWIP side with a tiny scripted model:
     /// lookups return sequential fids, reads return fixed payloads, etc.

@@ -19,7 +19,15 @@ use crate::funcs::virtio::{self as f, id};
 pub struct Virtio {
     desc: ComponentDescriptor,
     host: HostHandle,
-    transactions: u64,
+}
+
+/// The device's state lives in the host world behind the handle, not in
+/// the component, so the component's digest is its descriptor's.
+impl std::hash::Hash for Virtio {
+    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
+        let Virtio { desc, host: _ } = self;
+        desc.hash(state);
+    }
 }
 
 impl Virtio {
@@ -32,13 +40,7 @@ impl Virtio {
                 .functions(f::FUNCTIONS)
                 .exports(f::FUNCTIONS),
             host,
-            transactions: 0,
         }
-    }
-
-    /// Total device transactions performed.
-    pub fn transactions(&self) -> u64 {
-        self.transactions
     }
 }
 
@@ -57,7 +59,6 @@ impl Component for Virtio {
         func: FnId,
         args: &[Value],
     ) -> Result<Value, OsError> {
-        self.transactions += 1;
         match func {
             id::NINEP => {
                 let (req, payload) = match args.first() {
@@ -140,7 +141,7 @@ mod tests {
             resp,
             Value::NinePResp(NinePResponse::Qid(q)) if q.dir
         ));
-        assert_eq!(v.transactions(), 1);
+        assert_eq!(host.with(|w| w.ninep().request_count()), 1);
         // Host 9P costs were charged.
         assert!(ctx.clock().now() > vampos_sim::Nanos::ZERO);
     }

@@ -2,11 +2,13 @@
 
 use std::any::Any;
 use std::fmt;
+use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
 use vampos_mem::{ArenaLayout, MemoryArena};
 use vampos_sim::{CostModel, Name, Nanos, SimRng};
 
+use crate::digest::DigestBuilder;
 use crate::error::OsError;
 use crate::value::Value;
 
@@ -171,6 +173,27 @@ pub struct ComponentDescriptor {
     /// The outbound call sites, in [`CallSite`] index order.
     calls: &'static [CallSite],
     layout: ArenaLayout,
+}
+
+/// A descriptor is static metadata, fixed when the component is built, so
+/// a component's digest needs only its name from it.
+impl Hash for ComponentDescriptor {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        let ComponentDescriptor {
+            name,
+            stateful: _,
+            rebootable: _,
+            hang_exempt: _,
+            checkpoint_init: _,
+            host_shared: _,
+            host_handshake: _,
+            dependencies: _,
+            functions: _,
+            calls: _,
+            layout: _,
+        } = self;
+        name.hash(state);
+    }
 }
 
 impl ComponentDescriptor {
@@ -559,7 +582,8 @@ pub type RuntimeData = Box<dyn Any>;
 
 /// A component as its own boot image (§V-E): the runtime keeps the
 /// component as built and reboots it by copying that back, so a reboot
-/// discards every field of its state. Every `Clone` component has one.
+/// discards every field of its state. Every `Clone + Hash` component has
+/// one.
 pub trait BootImage: Any {
     /// A boxed copy of this component.
     fn clone_box(&self) -> ComponentBox;
@@ -568,9 +592,14 @@ pub trait BootImage: Any {
     /// `live` holds the same type, so an image whose fields are empty
     /// copies without allocating.
     fn copy_into(&self, live: &mut ComponentBox);
+
+    /// A digest of every field of the component, from its `Hash`: what the
+    /// oracles compare to check that restoration reproduces the pre-reboot
+    /// state and that one component's restoration leaves the others alone.
+    fn state_digest(&self) -> u64;
 }
 
-impl<T: Component + Clone> BootImage for T {
+impl<T: Component + Clone + Hash> BootImage for T {
     fn clone_box(&self) -> ComponentBox {
         Box::new(self.clone())
     }
@@ -581,6 +610,12 @@ impl<T: Component + Clone> BootImage for T {
             Some(same) => same.clone_from(self),
             None => *live = self.clone_box(),
         }
+    }
+
+    fn state_digest(&self) -> u64 {
+        let mut digest = DigestBuilder::new();
+        self.hash(&mut digest);
+        digest.finish()
     }
 }
 
@@ -656,13 +691,6 @@ pub trait Component: BootImage {
     /// (e.g. `next_fd = max(live fds) + 1` after a shrunk log replays fewer
     /// allocations than originally happened).
     fn finish_replay(&mut self) {}
-
-    /// A digest of the component's logical state, used by tests to verify
-    /// that restoration reproduces the pre-reboot state and that running
-    /// components are untouched by another component's restoration.
-    fn state_digest(&self) -> u64 {
-        0
-    }
 }
 
 /// A boxed component, as stored by the runtime.
@@ -679,7 +707,7 @@ mod tests {
         }
     }
 
-    #[derive(Clone)]
+    #[derive(Clone, Hash)]
     struct Dummy {
         desc: ComponentDescriptor,
         hits: u32,
@@ -834,7 +862,6 @@ mod tests {
             SessionEvent::None
         );
         assert_eq!(c.synthesize_touch(0), TouchSynthesis::Keep);
-        assert_eq!(c.state_digest(), 0);
     }
 
     #[test]
@@ -846,10 +873,13 @@ mod tests {
         assert_eq!(ping, dummy::id::PING);
         assert_eq!(c.call(&mut ctx, ping, &[]).unwrap(), Value::U64(1));
         assert_eq!(c.call(&mut ctx, ping, &[]).unwrap(), Value::U64(2));
+        // The digest covers every field.
+        assert_ne!(c.state_digest(), image.state_digest());
         // A reboot copies the boot image over the live component, in place.
         let live: *const dyn Component = &*c;
         image.copy_into(&mut c);
         assert!(std::ptr::addr_eq(live, &*c));
+        assert_eq!(c.state_digest(), image.state_digest());
         assert_eq!(c.call(&mut ctx, ping, &[]).unwrap(), Value::U64(1));
         assert_eq!(
             c.call(&mut ctx, dummy::id::RESET, &[]).unwrap(),

@@ -1,9 +1,9 @@
 //! Deterministic state digests.
 //!
-//! [`Component::state_digest`](crate::Component::state_digest) must be stable
-//! across processes and runs (the standard library's `DefaultHasher` is
-//! randomly keyed per process), so components build digests with this FNV-1a
-//! based builder instead.
+//! [`BootImage::state_digest`](crate::BootImage::state_digest) must be
+//! stable across processes and runs (the standard library's hashers are
+//! keyed randomly per process, or unspecified between releases), so a
+//! component's derived `Hash` is fed to this FNV-1a based builder instead.
 
 /// FNV-1a offset basis.
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
@@ -74,12 +74,6 @@ impl DigestBuilder {
         self.feed(&v.to_le_bytes())
     }
 
-    /// Mixes in an `i64`.
-    #[must_use]
-    pub fn i64(self, v: i64) -> Self {
-        self.feed(&v.to_le_bytes())
-    }
-
     /// Mixes in a string.
     #[must_use]
     pub fn str(self, s: &str) -> Self {
@@ -100,6 +94,17 @@ impl DigestBuilder {
 
     /// Finishes and returns the digest.
     pub fn finish(self) -> u64 {
+        self.0
+    }
+}
+
+/// Feeds a `Hash` value into the digest: each `write` is one field.
+impl std::hash::Hasher for DigestBuilder {
+    fn write(&mut self, bytes: &[u8]) {
+        *self = self.feed(bytes);
+    }
+
+    fn finish(&self) -> u64 {
         self.0
     }
 }

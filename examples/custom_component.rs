@@ -22,9 +22,11 @@
 //! in `.calls(..)` and passes the site to [`CallContext::invoke`]; this one
 //! calls nothing.
 //!
-//! The component holds only its Rust state, and it is `Clone`: the runtime
-//! keeps the component as constructed as its boot image and copies it over
-//! the live one on every reboot, so the component writes no reset logic.
+//! The component holds only its Rust state, and it is `Clone` and `Hash`:
+//! the runtime keeps the component as constructed as its boot image and
+//! copies it over the live one on every reboot, so the component writes no
+//! reset logic, and its state digest hashes every field, so it writes no
+//! digest either.
 //! Its memory belongs to the runtime too, which builds the arena from the
 //! descriptor's name and layout, resets and checkpoints it on every reboot,
 //! and lends it to a running call through [`CallContext::arena`].
@@ -36,7 +38,6 @@
 use vampos::prelude::*;
 use vampos_core::InjectedFault;
 use vampos_mem::ArenaLayout;
-use vampos_ukernel::digest::DigestBuilder;
 use vampos_ukernel::{CallContext, Component, ComponentDescriptor, FnId, SessionEvent, Value};
 
 /// The component's interface.
@@ -52,7 +53,7 @@ mod api {
 }
 
 /// A stateful unikernel component managing authentication sessions.
-#[derive(Clone)]
+#[derive(Clone, Hash)]
 struct SessionRegistry {
     desc: ComponentDescriptor,
     sessions: std::collections::BTreeMap<u64, String>,
@@ -135,14 +136,6 @@ impl Component for SessionRegistry {
 
     fn finish_replay(&mut self) {
         self.next_id = self.sessions.keys().max().map_or(1, |m| m + 1);
-    }
-
-    fn state_digest(&self) -> u64 {
-        let mut d = DigestBuilder::new();
-        for (id, user) in &self.sessions {
-            d = d.u64(*id).str(user);
-        }
-        d.finish()
     }
 }
 
