@@ -14,7 +14,7 @@
 use std::cell::Ref;
 use std::rc::Rc;
 
-use vampos_core::{ComponentSet, Mode};
+use vampos_core::{ComponentSet, Image, Mode};
 use vampos_host::ClientConnId;
 use vampos_sim::{Name, Nanos, SimClock};
 use vampos_telemetry::metrics::{CounterId, HistogramId};
@@ -49,6 +49,19 @@ pub struct FleetConfig {
     pub telemetry: bool,
     /// Files staged into every instance's host 9P server.
     pub files: Vec<(String, Vec<u8>)>,
+}
+
+impl FleetConfig {
+    /// The image every instance boots from: the set and mode, built,
+    /// analysed and linked once.
+    ///
+    /// # Errors
+    ///
+    /// [`OsError::UnknownComponent`] when the set names an unknown
+    /// component.
+    pub fn image(&self) -> Result<Rc<Image>, OsError> {
+        Ok(Rc::new(Image::new(self.set.clone(), self.mode.clone())?))
+    }
 }
 
 impl Default for FleetConfig {
@@ -286,18 +299,21 @@ pub struct Fleet {
 }
 
 impl Fleet {
-    /// Boots the fleet: instances boot sequentially on the shared clock,
-    /// so instance `i`'s [`vampos_core::System::booted_at`] reflects its
-    /// position in the boot order.
+    /// Boots the fleet: every instance boots from one image
+    /// ([`FleetConfig::image`]), sequentially on the shared clock, so
+    /// instance `i`'s [`vampos_core::System::booted_at`] reflects its
+    /// position in the boot order. The image is freed with the last
+    /// instance.
     ///
     /// # Errors
     ///
     /// Propagates the first boot failure.
     pub fn new(cfg: FleetConfig) -> Result<Fleet, OsError> {
         let clock = SimClock::default();
+        let image = cfg.image()?;
         let mut instances = Vec::with_capacity(cfg.instances.max(1));
         for id in 0..cfg.instances.max(1) {
-            instances.push(Instance::boot(id, &cfg, clock.clone())?);
+            instances.push(Instance::boot(id, &cfg, &image, clock.clone())?);
         }
         let fleet_sink = cfg.telemetry.then(TelemetrySink::new);
         Ok(Fleet {

@@ -17,7 +17,7 @@ use std::rc::Rc;
 
 use vampos_apps::httpd::HTTP_PORT;
 use vampos_apps::{App, MiniHttpd};
-use vampos_core::{System, SystemBuilder};
+use vampos_core::{Image, System, SystemBuilder};
 use vampos_host::{ClientConnId, HostHandle};
 use vampos_sim::{derive_seed, Nanos, SimClock};
 use vampos_telemetry::TelemetrySink;
@@ -285,15 +285,20 @@ impl<A: App> Replica<A> {
 }
 
 impl Instance {
-    /// Boots instance `id` of a fleet on the shared `clock`. The seed is
-    /// [`derive_seed`]`(fleet_seed, id)`, so instance 0 of a fleet is
-    /// byte-for-byte the system a bare single-machine run with that derived
-    /// seed would build.
+    /// Boots instance `id` of a fleet from the fleet's `image` on the
+    /// shared `clock`. The seed is [`derive_seed`]`(fleet_seed, id)`, so
+    /// instance 0 of a fleet is byte-for-byte the system a bare
+    /// single-machine run with that derived seed would build.
     ///
     /// # Errors
     ///
     /// Propagates boot failures.
-    pub fn boot(id: usize, cfg: &FleetConfig, clock: SimClock) -> Result<Instance, OsError> {
+    pub fn boot(
+        id: usize,
+        cfg: &FleetConfig,
+        image: &Rc<Image>,
+        clock: SimClock,
+    ) -> Result<Instance, OsError> {
         let host = HostHandle::new();
         host.with(|w| {
             for (path, bytes) in &cfg.files {
@@ -301,8 +306,7 @@ impl Instance {
             }
         });
         let mut builder = System::builder()
-            .mode(cfg.mode.clone())
-            .components(cfg.set.clone())
+            .image(Rc::clone(image))
             .host(host)
             .seed(derive_seed(cfg.seed, id as u64))
             .clock(clock);
@@ -359,7 +363,9 @@ mod tests {
     use super::*;
 
     fn booted() -> Instance {
-        Instance::boot(0, &FleetConfig::default(), SimClock::default()).expect("boot")
+        let cfg = FleetConfig::default();
+        let image = cfg.image().expect("image");
+        Instance::boot(0, &cfg, &image, SimClock::default()).expect("boot")
     }
 
     #[test]

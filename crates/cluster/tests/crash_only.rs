@@ -24,7 +24,8 @@ fn image(inst: &Instance) -> Image {
 }
 
 fn booted(cfg: &FleetConfig) -> Instance {
-    Instance::boot(0, cfg, SimClock::default()).expect("boot")
+    let image = cfg.image().expect("image");
+    Instance::boot(0, cfg, &image, SimClock::default()).expect("boot")
 }
 
 #[test]

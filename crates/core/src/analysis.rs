@@ -1,53 +1,42 @@
 //! Pre-boot static analysis of a configuration.
 //!
-//! [`SystemBuilder::build`](crate::SystemBuilder::build) calls
-//! [`analyze_configuration`] before registering any protection domain and
-//! refuses to boot a configuration with error-severity findings (opt out
+//! An [`Image`] analyzes its configuration once, when it is built, and
+//! every [`SystemBuilder::build`](crate::SystemBuilder::build) from it
+//! refuses to boot when the report has error-severity findings (opt out
 //! with [`allow_analysis_errors`](crate::SystemBuilder::allow_analysis_errors)).
-//! The `vampos-lint` binary uses the same entry point to report on the
-//! built-in component sets.
+//! The `vampos-lint` binary reads the same input and report through the
+//! entry points here.
 
-use vampos_analyze::{analyze, AnalysisInput, AnalysisReport};
-use vampos_host::HostHandle;
+use std::rc::Rc;
+
+use vampos_analyze::{AnalysisInput, AnalysisReport};
 use vampos_oslib::{Lwip, NetDev, NinePFs, Process, SysInfo, Timer, User, Vfs, Virtio};
-use vampos_ukernel::{ComponentBox, ComponentDescriptor, OsError};
+use vampos_ukernel::{Component, OsError};
 
 use crate::config::{ComponentSet, Mode};
+use crate::image::Image;
 
-/// Instantiates a built-in component by name, attached to `host`.
+/// Instantiates a built-in component by name, as an image's boot image.
 ///
 /// # Errors
 ///
 /// [`OsError::UnknownComponent`] for names outside the built-in set.
-pub fn instantiate(name: &str, host: &HostHandle) -> Result<ComponentBox, OsError> {
+pub fn instantiate(name: &str) -> Result<Rc<dyn Component>, OsError> {
     Ok(match name {
-        "process" => Box::new(Process::new()),
-        "sysinfo" => Box::new(SysInfo::new()),
-        "user" => Box::new(User::new()),
-        "timer" => Box::new(Timer::new()),
-        "netdev" => Box::new(NetDev::new()),
-        "virtio" => Box::new(Virtio::new(host.clone())),
-        "9pfs" => Box::new(NinePFs::new()),
-        "lwip" => Box::new(Lwip::new()),
-        "vfs" => Box::new(Vfs::new()),
+        "process" => Rc::new(Process::new()),
+        "sysinfo" => Rc::new(SysInfo::new()),
+        "user" => Rc::new(User::new()),
+        "timer" => Rc::new(Timer::new()),
+        "netdev" => Rc::new(NetDev::new()),
+        "virtio" => Rc::new(Virtio::new()),
+        "9pfs" => Rc::new(NinePFs::new()),
+        "lwip" => Rc::new(Lwip::new()),
+        "vfs" => Rc::new(Vfs::new()),
         other => return Err(OsError::UnknownComponent(other.to_owned())),
     })
 }
 
-/// The descriptors of a component set's built-in components, in boot order.
-///
-/// # Errors
-///
-/// [`OsError::UnknownComponent`] when the set names an unknown component.
-pub fn describe_component_set(set: &ComponentSet) -> Result<Vec<ComponentDescriptor>, OsError> {
-    let host = HostHandle::new();
-    set.components()
-        .iter()
-        .map(|&name| Ok(instantiate(name, &host)?.descriptor().clone()))
-        .collect()
-}
-
-/// Builds the analyzer input for a configuration: the set's descriptors
+/// The analyzer input of a configuration's image: the set's descriptors
 /// plus the mode's merge groups. Hardware protection keys are assumed (the
 /// runtime registers against [`vampos_mpk::KeyRegistry::hardware`]).
 ///
@@ -55,22 +44,18 @@ pub fn describe_component_set(set: &ComponentSet) -> Result<Vec<ComponentDescrip
 ///
 /// [`OsError::UnknownComponent`] when the set names an unknown component.
 pub fn analysis_input(set: &ComponentSet, mode: &Mode) -> Result<AnalysisInput, OsError> {
-    let merges = mode
-        .vamp_config()
-        .map(|c| c.merges.clone())
-        .unwrap_or_default();
-    Ok(AnalysisInput::new(set.name())
-        .components(describe_component_set(set)?)
-        .merges(&merges))
+    let image = Image::new(set.clone(), mode.clone())?;
+    Ok(image.analysis_input().clone())
 }
 
-/// Analyzes a configuration as `build` would.
+/// Analyzes a configuration as its image does.
 ///
 /// # Errors
 ///
 /// [`OsError::UnknownComponent`] when the set names an unknown component.
 pub fn analyze_configuration(set: &ComponentSet, mode: &Mode) -> Result<AnalysisReport, OsError> {
-    Ok(analyze(&analysis_input(set, mode)?))
+    let image = Image::new(set.clone(), mode.clone())?;
+    Ok(image.report().clone())
 }
 
 #[cfg(test)]
@@ -123,9 +108,8 @@ mod tests {
 
     #[test]
     fn unknown_component_is_rejected() {
-        let host = HostHandle::new();
         assert!(matches!(
-            instantiate("nope", &host),
+            instantiate("nope"),
             Err(OsError::UnknownComponent(_))
         ));
     }

@@ -35,16 +35,18 @@ pub mod analysis;
 pub mod config;
 pub mod faults;
 pub mod funclog;
+pub mod image;
 pub mod os;
 pub mod reboot;
 pub mod resilience;
 pub mod runtime;
 pub mod stats;
 
-pub use analysis::{analyze_configuration, describe_component_set};
+pub use analysis::analyze_configuration;
 pub use config::{ComponentSet, Mode, SchedulerKind, VampConfig};
 pub use faults::{FaultKind, InjectedFault};
 pub use funclog::{DownRec, FunctionLog, LogEntry};
+pub use image::Image;
 pub use os::{Os, Whence};
 pub use reboot::{FullRebootOutcome, RebootOutcome};
 pub use resilience::AgingEntry;

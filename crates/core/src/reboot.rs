@@ -9,7 +9,8 @@ use vampos_sim::{Name, Nanos};
 use vampos_telemetry::RecoveryPhase;
 use vampos_ukernel::{OsError, Value};
 
-use crate::runtime::{Bound, Ctx, PendingRecovery, ReplayState, System};
+use crate::image::Bound;
+use crate::runtime::{Ctx, PendingRecovery, ReplayState, System};
 use crate::stats::DowntimeWindow;
 
 /// The result of a component-level reboot.

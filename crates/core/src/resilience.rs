@@ -23,6 +23,8 @@
 //!   [`System::rejuvenate_aged`] reboots exactly the components whose leak
 //!   volume crossed a threshold.
 
+use std::rc::Rc;
+
 use vampos_mem::MemoryArena;
 use vampos_ukernel::{ComponentBox, OsError};
 
@@ -75,7 +77,9 @@ impl System {
         let desc = replacement.descriptor().clone();
         let mut arena = MemoryArena::new(new.as_str(), *desc.layout());
         let boot_snapshot = desc.uses_checkpoint_init().then(|| arena.snapshot());
-        let boot_image = replacement.clone_box();
+        // The slot's own boot image: the system's image keeps the old
+        // version's, and so do the systems sharing it.
+        let boot_image = Rc::from(replacement.clone_box());
         // The recovery extracts the runtime data again, from the
         // replacement, and hands it back after the replay.
         let old = slot.comp.as_ref().ok_or_else(busy)?;
@@ -90,7 +94,8 @@ impl System {
         slot.checkpoint_corrupt = false;
         slot.comp = Some(replacement);
         // The new descriptor may number its functions, declare its calls
-        // and log differently: link the system again.
+        // and log differently: link the system again, into tables of its
+        // own.
         self.link();
         self.pending_recovery = detected;
         self.recover(tid, "update")

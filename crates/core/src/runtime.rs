@@ -11,12 +11,13 @@ use vampos_mpk::{AccessKind, DomainId, KeyRegistry, Pkru};
 use vampos_sim::{CostModel, Name, Nanos, SimClock, SimRng};
 use vampos_telemetry::{Collector, TelemetrySink};
 use vampos_ukernel::{
-    names, CallContext, CallSite, ComponentBox, ComponentDescriptor, FnId, OsError, Value,
+    names, CallContext, CallSite, Component, ComponentBox, ComponentDescriptor, OsError, Value,
 };
 
 use crate::config::{ComponentSet, Mode, SchedulerKind};
 use crate::faults::{FaultKind, FaultPlan, FaultTarget, InjectedFault};
 use crate::funclog::{DownRec, FunctionLog, LogEntry};
+use crate::image::{self, slot_of, Binding, Bound, Described, Image};
 use crate::os::Os;
 use crate::stats::{ComponentCounters, SystemStats};
 
@@ -31,10 +32,13 @@ pub(crate) struct Slot {
     pub(crate) comp: Option<ComponentBox>,
     /// The component as constructed (§V-E): every reboot copies it over
     /// the live one, so no field of the old component's state survives.
-    pub(crate) boot_image: ComponentBox,
+    /// Shared with the image the system booted from, until a swap
+    /// installs one of the slot's own.
+    pub(crate) boot_image: Rc<dyn Component>,
     pub(crate) desc: ComponentDescriptor,
-    /// The descriptor's call sites, bound in index order.
-    pub(crate) sites: Vec<Binding>,
+    /// The descriptor's call sites, bound in index order: the image's
+    /// table, until a swap relinks the system into tables of its own.
+    pub(crate) sites: Rc<[Binding]>,
     /// The component's memory (§V-D): built from the descriptor, and
     /// reset, snapshotted and restored here, never by the component.
     pub(crate) arena: MemoryArena,
@@ -53,6 +57,12 @@ pub(crate) struct Slot {
     /// the next component reboot aborts at the restore phase. Cleared by a
     /// full reboot, which recaptures the checkpoint from scratch.
     pub(crate) checkpoint_corrupt: bool,
+}
+
+impl Described for Slot {
+    fn desc(&self) -> &ComponentDescriptor {
+        &self.desc
+    }
 }
 
 impl std::fmt::Debug for Slot {
@@ -94,14 +104,15 @@ pub struct System {
     pub(crate) clock: SimClock,
     pub(crate) costs: CostModel,
     pub(crate) rng: SimRng,
-    pub(crate) mode: Mode,
-    pub(crate) set: ComponentSet,
+    /// The image the system booted from: its mode and component set.
+    pub(crate) image: Rc<Image>,
     pub(crate) host: HostHandle,
     pub(crate) slots: Vec<Slot>,
     /// The application's name as a caller (`names::APP`).
     pub(crate) app: Name,
-    /// The [`Os`] facade's call sites, bound in index order.
-    pub(crate) os_sites: Vec<Binding>,
+    /// The [`Os`] facade's call sites, bound in index order (the image's
+    /// table, until a swap relinks the system).
+    pub(crate) os_sites: Rc<[Binding]>,
     pub(crate) mpk: KeyRegistry,
     pub(crate) auto_recover: bool,
     pub(crate) graceful: bool,
@@ -134,8 +145,8 @@ pub(crate) struct PendingRecovery {
 impl std::fmt::Debug for System {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("System")
-            .field("mode", &self.mode.label())
-            .field("set", &self.set.name())
+            .field("mode", &self.mode().label())
+            .field("set", &self.component_set().name())
             .field("components", &self.slots.len())
             .field("failed", &self.failed)
             .finish()
@@ -147,6 +158,7 @@ pub struct SystemBuilder {
     mode: Mode,
     set: ComponentSet,
     seed: u64,
+    image: Option<Rc<Image>>,
     host: Option<HostHandle>,
     auto_recover: bool,
     extra: Vec<ComponentBox>,
@@ -173,6 +185,7 @@ impl Default for SystemBuilder {
             mode: Mode::vampos_das(),
             set: ComponentSet::echo(),
             seed: 0x5EED,
+            image: None,
             host: None,
             auto_recover: true,
             extra: Vec::new(),
@@ -195,6 +208,14 @@ impl SystemBuilder {
     /// Sets the component set.
     pub fn components(mut self, set: ComponentSet) -> Self {
         self.set = set;
+        self
+    }
+
+    /// Boots from `image`, shared with every other system booted from it:
+    /// the image fixes the mode, the component set and the extra
+    /// components, and those set on the builder are not used.
+    pub fn image(mut self, image: Rc<Image>) -> Self {
+        self.image = Some(image);
         self
     }
 
@@ -270,85 +291,64 @@ impl SystemBuilder {
         self
     }
 
-    /// Boots the system: registers protection domains, instantiates the
-    /// components and keeps each as its slot's boot image, mounts the root
-    /// file system (when the set includes 9PFS) and captures boot
-    /// checkpoints.
+    /// Boots the system from its image: the one given
+    /// ([`SystemBuilder::image`]), or else one built from the builder's
+    /// mode, component set and extra components. The boot refuses an image
+    /// whose analysis found errors, then registers protection domains,
+    /// clones the image's components (each slot keeps the image's copy as
+    /// its boot image), mounts the root file system (when the set includes
+    /// 9PFS) and captures boot checkpoints.
     ///
     /// # Errors
     ///
-    /// Fails when protection keys are exhausted or boot syscalls fail.
+    /// [`OsError::UnknownComponent`] for a set naming an unknown component,
+    /// [`OsError::AnalysisRejected`], or a failure to register protection
+    /// keys or of the boot syscalls.
     pub fn build(self) -> Result<System, OsError> {
-        let host = self.host.unwrap_or_default();
-        let hang_threshold = self
-            .mode
-            .vamp_config()
-            .map(|c| c.hang_threshold)
-            .unwrap_or(Nanos::SECOND);
-
-        let mut mpk = KeyRegistry::hardware();
-        let app_domain = mpk
-            .register(names::APP)
-            .map_err(|e| OsError::Io(e.to_string()))?;
-        let _ = app_domain;
-
-        // Resolve merge groups: group id = index of the group's first slot.
-        let merges: Vec<Vec<String>> = self
-            .mode
-            .vamp_config()
-            .map(|c| c.merges.clone())
-            .unwrap_or_default();
-
-        let mut boot_components: Vec<ComponentBox> = Vec::new();
-        for &name in self.set.components() {
-            boot_components.push(crate::analysis::instantiate(name, &host)?);
-        }
-        boot_components.extend(self.extra);
-        let mut slots: Vec<Slot> = Vec::with_capacity(boot_components.len());
-
+        let image = match self.image {
+            Some(image) => image,
+            None => Rc::new(Image::with_extras(self.set, self.mode, self.extra)?),
+        };
         // Pre-boot static analysis over the full configuration (built-ins
-        // plus user-defined extras). Error-severity findings abort the boot
-        // unless the caller opted out.
-        let analysis_input = vampos_analyze::AnalysisInput::new(self.set.name())
-            .components(boot_components.iter().map(|c| c.descriptor().clone()))
-            .merges(&merges)
-            .virtualized(mpk.is_virtualized());
-        let report = vampos_analyze::analyze(&analysis_input);
+        // plus user-defined extras), run once per image. Error-severity
+        // findings abort the boot unless the caller opted out.
+        let report = image.report();
         if !report.is_clean() && !self.allow_analysis_errors {
             return Err(OsError::AnalysisRejected {
                 errors: report.error_count(),
                 report: report.render(),
             });
         }
+        let host = self.host.unwrap_or_default();
+        let hang_threshold = image
+            .mode()
+            .vamp_config()
+            .map(|c| c.hang_threshold)
+            .unwrap_or(Nanos::SECOND);
 
-        for comp in boot_components {
-            let desc = comp.descriptor().clone();
+        let mut mpk = KeyRegistry::hardware();
+        let mpk_error = |e: vampos_mpk::MpkError| OsError::Io(e.to_string());
+        mpk.register(names::APP).map_err(mpk_error)?;
+        let mut slots: Vec<Slot> = Vec::with_capacity(image.components.len());
+        for (idx, boot) in image.components.iter().enumerate() {
+            let desc = boot.descriptor();
             let name = desc.name().as_str();
-            let idx = slots.len();
             // A merged component shares the protection domain of the first
             // member of its group (§V-F: "a single MPK tag manages the
             // memory domain" of a merged component).
-            let group_leader = merges
-                .iter()
-                .find(|g| g.iter().any(|m| m == name))
-                .and_then(|g| g.iter().filter_map(|m| slot_of(&slots, m)).min());
-            let (domain, group) = match group_leader {
-                Some(leader) => {
-                    let leader_slot: &Slot = &slots[leader];
-                    (leader_slot.domain, leader_slot.group)
-                }
-                None => (
-                    mpk.register(name).map_err(|e| OsError::Io(e.to_string()))?,
-                    idx,
-                ),
+            let group = image.groups[idx];
+            let domain = if group == idx {
+                mpk.register(name).map_err(mpk_error)?
+            } else {
+                slots[group].domain
             };
             slots.push(Slot {
                 name: desc.name().clone(),
-                comp: Some(comp.clone_box()),
-                boot_image: comp,
+                comp: Some(boot.clone_box()),
+                boot_image: Rc::clone(boot),
                 arena: MemoryArena::new(name, *desc.layout()),
-                desc,
-                sites: Vec::new(),
+                desc: desc.clone(),
+                sites: Rc::clone(&image.sites[idx]),
                 log: FunctionLog::new(),
                 up: true,
                 domain,
@@ -360,21 +360,18 @@ impl SystemBuilder {
                 checkpoint_corrupt: false,
             });
         }
-        mpk.register(names::MSG_DOMAIN)
-            .map_err(|e| OsError::Io(e.to_string()))?;
-        mpk.register(names::SCHED)
-            .map_err(|e| OsError::Io(e.to_string()))?;
+        mpk.register(names::MSG_DOMAIN).map_err(mpk_error)?;
+        mpk.register(names::SCHED).map_err(mpk_error)?;
 
         let mut sys = System {
             clock: self.clock.unwrap_or_default(),
             costs: CostModel::default(),
             rng: SimRng::seed_from(self.seed),
-            mode: self.mode,
-            set: self.set,
+            os_sites: Rc::clone(&image.os_sites),
+            image,
             host,
             slots,
             app: Name::from(names::APP),
-            os_sites: Vec::new(),
             mpk,
             auto_recover: self.auto_recover,
             graceful: self.graceful,
@@ -393,7 +390,6 @@ impl SystemBuilder {
             detector_suppressed: 0,
             reboot_interrupts: BTreeSet::new(),
         };
-        sys.link();
         sys.mount_and_checkpoint(true)?;
         sys.booted_at = sys.clock.now();
         Ok(sys)
@@ -451,12 +447,12 @@ impl System {
 
     /// The execution mode.
     pub fn mode(&self) -> &Mode {
-        &self.mode
+        self.image.mode()
     }
 
     /// The component set.
     pub fn component_set(&self) -> &ComponentSet {
-        &self.set
+        self.image.component_set()
     }
 
     /// The host world handle (stage fixtures, drive workload clients).
@@ -628,7 +624,7 @@ impl System {
     /// (message domains + function logs).
     pub fn memory_report(&self) -> MemoryReport {
         let arenas = self.slots.iter().map(|s| s.arena.footprint()).sum();
-        let (msg_domains, logs) = if self.mode.is_vampos() {
+        let (msg_domains, logs) = if self.mode().is_vampos() {
             (self.slots.len() * MSG_DOMAIN_BYTES, self.total_log_bytes())
         } else {
             (0, 0)
@@ -709,25 +705,6 @@ impl System {
         result
     }
 
-    /// What a call of slot `slot`'s function `func` from `caller` reads on
-    /// every hop.
-    fn bound(&self, caller: Option<usize>, slot: usize, func: FnId) -> Bound {
-        let target = &self.slots[slot];
-        let info = target
-            .desc
-            .function_at(func)
-            .expect("numbered by the descriptor");
-        Bound {
-            slot,
-            func,
-            name: info.name.clone(),
-            logged: info.logged && self.mode.is_vampos(),
-            // The app's messages wake the scheduler directly.
-            predicted: caller
-                .is_none_or(|c| self.slots[c].desc.dependencies().contains(&target.name)),
-        }
-    }
-
     /// Binds `callee`'s call from `caller` again, to the function of that
     /// name in the slot's current descriptor.
     pub(crate) fn rebind(&self, caller: Option<usize>, callee: &Bound) -> Binding {
@@ -738,36 +715,26 @@ impl System {
                 component: self.slots[callee.slot].name.to_string(),
                 func: callee.name.to_string(),
             })?;
-        Ok(self.bound(caller, callee.slot, func))
+        let vampos = self.mode().is_vampos();
+        Ok(image::bound(&self.slots, vampos, caller, callee.slot, func))
     }
 
     /// Binds a call of `target`'s `func` from `caller` by name.
     fn bind(&self, caller: Option<usize>, target: &str, func: &str) -> Binding {
-        let slot = self.index_of(target)?;
-        let func_id = self.slots[slot].desc.fn_id(func);
-        let func_id = func_id.ok_or_else(|| OsError::UnknownFunc {
-            component: target.to_owned(),
-            func: func.to_owned(),
-        })?;
-        Ok(self.bound(caller, slot, func_id))
+        image::bind(&self.slots, self.mode().is_vampos(), caller, target, func)
     }
 
-    /// Links the system (Unikraft links its components at build time):
-    /// binds every call site, each component's and the [`Os`] facade's,
-    /// to the slot and function it reaches, and resolves every armed
-    /// fault's names. Runs at build, and again after a swap installs a
-    /// descriptor.
+    /// Links the system again after a swap installed a descriptor, which
+    /// may number its functions, declare its calls and log differently:
+    /// binds every call site into tables of the system's own, and resolves
+    /// every armed fault's names. The image and its other systems keep
+    /// theirs.
     pub(crate) fn link(&mut self) {
-        for idx in 0..self.slots.len() {
-            let sites = self.slots[idx].desc.call_sites();
-            let sites = sites
-                .iter()
-                .map(|s| self.bind(Some(idx), s.target(), s.func()))
-                .collect();
-            self.slots[idx].sites = sites;
+        let (sites, os_sites) = image::link(&self.slots, self.mode().is_vampos());
+        for (slot, sites) in self.slots.iter_mut().zip(sites) {
+            slot.sites = sites;
         }
-        let os = crate::os::SITES.iter();
-        self.os_sites = os.map(|s| self.bind(None, s.target(), s.func())).collect();
+        self.os_sites = os_sites;
         let slots = &self.slots;
         self.faults.relink(|fault| fault_target(slots, fault));
     }
@@ -786,7 +753,7 @@ impl System {
         let from_idx = self.index_of(from)?;
         let to_idx = self.index_of(to)?;
         let isolation = self
-            .mode
+            .mode()
             .vamp_config()
             .map(|c| c.isolation)
             .unwrap_or(false);
@@ -859,7 +826,7 @@ impl System {
             predicted,
             ..
         } = *callee;
-        match &self.mode {
+        match self.image.mode() {
             Mode::Unikraft => {
                 self.clock.advance(self.costs.direct_call);
             }
@@ -911,7 +878,7 @@ impl System {
     }
 
     fn charge_reply_hop(&mut self, caller: Option<usize>, target: usize, bytes: usize) {
-        match &self.mode {
+        match self.image.mode() {
             Mode::Unikraft => {}
             Mode::VampOs(cfg) => {
                 let same_group = caller
@@ -1073,7 +1040,7 @@ impl System {
     ) {
         let tid = callee.slot;
         let cfg = self
-            .mode
+            .mode()
             .vamp_config()
             .expect("only VampOS modes log calls");
         let (log_shrinking, shrink_threshold) = (cfg.log_shrinking, cfg.shrink_threshold);
@@ -1155,31 +1122,6 @@ impl MemoryReport {
     pub fn vampos_overhead(&self) -> usize {
         self.msg_domains + self.logs
     }
-}
-
-/// A call site bound to what it reaches: the target's slot and function,
-/// and everything a hop reads about them.
-#[derive(Debug, Clone)]
-pub(crate) struct Bound {
-    pub(crate) slot: usize,
-    pub(crate) func: FnId,
-    /// The function's name, shared with the target's descriptor.
-    pub(crate) name: Name,
-    /// The call is appended to the target's function log.
-    pub(crate) logged: bool,
-    /// The caller declares the target a dependency, so the
-    /// dependency-aware scheduler predicts the hop (§V-C).
-    pub(crate) predicted: bool,
-}
-
-/// A call site's binding: what it reaches, or the error a call of it
-/// returns.
-pub(crate) type Binding = Result<Bound, OsError>;
-
-/// The slot `name` is linked into among `slots`. A scan: equality
-/// rejects most of a few dozen names on their length alone.
-fn slot_of(slots: &[Slot], name: &str) -> Option<usize> {
-    slots.iter().position(|s| s.name == name)
 }
 
 /// What `fault`'s names resolve to among `slots`.
@@ -1285,6 +1227,10 @@ impl CallContext for Ctx<'_> {
 
     fn arena(&mut self) -> &mut MemoryArena {
         &mut self.sys.slots[self.me].arena
+    }
+
+    fn host(&self) -> &HostHandle {
+        &self.sys.host
     }
 
     fn is_replay(&self) -> bool {

@@ -812,7 +812,7 @@ fn paper_statefulness_split_matches_section_six() {
         assert!(stateful.descriptor().is_stateful(), "{name} is stateful");
         assert!(stateful.descriptor().uses_checkpoint_init());
     }
-    let virtio = Virtio::new(vampos_host::HostHandle::new());
+    let virtio = Virtio::new();
     assert!(!virtio.descriptor().is_rebootable());
 }
 

@@ -16,10 +16,11 @@
 //! AOF-durable and `SET j:{j} v:{j}` is value-idempotent.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use vampos_apps::{kv::KV_PORT, App, MiniKv, MiniSql, QueryResult};
 use vampos_cluster::{HopCost, Replica};
-use vampos_core::{ComponentSet, System};
+use vampos_core::{ComponentSet, Image, Mode, System};
 use vampos_host::HostHandle;
 use vampos_sim::{derive_seed, Nanos, SimClock};
 use vampos_ukernel::OsError;
@@ -133,9 +134,24 @@ pub struct HopServe {
     pub cached: bool,
 }
 
-/// Boots replica `replica` of service `svc_idx` on the shared clock. Boot
-/// work (and warm-up) predates the run: the replica starts idle with no
-/// downtime to drain around.
+/// The image every replica of a `kind` service boots from: Redis's
+/// component set for kv, SQLite's for sql.
+///
+/// # Errors
+///
+/// Propagates a failure to build the image.
+pub fn image(kind: ServiceKind) -> Result<Rc<Image>, OsError> {
+    let set = match kind {
+        ServiceKind::Kv => ComponentSet::redis(),
+        ServiceKind::Sql => ComponentSet::sqlite(),
+    };
+    Ok(Rc::new(Image::new(set, Mode::vampos_das())?))
+}
+
+/// Boots replica `replica` of service `svc_idx` from `image` (the
+/// service kind's [`image`]) on the shared clock. Boot work (and warm-up)
+/// predates the run: the replica starts idle with no downtime to drain
+/// around.
 ///
 /// # Errors
 ///
@@ -145,14 +161,11 @@ pub fn boot(
     svc_idx: usize,
     replica: usize,
     seed: u64,
+    image: &Rc<Image>,
     clock: SimClock,
 ) -> Result<BackendInstance, OsError> {
-    let set = match spec.kind {
-        ServiceKind::Kv => ComponentSet::redis(),
-        ServiceKind::Sql => ComponentSet::sqlite(),
-    };
     let builder = System::builder()
-        .components(set)
+        .image(Rc::clone(image))
         .host(HostHandle::new())
         .seed(derive_seed(
             seed,
@@ -285,7 +298,9 @@ mod tests {
 
     fn booted(svc: usize) -> BackendInstance {
         let t = MeshTopology::standard(1, true);
-        boot(&t.services[svc], svc, 0, 42, SimClock::default()).expect("boot")
+        let spec = &t.services[svc];
+        let image = image(spec.kind).expect("image");
+        boot(spec, svc, 0, 42, &image, SimClock::default()).expect("boot")
     }
 
     const OW: Nanos = Nanos::from_micros(25);

@@ -29,6 +29,7 @@ use std::rc::Rc;
 use vampos_cluster::{
     Fleet, FleetConfig, FleetLoad, FleetOpKind, FleetPlan, FrontOutcome, HopCost, Policy,
 };
+use vampos_core::Image;
 use vampos_sim::{Nanos, SimClock};
 use vampos_telemetry::metrics::{CounterId, HistogramId};
 use vampos_telemetry::{AttrValue, Collector, SpanKind, TelemetrySink};
@@ -37,7 +38,7 @@ use vampos_ukernel::OsError;
 
 use crate::backend::{self, expected_response, BackendInstance, HopServe};
 use crate::report::{JourneyOutcome, MeshRunReport, StageRecord, StageReport};
-use crate::topology::{MeshTopology, Routing, StageOp, SVC_KV};
+use crate::topology::{MeshTopology, Routing, ServiceKind, StageOp, SVC_KV};
 
 /// Digest perturbation the wrong-value plant applies — any non-zero
 /// constant works; the twin comparison only checks equality.
@@ -263,7 +264,8 @@ pub struct Mesh {
 
 impl Mesh {
     /// Boots the mesh: the front fleet first, then every backend replica
-    /// in registry order, all on the fleet's clock.
+    /// in registry order, all on the fleet's clock. The replicas of every
+    /// service of one kind boot from one image ([`backend::image`]).
     ///
     /// # Errors
     ///
@@ -273,10 +275,20 @@ impl Mesh {
         let fleet = Fleet::new(cfg.front)?;
         let clock = fleet.clock().clone();
         let mut backends = Vec::with_capacity(cfg.topology.services.len());
+        let mut images: Vec<(ServiceKind, Rc<Image>)> = Vec::with_capacity(2);
         for (svc_idx, spec) in cfg.topology.services.iter().enumerate() {
+            let image = match images.iter().find(|(kind, _)| *kind == spec.kind) {
+                Some((_, image)) => Rc::clone(image),
+                None => {
+                    let image = backend::image(spec.kind)?;
+                    images.push((spec.kind, Rc::clone(&image)));
+                    image
+                }
+            };
             let mut replicas = Vec::with_capacity(spec.replicas.max(1));
             for replica in 0..spec.replicas.max(1) {
-                replicas.push(backend::boot(spec, svc_idx, replica, seed, clock.clone())?);
+                let clock = clock.clone();
+                replicas.push(backend::boot(spec, svc_idx, replica, seed, &image, clock)?);
             }
             backends.push(replicas);
         }

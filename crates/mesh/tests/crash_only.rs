@@ -29,7 +29,9 @@ fn a_replica_maintained_from_idle_is_a_freshly_booted_one() {
     // `kv` persists through an AOF, `sql` through its database file.
     for svc in [1, 2] {
         let spec = &topology.services[svc];
-        let booted = || backend::boot(spec, svc, 0, 42, SimClock::default()).expect("boot");
+        let shared = backend::image(spec.kind).expect("image");
+        let booted =
+            || backend::boot(spec, svc, 0, 42, &shared, SimClock::default()).expect("boot");
         let fresh = image(&booted());
         // `vfs` is in every backend set; `lwip` is not in sql's.
         let ops = [

@@ -45,7 +45,6 @@ pub use virtio::Virtio;
 
 #[cfg(test)]
 mod tests {
-    use vampos_host::HostHandle;
     use vampos_ukernel::{Component, FnId, OsError};
 
     use super::*;
@@ -60,7 +59,7 @@ mod tests {
             Box::new(NinePFs::new()),
             Box::new(Lwip::new()),
             Box::new(NetDev::new()),
-            Box::new(Virtio::new(HostHandle::new())),
+            Box::new(Virtio::new()),
             Box::new(Process::new()),
             Box::new(SysInfo::new()),
             Box::new(User::new()),

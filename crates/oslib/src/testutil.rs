@@ -8,6 +8,7 @@
 
 use std::collections::VecDeque;
 
+use vampos_host::HostHandle;
 use vampos_mem::{ArenaLayout, MemoryArena};
 use vampos_sim::{CostModel, Nanos, SimClock, SimRng};
 use vampos_ukernel::{CallContext, CallSite, OsError, Value};
@@ -30,6 +31,8 @@ pub struct StubCtx {
     /// The arena the component under test allocates in, as the runtime's
     /// slot would lend it.
     memory: MemoryArena,
+    /// The host world VIRTIO drives, as the runtime would lend it.
+    host: HostHandle,
     script: VecDeque<Result<Value, OsError>>,
     calls: Vec<RecordedCall>,
     replay: bool,
@@ -63,6 +66,7 @@ impl StubCtx {
             rng: SimRng::seed_from(0xC0FFEE),
             costs: CostModel::default(),
             memory: MemoryArena::new("stub", ArenaLayout::large()),
+            host: HostHandle::new(),
             script: VecDeque::new(),
             calls: Vec::new(),
             replay: false,
@@ -142,6 +146,10 @@ impl CallContext for StubCtx {
 
     fn arena(&mut self) -> &mut MemoryArena {
         &mut self.memory
+    }
+
+    fn host(&self) -> &HostHandle {
+        &self.host
     }
 
     fn is_replay(&self) -> bool {

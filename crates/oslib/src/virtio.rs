@@ -8,38 +8,34 @@
 //! and the forced path demonstrably breaks the device (see the crate tests
 //! and the `virtio_unrebootable` integration test).
 
-use vampos_host::HostHandle;
 use vampos_mem::ArenaLayout;
 use vampos_ukernel::{names, CallContext, Component, ComponentDescriptor, FnId, OsError, Value};
 
 use crate::funcs::virtio::{self as f, id};
 
-/// The VIRTIO component. Holds the only guest-side handle to the host.
-#[derive(Debug, Clone)]
+/// The VIRTIO component. It reaches the host through the call context
+/// ([`CallContext::host`]): the device's state lives in the host world, so
+/// the component is its descriptor alone.
+#[derive(Debug, Clone, Hash)]
 pub struct Virtio {
     desc: ComponentDescriptor,
-    host: HostHandle,
 }
 
-/// The device's state lives in the host world behind the handle, not in
-/// the component, so the component's digest is its descriptor's.
-impl std::hash::Hash for Virtio {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        let Virtio { desc, host: _ } = self;
-        desc.hash(state);
+impl Default for Virtio {
+    fn default() -> Self {
+        Self::new()
     }
 }
 
 impl Virtio {
-    /// Creates the component attached to `host`.
-    pub fn new(host: HostHandle) -> Self {
+    /// Creates the component.
+    pub fn new() -> Self {
         Virtio {
             desc: ComponentDescriptor::new(names::VIRTIO, ArenaLayout::medium())
                 .host_shared()
                 .unrebootable()
                 .functions(f::FUNCTIONS)
                 .exports(f::FUNCTIONS),
-            host,
         }
     }
 }
@@ -68,8 +64,8 @@ impl Component for Virtio {
                 };
                 ctx.charge(ctx.costs().virtio_kick + ctx.costs().host_9p(payload));
                 ctx.trace_instant("virtio_kick", format_args!("9p {payload}B"));
-                let resp = self
-                    .host
+                let resp = ctx
+                    .host()
                     .with(|w| w.ninep_transact(req.clone()))
                     .map_err(ring_error)?;
                 Ok(Value::NinePResp(resp))
@@ -84,13 +80,13 @@ impl Component for Virtio {
                     ctx.costs().virtio_kick + ctx.costs().net_per_byte * frame.wire_len() as u64,
                 );
                 ctx.trace_instant("virtio_kick", format_args!("net-tx {}B", frame.wire_len()));
-                self.host.with(|w| w.net_send(frame)).map_err(ring_error)?;
+                ctx.host().with(|w| w.net_send(frame)).map_err(ring_error)?;
                 Ok(Value::Unit)
             }
             id::NET_RX => {
                 ctx.charge(ctx.costs().virtio_kick);
                 ctx.trace_instant("virtio_kick", format_args!("net-rx"));
-                let frame = self.host.with(|w| w.net_recv()).map_err(ring_error)?;
+                let frame = ctx.host().with(|w| w.net_recv()).map_err(ring_error)?;
                 Ok(Value::Frame(frame))
             }
             id::NET_RX_BATCH => {
@@ -98,7 +94,7 @@ impl Component for Virtio {
                 ctx.charge(ctx.costs().virtio_kick);
                 ctx.trace_instant("virtio_kick", format_args!("net-rx-batch"));
                 let mut frames = Vec::new();
-                while let Some(frame) = self.host.with(|w| w.net_recv()).map_err(ring_error)? {
+                while let Some(frame) = ctx.host().with(|w| w.net_recv()).map_err(ring_error)? {
                     ctx.charge(ctx.costs().net_per_byte * frame.wire_len() as u64);
                     frames.push(Value::Frame(Some(frame)));
                 }
@@ -113,11 +109,11 @@ impl Component for Virtio {
 mod tests {
     use super::*;
     use crate::testutil::StubCtx;
-    use vampos_host::{Fid, NinePRequest, NinePResponse};
+    use vampos_host::{Fid, HostHandle, NinePRequest, NinePResponse};
 
     fn setup() -> (Virtio, HostHandle, StubCtx) {
-        let host = HostHandle::new();
-        (Virtio::new(host.clone()), host, StubCtx::new())
+        let ctx = StubCtx::new();
+        (Virtio::new(), ctx.host().clone(), ctx)
     }
 
     #[test]

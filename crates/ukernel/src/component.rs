@@ -5,6 +5,7 @@ use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::rc::Rc;
 
+use vampos_host::HostHandle;
 use vampos_mem::{ArenaLayout, MemoryArena};
 use vampos_sim::{CostModel, Name, Nanos, SimRng};
 
@@ -552,6 +553,11 @@ pub trait CallContext {
     /// restores, resets and ages it; the component only allocates in it.
     fn arena(&mut self) -> &mut MemoryArena;
 
+    /// The host world the system runs on: the devices a host-shared
+    /// component (VIRTIO) drives. The runtime holds the handle, so a
+    /// component is a plain value that any system can clone.
+    fn host(&self) -> &HostHandle;
+
     /// True while the component is being replayed during encapsulated
     /// restoration; downcalls are then answered from the log.
     fn is_replay(&self) -> bool;
@@ -742,7 +748,7 @@ mod tests {
         }
     }
 
-    struct NullCtx(SimRng, CostModel, MemoryArena);
+    struct NullCtx(SimRng, CostModel, MemoryArena, HostHandle);
 
     impl NullCtx {
         fn new() -> Self {
@@ -750,6 +756,7 @@ mod tests {
                 SimRng::seed_from(1),
                 CostModel::default(),
                 MemoryArena::new("dummy", ArenaLayout::small()),
+                HostHandle::new(),
             )
         }
     }
@@ -770,6 +777,9 @@ mod tests {
         }
         fn arena(&mut self) -> &mut MemoryArena {
             &mut self.2
+        }
+        fn host(&self) -> &HostHandle {
+            &self.3
         }
         fn is_replay(&self) -> bool {
             false
