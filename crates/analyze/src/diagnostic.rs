@@ -41,13 +41,12 @@ pub mod codes {
 
     /// Stateful rebootable component without checkpoint-based init.
     pub const E201_STATEFUL_WITHOUT_CHECKPOINT: &str = "VAMP-E201";
-    /// Stateful export neither logged nor declared replay-safe.
+    /// Function of a stateful component neither logged nor declared
+    /// replay-safe.
     pub const E202_UNLOGGED_STATEFUL_EXPORT: &str = "VAMP-E202";
-    /// Logged function missing from the declared interface.
-    pub const E203_LOGGED_NOT_EXPORTED: &str = "VAMP-E203";
     /// Hang-exempt component relies on other detectors for recovery.
     pub const W204_HANG_EXEMPT_REBOOTABLE: &str = "VAMP-W204";
-    /// Stateful rebootable component that logs nothing.
+    /// Stateful rebootable component that declares no interface.
     pub const W205_STATEFUL_LOGS_NOTHING: &str = "VAMP-W205";
 
     /// PKRU grant wider than the derived least-privilege policy.

@@ -23,14 +23,18 @@ pub fn run(input: &AnalysisInput) -> Vec<Diagnostic> {
             );
         }
 
-        // §V-B: every export of a stateful component must either be logged
-        // (so replay re-executes it) or be declared replay-safe (read-only,
-        // host-owned effect, or rebuilt from runtime-data extraction).
-        if d.is_stateful() && d.declares_interface() {
-            let uncovered: Vec<&str> = d
-                .exported_functions()
-                .filter(|f| !d.is_logged(f) && !d.is_replay_safe(f))
+        // §V-B: every function of a stateful component must either be
+        // logged (so replay re-executes it) or be declared replay-safe
+        // (read-only, host-owned effect, or rebuilt from runtime-data
+        // extraction).
+        if d.is_stateful() {
+            let mut uncovered: Vec<&str> = d
+                .functions()
+                .iter()
+                .filter(|f| !f.decl.logged && !f.decl.replay_safe)
+                .map(|f| f.decl.name)
                 .collect();
+            uncovered.sort_unstable();
             if !uncovered.is_empty() {
                 out.push(
                     Diagnostic::error(
@@ -45,30 +49,7 @@ pub fn run(input: &AnalysisInput) -> Vec<Diagnostic> {
                                 .join(", ")
                         ),
                     )
-                    .with_suggestion("add the functions to .logs(...) or, if they do not change component state, to .replay_safe(...)"),
-                );
-            }
-        }
-
-        // A logged function outside the declared interface is either a typo
-        // in the log set or a missing export — both break replay.
-        if d.declares_interface() {
-            let phantom: Vec<&str> = d.logged_functions().filter(|f| !d.is_exported(f)).collect();
-            if !phantom.is_empty() {
-                out.push(
-                    Diagnostic::error(
-                        codes::E203_LOGGED_NOT_EXPORTED,
-                        Some(name.to_owned()),
-                        format!(
-                            "`{name}` logs {} but does not export them; the log set names functions callers cannot reach",
-                            phantom
-                                .iter()
-                                .map(|f| format!("`{f}`"))
-                                .collect::<Vec<_>>()
-                                .join(", ")
-                        ),
-                    )
-                    .with_suggestion("fix the name in .logs(...) or add the function to .exports(...)"),
+                    .with_suggestion("mark the functions `logged` in the interface table or, if they do not change component state, `replay_safe`"),
                 );
             }
         }
@@ -86,20 +67,16 @@ pub fn run(input: &AnalysisInput) -> Vec<Diagnostic> {
             );
         }
 
-        // Stateful, rebootable, logs nothing, and declares no interface:
-        // nothing tells us how its state would be restored.
-        if d.is_stateful()
-            && d.is_rebootable()
-            && d.logged_functions().count() == 0
-            && !d.declares_interface()
-        {
+        // Stateful, rebootable, and declares no interface: nothing tells us
+        // how its state would be restored.
+        if d.is_stateful() && d.is_rebootable() && d.functions().is_empty() {
             out.push(
                 Diagnostic::warning(
                     codes::W205_STATEFUL_LOGS_NOTHING,
                     Some(name.to_owned()),
                     format!("stateful `{name}` logs no functions and declares no interface; the analyzer cannot verify its restoration"),
                 )
-                .with_suggestion("declare the interface with .exports(...) so replay coverage can be checked"),
+                .with_suggestion("declare the interface with .interface(...) so replay coverage can be checked"),
             );
         }
     }
@@ -110,29 +87,29 @@ pub fn run(input: &AnalysisInput) -> Vec<Diagnostic> {
 mod tests {
     use super::*;
     use vampos_mem::ArenaLayout;
-    use vampos_ukernel::ComponentDescriptor;
+    use vampos_ukernel::{ComponentDescriptor, FnDecl};
 
     fn desc(name: &'static str) -> ComponentDescriptor {
         ComponentDescriptor::new(name, ArenaLayout::small())
     }
 
+    const OPEN: FnDecl = FnDecl::new("open").logged().opens();
+
     #[test]
     fn covered_stateful_component_is_clean() {
         let input = AnalysisInput::new("t").component(
-            desc("fs")
-                .stateful()
-                .checkpoint_init()
-                .logs(&["open", "close"])
-                .exports(&["open", "close", "fstat"])
-                .replay_safe(&["fstat"]),
+            desc("fs").stateful().checkpoint_init().interface(&[
+                OPEN,
+                FnDecl::new("close").logged().closes(),
+                FnDecl::new("fstat").replay_safe(),
+            ]),
         );
         assert!(run(&input).is_empty());
     }
 
     #[test]
     fn missing_checkpoint_is_an_error() {
-        let input = AnalysisInput::new("t")
-            .component(desc("fs").stateful().logs(&["open"]).exports(&["open"]));
+        let input = AnalysisInput::new("t").component(desc("fs").stateful().interface(&[OPEN]));
         let out = run(&input);
         assert!(out
             .iter()
@@ -154,8 +131,7 @@ mod tests {
             desc("fs")
                 .stateful()
                 .checkpoint_init()
-                .logs(&["open"])
-                .exports(&["open", "truncate"]),
+                .interface(&[OPEN, FnDecl::new("truncate")]),
         );
         let out = run(&input);
         let e202: Vec<_> = out
@@ -165,21 +141,6 @@ mod tests {
         assert_eq!(e202.len(), 1);
         assert!(e202[0].message.contains("`truncate`"));
         assert!(!e202[0].message.contains("`open`"));
-    }
-
-    #[test]
-    fn phantom_logged_function_is_an_error() {
-        let input = AnalysisInput::new("t").component(
-            desc("fs")
-                .stateful()
-                .checkpoint_init()
-                .logs(&["opne"])
-                .exports(&["open"]),
-        );
-        let out = run(&input);
-        assert!(out
-            .iter()
-            .any(|d| d.code == codes::E203_LOGGED_NOT_EXPORTED && d.message.contains("`opne`")));
     }
 
     #[test]

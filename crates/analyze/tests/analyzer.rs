@@ -8,11 +8,13 @@ use proptest::prelude::*;
 use vampos_analyze::{analyze, codes, AnalysisInput, Severity};
 use vampos_mem::ArenaLayout;
 use vampos_mpk::{minimal_component_pkru, AccessKind};
-use vampos_ukernel::ComponentDescriptor;
+use vampos_ukernel::{ComponentDescriptor, FnDecl};
 
 fn desc(name: &str) -> ComponentDescriptor {
     ComponentDescriptor::new(name.to_owned(), ArenaLayout::small())
 }
+
+const OPEN: FnDecl = FnDecl::new("open").logged().opens();
 
 // ---------- pass family 1: dependency graph ----------
 
@@ -65,8 +67,7 @@ fn e104_duplicate_component_is_rejected() {
 
 #[test]
 fn e201_stateful_component_without_checkpoint_is_rejected() {
-    let input = AnalysisInput::new("broken")
-        .component(desc("fs").stateful().logs(&["open"]).exports(&["open"]));
+    let input = AnalysisInput::new("broken").component(desc("fs").stateful().interface(&[OPEN]));
     let report = analyze(&input);
     assert!(report.has(codes::E201_STATEFUL_WITHOUT_CHECKPOINT));
     assert!(!report.is_clean());
@@ -80,8 +81,7 @@ fn e202_unlogged_stateful_export_is_rejected() {
         desc("fs")
             .stateful()
             .checkpoint_init()
-            .logs(&["open"])
-            .exports(&["open", "truncate"]),
+            .interface(&[OPEN, FnDecl::new("truncate")]),
     );
     let report = analyze(&input);
     let finding = report
@@ -93,15 +93,31 @@ fn e202_unlogged_stateful_export_is_rejected() {
 }
 
 #[test]
-fn e203_logged_function_outside_the_interface_is_rejected() {
-    let input = AnalysisInput::new("broken").component(
-        desc("fs")
-            .stateful()
-            .checkpoint_init()
-            .logs(&["opne"]) // typo for "open"
-            .exports(&["open"]),
-    );
-    assert!(analyze(&input).has(codes::E203_LOGGED_NOT_EXPORTED));
+fn e202_covers_every_function_of_a_stateful_component() {
+    // No export list: every declared function is part of the interface,
+    // so each one that is neither logged nor replay-safe is reported, and
+    // only those.
+    mod fs {
+        vampos_ukernel::interface! {
+            OPEN = "open": logged, opens;
+            FSTAT = "fstat": replay_safe;
+            TRUNCATE = "truncate";
+            CHMOD = "chmod";
+        }
+    }
+    let stateful = desc("fs").stateful().checkpoint_init();
+    let report =
+        analyze(&AnalysisInput::new("broken").component(stateful.interface(fs::FUNCTIONS)));
+    let findings: Vec<_> = report
+        .with_code(codes::E202_UNLOGGED_STATEFUL_EXPORT)
+        .collect();
+    assert_eq!(findings.len(), 1);
+    assert!(findings[0]
+        .message
+        .contains("exports `chmod`, `truncate` without"));
+    // A stateless component's functions need neither flag.
+    let stateless = desc("fs").interface(fs::FUNCTIONS);
+    assert!(analyze(&AnalysisInput::new("t").component(stateless)).is_clean());
 }
 
 #[test]

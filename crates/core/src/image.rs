@@ -15,7 +15,7 @@ use std::rc::Rc;
 
 use vampos_analyze::{AnalysisInput, AnalysisReport};
 use vampos_sim::Name;
-use vampos_ukernel::{Component, ComponentBox, ComponentDescriptor, FnId, OsError};
+use vampos_ukernel::{Component, ComponentBox, ComponentDescriptor, FnId, OsError, Session};
 
 use crate::config::{ComponentSet, Mode};
 
@@ -151,6 +151,8 @@ pub(crate) struct Bound {
     pub(crate) name: Name,
     /// The call is appended to the target's function log.
     pub(crate) logged: bool,
+    /// The function's role in the target's log sessions.
+    pub(crate) session: Session,
     /// The caller declares the target a dependency, so the
     /// dependency-aware scheduler predicts the hop (§V-C).
     pub(crate) predicted: bool,
@@ -194,7 +196,8 @@ pub(crate) fn bound(
         slot,
         func,
         name: info.name.clone(),
-        logged: info.logged && vampos,
+        logged: info.decl.logged && vampos,
+        session: info.decl.session,
         // The app's messages wake the scheduler directly.
         predicted: caller.is_none_or(|c| slots[c].desc().dependencies().contains(target.name())),
     }
@@ -230,7 +233,7 @@ pub(crate) fn link(slots: &[impl Described], vampos: bool) -> (Vec<Rc<[Binding]>
                 .collect()
         })
         .collect();
-    let os = crate::os::SITES.iter();
+    let os = crate::os::CALLS.iter();
     let os_sites = os.map(|s| bind(slots, vampos, None, s.target(), s.func()));
     (sites, os_sites.collect())
 }

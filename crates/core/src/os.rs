@@ -7,73 +7,43 @@
 
 use vampos_oslib::funcs::{process, sysinfo, timer, user, vfs as vf};
 use vampos_oslib::vfs::{OpenFlags, SEEK_CUR, SEEK_END, SEEK_SET};
-use vampos_ukernel::{names, CallSite, OsError, Value};
+use vampos_ukernel::{names, OsError, Value};
 
 use crate::runtime::System;
 
-const OPEN: CallSite = CallSite::new(0, names::VFS, vf::OPEN);
-const CREATE: CallSite = CallSite::new(1, names::VFS, vf::CREATE);
-const READ: CallSite = CallSite::new(2, names::VFS, vf::READ);
-const PREAD: CallSite = CallSite::new(3, names::VFS, vf::PREAD);
-const WRITE: CallSite = CallSite::new(4, names::VFS, vf::WRITE);
-const PWRITE: CallSite = CallSite::new(5, names::VFS, vf::PWRITE);
-const WRITEV: CallSite = CallSite::new(6, names::VFS, vf::WRITEV);
-const LSEEK: CallSite = CallSite::new(7, names::VFS, vf::LSEEK);
-const CLOSE: CallSite = CallSite::new(8, names::VFS, vf::CLOSE);
-const FSYNC: CallSite = CallSite::new(9, names::VFS, vf::FSYNC);
-const PIPE: CallSite = CallSite::new(10, names::VFS, vf::PIPE);
-const FCNTL: CallSite = CallSite::new(11, names::VFS, vf::FCNTL);
-const IOCTL: CallSite = CallSite::new(12, names::VFS, vf::IOCTL);
-const STAT: CallSite = CallSite::new(13, names::VFS, vf::STAT);
-const FSTAT: CallSite = CallSite::new(14, names::VFS, vf::FSTAT);
-const UNLINK: CallSite = CallSite::new(15, names::VFS, vf::UNLINK);
-const VGET: CallSite = CallSite::new(16, names::VFS, vf::VGET);
-const ALLOC_SOCKET: CallSite = CallSite::new(17, names::VFS, vf::ALLOC_SOCKET);
-const BIND: CallSite = CallSite::new(18, names::VFS, vf::BIND);
-const LISTEN: CallSite = CallSite::new(19, names::VFS, vf::LISTEN);
-const SHUTDOWN: CallSite = CallSite::new(20, names::VFS, vf::SHUTDOWN);
-const SETSOCKOPT: CallSite = CallSite::new(21, names::VFS, vf::SETSOCKOPT);
-const GETSOCKOPT: CallSite = CallSite::new(22, names::VFS, vf::GETSOCKOPT);
-const POLL_READY: CallSite = CallSite::new(23, names::VFS, vf::POLL_READY);
-const GETPID: CallSite = CallSite::new(24, names::PROCESS, process::GETPID);
-const UNAME: CallSite = CallSite::new(25, names::SYSINFO, sysinfo::UNAME);
-const GETUID: CallSite = CallSite::new(26, names::USER, user::GETUID);
-const CLOCK_GETTIME: CallSite = CallSite::new(27, names::TIMER, timer::CLOCK_GETTIME);
-const NANOSLEEP: CallSite = CallSite::new(28, names::TIMER, timer::NANOSLEEP);
-
-/// The facade's call sites, in index order: the system binds them once,
-/// when it links, like a component's.
-pub(crate) const SITES: &[CallSite] = &[
-    OPEN,
-    CREATE,
-    READ,
-    PREAD,
-    WRITE,
-    PWRITE,
-    WRITEV,
-    LSEEK,
-    CLOSE,
-    FSYNC,
-    PIPE,
-    FCNTL,
-    IOCTL,
-    STAT,
-    FSTAT,
-    UNLINK,
-    VGET,
-    ALLOC_SOCKET,
-    BIND,
-    LISTEN,
-    SHUTDOWN,
-    SETSOCKOPT,
-    GETSOCKOPT,
-    POLL_READY,
-    GETPID,
-    UNAME,
-    GETUID,
-    CLOCK_GETTIME,
-    NANOSLEEP,
-];
+// The facade's call sites, in index order: the system binds them once,
+// when it links, like a component's.
+vampos_ukernel::call_sites! {
+    OPEN = names::VFS, vf::OPEN;
+    CREATE = names::VFS, vf::CREATE;
+    READ = names::VFS, vf::READ;
+    PREAD = names::VFS, vf::PREAD;
+    WRITE = names::VFS, vf::WRITE;
+    PWRITE = names::VFS, vf::PWRITE;
+    WRITEV = names::VFS, vf::WRITEV;
+    LSEEK = names::VFS, vf::LSEEK;
+    CLOSE = names::VFS, vf::CLOSE;
+    FSYNC = names::VFS, vf::FSYNC;
+    PIPE = names::VFS, vf::PIPE;
+    FCNTL = names::VFS, vf::FCNTL;
+    IOCTL = names::VFS, vf::IOCTL;
+    STAT = names::VFS, vf::STAT;
+    FSTAT = names::VFS, vf::FSTAT;
+    UNLINK = names::VFS, vf::UNLINK;
+    VGET = names::VFS, vf::VGET;
+    ALLOC_SOCKET = names::VFS, vf::ALLOC_SOCKET;
+    BIND = names::VFS, vf::BIND;
+    LISTEN = names::VFS, vf::LISTEN;
+    SHUTDOWN = names::VFS, vf::SHUTDOWN;
+    SETSOCKOPT = names::VFS, vf::SETSOCKOPT;
+    GETSOCKOPT = names::VFS, vf::GETSOCKOPT;
+    POLL_READY = names::VFS, vf::POLL_READY;
+    GETPID = names::PROCESS, process::GETPID;
+    UNAME = names::SYSINFO, sysinfo::UNAME;
+    GETUID = names::USER, user::GETUID;
+    CLOCK_GETTIME = names::TIMER, timer::CLOCK_GETTIME;
+    NANOSLEEP = names::TIMER, timer::NANOSLEEP;
+}
 
 /// Seek origin for [`Os::lseek`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

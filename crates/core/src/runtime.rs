@@ -11,7 +11,8 @@ use vampos_mpk::{AccessKind, DomainId, KeyRegistry, Pkru};
 use vampos_sim::{CostModel, Name, Nanos, SimClock, SimRng};
 use vampos_telemetry::{Collector, TelemetrySink};
 use vampos_ukernel::{
-    names, CallContext, CallSite, Component, ComponentBox, ComponentDescriptor, OsError, Value,
+    names, CallContext, CallSite, Component, ComponentBox, ComponentDescriptor, OsError, Session,
+    Value,
 };
 
 use crate::config::{ComponentSet, Mode, SchedulerKind};
@@ -1046,11 +1047,13 @@ impl System {
         let (log_shrinking, shrink_threshold) = (cfg.log_shrinking, cfg.shrink_threshold);
         let caller_name = caller.map_or(&self.app, |c| &self.slots[c].name).clone();
         let slot = &mut self.slots[tid];
-        let event = slot
-            .comp
-            .as_ref()
-            .expect("component present")
-            .session_event(callee.func, args, ret);
+        let event = match callee.session {
+            Session::Custom => {
+                let comp = slot.comp.as_ref().expect("component present");
+                comp.session_event(callee.func, args, ret)
+            }
+            role => role.event(args, ret),
+        };
         let outcome = slot.log.append(
             caller_name,
             &callee.name,

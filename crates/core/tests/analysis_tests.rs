@@ -6,7 +6,7 @@
 use vampos_analyze::{analyze, codes};
 use vampos_core::{analysis, ComponentSet, Mode, System};
 use vampos_mem::ArenaLayout;
-use vampos_ukernel::{CallContext, Component, ComponentDescriptor, FnId, OsError, Value};
+use vampos_ukernel::{CallContext, Component, ComponentDescriptor, FnDecl, FnId, OsError, Value};
 
 /// A deliberately broken extra component: stateful, rebootable, logged —
 /// but without checkpoint-based init (VAMP-E201).
@@ -20,7 +20,7 @@ impl NoCheckpoint {
         NoCheckpoint {
             desc: ComponentDescriptor::new("nockpt", ArenaLayout::small())
                 .stateful()
-                .logs(&["poke"]),
+                .interface(&[FnDecl::new("poke").logged()]),
         }
     }
 }

@@ -20,10 +20,10 @@ use counting_alloc::allocations;
 use vampos_core::{ComponentSet, Image, Mode, System};
 
 /// Allocations of a standalone nginx build, image and boot: what it
-/// measures. A build that analysed and linked inside the boot itself,
-/// with no image to keep, measured 367; the image's shared tables cost
-/// the difference.
-const STANDALONE_BUILD: u64 = 373;
+/// measures. Each descriptor builds its function table in one pass from
+/// its interface's static table; a descriptor that grew its table flag
+/// list by flag list measured 373.
+const STANDALONE_BUILD: u64 = 340;
 
 /// Allocations of a boot of the nginx set from a warm image: what it
 /// measures, a third of a standalone build. Instantiating the components,

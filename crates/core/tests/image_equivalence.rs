@@ -10,7 +10,7 @@ use vampos_mem::ArenaLayout;
 use vampos_mpk::Pkru;
 use vampos_oslib::funcs::process;
 use vampos_sim::{Nanos, SimClock};
-use vampos_ukernel::{CallContext, Component, ComponentDescriptor, FnId, OsError, Value};
+use vampos_ukernel::{CallContext, Component, ComponentDescriptor, FnDecl, FnId, OsError, Value};
 
 fn sets() -> [ComponentSet; 4] {
     [
@@ -103,7 +103,7 @@ fn an_image_with_error_findings_refuses_every_boot_unless_allowed() {
     let broken = NoCheckpoint {
         desc: ComponentDescriptor::new("nockpt", ArenaLayout::small())
             .stateful()
-            .logs(&["poke"]),
+            .interface(&[FnDecl::new("poke").logged()]),
     };
     let image = Image::with_extras(
         ComponentSet::echo(),
@@ -135,7 +135,11 @@ fn an_image_with_error_findings_refuses_every_boot_unless_allowed() {
 
 /// PROCESS's functions numbered in another order: `getpid` is `FnId(1)`,
 /// which is `getppid` in the built-in table.
-const RENUMBERED: &[&str] = &[process::GETPPID, process::GETPID, process::GETTID];
+const RENUMBERED: &[FnDecl] = &[
+    FnDecl::new(process::GETPPID),
+    FnDecl::new(process::GETPID),
+    FnDecl::new(process::GETTID),
+];
 
 /// A second version of PROCESS whose `getpid` answers [`NEW_PID`].
 #[derive(Clone, Hash)]
@@ -170,9 +174,7 @@ fn a_swap_relinks_only_the_swapping_system() {
     };
     let (mut swapped, mut sibling) = (boot(), boot());
     let v2 = RenumberedProcess {
-        desc: ComponentDescriptor::new("process", ArenaLayout::small())
-            .functions(RENUMBERED)
-            .exports(RENUMBERED),
+        desc: ComponentDescriptor::new("process", ArenaLayout::small()).interface(RENUMBERED),
     };
     swapped
         .update_component("process", Box::new(v2))

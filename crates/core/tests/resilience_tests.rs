@@ -7,8 +7,8 @@ use vampos_host::HostHandle;
 use vampos_mem::{ArenaLayout, MemoryArena};
 use vampos_oslib::vfs::OpenFlags;
 use vampos_ukernel::{
-    CallContext, CallSite, Component, ComponentBox, ComponentDescriptor, FnId, OsError,
-    RuntimeData, SessionEvent, Value,
+    CallContext, Component, ComponentBox, ComponentDescriptor, FnDecl, FnId, OsError, RuntimeData,
+    Value,
 };
 
 fn staged_host() -> HostHandle {
@@ -94,8 +94,8 @@ fn without_graceful_mode_the_system_fail_stops() {
 
 mod counter {
     vampos_ukernel::interface! {
-        BUMP = "bump";
-        VALUE = "value";
+        BUMP = "bump": logged;
+        VALUE = "value": replay_safe;
     }
 }
 
@@ -113,8 +113,7 @@ impl Counter {
             desc: ComponentDescriptor::new("counter", ArenaLayout::small())
                 .stateful()
                 .checkpoint_init()
-                .functions(counter::FUNCTIONS)
-                .logs(&[counter::BUMP]),
+                .interface(counter::FUNCTIONS),
             count: 0,
             buggy,
         }
@@ -147,9 +146,6 @@ impl Component for Counter {
             counter::id::VALUE => Ok(Value::U64(self.count)),
             _ => unreachable!("counter declares no function {func:?}"),
         }
-    }
-    fn session_event(&self, _f: FnId, _a: &[Value], _r: &Value) -> SessionEvent {
-        SessionEvent::None
     }
 }
 
@@ -349,7 +345,8 @@ fn a_reboot_discards_state_no_hook_clears() {
         .mode(Mode::vampos_das())
         .components(ComponentSet::echo())
         .extra_component(Box::new(Tally {
-            desc: ComponentDescriptor::new("tally", ArenaLayout::small()).functions(&["tally"]),
+            desc: ComponentDescriptor::new("tally", ArenaLayout::small())
+                .interface(&[FnDecl::new("tally")]),
             calls: 0,
         }))
         .build()
@@ -505,8 +502,10 @@ fn aging_report_and_targeted_rejuvenation() {
 
 // ---------- dependency-aware scheduling model ----------
 
-const GETPID: CallSite = CallSite::new(0, "process", "getpid");
-const GETPPID: CallSite = CallSite::new(1, "process", "getppid");
+vampos_ukernel::call_sites! {
+    GETPID = "process", "getpid";
+    GETPPID = "process", "getppid";
+}
 
 /// A component that calls PROCESS without declaring the dependency.
 #[derive(Clone, Hash)]
@@ -517,8 +516,8 @@ struct Undeclared {
 impl Undeclared {
     fn new(declare: bool) -> Self {
         let mut desc = ComponentDescriptor::new("chatty", ArenaLayout::small())
-            .functions(&["relay"])
-            .calls(&[GETPID]);
+            .interface(&[FnDecl::new("relay")])
+            .calls(&CALLS[..1]);
         if declare {
             desc = desc.depends_on(&["process"]);
         }
@@ -645,10 +644,9 @@ impl Diverging {
             desc: ComponentDescriptor::new("diverging", ArenaLayout::small())
                 .stateful()
                 .checkpoint_init()
-                .functions(&["step"])
+                .interface(&[FnDecl::new("step").logged()])
                 .depends_on(&["process"])
-                .calls(&[GETPID, GETPPID])
-                .logs(&["step"]),
+                .calls(CALLS),
             divergence,
         }
     }

@@ -6,67 +6,73 @@
 //! the callee's slot and [`FnId`](vampos_ukernel::FnId) once, when it links
 //! the system. The module's `id` constants are the same functions as those
 //! numbers, which the component dispatches on; `FUNCTIONS` is its
-//! descriptor's function table.
+//! descriptor's interface table. Each function of a stateful component is
+//! either `logged` (Table II), with its session role, or `replay_safe`, and
+//! the entry says why.
 
 /// VFS interface functions.
 pub mod vfs {
     vampos_ukernel::interface! {
         /// `create(path)` — create + open a file.
-        CREATE = "create";
+        CREATE = "create": logged, opens;
         /// `open(path, flags)`.
-        OPEN = "open";
+        OPEN = "open": logged, opens;
         /// `read(fd, max)`.
-        READ = "read";
+        READ = "read": logged, touches;
         /// `pread(fd, max, offset)`.
-        PREAD = "pread";
+        PREAD = "pread": logged, touches;
         /// `write(fd, bytes)`.
-        WRITE = "write";
+        WRITE = "write": logged, touches;
         /// `pwrite(fd, bytes, offset)`.
-        PWRITE = "pwrite";
+        PWRITE = "pwrite": logged, touches;
         /// `writev(fd, [bytes...])`.
-        WRITEV = "writev";
+        WRITEV = "writev": logged, touches;
         /// `lseek(fd, offset, whence)`.
-        LSEEK = "lseek";
-        /// `close(fd)`.
-        CLOSE = "close";
+        LSEEK = "lseek": logged, touches;
+        /// `close(fd)` — closes the fd's session and, with its last
+        /// reference, the vnode's.
+        CLOSE = "close": logged, custom;
         /// `mount(fstype, path)`.
-        MOUNT = "mount";
+        MOUNT = "mount": logged;
         /// `fcntl(fd, cmd, arg)`.
-        FCNTL = "fcntl";
+        FCNTL = "fcntl": logged, touches;
         /// `ioctl(fd, cmd, arg)`.
-        IOCTL = "ioctl";
-        /// `pipe()` — returns a read/write fd pair.
-        PIPE = "pipe";
+        IOCTL = "ioctl": logged, touches;
+        /// `pipe()` — returns a read/write fd pair, opening both.
+        PIPE = "pipe": logged, custom;
         /// `fsync(fd)`.
-        FSYNC = "fsync";
-        /// `vfscore_vget(path)` — pin a vnode.
-        VGET = "vfscore_vget";
+        FSYNC = "fsync": logged, touches;
+        /// `vfscore_vget(path)` — pin a vnode: opens its session on the
+        /// first pin, touches it on later ones.
+        VGET = "vfscore_vget": logged, custom;
         /// `vfs_alloc_socket([listen_fd])` — socket create / accept.
-        ALLOC_SOCKET = "vfs_alloc_socket";
+        ALLOC_SOCKET = "vfs_alloc_socket": logged, opens;
         /// `fstat(fd)` — state-unchanged, never logged.
-        FSTAT = "fstat";
+        FSTAT = "fstat": replay_safe;
         /// `stat(path)` — state-unchanged, never logged.
-        STAT = "stat";
-        /// `unlink(path)`.
-        UNLINK = "unlink";
-        /// `bind(fd, port)` — socket passthrough to LWIP.
-        BIND = "bind";
+        STAT = "stat": replay_safe;
+        /// `unlink(path)` — mutates host-owned state only.
+        UNLINK = "unlink": replay_safe;
+        /// `bind(fd, port)` — socket passthrough to LWIP, which keeps (and
+        /// logs) the socket's state, like the passthroughs below.
+        BIND = "bind": replay_safe;
         /// `listen(fd, backlog)` — socket passthrough.
-        LISTEN = "listen";
+        LISTEN = "listen": replay_safe;
         /// `connect(fd, port)` — socket passthrough.
-        CONNECT = "connect";
+        CONNECT = "connect": replay_safe;
         /// `shutdown(fd, how)` — socket passthrough.
-        SHUTDOWN = "shutdown";
+        SHUTDOWN = "shutdown": replay_safe;
         /// `getsockopt(fd, opt)` — socket passthrough.
-        GETSOCKOPT = "getsockopt";
+        GETSOCKOPT = "getsockopt": replay_safe;
         /// `setsockopt(fd, opt, val)` — socket passthrough.
-        SETSOCKOPT = "setsockopt";
+        SETSOCKOPT = "setsockopt": replay_safe;
         /// `vfs_set_offset(fd, offset)` — synthetic entry emitted by log
-        /// compaction; replays an fd's offset without the read/write history.
-        SET_OFFSET = "vfs_set_offset";
+        /// compaction itself; replays an fd's offset without the read/write
+        /// history.
+        SET_OFFSET = "vfs_set_offset": replay_safe;
         /// `poll_ready([fds])` — readiness query (epoll-style); state-unchanged,
         /// never logged.
-        POLL_READY = "poll_ready";
+        POLL_READY = "poll_ready": replay_safe;
     }
 }
 
@@ -74,31 +80,32 @@ pub mod vfs {
 pub mod ninepfs {
     vampos_ukernel::interface! {
         /// `mount(path)` — attach to the host share.
-        MOUNT = "uk_9pfs_mount";
+        MOUNT = "uk_9pfs_mount": logged;
         /// `unmount()`.
-        UNMOUNT = "uk_9pfs_unmount";
+        UNMOUNT = "uk_9pfs_unmount": logged;
         /// `lookup(path, create)` — resolve (or create) a path to a fid.
-        LOOKUP = "uk_9pfs_lookup";
+        LOOKUP = "uk_9pfs_lookup": logged, opens;
         /// `open(fid, truncate)`.
-        OPEN = "uk_9pfs_open";
+        OPEN = "uk_9pfs_open": logged, touches;
         /// `close(fid)` — clunk the host fid.
-        CLOSE = "uk_9pfs_close";
+        CLOSE = "uk_9pfs_close": logged, touches;
         /// `inactive(fid)` — drop the guest-side fid entry.
-        INACTIVE = "uk_9pfs_inactive";
+        INACTIVE = "uk_9pfs_inactive": logged, closes;
         /// `mkdir(path)`.
-        MKDIR = "uk_9pfs_mkdir";
-        /// `read(fid, offset, max)` — unlogged (offsets live in VFS).
-        READ = "uk_9pfs_read";
-        /// `write(fid, offset, bytes)` — unlogged.
-        WRITE = "uk_9pfs_write";
-        /// `fsync(fid)` — unlogged.
-        FSYNC = "uk_9pfs_fsync";
-        /// `stat_fid(fid)` — unlogged.
-        STAT_FID = "uk_9pfs_stat_fid";
-        /// `stat_path(path)` — unlogged.
-        STAT_PATH = "uk_9pfs_stat_path";
+        MKDIR = "uk_9pfs_mkdir": logged;
+        /// `read(fid, offset, max)` — unlogged: the data path keeps no
+        /// component state (offsets live in VFS, contents on the host).
+        READ = "uk_9pfs_read": replay_safe;
+        /// `write(fid, offset, bytes)` — unlogged data path.
+        WRITE = "uk_9pfs_write": replay_safe;
+        /// `fsync(fid)` — unlogged data path.
+        FSYNC = "uk_9pfs_fsync": replay_safe;
+        /// `stat_fid(fid)` — unlogged, read-only.
+        STAT_FID = "uk_9pfs_stat_fid": replay_safe;
+        /// `stat_path(path)` — unlogged, read-only.
+        STAT_PATH = "uk_9pfs_stat_path": replay_safe;
         /// `remove_path(path)` — unlogged (host state, not component state).
-        REMOVE_PATH = "uk_9pfs_remove_path";
+        REMOVE_PATH = "uk_9pfs_remove_path": replay_safe;
     }
 }
 
@@ -106,34 +113,36 @@ pub mod ninepfs {
 pub mod lwip {
     vampos_ukernel::interface! {
         /// `socket()`.
-        SOCKET = "socket";
+        SOCKET = "socket": logged, opens;
         /// `bind(sock, port)`.
-        BIND = "bind";
+        BIND = "bind": logged, touches;
         /// `listen(sock, backlog)`.
-        LISTEN = "listen";
+        LISTEN = "listen": logged, touches;
         /// `connect(sock, port)`.
-        CONNECT = "connect";
+        CONNECT = "connect": logged, touches;
         /// `getsockopt(sock, opt)`.
-        GETSOCKOPT = "getsockopt";
+        GETSOCKOPT = "getsockopt": logged, touches;
         /// `setsockopt(sock, opt, val)`.
-        SETSOCKOPT = "setsockopt";
+        SETSOCKOPT = "setsockopt": logged, touches;
         /// `shutdown(sock, how)`.
-        SHUTDOWN = "shutdown";
+        SHUTDOWN = "shutdown": logged, touches;
         /// `sock_net_close(sock)`.
-        CLOSE = "sock_net_close";
+        CLOSE = "sock_net_close": logged, closes;
         /// `sock_net_ioctl(sock, cmd, arg)`.
-        IOCTL = "sock_net_ioctl";
+        IOCTL = "sock_net_ioctl": logged, touches;
         /// `accept(sock)` — unlogged; accepted connections are restored from
-        /// LWIP's runtime-data extraction instead.
-        ACCEPT = "accept";
+        /// LWIP's runtime-data extraction instead (TCP control blocks, §V-B),
+        /// like the state `recv` and `send` change.
+        ACCEPT = "accept": replay_safe;
         /// `recv(sock, max)` — unlogged.
-        RECV = "recv";
+        RECV = "recv": replay_safe;
         /// `send(sock, bytes)` — unlogged.
-        SEND = "send";
-        /// `poll()` — pump frames from NETDEV; unlogged.
-        POLL = "poll";
+        SEND = "send": replay_safe;
+        /// `poll()` — pump frames from NETDEV; unlogged, and the frames'
+        /// effects are runtime data.
+        POLL = "poll": replay_safe;
         /// `ready([socks])` — readiness query over sockets; unlogged.
-        READY = "ready";
+        READY = "ready": replay_safe;
     }
 }
 

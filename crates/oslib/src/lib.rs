@@ -22,10 +22,11 @@
 //! ```
 //!
 //! The stateful components implement the restoration hooks VampOS needs:
-//! the logged-function sets of paper Table II, session tagging for
-//! log shrinking, LWIP's runtime-data extraction (TCP sequence/ACK state),
-//! and replay-hint-guided identifier allocation so replayed `open()` calls
-//! hand back exactly the fds the application still holds.
+//! the logged-function sets of paper Table II and the session roles of log
+//! shrinking (both declared in [`funcs`]), LWIP's runtime-data extraction
+//! (TCP sequence/ACK state), and replay-hint-guided identifier allocation so
+//! replayed `open()` calls hand back exactly the fds the application still
+//! holds.
 
 pub mod funcs;
 pub mod lwip;
@@ -45,7 +46,7 @@ pub use virtio::Virtio;
 
 #[cfg(test)]
 mod tests {
-    use vampos_ukernel::{Component, FnId, OsError};
+    use vampos_ukernel::{Component, FnId, OsError, Session};
 
     use super::*;
     use crate::testutil::StubCtx;
@@ -65,18 +66,26 @@ mod tests {
             Box::new(User::new()),
             Box::new(Timer::new()),
         ];
+        let mut custom = Vec::new();
         for mut comp in components {
             let desc = comp.descriptor().clone();
-            let mut id = 0;
-            while let Some(info) = desc.function_at(FnId(id)) {
+            for (id, info) in desc.functions().iter().enumerate() {
                 let mut ctx = StubCtx::new();
                 ctx.auto(|_, _, _| Err(OsError::Inval));
                 // Any result will do; reaching no arm would panic.
-                let _ = comp.call(&mut ctx, FnId(id), &[]);
-                assert!(desc.is_exported(&info.name), "{}", info.name);
-                id += 1;
+                let _ = comp.call(&mut ctx, FnId(id as u16), &[]);
+                if info.decl.session == Session::Custom {
+                    custom.push(format!("{}.{}", desc.name(), info.name));
+                }
             }
-            assert!(id > 0, "{} declares no function", desc.name());
+            assert!(
+                !desc.functions().is_empty(),
+                "{} declares no function",
+                desc.name()
+            );
         }
+        // Only these need the component's `session_event`: every other
+        // role is the interface table's.
+        assert_eq!(custom, ["vfs.close", "vfs.pipe", "vfs.vfscore_vget"]);
     }
 }

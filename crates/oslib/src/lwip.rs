@@ -25,15 +25,16 @@ use std::collections::{BTreeMap, VecDeque};
 use vampos_host::{take_front, Frame, TcpFlags};
 use vampos_mem::{AllocHandle, ArenaLayout, MemoryArena};
 use vampos_ukernel::{
-    names, CallContext, CallSite, Component, ComponentDescriptor, FnId, OsError, RuntimeData,
-    SessionEvent, Value,
+    names, CallContext, Component, ComponentDescriptor, FnId, OsError, RuntimeData, Value,
 };
 
 use crate::funcs::lwip::{self as f, id};
 use crate::funcs::netdev as nd;
 
-const ND_TX: CallSite = CallSite::new(0, names::NETDEV, nd::TX);
-const ND_RX_BATCH: CallSite = CallSite::new(1, names::NETDEV, nd::RX_BATCH);
+vampos_ukernel::call_sites! {
+    ND_TX = names::NETDEV, nd::TX;
+    ND_RX_BATCH = names::NETDEV, nd::RX_BATCH;
+}
 
 /// `ioctl` command: set/clear non-blocking mode.
 pub const FIONBIO: u64 = 1;
@@ -87,9 +88,13 @@ impl Sock {
 }
 
 /// LWIP's runtime data (§V-B): the TCP state no logged call recreates.
+/// The connection index moves whole: a socket's entry follows the frames
+/// it has seen, not its state alone (a `shutdown` socket keeps its entry
+/// until the peer's next frame).
 struct LwipRuntime {
     iss_next: u32,
     socks: BTreeMap<u64, Sock>,
+    conns: BTreeMap<(u16, u16), u64>,
 }
 
 /// The LWIP component.
@@ -116,40 +121,9 @@ impl Lwip {
                 .stateful()
                 .checkpoint_init()
                 .hang_exempt()
-                .functions(f::FUNCTIONS)
+                .interface(f::FUNCTIONS)
                 .depends_on(&[names::NETDEV])
-                .calls(&[ND_TX, ND_RX_BATCH])
-                .logs(&[
-                    f::SOCKET,
-                    f::BIND,
-                    f::LISTEN,
-                    f::CONNECT,
-                    f::GETSOCKOPT,
-                    f::SETSOCKOPT,
-                    f::SHUTDOWN,
-                    f::CLOSE,
-                    f::IOCTL,
-                ])
-                .exports(&[
-                    f::SOCKET,
-                    f::BIND,
-                    f::LISTEN,
-                    f::CONNECT,
-                    f::GETSOCKOPT,
-                    f::SETSOCKOPT,
-                    f::SHUTDOWN,
-                    f::CLOSE,
-                    f::IOCTL,
-                    f::ACCEPT,
-                    f::RECV,
-                    f::SEND,
-                    f::POLL,
-                    f::READY,
-                ])
-                // accept/recv/send state is rebuilt from runtime-data
-                // extraction (TCP control blocks, §V-B); poll/ready are
-                // state-unchanged queries.
-                .replay_safe(&[f::ACCEPT, f::RECV, f::SEND, f::POLL, f::READY]),
+                .calls(CALLS),
             socks: BTreeMap::new(),
             listeners: BTreeMap::new(),
             conns: BTreeMap::new(),
@@ -605,6 +579,7 @@ impl Component for Lwip {
         Some(Box::new(LwipRuntime {
             iss_next: self.iss_next,
             socks: std::mem::take(&mut self.socks),
+            conns: std::mem::take(&mut self.conns),
         }))
     }
 
@@ -613,12 +588,16 @@ impl Component for Lwip {
         data: RuntimeData,
         arena: &mut MemoryArena,
     ) -> Result<(), OsError> {
-        let LwipRuntime { iss_next, socks } =
-            *data.downcast().map_err(|_| OsError::ReplayMismatch {
-                component: names::LWIP.to_owned(),
-                detail: "foreign runtime data".to_owned(),
-            })?;
+        let LwipRuntime {
+            iss_next,
+            socks,
+            conns,
+        } = *data.downcast().map_err(|_| OsError::ReplayMismatch {
+            component: names::LWIP.to_owned(),
+            detail: "foreign runtime data".to_owned(),
+        })?;
         self.iss_next = iss_next;
+        self.conns = conns;
         for (id, sock) in socks {
             let entry = self.socks.entry(id).or_insert_with(|| {
                 // Accepted-connection sockets were not in the replayed log.
@@ -627,14 +606,8 @@ impl Component for Lwip {
             if entry.alloc.is_none() {
                 entry.alloc = arena.alloc(512).ok();
             }
-            match sock.state {
-                SockState::Listening => {
-                    self.listeners.insert(sock.local_port, id);
-                }
-                SockState::SynRcvd | SockState::Established => {
-                    self.conns.insert((sock.local_port, sock.remote_port), id);
-                }
-                _ => {}
+            if sock.state == SockState::Listening {
+                self.listeners.insert(sock.local_port, id);
             }
             // The replay rebuilt the options and the arena block; the rest
             // is the connection's.
@@ -646,32 +619,6 @@ impl Component for Lwip {
         }
         Ok(())
     }
-
-    fn session_event(&self, func: FnId, args: &[Value], ret: &Value) -> SessionEvent {
-        match func {
-            id::SOCKET => ret
-                .as_u64()
-                .map(|s| SessionEvent::Open(vec![s]))
-                .unwrap_or(SessionEvent::None),
-            id::BIND
-            | id::LISTEN
-            | id::CONNECT
-            | id::GETSOCKOPT
-            | id::SETSOCKOPT
-            | id::SHUTDOWN
-            | id::IOCTL => args
-                .first()
-                .and_then(|a| a.as_u64().ok())
-                .map(SessionEvent::Touch)
-                .unwrap_or(SessionEvent::None),
-            id::CLOSE => args
-                .first()
-                .and_then(|a| a.as_u64().ok())
-                .map(|id| SessionEvent::Close(vec![id]))
-                .unwrap_or(SessionEvent::None),
-            _ => SessionEvent::None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -679,7 +626,7 @@ mod tests {
     use super::*;
     use crate::testutil::StubCtx;
     use vampos_host::HostHandle;
-    use vampos_ukernel::BootImage;
+    use vampos_ukernel::{BootImage, SessionEvent};
 
     /// A ctx whose NETDEV downcalls run against a real host network,
     /// bypassing NETDEV/VIRTIO (they have their own tests).
@@ -730,17 +677,34 @@ mod tests {
         (lwip, host, ctx, sock)
     }
 
+    /// A rebooted stack with `listener`'s skeleton replayed (socket, bind
+    /// and listen with replay hints), before its runtime data is restored.
+    fn replayed(ctx: &mut StubCtx, listener: u64) -> Lwip {
+        let mut lwip = Lwip::new();
+        ctx.set_replay(Some(Value::U64(listener)));
+        lwip.call(ctx, id::SOCKET, &[]).unwrap();
+        ctx.set_replay(Some(Value::Unit));
+        lwip.call(ctx, id::BIND, &[Value::U64(listener), Value::U64(80)])
+            .unwrap();
+        lwip.call(ctx, id::LISTEN, &[Value::U64(listener), Value::U64(16)])
+            .unwrap();
+        ctx.clear_replay();
+        lwip
+    }
+
+    /// Accepts one connection on `listener`.
+    fn accept(lwip: &mut Lwip, ctx: &mut StubCtx, listener: u64) -> u64 {
+        let conn = lwip.call(ctx, id::ACCEPT, &[Value::U64(listener)]);
+        conn.unwrap().as_u64().unwrap()
+    }
+
     #[test]
     fn full_handshake_and_data_exchange() {
         let (mut lwip, host, mut ctx, listener) = listening(80);
         let client = host.with(|w| w.network_mut().connect(80));
 
         // accept completes the handshake and returns the connection socket.
-        let conn = lwip
-            .call(&mut ctx, id::ACCEPT, &[Value::U64(listener)])
-            .unwrap()
-            .as_u64()
-            .unwrap();
+        let conn = accept(&mut lwip, &mut ctx, listener);
         assert_eq!(
             host.with(|w| w.network().state(client).unwrap()),
             vampos_host::ClientConnState::Established
@@ -779,11 +743,7 @@ mod tests {
     fn recv_without_data_would_block_and_eof_after_fin() {
         let (mut lwip, host, mut ctx, listener) = listening(80);
         let client = host.with(|w| w.network_mut().connect(80));
-        let conn = lwip
-            .call(&mut ctx, id::ACCEPT, &[Value::U64(listener)])
-            .unwrap()
-            .as_u64()
-            .unwrap();
+        let conn = accept(&mut lwip, &mut ctx, listener);
         assert_eq!(
             lwip.call(&mut ctx, id::RECV, &[Value::U64(conn), Value::U64(8)]),
             Err(OsError::WouldBlock)
@@ -801,11 +761,7 @@ mod tests {
     fn guest_close_sends_fin_to_client() {
         let (mut lwip, host, mut ctx, listener) = listening(80);
         let client = host.with(|w| w.network_mut().connect(80));
-        let conn = lwip
-            .call(&mut ctx, id::ACCEPT, &[Value::U64(listener)])
-            .unwrap()
-            .as_u64()
-            .unwrap();
+        let conn = accept(&mut lwip, &mut ctx, listener);
         lwip.call(&mut ctx, id::CLOSE, &[Value::U64(conn)]).unwrap();
         // Client saw an orderly close.
         host.with(|w| {
@@ -890,32 +846,16 @@ mod tests {
     fn extract_restore_round_trips_connection_state() {
         let (mut lwip, host, mut ctx, listener) = listening(80);
         let client = host.with(|w| w.network_mut().connect(80));
-        let conn = lwip
-            .call(&mut ctx, id::ACCEPT, &[Value::U64(listener)])
-            .unwrap()
-            .as_u64()
-            .unwrap();
+        let conn = accept(&mut lwip, &mut ctx, listener);
         host.with(|w| w.network_mut().send(client, b"hello").unwrap());
         lwip.call(&mut ctx, id::POLL, &[]).unwrap(); // buffer the data
 
         let digest_before = lwip.state_digest();
         let extract = lwip.extract_runtime().expect("lwip extracts");
 
-        // Simulate the reboot: a fresh stack, replay the skeleton (socket/
-        // bind/listen with replay hints), then restore runtime data.
-        lwip = Lwip::new();
-        ctx.set_replay(Some(Value::U64(listener)));
-        lwip.call(&mut ctx, id::SOCKET, &[]).unwrap();
-        ctx.set_replay(Some(Value::Unit));
-        lwip.call(&mut ctx, id::BIND, &[Value::U64(listener), Value::U64(80)])
-            .unwrap();
-        lwip.call(
-            &mut ctx,
-            id::LISTEN,
-            &[Value::U64(listener), Value::U64(16)],
-        )
-        .unwrap();
-        ctx.clear_replay();
+        // Simulate the reboot: a fresh stack, replay the skeleton, then
+        // restore runtime data.
+        lwip = replayed(&mut ctx, listener);
         // Data of a foreign type is refused before anything is restored.
         assert!(matches!(
             lwip.restore_runtime(Box::new(0u64), ctx.arena()),
@@ -952,11 +892,7 @@ mod tests {
         // resets it.
         let (mut lwip, host, mut ctx, listener) = listening(80);
         let client = host.with(|w| w.network_mut().connect(80));
-        let conn = lwip
-            .call(&mut ctx, id::ACCEPT, &[Value::U64(listener)])
-            .unwrap()
-            .as_u64()
-            .unwrap();
+        let conn = accept(&mut lwip, &mut ctx, listener);
         host.with(|w| w.network_mut().recv(client).unwrap());
 
         let mut extract = lwip.extract_runtime().unwrap();
@@ -980,19 +916,47 @@ mod tests {
     }
 
     #[test]
+    fn a_shutdown_connection_keeps_its_index_entry_across_a_reboot() {
+        let (mut lwip, host, mut ctx, listener) = listening(80);
+        host.with(|w| w.network_mut().connect(80));
+        let conn = accept(&mut lwip, &mut ctx, listener);
+        lwip.call(&mut ctx, id::SHUTDOWN, &[Value::U64(conn), Value::U64(2)])
+            .unwrap();
+        // The peer's answer to the FIN has not been pumped: the closed
+        // socket still owns its tuple.
+        assert_eq!(lwip.conns.values().collect::<Vec<_>>(), [&conn]);
+        let (digest, conns) = (lwip.state_digest(), lwip.conns.clone());
+        let extract = lwip.extract_runtime().expect("lwip extracts");
+        lwip = replayed(&mut ctx, listener);
+        lwip.restore_runtime(extract, ctx.arena()).unwrap();
+        lwip.finish_replay();
+        assert_eq!(lwip.conns, conns);
+        assert_eq!(lwip.state_digest(), digest);
+    }
+
+    #[test]
     fn session_events_classify_socket_lifecycle() {
         let lwip = Lwip::new();
+        let event = |func: FnId, args: &[Value], ret: &Value| {
+            let info = lwip.descriptor().function_at(func).expect("declared");
+            info.decl.session.event(args, ret)
+        };
         assert_eq!(
-            lwip.session_event(id::SOCKET, &[], &Value::U64(5)),
+            event(id::SOCKET, &[], &Value::U64(5)),
             SessionEvent::Open(vec![5])
         );
         assert_eq!(
-            lwip.session_event(id::BIND, &[Value::U64(5), Value::U64(80)], &Value::Unit),
+            event(id::BIND, &[Value::U64(5), Value::U64(80)], &Value::Unit),
             SessionEvent::Touch(5)
         );
         assert_eq!(
-            lwip.session_event(id::CLOSE, &[Value::U64(5)], &Value::Unit),
+            event(id::CLOSE, &[Value::U64(5)], &Value::Unit),
             SessionEvent::Close(vec![5])
+        );
+        // Unlogged calls carry no role.
+        assert_eq!(
+            event(id::RECV, &[Value::U64(5)], &Value::Unit),
+            SessionEvent::None
         );
     }
 
@@ -1020,11 +984,7 @@ mod tests {
             .unwrap();
         assert_eq!(ready, Value::List(vec![Value::U64(listener)]));
 
-        let conn = lwip
-            .call(&mut ctx, id::ACCEPT, &[Value::U64(listener)])
-            .unwrap()
-            .as_u64()
-            .unwrap();
+        let conn = accept(&mut lwip, &mut ctx, listener);
         // Established but idle: not ready.
         let ready = lwip
             .call(&mut ctx, id::READY, &[Value::List(vec![Value::U64(conn)])])
@@ -1047,11 +1007,7 @@ mod tests {
     fn ready_flags_closed_and_reset_peers() {
         let (mut lwip, host, mut ctx, listener) = listening(80);
         let client = host.with(|w| w.network_mut().connect(80));
-        let conn = lwip
-            .call(&mut ctx, id::ACCEPT, &[Value::U64(listener)])
-            .unwrap()
-            .as_u64()
-            .unwrap();
+        let conn = accept(&mut lwip, &mut ctx, listener);
         host.with(|w| w.network_mut().close(client).unwrap());
         let ready = lwip
             .call(&mut ctx, id::READY, &[Value::List(vec![Value::U64(conn)])])

@@ -5,16 +5,16 @@
 //! no restoration — §VI).
 
 use vampos_mem::ArenaLayout;
-use vampos_ukernel::{
-    names, CallContext, CallSite, Component, ComponentDescriptor, FnId, OsError, Value,
-};
+use vampos_ukernel::{names, CallContext, Component, ComponentDescriptor, FnId, OsError, Value};
 
 use crate::funcs::netdev::{self as f, id};
 use crate::funcs::virtio as vio;
 
-const VIO_NET_TX: CallSite = CallSite::new(0, names::VIRTIO, vio::NET_TX);
-const VIO_NET_RX: CallSite = CallSite::new(1, names::VIRTIO, vio::NET_RX);
-const VIO_NET_RX_BATCH: CallSite = CallSite::new(2, names::VIRTIO, vio::NET_RX_BATCH);
+vampos_ukernel::call_sites! {
+    VIO_NET_TX = names::VIRTIO, vio::NET_TX;
+    VIO_NET_RX = names::VIRTIO, vio::NET_RX;
+    VIO_NET_RX_BATCH = names::VIRTIO, vio::NET_RX_BATCH;
+}
 
 /// The NETDEV component.
 #[derive(Debug, Clone, Hash)]
@@ -33,10 +33,9 @@ impl NetDev {
     pub fn new() -> Self {
         NetDev {
             desc: ComponentDescriptor::new(names::NETDEV, ArenaLayout::medium())
-                .functions(f::FUNCTIONS)
+                .interface(f::FUNCTIONS)
                 .depends_on(&[names::VIRTIO])
-                .calls(&[VIO_NET_TX, VIO_NET_RX, VIO_NET_RX_BATCH])
-                .exports(f::FUNCTIONS),
+                .calls(CALLS),
         }
     }
 }

@@ -16,15 +16,14 @@ use std::collections::BTreeMap;
 
 use vampos_host::{Fid, NinePError, NinePRequest, NinePResponse};
 use vampos_mem::{AllocHandle, ArenaLayout};
-use vampos_ukernel::{
-    names, CallContext, CallSite, Component, ComponentDescriptor, FnId, OsError, SessionEvent,
-    Value,
-};
+use vampos_ukernel::{names, CallContext, Component, ComponentDescriptor, FnId, OsError, Value};
 
 use crate::funcs::ninepfs::{self as f, id};
 use crate::funcs::virtio as vio;
 
-const VIO_NINEP: CallSite = CallSite::new(0, names::VIRTIO, vio::NINEP);
+vampos_ukernel::call_sites! {
+    VIO_NINEP = names::VIRTIO, vio::NINEP;
+}
 
 /// Transient fid used for walk-and-clunk operations; never left live.
 const TMP_FID: u64 = 999_999;
@@ -63,43 +62,9 @@ impl NinePFs {
             desc: ComponentDescriptor::new(names::NINEPFS, ArenaLayout::heap_only(1 << 20))
                 .stateful()
                 .checkpoint_init()
-                .functions(f::FUNCTIONS)
+                .interface(f::FUNCTIONS)
                 .depends_on(&[names::VIRTIO])
-                .calls(&[VIO_NINEP])
-                .logs(&[
-                    f::MOUNT,
-                    f::UNMOUNT,
-                    f::OPEN,
-                    f::CLOSE,
-                    f::LOOKUP,
-                    f::INACTIVE,
-                    f::MKDIR,
-                ])
-                .exports(&[
-                    f::MOUNT,
-                    f::UNMOUNT,
-                    f::OPEN,
-                    f::CLOSE,
-                    f::LOOKUP,
-                    f::INACTIVE,
-                    f::MKDIR,
-                    f::READ,
-                    f::WRITE,
-                    f::FSYNC,
-                    f::STAT_FID,
-                    f::STAT_PATH,
-                    f::REMOVE_PATH,
-                ])
-                // Data-path calls keep no component state (offsets live in
-                // VFS, file contents on the host); stat is read-only.
-                .replay_safe(&[
-                    f::READ,
-                    f::WRITE,
-                    f::FSYNC,
-                    f::STAT_FID,
-                    f::STAT_PATH,
-                    f::REMOVE_PATH,
-                ]),
+                .calls(CALLS),
             attached: false,
             fids: BTreeMap::new(),
         }
@@ -468,26 +433,6 @@ impl Component for NinePFs {
             _ => unreachable!("9pfs declares no function {func:?}"),
         }
     }
-
-    fn session_event(&self, func: FnId, args: &[Value], ret: &Value) -> SessionEvent {
-        match func {
-            id::LOOKUP => ret
-                .as_u64()
-                .map(|s| SessionEvent::Open(vec![s]))
-                .unwrap_or(SessionEvent::None),
-            id::OPEN | id::CLOSE => args
-                .first()
-                .and_then(|a| a.as_u64().ok())
-                .map(SessionEvent::Touch)
-                .unwrap_or(SessionEvent::None),
-            id::INACTIVE => args
-                .first()
-                .and_then(|a| a.as_u64().ok())
-                .map(|fid| SessionEvent::Close(vec![fid]))
-                .unwrap_or(SessionEvent::None),
-            _ => SessionEvent::None,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -495,7 +440,7 @@ mod tests {
     use super::*;
     use crate::testutil::StubCtx;
     use vampos_host::{HostHandle, Qid};
-    use vampos_ukernel::BootImage;
+    use vampos_ukernel::{BootImage, SessionEvent};
 
     /// A ctx whose downcalls run against a real host world (bypassing the
     /// VIRTIO component, which has its own tests).
@@ -733,22 +678,23 @@ mod tests {
     #[test]
     fn session_events_classify_fid_lifecycle() {
         let fs = NinePFs::new();
+        let event = |func: FnId, args: &[Value], ret: &Value| {
+            let info = fs.descriptor().function_at(func).expect("declared");
+            info.decl.session.event(args, ret)
+        };
         assert_eq!(
-            fs.session_event(id::LOOKUP, &[Value::from("/a")], &Value::U64(3)),
+            event(id::LOOKUP, &[Value::from("/a")], &Value::U64(3)),
             SessionEvent::Open(vec![3])
         );
         assert_eq!(
-            fs.session_event(id::OPEN, &[Value::U64(3)], &Value::Unit),
+            event(id::OPEN, &[Value::U64(3)], &Value::Unit),
             SessionEvent::Touch(3)
         );
         assert_eq!(
-            fs.session_event(id::INACTIVE, &[Value::U64(3)], &Value::Unit),
+            event(id::INACTIVE, &[Value::U64(3)], &Value::Unit),
             SessionEvent::Close(vec![3])
         );
-        assert_eq!(
-            fs.session_event(id::MOUNT, &[], &Value::Unit),
-            SessionEvent::None
-        );
+        assert_eq!(event(id::MOUNT, &[], &Value::Unit), SessionEvent::None);
     }
 
     #[test]

@@ -31,8 +31,7 @@ impl Process {
     pub fn new() -> Self {
         Process {
             desc: ComponentDescriptor::new(vampos_ukernel::names::PROCESS, ArenaLayout::small())
-                .functions(process::FUNCTIONS)
-                .exports(process::FUNCTIONS),
+                .interface(process::FUNCTIONS),
         }
     }
 }
@@ -72,8 +71,7 @@ impl SysInfo {
     pub fn new() -> Self {
         SysInfo {
             desc: ComponentDescriptor::new(vampos_ukernel::names::SYSINFO, ArenaLayout::small())
-                .functions(sysinfo::FUNCTIONS)
-                .exports(sysinfo::FUNCTIONS),
+                .interface(sysinfo::FUNCTIONS),
         }
     }
 }
@@ -118,8 +116,7 @@ impl User {
     pub fn new() -> Self {
         User {
             desc: ComponentDescriptor::new(vampos_ukernel::names::USER, ArenaLayout::small())
-                .functions(user::FUNCTIONS)
-                .exports(user::FUNCTIONS),
+                .interface(user::FUNCTIONS),
         }
     }
 }
@@ -160,8 +157,7 @@ impl Timer {
     pub fn new() -> Self {
         Timer {
             desc: ComponentDescriptor::new(vampos_ukernel::names::TIMER, ArenaLayout::small())
-                .functions(timer::FUNCTIONS)
-                .exports(timer::FUNCTIONS),
+                .interface(timer::FUNCTIONS),
         }
     }
 }

@@ -20,37 +20,39 @@ use std::ops::BitOr;
 use vampos_host::take_front;
 use vampos_mem::{AllocHandle, ArenaLayout, MemoryArena};
 use vampos_ukernel::{
-    names, CallContext, CallSite, Component, ComponentDescriptor, FnId, OsError, RuntimeData,
-    SessionEvent, TouchSynthesis, Value,
+    names, CallContext, Component, ComponentDescriptor, FnId, OsError, RuntimeData, SessionEvent,
+    TouchSynthesis, Value,
 };
 
 use crate::funcs::vfs::{self as f, id};
 use crate::funcs::{lwip as lw, ninepfs as np};
 
-const NP_MOUNT: CallSite = CallSite::new(0, names::NINEPFS, np::MOUNT);
-const NP_LOOKUP: CallSite = CallSite::new(1, names::NINEPFS, np::LOOKUP);
-const NP_OPEN: CallSite = CallSite::new(2, names::NINEPFS, np::OPEN);
-const NP_CLOSE: CallSite = CallSite::new(3, names::NINEPFS, np::CLOSE);
-const NP_INACTIVE: CallSite = CallSite::new(4, names::NINEPFS, np::INACTIVE);
-const NP_READ: CallSite = CallSite::new(5, names::NINEPFS, np::READ);
-const NP_WRITE: CallSite = CallSite::new(6, names::NINEPFS, np::WRITE);
-const NP_FSYNC: CallSite = CallSite::new(7, names::NINEPFS, np::FSYNC);
-const NP_STAT_FID: CallSite = CallSite::new(8, names::NINEPFS, np::STAT_FID);
-const NP_STAT_PATH: CallSite = CallSite::new(9, names::NINEPFS, np::STAT_PATH);
-const NP_REMOVE_PATH: CallSite = CallSite::new(10, names::NINEPFS, np::REMOVE_PATH);
-const LW_SOCKET: CallSite = CallSite::new(11, names::LWIP, lw::SOCKET);
-const LW_ACCEPT: CallSite = CallSite::new(12, names::LWIP, lw::ACCEPT);
-const LW_SEND: CallSite = CallSite::new(13, names::LWIP, lw::SEND);
-const LW_RECV: CallSite = CallSite::new(14, names::LWIP, lw::RECV);
-const LW_CLOSE: CallSite = CallSite::new(15, names::LWIP, lw::CLOSE);
-const LW_IOCTL: CallSite = CallSite::new(16, names::LWIP, lw::IOCTL);
-const LW_READY: CallSite = CallSite::new(17, names::LWIP, lw::READY);
-const LW_BIND: CallSite = CallSite::new(18, names::LWIP, lw::BIND);
-const LW_LISTEN: CallSite = CallSite::new(19, names::LWIP, lw::LISTEN);
-const LW_CONNECT: CallSite = CallSite::new(20, names::LWIP, lw::CONNECT);
-const LW_SHUTDOWN: CallSite = CallSite::new(21, names::LWIP, lw::SHUTDOWN);
-const LW_GETSOCKOPT: CallSite = CallSite::new(22, names::LWIP, lw::GETSOCKOPT);
-const LW_SETSOCKOPT: CallSite = CallSite::new(23, names::LWIP, lw::SETSOCKOPT);
+vampos_ukernel::call_sites! {
+    NP_MOUNT = names::NINEPFS, np::MOUNT;
+    NP_LOOKUP = names::NINEPFS, np::LOOKUP;
+    NP_OPEN = names::NINEPFS, np::OPEN;
+    NP_CLOSE = names::NINEPFS, np::CLOSE;
+    NP_INACTIVE = names::NINEPFS, np::INACTIVE;
+    NP_READ = names::NINEPFS, np::READ;
+    NP_WRITE = names::NINEPFS, np::WRITE;
+    NP_FSYNC = names::NINEPFS, np::FSYNC;
+    NP_STAT_FID = names::NINEPFS, np::STAT_FID;
+    NP_STAT_PATH = names::NINEPFS, np::STAT_PATH;
+    NP_REMOVE_PATH = names::NINEPFS, np::REMOVE_PATH;
+    LW_SOCKET = names::LWIP, lw::SOCKET;
+    LW_ACCEPT = names::LWIP, lw::ACCEPT;
+    LW_SEND = names::LWIP, lw::SEND;
+    LW_RECV = names::LWIP, lw::RECV;
+    LW_CLOSE = names::LWIP, lw::CLOSE;
+    LW_IOCTL = names::LWIP, lw::IOCTL;
+    LW_READY = names::LWIP, lw::READY;
+    LW_BIND = names::LWIP, lw::BIND;
+    LW_LISTEN = names::LWIP, lw::LISTEN;
+    LW_CONNECT = names::LWIP, lw::CONNECT;
+    LW_SHUTDOWN = names::LWIP, lw::SHUTDOWN;
+    LW_GETSOCKOPT = names::LWIP, lw::GETSOCKOPT;
+    LW_SETSOCKOPT = names::LWIP, lw::SETSOCKOPT;
+}
 
 /// Session-key namespace bit for vnode sessions (fd sessions use the raw fd).
 pub const VNODE_SESSION_NS: u64 = 1 << 32;
@@ -213,98 +215,9 @@ impl Vfs {
             desc: ComponentDescriptor::new(names::VFS, ArenaLayout::large())
                 .stateful()
                 .checkpoint_init()
-                .functions(f::FUNCTIONS)
+                .interface(f::FUNCTIONS)
                 .depends_on(&[names::NINEPFS, names::LWIP])
-                .calls(&[
-                    NP_MOUNT,
-                    NP_LOOKUP,
-                    NP_OPEN,
-                    NP_CLOSE,
-                    NP_INACTIVE,
-                    NP_READ,
-                    NP_WRITE,
-                    NP_FSYNC,
-                    NP_STAT_FID,
-                    NP_STAT_PATH,
-                    NP_REMOVE_PATH,
-                    LW_SOCKET,
-                    LW_ACCEPT,
-                    LW_SEND,
-                    LW_RECV,
-                    LW_CLOSE,
-                    LW_IOCTL,
-                    LW_READY,
-                    LW_BIND,
-                    LW_LISTEN,
-                    LW_CONNECT,
-                    LW_SHUTDOWN,
-                    LW_GETSOCKOPT,
-                    LW_SETSOCKOPT,
-                ])
-                .logs(&[
-                    f::CREATE,
-                    f::OPEN,
-                    f::WRITE,
-                    f::PWRITE,
-                    f::READ,
-                    f::PREAD,
-                    f::CLOSE,
-                    f::MOUNT,
-                    f::FCNTL,
-                    f::LSEEK,
-                    f::VGET,
-                    f::PIPE,
-                    f::IOCTL,
-                    f::WRITEV,
-                    f::FSYNC,
-                    f::ALLOC_SOCKET,
-                ])
-                .exports(&[
-                    f::CREATE,
-                    f::OPEN,
-                    f::WRITE,
-                    f::PWRITE,
-                    f::READ,
-                    f::PREAD,
-                    f::CLOSE,
-                    f::MOUNT,
-                    f::FCNTL,
-                    f::LSEEK,
-                    f::VGET,
-                    f::PIPE,
-                    f::IOCTL,
-                    f::WRITEV,
-                    f::FSYNC,
-                    f::ALLOC_SOCKET,
-                    f::FSTAT,
-                    f::STAT,
-                    f::UNLINK,
-                    f::BIND,
-                    f::LISTEN,
-                    f::CONNECT,
-                    f::SHUTDOWN,
-                    f::GETSOCKOPT,
-                    f::SETSOCKOPT,
-                    f::SET_OFFSET,
-                    f::POLL_READY,
-                ])
-                // fstat/stat/poll_ready are state-unchanged; unlink mutates
-                // host-owned state only; the socket passthroughs keep their
-                // state in LWIP (which logs them); vfs_set_offset is the
-                // synthetic entry compaction itself emits.
-                .replay_safe(&[
-                    f::FSTAT,
-                    f::STAT,
-                    f::UNLINK,
-                    f::BIND,
-                    f::LISTEN,
-                    f::CONNECT,
-                    f::SHUTDOWN,
-                    f::GETSOCKOPT,
-                    f::SETSOCKOPT,
-                    f::SET_OFFSET,
-                    f::POLL_READY,
-                ]),
+                .calls(CALLS),
             fds: BTreeMap::new(),
             vnodes: BTreeMap::new(),
             vnode_by_path: BTreeMap::new(),
@@ -906,12 +819,8 @@ impl Component for Vfs {
         Ok(())
     }
 
-    fn session_event(&self, func: FnId, args: &[Value], ret: &Value) -> SessionEvent {
+    fn session_event(&self, func: FnId, _args: &[Value], ret: &Value) -> SessionEvent {
         match func {
-            id::OPEN | id::CREATE | id::ALLOC_SOCKET => ret
-                .as_u64()
-                .map(|s| SessionEvent::Open(vec![s]))
-                .unwrap_or(SessionEvent::None),
             id::PIPE => match ret.as_list() {
                 Ok([r, w]) => match (r.as_u64(), w.as_u64()) {
                     (Ok(r), Ok(w)) => SessionEvent::Open(vec![r, w]),
@@ -919,19 +828,6 @@ impl Component for Vfs {
                 },
                 _ => SessionEvent::None,
             },
-            id::READ
-            | id::PREAD
-            | id::WRITE
-            | id::PWRITE
-            | id::WRITEV
-            | id::LSEEK
-            | id::FCNTL
-            | id::IOCTL
-            | id::FSYNC => args
-                .first()
-                .and_then(|a| a.as_u64().ok())
-                .map(SessionEvent::Touch)
-                .unwrap_or(SessionEvent::None),
             id::CLOSE => SessionEvent::Close(self.last_close_sessions.clone()),
             id::VGET => {
                 let vnode = match ret.as_u64() {
@@ -1493,8 +1389,8 @@ mod tests {
     #[test]
     fn unknown_function_is_rejected() {
         let vfs = Vfs::new();
-        for (i, &func) in f::FUNCTIONS.iter().enumerate() {
-            assert_eq!(vfs.descriptor().fn_id(func), Some(FnId(i as u16)));
+        for (i, func) in f::FUNCTIONS.iter().enumerate() {
+            assert_eq!(vfs.descriptor().fn_id(func.name), Some(FnId(i as u16)));
         }
         assert!(vfs.descriptor().fn_id("chmod").is_none());
     }

@@ -34,8 +34,7 @@ impl Virtio {
             desc: ComponentDescriptor::new(names::VIRTIO, ArenaLayout::medium())
                 .host_shared()
                 .unrebootable()
-                .functions(f::FUNCTIONS)
-                .exports(f::FUNCTIONS),
+                .interface(f::FUNCTIONS),
         }
     }
 }

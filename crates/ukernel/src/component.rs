@@ -67,30 +67,70 @@ impl CallSite {
     }
 }
 
+/// Numbers a component's outbound calls in the module it is expanded in:
+/// one [`CallSite`] constant per site, numbered in declaration order, and
+/// `CALLS` listing them in that order (a descriptor's
+/// [`ComponentDescriptor::calls`]).
+///
+/// ```
+/// mod relay {
+///     vampos_ukernel::call_sites! {
+///         GETPID = "process", "getpid";
+///         UNAME = "sysinfo", "uname";
+///     }
+///     pub fn calls() -> &'static [vampos_ukernel::CallSite] {
+///         CALLS
+///     }
+/// }
+/// assert_eq!(relay::calls()[1].index(), 1);
+/// assert_eq!(relay::calls()[1].func(), "uname");
+/// ```
+#[macro_export]
+macro_rules! call_sites {
+    ($($site:ident = $target:expr, $func:expr;)*) => {
+        $crate::call_sites!(@sites 0; $($site = $target, $func;)*);
+        /// Every call site, in index order.
+        pub(crate) const CALLS: &[$crate::CallSite] = &[$($site),*];
+    };
+    (@sites $n:expr;) => {};
+    (@sites $n:expr; $site:ident = $target:expr, $func:expr; $($rest:tt)*) => {
+        const $site: $crate::CallSite = $crate::CallSite::new($n, $target, $func);
+        $crate::call_sites!(@sites $n + 1; $($rest)*);
+    };
+}
+
 /// Declares a component interface in the module it is expanded in: one
-/// `&str` constant per function name, `FUNCTIONS` listing them in
-/// declaration order (a descriptor's [`ComponentDescriptor::functions`]),
+/// `&str` constant per function name, `FUNCTIONS` declaring each in
+/// declaration order (a descriptor's [`ComponentDescriptor::interface`]),
 /// and a nested `id` module with the same constants as [`FnId`]s, numbered
 /// in that order, for the component to dispatch on.
 ///
+/// A function's attributes follow its name: `logged` (paper Table II),
+/// `replay_safe`, and one session role, `opens`, `touches`, `closes` or
+/// `custom` ([`Session`]). Each is the [`FnDecl`] method of that name.
+///
 /// ```
+/// use vampos_ukernel::{FnDecl, Session};
+///
 /// mod echo {
 ///     vampos_ukernel::interface! {
 ///         /// `ping()`.
-///         PING = "ping";
-///         /// `echo(bytes)`.
-///         ECHO = "echo";
+///         PING = "ping": replay_safe;
+///         /// `echo(session, bytes)`.
+///         ECHO = "echo": logged, touches;
 ///     }
 /// }
-/// assert_eq!(echo::FUNCTIONS, ["ping", "echo"]);
+/// assert_eq!(echo::FUNCTIONS[0], FnDecl::new("ping").replay_safe());
+/// assert_eq!(echo::FUNCTIONS[1].session, Session::Touches);
 /// assert_eq!(echo::id::ECHO, vampos_ukernel::FnId(1));
 /// ```
 #[macro_export]
 macro_rules! interface {
-    ($($(#[$doc:meta])* $func:ident = $name:literal;)*) => {
+    ($($(#[$doc:meta])* $func:ident = $name:literal $(: $($attr:ident),+)?;)*) => {
         $($(#[$doc])* pub const $func: &str = $name;)*
-        /// Every function's name, in `FnId` order.
-        pub const FUNCTIONS: &[&str] = &[$($func),*];
+        /// Every function's declaration, in `FnId` order.
+        pub const FUNCTIONS: &[$crate::FnDecl] =
+            &[$($crate::FnDecl::new($func)$($(.$attr())+)?),*];
         /// The functions' `FnId`s: each name's index in `FUNCTIONS`.
         pub mod id {
             $crate::interface!(@ids 0; $($(#[$doc])* $func)*);
@@ -104,56 +144,128 @@ macro_rules! interface {
     };
 }
 
+/// A logged function's role in the sessions of §V-F log shrinking.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Session {
+    /// Tied to no session (`mount`).
+    None,
+    /// Opens the session its `u64` return value names (`open`).
+    Opens,
+    /// Touches the session its first argument names (`read`).
+    Touches,
+    /// Closes the session its first argument names (`sock_net_close`).
+    Closes,
+    /// Classified by the component's [`Component::session_event`], from
+    /// state the call leaves behind (VFS's `close`).
+    Custom,
+}
+
+impl Session {
+    /// The event of a call with `args` that returned `ret`: `None` when the
+    /// role's key is not a `u64`, and for a custom role, which the
+    /// component classifies.
+    pub fn event(self, args: &[Value], ret: &Value) -> SessionEvent {
+        let key = |v: Option<&Value>| match v {
+            Some(&Value::U64(key)) => Some(key),
+            _ => None,
+        };
+        match (self, key(Some(ret)), key(args.first())) {
+            (Session::Opens, Some(key), _) => SessionEvent::Open(vec![key]),
+            (Session::Touches, _, Some(key)) => SessionEvent::Touch(key),
+            (Session::Closes, _, Some(key)) => SessionEvent::Close(vec![key]),
+            _ => SessionEvent::None,
+        }
+    }
+}
+
+/// What an interface declares about one function: an entry of the
+/// `'static` table [`interface!`] expands to. Every declared function is
+/// part of the interface (paper Table I).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FnDecl {
+    /// The function's name.
+    pub name: &'static str,
+    /// Calls are logged for restoration (paper Table II).
+    pub logged: bool,
+    /// Restorable without a log entry: read-only, with effects in
+    /// host-owned state, or rebuilt from runtime data (§V-B).
+    pub replay_safe: bool,
+    /// Its role in sessions, for a logged function.
+    pub session: Session,
+}
+
+impl FnDecl {
+    /// An unlogged function tied to no session.
+    pub const fn new(name: &'static str) -> Self {
+        FnDecl {
+            name,
+            logged: false,
+            replay_safe: false,
+            session: Session::None,
+        }
+    }
+
+    /// Logs the function's calls.
+    pub const fn logged(mut self) -> Self {
+        self.logged = true;
+        self
+    }
+
+    /// Declares the function replay-safe.
+    pub const fn replay_safe(mut self) -> Self {
+        self.replay_safe = true;
+        self
+    }
+
+    /// [`Session::Opens`].
+    pub const fn opens(mut self) -> Self {
+        self.session = Session::Opens;
+        self
+    }
+
+    /// [`Session::Touches`].
+    pub const fn touches(mut self) -> Self {
+        self.session = Session::Touches;
+        self
+    }
+
+    /// [`Session::Closes`].
+    pub const fn closes(mut self) -> Self {
+        self.session = Session::Closes;
+        self
+    }
+
+    /// [`Session::Custom`].
+    pub const fn custom(mut self) -> Self {
+        self.session = Session::Custom;
+        self
+    }
+}
+
 /// What a descriptor declares about one interface function.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnInfo {
     /// The function's name, shared by every record that mentions it.
     pub name: Name,
-    /// Calls are logged for restoration (paper Table II).
-    pub logged: bool,
-    /// Part of the declared interface (paper Table I).
-    pub exported: bool,
-    /// Restorable without a log entry.
-    pub replay_safe: bool,
-}
-
-/// A descriptor's functions, in [`FnId`] order.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct FnTable(Vec<(&'static str, FnInfo)>);
-
-impl FnTable {
-    fn id(&self, func: &str) -> Option<FnId> {
-        let at = self.0.iter().position(|&(f, _)| f == func)?;
-        Some(FnId(at as u16))
-    }
-
-    /// Numbers `func` next.
-    fn add(&mut self, func: &'static str) -> FnId {
-        let info = FnInfo {
-            name: Name::from(func),
-            logged: false,
-            exported: false,
-            replay_safe: false,
-        };
-        self.0.push((func, info));
-        FnId(self.0.len() as u16 - 1)
-    }
+    /// Its entry in the interface table.
+    pub decl: FnDecl,
 }
 
 /// Static metadata describing a component to the VampOS runtime.
 ///
 /// Construct with [`ComponentDescriptor::new`] and the builder-style
-/// methods:
+/// methods: a descriptor is the component's flags, its interface table,
+/// its dependencies and its call sites.
 ///
 /// ```
-/// use vampos_ukernel::ComponentDescriptor;
+/// use vampos_ukernel::{ComponentDescriptor, FnDecl};
 /// use vampos_mem::ArenaLayout;
 ///
 /// let desc = ComponentDescriptor::new("vfs", ArenaLayout::large())
 ///     .stateful()
 ///     .checkpoint_init()
-///     .depends_on(&["9pfs", "lwip"])
-///     .logs(&["open", "close", "read", "write"]);
+///     .interface(&[FnDecl::new("open").logged().opens(), FnDecl::new("fstat")])
+///     .depends_on(&["9pfs", "lwip"]);
 /// assert!(desc.is_logged("open"));
 /// assert!(!desc.is_logged("fstat"));
 /// ```
@@ -167,10 +279,10 @@ pub struct ComponentDescriptor {
     host_shared: bool,
     host_handshake: bool,
     dependencies: Rc<[ComponentName]>,
-    /// Every function some declaration names: the one table call sites
-    /// are bound against, for both the logging decision and the shared
-    /// name.
-    functions: Rc<FnTable>,
+    /// The interface, in [`FnId`] order: the one table call sites are
+    /// bound against, for the logging decision, the session role and the
+    /// shared name.
+    functions: Rc<[FnInfo]>,
     /// The outbound call sites, in [`CallSite`] index order.
     calls: &'static [CallSite],
     layout: ArenaLayout,
@@ -276,77 +388,24 @@ impl ComponentDescriptor {
         self
     }
 
-    /// Declares the component's functions in [`FnId`] order: `funcs[i]` is
-    /// `FnId(i)`. Declare them before any flag: a flag declaration numbers
-    /// a function it introduces after the ones already declared.
-    ///
-    /// # Panics
-    ///
-    /// When another declaration already numbered the functions otherwise.
+    /// Declares the component's interface, in [`FnId`] order: `funcs[i]`
+    /// is `FnId(i)`.
     #[must_use]
-    pub fn functions(mut self, funcs: &[&'static str]) -> Self {
-        let functions = Rc::make_mut(&mut self.functions);
-        for (i, &func) in funcs.iter().enumerate() {
-            let id = functions.id(func).unwrap_or_else(|| functions.add(func));
-            assert_eq!(id.index(), i, "{func} is numbered {}, not {i}", id.0);
-        }
+    pub fn interface(mut self, funcs: &[FnDecl]) -> Self {
+        let info = |&decl: &FnDecl| FnInfo {
+            name: Name::from(decl.name),
+            decl,
+        };
+        self.functions = funcs.iter().map(info).collect();
         self
     }
 
     /// Declares the component's outbound calls, in [`CallSite`] index
-    /// order. The runtime binds each once, when it links the system.
-    ///
-    /// # Panics
-    ///
-    /// When a site's index is not its position in `sites`.
+    /// order ([`call_sites!`]'s `CALLS`). The runtime binds each once,
+    /// when it links the system.
     #[must_use]
     pub fn calls(mut self, sites: &'static [CallSite]) -> Self {
-        for (i, site) in sites.iter().enumerate() {
-            assert_eq!(site.index(), i, "call site {site:?} is not numbered {i}");
-        }
         self.calls = sites;
-        self
-    }
-
-    /// Declares the logged-function set (paper Table II). Calls to functions
-    /// outside this set are not logged — they do not change component state
-    /// that restoration needs.
-    #[must_use]
-    pub fn logs(self, funcs: &[&'static str]) -> Self {
-        self.declare(funcs, |f| &mut f.logged)
-    }
-
-    /// Declares the component's complete interface (paper Table I): every
-    /// function callers may invoke. Static analysis checks that each export
-    /// of a stateful component is either logged or declared replay-safe —
-    /// an export that is neither would leave restoration incomplete.
-    /// Leaving the set empty means "interface undeclared"; coverage checks
-    /// are then skipped.
-    #[must_use]
-    pub fn exports(self, funcs: &[&'static str]) -> Self {
-        self.declare(funcs, |f| &mut f.exported)
-    }
-
-    /// Declares exports whose calls need no log entry for restoration:
-    /// read-only functions (`fstat`), functions whose effects live in
-    /// host-owned state (`unlink`), and functions whose state is rebuilt
-    /// from runtime-data extraction instead of replay (`accept`, §V-B).
-    #[must_use]
-    pub fn replay_safe(self, funcs: &[&'static str]) -> Self {
-        self.declare(funcs, |f| &mut f.replay_safe)
-    }
-
-    /// Makes `funcs` the set of functions carrying one of the three flags.
-    /// A function keeps its number once declared, flagged or not.
-    fn declare(mut self, funcs: &[&'static str], flag: fn(&mut FnInfo) -> &mut bool) -> Self {
-        let functions = Rc::make_mut(&mut self.functions);
-        for (_, info) in &mut functions.0 {
-            *flag(info) = false;
-        }
-        for &func in funcs {
-            let id = functions.id(func).unwrap_or_else(|| functions.add(func));
-            *flag(&mut functions.0[id.index()].1) = true;
-        }
         self
     }
 
@@ -395,82 +454,49 @@ impl ComponentDescriptor {
         self.calls
     }
 
-    /// The number of `func`; `None` when no declaration names it.
+    /// The number of `func`; `None` when the interface does not declare
+    /// it.
     pub fn fn_id(&self, func: &str) -> Option<FnId> {
-        self.functions.id(func)
+        let at = self.functions.iter().position(|f| f.decl.name == func)?;
+        Some(FnId(at as u16))
     }
 
     /// The number of the function a record names by its shared [`Name`]:
     /// found by pointer when the record shares this descriptor's name, and
     /// only otherwise by text.
     pub fn fn_id_of(&self, func: &Name) -> Option<FnId> {
-        let infos = &self.functions.0;
-        let shared = infos.iter().position(|(_, f)| Name::ptr_eq(&f.name, func));
+        let infos = &self.functions;
+        let shared = infos.iter().position(|f| Name::ptr_eq(&f.name, func));
         shared.map_or_else(|| self.fn_id(func), |at| Some(FnId(at as u16)))
+    }
+
+    /// The interface, in [`FnId`] order.
+    pub fn functions(&self) -> &[FnInfo] {
+        &self.functions
     }
 
     /// What the descriptor declares about function `id`.
     pub fn function_at(&self, id: FnId) -> Option<&FnInfo> {
-        self.functions.0.get(id.index()).map(|(_, info)| info)
+        self.functions.get(id.index())
     }
 
-    /// What the descriptor declares about `func`; `None` when no
-    /// declaration names it.
+    /// What the descriptor declares about `func`; `None` when the
+    /// interface does not declare it.
     pub fn function(&self, func: &str) -> Option<&FnInfo> {
         self.function_at(self.fn_id(func)?)
     }
 
-    /// The functions carrying `flag`, in name order.
-    fn functions_where(
-        &self,
-        flag: fn(&FnInfo) -> bool,
-    ) -> impl Iterator<Item = &'static str> + '_ {
-        let mut funcs: Vec<&'static str> = self
-            .functions
-            .0
-            .iter()
-            .filter(|(_, info)| flag(info))
-            .map(|&(func, _)| func)
-            .collect();
-        funcs.sort_unstable();
-        funcs.into_iter()
-    }
-
     /// Whether calls to `func` are logged for restoration.
     pub fn is_logged(&self, func: &str) -> bool {
-        self.function(func).is_some_and(|f| f.logged)
+        self.function(func).is_some_and(|f| f.decl.logged)
     }
 
-    /// The logged-function set.
-    pub fn logged_functions(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.functions_where(|f| f.logged)
-    }
-
-    /// Whether the component declares its interface (a non-empty
-    /// [`ComponentDescriptor::exports`] set).
-    pub fn declares_interface(&self) -> bool {
-        self.functions.0.iter().any(|(_, f)| f.exported)
-    }
-
-    /// Whether `func` is part of the declared interface.
-    pub fn is_exported(&self, func: &str) -> bool {
-        self.function(func).is_some_and(|f| f.exported)
-    }
-
-    /// The declared interface, in name order.
-    pub fn exported_functions(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.functions_where(|f| f.exported)
-    }
-
-    /// Whether `func` is declared replay-safe (restorable without a log
-    /// entry).
-    pub fn is_replay_safe(&self, func: &str) -> bool {
-        self.function(func).is_some_and(|f| f.replay_safe)
-    }
-
-    /// The declared replay-safe set, in name order.
-    pub fn replay_safe_functions(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.functions_where(|f| f.replay_safe)
+    /// The logged-function set, in name order.
+    pub fn logged_functions(&self) -> impl Iterator<Item = &'static str> {
+        let logged = self.functions.iter().filter(|f| f.decl.logged);
+        let mut funcs: Vec<&'static str> = logged.map(|f| f.decl.name).collect();
+        funcs.sort_unstable();
+        funcs.into_iter()
     }
 
     /// The component's memory layout.
@@ -678,7 +704,10 @@ pub trait Component: BootImage {
         Ok(())
     }
 
-    /// Classifies a logged call for session-aware shrinking.
+    /// Classifies a logged call of a function whose declared role is
+    /// [`Session::Custom`], for session-aware shrinking; the runtime
+    /// classifies every other role from the interface table
+    /// ([`Session::event`]).
     fn session_event(&self, _func: FnId, _args: &[Value], _ret: &Value) -> SessionEvent {
         SessionEvent::None
     }
@@ -709,7 +738,7 @@ mod tests {
     mod dummy {
         crate::interface! {
             PING = "ping";
-            RESET = "reset";
+            RESET = "reset": logged;
         }
     }
 
@@ -723,7 +752,7 @@ mod tests {
         fn new() -> Self {
             Dummy {
                 desc: ComponentDescriptor::new("dummy", ArenaLayout::small())
-                    .functions(dummy::FUNCTIONS),
+                    .interface(dummy::FUNCTIONS),
                 hits: 0,
             }
         }
@@ -793,7 +822,11 @@ mod tests {
             .hang_exempt()
             .checkpoint_init()
             .depends_on(&["netdev", "vfs"])
-            .logs(&["socket", "bind"]);
+            .interface(&[
+                FnDecl::new("socket").logged(),
+                FnDecl::new("bind").logged(),
+                FnDecl::new("send"),
+            ]);
         assert!(d.is_stateful());
         assert!(d.is_rebootable());
         assert!(d.is_hang_exempt());
@@ -825,40 +858,52 @@ mod tests {
 
     #[test]
     fn interface_declaration() {
-        let d = ComponentDescriptor::new("vfs", ArenaLayout::small())
-            .stateful()
-            .logs(&["open", "close"])
-            .exports(&["open", "close", "fstat"])
-            .replay_safe(&["fstat"]);
-        assert!(d.declares_interface());
-        assert!(d.is_exported("open"));
-        assert!(!d.is_exported("nope"));
-        assert!(d.is_replay_safe("fstat"));
-        assert!(!d.is_replay_safe("open"));
-        assert_eq!(d.exported_functions().count(), 3);
-        assert_eq!(d.replay_safe_functions().count(), 1);
-        let open = d.function("open").expect("declared");
+        mod fs {
+            crate::interface! {
+                OPEN = "open": logged, opens;
+                CLOSE = "close": logged, closes;
+                FSTAT = "fstat": replay_safe;
+            }
+        }
+        let d = ComponentDescriptor::new("vfs", ArenaLayout::small()).interface(fs::FUNCTIONS);
+        let open = d.function_at(fs::id::OPEN).expect("declared");
         assert_eq!(open.name, "open");
-        assert!(open.logged && open.exported && !open.replay_safe);
+        assert_eq!(open.decl, FnDecl::new(fs::OPEN).logged().opens());
+        assert!(d.function("fstat").is_some_and(|f| f.decl.replay_safe));
         assert!(d.function("nope").is_none());
-        // Functions are numbered in first-declaration order.
-        assert_eq!(d.fn_id("close"), Some(FnId(1)));
-        assert_eq!(d.fn_id_of(&Name::from("fstat")), Some(FnId(2)));
+        assert_eq!(d.logged_functions().collect::<Vec<_>>(), ["close", "open"]);
+        // Functions are numbered in declaration order.
+        assert_eq!(d.fn_id("close"), Some(fs::id::CLOSE));
+        assert_eq!(d.fn_id_of(&Name::from("fstat")), Some(fs::id::FSTAT));
         assert_eq!(
-            d.function_at(FnId(2)).map(|f| &f.name),
+            d.function_at(fs::id::FSTAT).map(|f| &f.name),
             Some(&d.function("fstat").unwrap().name)
         );
-        // Each declaration replaces the set it declares, and no other; a
-        // function keeps its number.
-        let d = d.logs(&["close"]);
-        assert!(!d.is_logged("open") && d.is_exported("open"));
-        assert_eq!(d.fn_id("close"), Some(FnId(1)));
-        assert!(d
-            .exports(&[])
-            .function("fstat")
-            .is_some_and(|f| f.replay_safe));
-        let bare = ComponentDescriptor::new("x", ArenaLayout::small());
-        assert!(!bare.declares_interface());
+        assert_eq!(d.functions().len(), 3);
+        assert!(ComponentDescriptor::new("x", ArenaLayout::small())
+            .functions()
+            .is_empty());
+    }
+
+    #[test]
+    fn each_role_classifies_a_call_from_its_key() {
+        let (key, path, unit) = ([Value::U64(3)], [Value::from("/a")], Value::Unit);
+        let f = FnDecl::new("f");
+        // A role reads its key from the return value or the first argument.
+        let opened = f.opens().session.event(&[], &key[0]);
+        assert_eq!(opened, SessionEvent::Open(vec![3]));
+        let touched = f.touches().session.event(&key, &unit);
+        assert_eq!(touched, SessionEvent::Touch(3));
+        let closed = f.closes().session.event(&key, &unit);
+        assert_eq!(closed, SessionEvent::Close(vec![3]));
+        // A key that is not a `u64`, or no key at all, classifies nothing.
+        assert_eq!(Session::Opens.event(&key, &path[0]), SessionEvent::None);
+        assert_eq!(Session::Touches.event(&path, &key[0]), SessionEvent::None);
+        assert_eq!(Session::Closes.event(&[], &key[0]), SessionEvent::None);
+        // No role, and the component's own, classify nothing here either.
+        for role in [Session::None, Session::Custom] {
+            assert_eq!(role.event(&key, &key[0]), SessionEvent::None);
+        }
     }
 
     #[test]
@@ -899,25 +944,24 @@ mod tests {
 
     #[test]
     fn functions_and_call_sites_are_numbered_in_order() {
-        const A: CallSite = CallSite::new(0, "vfs", "open");
-        const B: CallSite = CallSite::new(1, "vfs", "close");
+        mod x {
+            crate::call_sites! {
+                A = "vfs", "open";
+                B = "vfs", "close";
+            }
+        }
         let d = ComponentDescriptor::new("x", ArenaLayout::small())
-            .functions(&["a", "b"])
-            .logs(&["b", "c"])
-            .calls(&[A, B]);
-        assert_eq!(d.fn_id("c"), Some(FnId(2)));
-        assert!(d.function("a").is_some_and(|f| !f.logged));
-        assert_eq!(d.call_sites(), [A, B]);
-        let misnumbered = std::panic::catch_unwind(|| {
-            ComponentDescriptor::new("x", ArenaLayout::small()).calls(&[B])
-        });
-        assert!(misnumbered.is_err());
-        let renumbered = std::panic::catch_unwind(|| {
-            ComponentDescriptor::new("x", ArenaLayout::small())
-                .logs(&["b"])
-                .functions(&["a", "b"])
-        });
-        assert!(renumbered.is_err());
+            .interface(&[FnDecl::new("a"), FnDecl::new("b").logged()])
+            .calls(x::CALLS);
+        assert_eq!(d.fn_id("b"), Some(FnId(1)));
+        assert!(d.function("a").is_some_and(|f| !f.decl.logged));
+        assert_eq!(
+            d.call_sites(),
+            [
+                CallSite::new(0, "vfs", "open"),
+                CallSite::new(1, "vfs", "close")
+            ]
+        );
     }
 
     #[test]

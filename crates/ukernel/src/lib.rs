@@ -18,11 +18,12 @@
 //!   session tagging for log shrinking (§V-F); every component is `Clone`,
 //!   its own [`BootImage`] for checkpoint-based initialization (§V-E),
 //! * [`ComponentDescriptor`] — static metadata: statefulness, dependencies
-//!   (for dependency-aware scheduling), the numbered function table a
-//!   component dispatches on ([`FnId`], declared with [`interface!`]), the
-//!   outbound [`CallSite`]s the runtime links once, the logged-function set
-//!   (paper Table II), rebootability (VIRTIO: no), hang-detector exemption
-//!   (LWIP).
+//!   (for dependency-aware scheduling), the interface table a component
+//!   dispatches on ([`FnId`]; each function's [`FnDecl`], declared with
+//!   [`interface!`]: logged (paper Table II), replay-safe, and its
+//!   [`Session`] role), the outbound [`CallSite`]s the runtime links once
+//!   (numbered by [`call_sites!`]), rebootability (VIRTIO: no),
+//!   hang-detector exemption (LWIP).
 //!
 //! The runtime that wires components together by message passing lives in
 //! `vampos-core`; applications call through it.
@@ -34,7 +35,7 @@ pub mod value;
 
 pub use component::{
     BootImage, CallContext, CallSite, Component, ComponentBox, ComponentDescriptor, ComponentName,
-    FnId, FnInfo, RuntimeData, SessionEvent, TouchSynthesis,
+    FnDecl, FnId, FnInfo, RuntimeData, Session, SessionEvent, TouchSynthesis,
 };
 pub use error::OsError;
 pub use value::Value;

@@ -11,16 +11,19 @@
 //!
 //! The component declares its interface with [`vampos_ukernel::interface!`]:
 //! one name constant per function (what callers and
-//! [`System::syscall`] name), `FUNCTIONS` (the descriptor's function table,
-//! declared with `.functions(..)` before any flag) and the `id` module,
-//! which numbers the same functions as [`FnId`]s in that order. The runtime
+//! [`System::syscall`] name), `FUNCTIONS` (the static table the descriptor
+//! takes with `.interface(..)`, where each function says whether it is
+//! `logged` or `replay_safe` and which session it `opens`, `touches` or
+//! `closes`) and the `id` module, which numbers the same functions as
+//! [`FnId`]s in that order. The runtime reads each logged call's session
+//! from the table, so this component writes no `session_event`. It
 //! resolves a call's names to a function number once — for a component's
 //! declared [`CallSite`](vampos_ukernel::CallSite)s and the `Os` facade,
 //! when the system links; for [`System::syscall`], per call — and
 //! [`Component::call`] dispatches on the number, so no hop compares a
-//! name. A component that calls others declares each call as a `CallSite`
-//! in `.calls(..)` and passes the site to [`CallContext::invoke`]; this one
-//! calls nothing.
+//! name. A component that calls others numbers its calls with
+//! [`vampos_ukernel::call_sites!`], declares them with `.calls(CALLS)` and
+//! passes a site to [`CallContext::invoke`]; this one calls nothing.
 //!
 //! The component holds only its Rust state, and it is `Clone` and `Hash`:
 //! the runtime keeps the component as constructed as its boot image and
@@ -38,17 +41,17 @@
 use vampos::prelude::*;
 use vampos_core::InjectedFault;
 use vampos_mem::ArenaLayout;
-use vampos_ukernel::{CallContext, Component, ComponentDescriptor, FnId, SessionEvent, Value};
+use vampos_ukernel::{CallContext, Component, ComponentDescriptor, FnId, Value};
 
 /// The component's interface.
 mod api {
     vampos_ukernel::interface! {
         /// `register(user)` — opens a session; returns its id.
-        REGISTER = "register";
+        REGISTER = "register": logged, opens;
         /// `whois(id)` — the session's user; read-only.
-        WHOIS = "whois";
+        WHOIS = "whois": replay_safe;
         /// `revoke(id)` — closes a session (a canceling function).
-        REVOKE = "revoke";
+        REVOKE = "revoke": logged, closes;
     }
 }
 
@@ -66,8 +69,7 @@ impl SessionRegistry {
             desc: ComponentDescriptor::new("sessions", ArenaLayout::medium())
                 .stateful()
                 .checkpoint_init()
-                .functions(api::FUNCTIONS)
-                .logs(&[api::REGISTER, api::REVOKE]),
+                .interface(api::FUNCTIONS),
             sessions: std::collections::BTreeMap::new(),
             next_id: 1,
         }
@@ -116,21 +118,6 @@ impl Component for SessionRegistry {
             // The runtime dispatches declared functions only: a call of
             // an undeclared one fails before it reaches the component.
             _ => unreachable!("sessions declares no function {func:?}"),
-        }
-    }
-
-    fn session_event(&self, func: FnId, args: &[Value], ret: &Value) -> SessionEvent {
-        match func {
-            api::id::REGISTER => ret
-                .as_u64()
-                .map(|id| SessionEvent::Open(vec![id]))
-                .unwrap_or(SessionEvent::None),
-            api::id::REVOKE => args
-                .first()
-                .and_then(|a| a.as_u64().ok())
-                .map(|id| SessionEvent::Close(vec![id]))
-                .unwrap_or(SessionEvent::None),
-            _ => SessionEvent::None,
         }
     }
 
