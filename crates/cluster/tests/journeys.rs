@@ -84,7 +84,7 @@ fn assert_journeys_well_formed(
     let mut journey_ids: BTreeMap<String, u64> = BTreeMap::new();
     for s in fleet_spans {
         if s.kind == SpanKind::Journey && &*s.name == "journey" {
-            assert_eq!(s.parent, None, "journey roots must be parentless");
+            assert_eq!(s.parent(), None, "journey roots must be parentless");
             assert!(s.start <= s.end, "root {} runs backwards", s.id);
             let jid = attr(s, "journey");
             assert!(
@@ -108,7 +108,7 @@ fn assert_journeys_well_formed(
         if s.kind != SpanKind::Journey || &*s.name != "hop" {
             continue;
         }
-        let parent = s.parent.expect("hop without a parent root");
+        let parent = s.parent().expect("hop without a parent root");
         let root = roots
             .get(&parent)
             .unwrap_or_else(|| panic!("hop {} parented to non-root {parent}", s.id));

@@ -27,7 +27,8 @@
 //!   it on replay,
 //! * `close_index` — session → kept `Close` slots referencing it.
 //!
-//! `byte_len` and `record_count` are maintained incrementally, and
+//! `byte_len` and `record_count` are maintained incrementally — each
+//! entry's size is measured once, when it is stored — and
 //! [`FunctionLog::replay_entries`] hands out `Rc`-shared entries instead of
 //! deep clones — an outstanding replay snapshot stays frozen even if the
 //! live log keeps shrinking (copy-on-write of the one mutable field, an
@@ -50,6 +51,33 @@ pub struct DownRec {
     /// control flow: a `NotFound` from `lookup` steers `open` into its
     /// create path, and replay must reproduce that).
     pub ret: Result<Value, OsError>,
+}
+
+impl DownRec {
+    /// Approximate in-memory size of the record in bytes; its part of the
+    /// enclosing entry's [`LogEntry::byte_len`].
+    pub(crate) fn byte_len(&self) -> usize {
+        32 + self.func.len()
+            + match &self.ret {
+                Ok(v) => v.byte_len(),
+                Err(_) => 16,
+            }
+    }
+}
+
+/// The downcalls a logged call records while it runs, with their summed
+/// [`DownRec::byte_len`], measured as each is recorded.
+#[derive(Debug, Default)]
+pub(crate) struct Recording {
+    pub(crate) downcalls: Vec<DownRec>,
+    pub(crate) bytes: usize,
+}
+
+impl Recording {
+    pub(crate) fn push(&mut self, rec: DownRec) {
+        self.bytes += rec.byte_len();
+        self.downcalls.push(rec);
+    }
 }
 
 /// Session classification stored with an entry.
@@ -93,27 +121,23 @@ pub struct LogEntry {
     pub tag: EntryTag,
     /// True for compaction-synthesised entries.
     pub synthetic: bool,
+    /// [`LogEntry::byte_len`] as measured when the entry was stored; what
+    /// the log's running total adds and subtracts.
+    size: usize,
 }
 
 impl LogEntry {
     /// Approximate in-memory size of the entry in bytes (space accounting
-    /// for Fig. 7b and Table III).
+    /// for Fig. 7b and Table III), computed from its contents.
     pub fn byte_len(&self) -> usize {
-        let base = 64 + self.func.len() + self.caller.len();
         let args: usize = self.args.iter().map(Value::byte_len).sum();
-        let ret = self.ret.byte_len();
-        let downs: usize = self
-            .downcalls
-            .iter()
-            .map(|d| {
-                32 + d.func.len()
-                    + match &d.ret {
-                        Ok(v) => v.byte_len(),
-                        Err(_) => 16,
-                    }
-            })
-            .sum();
-        base + args + ret + downs
+        let downs: usize = self.downcalls.iter().map(DownRec::byte_len).sum();
+        Self::base_len(&self.caller, &self.func) + args + self.ret.byte_len() + downs
+    }
+
+    /// The part of [`LogEntry::byte_len`] that is not payload.
+    fn base_len(caller: &str, func: &str) -> usize {
+        64 + func.len() + caller.len()
     }
 
     /// Records in this entry count as `1 + downcalls` "log entries" in the
@@ -228,10 +252,12 @@ impl FunctionLog {
     pub fn corrupt_newest_ret(&mut self) -> bool {
         for slot in self.slots.iter_mut().rev() {
             if let Some(rc) = slot.as_mut() {
-                let before = rc.byte_len();
                 let entry = Rc::make_mut(rc);
+                let before = entry.size;
+                entry.size -= entry.ret.byte_len();
                 entry.ret = Value::from("corrupted-log-record");
-                self.bytes = self.bytes - before + entry.byte_len();
+                entry.size += entry.ret.byte_len();
+                self.bytes = self.bytes - before + entry.size;
                 return true;
             }
         }
@@ -278,7 +304,7 @@ impl FunctionLog {
             return;
         };
         self.live -= 1;
-        self.bytes -= entry.byte_len();
+        self.bytes -= entry.size;
         self.records -= entry.record_count();
         match &entry.tag {
             EntryTag::Free => {}
@@ -302,7 +328,7 @@ impl FunctionLog {
     /// Appends `entry` to the store and indices.
     fn insert(&mut self, entry: LogEntry) {
         self.live += 1;
-        self.bytes += entry.byte_len();
+        self.bytes += entry.size;
         self.records += entry.record_count();
         let slot = self.slots.len();
         self.slots.push(Some(Rc::new(entry)));
@@ -344,6 +370,29 @@ impl FunctionLog {
         event: SessionEvent,
         shrinking: bool,
     ) -> AppendOutcome {
+        let args_bytes: usize = args.iter().map(Value::byte_len).sum();
+        let down_bytes: usize = downcalls.iter().map(DownRec::byte_len).sum();
+        let payload = args_bytes + ret.byte_len() + down_bytes;
+        self.append_sized(
+            caller, func, args, ret, downcalls, event, shrinking, payload,
+        )
+    }
+
+    /// [`FunctionLog::append`] with the entry's payload — its arguments',
+    /// return value's and downcalls' byte lengths — already summed, as the
+    /// runtime has them from charging the call's hops.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn append_sized(
+        &mut self,
+        caller: impl Into<Name>,
+        func: impl Into<Name>,
+        args: &[Value],
+        ret: &Value,
+        downcalls: Vec<DownRec>,
+        event: SessionEvent,
+        shrinking: bool,
+        payload: usize,
+    ) -> AppendOutcome {
         let before = self.live as i64;
         let mut removed = 0usize;
 
@@ -376,10 +425,12 @@ impl FunctionLog {
             }
         };
 
+        let (caller, func) = (caller.into(), func.into());
         let entry = LogEntry {
             seq: self.next_seq,
-            caller: caller.into(),
-            func: func.into(),
+            size: LogEntry::base_len(&caller, &func) + payload,
+            caller,
+            func,
             args: args.to_vec(),
             ret: ret.clone(),
             downcalls,
@@ -489,7 +540,7 @@ impl FunctionLog {
                 self.removed_total += removed as u64;
                 if let TouchSynthesis::Replace { func, args, ret } = decision {
                     if removed > 0 {
-                        self.insert(LogEntry {
+                        let mut entry = LogEntry {
                             seq: self.next_seq,
                             caller: Name::from("compactor"),
                             func,
@@ -498,7 +549,10 @@ impl FunctionLog {
                             downcalls: Vec::new(),
                             tag: EntryTag::Touch(session),
                             synthetic: true,
-                        });
+                            size: 0,
+                        };
+                        entry.size = entry.byte_len();
+                        self.insert(entry);
                         self.next_seq += 1;
                         self.compactions += 1;
                         self.maybe_gc();
@@ -740,11 +794,35 @@ mod tests {
         assert_eq!(live, &[3], "live log did not shrink");
     }
 
+    fn assert_totals_match(log: &FunctionLog) {
+        let bytes: usize = log.iter().map(LogEntry::byte_len).sum();
+        let records: usize = log.iter().map(LogEntry::record_count).sum();
+        assert_eq!(log.byte_len(), bytes);
+        assert_eq!(log.record_count(), records);
+        assert_eq!(log.len(), log.iter().count());
+    }
+
     #[test]
     fn incremental_totals_match_recomputation() {
         let mut log = FunctionLog::new();
+        let lookup = |ret| DownRec {
+            target: "9pfs".into(),
+            func: "lookup".into(),
+            ret,
+        };
         for s in 0..50u64 {
-            append_simple(&mut log, "open", SessionEvent::Open(vec![s]), true);
+            log.append(
+                "app",
+                "open",
+                &[Value::from("/f")],
+                &Value::U64(s),
+                vec![
+                    lookup(Ok(Value::from("/f"))),
+                    lookup(Err(OsError::NotFound)),
+                ],
+                SessionEvent::Open(vec![s]),
+                true,
+            );
             for _ in 0..4 {
                 log.append(
                     "app",
@@ -760,11 +838,42 @@ mod tests {
                 append_simple(&mut log, "close", SessionEvent::Close(vec![s]), true);
             }
         }
-        let bytes: usize = log.iter().map(LogEntry::byte_len).sum();
-        let records: usize = log.iter().map(LogEntry::record_count).sum();
-        assert_eq!(log.byte_len(), bytes);
-        assert_eq!(log.record_count(), records);
-        assert_eq!(log.len(), log.iter().count());
+        assert_totals_match(&log);
+
+        // Compaction: a synthetic replacement, and a plain drop.
+        log.compact_session(
+            1,
+            TouchSynthesis::Replace {
+                func: "vfs_set_offset".into(),
+                args: vec![Value::U64(1), Value::U64(128)],
+                ret: Value::Unit,
+            },
+        );
+        log.compact_session(3, TouchSynthesis::Drop);
+        assert_totals_match(&log);
+
+        // A cancel cascade: the kept close of one pipe end goes with the
+        // pipe when the other end closes.
+        append_simple(&mut log, "pipe", SessionEvent::Open(vec![100, 101]), true);
+        append_simple(&mut log, "close", SessionEvent::Close(vec![101]), true);
+        append_simple(&mut log, "close", SessionEvent::Close(vec![100]), true);
+        assert_totals_match(&log);
+
+        // The store's GC: closing every odd session leaves the slots mostly
+        // tombstones.
+        let slots_before = log.slots.len();
+        for s in (1..50u64).step_by(2) {
+            append_simple(&mut log, "close", SessionEvent::Close(vec![s]), true);
+        }
+        assert!(
+            log.slots.len() < slots_before,
+            "the store was not collected"
+        );
+        assert_totals_match(&log);
+
+        append_simple(&mut log, "open", SessionEvent::Open(vec![7]), true);
+        assert!(log.corrupt_newest_ret());
+        assert_totals_match(&log);
     }
 
     #[test]

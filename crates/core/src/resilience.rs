@@ -75,7 +75,7 @@ impl System {
         }
         let busy = || OsError::Io(format!("{} busy during swap", slot.name));
         let desc = replacement.descriptor().clone();
-        let mut arena = MemoryArena::new(new.as_str(), *desc.layout());
+        let mut arena = MemoryArena::new(new, *desc.layout());
         let boot_snapshot = desc.uses_checkpoint_init().then(|| arena.snapshot());
         // The slot's own boot image: the system's image keeps the old
         // version's, and so do the systems sharing it.

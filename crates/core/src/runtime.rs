@@ -17,7 +17,7 @@ use vampos_ukernel::{
 
 use crate::config::{ComponentSet, Mode, SchedulerKind};
 use crate::faults::{FaultKind, FaultPlan, FaultTarget, InjectedFault};
-use crate::funclog::{DownRec, FunctionLog, LogEntry};
+use crate::funclog::{DownRec, FunctionLog, LogEntry, Recording};
 use crate::image::{self, slot_of, Binding, Bound, Described, Image};
 use crate::os::Os;
 use crate::stats::{ComponentCounters, SystemStats};
@@ -333,7 +333,7 @@ impl SystemBuilder {
         let mut slots: Vec<Slot> = Vec::with_capacity(image.components.len());
         for (idx, boot) in image.components.iter().enumerate() {
             let desc = boot.descriptor();
-            let name = desc.name().as_str();
+            let name = desc.name();
             // A merged component shares the protection domain of the first
             // member of its group (§V-F: "a single MPK tag manages the
             // memory domain" of a merged component).
@@ -992,11 +992,11 @@ impl System {
         let mut ctx = Ctx {
             sys: self,
             me: tid,
-            pending: logged.then(Vec::new),
+            pending: logged.then(Recording::default),
             replay: None,
         };
         let result = comp.call(&mut ctx, id, args);
-        let downcalls = ctx.pending.take().unwrap_or_default();
+        let recording = ctx.pending.take().unwrap_or_default();
         self.slots[tid].comp = Some(comp);
 
         let outcome = match result {
@@ -1004,7 +1004,8 @@ impl System {
                 let ret_bytes = ret.byte_len();
                 self.charge_reply_hop(caller, tid, ret_bytes);
                 if logged {
-                    self.append_log(caller, callee, args, &ret, downcalls);
+                    let payload = args_bytes + ret_bytes + recording.bytes;
+                    self.append_log(caller, callee, args, &ret, recording.downcalls, payload);
                 }
                 Ok(ret)
             }
@@ -1038,6 +1039,7 @@ impl System {
         args: &[Value],
         ret: &Value,
         downcalls: Vec<DownRec>,
+        payload: usize,
     ) {
         let tid = callee.slot;
         let cfg = self
@@ -1054,7 +1056,7 @@ impl System {
             }
             role => role.event(args, ret),
         };
-        let outcome = slot.log.append(
+        let outcome = slot.log.append_sized(
             caller_name,
             &callee.name,
             args,
@@ -1062,6 +1064,7 @@ impl System {
             downcalls,
             event,
             log_shrinking,
+            payload,
         );
         self.stats.log_appended += 1;
         self.stats.log_removed += outcome.removed as u64;
@@ -1142,7 +1145,7 @@ pub(crate) struct Ctx<'a> {
     pub(crate) sys: &'a mut System,
     pub(crate) me: usize,
     /// Downcall records for the in-flight logged entry.
-    pub(crate) pending: Option<Vec<DownRec>>,
+    pub(crate) pending: Option<Recording>,
     /// Replay state during encapsulated restoration.
     pub(crate) replay: Option<ReplayState>,
 }

@@ -22,13 +22,16 @@ use vampos_core::{ComponentSet, Image, Mode, System};
 /// Allocations of a standalone nginx build, image and boot: what it
 /// measures. Each descriptor builds its function table in one pass from
 /// its interface's static table; a descriptor that grew its table flag
-/// list by flag list measured 373.
-const STANDALONE_BUILD: u64 = 340;
+/// list by flag list measured 373, and one whose protection domains and
+/// arenas copied their names 340.
+const STANDALONE_BUILD: u64 = 307;
 
 /// Allocations of a boot of the nginx set from a warm image: what it
-/// measures, a third of a standalone build. Instantiating the components,
-/// analysing them and binding the call sites are the rest.
-const BOOT_FROM_IMAGE: u64 = 122;
+/// measures, under a third of a standalone build. Instantiating the
+/// components, analysing them and binding the call sites are the rest.
+/// The protection domains, arenas and boot snapshots share the
+/// descriptors' names; copying them into `String`s measured 122.
+const BOOT_FROM_IMAGE: u64 = 89;
 
 fn image() -> Rc<Image> {
     Rc::new(Image::new(ComponentSet::nginx(), Mode::vampos_das()).expect("image"))

@@ -139,11 +139,13 @@ fn hop_records_share_the_runtimes_names() {
 const ALLOCATIONS_PER_GET: u64 = 34;
 
 /// Allocations one warmed keep-alive `GET` may make with a telemetry sink
-/// attached. The loop below measures 46 (46.8 per `GET`); the parent
-/// commit, which re-copied every forwarded payload, measures 60 (60.9).
-/// Before number attributes stayed numbers and call spans shared their
-/// `caller` list it was 80.
-const TRACED_ALLOCATIONS_PER_GET: u64 = 46;
+/// attached: as many as untraced, because a stored span or instant
+/// allocates nothing once its deque is full. The loop below measures 34
+/// (34.7 per `GET`). While every `virtio_kick` and `9p_rpc` instant built
+/// its own detail list it was 46 (46.8), before payloads were forwarded
+/// uncopied 60, and before number attributes stayed numbers and call spans
+/// shared their `caller` list 80.
+const TRACED_ALLOCATIONS_PER_GET: u64 = 34;
 
 /// Allocations per `GET` of `server` once every lazily grown buffer —
 /// the telemetry hub's bounded record deques included — is full.

@@ -97,6 +97,32 @@ fn file_round_trip_through_the_whole_stack() {
 }
 
 #[test]
+fn log_sizes_measured_on_the_hop_match_recomputation() {
+    let mut sys = System::builder()
+        .mode(Mode::vampos_das())
+        .components(ComponentSet::sqlite())
+        .host(staged_host())
+        .build()
+        .unwrap();
+    let fd = sys.os().open("/etc/motd", OpenFlags::RDWR).unwrap();
+    sys.os().read(fd, 5).unwrap();
+    sys.os().write(fd, b"HELLO").unwrap();
+    let kept = sys.os().open("/etc/motd", OpenFlags::RDWR).unwrap();
+    sys.os().close(fd).unwrap();
+    sys.os().read(kept, 3).unwrap();
+    let mut downcalls = 0;
+    let mut bytes = 0;
+    for name in sys.component_names() {
+        for entry in sys.log_entries(&name) {
+            downcalls += entry.downcalls.len();
+            bytes += entry.byte_len();
+        }
+    }
+    assert!(downcalls > 0, "the run recorded no downcall");
+    assert_eq!(sys.total_log_bytes(), bytes);
+}
+
+#[test]
 fn missing_file_is_not_found_and_creat_creates() {
     let mut sys = sqlite_sys(Mode::vampos_das());
     assert_eq!(

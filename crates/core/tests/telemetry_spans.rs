@@ -57,7 +57,7 @@ fn every_reboot_yields_one_recovery_span_with_four_ordered_phases() {
         for recovery in &recoveries {
             let phases: Vec<_> = hub
                 .spans()
-                .filter(|s| s.kind == SpanKind::Phase && s.parent == Some(recovery.id))
+                .filter(|s| s.kind == SpanKind::Phase && s.parent() == Some(recovery.id))
                 .collect();
             let names: Vec<&str> = phases.iter().map(|p| &*p.name).collect();
             assert_eq!(

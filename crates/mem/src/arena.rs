@@ -2,6 +2,7 @@
 
 use std::error::Error;
 use std::fmt;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::aging::AgingState;
@@ -193,7 +194,7 @@ impl From<BuddyError> for MemError {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MemoryArena {
-    name: String,
+    name: Rc<str>,
     layout: ArenaLayout,
     regions: Vec<Region>,
     heap_base: u64,
@@ -220,12 +221,13 @@ impl PartialEq for MemoryArena {
 }
 
 impl MemoryArena {
-    /// Creates a zeroed arena with the given layout.
+    /// Creates a zeroed arena with the given layout. The arena and its
+    /// snapshots share `name`: passed as an `Rc<str>`, it is not copied.
     ///
     /// # Panics
     ///
     /// Panics if `layout.heap` is not a power of two (buddy requirement).
-    pub fn new(name: impl Into<String>, layout: ArenaLayout) -> Self {
+    pub fn new(name: impl Into<Rc<str>>, layout: ArenaLayout) -> Self {
         let mut regions = Vec::with_capacity(5);
         let mut base = 0u64;
         let mut heap_base = 0u64;

@@ -6,6 +6,7 @@
 //! components and perturb their state. A [`Snapshot`] is that image: every
 //! region's bytes plus the allocator and aging state at capture time.
 
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::aging::AgingState;
@@ -59,7 +60,7 @@ impl PartialEq for Image {
 /// input is unchanged; only the real (host) copying work shrinks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    pub(crate) arena_name: String,
+    pub(crate) arena_name: Rc<str>,
     pub(crate) regions: Vec<(RegionKind, Image)>,
     pub(crate) allocator: BuddyAllocator,
     pub(crate) aging: AgingState,

@@ -4,6 +4,7 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
+use std::rc::Rc;
 
 use crate::pkru::{AccessKind, ProtKey, HW_KEYS};
 
@@ -104,8 +105,8 @@ impl fmt::Display for MpkViolation {
 #[derive(Debug, Clone)]
 pub struct KeyRegistry {
     virtualize: bool,
-    domains: Vec<String>,
-    by_name: BTreeMap<String, DomainId>,
+    domains: Vec<Rc<str>>,
+    by_name: BTreeMap<Rc<str>, DomainId>,
     /// domain index → physical key currently backing it (None = evicted).
     mapping: Vec<Option<ProtKey>>,
     /// physical key → domain index currently using it.
@@ -137,22 +138,26 @@ impl KeyRegistry {
         }
     }
 
-    /// Registers a new domain and returns its id.
+    /// Registers a new domain and returns its id. The registry keeps
+    /// `name` as one shared string: a name passed as an `Rc<str>` costs a
+    /// reference count, any other text one copy.
     ///
     /// # Errors
     ///
     /// [`MpkError::DuplicateDomain`] for a repeated name;
     /// [`MpkError::OutOfKeys`] in hardware mode once 16 domains exist.
-    pub fn register(&mut self, name: impl Into<String>) -> Result<DomainId, MpkError> {
+    pub fn register(&mut self, name: impl Into<Rc<str>>) -> Result<DomainId, MpkError> {
         let name = name.into();
         if self.by_name.contains_key(&name) {
-            return Err(MpkError::DuplicateDomain(name));
+            return Err(MpkError::DuplicateDomain(name.to_string()));
         }
         if !self.virtualize && self.domains.len() >= HW_KEYS as usize {
-            return Err(MpkError::OutOfKeys { domain: name });
+            return Err(MpkError::OutOfKeys {
+                domain: name.to_string(),
+            });
         }
         let id = DomainId(self.domains.len() as u32);
-        self.domains.push(name.clone());
+        self.domains.push(Rc::clone(&name));
         self.by_name.insert(name, id);
         self.mapping.push(None);
         // Eagerly bind a physical key if one is free.
@@ -212,7 +217,7 @@ impl KeyRegistry {
     pub fn name(&self, id: DomainId) -> Result<&str, MpkError> {
         self.domains
             .get(id.0 as usize)
-            .map(String::as_str)
+            .map(|name| &**name)
             .ok_or(MpkError::UnknownDomain(id))
     }
 

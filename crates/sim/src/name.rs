@@ -92,6 +92,14 @@ impl From<&Name> for Name {
     }
 }
 
+/// The name's allocation, shared: how crates below the simulator (which
+/// take names as `Rc<str>`) keep a name without copying it.
+impl From<&Name> for Rc<str> {
+    fn from(name: &Name) -> Self {
+        Rc::clone(&name.0)
+    }
+}
+
 impl PartialEq<str> for Name {
     fn eq(&self, other: &str) -> bool {
         &*self.0 == other

@@ -187,7 +187,7 @@ pub fn analyze(processes: &[(String, Vec<SpanRecord>)]) -> Analysis {
             if s.kind != SpanKind::Phase {
                 continue;
             }
-            let Some(parent) = s.parent else { continue };
+            let Some(parent) = s.parent() else { continue };
             let Some(idx) = PHASES.iter().position(|p| **p == *s.name) else {
                 continue;
             };
@@ -406,6 +406,7 @@ impl Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hub::parent_id;
     use vampos_sim::Nanos;
 
     fn text(s: &str) -> AttrValue {
@@ -425,13 +426,13 @@ mod tests {
     ) -> SpanRecord {
         SpanRecord {
             id,
-            parent,
+            parent: parent_id(parent),
             track: track.into(),
             name: name.into(),
             kind,
             start: Nanos::from_nanos(start),
             end: Nanos::from_nanos(end),
-            attrs: attrs.into(),
+            attrs: attrs.into_iter().collect(),
         }
     }
 

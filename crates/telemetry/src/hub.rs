@@ -14,7 +14,8 @@
 
 use std::cell::{Ref, RefCell};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::fmt;
+use std::fmt::{self, Write as _};
+use std::ops::Deref;
 use std::rc::Rc;
 
 use vampos_sim::{Name, Nanos};
@@ -26,6 +27,9 @@ use crate::text::Digits;
 
 /// Bound on retained finished spans, and on retained instants.
 const SPAN_CAPACITY: usize = 1 << 16;
+
+/// Detail lists a hub keeps per `(track, event)` for instants to share.
+const RECENT_DETAILS: usize = 8;
 
 /// What a span measured.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -124,23 +128,108 @@ impl PartialEq for AttrValue {
 
 impl Eq for AttrValue {}
 
-/// Attributes of a record, in emission order. Shared, so that the copy of
-/// a record [`TelemetryHub::export_spans`] hands out costs a reference
-/// count whatever the attributes hold.
-pub type Attrs = Rc<[(&'static str, AttrValue)]>;
+/// One attribute of a record: its key and value.
+pub type Attr = (&'static str, AttrValue);
+
+/// Attributes of a record, in emission order: one pointer to a list that
+/// records share, so the copy of a record [`TelemetryHub::export_spans`]
+/// hands out costs a reference count whatever the attributes hold. An
+/// empty list allocates nothing.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Attrs(Option<Rc<Box<[Attr]>>>);
+
+impl Deref for Attrs {
+    type Target = [Attr];
+
+    fn deref(&self) -> &[Attr] {
+        self.0.as_deref().map_or(&[], |list| list)
+    }
+}
+
+impl FromIterator<Attr> for Attrs {
+    fn from_iter<I: IntoIterator<Item = Attr>>(iter: I) -> Self {
+        let list: Box<[Attr]> = iter.into_iter().collect();
+        Attrs((!list.is_empty()).then(|| Rc::new(list)))
+    }
+}
+
+impl<const N: usize> From<[Attr; N]> for Attrs {
+    fn from(list: [Attr; N]) -> Self {
+        list.into_iter().collect()
+    }
+}
+
+/// A track, span or event name of a record: one pointer to text that
+/// every record naming it shares. A hub interns its names, so it holds
+/// one allocation per distinct name however many records carry it.
+/// Derefs, compares and orders as its text.
+#[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct ThinName(Rc<Box<str>>);
+
+impl ThinName {
+    /// The name's text.
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
+impl Deref for ThinName {
+    type Target = str;
+
+    fn deref(&self) -> &str {
+        &self.0
+    }
+}
+
+impl std::borrow::Borrow<str> for ThinName {
+    fn borrow(&self) -> &str {
+        &self.0
+    }
+}
+
+impl From<&str> for ThinName {
+    fn from(s: &str) -> Self {
+        ThinName(Rc::new(Box::from(s)))
+    }
+}
+
+impl fmt::Display for ThinName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self)
+    }
+}
+
+impl fmt::Debug for ThinName {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+/// The `parent` a record without one stores: ids count up from 0, so no
+/// span is ever given this one.
+const NO_PARENT: u64 = u64::MAX;
+
+/// The stored form of a record's parent.
+pub(crate) fn parent_id(parent: Option<u64>) -> u64 {
+    parent.unwrap_or(NO_PARENT)
+}
+
+fn parent_of(stored: u64) -> Option<u64> {
+    (stored != NO_PARENT).then_some(stored)
+}
 
 /// A finished span: a named interval on a component track.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SpanRecord {
     /// Unique, monotonically increasing id (creation order).
     pub id: u64,
-    /// Id of the enclosing span open at creation time, if any.
-    pub parent: Option<u64>,
-    /// Track (component) the span renders on; shared with every other
-    /// record of the hub that names it.
-    pub track: Rc<str>,
+    /// Id of the enclosing span open at creation time; read it through
+    /// [`SpanRecord::parent`].
+    pub(crate) parent: u64,
+    /// Track (component) the span renders on.
+    pub track: ThinName,
     /// Span name (function, `recovery`, or a recovery-phase name).
-    pub name: Rc<str>,
+    pub name: ThinName,
     /// What the span measured.
     pub kind: SpanKind,
     /// Start timestamp (virtual).
@@ -152,6 +241,11 @@ pub struct SpanRecord {
 }
 
 impl SpanRecord {
+    /// Id of the enclosing span open at creation time, if any.
+    pub fn parent(&self) -> Option<u64> {
+        parent_of(self.parent)
+    }
+
     /// Span duration.
     pub fn duration(&self) -> Nanos {
         self.end.saturating_sub(self.start)
@@ -162,15 +256,23 @@ impl SpanRecord {
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstantRecord {
     /// Track (component) the instant renders on.
-    pub track: Rc<str>,
+    pub track: ThinName,
     /// Event name (e.g. `failure_detected`, `mpk_denial`).
-    pub name: Rc<str>,
+    pub name: ThinName,
     /// Timestamp (virtual).
     pub at: Nanos,
-    /// Id of the span that was innermost-open when the event fired.
-    pub parent: Option<u64>,
+    /// Id of the span that was innermost-open when the event fired; read
+    /// it through [`InstantRecord::parent`].
+    pub(crate) parent: u64,
     /// Structured attributes, in emission order.
     pub attrs: Attrs,
+}
+
+impl InstantRecord {
+    /// Id of the span that was innermost-open when the event fired, if any.
+    pub fn parent(&self) -> Option<u64> {
+        parent_of(self.parent)
+    }
 }
 
 /// A compact view of one span — what `vampos-chaos --replay` prints as
@@ -212,13 +314,13 @@ struct NameSeries {
 
 /// The hub's string table. A hub sees a few dozen distinct track, span and
 /// event names (components, functions, recovery phases), so records share
-/// one `Rc<str>` per name instead of owning a copy each, and an event looks
+/// one [`ThinName`] per name instead of owning a copy each, and an event looks
 /// each of its names up once — the lookup also finds the name's metric
 /// series and, for a caller, the attribute list of its call spans.
 #[derive(Debug, Default)]
 struct Names {
-    ids: BTreeMap<Rc<str>, NameId>,
-    strings: Vec<Rc<str>>,
+    ids: BTreeMap<ThinName, NameId>,
+    strings: Vec<ThinName>,
     series: Vec<NameSeries>,
     /// The runtime's [`Name`]s seen so far, by allocation: a runtime passes
     /// the same few dozen allocations on every call, so a pointer match
@@ -234,8 +336,8 @@ impl Names {
         if let Some(&id) = self.ids.get(s) {
             return id;
         }
-        let shared: Rc<str> = Rc::from(s);
-        self.strings.push(Rc::clone(&shared));
+        let shared = ThinName::from(s);
+        self.strings.push(shared.clone());
         self.series.push(NameSeries::default());
         self.ids.insert(shared, self.strings.len() - 1);
         self.strings.len() - 1
@@ -272,11 +374,11 @@ impl Names {
         Some(*id)
     }
 
-    fn get(&self, id: NameId) -> Rc<str> {
-        Rc::clone(&self.strings[id])
+    fn get(&self, id: NameId) -> ThinName {
+        self.strings[id].clone()
     }
 
-    fn shared(&mut self, s: &str) -> Rc<str> {
+    fn shared(&mut self, s: &str) -> ThinName {
         let id = self.intern(s);
         self.get(id)
     }
@@ -284,16 +386,61 @@ impl Names {
     /// The attributes of a call span from `caller`.
     fn caller_attrs(&mut self, caller: NameId) -> Attrs {
         let strings = &self.strings;
-        Rc::clone(self.series[caller].caller_attrs.get_or_insert_with(|| {
-            Rc::from([("caller", AttrValue::Shared(Rc::clone(&strings[caller])))])
-        }))
+        self.series[caller]
+            .caller_attrs
+            .get_or_insert_with(|| {
+                Attrs::from([("caller", AttrValue::Shared(Rc::from(&*strings[caller])))])
+            })
+            .clone()
+    }
+}
+
+/// What instants share of their details. A detail is formatted into one
+/// reused buffer, then looked up among the lists recently stored for its
+/// `(track, event)`: a repeated detail shares the list its first
+/// occurrence built and allocates nothing. Each pair keeps at most
+/// [`RECENT_DETAILS`] lists, most recent first, so the table is bounded
+/// by the configuration's names, not by the run length.
+#[derive(Debug, Default)]
+struct Details {
+    text: String,
+    recent: BTreeMap<(NameId, NameId), Vec<Attrs>>,
+}
+
+impl Details {
+    fn attrs(&mut self, track: NameId, event: NameId, detail: fmt::Arguments<'_>) -> Attrs {
+        self.text.clear();
+        // Writing into a `String` fails only if a `Display` impl does.
+        let _ = self.text.write_fmt(detail);
+        if self.text.is_empty() {
+            return Attrs::default();
+        }
+        let recent = self
+            .recent
+            .entry((track, event))
+            .or_insert_with(|| Vec::with_capacity(RECENT_DETAILS));
+        let text = self.text.as_str();
+        let hit = recent
+            .iter()
+            .position(|attrs| attrs.first().is_some_and(|(_, v)| v.text() == Some(text)));
+        match hit {
+            Some(at) => recent[..=at].rotate_right(1),
+            None => {
+                if recent.len() == RECENT_DETAILS {
+                    recent.pop();
+                }
+                let attrs = Attrs::from([("detail", AttrValue::Owned(text.to_owned()))]);
+                recent.insert(0, attrs);
+            }
+        }
+        recent[0].clone()
     }
 }
 
 #[derive(Debug)]
 struct OpenSpan {
     id: u64,
-    parent: Option<u64>,
+    parent: u64,
     track: NameId,
     name: NameId,
     kind: SpanKind,
@@ -320,8 +467,7 @@ pub struct TelemetryHub {
     instants: VecDeque<InstantRecord>,
     evicted: u64,
     metrics: MetricsRegistry,
-    /// The attributes of every record that has none.
-    no_attrs: Attrs,
+    details: Details,
 }
 
 impl TelemetryHub {
@@ -378,7 +524,7 @@ impl TelemetryHub {
         let name = self.names.shared(name);
         self.push_finished(SpanRecord {
             id,
-            parent,
+            parent: parent_id(parent),
             track,
             name,
             kind,
@@ -399,7 +545,7 @@ impl TelemetryHub {
     ) {
         let id = self.next_id;
         self.next_id += 1;
-        let parent = self.open.last().map(|s| s.id);
+        let parent = self.open.last().map_or(NO_PARENT, |s| s.id);
         self.open.push(OpenSpan {
             id,
             parent,
@@ -447,8 +593,8 @@ impl TelemetryHub {
         }
     }
 
-    fn attach_instant(&mut self, track: NameId, name: Rc<str>, at: Nanos, attrs: Attrs) {
-        let parent = self.open.last().map(|s| s.id);
+    fn attach_instant(&mut self, track: NameId, name: ThinName, at: Nanos, attrs: Attrs) {
+        let parent = self.open.last().map_or(NO_PARENT, |s| s.id);
         self.push_instant(InstantRecord {
             track: self.names.get(track),
             name,
@@ -540,14 +686,14 @@ impl TelemetryHub {
         let mut sorted: Vec<&SpanRecord> = self.finished.iter().filter(|s| keep(s)).collect();
         sorted.sort_by_key(|s| (s.start, s.id));
         let parents: BTreeMap<u64, Option<u64>> =
-            self.finished.iter().map(|s| (s.id, s.parent)).collect();
+            self.finished.iter().map(|s| (s.id, s.parent())).collect();
         let skip = sorted.len().saturating_sub(n);
         sorted
             .into_iter()
             .skip(skip)
             .map(|s| {
                 let mut depth = 0u32;
-                let mut cursor = s.parent;
+                let mut cursor = s.parent();
                 while let Some(id) = cursor {
                     depth += 1;
                     cursor = parents.get(&id).copied().flatten();
@@ -613,7 +759,7 @@ impl Collector for TelemetryHub {
 
     fn call_end(&mut self, at: Nanos, ok: bool) {
         if let Some(span) = self.close_span(SpanKind::Call, at) {
-            let component = &self.names.strings[span.track];
+            let component = self.names.strings[span.track].as_str();
             let metrics = &mut self.metrics;
             let latency = *self.names.series[span.track]
                 .call_latency
@@ -634,13 +780,7 @@ impl Collector for TelemetryHub {
     fn syscall_begin(&mut self, func: &str, at: Nanos) {
         let track = self.names.intern("app");
         let name = self.names.intern(func);
-        self.open_span(
-            track,
-            name,
-            SpanKind::Syscall,
-            at,
-            Rc::clone(&self.no_attrs),
-        );
+        self.open_span(track, name, SpanKind::Syscall, at, Attrs::default());
         let metrics = &mut self.metrics;
         let syscalls = *self.names.series[name]
             .syscalls
@@ -650,7 +790,7 @@ impl Collector for TelemetryHub {
 
     fn syscall_end(&mut self, at: Nanos, ok: bool) {
         if let Some(span) = self.close_span(SpanKind::Syscall, at) {
-            let func = &self.names.strings[span.name];
+            let func = self.names.strings[span.name].as_str();
             let metrics = &mut self.metrics;
             let latency = *self.names.series[span.name]
                 .syscall_latency
@@ -673,14 +813,14 @@ impl Collector for TelemetryHub {
             name,
             SpanKind::Recovery,
             at,
-            Rc::from([("trigger", trigger.to_owned().into())]),
+            Attrs::from([("trigger", trigger.to_owned().into())]),
         );
     }
 
     fn recovery_phase(&mut self, member: &str, phase: RecoveryPhase, start: Nanos, end: Nanos) {
         let (parent, track) = match self.innermost_recovery() {
-            Some((id, track)) => (Some(id), track),
-            None => (None, self.names.intern(member)),
+            Some((id, track)) => (id, track),
+            None => (NO_PARENT, self.names.intern(member)),
         };
         let id = self.next_id;
         self.next_id += 1;
@@ -693,7 +833,7 @@ impl Collector for TelemetryHub {
             kind: SpanKind::Phase,
             start,
             end: end.max(start),
-            attrs: Rc::from([("member", member.to_owned().into())]),
+            attrs: Attrs::from([("member", member.to_owned().into())]),
         });
         self.metrics.observe(
             "vampos_recovery_phase_us",
@@ -751,7 +891,7 @@ impl Collector for TelemetryHub {
             track,
             name,
             at,
-            Rc::from([("kind", kind.to_owned().into())]),
+            Attrs::from([("kind", kind.to_owned().into())]),
         );
         self.metrics.counter_add(
             "vampos_failures_total",
@@ -768,7 +908,7 @@ impl Collector for TelemetryHub {
             track,
             name,
             at,
-            Rc::from([("region_owner", region_owner.to_string().into())]),
+            Attrs::from([("region_owner", region_owner.to_string().into())]),
         );
         self.metrics
             .counter_add("vampos_mpk_denials_total", &[("component", component)], 1);
@@ -782,7 +922,7 @@ impl Collector for TelemetryHub {
             track,
             name,
             at,
-            Rc::from([("removed", AttrValue::U64(removed as u64))]),
+            Attrs::from([("removed", AttrValue::U64(removed as u64))]),
         );
         let metrics = &mut self.metrics;
         let shrunk = *self.names.series[track].log_shrunk.get_or_insert_with(|| {
@@ -830,21 +970,16 @@ impl Collector for TelemetryHub {
     }
 
     fn instant(&mut self, track: &str, name: &str, detail: fmt::Arguments<'_>, at: Nanos) {
-        let detail = fmt::format(detail);
-        let attrs = if detail.is_empty() {
-            Rc::clone(&self.no_attrs)
-        } else {
-            Rc::from([("detail", AttrValue::Owned(detail))])
-        };
         let track = self.names.intern_borrowed(track);
-        let name = self.names.shared(name);
-        self.attach_instant(track, name, at, attrs);
+        let name = self.names.intern(name);
+        let attrs = self.details.attrs(track, name, detail);
+        self.attach_instant(track, self.names.get(name), at, attrs);
     }
 
     fn note(&mut self, text: &str, at: Nanos) {
         // Free-form text: interning it would grow the table without bound.
         let track = self.names.intern("system");
-        self.attach_instant(track, Rc::from(text), at, Rc::clone(&self.no_attrs));
+        self.attach_instant(track, ThinName::from(text), at, Attrs::default());
     }
 }
 
@@ -908,9 +1043,9 @@ mod tests {
         assert_eq!(spans.len(), 2);
         // Inner span finishes first.
         assert_eq!(&*spans[0].track, "virtio");
-        assert_eq!(spans[0].parent, Some(spans[1].id));
+        assert_eq!(spans[0].parent(), Some(spans[1].id));
         assert_eq!(&*spans[1].track, "9pfs");
-        assert_eq!(spans[1].parent, None);
+        assert_eq!(spans[1].parent(), None);
         assert_eq!(spans[1].duration(), ns(150));
         assert_eq!(hub.open_spans(), 0);
     }
@@ -940,7 +1075,7 @@ mod tests {
             .attrs
             .contains(&("replayed", "7".to_owned().into())));
         for phase in spans.iter().filter(|s| s.kind == SpanKind::Phase) {
-            assert_eq!(phase.parent, Some(recovery.id));
+            assert_eq!(phase.parent(), Some(recovery.id));
             assert_eq!(&*phase.track, "9pfs");
         }
     }
@@ -953,8 +1088,8 @@ mod tests {
         hub.failure_detected(&n("lwip"), "panic", ns(20));
         hub.call_end(ns(30), false);
         let instants: Vec<&InstantRecord> = hub.instants().collect();
-        assert_eq!(instants[0].parent, None);
-        assert!(instants[1].parent.is_some());
+        assert_eq!(instants[0].parent(), None);
+        assert!(instants[1].parent().is_some());
         let errors = hub
             .metrics()
             .counter_value("vampos_call_errors_total", &[("component", "lwip")]);
@@ -1014,9 +1149,9 @@ mod tests {
         let spans: Vec<&SpanRecord> = hub.spans().collect();
         assert_eq!(spans.len(), 3);
         assert_eq!(spans[0].id, root);
-        assert_eq!(spans[0].parent, None);
+        assert_eq!(spans[0].parent(), None);
         assert_eq!(spans[1].id, hop);
-        assert_eq!(spans[1].parent, Some(root));
+        assert_eq!(spans[1].parent(), Some(root));
         let journeys = hub.tail_where(10, |s| s.kind == SpanKind::Journey);
         assert_eq!(journeys.len(), 2);
         assert_eq!(journeys[0].name, "journey");
@@ -1058,5 +1193,70 @@ mod tests {
                 .counter_value("vampos_connections_reset_total", &[]),
             Some(3)
         );
+    }
+
+    #[test]
+    fn records_cost_what_they_hold() {
+        assert!(std::mem::size_of::<SpanRecord>() <= 64);
+        assert!(std::mem::size_of::<InstantRecord>() <= 40);
+        assert_eq!(std::mem::size_of::<ThinName>(), 8);
+        assert_eq!(std::mem::size_of::<Attrs>(), 8);
+    }
+
+    #[test]
+    fn repeated_details_share_one_list() {
+        let mut hub = TelemetryHub::new();
+        let details = [
+            "9p 16B",
+            "net-tx 284B",
+            "net-rx",
+            "net-rx-batch",
+            "9p 4096B",
+        ];
+        for round in 0..3u64 {
+            for (k, detail) in details.iter().enumerate() {
+                let at = ns(round * 10 + k as u64);
+                hub.instant("virtio", "virtio_kick", format_args!("{detail}"), at);
+            }
+        }
+        hub.instant("virtio", "other", format_args!("9p 16B"), ns(99));
+        hub.instant("virtio", "virtio_kick", format_args!(""), ns(100));
+        let instants: Vec<&InstantRecord> = hub.instants().collect();
+        for (k, detail) in details.iter().enumerate() {
+            let first = &instants[k];
+            assert_eq!(
+                &*first.attrs,
+                &[("detail", AttrValue::from(detail.to_string()))]
+            );
+            for later in [&instants[k + 5], &instants[k + 10]] {
+                assert!(std::ptr::eq(first.attrs.as_ptr(), later.attrs.as_ptr()));
+            }
+        }
+        // Another event keeps lists of its own; an empty detail keeps none.
+        assert!(!std::ptr::eq(
+            instants[15].attrs.as_ptr(),
+            instants[0].attrs.as_ptr()
+        ));
+        assert_eq!(instants[15].attrs, instants[0].attrs);
+        assert!(instants[16].attrs.is_empty());
+    }
+
+    #[test]
+    fn detail_lists_are_bounded_per_event() {
+        let mut hub = TelemetryHub::new();
+        for n in 0..(RECENT_DETAILS as u64 + 1) {
+            hub.instant("9pfs", "9p_rpc", format_args!("{n}"), ns(n));
+        }
+        // The oldest list left the table, so its detail builds a new one.
+        hub.instant("9pfs", "9p_rpc", format_args!("0"), ns(100));
+        let instants: Vec<&InstantRecord> = hub.instants().collect();
+        let (first, last) = (instants[0], instants[RECENT_DETAILS + 1]);
+        assert_eq!(first.attrs, last.attrs);
+        assert!(!std::ptr::eq(first.attrs.as_ptr(), last.attrs.as_ptr()));
+        assert!(hub
+            .details
+            .recent
+            .values()
+            .all(|lists| lists.len() <= RECENT_DETAILS));
     }
 }

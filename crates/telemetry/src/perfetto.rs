@@ -249,7 +249,7 @@ pub fn render_processes(processes: &[ProcessRefs<'_>]) -> String {
             out.push_str(&track.span_prefix);
             push_u64(&mut out, s.id);
             out.push('"');
-            push_parent(&mut out, false, s.parent);
+            push_parent(&mut out, false, s.parent());
             let journey = push_attrs(&mut out, false, &s.attrs);
             out.push_str("}},\n");
             if let Some(journey) = journey {
@@ -265,7 +265,7 @@ pub fn render_processes(processes: &[ProcessRefs<'_>]) -> String {
             out.push_str("\",\"cat\":\"instant\",\"ph\":\"i\",\"ts\":");
             push_micros(&mut out, i.at.as_nanos());
             out.push_str(&tracks.get(&i.track).instant_prefix);
-            let first = push_parent(&mut out, true, i.parent);
+            let first = push_parent(&mut out, true, i.parent());
             push_attrs(&mut out, first, &i.attrs);
             out.push_str("}},\n");
         }

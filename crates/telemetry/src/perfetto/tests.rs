@@ -1,13 +1,11 @@
 //! Unit tests of the Chrome-trace renderer, and the renderer it replaced.
 
-use std::rc::Rc;
-
 use proptest::collection::vec;
 use proptest::prelude::*;
 use vampos_sim::Nanos;
 
 use super::*;
-use crate::hub::{Attrs, SpanKind};
+use crate::hub::{parent_id, Attrs, SpanKind};
 use crate::text::escape;
 
 /// The exporter as it stood before it streamed (commit `45f890d`): one
@@ -65,10 +63,10 @@ mod reference {
         for p in processes {
             let mut tids: BTreeMap<&str, u64> = BTreeMap::new();
             for s in p.spans {
-                tids.entry(&s.track).or_insert(0);
+                tids.entry(&*s.track).or_insert(0);
             }
             for i in p.instants {
-                tids.entry(&i.track).or_insert(0);
+                tids.entry(&*i.track).or_insert(0);
             }
             for (n, (_, tid)) in tids.iter_mut().enumerate() {
                 *tid = n as u64 + 1;
@@ -94,7 +92,7 @@ mod reference {
             for s in p.spans {
                 let tid = tids[&*s.track];
                 let mut args: Vec<(&str, String)> = vec![("id", s.id.to_string())];
-                if let Some(parent) = s.parent {
+                if let Some(parent) = s.parent() {
                     args.push(("parent", parent.to_string()));
                 }
                 args.extend(s.attrs.iter().map(|(k, v)| (*k, v.to_string())));
@@ -114,7 +112,7 @@ mod reference {
             for i in p.instants {
                 let tid = tids[&*i.track];
                 let mut args: Vec<(&str, String)> = Vec::new();
-                if let Some(parent) = i.parent {
+                if let Some(parent) = i.parent() {
                     args.push(("parent", parent.to_string()));
                 }
                 args.extend(i.attrs.iter().map(|(k, v)| (*k, v.to_string())));
@@ -188,7 +186,7 @@ mod reference {
 fn span(id: u64, parent: Option<u64>, track: &str, name: &str, start: u64, end: u64) -> SpanRecord {
     SpanRecord {
         id,
-        parent,
+        parent: parent_id(parent),
         track: track.into(),
         name: name.into(),
         kind: if name == "recovery" {
@@ -205,7 +203,7 @@ fn span(id: u64, parent: Option<u64>, track: &str, name: &str, start: u64, end: 
 fn journey_span(id: u64, journey: &str, start: u64) -> SpanRecord {
     let mut s = span(id, None, "journeys", "hop", start, start + 3);
     s.kind = SpanKind::Journey;
-    s.attrs = Rc::from([("journey", journey.to_owned().into())]);
+    s.attrs = Attrs::from([("journey", journey.to_owned().into())]);
     s
 }
 
@@ -279,8 +277,8 @@ fn instants_are_thread_scoped() {
         track: "lwip".into(),
         name: "mpk_denial".into(),
         at: Nanos::from_nanos(77),
-        parent: None,
-        attrs: Rc::from([("region_owner", "9pfs".to_owned().into())]),
+        parent: parent_id(None),
+        attrs: Attrs::from([("region_owner", "9pfs".to_owned().into())]),
     };
     let json = chrome_trace(&[], &[&i]);
     assert!(json.contains("\"ph\":\"i\""));
@@ -304,7 +302,7 @@ fn single_unnamed_process_matches_chrome_trace_bytes() {
         track: "vfs".into(),
         name: "failure_detected".into(),
         at: Nanos::from_nanos(15),
-        parent: Some(0),
+        parent: parent_id(Some(0)),
         attrs: Attrs::default(),
     };
     let single = chrome_trace(&[&s1, &s2], &[&i]);
@@ -451,8 +449,8 @@ fn a_typed_journey_id_and_its_text_form_one_flow() {
         journey_span(2, "10", 5),
         journey_span(3, "2", 6),
     ];
-    spans[1].attrs = Rc::from([("journey", AttrValue::U64(2))]);
-    spans[2].attrs = Rc::from([("journey", AttrValue::U64(10))]);
+    spans[1].attrs = Attrs::from([("journey", AttrValue::U64(2))]);
+    spans[2].attrs = Attrs::from([("journey", AttrValue::U64(10))]);
     let refs: Vec<&SpanRecord> = spans.iter().collect();
     let json = chrome_trace(&refs, &[]);
     assert!(json.contains("\"ph\":\"s\",\"id\":\"10\",\"ts\":0.000"));
@@ -572,13 +570,13 @@ fn spans() -> impl Strategy<Value = Vec<SpanRecord>> {
                     }
                     SpanRecord {
                         id,
-                        parent,
-                        track: track.into(),
-                        name: name.into(),
+                        parent: parent_id(parent),
+                        track: track.as_str().into(),
+                        name: name.as_str().into(),
                         kind: KINDS[kind],
                         start: Nanos::from_nanos(start),
                         end: Nanos::from_nanos(start + dur),
-                        attrs: attrs.into(),
+                        attrs: attrs.into_iter().collect(),
                     }
                 },
             )
@@ -591,11 +589,11 @@ fn instants() -> impl Strategy<Value = Vec<InstantRecord>> {
         instants
             .into_iter()
             .map(|(track, name, at, parent, attrs)| InstantRecord {
-                track: track.into(),
-                name: name.into(),
+                track: track.as_str().into(),
+                name: name.as_str().into(),
                 at: Nanos::from_nanos(at),
-                parent,
-                attrs: attrs.into(),
+                parent: parent_id(parent),
+                attrs: attrs.into_iter().collect(),
             })
             .collect()
     })
