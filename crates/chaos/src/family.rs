@@ -63,8 +63,8 @@ impl Traced {
     pub fn tails(&self) -> (Vec<SpanDump>, Vec<SpanDump>) {
         let hub = self.hub.hub();
         (
-            hub.tail_where(SPAN_TAIL, |s| s.kind != SpanKind::Journey),
-            hub.tail_where(SPAN_TAIL, |s| s.kind == SpanKind::Journey),
+            hub.tail_where(SPAN_TAIL, |s| s.kind() != SpanKind::Journey),
+            hub.tail_where(SPAN_TAIL, |s| s.kind() == SpanKind::Journey),
         )
     }
 }

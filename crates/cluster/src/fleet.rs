@@ -21,6 +21,7 @@ use vampos_telemetry::metrics::{CounterId, HistogramId};
 use vampos_telemetry::perfetto::{render_processes, ProcessRefs};
 use vampos_telemetry::{
     AttrValue, Collector, MetricsRegistry, SpanKind, SpanRecord, TelemetryHub, TelemetrySink,
+    ThinName,
 };
 use vampos_ukernel::OsError;
 use vampos_workloads::{exchange, LoadReport, RequestRecord};
@@ -172,7 +173,7 @@ impl Run<'_> {
 /// One routing attempt of a request journey, accumulated locally while the
 /// instance borrow is live and flushed to the fleet hub afterwards.
 struct JourneyHop {
-    label: Rc<str>,
+    label: ThinName,
     start: Nanos,
     end: Nanos,
     served: bool,
@@ -196,7 +197,7 @@ fn note_dead_attempt(
     });
     if let Some(hops) = hops {
         hops.push(JourneyHop {
-            label: Rc::clone(inst.shared_label()),
+            label: inst.shared_label().clone(),
             start: due,
             end: due,
             served: false,
@@ -840,7 +841,7 @@ impl Fleet {
             });
             if forensics {
                 hops.push(JourneyHop {
-                    label: Rc::clone(inst.shared_label()),
+                    label: inst.shared_label().clone(),
                     start: due,
                     end: booked.end,
                     served,
@@ -904,7 +905,7 @@ impl Fleet {
                     Some(root),
                     [
                         ("journey", AttrValue::U64(journey)),
-                        ("instance", AttrValue::Shared(Rc::clone(&h.label))),
+                        ("instance", h.label.clone().into()),
                         ("served", AttrValue::Bool(h.served)),
                         ("wire_ns", AttrValue::U64(h.cost.wire_ns)),
                         ("queue_ns", AttrValue::U64(h.cost.queue_ns)),
@@ -961,19 +962,9 @@ impl Fleet {
         if let Some(sink) = &self.fleet_sink {
             hubs.push((self.instances.len() as u64 + 1, "fleet", sink.hub()));
         }
-        let records: Vec<_> = hubs
-            .iter()
-            .map(|(_, _, hub)| hub.sorted_records())
-            .collect();
         let processes: Vec<ProcessRefs<'_>> = hubs
             .iter()
-            .zip(&records)
-            .map(|((pid, name, _), (spans, instants))| ProcessRefs {
-                pid: *pid,
-                name: Some(name),
-                spans,
-                instants,
-            })
+            .map(|(pid, name, hub)| hub.process(*pid, Some(name)))
             .collect();
         Some(render_processes(&processes))
     }

@@ -20,7 +20,7 @@ use vampos_apps::{App, MiniHttpd};
 use vampos_core::{Image, System, SystemBuilder};
 use vampos_host::{ClientConnId, HostHandle};
 use vampos_sim::{derive_seed, Nanos, SimClock};
-use vampos_telemetry::TelemetrySink;
+use vampos_telemetry::{TelemetrySink, ThinName};
 use vampos_ukernel::OsError;
 use vampos_workloads as wire;
 
@@ -72,7 +72,7 @@ impl Booking {
 /// frees large blocks, they are merged during teardown; dropped last, the
 /// merge falls to the next boot's first large allocation.
 pub struct Replica<A> {
-    label: Rc<str>,
+    label: ThinName,
     /// The application running on it.
     pub app: A,
     /// The simulated unikernel.
@@ -126,7 +126,7 @@ impl<A: App> Replica<A> {
     }
 
     /// The label as telemetry shares it: a journey hop's `instance`.
-    pub(crate) fn shared_label(&self) -> &Rc<str> {
+    pub(crate) fn shared_label(&self) -> &ThinName {
         &self.label
     }
 

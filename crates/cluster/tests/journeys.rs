@@ -49,7 +49,7 @@ fn attr_value<'a>(span: &'a SpanRecord, key: &str) -> &'a AttrValue {
         .iter()
         .find(|(k, _)| *k == key)
         .map(|(_, v)| v)
-        .unwrap_or_else(|| panic!("span {} {:?} lacks attr {key}", span.id, span.name))
+        .unwrap_or_else(|| panic!("span {} {:?} lacks attr {key}", span.id, span.name()))
 }
 
 /// The attribute as the exports render it.
@@ -83,7 +83,7 @@ fn assert_journeys_well_formed(
     let mut roots: BTreeMap<u64, &SpanRecord> = BTreeMap::new();
     let mut journey_ids: BTreeMap<String, u64> = BTreeMap::new();
     for s in fleet_spans {
-        if s.kind == SpanKind::Journey && &*s.name == "journey" {
+        if s.kind() == SpanKind::Journey && s.name() == "journey" {
             assert_eq!(s.parent(), None, "journey roots must be parentless");
             assert!(s.start <= s.end, "root {} runs backwards", s.id);
             let jid = attr(s, "journey");
@@ -105,7 +105,7 @@ fn assert_journeys_well_formed(
     // root's interval, with a decomposition that adds up.
     let mut hops_of: BTreeMap<u64, Vec<&SpanRecord>> = BTreeMap::new();
     for s in fleet_spans {
-        if s.kind != SpanKind::Journey || &*s.name != "hop" {
+        if s.kind() != SpanKind::Journey || s.name() != "hop" {
             continue;
         }
         let parent = s.parent().expect("hop without a parent root");
@@ -180,15 +180,17 @@ fn assert_journeys_well_formed(
     // every journey-tagged span anywhere must name a known journey.
     let served_hops = fleet_spans
         .iter()
-        .filter(|s| s.kind == SpanKind::Journey && &*s.name == "hop" && attr(s, "served") == "true")
+        .filter(|s| {
+            s.kind() == SpanKind::Journey && s.name() == "hop" && attr(s, "served") == "true"
+        })
         .count();
     let mut serve_spans = 0usize;
     for (label, spans) in &processes[..processes.len() - 1] {
         for s in spans {
-            if s.kind != SpanKind::Journey {
+            if s.kind() != SpanKind::Journey {
                 continue;
             }
-            assert_eq!(&*s.name, "serve", "unexpected journey span on {label}");
+            assert_eq!(s.name(), "serve", "unexpected journey span on {label}");
             serve_spans += 1;
             assert!(
                 journey_ids.contains_key(&attr(s, "journey")),

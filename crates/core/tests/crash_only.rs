@@ -140,8 +140,8 @@ fn recovery_record(
     recover(&mut sys);
     let phases = sink.with(|hub| {
         hub.spans()
-            .filter(|s| s.kind == SpanKind::Phase)
-            .map(|s| s.name.to_string())
+            .filter(|s| s.kind() == SpanKind::Phase)
+            .map(|s| s.name().to_string())
             .collect()
     });
     let stats = sys.stats();

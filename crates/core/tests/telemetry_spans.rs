@@ -47,7 +47,7 @@ fn every_reboot_yields_one_recovery_span_with_four_ordered_phases() {
     sink.with(|hub| {
         let recoveries: Vec<_> = hub
             .spans()
-            .filter(|s| s.kind == SpanKind::Recovery)
+            .filter(|s| s.kind() == SpanKind::Recovery)
             .collect();
         // DaS runs every component in its own group, so one recovery span
         // per rebooted component.
@@ -57,27 +57,28 @@ fn every_reboot_yields_one_recovery_span_with_four_ordered_phases() {
         for recovery in &recoveries {
             let phases: Vec<_> = hub
                 .spans()
-                .filter(|s| s.kind == SpanKind::Phase && s.parent() == Some(recovery.id))
+                .filter(|s| s.kind() == SpanKind::Phase && s.parent() == Some(recovery.id))
                 .collect();
-            let names: Vec<&str> = phases.iter().map(|p| &*p.name).collect();
+            let names: Vec<&str> = phases.iter().map(|p| p.name()).collect();
             assert_eq!(
-                names, expected,
+                names,
+                expected,
                 "recovery of {:?} must decompose into the four phases in order",
-                recovery.track
+                recovery.track()
             );
             for pair in phases.windows(2) {
                 assert!(
                     pair[0].end <= pair[1].start,
                     "phases {:?} and {:?} overlap",
-                    pair[0].name,
-                    pair[1].name
+                    pair[0].name(),
+                    pair[1].name()
                 );
             }
             for phase in &phases {
                 assert!(
                     recovery.start <= phase.start && phase.end <= recovery.end,
                     "phase {:?} escapes its recovery span",
-                    phase.name
+                    phase.name()
                 );
             }
         }
@@ -91,7 +92,7 @@ fn recovery_spans_carry_their_trigger() {
     sink.with(|hub| {
         let trigger = |track: &str| -> String {
             hub.spans()
-                .find(|s| s.kind == SpanKind::Recovery && &*s.track == track)
+                .find(|s| s.kind() == SpanKind::Recovery && s.track() == track)
                 .and_then(|s| s.attrs.iter().find(|(k, _)| *k == "trigger"))
                 .map(|(_, v)| v.to_string())
                 .unwrap_or_else(|| panic!("no recovery span for {track}"))
@@ -109,11 +110,11 @@ fn mpk_denials_land_as_instants_and_trigger_an_attributed_recovery() {
     sink.with(|hub| {
         let denial = hub
             .instants()
-            .find(|i| &*i.name == "mpk_denial")
+            .find(|i| i.name() == "mpk_denial")
             .expect("denial recorded as an instant");
         let recovery = hub
             .spans()
-            .find(|s| s.kind == SpanKind::Recovery && &*s.track == "9pfs")
+            .find(|s| s.kind() == SpanKind::Recovery && s.track() == "9pfs")
             .expect("the denial reboots the faulting component");
         assert!(
             denial.at <= recovery.start,
@@ -178,12 +179,12 @@ fn assert_counters_match_the_hub(sys: &System, sink: &TelemetrySink) {
             let counters = sys.component_counters(&component).expect("linked");
             let calls = hub
                 .spans()
-                .filter(|s| s.kind == SpanKind::Call && *s.track == *component)
+                .filter(|s| s.kind() == SpanKind::Call && *s.track() == *component)
                 .count();
             let recoveries = hub
                 .spans()
-                .filter(|s| s.kind == SpanKind::Recovery)
-                .filter(|s| s.track.split('+').any(|member| member == component))
+                .filter(|s| s.kind() == SpanKind::Recovery)
+                .filter(|s| s.track().split('+').any(|member| member == component))
                 .count();
             assert_eq!(counters.hops, calls as u64, "hops of {component}");
             assert_eq!(
@@ -191,7 +192,7 @@ fn assert_counters_match_the_hub(sys: &System, sink: &TelemetrySink) {
                 "recoveries of {component}"
             );
         }
-        let denials = hub.instants().filter(|i| &*i.name == "mpk_denial").count();
+        let denials = hub.instants().filter(|i| i.name() == "mpk_denial").count();
         assert_eq!(sys.stats().mpk_violations, denials as u64);
     });
 }
@@ -249,7 +250,7 @@ fn counters_equal_the_hubs_span_counts() {
     assert_counters_match_the_hub(&sys, &sink);
     let triggers: Vec<String> = sink.with(|hub| {
         hub.spans()
-            .filter(|s| s.kind == SpanKind::Recovery)
+            .filter(|s| s.kind() == SpanKind::Recovery)
             .flat_map(|s| s.attrs.iter().find(|(k, _)| *k == "trigger"))
             .map(|(_, trigger)| trigger.to_string())
             .collect()

@@ -32,7 +32,7 @@ use vampos_cluster::{
 use vampos_core::Image;
 use vampos_sim::{Nanos, SimClock};
 use vampos_telemetry::metrics::{CounterId, HistogramId};
-use vampos_telemetry::{AttrValue, Collector, SpanKind, TelemetrySink};
+use vampos_telemetry::{AttrValue, Collector, SpanKind, TelemetrySink, ThinName};
 use vampos_ukernel::digest::DigestBuilder;
 use vampos_ukernel::OsError;
 
@@ -395,7 +395,7 @@ impl Mesh {
             one_way: self.backend_one_way,
             sink: self.fleet.fleet_telemetry().cloned(),
             stage_labels: (0..self.topology.stages.len())
-                .map(|i| Rc::from(self.topology.stage_label(i)))
+                .map(|i| ThinName::from(self.topology.stage_label(i)))
                 .collect(),
             series: MeshSeries {
                 total: [None; 2],
@@ -458,7 +458,7 @@ struct Pipeline<'a> {
     one_way: Nanos,
     sink: Option<TelemetrySink>,
     /// Stage labels as every `mesh_hop` span's `stage` shares them.
-    stage_labels: Vec<Rc<str>>,
+    stage_labels: Vec<ThinName>,
     series: MeshSeries,
     started: Nanos,
     /// Backend ops in firing order; `cursor` is the next one to fire.
@@ -707,7 +707,7 @@ impl Pipeline<'_> {
                     Some(root),
                     [
                         ("journey", AttrValue::U64(journey)),
-                        ("stage", AttrValue::Shared(Rc::clone(&labels[*si]))),
+                        ("stage", labels[*si].clone().into()),
                         ("ok", AttrValue::Bool(rec.ok)),
                         ("attempts", AttrValue::U64(u64::from(rec.attempts))),
                         ("hedged", AttrValue::Bool(rec.hedged)),

@@ -347,6 +347,24 @@ impl Lwip {
     fn sock_mut(&mut self, id: u64) -> Result<&mut Sock, OsError> {
         self.socks.get_mut(&id).ok_or(OsError::BadFd)
     }
+
+    /// The socket a logged call on a connection names. Accepted
+    /// connections are runtime data, restored after the log replays, so a
+    /// socket that no replayed call has created is one the peer opened:
+    /// replay brings back its skeleton — established, as it was when the
+    /// call ran — and [`Component::restore_runtime`] fills in the rest.
+    /// Following the log, not the runtime data, keeps a closed
+    /// connection's id apart from the connection that reused it.
+    fn conn_sock(&mut self, ctx: &dyn CallContext, id: u64) -> Result<&mut Sock, OsError> {
+        if ctx.is_replay() {
+            let skeleton = || Sock {
+                state: SockState::Established,
+                ..Sock::new(None)
+            };
+            return Ok(self.socks.entry(id).or_insert_with(skeleton));
+        }
+        self.sock_mut(id)
+    }
 }
 
 impl Component for Lwip {
@@ -406,20 +424,20 @@ impl Component for Lwip {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let opt = args.get(1).ok_or(OsError::Inval)?.as_u64()?;
                 let val = args.get(2).ok_or(OsError::Inval)?.as_u64()?;
-                self.sock_mut(id)?.opts.insert(opt, val);
+                self.conn_sock(ctx, id)?.opts.insert(opt, val);
                 Ok(Value::Unit)
             }
             id::GETSOCKOPT => {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let opt = args.get(1).ok_or(OsError::Inval)?.as_u64()?;
-                let sock = self.socks.get(&id).ok_or(OsError::BadFd)?;
+                let sock = self.conn_sock(ctx, id)?;
                 Ok(Value::U64(sock.opts.get(&opt).copied().unwrap_or(0)))
             }
             id::IOCTL => {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;
                 let cmd = args.get(1).ok_or(OsError::Inval)?.as_u64()?;
                 let arg = args.get(2).map(Value::as_u64).transpose()?.unwrap_or(0);
-                let sock = self.sock_mut(id)?;
+                let sock = self.conn_sock(ctx, id)?;
                 match cmd {
                     FIONBIO => {
                         sock.nonblock = arg != 0;
@@ -430,7 +448,7 @@ impl Component for Lwip {
             }
             id::SHUTDOWN => {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;
-                let sock = self.sock_mut(id)?;
+                let sock = self.conn_sock(ctx, id)?;
                 if sock.state != SockState::Established {
                     return Err(OsError::NotConnected);
                 }
@@ -449,7 +467,7 @@ impl Component for Lwip {
             }
             id::CLOSE => {
                 let id = args.first().ok_or(OsError::Inval)?.as_u64()?;
-                let sock = self.socks.get_mut(&id).ok_or(OsError::BadFd)?;
+                let sock = self.conn_sock(ctx, id)?;
                 if sock.state == SockState::Established {
                     let fin = Frame {
                         src_port: sock.local_port,

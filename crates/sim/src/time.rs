@@ -9,9 +9,11 @@ use std::rc::Rc;
 /// A duration or instant in virtual time, measured in nanoseconds.
 ///
 /// `Nanos` is used both as a point on the simulation timeline (the value of
-/// [`SimClock::now`]) and as a span between two points. The arithmetic
-/// operators saturate on underflow rather than panicking, because cost-model
-/// subtraction on nearly-equal instants is common in the benchmark harness.
+/// [`SimClock::now`]) and as a span between two points. Addition and
+/// multiplication saturate. Subtraction is checked: `a - b` with `b` later
+/// than `a` is a reversed interval, a bug, so it panics and names both
+/// operands. Where clamping a span to zero is what a caller means, it says
+/// so with [`Nanos::saturating_sub`].
 ///
 /// # Example
 ///
@@ -21,7 +23,9 @@ use std::rc::Rc;
 /// let a = Nanos::from_micros(2);
 /// let b = Nanos::from_nanos(500);
 /// assert_eq!((a + b).as_nanos(), 2_500);
-/// assert_eq!((b - a), Nanos::ZERO); // saturating
+/// assert_eq!((a - b).as_nanos(), 1_500);
+/// assert_eq!(b.saturating_sub(a), Nanos::ZERO);
+/// assert!(std::panic::catch_unwind(|| b - a).is_err());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct Nanos(u64);
@@ -127,12 +131,24 @@ impl AddAssign for Nanos {
 
 impl Sub for Nanos {
     type Output = Nanos;
+
+    /// # Panics
+    ///
+    /// Panics when `rhs` is greater than `self`, naming both.
+    #[track_caller]
     fn sub(self, rhs: Nanos) -> Nanos {
-        self.saturating_sub(rhs)
+        match self.checked_sub(rhs) {
+            Some(difference) => difference,
+            None => panic!("Nanos subtraction underflow: {} ns - {} ns", self.0, rhs.0),
+        }
     }
 }
 
 impl SubAssign for Nanos {
+    /// # Panics
+    ///
+    /// Panics when `rhs` is greater than `self`, naming both.
+    #[track_caller]
     fn sub_assign(&mut self, rhs: Nanos) {
         *self = *self - rhs;
     }
@@ -250,12 +266,23 @@ mod tests {
     }
 
     #[test]
-    fn subtraction_saturates() {
+    #[should_panic(expected = "Nanos subtraction underflow: 5 ns - 10 ns")]
+    fn subtraction_panics_on_underflow_naming_both_operands() {
         let small = Nanos::from_nanos(5);
         let big = Nanos::from_nanos(10);
-        assert_eq!(small - big, Nanos::ZERO);
         assert_eq!(big - small, Nanos::from_nanos(5));
         assert_eq!(small.checked_sub(big), None);
+        assert_eq!(small.saturating_sub(big), Nanos::ZERO);
+        let _ = small - big;
+    }
+
+    #[test]
+    #[should_panic(expected = "Nanos subtraction underflow: 0 ns - 1 ns")]
+    fn subtract_assign_panics_on_underflow() {
+        let mut t = Nanos::from_nanos(1);
+        t -= Nanos::from_nanos(1);
+        assert_eq!(t, Nanos::ZERO);
+        t -= Nanos::from_nanos(1);
     }
 
     #[test]

@@ -167,7 +167,7 @@ pub fn analyze(processes: &[(String, Vec<SpanRecord>)]) -> Analysis {
     // their hops in export order) can see their accumulated stall.
     for (_, spans) in processes {
         for s in spans {
-            if s.kind == SpanKind::Journey && &*s.name == "hop" {
+            if s.kind() == SpanKind::Journey && s.name() == "hop" {
                 journeys.wire_ns += attr_u64(s, "wire_ns");
                 journeys.queue_ns += attr_u64(s, "queue_ns");
                 journeys.service_ns += attr_u64(s, "service_ns");
@@ -184,17 +184,17 @@ pub fn analyze(processes: &[(String, Vec<SpanRecord>)]) -> Analysis {
         // Phase spans attach to their recovery via `parent`.
         let mut phases_of: BTreeMap<u64, [u64; 4]> = BTreeMap::new();
         for s in spans {
-            if s.kind != SpanKind::Phase {
+            if s.kind() != SpanKind::Phase {
                 continue;
             }
             let Some(parent) = s.parent() else { continue };
-            let Some(idx) = PHASES.iter().position(|p| **p == *s.name) else {
+            let Some(idx) = PHASES.iter().position(|p| **p == *s.name()) else {
                 continue;
             };
             phases_of.entry(parent).or_default()[idx] += s.duration().as_nanos();
         }
         for s in spans {
-            match s.kind {
+            match s.kind() {
                 SpanKind::Recovery => {
                     let phase_ns = phases_of.get(&s.id).copied().unwrap_or_default();
                     let dominant = if phase_ns.iter().all(|&ns| ns == 0) {
@@ -217,7 +217,7 @@ pub fn analyze(processes: &[(String, Vec<SpanRecord>)]) -> Analysis {
                         s.id,
                         RecoveryBreakdown {
                             process: process.clone(),
-                            track: s.track.to_string(),
+                            track: s.track().to_string(),
                             trigger,
                             start_ns: s.start.as_nanos(),
                             downtime_ns: s.duration().as_nanos(),
@@ -226,7 +226,7 @@ pub fn analyze(processes: &[(String, Vec<SpanRecord>)]) -> Analysis {
                         },
                     ));
                 }
-                SpanKind::Journey if &*s.name == "journey" => {
+                SpanKind::Journey if s.name() == "journey" => {
                     journeys.journeys += 1;
                     if matches!(attr(s, "ok"), Some(AttrValue::Bool(true))) {
                         journeys.served += 1;
@@ -406,11 +406,11 @@ impl Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hub::parent_id;
+    use crate::hub::{parent_id, SpanSite};
     use vampos_sim::Nanos;
 
     fn text(s: &str) -> AttrValue {
-        AttrValue::Owned(s.to_owned())
+        s.into()
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -427,9 +427,7 @@ mod tests {
         SpanRecord {
             id,
             parent: parent_id(parent),
-            track: track.into(),
-            name: name.into(),
-            kind,
+            site: SpanSite::new(track, name, kind),
             start: Nanos::from_nanos(start),
             end: Nanos::from_nanos(end),
             attrs: attrs.into_iter().collect(),

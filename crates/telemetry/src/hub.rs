@@ -22,7 +22,7 @@ use vampos_sim::{Name, Nanos};
 
 use crate::collector::{Collector, RecoveryPhase};
 use crate::metrics::{CounterId, GaugeId, HistogramId, MetricsRegistry};
-use crate::perfetto;
+use crate::perfetto::{self, ProcessRefs, Records};
 use crate::text::Digits;
 
 /// Bound on retained finished spans, and on retained instants.
@@ -32,7 +32,7 @@ const SPAN_CAPACITY: usize = 1 << 16;
 const RECENT_DETAILS: usize = 8;
 
 /// What a span measured.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum SpanKind {
     /// A cross-component call.
     Call,
@@ -59,19 +59,17 @@ impl SpanKind {
     }
 }
 
-/// The value of a span or instant attribute: text the record owns, a name
-/// it shares (the `caller` of a call span, the `instance` of a hop), or a
-/// number or flag kept as one until an exporter renders it. Renders —
-/// and compares — as its text: decimal digits for [`AttrValue::U64`],
-/// `true`/`false` for [`AttrValue::Bool`], so `U64(10)` equals
-/// `Owned("10")`.
+/// The value of a span or instant attribute: text, or a number or flag
+/// kept as one until an exporter renders it. Text is a [`ThinName`], so a
+/// value shared with other records (a name from the hub's string table, an
+/// instance or stage label) is a reference-count bump, and every value is
+/// 16 bytes. Renders — and compares — as its text: decimal digits for
+/// [`AttrValue::U64`], `true`/`false` for [`AttrValue::Bool`], so `U64(10)`
+/// equals `Text("10")`.
 #[derive(Debug, Clone)]
 pub enum AttrValue {
-    /// Text the record owns.
-    Owned(String),
-    /// Text shared with other records (a name from the hub's string table,
-    /// an instance or stage label).
-    Shared(Rc<str>),
+    /// Text, owned or shared with other records.
+    Text(ThinName),
     /// An unsigned number.
     U64(u64),
     /// A flag.
@@ -79,12 +77,11 @@ pub enum AttrValue {
 }
 
 impl AttrValue {
-    /// The text of an [`AttrValue::Owned`] or [`AttrValue::Shared`] value;
-    /// `None` for a number or a flag (render those with `Display`).
+    /// The text of an [`AttrValue::Text`] value; `None` for a number or a
+    /// flag (render those with `Display`).
     pub fn text(&self) -> Option<&str> {
         match self {
-            AttrValue::Owned(s) => Some(s),
-            AttrValue::Shared(s) => Some(s),
+            AttrValue::Text(s) => Some(s),
             AttrValue::U64(_) | AttrValue::Bool(_) => None,
         }
     }
@@ -100,8 +97,7 @@ impl AttrValue {
     /// Runs `f` over the rendered text, with no allocation.
     pub(crate) fn with_text<R>(&self, f: impl FnOnce(&str) -> R) -> R {
         match self {
-            AttrValue::Owned(s) => f(s),
-            AttrValue::Shared(s) => f(s),
+            AttrValue::Text(s) => f(s),
             AttrValue::U64(n) => f(Digits::new(*n).as_str()),
             AttrValue::Bool(b) => f(if *b { "true" } else { "false" }),
         }
@@ -114,9 +110,21 @@ impl fmt::Display for AttrValue {
     }
 }
 
+impl From<ThinName> for AttrValue {
+    fn from(s: ThinName) -> Self {
+        AttrValue::Text(s)
+    }
+}
+
 impl From<String> for AttrValue {
     fn from(s: String) -> Self {
-        AttrValue::Owned(s)
+        AttrValue::Text(s.into())
+    }
+}
+
+impl From<&str> for AttrValue {
+    fn from(s: &str) -> Self {
+        AttrValue::Text(s.into())
     }
 }
 
@@ -159,10 +167,10 @@ impl<const N: usize> From<[Attr; N]> for Attrs {
     }
 }
 
-/// A track, span or event name of a record: one pointer to text that
-/// every record naming it shares. A hub interns its names, so it holds
-/// one allocation per distinct name however many records carry it.
-/// Derefs, compares and orders as its text.
+/// A name or a text value of a record: one pointer to text that every
+/// record naming it shares. A hub interns its names, so it holds one
+/// allocation per distinct name however many records carry it. Derefs,
+/// compares and orders as its text.
 #[derive(Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct ThinName(Rc<Box<str>>);
 
@@ -193,6 +201,12 @@ impl From<&str> for ThinName {
     }
 }
 
+impl From<String> for ThinName {
+    fn from(s: String) -> Self {
+        ThinName(Rc::new(s.into_boxed_str()))
+    }
+}
+
 impl fmt::Display for ThinName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self)
@@ -202,6 +216,46 @@ impl fmt::Display for ThinName {
 impl fmt::Debug for ThinName {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         fmt::Debug::fmt(self.as_str(), f)
+    }
+}
+
+/// Where spans are recorded: the track they render on, their name and
+/// their kind. A hub interns one per distinct triple (its site table), so
+/// the records of one site share one allocation and a record names its
+/// site with one pointer.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct SpanSite {
+    pub(crate) track: ThinName,
+    pub(crate) name: ThinName,
+    pub(crate) kind: SpanKind,
+}
+
+impl SpanSite {
+    #[cfg(test)]
+    pub(crate) fn new(track: &str, name: &str, kind: SpanKind) -> Rc<SpanSite> {
+        Rc::new(SpanSite {
+            track: track.into(),
+            name: name.into(),
+            kind,
+        })
+    }
+}
+
+/// Where instants are recorded: their track and their event name; shared
+/// like a [`SpanSite`].
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) struct InstantSite {
+    pub(crate) track: ThinName,
+    pub(crate) name: ThinName,
+}
+
+impl InstantSite {
+    #[cfg(test)]
+    pub(crate) fn new(track: &str, name: &str) -> Rc<InstantSite> {
+        Rc::new(InstantSite {
+            track: track.into(),
+            name: name.into(),
+        })
     }
 }
 
@@ -226,12 +280,9 @@ pub struct SpanRecord {
     /// Id of the enclosing span open at creation time; read it through
     /// [`SpanRecord::parent`].
     pub(crate) parent: u64,
-    /// Track (component) the span renders on.
-    pub track: ThinName,
-    /// Span name (function, `recovery`, or a recovery-phase name).
-    pub name: ThinName,
-    /// What the span measured.
-    pub kind: SpanKind,
+    /// Track, name and kind; read them through [`SpanRecord::track`],
+    /// [`SpanRecord::name`] and [`SpanRecord::kind`].
+    pub(crate) site: Rc<SpanSite>,
     /// Start timestamp (virtual).
     pub start: Nanos,
     /// End timestamp (virtual); `end >= start` always.
@@ -246,6 +297,21 @@ impl SpanRecord {
         parent_of(self.parent)
     }
 
+    /// Track (component) the span renders on.
+    pub fn track(&self) -> &str {
+        &self.site.track
+    }
+
+    /// Span name (function, `recovery`, or a recovery-phase name).
+    pub fn name(&self) -> &str {
+        &self.site.name
+    }
+
+    /// What the span measured.
+    pub fn kind(&self) -> SpanKind {
+        self.site.kind
+    }
+
     /// Span duration.
     pub fn duration(&self) -> Nanos {
         self.end.saturating_sub(self.start)
@@ -255,10 +321,9 @@ impl SpanRecord {
 /// A point event attached to a track (and, when one was open, a span).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InstantRecord {
-    /// Track (component) the instant renders on.
-    pub track: ThinName,
-    /// Event name (e.g. `failure_detected`, `mpk_denial`).
-    pub name: ThinName,
+    /// Track and event name; read them through [`InstantRecord::track`]
+    /// and [`InstantRecord::name`].
+    pub(crate) site: Rc<InstantSite>,
     /// Timestamp (virtual).
     pub at: Nanos,
     /// Id of the span that was innermost-open when the event fired; read
@@ -272,6 +337,16 @@ impl InstantRecord {
     /// Id of the span that was innermost-open when the event fired, if any.
     pub fn parent(&self) -> Option<u64> {
         parent_of(self.parent)
+    }
+
+    /// Track (component) the instant renders on.
+    pub fn track(&self) -> &str {
+        &self.site.track
+    }
+
+    /// Event name (e.g. `failure_detected`, `mpk_denial`).
+    pub fn name(&self) -> &str {
+        &self.site.name
     }
 }
 
@@ -298,7 +373,7 @@ type NameId = usize;
 /// syscall function). Each is resolved when it is first updated and reached
 /// by id from then on; resolving creates the series, so none is resolved
 /// ahead of its first update. Beside them, the attribute list every call
-/// span from the name shares: `[("caller", Shared(name))]`.
+/// span from the name shares: `[("caller", Text(name))]`.
 #[derive(Debug, Default)]
 struct NameSeries {
     caller_attrs: Option<Attrs>,
@@ -378,62 +453,107 @@ impl Names {
         self.strings[id].clone()
     }
 
-    fn shared(&mut self, s: &str) -> ThinName {
-        let id = self.intern(s);
-        self.get(id)
-    }
-
     /// The attributes of a call span from `caller`.
     fn caller_attrs(&mut self, caller: NameId) -> Attrs {
         let strings = &self.strings;
         self.series[caller]
             .caller_attrs
-            .get_or_insert_with(|| {
-                Attrs::from([("caller", AttrValue::Shared(Rc::from(&*strings[caller])))])
-            })
+            .get_or_insert_with(|| Attrs::from([("caller", strings[caller].clone().into())]))
             .clone()
     }
 }
 
-/// What instants share of their details. A detail is formatted into one
-/// reused buffer, then looked up among the lists recently stored for its
-/// `(track, event)`: a repeated detail shares the list its first
-/// occurrence built and allocates nothing. Each pair keeps at most
-/// [`RECENT_DETAILS`] lists, most recent first, so the table is bounded
-/// by the configuration's names, not by the run length.
-#[derive(Debug, Default)]
-struct Details {
-    text: String,
-    recent: BTreeMap<(NameId, NameId), Vec<Attrs>>,
+/// One `(track, event)` pair of instants: the site its records share,
+/// and the detail lists recently stored for it, most recent first. A
+/// detail is formatted into the hub's reused buffer, then looked up among
+/// these: a repeated detail shares the list its first occurrence built and
+/// allocates nothing. A pair keeps at most [`RECENT_DETAILS`] lists, so
+/// the table is bounded by the configuration's names, not by the run
+/// length.
+#[derive(Debug)]
+struct InstantSlot {
+    site: Rc<InstantSite>,
+    recent: Vec<Attrs>,
 }
 
-impl Details {
-    fn attrs(&mut self, track: NameId, event: NameId, detail: fmt::Arguments<'_>) -> Attrs {
-        self.text.clear();
-        // Writing into a `String` fails only if a `Display` impl does.
-        let _ = self.text.write_fmt(detail);
-        if self.text.is_empty() {
-            return Attrs::default();
-        }
-        let recent = self
+impl InstantSlot {
+    fn detail(&mut self, text: &str) -> Attrs {
+        let hit = self
             .recent
-            .entry((track, event))
-            .or_insert_with(|| Vec::with_capacity(RECENT_DETAILS));
-        let text = self.text.as_str();
-        let hit = recent
             .iter()
             .position(|attrs| attrs.first().is_some_and(|(_, v)| v.text() == Some(text)));
         match hit {
-            Some(at) => recent[..=at].rotate_right(1),
+            Some(at) => self.recent[..=at].rotate_right(1),
             None => {
-                if recent.len() == RECENT_DETAILS {
-                    recent.pop();
+                if self.recent.len() == RECENT_DETAILS {
+                    self.recent.pop();
                 }
-                let attrs = Attrs::from([("detail", AttrValue::Owned(text.to_owned()))]);
-                recent.insert(0, attrs);
+                let attrs = Attrs::from([("detail", text.into())]);
+                self.recent.insert(0, attrs);
             }
         }
-        recent[0].clone()
+        self.recent[0].clone()
+    }
+}
+
+/// The hub's site table: one [`SpanSite`] per `(track, name, kind)` and
+/// one [`InstantSlot`] per `(track, event)`, keyed by name ids. A warm
+/// event finds its site by comparing integers, never text, and allocates
+/// nothing; every record of a site shares it.
+#[derive(Debug, Default)]
+struct Sites {
+    spans: BTreeMap<(NameId, NameId, SpanKind), Rc<SpanSite>>,
+    instants: BTreeMap<(NameId, NameId), InstantSlot>,
+    /// [`TelemetryHub::push_span`]'s sites by the address of the literals
+    /// that name them: a journey hop passes the same two literals every
+    /// time, so a pointer match finds its site without looking up any
+    /// text. A `'static` string is never freed, so its address names it
+    /// for good.
+    literals: Vec<(&'static str, &'static str, SpanKind, Rc<SpanSite>)>,
+}
+
+impl Sites {
+    fn span(&mut self, names: &Names, track: NameId, name: NameId, kind: SpanKind) -> Rc<SpanSite> {
+        let site = self.spans.entry((track, name, kind)).or_insert_with(|| {
+            Rc::new(SpanSite {
+                track: names.get(track),
+                name: names.get(name),
+                kind,
+            })
+        });
+        Rc::clone(site)
+    }
+
+    fn literal(
+        &mut self,
+        names: &mut Names,
+        track: &'static str,
+        name: &'static str,
+        kind: SpanKind,
+    ) -> Rc<SpanSite> {
+        let known = self
+            .literals
+            .iter()
+            .find(|(t, n, k, _)| std::ptr::eq(*t, track) && std::ptr::eq(*n, name) && *k == kind);
+        if let Some((.., site)) = known {
+            return Rc::clone(site);
+        }
+        let (t, n) = (names.intern(track), names.intern(name));
+        let site = self.span(names, t, n, kind);
+        self.literals.push((track, name, kind, Rc::clone(&site)));
+        site
+    }
+
+    fn instant(&mut self, names: &Names, track: NameId, name: NameId) -> &mut InstantSlot {
+        self.instants
+            .entry((track, name))
+            .or_insert_with(|| InstantSlot {
+                site: Rc::new(InstantSite {
+                    track: names.get(track),
+                    name: names.get(name),
+                }),
+                recent: Vec::new(),
+            })
     }
 }
 
@@ -443,7 +563,7 @@ struct OpenSpan {
     parent: u64,
     track: NameId,
     name: NameId,
-    kind: SpanKind,
+    site: Rc<SpanSite>,
     start: Nanos,
     attrs: Attrs,
 }
@@ -467,7 +587,9 @@ pub struct TelemetryHub {
     instants: VecDeque<InstantRecord>,
     evicted: u64,
     metrics: MetricsRegistry,
-    details: Details,
+    sites: Sites,
+    /// The buffer [`Collector::instant`] formats a detail into.
+    detail: String,
 }
 
 impl TelemetryHub {
@@ -504,14 +626,15 @@ impl TelemetryHub {
     /// the LIFO open-span stack. Journey roots and hops use this: they are
     /// emitted after the fact (once a request's completion time is known),
     /// so they never nest with the runtime's call/recovery span pairs.
-    /// Returns the new span's id, for parenting follow-up spans. `attrs`
+    /// Returns the new span's id, for parenting follow-up spans. `track`
+    /// and `name` are literals, found by address in the site table. `attrs`
     /// is any list of values an [`AttrValue`] converts from: an array of
     /// typed values, or a `Vec` of formatted `String`s.
     #[allow(clippy::too_many_arguments)]
     pub fn push_span<V: Into<AttrValue>>(
         &mut self,
-        track: &str,
-        name: &str,
+        track: &'static str,
+        name: &'static str,
         kind: SpanKind,
         start: Nanos,
         end: Nanos,
@@ -520,14 +643,11 @@ impl TelemetryHub {
     ) -> u64 {
         let id = self.next_id;
         self.next_id += 1;
-        let track = self.names.shared(track);
-        let name = self.names.shared(name);
+        let site = self.sites.literal(&mut self.names, track, name, kind);
         self.push_finished(SpanRecord {
             id,
             parent: parent_id(parent),
-            track,
-            name,
-            kind,
+            site,
             start,
             end: end.max(start),
             attrs: attrs.into_iter().map(|(k, v)| (k, v.into())).collect(),
@@ -546,12 +666,13 @@ impl TelemetryHub {
         let id = self.next_id;
         self.next_id += 1;
         let parent = self.open.last().map_or(NO_PARENT, |s| s.id);
+        let site = self.sites.span(&self.names, track, name, kind);
         self.open.push(OpenSpan {
             id,
             parent,
             track,
             name,
-            kind,
+            site,
             start,
             attrs,
         });
@@ -562,17 +683,15 @@ impl TelemetryHub {
     fn close_span(&mut self, expected: SpanKind, end: Nanos) -> Option<Closed> {
         let span = self.open.pop()?;
         debug_assert_eq!(
-            span.kind, expected,
+            span.site.kind, expected,
             "unbalanced span stack: closing {:?} but innermost open is {} ({:?})",
-            expected, self.names.strings[span.name], span.kind
+            expected, span.site.name, span.site.kind
         );
         let end = end.max(span.start);
         let record = SpanRecord {
             id: span.id,
             parent: span.parent,
-            track: self.names.get(span.track),
-            name: self.names.get(span.name),
-            kind: span.kind,
+            site: span.site,
             start: span.start,
             end,
             attrs: span.attrs,
@@ -593,15 +712,21 @@ impl TelemetryHub {
         }
     }
 
-    fn attach_instant(&mut self, track: NameId, name: ThinName, at: Nanos, attrs: Attrs) {
+    fn attach_instant(&mut self, site: Rc<InstantSite>, at: Nanos, attrs: Attrs) {
         let parent = self.open.last().map_or(NO_PARENT, |s| s.id);
         self.push_instant(InstantRecord {
-            track: self.names.get(track),
-            name,
+            site,
             at,
             parent,
             attrs,
         });
+    }
+
+    /// [`TelemetryHub::attach_instant`] at the site of `(track, event)`.
+    fn attach_at(&mut self, track: NameId, event: &str, at: Nanos, attrs: Attrs) {
+        let event = self.names.intern(event);
+        let site = Rc::clone(&self.sites.instant(&self.names, track, event).site);
+        self.attach_instant(site, at, attrs);
     }
 
     /// Finished spans, in completion order.
@@ -636,34 +761,31 @@ impl TelemetryHub {
         &mut self.metrics
     }
 
-    /// Borrows the retained spans and instants in export order — spans by
-    /// `(start, id)`, instants by timestamp. What every exporter renders
-    /// from; fleet exports take one such view per instance hub and hand
-    /// them to [`perfetto::render_processes`] as one pid-track each.
-    pub fn sorted_records(&self) -> (Vec<&SpanRecord>, Vec<&InstantRecord>) {
-        let mut instants: Vec<&InstantRecord> = self.instants.iter().collect();
-        instants.sort_by_key(|i| i.at);
-        (self.sorted_spans(), instants)
-    }
-
-    fn sorted_spans(&self) -> Vec<&SpanRecord> {
-        let mut spans: Vec<&SpanRecord> = self.finished.iter().collect();
-        spans.sort_by_key(|s| (s.start, s.id));
-        spans
+    /// Borrows the retained spans and instants as one process of a Chrome
+    /// trace: what every exporter renders from. Fleet exports take one per
+    /// instance hub and hand them to [`perfetto::render_processes`], which
+    /// sorts each in its turn.
+    pub fn process<'a>(&'a self, pid: u64, name: Option<&'a str>) -> ProcessRefs<'a> {
+        ProcessRefs {
+            pid,
+            name,
+            spans: Records::from(&self.finished),
+            instants: Records::from(&self.instants),
+        }
     }
 
     /// Renders retained spans and instants as Chrome trace-event JSON
     /// (loads in Perfetto / `chrome://tracing`): one track per component,
     /// recovery phases as nested slices, instants as thread-scoped points.
     pub fn chrome_trace_json(&self) -> String {
-        let (spans, instants) = self.sorted_records();
-        perfetto::chrome_trace(&spans, &instants)
+        perfetto::render_processes(&[self.process(1, None)])
     }
 
     /// Clones the retained spans in export order, for consumers that
     /// outlive the hub borrow ([`crate::analyze()`] input, chaos forensics).
     pub fn export_spans(&self) -> Vec<SpanRecord> {
-        self.sorted_spans().into_iter().cloned().collect()
+        let spans = Records::from(&self.finished).sorted();
+        spans.into_iter().cloned().collect()
     }
 
     /// Renders the metrics as Prometheus text exposition.
@@ -699,8 +821,8 @@ impl TelemetryHub {
                     cursor = parents.get(&id).copied().flatten();
                 }
                 SpanDump {
-                    track: s.track.to_string(),
-                    name: s.name.to_string(),
+                    track: s.track().to_string(),
+                    name: s.name().to_string(),
                     start_ns: s.start.as_nanos(),
                     dur_ns: s.duration().as_nanos(),
                     depth,
@@ -713,7 +835,7 @@ impl TelemetryHub {
         self.open
             .iter()
             .rev()
-            .find(|s| s.kind == SpanKind::Recovery)
+            .find(|s| s.site.kind == SpanKind::Recovery)
             .map(|s| (s.id, s.track))
     }
 
@@ -721,10 +843,10 @@ impl TelemetryHub {
     pub fn tracks(&self) -> BTreeSet<String> {
         let mut tracks: BTreeSet<String> = BTreeSet::new();
         for s in &self.finished {
-            tracks.insert(s.track.to_string());
+            tracks.insert(s.track().to_string());
         }
         for i in &self.instants {
-            tracks.insert(i.track.to_string());
+            tracks.insert(i.track().to_string());
         }
         tracks
     }
@@ -813,7 +935,7 @@ impl Collector for TelemetryHub {
             name,
             SpanKind::Recovery,
             at,
-            Attrs::from([("trigger", trigger.to_owned().into())]),
+            Attrs::from([("trigger", trigger.into())]),
         );
     }
 
@@ -824,16 +946,15 @@ impl Collector for TelemetryHub {
         };
         let id = self.next_id;
         self.next_id += 1;
-        let name = self.names.shared(phase.name());
+        let name = self.names.intern(phase.name());
+        let site = self.sites.span(&self.names, track, name, SpanKind::Phase);
         self.push_finished(SpanRecord {
             id,
             parent,
-            track: self.names.get(track),
-            name,
-            kind: SpanKind::Phase,
+            site,
             start,
             end: end.max(start),
-            attrs: Attrs::from([("member", member.to_owned().into())]),
+            attrs: Attrs::from([("member", member.into())]),
         });
         self.metrics.observe(
             "vampos_recovery_phase_us",
@@ -874,7 +995,7 @@ impl Collector for TelemetryHub {
 
     fn recovery_abort(&mut self, component: &str, at: Nanos, error: &str) {
         if self.close_span(SpanKind::Recovery, at).is_some() {
-            self.extend_last([("error", error.to_owned().into())]);
+            self.extend_last([("error", error.into())]);
             self.metrics.counter_add(
                 "vampos_recovery_aborts_total",
                 &[("component", component)],
@@ -886,12 +1007,11 @@ impl Collector for TelemetryHub {
     fn failure_detected(&mut self, component: &Name, kind: &str, at: Nanos) {
         let component = component.as_str();
         let track = self.names.intern(component);
-        let name = self.names.shared("failure_detected");
-        self.attach_instant(
+        self.attach_at(
             track,
-            name,
+            "failure_detected",
             at,
-            Attrs::from([("kind", kind.to_owned().into())]),
+            Attrs::from([("kind", kind.into())]),
         );
         self.metrics.counter_add(
             "vampos_failures_total",
@@ -903,12 +1023,11 @@ impl Collector for TelemetryHub {
     fn mpk_violation(&mut self, component: &Name, region_owner: &Name, at: Nanos) {
         let component = component.as_str();
         let track = self.names.intern(component);
-        let name = self.names.shared("mpk_denial");
-        self.attach_instant(
+        self.attach_at(
             track,
-            name,
+            "mpk_denial",
             at,
-            Attrs::from([("region_owner", region_owner.to_string().into())]),
+            Attrs::from([("region_owner", region_owner.as_str().into())]),
         );
         self.metrics
             .counter_add("vampos_mpk_denials_total", &[("component", component)], 1);
@@ -917,10 +1036,9 @@ impl Collector for TelemetryHub {
     fn log_shrunk(&mut self, component: &Name, removed: usize, at: Nanos) {
         let component = component.as_str();
         let track = self.names.intern(component);
-        let name = self.names.shared("log_shrunk");
-        self.attach_instant(
+        self.attach_at(
             track,
-            name,
+            "log_shrunk",
             at,
             Attrs::from([("removed", AttrValue::U64(removed as u64))]),
         );
@@ -972,14 +1090,27 @@ impl Collector for TelemetryHub {
     fn instant(&mut self, track: &str, name: &str, detail: fmt::Arguments<'_>, at: Nanos) {
         let track = self.names.intern_borrowed(track);
         let name = self.names.intern(name);
-        let attrs = self.details.attrs(track, name, detail);
-        self.attach_instant(track, self.names.get(name), at, attrs);
+        self.detail.clear();
+        // Writing into a `String` fails only if a `Display` impl does.
+        let _ = self.detail.write_fmt(detail);
+        let slot = self.sites.instant(&self.names, track, name);
+        let attrs = if self.detail.is_empty() {
+            Attrs::default()
+        } else {
+            slot.detail(&self.detail)
+        };
+        let site = Rc::clone(&slot.site);
+        self.attach_instant(site, at, attrs);
     }
 
     fn note(&mut self, text: &str, at: Nanos) {
-        // Free-form text: interning it would grow the table without bound.
+        // Free-form text: interning it would grow the tables without bound.
         let track = self.names.intern("system");
-        self.attach_instant(track, ThinName::from(text), at, Attrs::default());
+        let site = InstantSite {
+            track: self.names.get(track),
+            name: ThinName::from(text),
+        };
+        self.attach_instant(Rc::new(site), at, Attrs::default());
     }
 }
 
@@ -1042,9 +1173,9 @@ mod tests {
         let spans: Vec<&SpanRecord> = hub.spans().collect();
         assert_eq!(spans.len(), 2);
         // Inner span finishes first.
-        assert_eq!(&*spans[0].track, "virtio");
+        assert_eq!(spans[0].track(), "virtio");
         assert_eq!(spans[0].parent(), Some(spans[1].id));
-        assert_eq!(&*spans[1].track, "9pfs");
+        assert_eq!(spans[1].track(), "9pfs");
         assert_eq!(spans[1].parent(), None);
         assert_eq!(spans[1].duration(), ns(150));
         assert_eq!(hub.open_spans(), 0);
@@ -1066,17 +1197,20 @@ mod tests {
         hub.recovery_end(&n("9pfs"), ns(2_100), 7, 4096);
         let spans: Vec<&SpanRecord> = hub.spans().collect();
         assert_eq!(spans.len(), 5);
-        let recovery = spans.iter().find(|s| s.kind == SpanKind::Recovery).unwrap();
-        assert_eq!(&*recovery.name, "recovery");
+        let recovery = spans
+            .iter()
+            .find(|s| s.kind() == SpanKind::Recovery)
+            .unwrap();
+        assert_eq!(recovery.name(), "recovery");
         assert!(recovery
             .attrs
             .contains(&("trigger", "panic".to_owned().into())));
         assert!(recovery
             .attrs
             .contains(&("replayed", "7".to_owned().into())));
-        for phase in spans.iter().filter(|s| s.kind == SpanKind::Phase) {
+        for phase in spans.iter().filter(|s| s.kind() == SpanKind::Phase) {
             assert_eq!(phase.parent(), Some(recovery.id));
-            assert_eq!(&*phase.track, "9pfs");
+            assert_eq!(phase.track(), "9pfs");
         }
     }
 
@@ -1152,7 +1286,7 @@ mod tests {
         assert_eq!(spans[0].parent(), None);
         assert_eq!(spans[1].id, hop);
         assert_eq!(spans[1].parent(), Some(root));
-        let journeys = hub.tail_where(10, |s| s.kind == SpanKind::Journey);
+        let journeys = hub.tail_where(10, |s| s.kind() == SpanKind::Journey);
         assert_eq!(journeys.len(), 2);
         assert_eq!(journeys[0].name, "journey");
         assert_eq!(journeys[1].depth, 1);
@@ -1186,8 +1320,8 @@ mod tests {
         hub.full_reboot(ns(0), ns(5_000), 3);
         let spans: Vec<&SpanRecord> = hub.spans().collect();
         assert_eq!(spans.len(), 1);
-        assert_eq!(&*spans[0].track, "*");
-        assert_eq!(&*spans[0].name, "full_reboot");
+        assert_eq!(spans[0].track(), "*");
+        assert_eq!(spans[0].name(), "full_reboot");
         assert_eq!(
             hub.metrics()
                 .counter_value("vampos_connections_reset_total", &[]),
@@ -1197,10 +1331,87 @@ mod tests {
 
     #[test]
     fn records_cost_what_they_hold() {
-        assert!(std::mem::size_of::<SpanRecord>() <= 64);
-        assert!(std::mem::size_of::<InstantRecord>() <= 40);
+        assert!(std::mem::size_of::<SpanRecord>() <= 48);
+        assert!(std::mem::size_of::<InstantRecord>() <= 32);
+        assert_eq!(std::mem::size_of::<AttrValue>(), 16);
+        assert_eq!(std::mem::size_of::<Attr>(), 32);
         assert_eq!(std::mem::size_of::<ThinName>(), 8);
         assert_eq!(std::mem::size_of::<Attrs>(), 8);
+    }
+
+    #[test]
+    fn a_repeated_site_shares_one_handle() {
+        let mut hub = TelemetryHub::new();
+        let (app, vfs, ninep) = (n("app"), n("vfs"), n("9pfs"));
+        for round in 0..2 {
+            let at = ns(round * 100);
+            // The same name on two tracks.
+            hub.call_begin(&app, &vfs, &n("read"), at);
+            hub.call_end(at + ns(10), true);
+            hub.call_begin(&app, &ninep, &n("read"), at + ns(20));
+            hub.call_end(at + ns(30), true);
+            // The same track and name under two kinds.
+            hub.syscall_begin("read", at + ns(40));
+            hub.syscall_end(at + ns(50), true);
+            hub.call_begin(&vfs, &n("app"), &n("read"), at + ns(60));
+            hub.call_end(at + ns(70), true);
+            // Journey spans, and instants.
+            let root = hub.push_span(
+                "journeys",
+                "journey",
+                SpanKind::Journey,
+                at,
+                at + ns(80),
+                None,
+                [("journey", AttrValue::U64(round))],
+            );
+            hub.push_span(
+                "journeys",
+                "hop",
+                SpanKind::Journey,
+                at,
+                at + ns(80),
+                Some(root),
+                [("journey", AttrValue::U64(round))],
+            );
+            hub.instant("virtio", "virtio_kick", format_args!("9p"), at);
+            hub.failure_detected(&vfs, "panic", at);
+        }
+        let spans: Vec<&SpanRecord> = hub.spans().collect();
+        let expected = [
+            ("vfs", "read", SpanKind::Call),
+            ("9pfs", "read", SpanKind::Call),
+            ("app", "read", SpanKind::Syscall),
+            ("app", "read", SpanKind::Call),
+            ("journeys", "journey", SpanKind::Journey),
+            ("journeys", "hop", SpanKind::Journey),
+        ];
+        assert_eq!(spans.len(), 2 * expected.len());
+        for (k, (track, name, kind)) in expected.into_iter().enumerate() {
+            let (first, again) = (spans[k], spans[k + expected.len()]);
+            assert_eq!(
+                (first.track(), first.name(), first.kind()),
+                (track, name, kind)
+            );
+            assert!(Rc::ptr_eq(&first.site, &again.site), "{track}/{name}");
+            for other in &spans[..k] {
+                assert!(!Rc::ptr_eq(&first.site, &other.site), "{track}/{name}");
+            }
+        }
+        // Sites share their names with the hub's string table.
+        assert!(std::ptr::eq(spans[0].name(), spans[1].name()));
+        let instants: Vec<&InstantRecord> = hub.instants().collect();
+        assert_eq!(
+            (instants[0].track(), instants[0].name()),
+            ("virtio", "virtio_kick")
+        );
+        assert_eq!(
+            (instants[1].track(), instants[1].name()),
+            ("vfs", "failure_detected")
+        );
+        assert!(Rc::ptr_eq(&instants[0].site, &instants[2].site));
+        assert!(Rc::ptr_eq(&instants[1].site, &instants[3].site));
+        assert!(!Rc::ptr_eq(&instants[0].site, &instants[1].site));
     }
 
     #[test]
@@ -1254,9 +1465,9 @@ mod tests {
         assert_eq!(first.attrs, last.attrs);
         assert!(!std::ptr::eq(first.attrs.as_ptr(), last.attrs.as_ptr()));
         assert!(hub
-            .details
-            .recent
+            .sites
+            .instants
             .values()
-            .all(|lists| lists.len() <= RECENT_DETAILS));
+            .all(|slot| slot.recent.len() <= RECENT_DETAILS));
     }
 }

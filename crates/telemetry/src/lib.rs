@@ -51,7 +51,7 @@ pub mod text;
 pub use analyze::{analyze, Analysis};
 pub use collector::{Collector, RecoveryPhase};
 pub use hub::{
-    AttrValue, InstantRecord, SpanDump, SpanKind, SpanRecord, TelemetryHub, TelemetrySink,
+    AttrValue, InstantRecord, SpanDump, SpanKind, SpanRecord, TelemetryHub, TelemetrySink, ThinName,
 };
 pub use metrics::{MetricsRegistry, METRIC_HELP};
 pub use prometheus::validate_exposition;

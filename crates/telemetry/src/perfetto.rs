@@ -14,10 +14,14 @@
 //! There is one renderer, [`render_processes`]. It borrows the records it
 //! renders and writes every event straight into one `String` sized from
 //! the record count: a fleet export is tens of MiB, and neither the records
-//! nor the events exist a second time while it is built. What repeats is
+//! nor the events exist a second time while it is built. It puts one
+//! process's records in export order at a time, so what it holds besides
+//! the output is one hub's references, not the fleet's. What repeats is
 //! rendered once: each span kind's `cat`/`ph` fragment is a constant, and
 //! each track's `pid`/`tid` fragment is rendered when the track is first
 //! seen, then found by the address of the track's shared name.
+
+use std::collections::VecDeque;
 
 use crate::hub::{AttrValue, InstantRecord, SpanKind, SpanRecord};
 use crate::text::{push_escaped, push_micros, push_u64, Digits};
@@ -27,32 +31,81 @@ use crate::text::{push_escaped, push_micros, push_u64, Digits};
 /// than the slack does.
 const BYTES_PER_RECORD: usize = 200;
 
+/// Borrowed records of one kind, in any order: a slice, or the two halves
+/// of a hub's ring buffer.
+#[derive(Debug)]
+pub struct Records<'a, T> {
+    front: &'a [T],
+    back: &'a [T],
+}
+
+impl<T> Clone for Records<'_, T> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<T> Copy for Records<'_, T> {}
+
+impl<'a, T> Records<'a, T> {
+    fn len(&self) -> usize {
+        self.front.len() + self.back.len()
+    }
+
+    /// The records, in storage order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &'a T> {
+        self.front.iter().chain(self.back)
+    }
+}
+
+impl<'a> Records<'a, SpanRecord> {
+    /// The spans in export order: by `(start, id)`.
+    pub(crate) fn sorted(&self) -> Vec<&'a SpanRecord> {
+        let mut spans: Vec<&SpanRecord> = self.iter().collect();
+        spans.sort_by_key(|s| (s.start, s.id));
+        spans
+    }
+}
+
+impl<'a> Records<'a, InstantRecord> {
+    /// The instants in export order: by timestamp, then storage order.
+    fn sorted(&self) -> Vec<&'a InstantRecord> {
+        let mut instants: Vec<&InstantRecord> = self.iter().collect();
+        instants.sort_by_key(|i| i.at);
+        instants
+    }
+}
+
+impl<'a, T> From<&'a [T]> for Records<'a, T> {
+    fn from(records: &'a [T]) -> Self {
+        Records {
+            front: records,
+            back: &[],
+        }
+    }
+}
+
+impl<'a, T> From<&'a VecDeque<T>> for Records<'a, T> {
+    fn from(records: &'a VecDeque<T>) -> Self {
+        let (front, back) = records.as_slices();
+        Records { front, back }
+    }
+}
+
 /// One process track group of an export: a `pid`, an optional
-/// `process_name` metadata label, and the process's spans and instants,
-/// already in export order (spans by `(start, id)`, instants by timestamp).
-/// Fleet exports use one process per unikernel instance.
+/// `process_name` metadata label, and the process's spans and instants in
+/// any order; the renderer sorts them (spans by `(start, id)`, instants by
+/// timestamp). Fleet exports use one process per unikernel instance.
 #[derive(Debug, Clone, Copy)]
 pub struct ProcessRefs<'a> {
     /// Trace-event `pid` for every event of this process.
     pub pid: u64,
     /// Rendered as `process_name` metadata when present.
     pub name: Option<&'a str>,
-    /// Finished spans, sorted by `(start, id)`.
-    pub spans: &'a [&'a SpanRecord],
-    /// Instants, sorted by timestamp.
-    pub instants: &'a [&'a InstantRecord],
-}
-
-/// Renders spans and instants (already sorted by the caller) as a Chrome
-/// trace-event JSON document: `{"traceEvents": [...]}`. The same bytes as
-/// [`render_processes`] over a single unnamed process with pid 1.
-pub fn chrome_trace(spans: &[&SpanRecord], instants: &[&InstantRecord]) -> String {
-    render_processes(&[ProcessRefs {
-        pid: 1,
-        name: None,
-        spans,
-        instants,
-    }])
+    /// Finished spans.
+    pub spans: Records<'a, SpanRecord>,
+    /// Instants.
+    pub instants: Records<'a, InstantRecord>,
 }
 
 /// What a complete event of each kind writes between its name and its
@@ -96,8 +149,8 @@ impl Tracks {
     /// writes their metadata events — the process name first, if any.
     fn of(p: &ProcessRefs<'_>, out: &mut String) -> Tracks {
         let mut by_addr: Vec<(usize, &str)> = Vec::new();
-        let records = p.spans.iter().map(|s| &*s.track);
-        for track in records.chain(p.instants.iter().map(|i| &*i.track)) {
+        let records = p.spans.iter().map(|s| s.track());
+        for track in records.chain(p.instants.iter().map(|i| i.track())) {
             if let Err(at) = by_addr.binary_search_by_key(&addr(track), |e| e.0) {
                 by_addr.insert(at, (addr(track), track));
             }
@@ -189,7 +242,7 @@ fn push_parent(out: &mut String, first: bool, parent: Option<u64>) -> bool {
 
 /// A journey id as flow events name it: its decimal text. Flows group and
 /// sort by that text as bytes, so a number sorts where its digits would
-/// (`10` before `2`) and `U64(10)` joins `Owned("10")`.
+/// (`10` before `2`) and `U64(10)` joins `Text("10")`.
 enum FlowId<'a> {
     Number(Digits),
     Text(&'a str),
@@ -198,8 +251,7 @@ enum FlowId<'a> {
 impl<'a> FlowId<'a> {
     fn of(v: &'a AttrValue) -> FlowId<'a> {
         match v {
-            AttrValue::Owned(s) => FlowId::Text(s),
-            AttrValue::Shared(s) => FlowId::Text(s),
+            AttrValue::Text(s) => FlowId::Text(s),
             AttrValue::U64(n) => FlowId::Number(Digits::new(*n)),
             AttrValue::Bool(b) => FlowId::Text(if *b { "true" } else { "false" }),
         }
@@ -236,13 +288,14 @@ pub fn render_processes(processes: &[ProcessRefs<'_>]) -> String {
 
     // Journey flow members, collected while the spans render: every span
     // carrying a `journey` attribute is a hop of that journey.
+    // Each process's references are sorted in its turn and dropped after.
     let mut flows: Vec<FlowMember<'_>> = Vec::new();
     for (p, tracks) in processes.iter().zip(&tracks) {
-        for s in p.spans {
-            let track = tracks.get(&s.track);
+        for s in p.spans.sorted() {
+            let track = tracks.get(s.track());
             out.push_str("{\"name\":\"");
-            push_escaped(&mut out, &s.name);
-            out.push_str(span_fragment(s.kind));
+            push_escaped(&mut out, s.name());
+            out.push_str(span_fragment(s.kind()));
             push_micros(&mut out, s.start.as_nanos());
             out.push_str(",\"dur\":");
             push_micros(&mut out, s.duration().as_nanos());
@@ -259,12 +312,12 @@ pub fn render_processes(processes: &[ProcessRefs<'_>]) -> String {
         }
     }
     for (p, tracks) in processes.iter().zip(&tracks) {
-        for i in p.instants {
+        for i in p.instants.sorted() {
             out.push_str("{\"name\":\"");
-            push_escaped(&mut out, &i.name);
+            push_escaped(&mut out, i.name());
             out.push_str("\",\"cat\":\"instant\",\"ph\":\"i\",\"ts\":");
             push_micros(&mut out, i.at.as_nanos());
-            out.push_str(&tracks.get(&i.track).instant_prefix);
+            out.push_str(&tracks.get(i.track()).instant_prefix);
             let first = push_parent(&mut out, true, i.parent());
             push_attrs(&mut out, first, &i.attrs);
             out.push_str("}},\n");

@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use vampos_sim::Nanos;
 
 use super::*;
-use crate::hub::{parent_id, Attrs, SpanKind};
+use crate::hub::{parent_id, Attrs, InstantSite, SpanKind, SpanSite};
 use crate::text::escape;
 
 /// The exporter as it stood before it streamed (commit `45f890d`): one
@@ -62,11 +62,11 @@ mod reference {
         // instants.
         for p in processes {
             let mut tids: BTreeMap<&str, u64> = BTreeMap::new();
-            for s in p.spans {
-                tids.entry(&*s.track).or_insert(0);
+            for s in p.spans.iter() {
+                tids.entry(s.track()).or_insert(0);
             }
-            for i in p.instants {
-                tids.entry(&*i.track).or_insert(0);
+            for i in p.instants.iter() {
+                tids.entry(i.track()).or_insert(0);
             }
             for (n, (_, tid)) in tids.iter_mut().enumerate() {
                 *tid = n as u64 + 1;
@@ -89,8 +89,8 @@ mod reference {
             all_tids.push(tids);
         }
         for (p, tids) in processes.iter().zip(&all_tids) {
-            for s in p.spans {
-                let tid = tids[&*s.track];
+            for s in p.spans.iter() {
+                let tid = tids[s.track()];
                 let mut args: Vec<(&str, String)> = vec![("id", s.id.to_string())];
                 if let Some(parent) = s.parent() {
                     args.push(("parent", parent.to_string()));
@@ -98,8 +98,8 @@ mod reference {
                 args.extend(s.attrs.iter().map(|(k, v)| (*k, v.to_string())));
                 events.push(format!(
                     "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{}}}",
-                    escape(&s.name),
-                    s.kind.name(),
+                    escape(s.name()),
+                    s.kind().name(),
                     reference_micros(s.start.as_nanos()),
                     reference_micros(s.duration().as_nanos()),
                     p.pid,
@@ -109,8 +109,8 @@ mod reference {
             }
         }
         for (p, tids) in processes.iter().zip(&all_tids) {
-            for i in p.instants {
-                let tid = tids[&*i.track];
+            for i in p.instants.iter() {
+                let tid = tids[i.track()];
                 let mut args: Vec<(&str, String)> = Vec::new();
                 if let Some(parent) = i.parent() {
                     args.push(("parent", parent.to_string()));
@@ -118,7 +118,7 @@ mod reference {
                 args.extend(i.attrs.iter().map(|(k, v)| (*k, v.to_string())));
                 events.push(format!(
                     "{{\"name\":\"{}\",\"cat\":\"instant\",\"ph\":\"i\",\"ts\":{},\"pid\":{},\"tid\":{},\"s\":\"t\",\"args\":{}}}",
-                    escape(&i.name),
+                    escape(i.name()),
                     reference_micros(i.at.as_nanos()),
                     p.pid,
                     tid,
@@ -136,12 +136,12 @@ mod reference {
         // emits no flow events at all (an arrow needs two ends).
         let mut flows: BTreeMap<String, Vec<(u64, u64, u64, u64)>> = BTreeMap::new();
         for (p, tids) in processes.iter().zip(&all_tids) {
-            for s in p.spans {
+            for s in p.spans.iter() {
                 if let Some((_, journey)) = s.attrs.iter().find(|(k, _)| *k == "journey") {
                     flows.entry(journey.to_string()).or_default().push((
                         s.start.as_nanos(),
                         p.pid,
-                        tids[&*s.track],
+                        tids[s.track()],
                         s.id,
                     ));
                 }
@@ -183,17 +183,27 @@ mod reference {
     }
 }
 
+/// Renders spans and instants as one unnamed process with pid 1, the
+/// layout of [`crate::TelemetryHub::chrome_trace_json`].
+fn chrome_trace(spans: &[SpanRecord], instants: &[InstantRecord]) -> String {
+    render_processes(&[ProcessRefs {
+        pid: 1,
+        name: None,
+        spans: spans.into(),
+        instants: instants.into(),
+    }])
+}
+
 fn span(id: u64, parent: Option<u64>, track: &str, name: &str, start: u64, end: u64) -> SpanRecord {
+    let kind = if name == "recovery" {
+        SpanKind::Recovery
+    } else {
+        SpanKind::Call
+    };
     SpanRecord {
         id,
         parent: parent_id(parent),
-        track: track.into(),
-        name: name.into(),
-        kind: if name == "recovery" {
-            SpanKind::Recovery
-        } else {
-            SpanKind::Call
-        },
+        site: SpanSite::new(track, name, kind),
         start: Nanos::from_nanos(start),
         end: Nanos::from_nanos(end),
         attrs: Attrs::default(),
@@ -202,7 +212,7 @@ fn span(id: u64, parent: Option<u64>, track: &str, name: &str, start: u64, end: 
 
 fn journey_span(id: u64, journey: &str, start: u64) -> SpanRecord {
     let mut s = span(id, None, "journeys", "hop", start, start + 3);
-    s.kind = SpanKind::Journey;
+    s.site = SpanSite::new("journeys", "hop", SpanKind::Journey);
     s.attrs = Attrs::from([("journey", journey.to_owned().into())]);
     s
 }
@@ -217,20 +227,29 @@ struct Process {
 }
 
 /// Renders owned processes with `renderer`; an empty name is no name.
+/// Each process's records are handed over in export order — spans by
+/// `(start, id)`, instants by timestamp, ties in storage order, as a hub
+/// sorted them before the renderer did — which the reference renders as
+/// given and the streamed renderer keeps.
 fn render(processes: &[Process], renderer: fn(&[ProcessRefs<'_>]) -> String) -> String {
-    let spans: Vec<Vec<&SpanRecord>> = processes.iter().map(|p| p.spans.iter().collect()).collect();
-    let instants: Vec<Vec<&InstantRecord>> = processes
+    let sorted: Vec<(Vec<SpanRecord>, Vec<InstantRecord>)> = processes
         .iter()
-        .map(|p| p.instants.iter().collect())
+        .map(|p| {
+            let mut spans = p.spans.clone();
+            spans.sort_by_key(|s| (s.start, s.id));
+            let mut instants = p.instants.clone();
+            instants.sort_by_key(|i| i.at);
+            (spans, instants)
+        })
         .collect();
     let refs: Vec<ProcessRefs<'_>> = processes
         .iter()
-        .zip(spans.iter().zip(&instants))
+        .zip(&sorted)
         .map(|(p, (spans, instants))| ProcessRefs {
             pid: p.pid,
             name: (!p.name.is_empty()).then_some(p.name),
-            spans,
-            instants,
+            spans: spans[..].into(),
+            instants: instants[..].into(),
         })
         .collect();
     renderer(&refs)
@@ -252,7 +271,7 @@ fn timestamps_are_microseconds_with_nanosecond_remainder() {
 fn tracks_get_stable_tids_in_name_order() {
     let s1 = span(0, None, "zeta", "recovery", 0, 10);
     let s2 = span(1, None, "alpha", "call", 5, 8);
-    let json = chrome_trace(&[&s1, &s2], &[]);
+    let json = chrome_trace(&[s1, s2], &[]);
     let alpha = json.find("\"name\":\"alpha\"").unwrap();
     let zeta = json.find("\"name\":\"zeta\"").unwrap();
     assert!(alpha < zeta, "metadata should list alpha (tid 1) first");
@@ -263,7 +282,7 @@ fn tracks_get_stable_tids_in_name_order() {
 #[test]
 fn complete_events_have_ts_dur_pid() {
     let s = span(3, Some(1), "9pfs", "recovery", 1_500, 4_000);
-    let json = chrome_trace(&[&s], &[]);
+    let json = chrome_trace(&[s], &[]);
     assert!(json.contains("\"ph\":\"X\""));
     assert!(json.contains("\"ts\":1.500"));
     assert!(json.contains("\"dur\":2.500"));
@@ -274,13 +293,12 @@ fn complete_events_have_ts_dur_pid() {
 #[test]
 fn instants_are_thread_scoped() {
     let i = InstantRecord {
-        track: "lwip".into(),
-        name: "mpk_denial".into(),
+        site: InstantSite::new("lwip", "mpk_denial"),
         at: Nanos::from_nanos(77),
         parent: parent_id(None),
         attrs: Attrs::from([("region_owner", "9pfs".to_owned().into())]),
     };
-    let json = chrome_trace(&[], &[&i]);
+    let json = chrome_trace(&[], &[i]);
     assert!(json.contains("\"ph\":\"i\""));
     assert!(json.contains("\"s\":\"t\""));
     assert!(json.contains("\"region_owner\":\"9pfs\""));
@@ -289,8 +307,8 @@ fn instants_are_thread_scoped() {
 #[test]
 fn output_is_identical_for_identical_input() {
     let s = span(0, None, "vfs", "call", 10, 20);
-    let a = chrome_trace(&[&s], &[]);
-    let b = chrome_trace(&[&s], &[]);
+    let a = chrome_trace(std::slice::from_ref(&s), &[]);
+    let b = chrome_trace(&[s], &[]);
     assert_eq!(a, b);
 }
 
@@ -299,13 +317,12 @@ fn single_unnamed_process_matches_chrome_trace_bytes() {
     let s1 = span(0, None, "vfs", "call", 10, 20);
     let s2 = span(1, Some(0), "9pfs", "recovery", 12, 18);
     let i = InstantRecord {
-        track: "vfs".into(),
-        name: "failure_detected".into(),
+        site: InstantSite::new("vfs", "failure_detected"),
         at: Nanos::from_nanos(15),
         parent: parent_id(Some(0)),
         attrs: Attrs::default(),
     };
-    let single = chrome_trace(&[&s1, &s2], &[&i]);
+    let single = chrome_trace(&[s1.clone(), s2.clone()], std::slice::from_ref(&i));
     let multi = render(
         &[Process {
             pid: 1,
@@ -386,8 +403,7 @@ fn three_hop_journeys_use_step_events_and_singletons_emit_none() {
         .map(|(id, start)| journey_span(id, "3", start))
         .collect();
     spans.push(journey_span(9, "4", 20));
-    let refs: Vec<&SpanRecord> = spans.iter().collect();
-    let json = chrome_trace(&refs, &[]);
+    let json = chrome_trace(&spans, &[]);
     assert!(json.contains("\"ph\":\"s\",\"id\":\"3\""));
     assert!(json.contains("\"ph\":\"t\",\"id\":\"3\",\"ts\":0.005"));
     assert!(json.contains("\"ph\":\"f\",\"id\":\"3\",\"ts\":0.009"));
@@ -398,10 +414,37 @@ fn three_hop_journeys_use_step_events_and_singletons_emit_none() {
 }
 
 #[test]
+fn records_render_in_export_order_whatever_their_storage_order() {
+    let spans = [
+        span(2, None, "vfs", "call", 30, 40),
+        span(0, None, "9pfs", "call", 10, 20),
+        span(1, Some(0), "vfs", "recovery", 10, 15),
+    ];
+    let instant = |name, at| InstantRecord {
+        site: InstantSite::new("vfs", name),
+        at: Nanos::from_nanos(at),
+        parent: parent_id(None),
+        attrs: Attrs::default(),
+    };
+    let instants = [instant("late", 9), instant("early", 3), instant("tie", 9)];
+    let mut sorted_spans = spans.clone();
+    sorted_spans.sort_by_key(|s| (s.start, s.id));
+    let sorted_instants = [
+        instants[1].clone(),
+        instants[0].clone(),
+        instants[2].clone(),
+    ];
+    assert_eq!(
+        chrome_trace(&spans, &instants),
+        chrome_trace(&sorted_spans, &sorted_instants)
+    );
+}
+
+#[test]
 fn spans_without_journey_attrs_emit_no_flow_events() {
     let s1 = span(0, None, "vfs", "call", 10, 20);
     let s2 = span(1, Some(0), "9pfs", "recovery", 12, 18);
-    let json = chrome_trace(&[&s1, &s2], &[]);
+    let json = chrome_trace(&[s1, s2], &[]);
     assert!(!json.contains("\"cat\":\"journey\""));
 }
 
@@ -423,8 +466,7 @@ fn journeys_emit_in_string_order_of_their_decimal_ids() {
         journey_span(2, "10", 7),
         journey_span(3, "10", 9),
     ];
-    let refs: Vec<&SpanRecord> = spans.iter().collect();
-    let json = chrome_trace(&refs, &[]);
+    let json = chrome_trace(&spans, &[]);
     let flow_start = |journey: &str| {
         json.find(&format!("\"ph\":\"s\",\"id\":\"{journey}\""))
             .unwrap()
@@ -435,8 +477,8 @@ fn journeys_emit_in_string_order_of_their_decimal_ids() {
         reference::render_processes(&[ProcessRefs {
             pid: 1,
             name: None,
-            spans: &refs,
-            instants: &[],
+            spans: spans[..].into(),
+            instants: Records::from(&[][..]),
         }])
     );
 }
@@ -451,8 +493,7 @@ fn a_typed_journey_id_and_its_text_form_one_flow() {
     ];
     spans[1].attrs = Attrs::from([("journey", AttrValue::U64(2))]);
     spans[2].attrs = Attrs::from([("journey", AttrValue::U64(10))]);
-    let refs: Vec<&SpanRecord> = spans.iter().collect();
-    let json = chrome_trace(&refs, &[]);
+    let json = chrome_trace(&spans, &[]);
     assert!(json.contains("\"ph\":\"s\",\"id\":\"10\",\"ts\":0.000"));
     assert!(json.contains("\"ph\":\"f\",\"id\":\"10\",\"ts\":0.005"));
     assert!(json.contains("\"ph\":\"s\",\"id\":\"2\",\"ts\":0.001"));
@@ -467,8 +508,8 @@ fn a_typed_journey_id_and_its_text_form_one_flow() {
         reference::render_processes(&[ProcessRefs {
             pid: 1,
             name: None,
-            spans: &refs,
-            instants: &[],
+            spans: spans[..].into(),
+            instants: Records::from(&[][..]),
         }])
     );
 }
@@ -530,8 +571,8 @@ fn attrs() -> impl Strategy<Value = Vec<(&'static str, AttrValue)>> {
             .into_iter()
             .map(|(k, (variant, v, number, flag))| {
                 let value = match variant {
-                    0 => AttrValue::Owned(v),
-                    1 => AttrValue::Shared(v.into()),
+                    0 => AttrValue::from(v),
+                    1 => AttrValue::Text(v.as_str().into()),
                     2 => AttrValue::U64(NUMBERS[number]),
                     _ => AttrValue::Bool(flag),
                 };
@@ -564,16 +605,14 @@ fn spans() -> impl Strategy<Value = Vec<SpanRecord>> {
                     if let Some(journey) = JOURNEYS.get(journey) {
                         let value = match journey.parse() {
                             Ok(n) if typed => AttrValue::U64(n),
-                            _ => AttrValue::Owned((*journey).to_owned()),
+                            _ => AttrValue::from(*journey),
                         };
                         attrs.push(("journey", value));
                     }
                     SpanRecord {
                         id,
                         parent: parent_id(parent),
-                        track: track.as_str().into(),
-                        name: name.as_str().into(),
-                        kind: KINDS[kind],
+                        site: SpanSite::new(&track, &name, KINDS[kind]),
                         start: Nanos::from_nanos(start),
                         end: Nanos::from_nanos(start + dur),
                         attrs: attrs.into_iter().collect(),
@@ -589,8 +628,7 @@ fn instants() -> impl Strategy<Value = Vec<InstantRecord>> {
         instants
             .into_iter()
             .map(|(track, name, at, parent, attrs)| InstantRecord {
-                track: track.as_str().into(),
-                name: name.as_str().into(),
+                site: InstantSite::new(&track, &name),
                 at: Nanos::from_nanos(at),
                 parent: parent_id(parent),
                 attrs: attrs.into_iter().collect(),

@@ -11,7 +11,8 @@ use proptest::prelude::*;
 
 use vampos::apps::{App, Echo};
 use vampos::prelude::*;
-use vampos_host::ClientConnState;
+use vampos_core::VampConfig;
+use vampos_host::{ClientConnId, ClientConnState};
 
 #[derive(Debug, Clone)]
 enum NetOp {
@@ -97,4 +98,75 @@ proptest! {
         prop_assert!(!sys.has_failed());
         let _ = echoed;
     }
+}
+
+/// An nginx-shaped system listening on 8080 with one accepted connection:
+/// the system, the accepted fd and the peer's end.
+fn accepted(mode: Mode) -> (System, u64, u64, ClientConnId) {
+    let mut sys = System::builder()
+        .mode(mode)
+        .components(ComponentSet::nginx())
+        .build()
+        .unwrap();
+    let listen = sys.os().socket().unwrap();
+    sys.os().bind(listen, 8080).unwrap();
+    sys.os().listen(listen, 16).unwrap();
+    let client = sys.host().with(|w| w.network_mut().connect(8080));
+    assert_eq!(sys.os().poll_ready(&[listen]).unwrap(), [listen]);
+    let conn = sys.os().accept(listen).unwrap();
+    (sys, listen, conn, client)
+}
+
+/// Accepted connections are runtime data, restored after the log replays;
+/// the logged calls made on them must still replay.
+#[test]
+fn logged_calls_on_an_accepted_socket_replay_across_an_lwip_reboot() {
+    let (mut sys, _, conn, client) = accepted(Mode::vampos_das());
+    sys.os().setsockopt(conn, 7, 99).unwrap();
+    sys.reboot_component("lwip").unwrap();
+    assert_eq!(sys.os().getsockopt(conn, 7).unwrap(), 99);
+    sys.host()
+        .with(|w| w.network_mut().send(client, b"ping"))
+        .unwrap();
+    assert_eq!(sys.os().poll_ready(&[conn]).unwrap(), [conn]);
+    assert_eq!(sys.os().recv(conn, 16).unwrap(), b"ping");
+
+    let (mut sys, _, conn, client) = accepted(Mode::vampos_das());
+    sys.os().shutdown(conn, 1).unwrap();
+    sys.reboot_component("lwip").unwrap();
+    assert_eq!(sys.os().shutdown(conn, 1), Err(OsError::NotConnected));
+    assert_eq!(
+        sys.host().with(|w| w.network().state(client)),
+        Ok(ClientConnState::Closed)
+    );
+    assert_eq!(sys.host().with(|w| w.network().seq_errors()), 0);
+    assert!(!sys.has_failed());
+}
+
+/// Without log shrinking a closed connection's calls stay in the log, and
+/// the next accepted connection takes the closed one's socket id: each
+/// replayed call acts on the socket it named when it ran.
+#[test]
+fn a_reused_accepted_socket_id_replays_without_log_shrinking() {
+    let mode = || {
+        Mode::VampOs(VampConfig {
+            log_shrinking: false,
+            ..VampConfig::default()
+        })
+    };
+    let (mut sys, _, conn, _) = accepted(mode());
+    sys.os().close(conn).unwrap();
+    sys.reboot_component("lwip").unwrap();
+    assert!(!sys.has_failed());
+
+    let (mut sys, listen, first, _) = accepted(mode());
+    sys.os().setsockopt(first, 7, 1).unwrap();
+    sys.os().close(first).unwrap();
+    let _client = sys.host().with(|w| w.network_mut().connect(8080));
+    assert_eq!(sys.os().poll_ready(&[listen]).unwrap(), [listen]);
+    let second = sys.os().accept(listen).unwrap();
+    sys.os().setsockopt(second, 7, 2).unwrap();
+    sys.reboot_component("lwip").unwrap();
+    assert_eq!(sys.os().getsockopt(second, 7).unwrap(), 2);
+    assert!(!sys.has_failed());
 }
