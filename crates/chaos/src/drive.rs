@@ -11,7 +11,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use vampos_apps::{App, Echo, MiniHttpd, MiniKv, MiniSql};
-use vampos_core::{ComponentSet, Mode, System};
+use vampos_core::{ComponentCounters, ComponentSet, Mode, System};
 use vampos_host::HostHandle;
 use vampos_sim::Nanos;
 use vampos_telemetry::TelemetrySink;
@@ -41,8 +41,11 @@ pub struct RunResult {
     pub rebooted_components: BTreeSet<String>,
     /// MPK policy violations the runtime counted.
     pub mpk_violations: u64,
-    /// Downtime windows, in order (component name, duration).
-    pub downtime: Vec<(String, Nanos)>,
+    /// The longest downtime window of each component that recovered, in
+    /// slot order, then `"*"`'s longest full reboot if there was one
+    /// (component name, duration). A composite's window counts for every
+    /// member.
+    pub longest_downtime: Vec<(String, Nanos)>,
     /// Component reboots performed.
     pub component_reboots: u64,
     /// Full reboots performed.
@@ -65,6 +68,30 @@ pub struct RunResult {
     /// A drive-level error (fail-stop, storage error), if any. The run
     /// still reports whatever state it reached.
     pub error: Option<String>,
+}
+
+impl RunResult {
+    /// Books one component's counters and state digest: a component that
+    /// recovered is listed with its longest downtime window, which is over
+    /// the recovery bound iff any of its windows is.
+    pub(crate) fn note_component(
+        &mut self,
+        name: String,
+        counters: ComponentCounters,
+        digest: Option<u64>,
+    ) {
+        if counters.recoveries > 0 {
+            self.rebooted_components.insert(name.clone());
+            self.longest_downtime
+                .push((name.clone(), counters.longest_downtime));
+        }
+        if counters.hops > 0 {
+            self.hops_by_target.insert(name.clone(), counters.hops);
+        }
+        if let Some(d) = digest {
+            self.component_digests.insert(name, d);
+        }
+    }
 }
 
 fn component_set(workload: WorkloadKind) -> ComponentSet {
@@ -229,26 +256,19 @@ pub fn run_with_sink(
     // counters still tell the oracles what happened before the failure).
     for name in sys.component_names() {
         let counters = sys.component_counters(&name).unwrap_or_default();
-        if counters.recoveries > 0 {
-            result.rebooted_components.insert(name.clone());
-        }
-        if counters.hops > 0 {
-            result.hops_by_target.insert(name.clone(), counters.hops);
-        }
-        if let Some(d) = sys.state_digest(&name) {
-            result.component_digests.insert(name, d);
-        }
+        let digest = sys.state_digest(&name);
+        result.note_component(name, counters, digest);
     }
     let stats = sys.stats();
     result.mpk_violations = stats.mpk_violations;
     result.component_reboots = stats.component_reboots;
     result.full_reboots = stats.full_reboots;
     result.replayed_entries = stats.replayed_entries;
-    result.downtime = stats
-        .downtime
-        .iter()
-        .map(|w| (w.component.to_string(), w.duration()))
-        .collect();
+    if stats.full_reboots > 0 {
+        result
+            .longest_downtime
+            .push(("*".to_owned(), stats.longest_full_reboot()));
+    }
     result.unfired_faults = sys
         .armed_faults()
         .iter()

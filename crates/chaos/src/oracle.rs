@@ -174,7 +174,7 @@ pub fn check(spec: &CampaignSpec, faulted: &RunResult, twin: &RunResult) -> Vec<
     }
     let costs = CostModel::default();
     let full_boot_bound = costs.full_boot * 4 + Nanos::from_millis(1);
-    for (component, duration) in &faulted.downtime {
+    for (component, duration) in &faulted.longest_downtime {
         let bound = if component == "*" {
             full_boot_bound
         } else {
@@ -198,6 +198,7 @@ mod tests {
     use super::*;
     use crate::spec::WorkloadKind;
     use std::collections::{BTreeMap, BTreeSet};
+    use vampos_core::ComponentCounters;
 
     fn clean_result() -> RunResult {
         RunResult {
@@ -208,7 +209,7 @@ mod tests {
             component_digests: BTreeMap::from([("vfs".to_owned(), 1u64)]),
             rebooted_components: BTreeSet::new(),
             mpk_violations: 0,
-            downtime: Vec::new(),
+            longest_downtime: Vec::new(),
             component_reboots: 0,
             full_reboots: 0,
             replayed_entries: 0,
@@ -274,14 +275,36 @@ mod tests {
     fn downtime_above_the_bound_is_a_liveness_violation() {
         let twin = clean_result();
         let mut slow = clean_result();
-        slow.downtime.push(("vfs".to_owned(), Nanos::from_secs(30)));
+        slow.longest_downtime
+            .push(("vfs".to_owned(), Nanos::from_secs(30)));
         let v = check(&spec(), &slow, &twin);
         assert!(v.iter().any(|v| v.kind == OracleKind::Liveness));
         // A µs-scale reboot is comfortably inside the bound.
         let mut fast = clean_result();
-        fast.downtime
+        fast.longest_downtime
             .push(("vfs".to_owned(), Nanos::from_micros(40)));
         assert_eq!(check(&spec(), &fast, &twin), vec![]);
+    }
+
+    #[test]
+    fn over_bound_windows_of_one_component_give_one_violation_naming_the_longest() {
+        // Two reboot windows, of 30 s and 45 s.
+        let vfs = ComponentCounters {
+            recoveries: 2,
+            downtime: Nanos::from_secs(75),
+            longest_downtime: Nanos::from_secs(45),
+            ..ComponentCounters::default()
+        };
+        let mut slow = clean_result();
+        slow.note_component("vfs".to_owned(), vfs, Some(1));
+        let v: Vec<Violation> = check(&spec(), &slow, &clean_result())
+            .into_iter()
+            .filter(|v| v.detail.starts_with("downtime"))
+            .collect();
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert_eq!(v[0].kind, OracleKind::Liveness);
+        let longest = format!("\"vfs\" was {}", Nanos::from_secs(45));
+        assert!(v[0].detail.contains(&longest), "{}", v[0].detail);
     }
 
     #[test]

@@ -953,14 +953,14 @@ impl Fleet {
     pub fn chrome_trace_json(&self) -> Option<String> {
         // The records are rendered where they sit: every hub stays borrowed
         // while the one document is written.
-        let mut hubs: Vec<(u64, &str, Ref<'_, TelemetryHub>)> = self
+        let mut hubs: Vec<(u32, &str, Ref<'_, TelemetryHub>)> = self
             .instances
             .iter()
             .zip(1..)
             .map(|(inst, pid)| Some((pid, inst.label(), inst.sys.telemetry()?.hub())))
             .collect::<Option<_>>()?;
         if let Some(sink) = &self.fleet_sink {
-            hubs.push((self.instances.len() as u64 + 1, "fleet", sink.hub()));
+            hubs.push((self.instances.len() as u32 + 1, "fleet", sink.hub()));
         }
         let processes: Vec<ProcessRefs<'_>> = hubs
             .iter()

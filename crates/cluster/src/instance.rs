@@ -82,10 +82,10 @@ pub struct Replica<A> {
     /// End of the latest known recovery window (maintenance and
     /// failure-detector fed); the recovery-aware policy drains until then.
     recovery_until: Nanos,
-    /// Downtime windows already accounted for: maintenance books its own
-    /// window in request time, so only windows beyond this count are
-    /// unscheduled fault recoveries.
-    seen_downtime: usize,
+    /// The system's total downtime already accounted for: maintenance
+    /// books its own window in request time, so only downtime beyond this
+    /// total is unscheduled fault recovery.
+    seen_downtime: Nanos,
     /// Administratively drained (rolling-rejuvenation lead window, or
     /// condemned by the ladder's fleet rung).
     draining: bool,
@@ -113,7 +113,7 @@ impl<A: App> Replica<A> {
             sys,
             next_free: Nanos::ZERO,
             recovery_until: Nanos::ZERO,
-            seen_downtime: 0,
+            seen_downtime: Nanos::ZERO,
             draining: false,
             completions: VecDeque::new(),
         })
@@ -213,22 +213,19 @@ impl<A: App> Replica<A> {
     /// each window's *duration* carries over: the server drains for that
     /// long past the observing request at `at`.
     pub fn observe_detector(&mut self, at: Nanos) {
-        let windows = &self.sys.stats().downtime;
-        let mut unscheduled = Nanos::ZERO;
-        for window in windows.iter().skip(self.seen_downtime) {
-            unscheduled += window.end.saturating_sub(window.start);
-        }
+        let total = self.sys.stats().total_downtime();
+        let unscheduled = total - self.seen_downtime;
         if unscheduled > Nanos::ZERO {
             self.recovery_until = self.recovery_until.max(at + unscheduled);
         }
-        self.seen_downtime = windows.len();
+        self.seen_downtime = total;
     }
 
     /// Marks every downtime window the system recorded so far as accounted
     /// for — boot-time history, or maintenance whose window
     /// [`Replica::maintain`] already booked in request time.
     pub fn ack_downtime(&mut self) {
-        self.seen_downtime = self.sys.stats().downtime.len();
+        self.seen_downtime = self.sys.stats().total_downtime();
     }
 
     /// Runs one maintenance `action` scheduled at grid time `at` and, when
@@ -371,16 +368,17 @@ mod tests {
     #[test]
     fn unscheduled_downtime_carries_durations_not_absolutes() {
         let mut inst = booted();
-        inst.sys.reboot_component("vfs").expect("reboot");
-        let window = inst.sys.stats().downtime.last().expect("window").clone();
-        let duration = window.end.saturating_sub(window.start);
+        let before = inst.sys.stats().total_downtime();
+        let duration = inst.sys.reboot_component("vfs").expect("reboot").downtime;
+        let window_end = inst.sys.clock().now();
         assert!(duration > Nanos::ZERO);
+        assert_eq!(inst.sys.stats().total_downtime(), before + duration);
 
         // A request observes the fault early in grid time. The execution
         // clock (and the window's absolutes) are far past that already:
         // boot alone takes longer than the whole observation point.
         let at = Nanos::from_millis(2);
-        assert!(window.end > at, "precondition: clock domains diverged");
+        assert!(window_end > at, "precondition: clock domains diverged");
         inst.observe_detector(at);
 
         assert_eq!(
@@ -390,7 +388,7 @@ mod tests {
              observing request"
         );
         assert!(
-            inst.recovery_until() < window.end,
+            inst.recovery_until() < window_end,
             "execution-clock absolute leaked into grid-domain recovery_until"
         );
     }

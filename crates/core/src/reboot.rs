@@ -11,7 +11,6 @@ use vampos_ukernel::{OsError, Value};
 
 use crate::image::Bound;
 use crate::runtime::{Ctx, PendingRecovery, ReplayState, System};
-use crate::stats::DowntimeWindow;
 
 /// The result of a component-level reboot.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -158,17 +157,16 @@ impl System {
             }
         }
         let end = self.clock.now();
-        self.stats.component_reboots += 1;
+        let downtime = end - start;
+        self.stats.charge_component_reboot(downtime);
         self.stats.replayed_entries += replayed_total as u64;
-        self.stats.downtime.push(DowntimeWindow {
-            component: label.clone(),
-            start,
-            end,
-        });
+        for slot in self.slots.iter_mut().filter(|s| s.group == group) {
+            slot.counters.charge(downtime);
+        }
         self.emit(|c| c.recovery_end(&label, end, replayed_total, snapshot_total));
         Ok(RebootOutcome {
             component: label,
-            downtime: end.saturating_sub(start),
+            downtime,
             replayed: replayed_total,
             snapshot_bytes: snapshot_total,
         })
@@ -440,17 +438,13 @@ impl System {
         self.mount_and_checkpoint(false)?;
 
         let end = self.clock.now();
-        self.stats.full_reboots += 1;
-        self.stats.downtime.push(DowntimeWindow {
-            component: Name::from("*"),
-            start,
-            end,
-        });
+        let downtime = end - start;
+        self.stats.charge_full_reboot(downtime);
         let resets_after = self.host.with(|w| w.network().resets_seen());
         let connections_reset = resets_after - resets_before;
         self.emit(|c| c.full_reboot(start, end, connections_reset));
         Ok(FullRebootOutcome {
-            downtime: end.saturating_sub(start),
+            downtime,
             connections_reset,
         })
     }

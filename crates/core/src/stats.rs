@@ -1,25 +1,6 @@
 //! Runtime statistics: everything the evaluation harness reads.
 
-use vampos_sim::{Name, Nanos};
-
-/// One downtime window recorded by the reboot engine.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DowntimeWindow {
-    /// The rebooted component (its slot's shared name; composites join
-    /// their members' names with `+`), or `"*"` for a full reboot.
-    pub component: Name,
-    /// Window start (virtual time).
-    pub start: Nanos,
-    /// Window end.
-    pub end: Nanos,
-}
-
-impl DowntimeWindow {
-    /// Window length.
-    pub fn duration(&self) -> Nanos {
-        self.end.saturating_sub(self.start)
-    }
-}
+use vampos_sim::Nanos;
 
 /// One component's exact work counters, bumped where the runtime narrates
 /// the same transitions to its telemetry collector.
@@ -30,6 +11,19 @@ pub struct ComponentCounters {
     /// Recoveries begun on it — reboots (once per composite member),
     /// version swaps and updates, aborted ones included.
     pub recoveries: u64,
+    /// Summed length of its completed reboot windows. A composite's window
+    /// is charged to every member.
+    pub downtime: Nanos,
+    /// Its longest completed reboot window.
+    pub longest_downtime: Nanos,
+}
+
+impl ComponentCounters {
+    /// Charges one completed reboot window.
+    pub(crate) fn charge(&mut self, window: Nanos) {
+        self.downtime += window;
+        self.longest_downtime = self.longest_downtime.max(window);
+    }
 }
 
 /// Counters and timings collected by a running [`System`](crate::System).
@@ -58,8 +52,12 @@ pub struct SystemStats {
     pub full_reboots: u64,
     /// Log entries replayed during restorations.
     pub replayed_entries: u64,
-    /// Downtime windows, in order.
-    pub downtime: Vec<DowntimeWindow>,
+    /// Summed length of every downtime window, component and full
+    /// reboots alike; read through [`SystemStats::total_downtime`]. Kept
+    /// as a total so the bookkeeping does not grow with the run.
+    pub(crate) downtime: Nanos,
+    /// The longest full-reboot window.
+    pub(crate) longest_full_reboot: Nanos,
     /// Calls that were retried after an in-line recovery.
     pub recovered_calls: u64,
     /// Failures the detector observed but did not act on (false-negative
@@ -77,7 +75,25 @@ pub struct SystemStats {
 impl SystemStats {
     /// Total downtime across all windows.
     pub fn total_downtime(&self) -> Nanos {
-        self.downtime.iter().map(DowntimeWindow::duration).sum()
+        self.downtime
+    }
+
+    /// The longest full-reboot window ([`Nanos::ZERO`] before the first).
+    pub fn longest_full_reboot(&self) -> Nanos {
+        self.longest_full_reboot
+    }
+
+    /// Books one component-reboot window.
+    pub(crate) fn charge_component_reboot(&mut self, window: Nanos) {
+        self.component_reboots += 1;
+        self.downtime += window;
+    }
+
+    /// Books one full-reboot window.
+    pub(crate) fn charge_full_reboot(&mut self, window: Nanos) {
+        self.full_reboots += 1;
+        self.downtime += window;
+        self.longest_full_reboot = self.longest_full_reboot.max(window);
     }
 
     /// Net live log entries (appended − removed).
@@ -93,17 +109,22 @@ mod tests {
     #[test]
     fn downtime_sums_windows() {
         let mut s = SystemStats::default();
-        s.downtime.push(DowntimeWindow {
-            component: "vfs".into(),
-            start: Nanos::from_millis(10),
-            end: Nanos::from_millis(15),
-        });
-        s.downtime.push(DowntimeWindow {
-            component: "*".into(),
-            start: Nanos::from_millis(100),
-            end: Nanos::from_millis(400),
-        });
-        assert_eq!(s.total_downtime(), Nanos::from_millis(305));
+        s.charge_component_reboot(Nanos::from_millis(5));
+        s.charge_full_reboot(Nanos::from_millis(300));
+        s.charge_full_reboot(Nanos::from_millis(200));
+        assert_eq!(s.total_downtime(), Nanos::from_millis(505));
+        assert_eq!(s.longest_full_reboot(), Nanos::from_millis(300));
+        assert_eq!((s.component_reboots, s.full_reboots), (1, 2));
+    }
+
+    #[test]
+    fn component_counters_keep_the_sum_and_the_longest() {
+        let mut c = ComponentCounters::default();
+        for ms in [4, 9, 2] {
+            c.charge(Nanos::from_millis(ms));
+        }
+        assert_eq!(c.downtime, Nanos::from_millis(15));
+        assert_eq!(c.longest_downtime, Nanos::from_millis(9));
     }
 
     #[test]

@@ -3,6 +3,7 @@
 use vampos_core::{ComponentSet, InjectedFault, Mode, System, Whence};
 use vampos_host::HostHandle;
 use vampos_oslib::vfs::OpenFlags;
+use vampos_sim::Nanos;
 use vampos_ukernel::OsError;
 
 fn sqlite_sys(mode: Mode) -> System {
@@ -294,6 +295,57 @@ fn merged_group_reboots_as_a_composite() {
     let outcome = sys.reboot_component("vfs").unwrap();
     assert_eq!(outcome.component, "vfs+9pfs");
     assert_eq!(sys.os().read(fd, 5).unwrap(), b"hello");
+}
+
+#[test]
+fn downtime_counters_match_the_outcomes() {
+    let mut sys = System::builder()
+        .mode(Mode::vampos_fsm())
+        .components(ComponentSet::sqlite())
+        .host(staged_host())
+        .build()
+        .unwrap();
+    let fd = sys.os().open("/etc/motd", OpenFlags::RDWR).unwrap();
+    let mut outcomes = Vec::new();
+    for round in 0..4 {
+        // Reads grow the composite's log, so its windows differ in length.
+        for _ in 0..round {
+            sys.os().pread(fd, 5, 0).unwrap();
+        }
+        outcomes.push(sys.reboot_component("vfs").unwrap());
+        outcomes.extend(sys.rejuvenate_all().unwrap());
+    }
+    assert!(outcomes.iter().any(|o| o.component == "vfs+9pfs"));
+    let full = sys.full_reboot().unwrap();
+
+    let stats = sys.stats();
+    let component_total: Nanos = outcomes.iter().map(|o| o.downtime).sum();
+    assert_eq!(stats.total_downtime(), component_total + full.downtime);
+    assert_eq!(stats.component_reboots, outcomes.len() as u64);
+    assert_eq!(stats.full_reboots, 1);
+    assert_eq!(stats.longest_full_reboot(), full.downtime);
+    for name in sys.component_names() {
+        // A composite's window is charged to every member.
+        let own: Vec<Nanos> = outcomes
+            .iter()
+            .filter(|o| o.component.split('+').any(|m| m == name))
+            .map(|o| o.downtime)
+            .collect();
+        let counters = sys.component_counters(&name).unwrap();
+        assert_eq!(counters.recoveries, own.len() as u64, "{name}");
+        assert_eq!(counters.downtime, own.iter().copied().sum(), "{name}");
+        let longest = own.iter().copied().max().unwrap_or(Nanos::ZERO);
+        assert_eq!(counters.longest_downtime, longest, "{name}");
+    }
+    let composite: Vec<Nanos> = outcomes
+        .iter()
+        .filter(|o| o.component == "vfs+9pfs")
+        .map(|o| o.downtime)
+        .collect();
+    assert!(
+        composite.iter().any(|w| *w != composite[0]),
+        "{composite:?}"
+    );
 }
 
 #[test]

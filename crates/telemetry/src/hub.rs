@@ -765,7 +765,7 @@ impl TelemetryHub {
     /// trace: what every exporter renders from. Fleet exports take one per
     /// instance hub and hand them to [`perfetto::render_processes`], which
     /// sorts each in its turn.
-    pub fn process<'a>(&'a self, pid: u64, name: Option<&'a str>) -> ProcessRefs<'a> {
+    pub fn process<'a>(&'a self, pid: u32, name: Option<&'a str>) -> ProcessRefs<'a> {
         ProcessRefs {
             pid,
             name,
@@ -1337,6 +1337,8 @@ mod tests {
         assert_eq!(std::mem::size_of::<Attr>(), 32);
         assert_eq!(std::mem::size_of::<ThinName>(), 8);
         assert_eq!(std::mem::size_of::<Attrs>(), 8);
+        // A journey hop as the Chrome export sorts it.
+        assert!(std::mem::size_of::<crate::perfetto::FlowMember<'_>>() <= 40);
     }
 
     #[test]

@@ -24,7 +24,7 @@
 use std::collections::VecDeque;
 
 use crate::hub::{AttrValue, InstantRecord, SpanKind, SpanRecord};
-use crate::text::{push_escaped, push_micros, push_u64, Digits};
+use crate::text::{push_escaped, push_micros, push_u64};
 
 /// Output bytes reserved per span or instant. Fleet exports measure ≈ 150
 /// (flow events included); one reallocation of a 70 MiB buffer costs more
@@ -99,7 +99,7 @@ impl<'a, T> From<&'a VecDeque<T>> for Records<'a, T> {
 #[derive(Debug, Clone, Copy)]
 pub struct ProcessRefs<'a> {
     /// Trace-event `pid` for every event of this process.
-    pub pid: u64,
+    pub pid: u32,
     /// Rendered as `process_name` metadata when present.
     pub name: Option<&'a str>,
     /// Finished spans.
@@ -122,7 +122,7 @@ fn span_fragment(kind: SpanKind) -> &'static str {
 
 /// One track of one process, with the fragments its events repeat.
 struct Track {
-    tid: u64,
+    tid: u32,
     /// `,"pid":P,"tid":T,"args":{"id":"` — what a span writes after `dur`.
     span_prefix: String,
     /// `,"pid":P,"tid":T,"s":"t","args":{` — what an instant writes after
@@ -163,7 +163,7 @@ impl Tracks {
         }
         let mut tracks = Vec::with_capacity(names.len());
         for (n, name) in names.iter().enumerate() {
-            let tid = n as u64 + 1;
+            let tid = n as u32 + 1;
             push_metadata(out, "thread_name", p.pid, tid, name);
             let pid_tid = format!(",\"pid\":{},\"tid\":{tid}", p.pid);
             tracks.push(Track {
@@ -189,13 +189,13 @@ impl Tracks {
 }
 
 /// Appends one `ph:"M"` metadata event naming a process or a thread.
-fn push_metadata(out: &mut String, what: &str, pid: u64, tid: u64, name: &str) {
+fn push_metadata(out: &mut String, what: &str, pid: u32, tid: u32, name: &str) {
     out.push_str("{\"name\":\"");
     out.push_str(what);
     out.push_str("\",\"ph\":\"M\",\"pid\":");
-    push_u64(out, pid);
+    push_u64(out, pid.into());
     out.push_str(",\"tid\":");
-    push_u64(out, tid);
+    push_u64(out, tid.into());
     out.push_str(",\"args\":{\"name\":\"");
     push_escaped(out, name);
     out.push_str("\"}},\n");
@@ -240,33 +240,75 @@ fn push_parent(out: &mut String, first: bool, parent: Option<u64>) -> bool {
     false
 }
 
-/// A journey id as flow events name it: its decimal text. Flows group and
-/// sort by that text as bytes, so a number sorts where its digits would
-/// (`10` before `2`) and `U64(10)` joins `Text("10")`.
-enum FlowId<'a> {
-    Number(Digits),
-    Text(&'a str),
+/// One span of a journey flow: its journey, and the `(start, pid, tid,
+/// span id)` that orders the members of one journey. Flows group and sort
+/// by a journey's decimal text as bytes, so a number sorts where its digits
+/// would (`10` before `2`) and `U64(10)` joins `Text("10")`.
+pub(crate) struct FlowMember<'a> {
+    /// The text's first 8 bytes, big-endian and zero-padded: members whose
+    /// keys differ sort as their texts do.
+    key: u64,
+    journey: &'a AttrValue,
+    start: u64,
+    pid: u32,
+    tid: u32,
+    id: u64,
 }
 
-impl<'a> FlowId<'a> {
-    fn of(v: &'a AttrValue) -> FlowId<'a> {
-        match v {
-            AttrValue::Text(s) => FlowId::Text(s),
-            AttrValue::U64(n) => FlowId::Number(Digits::new(*n)),
-            AttrValue::Bool(b) => FlowId::Text(if *b { "true" } else { "false" }),
+impl<'a> FlowMember<'a> {
+    fn new(journey: &'a AttrValue, start: u64, pid: u32, tid: u32, id: u64) -> Self {
+        let key = journey.with_text(|text| {
+            let mut head = [0u8; 8];
+            let n = text.len().min(head.len());
+            head[..n].copy_from_slice(&text.as_bytes()[..n]);
+            u64::from_be_bytes(head)
+        });
+        FlowMember {
+            key,
+            journey,
+            start,
+            pid,
+            tid,
+            id,
         }
     }
 
-    fn text(&self) -> &str {
-        match self {
-            FlowId::Number(digits) => digits.as_str(),
-            FlowId::Text(s) => s,
+    /// Whether the key is the whole text: at most 8 bytes, none of them
+    /// NUL, so members with equal exact keys share one journey.
+    fn keyed_exactly(&self) -> bool {
+        match self.journey {
+            AttrValue::Text(s) => s.len() <= 8 && !s.as_bytes().contains(&0),
+            AttrValue::U64(n) => *n < 100_000_000,
+            AttrValue::Bool(_) => true,
         }
+    }
+
+    fn hop(&self) -> (u64, u32, u32, u64) {
+        (self.start, self.pid, self.tid, self.id)
+    }
+
+    fn text_cmp(&self, other: &FlowMember<'_>) -> std::cmp::Ordering {
+        self.journey
+            .with_text(|a| other.journey.with_text(|b| a.cmp(b)))
+    }
+
+    fn same_journey(&self, other: &FlowMember<'_>) -> bool {
+        self.key == other.key
+            && (self.keyed_exactly() && other.keyed_exactly() || self.text_cmp(other).is_eq())
     }
 }
 
-/// One span of a journey flow: its id, `(start, pid, tid, span id)`.
-type FlowMember<'a> = (FlowId<'a>, [u64; 4]);
+/// Sorts journey flow members by journey text, then by
+/// `(start, pid, tid, span id)`: by key and hop, then once more by the
+/// whole text within each run of equal keys that is not one journey.
+fn sort_flows(flows: &mut [FlowMember<'_>]) {
+    flows.sort_unstable_by_key(|m| (m.key, m.hop()));
+    for run in flows.chunk_by_mut(|a, b| a.key == b.key) {
+        if !run.iter().all(FlowMember::keyed_exactly) {
+            run.sort_unstable_by(|a, b| a.text_cmp(b).then(a.hop().cmp(&b.hop())));
+        }
+    }
+}
 
 /// Renders several processes — one per fleet instance — in a single Chrome
 /// trace-event JSON document. Track `tid`s restart per process, and each
@@ -306,8 +348,8 @@ pub fn render_processes(processes: &[ProcessRefs<'_>]) -> String {
             let journey = push_attrs(&mut out, false, &s.attrs);
             out.push_str("}},\n");
             if let Some(journey) = journey {
-                let member = [s.start.as_nanos(), p.pid, track.tid, s.id];
-                flows.push((FlowId::of(journey), member));
+                let start = s.start.as_nanos();
+                flows.push(FlowMember::new(journey, start, p.pid, track.tid, s.id));
             }
         }
     }
@@ -331,29 +373,31 @@ pub fn render_processes(processes: &[ProcessRefs<'_>]) -> String {
     // export is pinned byte for byte. Members sort by `(start, pid, tid,
     // span id)`. A journey with a single anchored span emits no flow
     // events at all (an arrow needs two ends).
-    flows.sort_unstable_by(|a, b| a.0.text().cmp(b.0.text()).then(a.1.cmp(&b.1)));
-    for members in flows.chunk_by(|a, b| a.0.text() == b.0.text()) {
+    sort_flows(&mut flows);
+    for members in flows.chunk_by(FlowMember::same_journey) {
         if members.len() < 2 {
             continue;
         }
         let last = members.len() - 1;
-        for (n, (journey, [start, pid, tid, _])) in members.iter().enumerate() {
-            out.push_str(match n {
-                0 => "{\"name\":\"journey\",\"cat\":\"journey\",\"ph\":\"s\",\"id\":\"",
-                n if n == last => {
-                    "{\"name\":\"journey\",\"cat\":\"journey\",\"ph\":\"f\",\"id\":\""
-                }
-                _ => "{\"name\":\"journey\",\"cat\":\"journey\",\"ph\":\"t\",\"id\":\"",
-            });
-            push_escaped(&mut out, journey.text());
-            out.push_str("\",\"ts\":");
-            push_micros(&mut out, *start);
-            out.push_str(",\"pid\":");
-            push_u64(&mut out, *pid);
-            out.push_str(",\"tid\":");
-            push_u64(&mut out, *tid);
-            out.push_str(if n > 0 { ",\"bp\":\"e\"},\n" } else { "},\n" });
-        }
+        members[0].journey.with_text(|journey| {
+            for (n, m) in members.iter().enumerate() {
+                out.push_str(match n {
+                    0 => "{\"name\":\"journey\",\"cat\":\"journey\",\"ph\":\"s\",\"id\":\"",
+                    n if n == last => {
+                        "{\"name\":\"journey\",\"cat\":\"journey\",\"ph\":\"f\",\"id\":\""
+                    }
+                    _ => "{\"name\":\"journey\",\"cat\":\"journey\",\"ph\":\"t\",\"id\":\"",
+                });
+                push_escaped(&mut out, journey);
+                out.push_str("\",\"ts\":");
+                push_micros(&mut out, m.start);
+                out.push_str(",\"pid\":");
+                push_u64(&mut out, m.pid.into());
+                out.push_str(",\"tid\":");
+                push_u64(&mut out, m.tid.into());
+                out.push_str(if n > 0 { ",\"bp\":\"e\"},\n" } else { "},\n" });
+            }
+        });
     }
 
     if out.len() > header {

@@ -134,7 +134,7 @@ mod reference {
         // Groups are keyed and emitted in journey-value order; members sort by
         // `(start, pid, tid, span id)`. A journey with a single anchored span
         // emits no flow events at all (an arrow needs two ends).
-        let mut flows: BTreeMap<String, Vec<(u64, u64, u64, u64)>> = BTreeMap::new();
+        let mut flows: BTreeMap<String, Vec<(u64, u32, u64, u64)>> = BTreeMap::new();
         for (p, tids) in processes.iter().zip(&all_tids) {
             for s in p.spans.iter() {
                 if let Some((_, journey)) = s.attrs.iter().find(|(k, _)| *k == "journey") {
@@ -220,7 +220,7 @@ fn journey_span(id: u64, journey: &str, start: u64) -> SpanRecord {
 /// An owned process, as tests build them; [`render`] borrows it.
 #[derive(Debug)]
 struct Process {
-    pid: u64,
+    pid: u32,
     name: &'static str,
     spans: Vec<SpanRecord>,
     instants: Vec<InstantRecord>,
@@ -547,7 +547,21 @@ const FRAGMENTS: [&str; 14] = [
 /// Journey ids: few enough that groups of 1, 2, 3 and more spans all
 /// occur, and `"10"` / `"2"` order differently as strings and as numbers.
 /// A numeric id is drawn as `U64` or as text, and both must join one flow.
-const JOURNEYS: [&str; 7] = ["2", "10", "7", "1", "100", "0", "\"q\n"];
+/// The last four share a first byte or eight with another id, so the
+/// renderer's 8-byte sort key ties across journeys.
+const JOURNEYS: [&str; 11] = [
+    "2",
+    "10",
+    "7",
+    "1",
+    "100",
+    "0",
+    "\"q\n",
+    "12345678",
+    "123456789",
+    "1234567890",
+    "7\0",
+];
 /// Numbers of every width the pair table splits differently.
 const NUMBERS: [u64; 8] = [0, 9, 10, 99, 100, 12_345, 4_294_967_296, u64::MAX];
 const KINDS: [SpanKind; 5] = [
@@ -639,7 +653,7 @@ fn instants() -> impl Strategy<Value = Vec<InstantRecord>> {
 
 fn processes() -> impl Strategy<Value = Vec<Process>> {
     let names = ["", "fleet", "instance-\"00\""];
-    vec((1u64..40, 0..names.len(), spans(), instants()), 0..4).prop_map(move |processes| {
+    vec((1u32..40, 0..names.len(), spans(), instants()), 0..4).prop_map(move |processes| {
         processes
             .into_iter()
             .map(|(pid, name, spans, instants)| Process {
