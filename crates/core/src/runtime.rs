@@ -1056,7 +1056,7 @@ impl System {
             }
             role => role.event(args, ret),
         };
-        let outcome = slot.log.append_sized(
+        let removed = slot.log.append_sized(
             caller_name,
             &callee.name,
             args,
@@ -1067,9 +1067,8 @@ impl System {
             payload,
         );
         self.stats.log_appended += 1;
-        self.stats.log_removed += outcome.removed as u64;
-        if outcome.removed > 0 {
-            let removed = outcome.removed;
+        self.stats.log_removed += removed as u64;
+        if removed > 0 {
             self.clock
                 .advance(self.costs.log_shrink_scan * (removed as u64 + slot.log.len() as u64));
             let at = self.clock.now();

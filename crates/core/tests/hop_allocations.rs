@@ -131,21 +131,23 @@ fn hop_records_share_the_runtimes_names() {
 }
 
 /// Allocations one warmed keep-alive `GET` may make. The loop below
-/// measures 34 (34.8 per `GET`); the parent commit, whose forwarding layers
-/// (`Os::pread`, VFS `READ`/`PREAD`/`WRITEV`, 9PFS, LWIP, NETDEV, VIRTIO)
-/// each re-copied the payload they passed on, measures 48 (48.9). Before
-/// trace details were formatted only for a sink it was 51, and before names
-/// were shared on the hop, 138.
-const ALLOCATIONS_PER_GET: u64 = 34;
+/// measures 33 (33.3 per `GET`). While the function log kept per-session
+/// indices and collected its tombstones it was 34 (34.8); while the
+/// forwarding layers (`Os::pread`, VFS `READ`/`PREAD`/`WRITEV`, 9PFS, LWIP,
+/// NETDEV, VIRTIO) each re-copied the payload they passed on, 48 (48.9).
+/// Before trace details were formatted only for a sink it was 51, and
+/// before names were shared on the hop, 138.
+const ALLOCATIONS_PER_GET: u64 = 33;
 
 /// Allocations one warmed keep-alive `GET` may make with a telemetry sink
 /// attached: as many as untraced, because a stored span or instant
-/// allocates nothing once its deque is full. The loop below measures 34
-/// (34.7 per `GET`). While every `virtio_kick` and `9p_rpc` instant built
-/// its own detail list it was 46 (46.8), before payloads were forwarded
-/// uncopied 60, and before number attributes stayed numbers and call spans
-/// shared their `caller` list 80.
-const TRACED_ALLOCATIONS_PER_GET: u64 = 34;
+/// allocates nothing once its deque is full. The loop below measures 33
+/// (33.3 per `GET`). While the function log kept per-session indices it was
+/// 34 (34.7), while every `virtio_kick` and `9p_rpc` instant built its own
+/// detail list 46 (46.8), before payloads were forwarded uncopied 60, and
+/// before number attributes stayed numbers and call spans shared their
+/// `caller` list 80.
+const TRACED_ALLOCATIONS_PER_GET: u64 = 33;
 
 /// Allocations per `GET` of `server` once every lazily grown buffer —
 /// the telemetry hub's bounded record deques included — is full.

@@ -27,13 +27,14 @@ use vampos_oslib::OpenFlags;
 /// giving every downtime window a `String` and every recovery a member
 /// `Vec` cost 166; encoding LWIP's runtime data as a `Value` list instead
 /// of moving it, 51; a `String` copy of each outcome's component name, 49;
-/// a downtime window kept per reboot, whose `Vec` grows now and then, 41.
-const NGINX_SWEEP: u64 = 39;
+/// a downtime window kept per reboot, whose `Vec` grows now and then, 41;
+/// a function log kept with per-session indices over a tombstoned store, 39.
+const NGINX_SWEEP: u64 = 37;
 
 /// The same on the redis system below: 108 with the costs above, 30 with
 /// the encoded runtime data, 28 with the copied names, 20 with the kept
-/// windows.
-const REDIS_SWEEP: u64 = 18;
+/// windows, 18 with the indexed log.
+const REDIS_SWEEP: u64 = 17;
 
 /// One reboot of a component whose log is empty: nothing, now that the
 /// outcome shares its slot's name instead of copying it (1 before, 4

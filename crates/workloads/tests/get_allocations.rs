@@ -19,11 +19,11 @@ use vampos_sim::Nanos;
 const REQUEST: &[u8] = b"GET /index.html HTTP/1.1\r\nHost: vampos\r\n\r\n";
 
 /// Allocations one warmed keep-alive `GET` through `MiniHttpd` may make.
-/// The loop below measures 34 (34.8 per `GET`); the parent commit, whose
-/// forwarding layers re-copied every payload and whose `MiniHttpd`
-/// formatted a path, a header and a request list per request, measures 56
-/// (56.9).
-const ALLOCATIONS_PER_GET: u64 = 34;
+/// The loop below measures 33 (33.3 per `GET`). While the function log
+/// kept per-session indices and collected its tombstones it was 34 (34.8),
+/// and while the forwarding layers re-copied every payload and `MiniHttpd`
+/// formatted a path, a header and a request list per request, 56 (56.9).
+const ALLOCATIONS_PER_GET: u64 = 33;
 
 /// An nginx system serving `MiniHttpd`, with one client connected.
 struct Served {
